@@ -147,93 +147,6 @@ where
     })
 }
 
-/// [`analyze_layer_with`] with per-file hashing spread over a work crew.
-///
-/// Phase 1 walks the tar zero-copy collecting entry views (cheap — header
-/// parsing only), phase 2 hashes every regular file's payload with
-/// [`dhub_par::par_map`] over `hash_threads` workers (tar order preserved,
-/// digests bit-identical — SHA-256 of each file is computed exactly as in
-/// the single-pass sweep), and phase 3 replays the walk with the
-/// precomputed digests so the sink observes the same sequence of calls as
-/// the single-pass path. `hash_threads <= 1` delegates to the single-pass
-/// [`analyze_layer_with`] — no second walk, no entry vector.
-pub fn analyze_layer_with_par<'s, F>(
-    digest: Digest,
-    blob: &[u8],
-    scratch: &'s mut Scratch,
-    hash_threads: usize,
-    mut sink: F,
-) -> Result<LayerProfile, AnalyzeError>
-where
-    F: FnMut(&EntryView<'s>, Option<(Digest, &'s [u8])>),
-{
-    if hash_threads <= 1 {
-        return analyze_layer_with(digest, blob, scratch, sink);
-    }
-    let buf = scratch.tar_buf();
-    gzip_decompress_into(blob, buf).map_err(|e| AnalyzeError::BadGzip(e.to_string()))?;
-    let tar: &'s [u8] = buf;
-
-    let mut entries: Vec<EntryView<'s>> = Vec::new();
-    for entry in TarView::new(tar) {
-        entries.push(entry.map_err(|e| AnalyzeError::BadTar(e.to_string()))?);
-    }
-
-    let payloads: Vec<&'s [u8]> = entries
-        .iter()
-        .filter_map(|e| match &e.kind {
-            EntryViewKind::File(data) => Some(*data),
-            _ => None,
-        })
-        .collect();
-    let digests = dhub_par::par_map(hash_threads, &payloads, |data| Digest::of(data));
-
-    let mut seed_dirs: HashSet<String> = HashSet::new();
-    let mut files = Vec::new();
-    let mut fls = 0u64;
-    let mut max_depth = 0u64;
-    let mut next_digest = 0usize;
-    for entry in &entries {
-        let path = entry.path.trim_end_matches('/');
-        max_depth = max_depth.max(path_depth(path));
-        match &entry.kind {
-            EntryViewKind::Dir => {
-                if !seed_dirs.contains(path) {
-                    seed_dirs.insert(path.to_string());
-                }
-                sink(entry, None);
-            }
-            EntryViewKind::File(data) => {
-                seed_parent(path, &mut seed_dirs);
-                fls += data.len() as u64;
-                let file_digest = digests[next_digest];
-                next_digest += 1;
-                files.push(FileRecord {
-                    path: path.to_string(),
-                    digest: file_digest,
-                    kind: dhub_magic::classify(path, data),
-                    size: data.len() as u64,
-                });
-                sink(entry, Some((file_digest, data)));
-            }
-            EntryViewKind::Symlink(_) | EntryViewKind::Hardlink(_) => {
-                seed_parent(path, &mut seed_dirs);
-                sink(entry, None);
-            }
-        }
-    }
-
-    Ok(LayerProfile {
-        digest,
-        fls,
-        cls: blob.len() as u64,
-        dir_count: expand_dirs(&seed_dirs).len() as u64,
-        file_count: files.len() as u64,
-        max_depth,
-        files,
-    })
-}
-
 /// Records `path`'s immediate parent directory as a seed.
 fn seed_parent(path: &str, seeds: &mut HashSet<String>) {
     if let Some(pos) = path.rfind('/') {
@@ -404,29 +317,42 @@ impl AnalyzeCounters {
         }
     }
 
-    /// Records one successfully analyzed layer.
-    pub fn record_ok(&self, profile: &LayerProfile, tar_len: usize) {
-        self.layers.inc();
-        self.files.add(profile.file_count);
-        self.bytes.add(profile.cls);
-        self.tar_bytes.add(tar_len as u64);
-        if self.simd {
-            self.simd_bytes.add(tar_len as u64);
-        }
-    }
-
-    /// Records one failed layer.
-    pub fn record_err(&self) {
-        self.errors.inc();
-    }
-
-    /// Records wall-clock time spent analyzing (any outcome).
-    pub fn record_busy(&self, elapsed: std::time::Duration) {
-        self.busy_ns.add(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+    /// Runs one layer's analysis `f` on this worker's thread-local scratch
+    /// arena and records what it did: layer/file/byte counts on success,
+    /// an error otherwise, and the wall-clock time either way. `f` returns
+    /// the profile plus whatever else the pass produced (`()` for plain
+    /// analysis, the ingest outcome for the fused pass). This is the
+    /// per-layer step of the batch loop ([`analyze_all_with`]) and of the
+    /// streaming stage.
+    pub fn time_layer<T>(
+        &self,
+        f: impl FnOnce(&mut Scratch) -> Result<(LayerProfile, T), AnalyzeError>,
+    ) -> Result<(LayerProfile, T), AnalyzeError> {
+        let start = Instant::now();
+        let r = dhub_par::with_scratch(|scratch| {
+            let r = f(scratch);
+            match &r {
+                Ok((profile, _)) => {
+                    let tar_len = scratch.tar_len() as u64;
+                    self.layers.inc();
+                    self.files.add(profile.file_count);
+                    self.bytes.add(profile.cls);
+                    self.tar_bytes.add(tar_len);
+                    if self.simd {
+                        self.simd_bytes.add(tar_len);
+                    }
+                }
+                Err(_) => self.errors.inc(),
+            }
+            r
+        });
+        self.busy_ns.add(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        r
     }
 }
 
 /// Outcome of analyzing a set of layers.
+#[derive(Default)]
 pub struct AnalysisResult {
     /// Successfully analyzed layer profiles, keyed by digest.
     pub layers: FxHashMap<Digest, LayerProfile>,
@@ -434,44 +360,57 @@ pub struct AnalysisResult {
     pub errors: Vec<(Digest, AnalyzeError)>,
 }
 
-/// Analyzes all layers in parallel.
-pub fn analyze_all(layers: &[(Digest, Arc<Vec<u8>>)], threads: usize) -> AnalysisResult {
-    analyze_all_obs(layers, threads, &MetricsRegistry::new())
+impl AnalysisResult {
+    /// Files one layer's outcome under its digest.
+    pub fn record(&mut self, digest: Digest, outcome: Result<LayerProfile, AnalyzeError>) {
+        match outcome {
+            Ok(profile) => {
+                self.layers.insert(digest, profile);
+            }
+            Err(e) => self.errors.push((digest, e)),
+        }
+    }
 }
 
-/// [`analyze_all`], recording the `dhub_analyze_*` counters into `obs` as
-/// workers finish layers (live progress, not end-of-run). Each worker
-/// reuses its thread-local scratch arena across the layers it claims.
+/// The one batch loop: runs `per_layer` over all layers in parallel (each
+/// worker on its thread-local scratch arena), recording the
+/// `dhub_analyze_*` counters into `obs` as workers finish layers (live
+/// progress, not end-of-run). Returns the profiles and failures plus, for
+/// the layers that analyzed cleanly, whatever else `per_layer` produced,
+/// in input order. [`analyze_all_obs`] and the dedup store's fused
+/// `analyze_and_ingest_all` are this loop with different per-layer passes.
+pub fn analyze_all_with<T: Send>(
+    layers: &[(Digest, Arc<Vec<u8>>)],
+    threads: usize,
+    obs: &MetricsRegistry,
+    per_layer: impl Fn(Digest, &[u8], &mut Scratch) -> Result<(LayerProfile, T), AnalyzeError> + Sync,
+) -> (AnalysisResult, Vec<(Digest, T)>) {
+    let counters = AnalyzeCounters::on(obs);
+    let results = dhub_par::par_map(threads, layers, |(digest, blob)| {
+        (*digest, counters.time_layer(|scratch| per_layer(*digest, blob, scratch)))
+    });
+    let mut analysis = AnalysisResult::default();
+    let mut extras = Vec::new();
+    for (digest, r) in results {
+        let outcome = r.map(|(profile, extra)| {
+            extras.push((digest, extra));
+            profile
+        });
+        analysis.record(digest, outcome);
+    }
+    (analysis, extras)
+}
+
+/// Analyzes all layers in parallel, recording into `obs`.
 pub fn analyze_all_obs(
     layers: &[(Digest, Arc<Vec<u8>>)],
     threads: usize,
     obs: &MetricsRegistry,
 ) -> AnalysisResult {
-    let counters = AnalyzeCounters::on(obs);
-    let results = dhub_par::par_map(threads, layers, |(digest, blob)| {
-        let start = Instant::now();
-        let r = dhub_par::with_scratch(|scratch| {
-            let r = analyze_layer_scratch(*digest, blob, scratch);
-            match &r {
-                Ok(p) => counters.record_ok(p, scratch.tar_len()),
-                Err(_) => counters.record_err(),
-            }
-            r
-        });
-        counters.record_busy(start.elapsed());
-        (*digest, r)
-    });
-    let mut map = FxHashMap::default();
-    let mut errors = Vec::new();
-    for (digest, r) in results {
-        match r {
-            Ok(profile) => {
-                map.insert(digest, profile);
-            }
-            Err(e) => errors.push((digest, e)),
-        }
-    }
-    AnalysisResult { layers: map, errors }
+    let plain = |digest, blob: &[u8], scratch: &mut Scratch| {
+        analyze_layer_scratch(digest, blob, scratch).map(|p| (p, ()))
+    };
+    analyze_all_with(layers, threads, obs, plain).0
 }
 
 /// A downloaded image reference the aggregator needs (repo + manifest).
@@ -672,7 +611,7 @@ mod tests {
         let (d1, b1) = layer_blob(&[TarEntry::file("f", b"data".to_vec())]);
         let bad = (Digest::of(b"bad"), Arc::new(b"junk".to_vec()));
         let layers = vec![(d1, Arc::new(b1)), bad];
-        let res = analyze_all(&layers, 2);
+        let res = analyze_all_obs(&layers, 2, &MetricsRegistry::new());
         assert_eq!(res.layers.len(), 1);
         assert_eq!(res.errors.len(), 1);
         assert!(res.layers.contains_key(&d1));
@@ -704,54 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn par_hash_matches_single_pass() {
-        // A layer with enough files (and skewed sizes) that the parallel
-        // hash phase genuinely spreads work, plus dirs and links so the
-        // replayed walk covers every entry kind.
-        let mut entries = vec![TarEntry::dir("d/")];
-        for i in 0..40 {
-            entries.push(TarEntry::file(&format!("d/f{i}"), vec![i as u8; (i * 97) % 5000]));
-        }
-        entries.push(TarEntry::symlink("d/l", "f0"));
-        entries.push(TarEntry::hardlink("d/h", "d/f1"));
-        let (digest, blob) = layer_blob(&entries);
-
-        let mut scratch = Scratch::new();
-        let mut seq_sink = Vec::new();
-        let seq = analyze_layer_with(digest, &blob, &mut scratch, |e, f| {
-            seq_sink.push((e.path.to_string(), f.map(|(d, data)| (d, data.to_vec()))));
-        })
-        .unwrap();
-        let golden = analyze_layer_reference(digest, &blob).unwrap();
-        assert_eq!(seq, golden);
-
-        for hash_threads in [1usize, 2, 8] {
-            let mut scratch = Scratch::new();
-            let mut par_sink = Vec::new();
-            let par = analyze_layer_with_par(digest, &blob, &mut scratch, hash_threads, |e, f| {
-                par_sink.push((e.path.to_string(), f.map(|(d, data)| (d, data.to_vec()))));
-            })
-            .unwrap();
-            assert_eq!(par, seq, "profile mismatch at hash_threads={hash_threads}");
-            assert_eq!(par_sink, seq_sink, "sink mismatch at hash_threads={hash_threads}");
-        }
-    }
-
-    #[test]
-    fn par_hash_reports_errors_like_single_pass() {
-        let mut scratch = Scratch::new();
-        let err =
-            analyze_layer_with_par(Digest::of(b"x"), b"not gzip", &mut scratch, 4, |_, _| {})
-                .unwrap_err();
-        assert!(matches!(err, AnalyzeError::BadGzip(_)));
-        let garbage = gzip_compress(&[0xAAu8; 700], &CompressOptions::fast());
-        let mut scratch = Scratch::new();
-        let err = analyze_layer_with_par(Digest::of(b"x"), &garbage, &mut scratch, 4, |_, _| {})
-            .unwrap_err();
-        assert!(matches!(err, AnalyzeError::BadTar(_)));
-    }
-
-    #[test]
     fn kernel_summary_names_every_kernel() {
         let s = kernel_summary();
         assert!(s.starts_with("sha256="), "{s}");
@@ -780,7 +671,8 @@ mod tests {
             TarEntry::file("b/f2", vec![2; 50]),
             TarEntry::file("b/f3", vec![3; 25]),
         ]);
-        let res = analyze_all(&[(d1, Arc::new(b1.clone())), (d2, Arc::new(b2.clone()))], 2);
+        let layers = [(d1, Arc::new(b1.clone())), (d2, Arc::new(b2.clone()))];
+        let res = analyze_all_obs(&layers, 2, &MetricsRegistry::new());
         let input = ImageInput {
             repo: RepoName::official("t"),
             manifest_digest: Digest::of(b"m"),

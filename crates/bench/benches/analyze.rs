@@ -12,7 +12,7 @@
 use dhub_analyzer::{analyze_layer, analyze_layer_reference};
 use dhub_bench::{criterion_group, criterion_main, Criterion, Throughput};
 use dhub_compress::{gzip_decompress_into, gzip_decompress_reference};
-use dhub_dedupstore::{analyze_and_ingest, analyze_and_ingest_par, DedupStore};
+use dhub_dedupstore::{analyze_and_ingest, DedupStore};
 use dhub_digest::{crc32, crc32_scalar, sha256, sha256_scalar};
 use dhub_model::Digest;
 use dhub_par::Scratch;
@@ -99,29 +99,6 @@ fn bench_analyze_pipeline(c: &mut Criterion) {
                 files += analyze_layer(l.digest, &l.blob).unwrap().file_count;
             }
             std::hint::black_box(files)
-        })
-    });
-    g.finish();
-
-    // Fused pass with per-file hashing fanned over a work crew. Recorded
-    // under its actual hash-thread count via the group threads override.
-    let hash_threads = dhub_par::default_threads().max(2);
-    let mut g = c.benchmark_group("analyze_par");
-    g.throughput(Throughput::Bytes(bytes));
-    g.sample_size(10);
-    g.threads(hash_threads);
-    let mut scratch = Scratch::new();
-    g.bench_function("bench_analyze_fused_par", |b| {
-        b.iter(|| {
-            let store = DedupStore::new();
-            let mut files = 0u64;
-            for l in &layers {
-                let (p, _) =
-                    analyze_and_ingest_par(&store, l.digest, &l.blob, &mut scratch, hash_threads)
-                        .unwrap();
-                files += p.file_count;
-            }
-            std::hint::black_box((files, store.stats().unique_objects))
         })
     });
     g.finish();

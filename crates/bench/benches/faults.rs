@@ -4,10 +4,11 @@
 //! decision and of computing a full jittered retry schedule.
 
 use dhub_bench::{criterion_group, criterion_main, Criterion, Throughput};
-use dhub_downloader::download_all_with;
+use dhub_downloader::download_all_obs;
 use dhub_faults::{
     FaultConfig, FaultInjector, FaultOp, FaultPlan, RetryPolicy, ALL_FAULT_KINDS,
 };
+use dhub_obs::MetricsRegistry;
 use dhub_registry::NetworkModel;
 use dhub_synth::{generate_hub, SynthConfig, SyntheticHub};
 use std::sync::Arc;
@@ -25,12 +26,13 @@ fn hub() -> SyntheticHub {
 fn bench_download_fault_rates(c: &mut Criterion) {
     let hub = hub();
     let repos = hub.registry.repo_names();
-    let clean = download_all_with(
+    let clean = download_all_obs(
         &hub.registry,
         &repos,
         THREADS,
         &NetworkModel::datacenter(),
         &RetryPolicy::none(),
+        &MetricsRegistry::new(),
     );
     let mut g = c.benchmark_group("faults");
     g.throughput(Throughput::Bytes(clean.report.bytes_fetched));
@@ -46,12 +48,13 @@ fn bench_download_fault_rates(c: &mut Criterion) {
         let policy = RetryPolicy::fast(16).with_seed(7);
         g.bench_function(id, |b| {
             b.iter(|| {
-                let res = download_all_with(
+                let res = download_all_obs(
                     &hub.registry,
                     &repos,
                     THREADS,
                     &NetworkModel::datacenter(),
                     &policy,
+                    &MetricsRegistry::new(),
                 );
                 assert_eq!(res.report.gave_up, 0, "bench policy must never give up");
                 std::hint::black_box(res.report.bytes_fetched)

@@ -6,7 +6,7 @@
 //! counter increments, span enter/exit, snapshotting, and rendering.
 
 use dhub_bench::{criterion_group, criterion_main, Criterion, Throughput};
-use dhub_downloader::{download_all_obs, download_all_with};
+use dhub_downloader::download_all_obs;
 use dhub_faults::RetryPolicy;
 use dhub_obs::{span, MetricsRegistry};
 use dhub_registry::NetworkModel;
@@ -18,8 +18,8 @@ fn hub() -> SyntheticHub {
     generate_hub(&SynthConfig::tiny(42).with_repos(40))
 }
 
-/// The instrumented downloader, fresh registry per run (what
-/// `download_all_with` does) and a single long-lived shared registry (what
+/// The instrumented downloader, fresh registry per run (what a study
+/// without `--metrics` does) and a single long-lived shared registry (what
 /// a real study with `--metrics` does). Setup mirrors
 /// `bench_download_fault_rate_0` so BENCH_faults.json's figure is the
 /// uninstrumented reference.
@@ -28,14 +28,17 @@ fn bench_download_instrumented(c: &mut Criterion) {
     let repos = hub.registry.repo_names();
     let policy = RetryPolicy::fast(16).with_seed(7);
     let net = NetworkModel::datacenter();
-    let clean = download_all_with(&hub.registry, &repos, THREADS, &net, &policy);
+    let fresh = || {
+        download_all_obs(&hub.registry, &repos, THREADS, &net, &policy, &MetricsRegistry::new())
+    };
+    let clean = fresh();
     let mut g = c.benchmark_group("obs");
     g.throughput(Throughput::Bytes(clean.report.bytes_fetched));
     g.sample_size(10);
 
     g.bench_function("bench_download_obs_fresh_registry", |b| {
         b.iter(|| {
-            let res = download_all_with(&hub.registry, &repos, THREADS, &net, &policy);
+            let res = fresh();
             std::hint::black_box(res.report.bytes_fetched)
         })
     });

@@ -101,16 +101,18 @@ fn bench_pipeline_throughput(c: &mut Criterion) {
     g.throughput(Throughput::Elements(N));
     g.bench_function("bench_sync_pipeline_2stage", |b| {
         b.iter(|| {
-            let src = source(0..N, 256);
-            let hashed = stage(src, 4, 256, |x: u64| {
-                let mut acc = x;
-                for _ in 0..32 {
-                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-                }
-                Some(acc)
-            });
-            let kept = stage(hashed, 2, 256, |x: u64| (x & 1 == 0).then_some(x));
-            std::hint::black_box(sink(kept).len())
+            std::thread::scope(|s| {
+                let src = source(s, 0..N, 256);
+                let hashed = stage(s, src, 4, 256, |x: u64| {
+                    let mut acc = x;
+                    for _ in 0..32 {
+                        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    }
+                    Some(acc)
+                });
+                let kept = stage(s, hashed, 2, 256, |x: u64| (x & 1 == 0).then_some(x));
+                std::hint::black_box(sink(kept).len())
+            })
         })
     });
     g.finish();

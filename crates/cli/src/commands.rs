@@ -8,7 +8,9 @@ use dhub_faults::{FaultConfig, FaultInjector, RetryPolicy};
 use dhub_model::RepoName;
 use dhub_obs::{render_prometheus, MetricsRegistry, ProgressReporter};
 use dhub_study::figures;
-use dhub_study::pipeline::{run_study_obs, StudyData};
+use dhub_dedupstore::{DedupStore, PersistentDedupStore, StoreStats};
+use dhub_persist::{Publisher, WriteFaults};
+use dhub_study::pipeline::{run_study_obs, run_study_persist_obs, run_study_store_obs, StudyData};
 use dhub_synth::{generate_hub, SynthConfig, SyntheticHub};
 use std::io::Write;
 use std::sync::Arc;
@@ -150,26 +152,43 @@ fn emit_metrics(
     Ok(())
 }
 
-/// Builds the hub, attaches the fault injector (if requested), and runs
-/// the study pipeline under the configured retry policy. The returned
-/// registry holds the run's metrics; commands pass it to [`emit_metrics`]
-/// once their own post-study work (store ingest, …) has been recorded.
-fn study_for(
-    args: &Parsed,
-    out: &mut impl Write,
-) -> Result<(SyntheticHub, StudyData, Arc<MetricsRegistry>), Box<dyn std::error::Error>> {
-    study_for_with(args, out, |hub, threads, policy, obs| run_study_obs(hub, threads, policy, obs))
+/// What [`with_study`] hands a study runner: the generated hub with the
+/// fault injector (if any) attached, the retry policy, and the registry
+/// the run records into.
+struct StudyEnv<'a> {
+    hub: &'a SyntheticHub,
+    policy: RetryPolicy,
+    injector: Option<Arc<FaultInjector>>,
+    obs: &'a Arc<MetricsRegistry>,
 }
 
-/// [`study_for`] with a pluggable pipeline runner, for commands that swap
-/// the analysis stage (e.g. `store` runs the fused analyze+ingest). The
-/// fault-injection setup, progress reporting, and injector teardown stay
-/// identical across runners.
-fn study_for_with(
+impl StudyEnv<'_> {
+    /// A fresh injector over the same fault plan. Durable writes and
+    /// lease-loss faults share the fault flags with the registry but each
+    /// get their own instance, so every fault stream replays
+    /// deterministically no matter how registry traffic, disk writes and
+    /// claims interleave.
+    fn sibling_injector(&self) -> Option<Arc<FaultInjector>> {
+        self.injector
+            .as_ref()
+            .map(|inj| Arc::new(FaultInjector::new(inj.plan().config().clone())))
+    }
+}
+
+type BoxError = Box<dyn std::error::Error>;
+
+/// The one study runner every study-shaped command goes through: builds
+/// the hub, announces and attaches the fault injector (if requested),
+/// prints the `kernels:` line and starts the progress reporter under
+/// `--metrics`, runs `runner`, then detaches the injector and reports the
+/// faults fired. The returned registry holds the run's metrics; commands
+/// pass it to [`emit_metrics`] once their own post-study work has been
+/// recorded.
+fn with_study<T, W: Write>(
     args: &Parsed,
-    out: &mut impl Write,
-    runner: impl FnOnce(&SyntheticHub, usize, &RetryPolicy, &Arc<MetricsRegistry>) -> StudyData,
-) -> Result<(SyntheticHub, StudyData, Arc<MetricsRegistry>), Box<dyn std::error::Error>> {
+    out: &mut W,
+    runner: impl FnOnce(&StudyEnv<'_>, &mut W) -> Result<T, BoxError>,
+) -> Result<(SyntheticHub, T, Arc<MetricsRegistry>), BoxError> {
     let hub = hub_for(args, out)?;
     let (injector, policy) = fault_setup(args)?;
     if let Some(inj) = &injector {
@@ -183,83 +202,95 @@ fn study_for_with(
         writeln!(out, "kernels: {}", dhub_analyzer::kernel_summary())?;
     }
     let reporter = progress_for(args, &obs);
-    let data = runner(&hub, threads(args)?, &policy, &obs);
+    let env = StudyEnv { hub: &hub, policy, injector, obs: &obs };
+    let result = runner(&env, out);
     if let Some(r) = reporter {
         r.stop();
     }
-    if let Some(inj) = &injector {
+    let value = result?;
+    if let Some(inj) = &env.injector {
         // The study is over: detach the injector so post-study consumers
         // (version analysis, …) read the registry clean instead of
         // re-experiencing transient faults or damaged bytes.
         hub.registry.set_fault_injector(None);
         writeln!(out, "faults fired: {}", inj.stats().total())?;
     }
-    Ok((hub, data, obs))
+    Ok((hub, value, obs))
 }
 
-/// Runs the study pipeline through the **durable** store at `store_dir`:
-/// opens (or resumes) the crash-safe store, ingests every layer through
-/// `dhub-persist`'s faultable publish path, then writes the queryable
-/// study tables under `<store_dir>/db`, checkpoints the refcount
-/// manifest, and sweeps crash orphans. The same `--fault-rate` injector
-/// that hits the registry also crashes durable writes (as a separate
-/// deterministic instance, so wire faults and write crashes replay
-/// independently).
-fn persistent_study_for(
+/// The plain study (`report`, `summary`, `cache-sim`, `carve`).
+fn study_for(
     args: &Parsed,
     out: &mut impl Write,
+) -> Result<(SyntheticHub, StudyData, Arc<MetricsRegistry>), BoxError> {
+    with_study(args, out, |env, _| {
+        Ok(run_study_obs(env.hub, threads(args)?, &env.policy, env.obs))
+    })
+}
+
+/// Opens (or resumes) the crash-safe store at `store_dir`. `--fault-rate`
+/// also crashes its durable writes, retried under the same policy.
+fn open_durable(
+    env: &StudyEnv<'_>,
     store_dir: &str,
-) -> Result<
-    (dhub_study::pipeline::StudyData, dhub_dedupstore::StoreStats, Arc<MetricsRegistry>),
-    Box<dyn std::error::Error>,
-> {
-    use dhub_dedupstore::PersistentDedupStore;
-    use dhub_persist::{Publisher, WriteFaults};
-
-    let hub = hub_for(args, out)?;
-    let (injector, policy) = fault_setup(args)?;
-    if let Some(inj) = &injector {
-        let cfg = inj.plan().config();
-        writeln!(out, "fault injection: rate={} seed={} max-retries={}",
-            cfg.rate(dhub_faults::FaultOp::Manifest), cfg.seed, policy.max_retries)?;
-        hub.registry.set_fault_injector(Some(inj.clone()));
-    }
-    let obs = Arc::new(MetricsRegistry::new());
-    let reporter = progress_for(args, &obs);
-
-    // Durable writes share the fault flags but use their own injector
-    // instance: per-op attempt streams stay deterministic regardless of
-    // how registry traffic interleaves with disk writes.
-    let write_faults = injector.as_ref().map(|inj| WriteFaults {
-        injector: Arc::new(FaultInjector::new(inj.plan().config().clone())),
-        policy,
-    });
-    let publisher = Publisher::new().with_metrics(&obs).with_faults(write_faults);
-    let store = PersistentDedupStore::open_obs(store_dir, publisher.clone(), Some(&obs))?;
+    out: &mut impl Write,
+) -> Result<(PersistentDedupStore, Publisher), BoxError> {
+    let write_faults =
+        env.sibling_injector().map(|injector| WriteFaults { injector, policy: env.policy });
+    let publisher = Publisher::new().with_metrics(env.obs).with_faults(write_faults);
+    let store = PersistentDedupStore::open_obs(store_dir, publisher.clone(), Some(env.obs))?;
     let resumed = store.mem().stats().layers;
     if resumed > 0 {
         writeln!(out, "resuming store with {resumed} layers already ingested")?;
     }
+    Ok((store, publisher))
+}
 
-    let data =
-        dhub_study::pipeline::run_study_persist_obs(&hub, threads(args)?, &policy, &store, &obs);
-    if let Some(r) = reporter {
-        r.stop();
-    }
-    if let Some(inj) = &injector {
-        hub.registry.set_fault_injector(None);
-        writeln!(out, "faults fired: {}", inj.stats().total())?;
-    }
-
-    let db = dhub_study::db::StudyDb::build(&data, &store.mem().stats());
-    db.save(&std::path::Path::new(store_dir).join("db"), &publisher)?;
+/// Finishes a durable study: writes the queryable study tables under
+/// `<store_dir>/db`, checkpoints the refcount manifest, and sweeps crash
+/// orphans.
+fn finish_durable(
+    data: &StudyData,
+    store: &PersistentDedupStore,
+    publisher: &Publisher,
+    store_dir: &str,
+    out: &mut impl Write,
+) -> CmdResult {
+    let db = dhub_study::db::StudyDb::build(data, &store.mem().stats());
+    db.save(&std::path::Path::new(store_dir).join("db"), publisher)?;
     store.checkpoint()?;
     let swept = store.gc()?;
     if swept.objects + swept.tmp_files > 0 {
         writeln!(out, "gc: {} orphan objects, {} temp files swept", swept.objects, swept.tmp_files)?;
     }
-    let stats = store.mem().stats();
-    Ok((data, stats, obs))
+    Ok(())
+}
+
+/// The five-line dedup stats block `store` and `work` end with.
+fn print_store_stats(out: &mut impl Write, st: &StoreStats) -> std::io::Result<()> {
+    writeln!(out, "layers          : {}", st.layers)?;
+    writeln!(out, "unique objects  : {}", st.unique_objects)?;
+    writeln!(out, "logical bytes   : {}", st.logical_bytes)?;
+    writeln!(out, "physical bytes  : {}", st.physical_bytes)?;
+    writeln!(out, "dedup factor    : {:.2}x", st.dedup_factor())
+}
+
+/// Runs the study pipeline through the **durable** store at `store_dir`
+/// (`summary --store-dir`, `store --store-dir`): every layer is ingested
+/// through `dhub-persist`'s faultable publish path, then the study tables
+/// are written and the store checkpointed.
+fn persistent_study_for(
+    args: &Parsed,
+    out: &mut impl Write,
+    store_dir: &str,
+) -> Result<(StudyData, StoreStats, Arc<MetricsRegistry>), BoxError> {
+    let (_hub, (data, store, publisher), obs) = with_study(args, out, |env, out| {
+        let (store, publisher) = open_durable(env, store_dir, out)?;
+        let data = run_study_persist_obs(env.hub, threads(args)?, &env.policy, &store, env.obs);
+        Ok((data, store, publisher))
+    })?;
+    finish_durable(&data, &store, &publisher, store_dir, out)?;
+    Ok((data, store.mem().stats(), obs))
 }
 
 /// Dispatches a parsed command. Returns a process exit code.
@@ -294,7 +325,7 @@ pub fn run(args: &Parsed, out: &mut impl Write) -> i32 {
     }
 }
 
-type CmdResult = Result<(), Box<dyn std::error::Error>>;
+type CmdResult = Result<(), BoxError>;
 
 fn cmd_generate(args: &Parsed, out: &mut impl Write) -> CmdResult {
     let hub = hub_for(args, out)?;
@@ -481,21 +512,18 @@ fn cmd_carve(args: &Parsed, out: &mut impl Write) -> CmdResult {
 }
 
 fn cmd_store(args: &Parsed, out: &mut impl Write) -> CmdResult {
-    use dhub_dedupstore::DedupStore;
     // The fused pipeline profiles and ingests each downloaded layer in a
     // single decompression/hash pass — the store fills during the study
     // instead of re-reading every blob afterwards. Downloaded blobs are
     // digest-verified, so fault injection never skews the dedup stats.
     let store_dir = args.str("store-dir", "");
     let (st, obs) = if store_dir.is_empty() {
-        let mut store_slot: Option<DedupStore> = None;
-        let (_hub, _data, obs) = study_for_with(args, out, |hub, threads, policy, obs| {
-            let store = DedupStore::with_metrics(obs);
-            let data = dhub_study::pipeline::run_study_store_obs(hub, threads, policy, &store, obs);
-            store_slot = Some(store);
-            data
+        let (_hub, st, obs) = with_study(args, out, |env, _| {
+            let store = DedupStore::with_metrics(env.obs);
+            run_study_store_obs(env.hub, threads(args)?, &env.policy, &store, env.obs);
+            Ok(store.stats())
         })?;
-        (store_slot.expect("runner always fills the slot").stats(), obs)
+        (st, obs)
     } else {
         // Durable mode: same fused pipeline, but every object and layer
         // recipe survives the process in <store-dir>, with the queryable
@@ -504,11 +532,7 @@ fn cmd_store(args: &Parsed, out: &mut impl Write) -> CmdResult {
         writeln!(out, "store dir       : {store_dir}")?;
         (stats, obs)
     };
-    writeln!(out, "layers          : {}", st.layers)?;
-    writeln!(out, "unique objects  : {}", st.unique_objects)?;
-    writeln!(out, "logical bytes   : {}", st.logical_bytes)?;
-    writeln!(out, "physical bytes  : {}", st.physical_bytes)?;
-    writeln!(out, "dedup factor    : {:.2}x", st.dedup_factor())?;
+    print_store_stats(out, &st)?;
     emit_metrics(args, &obs, out)
 }
 
@@ -519,8 +543,6 @@ fn cmd_store(args: &Parsed, out: &mut impl Write) -> CmdResult {
 /// jobs that never committed a result, and the finished study tables are
 /// byte-identical to a single-worker (or plain `store --store-dir`) run.
 fn cmd_work(args: &Parsed, out: &mut impl Write) -> CmdResult {
-    use dhub_dedupstore::PersistentDedupStore;
-    use dhub_persist::{Publisher, WriteFaults};
     use dhub_queue::DurableQueue;
     use dhub_study::distributed::{run_study_queued_obs, QueuedStudyConfig};
 
@@ -529,55 +551,24 @@ fn cmd_work(args: &Parsed, out: &mut impl Write) -> CmdResult {
         return Err("usage: dhub work --store-dir DIR [--workers N]".into());
     }
     let workers = args.num("workers", dhub_par::default_threads())?;
-    let hub = hub_for(args, out)?;
-    let (injector, policy) = fault_setup(args)?;
-    if let Some(inj) = &injector {
-        let cfg = inj.plan().config();
-        writeln!(out, "fault injection: rate={} seed={} max-retries={}",
-            cfg.rate(dhub_faults::FaultOp::Manifest), cfg.seed, policy.max_retries)?;
-        hub.registry.set_fault_injector(Some(inj.clone()));
-    }
-    let obs = Arc::new(MetricsRegistry::new());
-    let reporter = progress_for(args, &obs);
+    let (_hub, (data, store, publisher), obs) = with_study(args, out, |env, out| {
+        let (store, publisher) = open_durable(env, &store_dir, out)?;
+        let queue =
+            DurableQueue::open(std::path::Path::new(&store_dir).join("queue"), publisher.clone())?
+                .with_metrics(env.obs);
+        writeln!(out, "worker fleet: {workers} worker(s) on {store_dir}/queue")?;
 
-    // As in `persistent_study_for`: durable writes and lease-loss faults
-    // each get their own injector instance over the same plan, so every
-    // fault stream replays deterministically no matter how N workers
-    // interleave registry traffic, disk writes, and claims.
-    let write_faults = injector.as_ref().map(|inj| WriteFaults {
-        injector: Arc::new(FaultInjector::new(inj.plan().config().clone())),
-        policy,
-    });
-    let lease_faults = injector
-        .as_ref()
-        .map(|inj| Arc::new(FaultInjector::new(inj.plan().config().clone())));
-    let publisher = Publisher::new().with_metrics(&obs).with_faults(write_faults);
-    let store = PersistentDedupStore::open_obs(&store_dir, publisher.clone(), Some(&obs))?;
-    let resumed = store.mem().stats().layers;
-    if resumed > 0 {
-        writeln!(out, "resuming store with {resumed} layers already ingested")?;
-    }
-    let queue =
-        DurableQueue::open(std::path::Path::new(&store_dir).join("queue"), publisher.clone())?
-            .with_metrics(&obs);
-    writeln!(out, "worker fleet: {workers} worker(s) on {store_dir}/queue")?;
-
-    let max_commits = args.num("max-commits", 0)?;
-    let qcfg = QueuedStudyConfig {
-        workers,
-        policy,
-        lease_faults,
-        max_commits: (max_commits > 0).then(|| max_commits as u64),
-        ..QueuedStudyConfig::default()
-    };
-    let data = run_study_queued_obs(&hub, &store, &queue, &qcfg, &obs);
-    if let Some(r) = reporter {
-        r.stop();
-    }
-    if let Some(inj) = &injector {
-        hub.registry.set_fault_injector(None);
-        writeln!(out, "faults fired: {}", inj.stats().total())?;
-    }
+        let max_commits = args.num("max-commits", 0)?;
+        let qcfg = QueuedStudyConfig {
+            workers,
+            policy: env.policy,
+            lease_faults: env.sibling_injector(),
+            max_commits: (max_commits > 0).then(|| max_commits as u64),
+            ..QueuedStudyConfig::default()
+        };
+        let data = run_study_queued_obs(env.hub, &store, &queue, &qcfg, env.obs);
+        Ok((data, store, publisher))
+    })?;
     let data = match data {
         // A deliberate --max-commits kill is the crash harness working as
         // intended, not a failure: report and leave the durable state for
@@ -593,22 +584,11 @@ fn cmd_work(args: &Parsed, out: &mut impl Write) -> CmdResult {
         other => other?,
     };
 
-    let db = dhub_study::db::StudyDb::build(&data, &store.mem().stats());
-    db.save(&std::path::Path::new(&store_dir).join("db"), &publisher)?;
-    store.checkpoint()?;
-    let swept = store.gc()?;
-    if swept.objects + swept.tmp_files > 0 {
-        writeln!(out, "gc: {} orphan objects, {} temp files swept", swept.objects, swept.tmp_files)?;
-    }
+    finish_durable(&data, &store, &publisher, &store_dir, out)?;
     writeln!(out, "jobs committed  : {}", obs.counter_value("dhub_queue_jobs_completed_total"))?;
     writeln!(out, "lease expiries  : {}", obs.counter_value("dhub_queue_lease_expiries_total"))?;
-    let st = store.mem().stats();
     writeln!(out, "store dir       : {store_dir}")?;
-    writeln!(out, "layers          : {}", st.layers)?;
-    writeln!(out, "unique objects  : {}", st.unique_objects)?;
-    writeln!(out, "logical bytes   : {}", st.logical_bytes)?;
-    writeln!(out, "physical bytes  : {}", st.physical_bytes)?;
-    writeln!(out, "dedup factor    : {:.2}x", st.dedup_factor())?;
+    print_store_stats(out, &store.mem().stats())?;
     emit_metrics(args, &obs, out)
 }
 
@@ -673,8 +653,7 @@ fn cmd_query(args: &Parsed, out: &mut impl Write) -> CmdResult {
 /// Crawl-derived Table-1 counters exist only in the finished tables, so
 /// `summary` degrades to the dedup block with a notice.
 fn query_replayed(args: &Parsed, out: &mut impl Write, dir: &str, question: &str) -> CmdResult {
-    use dhub_dedupstore::{PersistentDedupStore, RecipeEntryKind};
-    use dhub_persist::Publisher;
+    use dhub_dedupstore::RecipeEntryKind;
 
     let store = PersistentDedupStore::open(dir, Publisher::new())?;
     let mem = store.mem();
@@ -1037,7 +1016,51 @@ mod tests {
             assert_eq!((c1, c4), (0, 0), "{q1}\n{q4}");
             assert_eq!(q1, q4, "query {q} diverged across worker counts");
         }
-        for d in [&one_dir, &four_dir, &store_dir] {
+
+        // One runner behind `store`, `store --store-dir` (which `summary
+        // --store-dir` shares) and `work`: under faults and `--metrics` all
+        // three announce the injector, print the kernels line and report
+        // what fired, and print the same five stat lines, byte for byte
+        // (the exposition follows them, so find the block rather than
+        // taking the tail). The rate is low because every durable-write
+        // fault costs a real backoff sleep.
+        let stats_block = |s: &str| -> Vec<String> {
+            s.lines()
+                .skip_while(|l| !l.starts_with("layers          :"))
+                .take(5)
+                .map(String::from)
+                .collect()
+        };
+        assert_eq!(stats_block(&plain).len(), 5, "{plain}");
+        let fs_dir = std::env::temp_dir().join(format!("dhub-cli-workfs-{pid}"));
+        let fw_dir = std::env::temp_dir().join(format!("dhub-cli-workfw-{pid}"));
+        for d in [&fs_dir, &fw_dir] {
+            std::fs::remove_dir_all(d).ok();
+        }
+        let hub = ["--repos", "20", "--seed", "5", "--scale", "1024"];
+        let faults =
+            ["--fault-rate", "0.01", "--fault-seed", "7", "--max-retries", "16", "--metrics"];
+        let runs: [(&str, Vec<&str>); 3] = [
+            ("store", vec!["store", "--threads", "2"]),
+            (
+                "store --store-dir",
+                vec!["store", "--threads", "2", "--store-dir", fs_dir.to_str().unwrap()],
+            ),
+            ("work", vec!["work", "--workers", "2", "--store-dir", fw_dir.to_str().unwrap()]),
+        ];
+        for (name, argv) in runs {
+            let (code, out) = run_cmd(&[&argv[..], &hub[..], &faults[..]].concat());
+            assert_eq!(code, 0, "{name}: {out}");
+            assert!(
+                out.contains("fault injection: rate=0.01 seed=7 max-retries=16"),
+                "{name}: {out}"
+            );
+            assert!(out.contains("kernels: sha256="), "{name}: {out}");
+            assert!(out.contains("faults fired:"), "{name}: {out}");
+            assert_eq!(stats_block(&out), stats_block(&plain), "{name} stat lines diverged");
+        }
+
+        for d in [&one_dir, &four_dir, &store_dir, &fs_dir, &fw_dir] {
             std::fs::remove_dir_all(d).ok();
         }
     }

@@ -52,7 +52,7 @@ pub struct CrawlResult {
 /// HTML page, dedups, and appends `known_official` (the paper hardcodes
 /// the <200 official repositories, which the slash trick cannot find).
 pub fn crawl(search: &SearchIndex, known_official: &[RepoName]) -> CrawlResult {
-    crawl_with(search, known_official, None, &RetryPolicy::default())
+    crawl_obs(search, known_official, None, &RetryPolicy::default(), &MetricsRegistry::new())
 }
 
 /// Fault kinds a search-page fetch can experience. Body damage is not
@@ -114,20 +114,6 @@ pub fn fetch_search_page(
     PageFetch { parsed, retries, backoff }
 }
 
-/// [`crawl`] against a faulty search front-end: each page fetch consults
-/// `faults` first, and transient failures back off and retry under
-/// `policy`. A page whose budget runs out is abandoned (its rows go
-/// missing); if the *first* page never loads the crawl aborts, since
-/// pagination depth is unknown without it.
-pub fn crawl_with(
-    search: &SearchIndex,
-    known_official: &[RepoName],
-    faults: Option<&FaultInjector>,
-    policy: &RetryPolicy,
-) -> CrawlResult {
-    crawl_obs(search, known_official, faults, policy, &MetricsRegistry::new())
-}
-
 /// Per-run crawl counters, attached to `dhub_crawl_*` metrics. The final
 /// [`CrawlReport`] is *derived from* these deltas, so a `/metrics` scrape
 /// and the report reconcile exactly.
@@ -165,9 +151,14 @@ impl CrawlCounters {
     }
 }
 
-/// [`crawl_with`], recording live metrics into `obs` (`dhub_crawl_*`
-/// counters plus a per-page `crawl_page` span). The returned report is
-/// built from the counter deltas, never from side bookkeeping.
+/// [`crawl`] against a faulty search front-end: each page fetch consults
+/// `faults` first, and transient failures back off and retry under
+/// `policy`. A page whose budget runs out is abandoned (its rows go
+/// missing); if the *first* page never loads the crawl aborts, since
+/// pagination depth is unknown without it. Records live metrics into
+/// `obs` (`dhub_crawl_*` counters plus a per-page `crawl_page` span); the
+/// returned report is built from the counter deltas, never from side
+/// bookkeeping.
 pub fn crawl_obs(
     search: &SearchIndex,
     known_official: &[RepoName],
@@ -271,8 +262,8 @@ mod tests {
         let index = SearchIndex::build(all, 1.386, 25);
         let clean = crawl(&index, &[]);
         let inj = FaultInjector::new(FaultConfig::uniform(77, 0.2));
-        let faulty =
-            crawl_with(&index, &[], Some(&inj), &RetryPolicy::fast(16).with_seed(77));
+        let policy = RetryPolicy::fast(16).with_seed(77);
+        let faulty = crawl_obs(&index, &[], Some(&inj), &policy, &MetricsRegistry::new());
         assert_eq!(faulty.repos, clean.repos);
         assert_eq!(faulty.report.raw_results, clean.report.raw_results);
         assert_eq!(faulty.report.pages_fetched, clean.report.pages_fetched);
@@ -311,7 +302,8 @@ mod tests {
             FaultConfig::uniform(1, 1.0).with_weight(FaultKind::SlowLink, 0),
         );
         let official = RepoName::official("nginx");
-        let result = crawl_with(&index, &[official], Some(&inj), &RetryPolicy::none());
+        let result =
+            crawl_obs(&index, &[official], Some(&inj), &RetryPolicy::none(), &MetricsRegistry::new());
         // Page 0 never loads; only the hardcoded official list survives.
         assert_eq!(result.report.pages_fetched, 0);
         assert_eq!(result.report.pages_gave_up, 1);

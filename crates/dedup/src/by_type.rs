@@ -5,7 +5,7 @@ use dhub_model::{Digest, FileKind, LayerProfile, TypeGroup};
 use dhub_par::ShardedMap;
 
 /// Dedup numbers for one type group or leaf type.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TypeDedupRow {
     pub instances: u64,
     pub unique: u64,
@@ -43,7 +43,11 @@ fn build_index(layers: &[&LayerProfile], threads: usize) -> Vec<(Digest, FileEnt
             index.update(f.digest, |e| {
                 e.copies += 1;
                 e.size = f.size;
-                e.kind = Some(f.kind);
+                // One content can classify differently by path (magic falls
+                // back to the extension). Keep the smallest kind so the row
+                // a digest lands in does not depend on which worker touched
+                // it last.
+                e.kind = Some(e.kind.map_or(f.kind, |k| k.min(f.kind)));
             });
         }
     });
@@ -141,6 +145,39 @@ mod tests {
         assert!(kinds.contains(&FileKind::Elf));
         assert!(kinds.contains(&FileKind::PythonBytecode));
         assert!(!kinds.contains(&FileKind::CSource));
+    }
+
+    #[test]
+    fn rows_do_not_depend_on_threads_or_scheduling() {
+        // One content ("shared") appears in every layer, classified three
+        // different ways by its path; whichever worker touches it last must
+        // not decide its row.
+        let kinds = [FileKind::CSource, FileKind::Elf, FileKind::ShellScript];
+        let layers: Vec<LayerProfile> = (0..48u8)
+            .map(|i| {
+                let own = file(&format!("own{i}"), FileKind::PythonBytecode, 10);
+                layer(i, vec![file("shared", kinds[i as usize % 3], 100), own])
+            })
+            .collect();
+        let refs: Vec<&LayerProfile> = layers.iter().collect();
+        let groups = dedup_by_group(&refs, 1);
+        let eol = dedup_by_kind(&refs, TypeGroup::Eol, 1);
+        let src = dedup_by_kind(&refs, TypeGroup::SourceCode, 1);
+        for threads in [1, 2, 8] {
+            for _ in 0..10 {
+                assert_eq!(dedup_by_group(&refs, threads), groups, "threads={threads}");
+                assert_eq!(dedup_by_kind(&refs, TypeGroup::Eol, threads), eol);
+                assert_eq!(dedup_by_kind(&refs, TypeGroup::SourceCode, threads), src);
+            }
+        }
+        // The shared content is counted once, under its smallest kind.
+        let shared_kind = *kinds.iter().min().unwrap();
+        let total_unique: u64 = groups.iter().map(|(_, r)| r.unique).sum();
+        assert_eq!(total_unique, 49);
+        let row = |rows: &[(FileKind, TypeDedupRow)]| {
+            rows.iter().find(|(k, _)| *k == shared_kind).map(|(_, r)| r.instances)
+        };
+        assert_eq!(row(&eol).or(row(&src)), Some(48));
     }
 
     #[test]

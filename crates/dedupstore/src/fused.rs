@@ -9,16 +9,55 @@
 //! content hash per file disappear, and the decompressed tar only ever
 //! lives in the worker's scratch arena.
 
+use crate::persistent::{PersistentDedupStore, PersistentError};
 use crate::store::{DedupStore, IngestStats, PendingEntry, StoreError};
-use dhub_analyzer::{
-    analyze_layer_with, analyze_layer_with_par, AnalysisResult, AnalyzeCounters, AnalyzeError,
-};
-use dhub_digest::FxHashMap;
+use dhub_analyzer::{analyze_all_with, analyze_layer_with, AnalysisResult, AnalyzeError};
 use dhub_model::{Digest, LayerProfile};
 use dhub_obs::MetricsRegistry;
 use dhub_par::Scratch;
 use std::sync::Arc;
-use std::time::Instant;
+
+/// A store the fused pass can commit a parsed layer into. The in-memory
+/// and the durable store differ only in what a commit costs and how it can
+/// fail; everything upstream of the commit is shared.
+pub trait LayerSink: Sync {
+    /// What a failed commit reports.
+    type Error: Send;
+
+    /// Commits a layer from entries the analyzer already parsed and hashed.
+    fn commit_parsed(
+        &self,
+        layer_digest: Digest,
+        blob_len: u64,
+        pending: Vec<PendingEntry<'_>>,
+    ) -> Result<IngestStats, Self::Error>;
+}
+
+impl LayerSink for DedupStore {
+    type Error = StoreError;
+
+    fn commit_parsed(
+        &self,
+        layer_digest: Digest,
+        blob_len: u64,
+        pending: Vec<PendingEntry<'_>>,
+    ) -> Result<IngestStats, StoreError> {
+        DedupStore::commit_parsed(self, layer_digest, blob_len, pending)
+    }
+}
+
+impl LayerSink for PersistentDedupStore {
+    type Error = PersistentError;
+
+    fn commit_parsed(
+        &self,
+        layer_digest: Digest,
+        blob_len: u64,
+        pending: Vec<PendingEntry<'_>>,
+    ) -> Result<IngestStats, PersistentError> {
+        PersistentDedupStore::commit_parsed(self, layer_digest, blob_len, pending)
+    }
+}
 
 /// Analyzes one layer and ingests it into `store` in a single pass.
 ///
@@ -27,12 +66,12 @@ use std::time::Instant;
 /// inner `Result` reports the ingest outcome separately — a layer that is
 /// already stored still produces its profile (with
 /// [`StoreError::AlreadyIngested`] alongside).
-pub fn analyze_and_ingest(
-    store: &DedupStore,
+pub fn analyze_and_ingest<S: LayerSink>(
+    store: &S,
     digest: Digest,
     blob: &[u8],
     scratch: &mut Scratch,
-) -> Result<(LayerProfile, Result<IngestStats, StoreError>), AnalyzeError> {
+) -> Result<(LayerProfile, Result<IngestStats, S::Error>), AnalyzeError> {
     let mut pending = Vec::new();
     let profile = analyze_layer_with(digest, blob, scratch, |entry, file| {
         pending.push(PendingEntry::from_view(entry, file));
@@ -41,86 +80,30 @@ pub fn analyze_and_ingest(
     Ok((profile, ingest))
 }
 
-/// [`analyze_and_ingest`] with per-file hashing fanned out over
-/// `hash_threads` workers (see `analyze_layer_with_par`). Profile, ingest
-/// stats, and recipe bytes are identical to the single-pass form;
-/// `hash_threads <= 1` *is* the single-pass form.
-pub fn analyze_and_ingest_par(
-    store: &DedupStore,
-    digest: Digest,
-    blob: &[u8],
-    scratch: &mut Scratch,
-    hash_threads: usize,
-) -> Result<(LayerProfile, Result<IngestStats, StoreError>), AnalyzeError> {
-    let mut pending = Vec::new();
-    let profile = analyze_layer_with_par(digest, blob, scratch, hash_threads, |entry, file| {
-        pending.push(PendingEntry::from_view(entry, file));
-    })?;
-    let ingest = store.commit_parsed(digest, blob.len() as u64, pending);
-    Ok((profile, ingest))
-}
-
-/// Outcome of a fused batch run.
-pub struct FusedResult {
+/// Outcome of a fused batch run; `E` is the store's commit error.
+pub struct FusedResult<E> {
     /// Profiles and analysis failures, exactly as `analyze_all_obs` would
     /// report them.
     pub analysis: AnalysisResult,
     /// Per-layer ingest outcomes for the layers that analyzed cleanly, in
     /// input order.
-    pub ingests: Vec<(Digest, Result<IngestStats, StoreError>)>,
+    pub ingests: Vec<(Digest, Result<IngestStats, E>)>,
 }
 
 /// Analyzes all layers in parallel, ingesting each into `store` as part of
 /// the same pass. Records the `dhub_analyze_*` counters into `obs` with
 /// the same semantics as `analyze_all_obs` (the store's own `dhub_store_*`
 /// metrics fire via `store`'s registry binding, if any).
-pub fn analyze_and_ingest_all(
+pub fn analyze_and_ingest_all<S: LayerSink>(
     layers: &[(Digest, Arc<Vec<u8>>)],
     threads: usize,
-    store: &DedupStore,
+    store: &S,
     obs: &MetricsRegistry,
-) -> FusedResult {
-    analyze_and_ingest_all_with(layers, threads, 1, store, obs)
-}
-
-/// [`analyze_and_ingest_all`] with a second parallelism grain: each of the
-/// `threads` layer workers additionally spreads its per-file hashing over
-/// `hash_threads` workers. `hash_threads = 1` reproduces the single-pass
-/// fused sweep exactly (and is the default via `analyze_and_ingest_all`).
-pub fn analyze_and_ingest_all_with(
-    layers: &[(Digest, Arc<Vec<u8>>)],
-    threads: usize,
-    hash_threads: usize,
-    store: &DedupStore,
-    obs: &MetricsRegistry,
-) -> FusedResult {
-    let counters = AnalyzeCounters::on(obs);
-    let results = dhub_par::par_map(threads, layers, |(digest, blob)| {
-        let start = Instant::now();
-        let r = dhub_par::with_scratch(|scratch| {
-            let r = analyze_and_ingest_par(store, *digest, blob, scratch, hash_threads);
-            match &r {
-                Ok((p, _)) => counters.record_ok(p, scratch.tar_len()),
-                Err(_) => counters.record_err(),
-            }
-            r
-        });
-        counters.record_busy(start.elapsed());
-        (*digest, r)
+) -> FusedResult<S::Error> {
+    let (analysis, ingests) = analyze_all_with(layers, threads, obs, |digest, blob, scratch| {
+        analyze_and_ingest(store, digest, blob, scratch)
     });
-    let mut map = FxHashMap::default();
-    let mut errors = Vec::new();
-    let mut ingests = Vec::new();
-    for (digest, r) in results {
-        match r {
-            Ok((profile, ingest)) => {
-                map.insert(digest, profile);
-                ingests.push((digest, ingest));
-            }
-            Err(e) => errors.push((digest, e)),
-        }
-    }
-    FusedResult { analysis: AnalysisResult { layers: map, errors }, ingests }
+    FusedResult { analysis, ingests }
 }
 
 #[cfg(test)]
@@ -168,53 +151,6 @@ mod tests {
         let f = fused_store.stats().dedup_factor();
         let p = plain_store.stats().dedup_factor();
         assert_eq!(f.to_bits(), p.to_bits(), "dedup factor must be bit-identical");
-    }
-
-    #[test]
-    fn parallel_hash_matches_single_pass_and_reference() {
-        let shared = b"the shared library bytes".as_slice();
-        let layers: Vec<(Digest, Vec<u8>)> = vec![
-            layer(&[TarEntry::dir("usr/"), file("usr/lib/libx.so", shared), file("etc/one", b"one")]),
-            layer(&[file("opt/lib/libx.so", shared), TarEntry::symlink("opt/l", "lib")]),
-            layer(&(0..32).map(|i| file(&format!("f{i}"), &vec![i as u8; i * 131])).collect::<Vec<_>>()),
-        ];
-        for hash_threads in [2usize, 8] {
-            let par_store = DedupStore::new();
-            let ref_store = DedupStore::new();
-            let mut scratch = Scratch::new();
-            for (d, b) in &layers {
-                let (profile, ingest) =
-                    analyze_and_ingest_par(&par_store, *d, b, &mut scratch, hash_threads).unwrap();
-                let want_profile = dhub_analyzer::analyze_layer_reference(*d, b).unwrap();
-                let want_ingest = ref_store.ingest_layer_reference(*d, b).unwrap();
-                assert_eq!(profile, want_profile, "hash_threads={hash_threads}");
-                assert_eq!(ingest.unwrap(), want_ingest, "hash_threads={hash_threads}");
-            }
-            assert_eq!(par_store.stats(), ref_store.stats());
-            let f = par_store.stats().dedup_factor();
-            let r = ref_store.stats().dedup_factor();
-            assert_eq!(f.to_bits(), r.to_bits(), "dedup factor must be bit-identical");
-            for (d, _) in &layers {
-                assert_eq!(
-                    par_store.reconstruct_tar(d).unwrap(),
-                    ref_store.reconstruct_tar(d).unwrap()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_with_hash_threads_matches_default() {
-        let (d1, b1) = layer(&[file("a", b"one"), file("b", b"two")]);
-        let (d2, b2) = layer(&[file("c", b"three"), file("d", b"one")]);
-        let layers = vec![(d1, Arc::new(b1)), (d2, Arc::new(b2))];
-        let base_store = DedupStore::new();
-        let base = analyze_and_ingest_all(&layers, 2, &base_store, &MetricsRegistry::new());
-        let par_store = DedupStore::new();
-        let par = analyze_and_ingest_all_with(&layers, 2, 4, &par_store, &MetricsRegistry::new());
-        assert_eq!(base.analysis.layers, par.analysis.layers);
-        assert_eq!(base_store.stats(), par_store.stats());
-        assert_eq!(par.ingests.len(), 2);
     }
 
     #[test]

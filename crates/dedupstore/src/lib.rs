@@ -26,13 +26,11 @@ pub mod persistent;
 pub mod recipe;
 pub mod store;
 
-pub use fused::{
-    analyze_and_ingest, analyze_and_ingest_all, analyze_and_ingest_all_with,
-    analyze_and_ingest_par, FusedResult,
-};
-pub use persistent::{
-    analyze_and_ingest_all_persistent, analyze_and_ingest_persistent, PersistentDedupStore,
-    PersistentError, PersistentFusedResult,
-};
+pub use fused::{analyze_and_ingest, analyze_and_ingest_all, FusedResult, LayerSink};
+// The frozen `bench/` driver imports the durable spelling by name; it is the
+// generic `analyze_and_ingest` at `S = PersistentDedupStore`. Retire it with
+// the next `benchmark` PR.
+pub use fused::analyze_and_ingest as analyze_and_ingest_persistent;
+pub use persistent::{PersistentDedupStore, PersistentError};
 pub use recipe::{EntryMeta, LayerRecipe, RecipeEntryKind};
 pub use store::{DedupStore, IngestStats, PendingEntry, StoreError, StoreStats};

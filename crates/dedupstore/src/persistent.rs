@@ -32,16 +32,14 @@
 
 use crate::recipe::LayerRecipe;
 use crate::store::{DedupStore, IngestStats, PendingEntry, StoreError};
-use dhub_analyzer::{analyze_layer_with, AnalyzeError};
+use dhub_analyzer::analyze_layer_with;
 use dhub_digest::{FxHashMap, FxHashSet};
 use dhub_json::Json;
-use dhub_model::{Digest, LayerProfile};
+use dhub_model::Digest;
 use dhub_obs::MetricsRegistry;
-use dhub_par::Scratch;
 use dhub_persist::{fsync_dir, hex_of, BlobStore, GcStats, PersistError, Publisher, RefManifest};
 use dhub_persist::manifest::ManifestStats;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Errors from the persistent store: either a logical store error (same
 /// domain as the in-memory store) or a durability-tier failure.
@@ -336,77 +334,12 @@ impl PersistentDedupStore {
     }
 }
 
-/// Analyzes one layer and ingests it durably in a single pass — the
-/// persistent mirror of [`crate::analyze_and_ingest`]: same outer/inner
-/// result split (analysis failure stores nothing; a duplicate layer still
-/// yields its profile).
-pub fn analyze_and_ingest_persistent(
-    store: &PersistentDedupStore,
-    digest: Digest,
-    blob: &[u8],
-    scratch: &mut Scratch,
-) -> Result<(LayerProfile, Result<IngestStats, PersistentError>), AnalyzeError> {
-    let mut pending = Vec::new();
-    let profile = analyze_layer_with(digest, blob, scratch, |entry, file| {
-        pending.push(PendingEntry::from_view(entry, file));
-    })?;
-    let ingest = store.commit_parsed(digest, blob.len() as u64, pending);
-    Ok((profile, ingest))
-}
-
-/// Outcome of a persistent fused batch run.
-pub struct PersistentFusedResult {
-    pub analysis: dhub_analyzer::AnalysisResult,
-    /// Per-layer ingest outcomes for layers that analyzed cleanly, in
-    /// input order.
-    pub ingests: Vec<(Digest, Result<IngestStats, PersistentError>)>,
-}
-
-/// Analyzes all layers in parallel, ingesting each durably — the
-/// persistent mirror of [`crate::analyze_and_ingest_all`].
-pub fn analyze_and_ingest_all_persistent(
-    layers: &[(Digest, Arc<Vec<u8>>)],
-    threads: usize,
-    store: &PersistentDedupStore,
-    obs: &MetricsRegistry,
-) -> PersistentFusedResult {
-    let counters = dhub_analyzer::AnalyzeCounters::on(obs);
-    let results = dhub_par::par_map(threads, layers, |(digest, blob)| {
-        let start = std::time::Instant::now();
-        let r = dhub_par::with_scratch(|scratch| {
-            let r = analyze_and_ingest_persistent(store, *digest, blob, scratch);
-            match &r {
-                Ok((p, _)) => counters.record_ok(p, scratch.tar_len()),
-                Err(_) => counters.record_err(),
-            }
-            r
-        });
-        counters.record_busy(start.elapsed());
-        (*digest, r)
-    });
-    let mut map = FxHashMap::default();
-    let mut errors = Vec::new();
-    let mut ingests = Vec::new();
-    for (digest, r) in results {
-        match r {
-            Ok((profile, ingest)) => {
-                map.insert(digest, profile);
-                ingests.push((digest, ingest));
-            }
-            Err(e) => errors.push((digest, e)),
-        }
-    }
-    PersistentFusedResult {
-        analysis: dhub_analyzer::AnalysisResult { layers: map, errors },
-        ingests,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dhub_compress::{gzip_compress, CompressOptions};
     use dhub_tar::TarEntry;
+    use std::sync::Arc;
 
     fn layer(entries: &[TarEntry]) -> (Digest, Vec<u8>) {
         let tar = dhub_tar::write_archive(entries);
@@ -574,7 +507,7 @@ mod tests {
 
         let pstore = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
         let pobs = MetricsRegistry::new();
-        let pres = analyze_and_ingest_all_persistent(&layers, 2, &pstore, &pobs);
+        let pres = crate::analyze_and_ingest_all(&layers, 2, &pstore, &pobs);
 
         assert_eq!(pres.analysis.layers, mem_res.analysis.layers);
         assert_eq!(pres.ingests.len(), mem_res.ingests.len());

@@ -8,12 +8,20 @@
 //! images in parallel, a shared dedup set prevents duplicate layer
 //! fetches, and the failure taxonomy (auth vs. missing `latest`) is
 //! tallied exactly as the paper reports it.
+//!
+//! There is one download loop. What varies is the [`Transport`] a
+//! repository is pulled over (in-process [`InProcess`], or the Registry V2
+//! HTTP client) and who schedules the per-repository step
+//! ([`DownloadRun::pull_repo`]): the batch loop behind
+//! [`download_all_obs`] / [`download_all_http_obs`], or the study's
+//! streaming stage.
 
 use dhub_faults::{fault_key, RetryPolicy};
 use dhub_model::{Digest, Manifest, RepoName};
 use dhub_obs::{DeltaCounter, MetricsRegistry};
 use dhub_par::ShardedMap;
-use dhub_registry::{ApiError, NetworkModel, Registry};
+use dhub_registry::http::ClientError;
+use dhub_registry::{ApiError, NetworkModel, Registry, RemoteRegistry};
 use dhub_sync::Mutex;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -64,12 +72,11 @@ impl DownloadReport {
 }
 
 /// Shared retry bookkeeping for one download run (thread-safe; workers
-/// bump it concurrently). The counters are `dhub-obs` sharded counters:
-/// built with [`RetryCounters::on`] they alias the registry's
-/// `dhub_download_*` metrics, so a `/metrics` scrape sees retries live;
-/// built with [`RetryCounters::new`] they are detached but identical in
-/// behavior. Accessors report the *delta* since construction, so reports
-/// derived from them reconcile even on a long-lived shared registry.
+/// bump it concurrently). The counters are `dhub-obs` sharded counters
+/// aliasing the registry's `dhub_download_*` metrics, so a `/metrics`
+/// scrape sees retries live. Accessors report the *delta* since
+/// construction, so reports derived from them reconcile even on a
+/// long-lived shared registry.
 pub struct RetryCounters {
     retries: DeltaCounter,
     gave_up: DeltaCounter,
@@ -77,23 +84,7 @@ pub struct RetryCounters {
     backoff_ns: DeltaCounter,
 }
 
-impl Default for RetryCounters {
-    fn default() -> Self {
-        RetryCounters::new()
-    }
-}
-
 impl RetryCounters {
-    /// Zeroed counters, not attached to any metrics registry.
-    pub fn new() -> RetryCounters {
-        RetryCounters {
-            retries: DeltaCounter::detached(),
-            gave_up: DeltaCounter::detached(),
-            corrupt_retries: DeltaCounter::detached(),
-            backoff_ns: DeltaCounter::detached(),
-        }
-    }
-
     /// Counters aliasing `reg`'s `dhub_download_{retries,gave_up,
     /// corrupt_retries,backoff_ns}_total` metrics.
     pub fn on(reg: &MetricsRegistry) -> RetryCounters {
@@ -233,31 +224,6 @@ pub struct DownloadResult {
     pub report: DownloadReport,
 }
 
-/// Downloads the `latest` image of every repository in `repos` using
-/// `threads` parallel workers, fetching each unique layer once, with the
-/// default retry policy.
-pub fn download_all(
-    registry: &Registry,
-    repos: &[RepoName],
-    threads: usize,
-    net: &NetworkModel,
-) -> DownloadResult {
-    download_all_with(registry, repos, threads, net, &RetryPolicy::default())
-}
-
-/// [`download_all`] with an explicit retry policy ([`RetryPolicy::none`]
-/// fails fast — the "classify, don't retry" stance; larger budgets ride
-/// out injected faults).
-pub fn download_all_with(
-    registry: &Registry,
-    repos: &[RepoName],
-    threads: usize,
-    net: &NetworkModel,
-    policy: &RetryPolicy,
-) -> DownloadResult {
-    download_all_obs(registry, repos, threads, net, policy, &MetricsRegistry::new())
-}
-
 /// Per-run download counters attached to an obs registry; every field both
 /// feeds the live `dhub_download_*` metric and remembers its entry value so
 /// the final [`DownloadReport`] is the exact delta this run contributed.
@@ -306,10 +272,233 @@ impl DownloadCounters {
     }
 }
 
-/// [`download_all_with`] recording into `obs`: every tally below lives in
-/// the registry's `dhub_download_*` counters (scrapeable mid-run via
-/// `/metrics`), and the returned [`DownloadReport`] is *derived from* those
-/// counters — the two reconcile exactly by construction.
+/// Why a repository's `latest` manifest did not resolve — the paper's
+/// failure taxonomy, independent of the transport's own error type.
+pub enum ResolveError {
+    /// The repository requires authentication.
+    Auth,
+    /// The repository has no `latest` tag.
+    NoLatest,
+    /// Anything else, including a spent retry budget.
+    Other,
+}
+
+/// How one repository is pulled: resolve `latest`, fetch verified blobs.
+/// Both operations retry transient faults under the transport's own
+/// policy; what they return is final.
+pub trait Transport {
+    /// Resolves `repo:latest` to its manifest digest and manifest.
+    fn resolve_manifest(&self, repo: &RepoName) -> Result<(Digest, Manifest), ResolveError>;
+
+    /// Fetches one blob whose bytes hash to `digest`; `None` once the
+    /// retry budget is spent.
+    fn fetch_blob(&self, repo: &RepoName, digest: &Digest) -> Option<Arc<Vec<u8>>>;
+
+    /// Simulated wire time of a `bytes`-long response (zero over a real
+    /// socket, where the transfer itself takes the time).
+    fn transfer_time(&self, bytes: u64) -> Duration;
+}
+
+/// The in-process transport: direct calls into a [`Registry`], transfer
+/// time simulated by a [`NetworkModel`], retries counted live into the
+/// run's [`RetryCounters`].
+pub struct InProcess<'a> {
+    registry: &'a Registry,
+    net: &'a NetworkModel,
+    policy: &'a RetryPolicy,
+    retry: &'a RetryCounters,
+}
+
+impl<'a> InProcess<'a> {
+    /// A transport over `registry`; pass the run's [`DownloadRun::retry`].
+    pub fn new(
+        registry: &'a Registry,
+        net: &'a NetworkModel,
+        policy: &'a RetryPolicy,
+        retry: &'a RetryCounters,
+    ) -> InProcess<'a> {
+        InProcess { registry, net, policy, retry }
+    }
+}
+
+impl Transport for InProcess<'_> {
+    fn resolve_manifest(&self, repo: &RepoName) -> Result<(Digest, Manifest), ResolveError> {
+        get_manifest_with_retry(self.registry, repo, "latest", self.policy, self.retry)
+            .map(|sess| (sess.manifest_digest, sess.manifest))
+            .map_err(|e| match e {
+                ApiError::AuthRequired => ResolveError::Auth,
+                ApiError::TagNotFound => ResolveError::NoLatest,
+                _ => ResolveError::Other,
+            })
+    }
+
+    fn fetch_blob(&self, _repo: &RepoName, digest: &Digest) -> Option<Arc<Vec<u8>>> {
+        get_blob_verified(self.registry, digest, self.policy, self.retry).ok()
+    }
+
+    fn transfer_time(&self, bytes: u64) -> Duration {
+        self.net.transfer_time(bytes)
+    }
+}
+
+/// The Registry V2 **HTTP** transport — the exact protocol path the
+/// paper's downloader took against `registry-1.docker.io`. The client
+/// verifies digests and retries internally; its retry totals are folded
+/// into the run afterwards ([`RetryCounters::absorb`]).
+impl Transport for RemoteRegistry {
+    fn resolve_manifest(&self, repo: &RepoName) -> Result<(Digest, Manifest), ResolveError> {
+        self.get_manifest(repo, "latest").map_err(|e| match e {
+            ClientError::AuthRequired => ResolveError::Auth,
+            ClientError::NotFound => ResolveError::NoLatest,
+            _ => ResolveError::Other,
+        })
+    }
+
+    fn fetch_blob(&self, repo: &RepoName, digest: &Digest) -> Option<Arc<Vec<u8>>> {
+        self.get_blob(repo, digest).ok().map(Arc::new)
+    }
+
+    fn transfer_time(&self, _bytes: u64) -> Duration {
+        Duration::ZERO
+    }
+}
+
+/// What one repository contributed to a run: its image, plus the layer
+/// blobs this pull was the first to claim.
+pub type Pulled = (DownloadedImage, Vec<(Digest, Arc<Vec<u8>>)>);
+
+/// Shared state of one download run: the `dhub_download_*` counters, the
+/// unique-layer claim set, and the digests whose fetch was abandoned.
+/// Schedulers call [`DownloadRun::pull_repo`] once per repository from as
+/// many threads as they like, then [`DownloadRun::finish`] once.
+pub struct DownloadRun<'a> {
+    obs: &'a MetricsRegistry,
+    counters: DownloadCounters,
+    /// Every digest some pull has claimed (fetched or abandoned).
+    claimed: ShardedMap<Digest, ()>,
+    /// Claimed digests whose fetch exhausted the retry budget.
+    failed: Mutex<BTreeSet<Digest>>,
+}
+
+impl<'a> DownloadRun<'a> {
+    /// A fresh run recording into `obs`; every tally lives in the
+    /// registry's `dhub_download_*` counters (scrapeable mid-run via
+    /// `/metrics`), and the final [`DownloadReport`] is *derived from*
+    /// those counters — the two reconcile exactly by construction.
+    pub fn on(obs: &'a MetricsRegistry) -> DownloadRun<'a> {
+        DownloadRun {
+            obs,
+            counters: DownloadCounters::on(obs),
+            claimed: ShardedMap::new(64),
+            failed: Mutex::new(BTreeSet::new()),
+        }
+    }
+
+    /// The run's retry counters (what [`InProcess`] counts into and an
+    /// HTTP client's totals are absorbed into).
+    pub fn retry(&self) -> &RetryCounters {
+        &self.counters.retry
+    }
+
+    /// Pulls one repository's `latest` image over `transport`, fetching
+    /// only the layers no other pull has claimed. `None` when the manifest
+    /// does not resolve (tallied into the failure taxonomy).
+    pub fn pull_repo<T: Transport>(&self, transport: &T, repo: &RepoName) -> Option<Pulled> {
+        let dl = &self.counters;
+        // Spans are roots, not nested: a shared layer's fetch is performed
+        // by whichever worker wins the claim race, so nesting fetch spans
+        // under the winner's manifest span would make trace ids depend on
+        // interleaving. Root spans keyed by repo/digest stay deterministic.
+        let resolved = {
+            let _span = dhub_obs::span!(self.obs, "resolve_manifest", repo.full());
+            transport.resolve_manifest(repo)
+        };
+        let (manifest_digest, manifest) = match resolved {
+            Ok(m) => m,
+            Err(e) => {
+                match e {
+                    ResolveError::Auth => dl.auth.add(1),
+                    ResolveError::NoLatest => dl.no_latest.add(1),
+                    ResolveError::Other => dl.other.add(1),
+                }
+                return None;
+            }
+        };
+        dl.sim_nanos.add(transport.transfer_time(1024).as_nanos() as u64);
+        let mut blobs = Vec::new();
+        for layer in &manifest.layers {
+            // First inserter claims the digest (atomic per shard), so
+            // exactly one worker fetches it.
+            if self.claimed.insert(layer.digest, ()).is_some() {
+                dl.skipped.add(1);
+                continue;
+            }
+            let _span = dhub_obs::span!(self.obs, "fetch_blob", layer.digest);
+            match transport.fetch_blob(repo, &layer.digest) {
+                Some(blob) => {
+                    dl.bytes.add(blob.len() as u64);
+                    dl.sim_nanos.add(transport.transfer_time(blob.len() as u64).as_nanos() as u64);
+                    blobs.push((layer.digest, blob));
+                }
+                // The digest is abandoned and the image reclassified in
+                // `finish`. Its already-fetched blobs still flow
+                // downstream — another image may share those layers.
+                None => {
+                    self.failed.lock().insert(layer.digest);
+                }
+            }
+        }
+        Some((DownloadedImage { repo: repo.clone(), manifest_digest, manifest }, blobs))
+    }
+
+    /// Ends the run: drops every image whose manifest references an
+    /// abandoned digest — including those that skipped the fetch because
+    /// another worker held the claim, so the taxonomy is independent of
+    /// thread interleaving under gave-up conditions — sorts the rest by
+    /// repository, and derives the report from the counters.
+    pub fn finish(self, mut images: Vec<DownloadedImage>) -> (Vec<DownloadedImage>, DownloadReport) {
+        let failed = self.failed.into_inner();
+        let attempted = images.len();
+        images.retain(|img| img.manifest.layers.iter().all(|l| !failed.contains(&l.digest)));
+        images.sort_by(|a, b| a.repo.cmp(&b.repo));
+
+        let dl = &self.counters;
+        dl.other.add((attempted - images.len()) as u64);
+        dl.images_ok.add(images.len() as u64);
+        dl.unique_layers.add((self.claimed.len() - failed.len()) as u64);
+        (images, dl.report())
+    }
+}
+
+/// The batch scheduler: `threads` workers run `pull` once per repository
+/// against one shared [`DownloadRun`].
+fn download_loop(
+    repos: &[RepoName],
+    threads: usize,
+    obs: &MetricsRegistry,
+    pull: impl Fn(&DownloadRun<'_>, &RepoName) -> Option<Pulled> + Sync,
+) -> DownloadResult {
+    let run = DownloadRun::on(obs);
+    let pulled = dhub_par::par_map(threads, repos, |repo| pull(&run, repo));
+    let mut images = Vec::with_capacity(repos.len());
+    let mut layers = Vec::new();
+    for (image, blobs) in pulled.into_iter().flatten() {
+        images.push(image);
+        layers.extend(blobs);
+    }
+    // Largest first (digest breaks ties): independent of which worker won
+    // which claim, and the order the analysis stage's self-scheduling
+    // balances best on — a big base layer claimed last would otherwise be
+    // the tail every other worker waits for.
+    layers.sort_unstable_by_key(|(digest, blob)| (std::cmp::Reverse(blob.len()), *digest));
+    let (images, report) = run.finish(images);
+    DownloadResult { images, layers, report }
+}
+
+/// Downloads the `latest` image of every repository in `repos` from the
+/// in-process `registry` using `threads` parallel workers, fetching each
+/// unique layer once. [`RetryPolicy::none`] fails fast — the "classify,
+/// don't retry" stance; larger budgets ride out injected faults.
 pub fn download_all_obs(
     registry: &Registry,
     repos: &[RepoName],
@@ -318,146 +507,15 @@ pub fn download_all_obs(
     policy: &RetryPolicy,
     obs: &MetricsRegistry,
 ) -> DownloadResult {
-    // digest → blob, populated once per unique layer.
-    let fetched: ShardedMap<Digest, Option<Arc<Vec<u8>>>> = ShardedMap::new(64);
-    let images: Mutex<Vec<DownloadedImage>> = Mutex::new(Vec::with_capacity(repos.len()));
-    let dl = DownloadCounters::on(obs);
-    // Digests whose fetch was abandoned: their placeholder entries must
-    // not masquerade as downloaded layers.
-    let failed_digests: Mutex<BTreeSet<Digest>> = Mutex::new(BTreeSet::new());
-
-    dhub_par::par_for_each(threads, repos, |repo| {
-        // Spans are roots, not nested: a shared layer's fetch is performed
-        // by whichever worker wins the claim race, so nesting fetch spans
-        // under the winner's manifest span would make trace ids depend on
-        // interleaving. Root spans keyed by repo/digest stay deterministic.
-        let resolved = {
-            let _span = dhub_obs::span!(obs, "resolve_manifest", repo.full());
-            get_manifest_with_retry(registry, repo, "latest", policy, &dl.retry)
-        };
-        match resolved {
-            Err(ApiError::AuthRequired) => {
-                dl.auth.add(1);
-            }
-            Err(ApiError::TagNotFound) => {
-                dl.no_latest.add(1);
-            }
-            Err(_) => {
-                dl.other.add(1);
-            }
-            Ok(sess) => {
-                dl.sim_nanos.add(net.transfer_time(1024).as_nanos() as u64);
-                for layer in &sess.manifest.layers {
-                    // Claim the digest first so exactly one worker fetches it.
-                    let mut claimed = false;
-                    fetched.update(layer.digest, |slot| {
-                        if slot.is_none() {
-                            claimed = true;
-                            // Placeholder marks "claimed"; replaced below.
-                            *slot = Some(Arc::new(Vec::new()));
-                        }
-                    });
-                    if !claimed {
-                        dl.skipped.add(1);
-                        continue;
-                    }
-                    let _span = dhub_obs::span!(obs, "fetch_blob", layer.digest);
-                    match get_blob_verified(registry, &layer.digest, policy, &dl.retry) {
-                        Ok(blob) => {
-                            dl.bytes.add(blob.len() as u64);
-                            dl.sim_nanos.add(net.transfer_time(blob.len() as u64).as_nanos() as u64);
-                            fetched.update(layer.digest, |slot| *slot = Some(blob.clone()));
-                        }
-                        Err(_) => {
-                            failed_digests.lock().insert(layer.digest);
-                        }
-                    }
-                }
-                // Push unconditionally; images referencing an abandoned
-                // digest are reclassified after the loop, by manifest
-                // contents rather than by who won the claim race.
-                images.lock().push(DownloadedImage {
-                    repo: repo.clone(),
-                    manifest_digest: sess.manifest_digest,
-                    manifest: sess.manifest,
-                });
-            }
-        }
-    });
-
-    let failed_digests = failed_digests.into_inner();
-    let layers: Vec<(Digest, Arc<Vec<u8>>)> = fetched
-        .into_entries()
-        .into_iter()
-        .filter(|(d, _)| !failed_digests.contains(d))
-        .map(|(d, blob)| (d, blob.expect("claimed blobs are filled")))
-        .collect();
-    let mut images = images.into_inner();
-    // Every image whose manifest references a failed digest is incomplete
-    // — including those that skipped the fetch because another worker held
-    // the claim. Classifying here keeps the taxonomy independent of thread
-    // interleaving under gave-up conditions.
-    let mut failed_images = 0usize;
-    images.retain(|img| {
-        let complete = img.manifest.layers.iter().all(|l| !failed_digests.contains(&l.digest));
-        failed_images += usize::from(!complete);
-        complete
-    });
-    images.sort_by(|a, b| a.repo.cmp(&b.repo));
-
-    dl.other.add(failed_images as u64);
-    dl.images_ok.add(images.len() as u64);
-    dl.unique_layers.add(layers.len() as u64);
-    let report = dl.report();
-    DownloadResult { images, layers, report }
+    download_loop(repos, threads, obs, |run, repo| {
+        run.pull_repo(&InProcess::new(registry, net, policy, run.retry()), repo)
+    })
 }
 
-/// Downloads over the Registry V2 **HTTP** transport instead of in-process
-/// calls — the exact protocol path the paper's downloader took against
-/// `registry-1.docker.io`. Anonymous (no token dance), like the study.
-///
-/// Results are identical to [`download_all`] modulo the network model (the
-/// transfer here is real TCP, so no simulated duration is reported).
-pub fn download_all_http(
-    addr: std::net::SocketAddr,
-    repos: &[RepoName],
-    threads: usize,
-) -> DownloadResult {
-    download_all_http_with(addr, repos, threads, &RetryPolicy::default())
-}
-
-/// [`download_all_http`] with an explicit retry policy; the policy is
-/// installed on every per-repo client, and each client's retry counters
-/// are folded into the report.
-pub fn download_all_http_with(
-    addr: std::net::SocketAddr,
-    repos: &[RepoName],
-    threads: usize,
-    policy: &RetryPolicy,
-) -> DownloadResult {
-    download_all_http_obs(addr, repos, threads, policy, &MetricsRegistry::new())
-}
-
-/// Pull-through-mirror spelling of [`download_all_http_obs`]. A mirror
-/// started with `RegistryServer::start_mirror` speaks the exact same
-/// Registry V2 wire protocol as an origin, so "downloading through the
-/// mirror" is nothing more than pointing the HTTP downloader at the
-/// mirror's address — the alias exists so call sites state the topology
-/// they mean. Results are byte-identical to pulling from the origin
-/// directly; only latency (edge hits skip the origin round-trip) and the
-/// `dhub_mirror_*` counters differ.
-pub fn download_all_mirror_obs(
-    mirror_addr: std::net::SocketAddr,
-    repos: &[RepoName],
-    threads: usize,
-    policy: &RetryPolicy,
-    obs: &MetricsRegistry,
-) -> DownloadResult {
-    download_all_http_obs(mirror_addr, repos, threads, policy, obs)
-}
-
-/// [`download_all_http_with`] recording into `obs` — same counter-derived
-/// report contract as [`download_all_obs`].
+/// [`download_all_obs`] over the HTTP transport against `addr` — an origin
+/// or a pull-through mirror, which speak the same wire protocol. Anonymous
+/// (no token dance), like the study. Results are identical modulo the
+/// network model (the transfer is real TCP, so no simulated duration).
 pub fn download_all_http_obs(
     addr: std::net::SocketAddr,
     repos: &[RepoName],
@@ -465,98 +523,31 @@ pub fn download_all_http_obs(
     policy: &RetryPolicy,
     obs: &MetricsRegistry,
 ) -> DownloadResult {
-    use dhub_registry::http::ClientError;
-
-    let fetched: ShardedMap<Digest, Option<Arc<Vec<u8>>>> = ShardedMap::new(64);
-    let images: Mutex<Vec<DownloadedImage>> = Mutex::new(Vec::with_capacity(repos.len()));
-    let dl = DownloadCounters::on(obs);
-    let failed_digests: Mutex<BTreeSet<Digest>> = Mutex::new(BTreeSet::new());
-
-    dhub_par::par_for_each(threads, repos, |repo| {
-        // One client per request batch; connections are per-request
+    download_loop(repos, threads, obs, |run, repo| {
+        // One client per repository; connections are per-request
         // (connection: close), matching a crawl that cycles addresses.
-        let client =
-            dhub_registry::RemoteRegistry::connect_anonymous(addr).with_retry_policy(*policy);
-        let resolved = {
-            let _span = dhub_obs::span!(obs, "resolve_manifest", repo.full());
-            client.get_manifest(repo, "latest")
-        };
-        match resolved {
-            Err(ClientError::AuthRequired) => {
-                dl.auth.add(1);
-            }
-            Err(ClientError::NotFound) => {
-                dl.no_latest.add(1);
-            }
-            Err(_) => {
-                dl.other.add(1);
-            }
-            Ok((manifest_digest, manifest)) => {
-                for layer in &manifest.layers {
-                    let mut claimed = false;
-                    fetched.update(layer.digest, |slot| {
-                        if slot.is_none() {
-                            claimed = true;
-                            *slot = Some(Arc::new(Vec::new()));
-                        }
-                    });
-                    if !claimed {
-                        dl.skipped.add(1);
-                        continue;
-                    }
-                    let _span = dhub_obs::span!(obs, "fetch_blob", layer.digest);
-                    // The client verifies blob digests internally and
-                    // retries mismatches; an error here is final.
-                    match client.get_blob(repo, &layer.digest) {
-                        Ok(blob) => {
-                            dl.bytes.add(blob.len() as u64);
-                            let blob = Arc::new(blob);
-                            fetched.update(layer.digest, |slot| *slot = Some(blob.clone()));
-                        }
-                        Err(_) => {
-                            failed_digests.lock().insert(layer.digest);
-                        }
-                    }
-                }
-                // Reclassified below if any referenced digest failed.
-                images.lock().push(DownloadedImage {
-                    repo: repo.clone(),
-                    manifest_digest,
-                    manifest,
-                });
-            }
-        }
-        dl.retry.absorb(&client.retry_stats());
-    });
-
-    let failed_digests = failed_digests.into_inner();
-    let layers: Vec<(Digest, Arc<Vec<u8>>)> = fetched
-        .into_entries()
-        .into_iter()
-        .filter(|(d, _)| !failed_digests.contains(d))
-        .map(|(d, blob)| (d, blob.expect("claimed blobs are filled")))
-        .collect();
-    let mut images = images.into_inner();
-    // Same interleaving-independent reclassification as download_all_with.
-    let mut failed_images = 0usize;
-    images.retain(|img| {
-        let complete = img.manifest.layers.iter().all(|l| !failed_digests.contains(&l.digest));
-        failed_images += usize::from(!complete);
-        complete
-    });
-    images.sort_by(|a, b| a.repo.cmp(&b.repo));
-
-    dl.other.add(failed_images as u64);
-    dl.images_ok.add(images.len() as u64);
-    dl.unique_layers.add(layers.len() as u64);
-    let report = dl.report();
-    DownloadResult { images, layers, report }
+        let client = RemoteRegistry::connect_anonymous(addr).with_retry_policy(*policy);
+        let pulled = run.pull_repo(&client, repo);
+        run.retry().absorb(&client.retry_stats());
+        pulled
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dhub_model::LayerRef;
+
+    /// [`download_all_obs`] into a throwaway registry.
+    fn download(
+        reg: &Registry,
+        repos: &[RepoName],
+        threads: usize,
+        net: &NetworkModel,
+        policy: &RetryPolicy,
+    ) -> DownloadResult {
+        download_all_obs(reg, repos, threads, net, policy, &MetricsRegistry::new())
+    }
 
     fn registry_with(repos: &[(&str, &str, bool, &[u8])]) -> (Registry, Vec<RepoName>) {
         let reg = Registry::new();
@@ -581,7 +572,7 @@ mod tests {
             ("b/private", "latest", true, b"secret"),
             ("b/untagged", "v1", false, b"old"),
         ]);
-        let res = download_all(&reg, &names, 4, &NetworkModel::datacenter());
+        let res = download(&reg, &names, 4, &NetworkModel::datacenter(), &RetryPolicy::default());
         assert_eq!(res.report.images_downloaded, 2);
         assert_eq!(res.report.failed_auth, 1);
         assert_eq!(res.report.failed_no_latest, 1);
@@ -605,7 +596,7 @@ mod tests {
             reg.push_image(&repo, tag, &manifest, vec![blob]).unwrap();
             names.push(repo);
         }
-        let res = download_all(&reg, &names, 8, &NetworkModel::datacenter());
+        let res = download(&reg, &names, 8, &NetworkModel::datacenter(), &RetryPolicy::default());
         assert_eq!(res.report.images_downloaded, 20);
         assert_eq!(res.report.unique_layers, 1);
         assert_eq!(res.report.layer_fetches_skipped, 19);
@@ -615,14 +606,14 @@ mod tests {
     #[test]
     fn download_counts_pulls_in_registry() {
         let (reg, names) = registry_with(&[("x/y", "latest", false, b"p")]);
-        download_all(&reg, &names, 2, &NetworkModel::datacenter());
+        download(&reg, &names, 2, &NetworkModel::datacenter(), &RetryPolicy::default());
         assert_eq!(reg.pull_count(&names[0]), Some(1));
     }
 
     #[test]
     fn empty_repo_list() {
         let (reg, _) = registry_with(&[]);
-        let res = download_all(&reg, &[], 4, &NetworkModel::datacenter());
+        let res = download(&reg, &[], 4, &NetworkModel::datacenter(), &RetryPolicy::default());
         assert_eq!(res.report.images_downloaded, 0);
         assert!(res.layers.is_empty());
     }
@@ -630,7 +621,7 @@ mod tests {
     #[test]
     fn simulated_transfer_positive() {
         let (reg, names) = registry_with(&[("a/b", "latest", false, &[7u8; 100_000])]);
-        let res = download_all(&reg, &names, 1, &NetworkModel::wan());
+        let res = download(&reg, &names, 1, &NetworkModel::wan(), &RetryPolicy::default());
         assert!(res.report.simulated_transfer > Duration::from_millis(40));
     }
 
@@ -640,7 +631,7 @@ mod tests {
             ("z/last", "latest", false, b"1"),
             ("a/first", "latest", false, b"2"),
         ]);
-        let res = download_all(&reg, &names, 4, &NetworkModel::datacenter());
+        let res = download(&reg, &names, 4, &NetworkModel::datacenter(), &RetryPolicy::default());
         assert_eq!(res.images[0].repo.full(), "a/first");
         assert_eq!(res.images[1].repo.full(), "z/last");
     }
@@ -667,11 +658,11 @@ mod tests {
             ("b/untagged", "v1", false, b"old"),
         ]);
         let net = NetworkModel::datacenter();
-        let clean = download_all(&clean_reg, &names, 4, &net);
+        let clean = download(&clean_reg, &names, 4, &net, &RetryPolicy::default());
 
         let (reg, names) = faulted_registry(FaultConfig::uniform(31, 0.3));
         let faulty =
-            download_all_with(&reg, &names, 4, &net, &RetryPolicy::fast(16).with_seed(31));
+            download(&reg, &names, 4, &net, &RetryPolicy::fast(16).with_seed(31));
         assert_eq!(faulty.report.images_downloaded, clean.report.images_downloaded);
         assert_eq!(faulty.report.unique_layers, clean.report.unique_layers);
         assert_eq!(faulty.report.bytes_fetched, clean.report.bytes_fetched);
@@ -689,7 +680,7 @@ mod tests {
             c.with_weight(k, u32::from(k == FaultKind::Corrupt))
         });
         let (reg, names) = faulted_registry(cfg);
-        let res = download_all_with(
+        let res = download(
             &reg,
             &names,
             2,
@@ -715,7 +706,7 @@ mod tests {
             });
         let (reg, names) = faulted_registry(cfg);
         let res =
-            download_all_with(&reg, &names, 2, &NetworkModel::datacenter(), &RetryPolicy::none());
+            download(&reg, &names, 2, &NetworkModel::datacenter(), &RetryPolicy::none());
         assert_eq!(res.report.images_downloaded, 0);
         assert_eq!(res.report.failed_other, 2);
         assert_eq!(res.report.failed_auth, 1);
@@ -749,7 +740,7 @@ mod tests {
             });
         reg.set_fault_injector(Some(Arc::new(FaultInjector::new(cfg))));
         let res =
-            download_all_with(&reg, &names, 4, &NetworkModel::datacenter(), &RetryPolicy::none());
+            download(&reg, &names, 4, &NetworkModel::datacenter(), &RetryPolicy::none());
         assert_eq!(res.report.images_downloaded, 0);
         assert_eq!(res.report.failed_other, 20, "every referencing image must fail");
         assert_eq!(res.report.gave_up, 1, "the one claimed fetch exhausted its budget");
@@ -763,6 +754,10 @@ mod http_tests {
     use dhub_model::{LayerRef, Manifest};
     use dhub_registry::RegistryServer;
     use std::sync::Arc;
+
+    fn download_http(addr: std::net::SocketAddr, repos: &[RepoName], threads: usize) -> DownloadResult {
+        download_all_http_obs(addr, repos, threads, &RetryPolicy::default(), &MetricsRegistry::new())
+    }
 
     fn serve() -> (RegistryServer, Arc<Registry>, Vec<RepoName>) {
         let reg = Arc::new(Registry::new());
@@ -791,8 +786,15 @@ mod http_tests {
     #[test]
     fn http_download_matches_in_process() {
         let (srv, reg, names) = serve();
-        let via_http = download_all_http(srv.addr(), &names, 4);
-        let in_proc = download_all(&reg, &names, 4, &dhub_registry::NetworkModel::datacenter());
+        let via_http = download_http(srv.addr(), &names, 4);
+        let in_proc = download_all_obs(
+            &reg,
+            &names,
+            4,
+            &NetworkModel::datacenter(),
+            &RetryPolicy::default(),
+            &MetricsRegistry::new(),
+        );
 
         assert_eq!(via_http.report.images_downloaded, in_proc.report.images_downloaded);
         assert_eq!(via_http.report.failed_auth, in_proc.report.failed_auth);
@@ -811,7 +813,7 @@ mod http_tests {
     #[test]
     fn http_download_shares_layers_once() {
         let (srv, _reg, names) = serve();
-        let res = download_all_http(srv.addr(), &names, 2);
+        let res = download_http(srv.addr(), &names, 2);
         // 2 public latest images share one base layer: 3 unique layers.
         assert_eq!(res.report.images_downloaded, 2);
         assert_eq!(res.report.unique_layers, 3);

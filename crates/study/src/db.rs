@@ -295,14 +295,16 @@ impl StudyDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::run_study_store;
+    use crate::pipeline::run_study_store_obs;
     use dhub_faults::RetryPolicy;
+    use dhub_obs::MetricsRegistry;
     use dhub_synth::{generate_hub, SynthConfig};
 
     fn built() -> StudyDb {
         let hub = generate_hub(&SynthConfig::tiny(31).with_repos(30));
         let store = dhub_dedupstore::DedupStore::new();
-        let data = run_study_store(&hub, 2, &RetryPolicy::default(), &store);
+        let data =
+            run_study_store_obs(&hub, 2, &RetryPolicy::default(), &store, &MetricsRegistry::new());
         StudyDb::build(&data, &store.stats())
     }
 
@@ -335,7 +337,8 @@ mod tests {
     fn queries_agree_with_source_data() {
         let hub = generate_hub(&SynthConfig::tiny(37).with_repos(30));
         let store = dhub_dedupstore::DedupStore::new();
-        let data = run_study_store(&hub, 2, &RetryPolicy::default(), &store);
+        let data =
+            run_study_store_obs(&hub, 2, &RetryPolicy::default(), &store, &MetricsRegistry::new());
         let db = StudyDb::build(&data, &store.stats());
 
         assert_eq!(db.dedup_factor().to_bits(), store.stats().dedup_factor().to_bits());

@@ -25,11 +25,11 @@
 //! [`StudyData`], the tables, and the store stats, are byte-identical to
 //! the clean single-process run. The chaos suite gates on exactly that.
 
-use crate::pipeline::StudyData;
+use crate::pipeline::{set_dedup_ratio, StudyData};
 use dhub_analyzer::{image_profiles, ImageInput};
-use dhub_crawler::{fetch_search_page, CrawlReport, CrawlResult};
+use dhub_crawler::{fetch_search_page, CrawlReport};
 use dhub_dedup::ImageLayers;
-use dhub_dedupstore::{analyze_and_ingest_persistent, PersistentDedupStore};
+use dhub_dedupstore::{analyze_and_ingest, PersistentDedupStore};
 use dhub_digest::FxHashMap;
 use dhub_downloader::{get_blob_verified, get_manifest_with_retry, RetryCounters};
 use dhub_faults::{FaultInjector, RetryPolicy};
@@ -108,11 +108,6 @@ pub fn profile_json(p: &LayerProfile) -> Json {
     root
 }
 
-/// Serializes a [`LayerProfile`] for a layer job's result record.
-pub fn profile_to_json(p: &LayerProfile) -> String {
-    profile_json(p).to_string()
-}
-
 /// Inverse of [`FileKind::index`]. `FileKind::ALL` holds only the 50
 /// leaf kinds; `Video`, `OtherBinary` and `Empty` live past it in the
 /// discriminant space, so the search must cover all of them.
@@ -122,11 +117,6 @@ fn kind_from_index(idx: usize) -> Option<FileKind> {
         .copied()
         .chain([FileKind::Video, FileKind::OtherBinary, FileKind::Empty])
         .find(|k| k.index() == idx)
-}
-
-/// Parses a serialized [`LayerProfile`] back.
-pub fn profile_from_json(text: &str) -> Option<LayerProfile> {
-    profile_from_value(&dhub_json::parse(text).ok()?)
 }
 
 /// Rebuilds a [`LayerProfile`] from its already-parsed JSON value (the
@@ -255,7 +245,7 @@ fn execute_job(
                         std::thread::sleep(net.transfer_time(blob.len() as u64));
                     }
                     let analyzed = dhub_par::with_scratch(|scratch| {
-                        analyze_and_ingest_persistent(store, digest, &blob, scratch)
+                        analyze_and_ingest(store, digest, &blob, scratch)
                     });
                     match analyzed {
                         Ok((profile, ingest)) => {
@@ -502,11 +492,7 @@ pub fn run_study_queued_obs(
     let pulls: Vec<(RepoName, u64)> =
         repos.iter().filter_map(|r| hub.registry.pull_count(r).map(|c| (r.clone(), c))).collect();
 
-    let refs_total = download.unique_layers as u64 + download.layer_fetches_skipped;
-    if refs_total > 0 {
-        obs.gauge("dhub_layer_dedup_ratio")
-            .set(download.layer_fetches_skipped as f64 / refs_total as f64);
-    }
+    set_dedup_ratio(obs, &download);
 
     Ok(StudyData {
         crawl,
@@ -520,20 +506,6 @@ pub fn run_study_queued_obs(
         seed: hub.config.seed,
     })
 }
-
-/// [`run_study_queued_obs`] with a fresh metrics registry.
-pub fn run_study_queued(
-    hub: &SyntheticHub,
-    store: &PersistentDedupStore,
-    queue: &DurableQueue,
-    cfg: &QueuedStudyConfig,
-) -> Result<StudyData, QueueError> {
-    run_study_queued_obs(hub, store, queue, cfg, &MetricsRegistry::new())
-}
-
-/// Re-exported crawl result shape for callers that only need the crawl
-/// phase of a queued run (reserved for the sharded-crawl roadmap item).
-pub type QueuedCrawl = CrawlResult;
 
 #[cfg(test)]
 mod tests {
@@ -557,7 +529,8 @@ mod tests {
         let hub = generate_hub(&SynthConfig::tiny(5).with_repos(10));
         let s = crate::pipeline::run_study(&hub, 2);
         for p in s.layers.values() {
-            let back = profile_from_json(&profile_to_json(p)).unwrap();
+            let text = profile_json(p).to_string();
+            let back = profile_from_value(&dhub_json::parse(&text).unwrap()).unwrap();
             assert_eq!(&back, p);
         }
     }
@@ -575,7 +548,8 @@ mod tests {
         let store = PersistentDedupStore::open(root.join("store"), Publisher::new()).unwrap();
         let queue = DurableQueue::open(root.join("queue"), Publisher::new()).unwrap();
         let cfg = QueuedStudyConfig { workers: 4, ..QueuedStudyConfig::default() };
-        let queued = run_study_queued(&hub, &store, &queue, &cfg).unwrap();
+        let queued =
+            run_study_queued_obs(&hub, &store, &queue, &cfg, &MetricsRegistry::new()).unwrap();
 
         assert_eq!(queued.crawl.raw_results, plain.crawl.raw_results);
         assert_eq!(queued.crawl.distinct_repos, plain.crawl.distinct_repos);
@@ -610,11 +584,12 @@ mod tests {
         let clean_store =
             PersistentDedupStore::open(clean_root.join("store"), Publisher::new()).unwrap();
         let clean_queue = DurableQueue::open(clean_root.join("queue"), Publisher::new()).unwrap();
-        let clean = run_study_queued(
+        let clean = run_study_queued_obs(
             &hub,
             &clean_store,
             &clean_queue,
             &QueuedStudyConfig::default(),
+            &MetricsRegistry::new(),
         )
         .unwrap();
 
@@ -627,7 +602,7 @@ mod tests {
                 max_commits: Some(6),
                 ..QueuedStudyConfig::default()
             };
-            match run_study_queued(&hub, &store, &queue, &cfg) {
+            match run_study_queued_obs(&hub, &store, &queue, &cfg, &MetricsRegistry::new()) {
                 Err(QueueError::Killed) => {}
                 other => panic!("expected killed run, got {:?}", other.map(|_| "study")),
             }
@@ -635,7 +610,8 @@ mod tests {
         let store = PersistentDedupStore::open(root.join("store"), Publisher::new()).unwrap();
         let queue = DurableQueue::open(root.join("queue"), Publisher::new()).unwrap();
         let cfg = QueuedStudyConfig { workers: 2, ..QueuedStudyConfig::default() };
-        let resumed = run_study_queued(&hub, &store, &queue, &cfg).unwrap();
+        let resumed =
+            run_study_queued_obs(&hub, &store, &queue, &cfg, &MetricsRegistry::new()).unwrap();
 
         assert_eq!(resumed.layers, clean.layers);
         assert_eq!(resumed.images, clean.images);

@@ -14,8 +14,5 @@ pub mod pipeline;
 pub mod report;
 pub mod versions;
 
-pub use pipeline::{
-    run_study, run_study_http, run_study_http_with, run_study_streaming, run_study_streaming_with,
-    run_study_with, StudyData,
-};
+pub use pipeline::{run_study, StudyData};
 pub use report::{Anchor, FigureReport};

@@ -1,15 +1,23 @@
 //! The crawl → download → analyze pipeline (§III).
 
-use dhub_analyzer::{analyze_all_obs, image_profiles, ImageInput};
-use dhub_crawler::{crawl_obs, CrawlReport};
+use dhub_analyzer::{
+    analyze_all_obs, analyze_layer_scratch, image_profiles, AnalysisResult, AnalyzeCounters,
+    ImageInput,
+};
+use dhub_crawler::{crawl_obs, CrawlReport, CrawlResult};
 use dhub_dedup::ImageLayers;
+use dhub_dedupstore::{analyze_and_ingest_all, DedupStore, PersistentDedupStore};
 use dhub_digest::FxHashMap;
-use dhub_downloader::{download_all_http_obs, download_all_obs, DownloadReport};
+use dhub_downloader::{
+    download_all_http_obs, download_all_obs, DownloadReport, DownloadResult, DownloadRun,
+    DownloadedImage, InProcess,
+};
 use dhub_faults::RetryPolicy;
 use dhub_model::{Digest, ImageProfile, LayerProfile, RepoName};
 use dhub_obs::{span, MetricsRegistry};
 use dhub_registry::NetworkModel;
 use dhub_synth::SyntheticHub;
+use std::sync::Arc;
 
 /// Everything the figures need, produced by one pipeline run.
 pub struct StudyData {
@@ -47,21 +55,9 @@ impl StudyData {
     }
 }
 
-/// Runs the full measurement pipeline against a synthetic hub.
-pub fn run_study(hub: &SyntheticHub, threads: usize) -> StudyData {
-    run_study_with(hub, threads, &RetryPolicy::default())
-}
-
-/// [`run_study`] with an explicit retry policy. Faults come from the
-/// injector attached to `hub.registry` (if any) — the crawl consults the
-/// same injector for its search pages.
-pub fn run_study_with(hub: &SyntheticHub, threads: usize, policy: &RetryPolicy) -> StudyData {
-    run_study_obs(hub, threads, policy, &MetricsRegistry::new())
-}
-
 /// Sets the `dhub_layer_dedup_ratio` gauge: the fraction of manifest layer
 /// references that deduplicated onto an already-fetched layer.
-fn set_dedup_ratio(obs: &MetricsRegistry, download: &DownloadReport) {
+pub(crate) fn set_dedup_ratio(obs: &MetricsRegistry, download: &DownloadReport) {
     let refs = download.unique_layers as u64 + download.layer_fetches_skipped;
     if refs > 0 {
         obs.gauge("dhub_layer_dedup_ratio")
@@ -69,16 +65,28 @@ fn set_dedup_ratio(obs: &MetricsRegistry, download: &DownloadReport) {
     }
 }
 
-/// Shared tail of every batch pipeline shape: aggregate image profiles,
-/// build the dedup view, collect pull counts, and assemble [`StudyData`].
+/// §III-A: crawl. The official list is public knowledge (the paper
+/// hardcodes the <200 official repositories). Faults come from the
+/// injector attached to `hub.registry` (if any) — the crawl consults the
+/// same injector for its search pages as the download does for its pulls.
+fn crawl_hub(hub: &SyntheticHub, policy: &RetryPolicy, obs: &MetricsRegistry) -> CrawlResult {
+    let officials: Vec<RepoName> =
+        hub.registry.repo_names().into_iter().filter(|r| r.is_official()).collect();
+    let injector = hub.registry.fault_injector();
+    let _stage = span!(obs, "crawl");
+    crawl_obs(&hub.search, &officials, injector.as_deref(), policy, obs)
+}
+
+/// Shared tail of every pipeline shape: aggregate image profiles, build
+/// the dedup view, collect pull counts, and assemble [`StudyData`].
 fn assemble_study(
     hub: &SyntheticHub,
-    crawl_result: dhub_crawler::CrawlResult,
-    dl: dhub_downloader::DownloadResult,
-    analysis: dhub_analyzer::AnalysisResult,
+    crawl_result: CrawlResult,
+    images_dl: Vec<DownloadedImage>,
+    download: DownloadReport,
+    analysis: AnalysisResult,
 ) -> StudyData {
-    let inputs: Vec<ImageInput> = dl
-        .images
+    let inputs: Vec<ImageInput> = images_dl
         .iter()
         .map(|img| ImageInput {
             repo: img.repo.clone(),
@@ -87,8 +95,7 @@ fn assemble_study(
         })
         .collect();
     let images = image_profiles(&inputs, &analysis.layers);
-    let image_layers: Vec<ImageLayers> = dl
-        .images
+    let image_layers: Vec<ImageLayers> = images_dl
         .iter()
         .map(|img| ImageLayers { layers: img.manifest.layers.iter().map(|l| l.digest).collect() })
         .collect();
@@ -102,7 +109,7 @@ fn assemble_study(
 
     StudyData {
         crawl: crawl_result.report,
-        download: dl.report,
+        download,
         layers: analysis.layers,
         images,
         image_layers,
@@ -113,40 +120,59 @@ fn assemble_study(
     }
 }
 
-/// [`run_study_with`], recording live metrics and per-stage spans into
-/// `obs`. The per-stage reports inside [`StudyData`] are derived from the
-/// `dhub_*` counters, so a `/metrics` scrape and the end-of-run table
-/// reconcile exactly.
+/// The one batch study: §III-A crawl, §III-B `download` the latest images
+/// (unique layers only), §III-C `analyze` the layers, then aggregate image
+/// profiles. The public entry points differ only in the two steps they
+/// pass: which transport downloads, and what the per-layer pass feeds.
+/// The per-stage reports inside [`StudyData`] are derived from the
+/// `dhub_*` counters in `obs`, so a `/metrics` scrape and the end-of-run
+/// table reconcile exactly.
+fn batch_study(
+    hub: &SyntheticHub,
+    policy: &RetryPolicy,
+    obs: &MetricsRegistry,
+    download: impl FnOnce(&[RepoName]) -> DownloadResult,
+    analyze: impl FnOnce(&[(Digest, Arc<Vec<u8>>)]) -> AnalysisResult,
+) -> StudyData {
+    let crawl_result = crawl_hub(hub, policy, obs);
+    let dl = {
+        let _stage = span!(obs, "download");
+        download(&crawl_result.repos)
+    };
+    set_dedup_ratio(obs, &dl.report);
+    let analysis = {
+        let _stage = span!(obs, "analyze");
+        analyze(&dl.layers)
+    };
+    assemble_study(hub, crawl_result, dl.images, dl.report, analysis)
+}
+
+/// The in-process download step over a simulated WAN.
+fn wan_download<'a>(
+    hub: &'a SyntheticHub,
+    threads: usize,
+    policy: &'a RetryPolicy,
+    obs: &'a MetricsRegistry,
+) -> impl FnOnce(&[RepoName]) -> DownloadResult + 'a {
+    move |repos| download_all_obs(&hub.registry, repos, threads, &NetworkModel::wan(), policy, obs)
+}
+
+/// Runs the full measurement pipeline against a synthetic hub with the
+/// default retry policy and a throwaway metrics registry.
+pub fn run_study(hub: &SyntheticHub, threads: usize) -> StudyData {
+    run_study_obs(hub, threads, &RetryPolicy::default(), &MetricsRegistry::new())
+}
+
+/// The plain study: in-process download, analysis only. Records live
+/// metrics and per-stage spans into `obs`.
 pub fn run_study_obs(
     hub: &SyntheticHub,
     threads: usize,
     policy: &RetryPolicy,
     obs: &MetricsRegistry,
 ) -> StudyData {
-    // §III-A: crawl. The official list is public knowledge (the paper
-    // hardcodes the <200 official repositories).
-    let officials: Vec<RepoName> =
-        hub.registry.repo_names().into_iter().filter(|r| r.is_official()).collect();
-    let injector = hub.registry.fault_injector();
-    let crawl_result = {
-        let _stage = span!(obs, "crawl");
-        crawl_obs(&hub.search, &officials, injector.as_deref(), policy, obs)
-    };
-
-    // §III-B: download latest images, unique layers only.
-    let net = NetworkModel::wan();
-    let dl = {
-        let _stage = span!(obs, "download");
-        download_all_obs(&hub.registry, &crawl_result.repos, threads, &net, policy, obs)
-    };
-    set_dedup_ratio(obs, &dl.report);
-
-    // §III-C: analyze layers, then aggregate image profiles.
-    let analysis = {
-        let _stage = span!(obs, "analyze");
-        analyze_all_obs(&dl.layers, threads, obs)
-    };
-    assemble_study(hub, crawl_result, dl, analysis)
+    let analyze = |layers: &[_]| analyze_all_obs(layers, threads, obs);
+    batch_study(hub, policy, obs, wan_download(hub, threads, policy, obs), analyze)
 }
 
 /// [`run_study_obs`] with the analysis stage replaced by the fused
@@ -160,122 +186,43 @@ pub fn run_study_store_obs(
     hub: &SyntheticHub,
     threads: usize,
     policy: &RetryPolicy,
-    store: &dhub_dedupstore::DedupStore,
+    store: &DedupStore,
     obs: &MetricsRegistry,
 ) -> StudyData {
-    run_study_store_obs_with(hub, threads, 1, policy, store, obs)
+    let ingest = |layers: &[_]| analyze_and_ingest_all(layers, threads, store, obs).analysis;
+    batch_study(hub, policy, obs, wan_download(hub, threads, policy, obs), ingest)
 }
 
-/// [`run_study_store_obs`] with a second parallelism grain: each layer
-/// worker spreads its per-file hashing over `hash_threads` workers
-/// ([`dhub_dedupstore::analyze_and_ingest_all_with`]). `hash_threads = 1`
-/// is the plain fused sweep; the chaos suite gates that every setting
-/// produces byte-identical study results.
-pub fn run_study_store_obs_with(
-    hub: &SyntheticHub,
-    threads: usize,
-    hash_threads: usize,
-    policy: &RetryPolicy,
-    store: &dhub_dedupstore::DedupStore,
-    obs: &MetricsRegistry,
-) -> StudyData {
-    let officials: Vec<RepoName> =
-        hub.registry.repo_names().into_iter().filter(|r| r.is_official()).collect();
-    let injector = hub.registry.fault_injector();
-    let crawl_result = {
-        let _stage = span!(obs, "crawl");
-        crawl_obs(&hub.search, &officials, injector.as_deref(), policy, obs)
-    };
-
-    let net = NetworkModel::wan();
-    let dl = {
-        let _stage = span!(obs, "download");
-        download_all_obs(&hub.registry, &crawl_result.repos, threads, &net, policy, obs)
-    };
-    set_dedup_ratio(obs, &dl.report);
-
-    let fused = {
-        let _stage = span!(obs, "analyze");
-        dhub_dedupstore::analyze_and_ingest_all_with(&dl.layers, threads, hash_threads, store, obs)
-    };
-    assemble_study(hub, crawl_result, dl, fused.analysis)
-}
-
-/// [`run_study_store_obs`] against the **durable** store: the fused
-/// analyze + ingest pass writes every object and recipe through
-/// `dhub-persist`'s crash-safe publish path, so the filled store survives
-/// the process and can be reopened ([`dhub_dedupstore::PersistentDedupStore`]).
-/// `StudyData` is identical to the in-memory pipeline's; durability is
-/// purely a side effect, with `dhub_persist_*` counters on the publisher's
-/// registry binding.
+/// [`run_study_store_obs`] against the **durable** store: the fused pass
+/// writes every object and recipe through `dhub-persist`'s crash-safe
+/// publish path, so the filled store survives the process and can be
+/// reopened. `StudyData` is identical to the in-memory pipeline's;
+/// durability is purely a side effect, with `dhub_persist_*` counters on
+/// the publisher's registry binding.
 pub fn run_study_persist_obs(
     hub: &SyntheticHub,
     threads: usize,
     policy: &RetryPolicy,
-    store: &dhub_dedupstore::PersistentDedupStore,
+    store: &PersistentDedupStore,
     obs: &MetricsRegistry,
 ) -> StudyData {
-    let officials: Vec<RepoName> =
-        hub.registry.repo_names().into_iter().filter(|r| r.is_official()).collect();
-    let injector = hub.registry.fault_injector();
-    let crawl_result = {
-        let _stage = span!(obs, "crawl");
-        crawl_obs(&hub.search, &officials, injector.as_deref(), policy, obs)
-    };
-
-    let net = NetworkModel::wan();
-    let dl = {
-        let _stage = span!(obs, "download");
-        download_all_obs(&hub.registry, &crawl_result.repos, threads, &net, policy, obs)
-    };
-    set_dedup_ratio(obs, &dl.report);
-
-    let fused = {
-        let _stage = span!(obs, "analyze");
-        dhub_dedupstore::analyze_and_ingest_all_persistent(&dl.layers, threads, store, obs)
-    };
-    assemble_study(hub, crawl_result, dl, fused.analysis)
+    let ingest = |layers: &[_]| analyze_and_ingest_all(layers, threads, store, obs).analysis;
+    batch_study(hub, policy, obs, wan_download(hub, threads, policy, obs), ingest)
 }
 
-/// [`run_study_store_obs`] with a default registry.
-pub fn run_study_store(
-    hub: &SyntheticHub,
-    threads: usize,
-    policy: &RetryPolicy,
-    store: &dhub_dedupstore::DedupStore,
-) -> StudyData {
-    run_study_store_obs(hub, threads, policy, store, &MetricsRegistry::new())
-}
-
-/// Runs the full pipeline with the download stage over the Registry V2
-/// **HTTP** transport against `addr` instead of in-process calls. `addr`
-/// may be a direct origin (`RegistryServer::start`) or a pull-through
-/// mirror (`RegistryServer::start_mirror` fronting `dhub-mirror`): both
-/// speak the same wire protocol, so the study is topology-agnostic and
-/// its results must be byte-identical either way (the mirror chaos suite
-/// gates on exactly that).
+/// [`run_study_obs`] with the download stage over the Registry V2 **HTTP**
+/// transport against `addr` instead of in-process calls (the policy is
+/// installed on every per-repo HTTP client; the server applies its own
+/// wire faults). `addr` may be a direct origin (`RegistryServer::start`)
+/// or a pull-through mirror (`RegistryServer::start_mirror` fronting
+/// `dhub-mirror`): both speak the same wire protocol, so the study is
+/// topology-agnostic and its results must be byte-identical either way
+/// (the mirror chaos suite gates on exactly that).
 ///
 /// The crawl stays in-process against `hub.search` — the paper crawled
 /// `hub.docker.com` (the search API) and downloaded from
 /// `registry-1.docker.io`, two different services; the mirror tier only
 /// fronts the latter.
-pub fn run_study_http(hub: &SyntheticHub, addr: std::net::SocketAddr, threads: usize) -> StudyData {
-    run_study_http_with(hub, addr, threads, &RetryPolicy::default())
-}
-
-/// [`run_study_http`] with an explicit retry policy (installed on every
-/// per-repo HTTP client and on the crawl).
-pub fn run_study_http_with(
-    hub: &SyntheticHub,
-    addr: std::net::SocketAddr,
-    threads: usize,
-    policy: &RetryPolicy,
-) -> StudyData {
-    run_study_http_obs(hub, addr, threads, policy, &MetricsRegistry::new())
-}
-
-/// [`run_study_http_with`], recording live metrics and per-stage spans
-/// into `obs` — same counter-derived report contract as [`run_study_obs`].
 pub fn run_study_http_obs(
     hub: &SyntheticHub,
     addr: std::net::SocketAddr,
@@ -283,251 +230,73 @@ pub fn run_study_http_obs(
     policy: &RetryPolicy,
     obs: &MetricsRegistry,
 ) -> StudyData {
-    let officials: Vec<RepoName> =
-        hub.registry.repo_names().into_iter().filter(|r| r.is_official()).collect();
-    let injector = hub.registry.fault_injector();
-    let crawl_result = {
-        let _stage = span!(obs, "crawl");
-        crawl_obs(&hub.search, &officials, injector.as_deref(), policy, obs)
-    };
-
-    // §III-B over real TCP: the server (origin or mirror) applies its own
-    // wire faults; the HTTP client's retry/backoff absorbs them.
-    let dl = {
-        let _stage = span!(obs, "download");
-        download_all_http_obs(addr, &crawl_result.repos, threads, policy, obs)
-    };
-    set_dedup_ratio(obs, &dl.report);
-
-    let analysis = {
-        let _stage = span!(obs, "analyze");
-        analyze_all_obs(&dl.layers, threads, obs)
-    };
-    assemble_study(hub, crawl_result, dl, analysis)
+    let download = |repos: &[_]| download_all_http_obs(addr, repos, threads, policy, obs);
+    batch_study(hub, policy, obs, download, |layers| analyze_all_obs(layers, threads, obs))
 }
 
-/// Streaming variant of [`run_study`]: repositories flow through bounded
-/// download → analyze pipeline stages (`dhub-par::pipeline`), so peak
-/// memory holds only the channel depths' worth of layer blobs instead of
-/// the whole dataset. This is the shape a paper-scale (47 TB) run needs;
-/// results are identical to the batch path.
-pub fn run_study_streaming(hub: &SyntheticHub, threads: usize) -> StudyData {
-    run_study_streaming_with(hub, threads, &RetryPolicy::default())
-}
-
-/// [`run_study_streaming`] with an explicit retry policy, sharing the
-/// batch path's retry helpers stage-side.
-pub fn run_study_streaming_with(
-    hub: &SyntheticHub,
-    threads: usize,
-    policy: &RetryPolicy,
-) -> StudyData {
-    run_study_streaming_obs(hub, threads, policy, &MetricsRegistry::new())
-}
-
-/// [`run_study_streaming_with`] recording into `obs`. The stage workers
-/// feed the same `dhub_download_*` / `dhub_analyze_*` counters as the
-/// batch path, and the assembled [`DownloadReport`] is derived from their
-/// deltas — scraping `/metrics` mid-stream sees the run's live totals.
+/// Streaming scheduler for [`run_study_obs`]: repositories flow through
+/// bounded download → analyze pipeline stages (`dhub-par::pipeline`), so
+/// peak memory holds only the channel depths' worth of layer blobs instead
+/// of the whole dataset. This is the shape a paper-scale (47 TB) run
+/// needs. The stages run the batch path's own per-repository and
+/// per-layer steps against the same counters, so results, reports and
+/// `/metrics` totals are identical to the batch path.
 pub fn run_study_streaming_obs(
     hub: &SyntheticHub,
     threads: usize,
     policy: &RetryPolicy,
     obs: &MetricsRegistry,
 ) -> StudyData {
-    use dhub_downloader::{get_blob_verified, get_manifest_with_retry, DownloadedImage, RetryCounters};
-    use dhub_obs::DeltaCounter;
     use dhub_par::pipeline::{sink, source, stage};
-    use std::collections::BTreeSet;
-    use std::sync::Arc as SArc;
 
-    let officials: Vec<RepoName> =
-        hub.registry.repo_names().into_iter().filter(|r| r.is_official()).collect();
-    let injector = hub.registry.fault_injector();
-    let crawl_result = {
-        let _stage = span!(obs, "crawl");
-        crawl_obs(&hub.search, &officials, injector.as_deref(), policy, obs)
-    };
+    let crawl_result = crawl_hub(hub, policy, obs);
+    let _stage = span!(obs, "stream");
+    let run = DownloadRun::on(obs);
+    let net = NetworkModel::wan();
+    let transport = InProcess::new(&hub.registry, &net, policy, run.retry());
+    let counters = AnalyzeCounters::on(obs);
+    let results = std::thread::scope(|s| {
+        // Stage 1 (network-bound): resolve manifests + fetch unique layers.
+        let repo_rx = source(s, &crawl_result.repos, 64);
+        let dl_rx = stage(s, repo_rx, threads.max(2), 32, |repo| run.pull_repo(&transport, repo));
+        // Stage 2 (CPU-bound): analyze each image's newly fetched layers on
+        // the stage worker's thread-local scratch arena.
+        let an_rx = stage(s, dl_rx, threads.max(1), 16, |(image, blobs)| {
+            let analyzed: Vec<_> = blobs
+                .into_iter()
+                .map(|(d, blob)| {
+                    let pass = |scratch: &mut _| {
+                        analyze_layer_scratch(d, &blob, scratch).map(|p| (p, ()))
+                    };
+                    (d, counters.time_layer(pass))
+                })
+                .collect();
+            Some((image, analyzed))
+        });
+        sink(an_rx)
+    });
 
-    // Stage 1 (network-bound): resolve manifests + fetch unique layers.
-    // Counters alias the batch path's metric names; the report below is
-    // built from their deltas.
-    let _stream_stage = span!(obs, "stream");
-    let registry = hub.registry.clone();
-    let fetched: SArc<dhub_par::ShardedMap<Digest, ()>> = SArc::new(dhub_par::ShardedMap::new(64));
-    let auth = DeltaCounter::on(obs, "dhub_download_failed_auth_total");
-    let no_latest = DeltaCounter::on(obs, "dhub_download_failed_no_latest_total");
-    let other = DeltaCounter::on(obs, "dhub_download_failed_other_total");
-    let bytes = DeltaCounter::on(obs, "dhub_download_bytes_total");
-    let skipped = DeltaCounter::on(obs, "dhub_download_layer_fetches_skipped_total");
-    let images_ok = DeltaCounter::on(obs, "dhub_download_images_ok_total");
-    let unique = DeltaCounter::on(obs, "dhub_download_unique_layers_total");
-    let counters = SArc::new(RetryCounters::on(obs));
-    // Digests whose fetch exhausted the retry budget: images referencing
-    // them are reclassified at assembly, exactly like the batch path.
-    let failed: SArc<std::sync::Mutex<BTreeSet<Digest>>> =
-        SArc::new(std::sync::Mutex::new(BTreeSet::new()));
-
-    let repo_rx = source(crawl_result.repos.clone(), 64);
-    let dl_registry = registry.clone();
-    let dl_fetched = fetched.clone();
-    let dl_counters = counters.clone();
-    let dl_failed = failed.clone();
-    let dl_policy = *policy;
-    let (dl_auth, dl_nolatest, dl_other, dl_bytes, dl_skipped) =
-        (auth.clone(), no_latest.clone(), other.clone(), bytes.clone(), skipped.clone());
-    type DlItem = (DownloadedImage, Vec<(Digest, std::sync::Arc<Vec<u8>>)>);
-    let dl_rx = stage(repo_rx, threads.max(2), 32, move |repo: RepoName| -> Option<DlItem> {
-        match get_manifest_with_retry(&dl_registry, &repo, "latest", &dl_policy, &dl_counters) {
-            Err(dhub_registry::ApiError::AuthRequired) => {
-                dl_auth.inc();
-                None
-            }
-            Err(dhub_registry::ApiError::TagNotFound) => {
-                dl_nolatest.inc();
-                None
-            }
-            Err(_) => {
-                dl_other.inc();
-                None
-            }
-            Ok(sess) => {
-                let mut blobs = Vec::new();
-                for l in &sess.manifest.layers {
-                    // First inserter claims the digest (atomic per shard).
-                    let claimed = dl_fetched.insert(l.digest, ()).is_none();
-                    if !claimed {
-                        dl_skipped.inc();
-                        continue;
-                    }
-                    match get_blob_verified(&dl_registry, &l.digest, &dl_policy, &dl_counters) {
-                        Ok(blob) => {
-                            dl_bytes.add(blob.len() as u64);
-                            blobs.push((l.digest, blob));
-                        }
-                        Err(_) => {
-                            // The digest is abandoned; the image is
-                            // reclassified at assembly. Its already-fetched
-                            // blobs still flow downstream — another image
-                            // may share those layers.
-                            dl_failed.lock().unwrap().insert(l.digest);
-                        }
-                    }
-                }
-                Some((
-                    DownloadedImage {
-                        repo,
-                        manifest_digest: sess.manifest_digest,
-                        manifest: sess.manifest,
-                    },
-                    blobs,
-                ))
-            }
+    let mut images = Vec::with_capacity(results.len());
+    let mut analysis = AnalysisResult::default();
+    for (image, analyzed) in results {
+        images.push(image);
+        for (digest, r) in analyzed {
+            analysis.record(digest, r.map(|(profile, ())| profile));
         }
-    });
-
-    // Stage 2 (CPU-bound): analyze each image's newly fetched layers.
-    // Same counters and scratch-arena reuse as the batch path — each
-    // stage worker's thread-local arena persists across every layer it
-    // sees.
-    let an_counters = dhub_analyzer::AnalyzeCounters::on(obs);
-    let an_rx = stage(dl_rx, threads.max(1), 16, move |(img, blobs): DlItem| {
-        let profiles: Vec<(Digest, LayerProfile)> = blobs
-            .into_iter()
-            .filter_map(|(d, blob)| {
-                let start = std::time::Instant::now();
-                let r = dhub_par::with_scratch(|scratch| {
-                    let r = dhub_analyzer::analyze_layer_scratch(d, &blob, scratch);
-                    match &r {
-                        Ok(p) => an_counters.record_ok(p, scratch.tar_len()),
-                        Err(_) => an_counters.record_err(),
-                    }
-                    r
-                });
-                an_counters.record_busy(start.elapsed());
-                r.ok().map(|p| (d, p))
-            })
-            .collect();
-        Some((img, profiles))
-    });
-
-    let results: Vec<(DownloadedImage, Vec<(Digest, LayerProfile)>)> = sink(an_rx);
-
-    // Assemble StudyData exactly as the batch path does.
-    let mut layers: FxHashMap<Digest, LayerProfile> = FxHashMap::default();
-    let mut images_dl: Vec<DownloadedImage> = Vec::with_capacity(results.len());
-    for (img, profiles) in results {
-        for (d, p) in profiles {
-            layers.insert(d, p);
-        }
-        images_dl.push(img);
     }
-    // Images referencing an abandoned digest were still emitted (for their
-    // shareable layers); drop them from the success set here, mirroring
-    // the batch path's interleaving-independent classification.
-    let failed_digests = failed.lock().unwrap().clone();
-    let mut failed_images = 0usize;
-    images_dl.retain(|img| {
-        let complete = img.manifest.layers.iter().all(|l| !failed_digests.contains(&l.digest));
-        failed_images += usize::from(!complete);
-        complete
-    });
-    images_dl.sort_by(|a, b| a.repo.cmp(&b.repo));
-
-    let inputs: Vec<ImageInput> = images_dl
-        .iter()
-        .map(|img| ImageInput {
-            repo: img.repo.clone(),
-            manifest_digest: img.manifest_digest,
-            layers: img.manifest.layers.iter().map(|l| (l.digest, l.size)).collect(),
-        })
-        .collect();
-    let images = image_profiles(&inputs, &layers);
-    let image_layers: Vec<ImageLayers> = images_dl
-        .iter()
-        .map(|img| ImageLayers { layers: img.manifest.layers.iter().map(|l| l.digest).collect() })
-        .collect();
-    let pulls: Vec<(RepoName, u64)> = crawl_result
-        .repos
-        .iter()
-        .filter_map(|r| hub.registry.pull_count(r).map(|c| (r.clone(), c)))
-        .collect();
-
-    images_ok.add(images_dl.len() as u64);
-    unique.add(layers.len() as u64);
-    other.add(failed_images as u64);
-    let download = dhub_downloader::DownloadReport {
-        images_downloaded: images_ok.delta() as usize,
-        unique_layers: unique.delta() as usize,
-        bytes_fetched: bytes.delta(),
-        layer_fetches_skipped: skipped.delta(),
-        failed_auth: auth.delta() as usize,
-        failed_no_latest: no_latest.delta() as usize,
-        failed_other: other.delta() as usize,
-        retries: counters.retries(),
-        gave_up: counters.gave_up(),
-        corrupt_retries: counters.corrupt_retries(),
-        backoff_sleep: counters.backoff_sleep(),
-        simulated_transfer: std::time::Duration::ZERO,
-    };
-    set_dedup_ratio(obs, &download);
-    StudyData {
-        crawl: crawl_result.report,
-        download,
-        layers,
-        images,
-        image_layers,
-        pulls,
-        analyze_errors: 0,
-        size_scale: hub.config.size_scale,
-        seed: hub.config.seed,
-    }
+    let (images, report) = run.finish(images);
+    set_dedup_ratio(obs, &report);
+    assemble_study(hub, crawl_result, images, report, analysis)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dhub_synth::{generate_hub, SynthConfig};
+
+    fn streaming_study(hub: &SyntheticHub, threads: usize, policy: &RetryPolicy) -> StudyData {
+        run_study_streaming_obs(hub, threads, policy, &MetricsRegistry::new())
+    }
 
     fn study() -> StudyData {
         let hub = generate_hub(&SynthConfig::tiny(11).with_repos(40));
@@ -560,13 +329,11 @@ mod tests {
     fn streaming_matches_batch() {
         let hub = generate_hub(&SynthConfig::tiny(17).with_repos(40));
         let batch = run_study(&hub, 4);
-        let streaming = run_study_streaming(&hub, 4);
+        let streaming = streaming_study(&hub, 4, &RetryPolicy::default());
         assert_eq!(streaming.crawl, batch.crawl);
-        assert_eq!(streaming.download.images_downloaded, batch.download.images_downloaded);
-        assert_eq!(streaming.download.unique_layers, batch.download.unique_layers);
-        assert_eq!(streaming.download.failed_auth, batch.download.failed_auth);
-        assert_eq!(streaming.download.failed_no_latest, batch.download.failed_no_latest);
-        assert_eq!(streaming.download.bytes_fetched, batch.download.bytes_fetched);
+        // Same per-repository step, same counters: the whole report agrees,
+        // simulated transfer time included.
+        assert_eq!(streaming.download, batch.download);
         assert_eq!(streaming.layers.len(), batch.layers.len());
         for (d, p) in &batch.layers {
             assert_eq!(streaming.layers.get(d), Some(p), "layer profile mismatch");
@@ -596,11 +363,11 @@ mod tests {
 
         let hub = generate_hub(&SynthConfig::tiny(19).with_repos(40));
         hub.registry.set_fault_injector(Some(Arc::new(FaultInjector::new(cfg.clone()))));
-        let batch = run_study_with(&hub, 4, &policy);
+        let batch = run_study_obs(&hub, 4, &policy, &MetricsRegistry::new());
 
         let hub = generate_hub(&SynthConfig::tiny(19).with_repos(40));
         hub.registry.set_fault_injector(Some(Arc::new(FaultInjector::new(cfg))));
-        let streaming = run_study_streaming_with(&hub, 4, &policy);
+        let streaming = streaming_study(&hub, 4, &policy);
 
         assert!(batch.download.gave_up > 0, "40 % faults with no retries must abandon fetches");
         assert_eq!(streaming.download.images_downloaded, batch.download.images_downloaded);
@@ -621,8 +388,9 @@ mod tests {
     fn store_study_matches_plain_study() {
         let hub = generate_hub(&SynthConfig::tiny(23).with_repos(40));
         let plain = run_study(&hub, 4);
-        let store = dhub_dedupstore::DedupStore::new();
-        let fused = run_study_store(&hub, 4, &RetryPolicy::default(), &store);
+        let store = DedupStore::new();
+        let fused =
+            run_study_store_obs(&hub, 4, &RetryPolicy::default(), &store, &MetricsRegistry::new());
         assert_eq!(fused.crawl, plain.crawl);
         assert_eq!(fused.layers.len(), plain.layers.len());
         for (d, p) in &plain.layers {
@@ -637,6 +405,42 @@ mod tests {
         for d in fused.layers.keys() {
             assert!(store.reconstruct_tar(d).is_ok());
         }
+    }
+
+    #[test]
+    fn undecodable_layer_is_an_analysis_error_on_every_path() {
+        use dhub_model::{LayerRef, Manifest};
+        // One official image (so the crawl finds it) whose only layer is
+        // not gzip: it downloads fine and must then surface as exactly one
+        // analysis error — in the data and in the counter — whichever
+        // scheduler or sink ran.
+        let poisoned_hub = || {
+            let hub = generate_hub(&SynthConfig::tiny(29).with_repos(20));
+            let repo = RepoName::official("notgzip");
+            let blob = b"this layer blob is not a gzip member".to_vec();
+            let layer = LayerRef { digest: Digest::of(&blob), size: blob.len() as u64 };
+            hub.registry.create_repo(repo.clone(), false);
+            hub.registry.push_image(&repo, "latest", &Manifest::new(vec![layer]), vec![blob]).unwrap();
+            hub
+        };
+        let policy = RetryPolicy::default();
+        type Run<'a> = &'a dyn Fn(&SyntheticHub, &MetricsRegistry) -> StudyData;
+        let runs: [(&str, Run); 3] = [
+            ("batch", &|hub, obs| run_study_obs(hub, 2, &policy, obs)),
+            ("store", &|hub, obs| run_study_store_obs(hub, 2, &policy, &DedupStore::new(), obs)),
+            ("streaming", &|hub, obs| run_study_streaming_obs(hub, 2, &policy, obs)),
+        ];
+        let mut layer_counts = Vec::new();
+        for (name, run) in runs {
+            let obs = MetricsRegistry::new();
+            let s = run(&poisoned_hub(), &obs);
+            assert_eq!(s.analyze_errors, 1, "{name}");
+            assert_eq!(obs.counter_value("dhub_analyze_errors_total"), 1, "{name}");
+            // The blob was fetched, so it still counts as a unique layer.
+            assert_eq!(s.download.unique_layers, s.layers.len() + 1, "{name}");
+            layer_counts.push(s.layers.len());
+        }
+        assert!(layer_counts.iter().all(|&n| n == layer_counts[0]), "{layer_counts:?}");
     }
 
     #[test]

@@ -342,4 +342,28 @@ if bad:
 print("dependency audit: all manifests resolve from path dependencies only")
 EOF
 
+# Entry-point audit: the study / download / analyze families are one
+# skeleton each (DESIGN.md "what varies -> where it lives"). A new
+# `run_study_*` / `download_all_*` / `analyze_*` spelling has to replace
+# one of these, not sit beside it.
+echo "==> entry-point audit"
+ENTRY_RE="pub fn (run_study|download_all|analyze_and_ingest|analyze_layer|analyze_all)[a-z_]*"
+ENTRY_POINTS=$(grep -rhoE "$ENTRY_RE" crates/*/src | wc -l)
+if [ "$ENTRY_POINTS" -gt 17 ]; then
+    echo "FAIL: $ENTRY_POINTS public study/download/analyze entry points (limit 17):" >&2
+    grep -rnoE "$ENTRY_RE" crates/*/src >&2
+    exit 1
+fi
+echo "entry-point audit: $ENTRY_POINTS public entry points (limit 17)"
+
+# End-to-end benchmark hook: all four BENCHMARK.json workloads in smoke
+# mode with every correctness check (incl. queued tables byte-identical
+# to a direct run). The driver is frozen against the public surface, so
+# this is also where a signature drift fails at build time; it must leave
+# its own tree — lockfile included — untouched.
+echo "==> bench/run.sh --quick"
+bench/run.sh --quick > /dev/null
+git diff --exit-code -- bench BENCHMARK.json \
+    || { echo "FAIL: bench/run.sh rewrote files under bench/" >&2; exit 1; }
+
 echo "==> ci.sh: all gates passed"

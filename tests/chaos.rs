@@ -7,14 +7,13 @@
 //! retries disabled, every crawled repository still lands in exactly one
 //! outcome bucket.
 
-use dhub_downloader::download_all_http_with;
+use dhub_downloader::download_all_http_obs;
 use dhub_faults::{FaultConfig, FaultInjector, FaultKind, RetryPolicy};
 use dhub_mirror::{Mirror, MirrorConfig, MirrorReport, PolicyKind};
 use dhub_obs::{MetricsRegistry, MetricsSnapshot};
 use dhub_registry::RegistryServer;
 use dhub_study::pipeline::{
-    run_study_http_with, run_study_obs, run_study_streaming_obs, run_study_streaming_with,
-    run_study_with, StudyData,
+    run_study_http_obs, run_study_obs, run_study_streaming_obs, StudyData,
 };
 use dhub_synth::{generate_hub, SyntheticHub, SynthConfig};
 use std::sync::Arc;
@@ -72,11 +71,11 @@ fn assert_same_dataset(faulted: &StudyData, clean: &StudyData) {
 
 #[test]
 fn faulted_pipeline_with_retries_is_byte_identical() {
-    let clean = run_study_with(&hub(), THREADS, &patient());
+    let clean = run_study_obs(&hub(), THREADS, &patient(), &MetricsRegistry::new());
     assert_eq!(clean.download.retries, 0, "no faults, no retries");
 
     for rate in [0.0, 0.05, 0.20] {
-        let faulted = run_study_with(&faulted_hub(rate), THREADS, &patient());
+        let faulted = run_study_obs(&faulted_hub(rate), THREADS, &patient(), &MetricsRegistry::new());
         assert_same_dataset(&faulted, &clean);
         if rate == 0.0 {
             assert_eq!(faulted.download.retries, 0);
@@ -98,16 +97,17 @@ fn chaos_run_is_deterministic_across_thread_counts() {
     // The fault stream is a pure function of (seed, op, key, attempt):
     // per-key attempt sequencing makes the whole report — including the
     // retry counters — independent of worker count.
-    let a = run_study_with(&faulted_hub(0.20), 2, &patient());
-    let b = run_study_with(&faulted_hub(0.20), 8, &patient());
+    let a = run_study_obs(&faulted_hub(0.20), 2, &patient(), &MetricsRegistry::new());
+    let b = run_study_obs(&faulted_hub(0.20), 8, &patient(), &MetricsRegistry::new());
     assert_eq!(a.download, b.download);
     assert_eq!(a.crawl, b.crawl);
 }
 
 #[test]
 fn streaming_pipeline_survives_the_same_chaos() {
-    let clean = run_study_with(&hub(), THREADS, &patient());
-    let faulted = run_study_streaming_with(&faulted_hub(0.20), THREADS, &patient());
+    let clean = run_study_obs(&hub(), THREADS, &patient(), &MetricsRegistry::new());
+    let obs = MetricsRegistry::new();
+    let faulted = run_study_streaming_obs(&faulted_hub(0.20), THREADS, &patient(), &obs);
     assert_eq!(faulted.crawl.raw_results, clean.crawl.raw_results);
     assert_eq!(faulted.download.images_downloaded, clean.download.images_downloaded);
     assert_eq!(faulted.download.unique_layers, clean.download.unique_layers);
@@ -233,7 +233,7 @@ fn obs_counters_identical_across_worker_counts() {
 fn fused_store_pipeline_matches_reference_at_every_fault_rate() {
     use dhub_dedupstore::DedupStore;
 
-    let clean = run_study_with(&hub(), THREADS, &patient());
+    let clean = run_study_obs(&hub(), THREADS, &patient(), &MetricsRegistry::new());
     for rate in [0.0, 0.05, 0.20] {
         let store = DedupStore::new();
         let obs = MetricsRegistry::new();
@@ -272,93 +272,6 @@ fn fused_store_pipeline_matches_reference_at_every_fault_rate() {
     }
 }
 
-/// The SIMD + parallel-hash fused pipeline (dispatched kernels, per-file
-/// hashing fanned over a work crew) must deliver the exact dataset and the
-/// exact store state the frozen scalar reference produces — at every fault
-/// rate. This is the PR-10 equivalence gate: LayerProfile, StoreStats, and
-/// dedup_factor bits all pinned against `ingest_layer_reference`.
-#[test]
-fn parallel_hash_pipeline_matches_scalar_reference_at_every_fault_rate() {
-    use dhub_dedupstore::DedupStore;
-
-    let clean = run_study_with(&hub(), THREADS, &patient());
-    for rate in [0.0, 0.05, 0.20] {
-        let store = DedupStore::new();
-        let obs = MetricsRegistry::new();
-        let fused = dhub_study::pipeline::run_study_store_obs_with(
-            &faulted_hub(rate),
-            THREADS,
-            4,
-            &patient(),
-            &store,
-            &obs,
-        );
-        assert_same_dataset(&fused, &clean);
-        assert_counters_match_reports(&obs.snapshot(), &fused);
-
-        let reference = DedupStore::new();
-        let clean_hub = hub();
-        for d in fused.layers.keys() {
-            let blob = clean_hub.registry.get_blob(d).expect("analyzed layers exist in the hub");
-            reference.ingest_layer_reference(*d, &blob).unwrap();
-        }
-        assert_eq!(store.stats(), reference.stats(), "store stats diverged at rate {rate}");
-        assert_eq!(
-            store.stats().dedup_factor().to_bits(),
-            reference.stats().dedup_factor().to_bits(),
-            "dedup factor must be bit-identical at rate {rate}"
-        );
-        for d in fused.layers.keys() {
-            assert_eq!(
-                store.reconstruct_tar(d).unwrap(),
-                reference.reconstruct_tar(d).unwrap(),
-                "recipe reconstruction diverged at rate {rate}"
-            );
-        }
-    }
-}
-
-/// Hash-thread count is a pure performance knob: the study dataset and the
-/// store must be byte-identical across every setting.
-#[test]
-fn study_is_identical_across_hash_thread_counts() {
-    use dhub_dedupstore::DedupStore;
-
-    let base_store = DedupStore::new();
-    let base = dhub_study::pipeline::run_study_store_obs(
-        &hub(),
-        THREADS,
-        &patient(),
-        &base_store,
-        &MetricsRegistry::new(),
-    );
-    for hash_threads in [2usize, 8] {
-        let store = DedupStore::new();
-        let data = dhub_study::pipeline::run_study_store_obs_with(
-            &hub(),
-            THREADS,
-            hash_threads,
-            &patient(),
-            &store,
-            &MetricsRegistry::new(),
-        );
-        assert_same_dataset(&data, &base);
-        assert_eq!(store.stats(), base_store.stats(), "hash_threads={hash_threads}");
-        assert_eq!(
-            store.stats().dedup_factor().to_bits(),
-            base_store.stats().dedup_factor().to_bits(),
-            "dedup factor bits diverged at hash_threads={hash_threads}"
-        );
-        for d in data.layers.keys() {
-            assert_eq!(
-                store.reconstruct_tar(d).unwrap(),
-                base_store.reconstruct_tar(d).unwrap(),
-                "recipe reconstruction diverged at hash_threads={hash_threads}"
-            );
-        }
-    }
-}
-
 #[test]
 fn fused_ingest_reuses_scratch_after_warmup() {
     use dhub_dedupstore::{analyze_and_ingest_all, DedupStore};
@@ -389,7 +302,7 @@ fn fused_ingest_reuses_scratch_after_warmup() {
 
 #[test]
 fn without_retries_every_repo_lands_in_exactly_one_bucket() {
-    let s = run_study_with(&faulted_hub(0.20), THREADS, &RetryPolicy::none());
+    let s = run_study_obs(&faulted_hub(0.20), THREADS, &RetryPolicy::none(), &MetricsRegistry::new());
     let d = &s.download;
     // Attempted = crawl survivors; each one either downloaded or failed
     // into exactly one taxonomy bucket.
@@ -403,7 +316,7 @@ fn without_retries_every_repo_lands_in_exactly_one_bucket() {
     assert!(d.failed_other > 0, "transient faults surface as failed_other");
 
     // The clean pipeline downloads strictly more.
-    let clean = run_study_with(&hub(), THREADS, &patient());
+    let clean = run_study_obs(&hub(), THREADS, &patient(), &MetricsRegistry::new());
     assert!(d.images_downloaded < clean.download.images_downloaded);
 }
 
@@ -419,12 +332,14 @@ fn http_transport_rides_out_server_side_faults() {
     let crawl = dhub_crawler::crawl(&hub.search, &officials);
 
     let clean_srv = RegistryServer::start(hub.registry.clone()).unwrap();
-    let clean = download_all_http_with(clean_srv.addr(), &crawl.repos, THREADS, &patient());
+    let obs = MetricsRegistry::new();
+    let clean = download_all_http_obs(clean_srv.addr(), &crawl.repos, THREADS, &patient(), &obs);
     clean_srv.shutdown();
 
     let inj = Arc::new(FaultInjector::new(FaultConfig::uniform(FAULT_SEED, 0.20)));
     let srv = RegistryServer::start_with_faults(hub.registry.clone(), Some(inj.clone())).unwrap();
-    let faulted = download_all_http_with(srv.addr(), &crawl.repos, THREADS, &patient());
+    let obs = MetricsRegistry::new();
+    let faulted = download_all_http_obs(srv.addr(), &crawl.repos, THREADS, &patient(), &obs);
     srv.shutdown();
 
     assert_eq!(faulted.report.images_downloaded, clean.report.images_downloaded);
@@ -452,7 +367,7 @@ fn http_transport_rides_out_server_side_faults() {
 fn direct_clean_study() -> StudyData {
     let hub = hub();
     let srv = RegistryServer::start(hub.registry.clone()).unwrap();
-    let data = run_study_http_with(&hub, srv.addr(), THREADS, &patient());
+    let data = run_study_http_obs(&hub, srv.addr(), THREADS, &patient(), &MetricsRegistry::new());
     srv.shutdown();
     data
 }
@@ -475,7 +390,7 @@ fn mirror_study(rate: f64) -> (StudyData, MirrorReport) {
     let msrv =
         RegistryServer::start_mirror(mirror.clone(), obs, dhub_registry::DEFAULT_MAX_CONNS)
             .unwrap();
-    let data = run_study_http_with(&hub, msrv.addr(), THREADS, &patient());
+    let data = run_study_http_obs(&hub, msrv.addr(), THREADS, &patient(), &MetricsRegistry::new());
     let report = mirror.report();
     msrv.shutdown();
     o1.shutdown();
@@ -557,7 +472,7 @@ fn mirror_fails_over_when_an_origin_shard_is_killed() {
     let msrv =
         RegistryServer::start_mirror(mirror.clone(), obs, dhub_registry::DEFAULT_MAX_CONNS)
             .unwrap();
-    let data = run_study_http_with(&hub, msrv.addr(), THREADS, &patient());
+    let data = run_study_http_obs(&hub, msrv.addr(), THREADS, &patient(), &MetricsRegistry::new());
     msrv.shutdown();
     dead.shutdown();
     live.shutdown();
@@ -606,8 +521,8 @@ fn mirror_counters_reconcile_with_report_and_exposition_at_study_scale() {
     .unwrap();
 
     // Two passes: the first warms the cache, the second must hit it.
-    let _ = run_study_http_with(&hub, msrv.addr(), THREADS, &patient());
-    let _ = run_study_http_with(&hub, msrv.addr(), THREADS, &patient());
+    let _ = run_study_http_obs(&hub, msrv.addr(), THREADS, &patient(), &MetricsRegistry::new());
+    let _ = run_study_http_obs(&hub, msrv.addr(), THREADS, &patient(), &MetricsRegistry::new());
 
     let report = mirror.report();
     assert_eq!(report.requests, report.hits + report.misses + report.coalesced);

@@ -3,7 +3,9 @@
 //! verifying the whole measurement stack against the paper's actual
 //! transport protocol.
 
-use dhub_downloader::{download_all, download_all_http};
+use dhub_downloader::{download_all_http_obs, download_all_obs};
+use dhub_faults::RetryPolicy;
+use dhub_obs::MetricsRegistry;
 use dhub_registry::{NetworkModel, RegistryServer};
 use dhub_synth::{generate_hub, SynthConfig};
 
@@ -18,8 +20,10 @@ fn http_transport_study_matches_in_process() {
     let crawl = dhub_crawler::crawl(&hub.search, &officials);
 
     // Download both ways.
-    let via_http = download_all_http(server.addr(), &crawl.repos, 4);
-    let in_proc = download_all(&hub.registry, &crawl.repos, 4, &NetworkModel::datacenter());
+    let (policy, obs) = (RetryPolicy::default(), MetricsRegistry::new());
+    let via_http = download_all_http_obs(server.addr(), &crawl.repos, 4, &policy, &obs);
+    let net = NetworkModel::datacenter();
+    let in_proc = download_all_obs(&hub.registry, &crawl.repos, 4, &net, &policy, &obs);
 
     assert_eq!(via_http.report.images_downloaded, in_proc.report.images_downloaded);
     assert_eq!(via_http.report.failed_auth, in_proc.report.failed_auth);
@@ -28,8 +32,8 @@ fn http_transport_study_matches_in_process() {
     assert_eq!(via_http.report.bytes_fetched, in_proc.report.bytes_fetched);
 
     // Analyze the HTTP-fetched layers; dedup headline must be identical.
-    let a_http = dhub_analyzer::analyze_all(&via_http.layers, 4);
-    let a_proc = dhub_analyzer::analyze_all(&in_proc.layers, 4);
+    let a_http = dhub_analyzer::analyze_all_obs(&via_http.layers, 4, &obs);
+    let a_proc = dhub_analyzer::analyze_all_obs(&in_proc.layers, 4, &obs);
     assert_eq!(a_http.errors.len(), 0);
     assert_eq!(a_http.layers.len(), a_proc.layers.len());
 
@@ -50,7 +54,13 @@ fn http_study_counts_pulls() {
     let server = RegistryServer::start(hub.registry.clone()).unwrap();
     let repo = hub.truth.ok_repos[0].clone();
     let before = hub.registry.pull_count(&repo).unwrap();
-    let _ = download_all_http(server.addr(), std::slice::from_ref(&repo), 1);
+    let _ = download_all_http_obs(
+        server.addr(),
+        std::slice::from_ref(&repo),
+        1,
+        &RetryPolicy::default(),
+        &MetricsRegistry::new(),
+    );
     let after = hub.registry.pull_count(&repo).unwrap();
     assert_eq!(after, before + 1, "HTTP pulls must hit the same counters");
     server.shutdown();
@@ -71,8 +81,6 @@ fn parse_exposition(text: &str) -> std::collections::BTreeMap<String, f64> {
 
 #[test]
 fn metrics_endpoint_serves_live_counters_during_streaming_study() {
-    use dhub_faults::RetryPolicy;
-    use dhub_obs::MetricsRegistry;
     use dhub_registry::RemoteRegistry;
     use dhub_study::pipeline::run_study_streaming_obs;
     use std::sync::Arc;
@@ -138,8 +146,7 @@ fn metrics_endpoint_serves_live_counters_during_streaming_study() {
 
 #[test]
 fn metrics_scrape_rides_out_wire_faults() {
-    use dhub_faults::{FaultConfig, FaultInjector, RetryPolicy};
-    use dhub_obs::MetricsRegistry;
+    use dhub_faults::{FaultConfig, FaultInjector};
     use dhub_registry::RemoteRegistry;
     use std::sync::Arc;
 
