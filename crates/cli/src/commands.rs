@@ -902,9 +902,13 @@ mod tests {
         assert!(out.contains("cannot parse"), "{out}");
     }
 
-    /// The last five lines of `dhub store` — the dedup stats block.
-    fn stat_lines(s: &str) -> Vec<String> {
-        s.lines().rev().take(5).map(String::from).collect()
+    /// The five-line dedup stats block `dhub store` / `dhub work` print
+    /// (found, not taken from the tail: `--metrics` output follows it).
+    fn stats_block(s: &str) -> Vec<String> {
+        let block = s.lines().skip_while(|l| !l.starts_with("layers          :"));
+        let block: Vec<String> = block.take(5).map(String::from).collect();
+        assert_eq!(block.len(), 5, "no stats block in {s}");
+        block
     }
 
     #[test]
@@ -919,14 +923,14 @@ mod tests {
         argv.extend(["--store-dir", dir.to_str().unwrap()]);
         let (code, durable) = run_cmd(&argv);
         assert_eq!(code, 0, "{durable}");
-        assert_eq!(stat_lines(&durable), stat_lines(&mem), "durable stats diverged from memory");
+        assert_eq!(stats_block(&durable), stats_block(&mem), "durable stats diverged from memory");
 
         // A second run over the same hub resumes the store instead of
         // re-ingesting, and lands on identical stats.
         let (code, resumed) = run_cmd(&argv);
         assert_eq!(code, 0, "{resumed}");
         assert!(resumed.contains("resuming store with"), "{resumed}");
-        assert_eq!(stat_lines(&resumed), stat_lines(&mem));
+        assert_eq!(stats_block(&resumed), stats_block(&mem));
 
         // The persisted database answers without a hub: the dedup factor
         // line printed by `store` appears verbatim in `query dedup`.
@@ -971,7 +975,7 @@ mod tests {
         ]);
         let (code, faulty) = run_cmd(&argv);
         assert_eq!(code, 0, "{faulty}");
-        assert_eq!(stat_lines(&faulty), stat_lines(&clean), "stats diverged under write faults");
+        assert_eq!(stats_block(&faulty), stats_block(&clean), "stats diverged under write faults");
         // The two stores answer queries identically, byte for byte.
         let (c1, q1) = run_cmd(&["query", clean_dir.to_str().unwrap(), "summary"]);
         let (c2, q2) = run_cmd(&["query", fault_dir.to_str().unwrap(), "summary"]);
@@ -981,33 +985,79 @@ mod tests {
         std::fs::remove_dir_all(&fault_dir).ok();
     }
 
+    /// The counters every study shape must agree on: pure functions of the
+    /// hub and the fault seed, whoever schedules the steps.
+    const CRAWL_DOWNLOAD_COUNTERS: [&str; 11] = [
+        "dhub_crawl_pages_fetched_total",
+        "dhub_crawl_raw_results_total",
+        "dhub_crawl_dedup_hits_total",
+        "dhub_crawl_pages_gave_up_total",
+        "dhub_download_images_ok_total",
+        "dhub_download_unique_layers_total",
+        "dhub_download_bytes_total",
+        "dhub_download_layer_fetches_skipped_total",
+        "dhub_download_failed_auth_total",
+        "dhub_download_failed_no_latest_total",
+        "dhub_download_failed_other_total",
+    ];
+    const ANALYZE_COUNTERS: [&str; 4] = [
+        "dhub_analyze_layers_total",
+        "dhub_analyze_files_total",
+        "dhub_analyze_bytes_total",
+        "dhub_analyze_errors_total",
+    ];
+
+    /// Runs `argv` with `--metrics-snapshot` and reads `names` back out of
+    /// the snapshot (`None` for a series the run never exported).
+    fn run_counted(
+        argv: &[&str],
+        names: &[&'static str],
+    ) -> (String, Vec<(&'static str, Option<u64>)>) {
+        let snap = std::env::temp_dir().join(format!(
+            "dhub-cli-snap-{}-{:?}.json",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let (code, out) =
+            run_cmd(&[argv, &["--metrics-snapshot", snap.to_str().unwrap()]].concat());
+        assert_eq!(code, 0, "{out}");
+        let json = dhub_json::parse(&std::fs::read_to_string(&snap).unwrap()).unwrap();
+        std::fs::remove_file(&snap).ok();
+        let counters = json.get("counters").expect("snapshot has counters");
+        let read = |name| counters.get(name).and_then(dhub_json::Json::as_u64);
+        (out, names.iter().map(|&name| (name, read(name))).collect())
+    }
+
     #[test]
     fn work_fleet_matches_store_and_resumes_queries() {
         let pid = std::process::id();
-        let one_dir = std::env::temp_dir().join(format!("dhub-cli-work1-{pid}"));
-        let four_dir = std::env::temp_dir().join(format!("dhub-cli-work4-{pid}"));
-        let store_dir = std::env::temp_dir().join(format!("dhub-cli-works-{pid}"));
-        for d in [&one_dir, &four_dir, &store_dir] {
-            std::fs::remove_dir_all(d).ok();
+        let tmp = |tag: &str| {
+            let dir = std::env::temp_dir().join(format!("dhub-cli-{tag}-{pid}"));
+            std::fs::remove_dir_all(&dir).ok();
+            dir
+        };
+        let all: Vec<&str> = [&CRAWL_DOWNLOAD_COUNTERS[..], &ANALYZE_COUNTERS[..]].concat();
+        const HUB: [&str; 6] = ["--repos", "20", "--seed", "5", "--scale", "1024"];
+        fn work<'a>(dir: &'a std::path::Path, workers: &'a str) -> Vec<&'a str> {
+            let dir = dir.to_str().unwrap();
+            [&["work", "--store-dir", dir, "--workers", workers], &HUB[..]].concat()
         }
-        let base = ["work", "--repos", "20", "--seed", "5", "--scale", "1024"];
-        let mut argv = base.to_vec();
-        argv.extend(["--store-dir", one_dir.to_str().unwrap(), "--workers", "1"]);
-        let (code, one) = run_cmd(&argv);
-        assert_eq!(code, 0, "{one}");
-        let mut argv = base.to_vec();
-        argv.extend(["--store-dir", four_dir.to_str().unwrap(), "--workers", "4"]);
-        let (code, four) = run_cmd(&argv);
-        assert_eq!(code, 0, "{four}");
-        assert_eq!(stat_lines(&one), stat_lines(&four), "worker count changed the store");
+        fn store(dir: &std::path::Path) -> Vec<&str> {
+            [&["store", "--threads", "2", "--store-dir", dir.to_str().unwrap()], &HUB[..]].concat()
+        }
+        let (one_dir, four_dir, store_dir) = (tmp("work1"), tmp("work4"), tmp("works"));
+        let (one, one_counters) = run_counted(&work(&one_dir, "1"), &all);
+        let (four, four_counters) = run_counted(&work(&four_dir, "4"), &all);
+        assert_eq!(stats_block(&one), stats_block(&four), "worker count changed the store");
 
-        // The plain store pipeline lands on the same stats block…
-        let (code, plain) = run_cmd(&[
-            "store", "--repos", "20", "--seed", "5", "--scale", "1024", "--threads", "2",
-            "--store-dir", store_dir.to_str().unwrap(),
-        ]);
-        assert_eq!(code, 0, "{plain}");
-        assert_eq!(stat_lines(&plain), stat_lines(&four), "queued run diverged from store");
+        // The plain store pipeline lands on the same stats block and the
+        // same crawl / download / analyze counters: the fleet schedules
+        // the batch path's steps, it does not re-derive their numbers.
+        let (plain, plain_counters) = run_counted(&store(&store_dir), &all);
+        assert_eq!(stats_block(&plain), stats_block(&four), "queued run diverged from store");
+        assert!(plain_counters.iter().all(|(_, v)| v.is_some()), "{plain_counters:?}");
+        assert_eq!(one_counters, plain_counters, "1-worker fleet counters diverged from store");
+        assert_eq!(four_counters, plain_counters, "4-worker fleet counters diverged from store");
 
         // …and every query answers byte-identically across worker counts.
         for q in ["summary", "dedup", "top-types", "layer-percentiles"] {
@@ -1017,50 +1067,49 @@ mod tests {
             assert_eq!(q1, q4, "query {q} diverged across worker counts");
         }
 
+        // A killed fleet's resume replays crawl and download from the
+        // durable results, so those counters are complete — equal to the
+        // never-killed run's — although this process ran only the tail.
+        let kill_dir = tmp("workk");
+        let (code, killed) =
+            run_cmd(&[&work(&kill_dir, "4")[..], &["--max-commits", "12"]].concat());
+        assert_eq!(code, 0, "{killed}");
+        assert!(killed.contains("fleet killed after"), "{killed}");
+        let (resumed, resumed_counters) =
+            run_counted(&work(&kill_dir, "4"), &CRAWL_DOWNLOAD_COUNTERS);
+        assert_eq!(stats_block(&resumed), stats_block(&plain), "resumed fleet diverged");
+        assert_eq!(resumed_counters[..], plain_counters[..CRAWL_DOWNLOAD_COUNTERS.len()]);
+
         // One runner behind `store`, `store --store-dir` (which `summary
         // --store-dir` shares) and `work`: under faults and `--metrics` all
         // three announce the injector, print the kernels line and report
-        // what fired, and print the same five stat lines, byte for byte
-        // (the exposition follows them, so find the block rather than
-        // taking the tail). The rate is low because every durable-write
-        // fault costs a real backoff sleep.
-        let stats_block = |s: &str| -> Vec<String> {
-            s.lines()
-                .skip_while(|l| !l.starts_with("layers          :"))
-                .take(5)
-                .map(String::from)
-                .collect()
-        };
-        assert_eq!(stats_block(&plain).len(), 5, "{plain}");
-        let fs_dir = std::env::temp_dir().join(format!("dhub-cli-workfs-{pid}"));
-        let fw_dir = std::env::temp_dir().join(format!("dhub-cli-workfw-{pid}"));
-        for d in [&fs_dir, &fw_dir] {
-            std::fs::remove_dir_all(d).ok();
-        }
-        let hub = ["--repos", "20", "--seed", "5", "--scale", "1024"];
+        // what fired, and print the same five stat lines, byte for byte;
+        // the durable store and the fleet also agree on every counter.
+        let (fs_dir, fw_dir) = (tmp("workfs"), tmp("workfw"));
         let faults =
-            ["--fault-rate", "0.01", "--fault-seed", "7", "--max-retries", "16", "--metrics"];
+            ["--fault-rate", "0.1", "--fault-seed", "7", "--max-retries", "16", "--metrics"];
         let runs: [(&str, Vec<&str>); 3] = [
-            ("store", vec!["store", "--threads", "2"]),
-            (
-                "store --store-dir",
-                vec!["store", "--threads", "2", "--store-dir", fs_dir.to_str().unwrap()],
-            ),
-            ("work", vec!["work", "--workers", "2", "--store-dir", fw_dir.to_str().unwrap()]),
+            ("store", [&["store", "--threads", "2"], &HUB[..]].concat()),
+            ("store --store-dir", store(&fs_dir)),
+            ("work", work(&fw_dir, "4")),
         ];
+        let mut faulted_counters = Vec::new();
         for (name, argv) in runs {
-            let (code, out) = run_cmd(&[&argv[..], &hub[..], &faults[..]].concat());
-            assert_eq!(code, 0, "{name}: {out}");
+            let (out, counters) = run_counted(&[&argv[..], &faults[..]].concat(), &all);
             assert!(
-                out.contains("fault injection: rate=0.01 seed=7 max-retries=16"),
+                out.contains("fault injection: rate=0.1 seed=7 max-retries=16"),
                 "{name}: {out}"
             );
             assert!(out.contains("kernels: sha256="), "{name}: {out}");
             assert!(out.contains("faults fired:"), "{name}: {out}");
             assert_eq!(stats_block(&out), stats_block(&plain), "{name} stat lines diverged");
+            faulted_counters.push((name, counters));
+        }
+        for (name, counters) in &faulted_counters {
+            assert_eq!(counters, &plain_counters, "{name} counters moved under retried faults");
         }
 
-        for d in [&one_dir, &four_dir, &store_dir, &fs_dir, &fw_dir] {
+        for d in [&one_dir, &four_dir, &store_dir, &kill_dir, &fs_dir, &fw_dir] {
             std::fs::remove_dir_all(d).ok();
         }
     }

@@ -74,7 +74,8 @@ pub struct PageFetch {
 /// by the page number), slow links stall and proceed, and transient
 /// failures back off under `policy`. This is the single per-page fetch
 /// path — the sequential [`crawl_obs`] loop and the queue's distributed
-/// page jobs both go through it, so their fault streams are identical.
+/// page jobs both go through it, so their fault streams are identical —
+/// and [`CrawlFold`] is the single place a fetch is accounted for.
 pub fn fetch_search_page(
     search: &SearchIndex,
     page: usize,
@@ -151,29 +152,42 @@ impl CrawlCounters {
     }
 }
 
-/// [`crawl`] against a faulty search front-end: each page fetch consults
-/// `faults` first, and transient failures back off and retry under
-/// `policy`. A page whose budget runs out is abandoned (its rows go
-/// missing); if the *first* page never loads the crawl aborts, since
-/// pagination depth is unknown without it. Records live metrics into
-/// `obs` (`dhub_crawl_*` counters plus a per-page `crawl_page` span); the
-/// returned report is built from the counter deltas, never from side
-/// bookkeeping.
-pub fn crawl_obs(
-    search: &SearchIndex,
-    known_official: &[RepoName],
-    faults: Option<&FaultInjector>,
-    policy: &RetryPolicy,
-    obs: &MetricsRegistry,
-) -> CrawlResult {
-    let mut seen: BTreeSet<RepoName> = BTreeSet::new();
-    let c = CrawlCounters::on(obs);
+/// The crawl as a fold over page fetches, in page order: which page comes
+/// next, what each [`PageFetch`] adds to the `dhub_crawl_*` counters and
+/// the dedup set, and the [`CrawlResult`] they amount to. Whoever holds
+/// the fetches drives it — [`crawl_obs`] fetches as it goes, the queued
+/// study replays its durable page results — and the report is built from
+/// the counter deltas, never from side bookkeeping.
+pub struct CrawlFold {
+    counters: CrawlCounters,
+    seen: BTreeSet<RepoName>,
+    next: usize,
+    /// Pagination depth, per the last page that loaded.
+    total_pages: Option<usize>,
+}
 
-    let mut page = 0usize;
-    let mut total_pages: Option<usize> = None;
-    loop {
-        let _page_span = dhub_obs::span!(obs, "crawl_page", page);
-        let fetch = fetch_search_page(search, page, faults, policy);
+impl CrawlFold {
+    /// A fresh crawl recording into `obs`.
+    pub fn on(obs: &MetricsRegistry) -> CrawlFold {
+        CrawlFold {
+            counters: CrawlCounters::on(obs),
+            seen: BTreeSet::new(),
+            next: 0,
+            total_pages: None,
+        }
+    }
+
+    /// The page to record next, or `None` once the crawl is over: past the
+    /// last page, or past a first page that never loaded (pagination depth
+    /// is unknown without it, so the crawl aborts).
+    pub fn next_page(&self) -> Option<usize> {
+        (self.next < self.total_pages.unwrap_or(1)).then_some(self.next)
+    }
+
+    /// Records the fetch of page [`CrawlFold::next_page`]. A page whose
+    /// retry budget ran out is abandoned (its rows go missing).
+    pub fn record(&mut self, fetch: PageFetch) {
+        let c = &self.counters;
         c.page_retries.add(fetch.retries as u64);
         c.backoff_ns.add(fetch.backoff.as_nanos() as u64);
         match fetch.parsed {
@@ -181,27 +195,44 @@ pub fn crawl_obs(
                 c.pages_fetched.inc();
                 c.raw_results.add(parsed.repos.len() as u64);
                 for name in parsed.repos {
-                    if !seen.insert(name) {
+                    if !self.seen.insert(name) {
                         c.dedup_hits.inc();
                     }
                 }
-                total_pages = Some(parsed.info.total_pages);
+                self.total_pages = Some(parsed.info.total_pages);
             }
             None => c.pages_gave_up.inc(),
         }
-        page += 1;
-        match total_pages {
-            None => break, // first page unreachable — pagination unknown
-            Some(tp) if page >= tp => break,
-            Some(_) => {}
-        }
+        self.next += 1;
     }
 
-    for o in known_official {
-        seen.insert(o.clone());
+    /// Ends the crawl: appends `known_official` (the slash trick cannot
+    /// find them) and derives the report from the counters.
+    pub fn finish(mut self, known_official: &[RepoName]) -> CrawlResult {
+        self.seen.extend(known_official.iter().cloned());
+        let report = self.counters.report(self.seen.len());
+        CrawlResult { repos: self.seen.into_iter().collect(), report }
     }
-    let report = c.report(seen.len());
-    CrawlResult { repos: seen.into_iter().collect(), report }
+}
+
+/// [`crawl`] against a faulty search front-end: each page fetch consults
+/// `faults` first, and transient failures back off and retry under
+/// `policy` ([`fetch_search_page`]); the fetches are folded through
+/// [`CrawlFold`]. Records live metrics into `obs` (`dhub_crawl_*` counters
+/// plus a per-page `crawl_page` span).
+pub fn crawl_obs(
+    search: &SearchIndex,
+    known_official: &[RepoName],
+    faults: Option<&FaultInjector>,
+    policy: &RetryPolicy,
+    obs: &MetricsRegistry,
+) -> CrawlResult {
+    let mut fold = CrawlFold::on(obs);
+    while let Some(page) = fold.next_page() {
+        let _page_span = dhub_obs::span!(obs, "crawl_page", page);
+        fold.record(fetch_search_page(search, page, faults, policy));
+    }
+    fold.finish(known_official)
 }
 
 #[cfg(test)]

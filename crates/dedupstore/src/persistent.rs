@@ -34,7 +34,6 @@ use crate::recipe::LayerRecipe;
 use crate::store::{DedupStore, IngestStats, PendingEntry, StoreError};
 use dhub_analyzer::analyze_layer_with;
 use dhub_digest::{FxHashMap, FxHashSet};
-use dhub_json::Json;
 use dhub_model::Digest;
 use dhub_obs::MetricsRegistry;
 use dhub_persist::{fsync_dir, hex_of, BlobStore, GcStats, PersistError, Publisher, RefManifest};
@@ -138,15 +137,15 @@ impl PersistentDedupStore {
     /// Serializes a recipe envelope: the recipe JSON plus the compressed
     /// blob length (needed to rebuild the conventional-bytes counter) and
     /// a checksum over the recipe text so tampering behind the store's
-    /// back is caught on replay.
+    /// back is caught on replay. The recipe text is spliced in as written:
+    /// it is already the serialization of a JSON value, which is what the
+    /// read side's checksum (over `to_string ∘ parse`) relies on too.
     fn envelope(recipe: &LayerRecipe, blob_len: u64) -> String {
         let recipe_text = recipe.to_json();
-        let mut root = Json::obj();
-        root.set("schema", "dhub-persist-recipe-v1");
-        root.set("blobLen", blob_len);
-        root.set("checksum", Digest::of(recipe_text.as_bytes()).to_docker_string());
-        root.set("recipe", dhub_json::parse(&recipe_text).expect("own serialization parses"));
-        root.to_string()
+        let checksum = Digest::of(recipe_text.as_bytes()).to_docker_string();
+        format!(
+            r#"{{"schema":"dhub-persist-recipe-v1","blobLen":{blob_len},"checksum":"{checksum}","recipe":{recipe_text}}}"#
+        )
     }
 
     fn parse_envelope(text: &str) -> Option<(LayerRecipe, u64)> {
@@ -403,6 +402,13 @@ mod tests {
             );
         }
         assert!(reopened.manifest_is_current());
+        // Each envelope on disk is byte for byte what serializing it as
+        // one JSON value yields: splicing the recipe text in changed
+        // nothing about the format.
+        for (d, _) in &sample_layers() {
+            let text = std::fs::read_to_string(reopened.recipe_path(d)).unwrap();
+            assert_eq!(dhub_json::parse(&text).unwrap().to_string(), text);
+        }
         let _ = std::fs::remove_dir_all(root);
     }
 

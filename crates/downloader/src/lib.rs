@@ -14,7 +14,8 @@
 //! HTTP client) and who schedules the per-repository step
 //! ([`DownloadRun::pull_repo`]): the batch loop behind
 //! [`download_all_obs`] / [`download_all_http_obs`], or the study's
-//! streaming stage.
+//! streaming stage. The queued study runs the transport's operations in
+//! separate jobs and drives the record steps `pull_repo` is built from.
 
 use dhub_faults::{fault_key, RetryPolicy};
 use dhub_model::{Digest, Manifest, RepoName};
@@ -402,9 +403,11 @@ impl<'a> DownloadRun<'a> {
 
     /// Pulls one repository's `latest` image over `transport`, fetching
     /// only the layers no other pull has claimed. `None` when the manifest
-    /// does not resolve (tallied into the failure taxonomy).
+    /// does not resolve (tallied into the failure taxonomy). This is the
+    /// three record steps below around the transport's two operations; a
+    /// scheduler that performs those operations elsewhere (the queued
+    /// study's image and layer jobs) drives the steps itself.
     pub fn pull_repo<T: Transport>(&self, transport: &T, repo: &RepoName) -> Option<Pulled> {
-        let dl = &self.counters;
         // Spans are roots, not nested: a shared layer's fetch is performed
         // by whichever worker wins the claim race, so nesting fetch spans
         // under the winner's manifest span would make trace ids depend on
@@ -413,42 +416,71 @@ impl<'a> DownloadRun<'a> {
             let _span = dhub_obs::span!(self.obs, "resolve_manifest", repo.full());
             transport.resolve_manifest(repo)
         };
-        let (manifest_digest, manifest) = match resolved {
-            Ok(m) => m,
+        let (manifest_digest, manifest) = self.record_resolve(transport, resolved)?;
+        let mut blobs = Vec::new();
+        for layer in &manifest.layers {
+            if !self.claim(layer.digest) {
+                continue;
+            }
+            let _span = dhub_obs::span!(self.obs, "fetch_blob", layer.digest);
+            let blob = transport.fetch_blob(repo, &layer.digest);
+            self.record_fetch(transport, layer.digest, blob.as_ref().map(|b| b.len() as u64));
+            // An abandoned fetch fails the image in `finish`; its other
+            // blobs still flow downstream — another image may share them.
+            blobs.extend(blob.map(|b| (layer.digest, b)));
+        }
+        Some((DownloadedImage { repo: repo.clone(), manifest_digest, manifest }, blobs))
+    }
+
+    /// Records one repository's resolve outcome: a failure lands in the
+    /// paper's taxonomy (auth / no `latest` / other), a success is charged
+    /// the manifest response's wire time and handed back.
+    pub fn record_resolve<T: Transport, M>(
+        &self,
+        transport: &T,
+        resolved: Result<M, ResolveError>,
+    ) -> Option<M> {
+        let dl = &self.counters;
+        match resolved {
+            Ok(m) => {
+                dl.sim_nanos.add(transport.transfer_time(1024).as_nanos() as u64);
+                Some(m)
+            }
             Err(e) => {
                 match e {
                     ResolveError::Auth => dl.auth.add(1),
                     ResolveError::NoLatest => dl.no_latest.add(1),
                     ResolveError::Other => dl.other.add(1),
                 }
-                return None;
-            }
-        };
-        dl.sim_nanos.add(transport.transfer_time(1024).as_nanos() as u64);
-        let mut blobs = Vec::new();
-        for layer in &manifest.layers {
-            // First inserter claims the digest (atomic per shard), so
-            // exactly one worker fetches it.
-            if self.claimed.insert(layer.digest, ()).is_some() {
-                dl.skipped.add(1);
-                continue;
-            }
-            let _span = dhub_obs::span!(self.obs, "fetch_blob", layer.digest);
-            match transport.fetch_blob(repo, &layer.digest) {
-                Some(blob) => {
-                    dl.bytes.add(blob.len() as u64);
-                    dl.sim_nanos.add(transport.transfer_time(blob.len() as u64).as_nanos() as u64);
-                    blobs.push((layer.digest, blob));
-                }
-                // The digest is abandoned and the image reclassified in
-                // `finish`. Its already-fetched blobs still flow
-                // downstream — another image may share those layers.
-                None => {
-                    self.failed.lock().insert(layer.digest);
-                }
+                None
             }
         }
-        Some((DownloadedImage { repo: repo.clone(), manifest_digest, manifest }, blobs))
+    }
+
+    /// Claims one manifest layer reference. The first claimant of a digest
+    /// (atomic per shard) gets `true` and owes a [`DownloadRun::record_fetch`];
+    /// every later reference is tallied as a skipped fetch.
+    pub fn claim(&self, digest: Digest) -> bool {
+        let first = self.claimed.insert(digest, ()).is_none();
+        if !first {
+            self.counters.skipped.add(1);
+        }
+        first
+    }
+
+    /// Records how a claimed digest's fetch ended: `Some(len)` bytes
+    /// transferred, or `None` — abandoned with the retry budget spent, which
+    /// fails every image referencing it in [`DownloadRun::finish`].
+    pub fn record_fetch<T: Transport>(&self, transport: &T, digest: Digest, fetched: Option<u64>) {
+        match fetched {
+            Some(len) => {
+                self.counters.bytes.add(len);
+                self.counters.sim_nanos.add(transport.transfer_time(len).as_nanos() as u64);
+            }
+            None => {
+                self.failed.lock().insert(digest);
+            }
+        }
     }
 
     /// Ends the run: drops every image whose manifest references an

@@ -137,7 +137,9 @@ impl DurableQueue {
         self.jobs_dir.join(format!("{}.json", JobSpec::file_stem(id)))
     }
 
-    fn result_path(&self, id: &str) -> PathBuf {
+    /// Where job `id`'s result record lives (what a
+    /// [`QueueError::Corrupt`] about that record names).
+    pub fn result_path(&self, id: &str) -> PathBuf {
         self.results_dir.join(format!("{}.json", JobSpec::file_stem(id)))
     }
 

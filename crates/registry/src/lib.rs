@@ -16,14 +16,12 @@
 
 pub mod api;
 pub mod blobstore;
-pub mod diskstore;
 pub mod http;
 pub mod network;
 pub mod search;
 
 pub use api::{ApiError, PullSession, Registry, RegistryStats};
 pub use blobstore::BlobStore;
-pub use diskstore::{DiskBlobStore, DiskStoreError};
 pub use http::{BackendError, ClientError, MirrorBackend, RegistryServer, RemoteRegistry, RetryStats, DEFAULT_MAX_CONNS, DEMO_TOKEN};
 pub use network::NetworkModel;
 pub use search::{SearchIndex, SearchPage};

@@ -3,7 +3,7 @@
 #![cfg(feature = "proptest")]
 
 use dhub_model::{Digest, LayerRef, Manifest, RepoName};
-use dhub_registry::{DiskBlobStore, Registry};
+use dhub_registry::Registry;
 use proptest::prelude::*;
 
 proptest! {
@@ -46,20 +46,5 @@ proptest! {
             let blob = reg.get_blob(&l.digest).unwrap();
             prop_assert_eq!(Digest::of(&blob), l.digest);
         }
-    }
-
-    /// Disk store round-trip with digest verification.
-    #[test]
-    fn diskstore_roundtrip(blobs in proptest::collection::vec(
-        proptest::collection::vec(any::<u8>(), 0..1024), 1..6)) {
-        let dir = std::env::temp_dir().join(format!("dhub-prop-{}-{:?}",
-            std::process::id(), std::thread::current().id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = DiskBlobStore::open(&dir).unwrap();
-        for b in &blobs {
-            let d = store.put(b).unwrap();
-            prop_assert_eq!(store.get(&d).unwrap().unwrap(), b.clone());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

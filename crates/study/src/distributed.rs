@@ -1,47 +1,59 @@
-//! The queued pipeline: the crawl → download → analyze study executed by
-//! a lease-based worker fleet over a durable job queue (`dhub-queue`),
-//! ingesting into the persistent dedup store.
+//! The queued study: the crawl → download → analyze steps the batch path
+//! owns, *scheduled* by a lease-based worker fleet over a durable job
+//! queue (`dhub-queue`) and ingesting into the persistent dedup store.
 //!
 //! Work decomposes into three job kinds, chained by dynamic expansion:
 //!
-//! - `page:<n>` — fetch one search-results page (same faulted fetch path
-//!   as the sequential crawl). Page 0 learns the pagination depth and
-//!   expands into `page:1..N`.
-//! - `image:<repo>` — resolve the repo's `latest` manifest; on success,
-//!   expand into one `layer:<digest>` job per referenced layer. Seeding
-//!   is idempotent and layer ids are digest-derived, so a layer shared
-//!   by many images is seeded (and fetched) exactly once — the queue
-//!   *is* the unique-layer dedup.
-//! - `layer:<digest>` — fetch the blob, analyze it, and ingest it into
-//!   the shared [`PersistentDedupStore`]; the result record carries the
-//!   serialized [`LayerProfile`].
+//! - `page:<n>` — [`fetch_search_page`], the sequential crawl's own
+//!   per-page fetch. Page 0 learns the pagination depth and expands into
+//!   `page:1..N`.
+//! - `image:<repo>` — [`Transport::resolve_manifest`] over the in-process
+//!   transport; on success, expands into one `layer:<digest>` job per
+//!   referenced layer. Seeding is idempotent and layer ids are
+//!   digest-derived, so a layer shared by many images is seeded (and
+//!   fetched) exactly once — the queue *is* the unique-layer dedup.
+//! - `layer:<digest>` — fetch the verified blob, then the batch loop's
+//!   per-layer step: [`analyze_and_ingest`] into the shared
+//!   [`PersistentDedupStore`] under [`AnalyzeCounters::time_layer`].
 //!
-//! Determinism: each job's payload is a pure function of its spec — the
+//! Each job commits a [`JobResult`]. Once the queue drains, the study is
+//! *replayed* from the result set through the code every other scheduler
+//! runs: page results fold through [`CrawlFold`] in page order, image and
+//! layer results drive [`DownloadRun`]'s record steps in sorted
+//! repository order (so [`DownloadRun::finish`] is the only
+//! reclassification), and [`assemble_study`] builds the [`StudyData`].
+//! The `dhub_crawl_*` and `dhub_download_*` counters — and the reports
+//! derived from them — therefore come from durable records and are
+//! complete after a kill + resume; `dhub_analyze_*` and the retry
+//! counters tick at execution and cover only this process's jobs.
+//!
+//! Determinism: each job's result is a pure function of its spec — the
 //! fault/retry streams are keyed by logical resource (page number, repo,
-//! digest), never by worker or wall clock — and every aggregate below is
-//! computed from the result set in sorted job order. Worker count,
-//! lease-fault abandons, and fleet kills change only *who* executes a
-//! job and *when*; the committed bytes, and therefore the assembled
-//! [`StudyData`], the tables, and the store stats, are byte-identical to
-//! the clean single-process run. The chaos suite gates on exactly that.
+//! digest), never by worker or wall clock — and the replay order is fixed.
+//! Worker count, lease-fault abandons, and fleet kills change only *who*
+//! executes a job and *when*; the committed bytes, and therefore the
+//! assembled [`StudyData`], the tables, and the store stats, are
+//! byte-identical to the clean single-process run. The chaos suite gates
+//! on exactly that.
 
-use crate::pipeline::{set_dedup_ratio, StudyData};
-use dhub_analyzer::{image_profiles, ImageInput};
-use dhub_crawler::{fetch_search_page, CrawlReport};
-use dhub_dedup::ImageLayers;
-use dhub_dedupstore::{analyze_and_ingest, PersistentDedupStore};
+use crate::pipeline::{assemble_study, known_officials, set_dedup_ratio, StudyData};
+use dhub_analyzer::AnalyzeCounters;
+use dhub_crawler::{fetch_search_page, CrawlFold, PageFetch, PageInfo, ParsedPage};
+use dhub_dedupstore::{analyze_and_ingest, PersistentDedupStore, PersistentError, StoreError};
 use dhub_digest::FxHashMap;
-use dhub_downloader::{get_blob_verified, get_manifest_with_retry, RetryCounters};
+use dhub_downloader::{
+    get_blob_verified, DownloadRun, DownloadedImage, InProcess, ResolveError, RetryCounters,
+    Transport,
+};
 use dhub_faults::{FaultInjector, RetryPolicy};
 use dhub_json::Json;
-use dhub_model::{Digest, FileKind, FileRecord, LayerProfile, RepoName};
+use dhub_model::{Digest, FileKind, FileRecord, LayerProfile, LayerRef, Manifest, RepoName};
 use dhub_obs::{span, MetricsRegistry};
 use dhub_queue::{
     DurableQueue, JobOutcome, JobSpec, LeaseConfig, QueueError, RunReport, WorkerConfig,
 };
 use dhub_registry::NetworkModel;
 use dhub_synth::SyntheticHub;
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -147,6 +159,127 @@ pub fn profile_from_value(j: &Json) -> Option<LayerProfile> {
     })
 }
 
+/// What a job commits, typed: one variant per job kind.
+/// [`JobResult::encode`] and [`JobResult::decode`] are the only code that
+/// knows the durable JSON shapes.
+enum JobResult {
+    /// `page:<n>` — what fetching the page did.
+    Page(PageFetch),
+    /// `image:<repo>` — the manifest digest and layer references, or the
+    /// taxonomy bucket the failed resolve falls in.
+    Image(Result<(Digest, Vec<LayerRef>), ResolveError>),
+    /// `layer:<digest>` — how the fetch + fused pass ended.
+    Layer(LayerResult),
+}
+
+enum LayerResult {
+    /// Fetched, analyzed and ingested.
+    Ok(LayerProfile),
+    /// Fetched (`cls` compressed bytes), but the blob did not decode.
+    AnalyzeError { cls: u64, error: String },
+    /// The fetch was abandoned with the retry budget spent.
+    GaveUp,
+}
+
+impl JobResult {
+    /// The result record's payload.
+    fn encode(&self) -> Json {
+        let mut out = Json::obj();
+        match self {
+            JobResult::Page(fetch) => {
+                out.set("fetched", fetch.parsed.is_some());
+                if let Some(parsed) = &fetch.parsed {
+                    out.set("totalPages", parsed.info.total_pages);
+                    let repos = parsed.repos.iter().map(|r| Json::Str(r.full())).collect();
+                    out.set("repos", Json::Arr(repos));
+                }
+                out.set("retries", fetch.retries);
+                out.set("backoffNs", fetch.backoff.as_nanos() as u64);
+            }
+            JobResult::Image(Ok((manifest_digest, layers))) => {
+                out.set("status", "ok");
+                out.set("manifestDigest", manifest_digest.to_docker_string());
+                let layers = layers.iter().map(|l| {
+                    let mut j = Json::obj();
+                    j.set("digest", l.digest.to_docker_string());
+                    j.set("size", l.size);
+                    j
+                });
+                out.set("layers", Json::Arr(layers.collect()));
+            }
+            JobResult::Image(Err(why)) => {
+                out.set("status", match why {
+                    ResolveError::Auth => "auth",
+                    ResolveError::NoLatest => "no_latest",
+                    ResolveError::Other => "other",
+                });
+            }
+            JobResult::Layer(LayerResult::Ok(profile)) => {
+                out.set("status", "ok");
+                out.set("cls", profile.cls);
+                out.set("profile", profile_json(profile));
+            }
+            JobResult::Layer(LayerResult::AnalyzeError { cls, error }) => {
+                out.set("status", "analyze_error");
+                out.set("cls", *cls);
+                out.set("error", error.as_str());
+            }
+            JobResult::Layer(LayerResult::GaveUp) => {
+                out.set("status", "gave_up");
+            }
+        }
+        out
+    }
+
+    /// Inverse of [`JobResult::encode`] for a result of job `spec`; `None`
+    /// for a payload of any other shape.
+    fn decode(spec: &JobSpec, payload: &str) -> Option<JobResult> {
+        let j = dhub_json::parse(payload).ok()?;
+        let num = |key: &str| j.get(key)?.as_u64();
+        Some(match (spec.kind.as_str(), j.get("status").and_then(Json::as_str)) {
+            ("page", None) => {
+                let parsed = if j.get("fetched")?.as_bool()? {
+                    let repos = j.get("repos")?.as_arr()?.iter();
+                    Some(ParsedPage {
+                        repos: repos.map(|r| RepoName::parse(r.as_str()?)).collect::<Option<_>>()?,
+                        info: PageInfo {
+                            page: spec.payload.parse().ok()?,
+                            total_pages: usize::try_from(num("totalPages")?).ok()?,
+                        },
+                    })
+                } else {
+                    None
+                };
+                JobResult::Page(PageFetch {
+                    parsed,
+                    retries: u32::try_from(num("retries")?).ok()?,
+                    backoff: Duration::from_nanos(num("backoffNs")?),
+                })
+            }
+            ("image", Some("ok")) => {
+                let layer = |l: &Json| {
+                    let digest = Digest::parse(l.get("digest")?.as_str()?)?;
+                    Some(LayerRef { digest, size: l.get("size")?.as_u64()? })
+                };
+                let layers = j.get("layers")?.as_arr()?.iter().map(layer).collect::<Option<_>>()?;
+                JobResult::Image(Ok((Digest::parse(j.get("manifestDigest")?.as_str()?)?, layers)))
+            }
+            ("image", Some("auth")) => JobResult::Image(Err(ResolveError::Auth)),
+            ("image", Some("no_latest")) => JobResult::Image(Err(ResolveError::NoLatest)),
+            ("image", Some("other")) => JobResult::Image(Err(ResolveError::Other)),
+            ("layer", Some("ok")) => {
+                JobResult::Layer(LayerResult::Ok(profile_from_value(j.get("profile")?)?))
+            }
+            ("layer", Some("analyze_error")) => JobResult::Layer(LayerResult::AnalyzeError {
+                cls: num("cls")?,
+                error: j.get("error")?.as_str()?.to_string(),
+            }),
+            ("layer", Some("gave_up")) => JobResult::Layer(LayerResult::GaveUp),
+            _ => return None,
+        })
+    }
+}
+
 fn page_job(n: usize) -> JobSpec {
     JobSpec::with_payload(format!("page:{n}"), "page", n.to_string())
 }
@@ -160,155 +293,99 @@ fn layer_job(digest: &Digest) -> JobSpec {
     JobSpec::with_payload(format!("layer:{s}"), "layer", s)
 }
 
-/// The executor: one pure-ish function from job spec to result value
-/// plus expansions. All state it touches (registry, store) is shared and
-/// idempotent. The caller serializes the value into the durable result
-/// payload (and caches it for assembly).
+/// The executor: one pure-ish function from job spec to result plus
+/// expansions. All state it touches (registry, store, counters) is shared
+/// and idempotent.
 fn execute_job(
     hub: &SyntheticHub,
     store: &PersistentDedupStore,
     cfg: &QueuedStudyConfig,
-    counters: &RetryCounters,
-    net: &NetworkModel,
-    obs: &MetricsRegistry,
+    transport: &InProcess<'_>,
+    retry: &RetryCounters,
+    analyze: &AnalyzeCounters,
     spec: &JobSpec,
-) -> Result<(Json, Vec<JobSpec>), String> {
-    let _span = span!(obs, "queue_job", spec.id);
-    match spec.kind.as_str() {
+) -> Result<(JobResult, Vec<JobSpec>), String> {
+    Ok(match spec.kind.as_str() {
         "page" => {
             let page: usize = spec.payload.parse().map_err(|_| "bad page payload")?;
             let injector = hub.registry.fault_injector();
             let fetch = fetch_search_page(&hub.search, page, injector.as_deref(), &cfg.policy);
-            let mut out = Json::obj();
-            let mut new_jobs = Vec::new();
-            match fetch.parsed {
-                Some(parsed) => {
-                    out.set("fetched", true);
-                    out.set("totalPages", parsed.info.total_pages);
-                    let repos: Vec<Json> =
-                        parsed.repos.iter().map(|r| Json::Str(r.full())).collect();
-                    out.set("repos", Json::Arr(repos));
-                    if page == 0 {
-                        new_jobs = (1..parsed.info.total_pages).map(page_job).collect();
-                    }
-                }
-                None => {
-                    out.set("fetched", false);
-                }
-            }
-            out.set("retries", fetch.retries);
-            out.set("backoffNs", fetch.backoff.as_nanos() as u64);
-            Ok((out, new_jobs))
+            let new_jobs = match &fetch.parsed {
+                Some(parsed) if page == 0 => (1..parsed.info.total_pages).map(page_job).collect(),
+                _ => Vec::new(),
+            };
+            (JobResult::Page(fetch), new_jobs)
         }
         "image" => {
             let repo = RepoName::parse(&spec.payload).ok_or("bad image payload")?;
-            let mut out = Json::obj();
-            let mut new_jobs = Vec::new();
-            match get_manifest_with_retry(&hub.registry, &repo, "latest", &cfg.policy, counters) {
-                Ok(sess) => {
-                    out.set("status", "ok");
-                    out.set("manifestDigest", sess.manifest_digest.to_docker_string());
-                    let layers: Vec<Json> = sess
-                        .manifest
-                        .layers
-                        .iter()
-                        .map(|l| {
-                            let mut j = Json::obj();
-                            j.set("digest", l.digest.to_docker_string());
-                            j.set("size", l.size);
-                            j
-                        })
-                        .collect();
-                    out.set("layers", Json::Arr(layers));
-                    // One layer job per digest; the durable queue dedups
-                    // ids, so shared layers are fetched exactly once.
-                    new_jobs = sess.manifest.layers.iter().map(|l| layer_job(&l.digest)).collect();
-                }
-                Err(dhub_registry::ApiError::AuthRequired) => {
-                    out.set("status", "auth");
-                }
-                Err(dhub_registry::ApiError::TagNotFound) => {
-                    out.set("status", "no_latest");
-                }
-                Err(_) => {
-                    out.set("status", "other");
-                }
-            }
-            Ok((out, new_jobs))
+            let resolved = transport.resolve_manifest(&repo).map(|(d, m)| (d, m.layers));
+            // One layer job per digest; the durable queue dedups ids, so
+            // shared layers are fetched exactly once.
+            let new_jobs = resolved
+                .iter()
+                .flat_map(|(_, layers)| layers.iter().map(|l| layer_job(&l.digest)))
+                .collect();
+            (JobResult::Image(resolved), new_jobs)
         }
         "layer" => {
             let digest = Digest::parse(&spec.payload).ok_or("bad layer payload")?;
-            let mut out = Json::obj();
-            match get_blob_verified(&hub.registry, &digest, &cfg.policy, counters) {
-                Ok(blob) => {
-                    if cfg.pace_network {
-                        std::thread::sleep(net.transfer_time(blob.len() as u64));
-                    }
-                    let analyzed = dhub_par::with_scratch(|scratch| {
-                        analyze_and_ingest(store, digest, &blob, scratch)
-                    });
-                    match analyzed {
-                        Ok((profile, ingest)) => {
-                            // AlreadyIngested is the resume path (a killed
-                            // run ingested the layer but lost the result
-                            // record); any other ingest error is real.
-                            if let Err(e) = ingest {
-                                let benign = matches!(
-                                    e,
-                                    dhub_dedupstore::PersistentError::Store(
-                                        dhub_dedupstore::StoreError::AlreadyIngested
-                                    )
-                                );
-                                if !benign {
-                                    return Err(format!("ingest {digest:?}: {e}"));
-                                }
-                            }
-                            out.set("status", "ok");
-                            out.set("cls", blob.len());
-                            out.set("profile", profile_json(&profile));
-                        }
-                        Err(e) => {
-                            out.set("status", "analyze_error");
-                            out.set("cls", blob.len());
-                            out.set("error", format!("{e}").as_str());
-                        }
-                    }
-                }
-                Err(_) => {
-                    out.set("status", "gave_up");
-                }
+            let Ok(blob) = get_blob_verified(&hub.registry, &digest, &cfg.policy, retry) else {
+                return Ok((JobResult::Layer(LayerResult::GaveUp), Vec::new()));
+            };
+            let cls = blob.len() as u64;
+            if cfg.pace_network {
+                std::thread::sleep(transport.transfer_time(cls));
             }
-            Ok((out, Vec::new()))
+            let fused = |scratch: &mut _| analyze_and_ingest(store, digest, &blob, scratch);
+            let layer = match analyze.time_layer(fused) {
+                // AlreadyIngested is the resume path (a killed run ingested
+                // the layer but lost the result record); any other ingest
+                // error is real.
+                Ok((_, Err(e)))
+                    if !matches!(e, PersistentError::Store(StoreError::AlreadyIngested)) =>
+                {
+                    return Err(format!("ingest {digest:?}: {e}"));
+                }
+                Ok((profile, _)) => LayerResult::Ok(profile),
+                Err(e) => LayerResult::AnalyzeError { cls, error: e.to_string() },
+            };
+            (JobResult::Layer(layer), Vec::new())
         }
-        other => Err(format!("unknown job kind {other}")),
-    }
+        other => return Err(format!("unknown job kind {other}")),
+    })
 }
 
-/// In-memory copies of result payloads committed by *this* run, keyed by
-/// job id. Assembly consults it before falling back to the durable
-/// record: the cached value is the very `Json` the payload was serialized
-/// from, so a clean run never re-parses its own results, while resumed
-/// jobs (committed by an earlier, killed process) still read from disk.
-type ResultCache = dhub_sync::Mutex<FxHashMap<String, Arc<Json>>>;
+/// The run's view of committed results: the typed values this process
+/// executed (a clean run never decodes its own payloads), durable records
+/// for whatever an earlier, killed process committed. The replay takes
+/// each result exactly once.
+struct Results<'a> {
+    queue: &'a DurableQueue,
+    executed: dhub_sync::Mutex<FxHashMap<String, JobResult>>,
+}
 
-fn parse_payload(queue: &DurableQueue, cache: &ResultCache, id: &str) -> Result<Arc<Json>, QueueError> {
-    if let Some(j) = cache.lock().get(id) {
-        return Ok(j.clone());
+impl Results<'_> {
+    fn take(&self, spec: &JobSpec) -> Result<JobResult, QueueError> {
+        if let Some(result) = self.executed.lock().remove(&spec.id) {
+            return Ok(result);
+        }
+        let payload = self.queue.result(&spec.id)?.ok_or_else(|| self.corrupt(spec))?;
+        JobResult::decode(spec, &payload).ok_or_else(|| self.corrupt(spec))
     }
-    let payload = queue
-        .result(id)?
-        .unwrap_or_else(|| panic!("drained queue is missing result for {id}"));
-    Ok(Arc::new(
-        dhub_json::parse(&payload)
-            .unwrap_or_else(|_| panic!("unparseable result payload for {id}")),
-    ))
+
+    /// A drained queue's record for `spec` is missing or has the wrong
+    /// shape (its envelope checksum notwithstanding).
+    fn corrupt(&self, spec: &JobSpec) -> QueueError {
+        QueueError::Corrupt(self.queue.result_path(&spec.id))
+    }
 }
 
 /// Runs the full study through the durable queue with `cfg.workers`
 /// workers, resuming from whatever job/result state `queue` and `store`
 /// already hold. Returns [`QueueError::Killed`] when the commit budget
-/// stopped the fleet (rerun to resume) and [`QueueError::Quarantined`]
-/// when poison jobs survived their lease budget.
+/// stopped the fleet (rerun to resume), [`QueueError::Quarantined`] when
+/// poison jobs survived their lease budget, and [`QueueError::Corrupt`]
+/// when a committed result does not decode.
 pub fn run_study_queued_obs(
     hub: &SyntheticHub,
     store: &PersistentDedupStore,
@@ -316,14 +393,19 @@ pub fn run_study_queued_obs(
     cfg: &QueuedStudyConfig,
     obs: &MetricsRegistry,
 ) -> Result<StudyData, QueueError> {
-    let counters = RetryCounters::on(obs);
+    let download = DownloadRun::on(obs);
     let net = NetworkModel::wan();
-    let cache: ResultCache = dhub_sync::Mutex::new(FxHashMap::default());
+    let transport = InProcess::new(&hub.registry, &net, &cfg.policy, download.retry());
+    let analyze = AnalyzeCounters::on(obs);
+    let results = Results { queue, executed: dhub_sync::Mutex::new(FxHashMap::default()) };
     let exec = |spec: &JobSpec| -> Result<JobOutcome, String> {
-        let (out, new_jobs) = execute_job(hub, store, cfg, &counters, &net, obs, spec)?;
+        let (result, new_jobs) = {
+            let _span = span!(obs, "queue_job", spec.id);
+            execute_job(hub, store, cfg, &transport, download.retry(), &analyze, spec)?
+        };
         let _ser = span!(obs, "queued_serialize", spec.id);
-        let payload = out.to_string();
-        cache.lock().insert(spec.id.clone(), Arc::new(out));
+        let payload = result.encode().to_string();
+        results.executed.lock().insert(spec.id.clone(), result);
         Ok(JobOutcome { payload, new_jobs })
     };
     let run = |initial: &[JobSpec], budget: Option<u64>| -> Result<RunReport, QueueError> {
@@ -344,167 +426,75 @@ pub fn run_study_queued_obs(
     };
 
     // Phase 1: crawl pages (page:0 expands into the rest; already-seeded
-    // image/layer jobs from an interrupted run drain alongside).
+    // image/layer jobs from an interrupted run drain alongside), then the
+    // sequential crawl's fold over the page results.
     let phase1 = {
         let _stage = span!(obs, "queued_crawl");
         run(&[page_job(0)], cfg.max_commits)?
     };
+    let mut crawl = CrawlFold::on(obs);
+    while let Some(page) = crawl.next_page() {
+        let spec = page_job(page);
+        let JobResult::Page(fetch) = results.take(&spec)? else {
+            return Err(results.corrupt(&spec));
+        };
+        crawl.record(fetch);
+    }
+    let crawl_result = crawl.finish(&known_officials(hub));
 
-    // Aggregate pages in page order — same dedup walk as the sequential
-    // crawl — then seed one image job per repository.
-    let loaded = queue.load()?;
-    let mut pages: BTreeMap<usize, Arc<Json>> = BTreeMap::new();
-    for (spec, _) in &loaded {
-        if spec.kind == "page" {
-            let n: usize = spec.payload.parse().expect("page payload is a number");
-            pages.insert(n, parse_payload(queue, &cache, &spec.id)?);
-        }
-    }
-    let mut seen: BTreeSet<RepoName> = BTreeSet::new();
-    let mut crawl = CrawlReport::default();
-    for payload in pages.values() {
-        crawl.page_retries += payload.get("retries").and_then(Json::as_u64).unwrap_or(0) as usize;
-        crawl.backoff_sleep +=
-            Duration::from_nanos(payload.get("backoffNs").and_then(Json::as_u64).unwrap_or(0));
-        if payload.get("fetched").and_then(Json::as_bool) != Some(true) {
-            crawl.pages_gave_up += 1;
-            continue;
-        }
-        crawl.pages_fetched += 1;
-        for r in payload.get("repos").and_then(Json::as_arr).unwrap_or(&[]) {
-            let name = RepoName::parse(r.as_str().expect("repo name payload"))
-                .expect("repo name parses");
-            crawl.raw_results += 1;
-            if !seen.insert(name) {
-                crawl.dedup_hits += 1;
-            }
-        }
-    }
-    // The official list is public knowledge, exactly as in the
-    // sequential crawl (the slash trick cannot find it).
-    for o in hub.registry.repo_names().into_iter().filter(|r| r.is_official()) {
-        seen.insert(o);
-    }
-    crawl.distinct_repos = seen.len();
-    let repos: Vec<RepoName> = seen.into_iter().collect();
-
-    // Phase 2: images (each expanding into its layer jobs).
-    let image_jobs: Vec<JobSpec> = repos.iter().map(image_job).collect();
+    // Phase 2: one image job per repository (each expanding into its
+    // layer jobs).
+    let image_jobs: Vec<JobSpec> = crawl_result.repos.iter().map(image_job).collect();
     let budget2 = cfg.max_commits.map(|b| b.saturating_sub(phase1.committed));
     {
         let _stage = span!(obs, "queued_download");
         run(&image_jobs, budget2)?;
     }
 
-    // Assembly, all from durable result records in sorted job order.
+    // Assembly: `pull_repo`'s record steps, replayed over the result set
+    // in sorted repository order. The first reference to a digest claims
+    // it and reads the layer job's result; every later one is a skipped
+    // fetch, exactly as in the sequential claim race.
     let _assemble = span!(obs, "queued_assemble");
-    let loaded = queue.load()?;
+    let mut images = Vec::new();
     let mut layers: FxHashMap<Digest, LayerProfile> = FxHashMap::default();
-    let mut fetched_layers: BTreeMap<Digest, u64> = BTreeMap::new();
-    let mut failed_digests: BTreeSet<Digest> = BTreeSet::new();
-    let mut layer_jobs = 0usize;
     let mut analyze_errors = 0usize;
-    for (spec, _) in &loaded {
-        if spec.kind != "layer" {
+    for (repo, spec) in crawl_result.repos.iter().zip(&image_jobs) {
+        let JobResult::Image(resolved) = results.take(spec)? else {
+            return Err(results.corrupt(spec));
+        };
+        let Some((manifest_digest, refs)) = download.record_resolve(&transport, resolved)
+        else {
             continue;
-        }
-        layer_jobs += 1;
-        let digest = Digest::parse(&spec.payload).expect("layer payload is a digest");
-        let payload = parse_payload(queue, &cache, &spec.id)?;
-        match payload.get("status").and_then(Json::as_str).unwrap_or("") {
-            "ok" => {
-                let cls = payload.get("cls").and_then(Json::as_u64).unwrap_or(0);
-                fetched_layers.insert(digest, cls);
-                let profile =
-                    profile_from_value(payload.get("profile").expect("ok layer has a profile"))
-                        .expect("layer profile roundtrips");
-                layers.insert(digest, profile);
+        };
+        for layer in &refs {
+            if !download.claim(layer.digest) {
+                continue;
             }
-            "analyze_error" => {
-                let cls = payload.get("cls").and_then(Json::as_u64).unwrap_or(0);
-                fetched_layers.insert(digest, cls);
-                analyze_errors += 1;
-            }
-            _ => {
-                failed_digests.insert(digest);
-            }
-        }
-    }
-
-    let mut download = dhub_downloader::DownloadReport {
-        retries: counters.retries(),
-        gave_up: counters.gave_up(),
-        corrupt_retries: counters.corrupt_retries(),
-        backoff_sleep: counters.backoff_sleep(),
-        ..Default::default()
-    };
-    let mut inputs: Vec<ImageInput> = Vec::new();
-    let mut image_layers: Vec<ImageLayers> = Vec::new();
-    let mut manifest_refs = 0usize;
-    for repo in &repos {
-        let payload = parse_payload(queue, &cache, &format!("image:{}", repo.full()))?;
-        match payload.get("status").and_then(Json::as_str).unwrap_or("") {
-            "ok" => {
-                let refs: Vec<(Digest, u64)> = payload
-                    .get("layers")
-                    .and_then(Json::as_arr)
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|l| {
-                        (
-                            Digest::parse(l.get("digest").and_then(Json::as_str).unwrap())
-                                .expect("layer ref digest"),
-                            l.get("size").and_then(Json::as_u64).unwrap_or(0),
-                        )
-                    })
-                    .collect();
-                // Every manifest-ok image's refs count toward the skip
-                // tally (the sequential claim race charges them too),
-                // even when the image is reclassified below.
-                manifest_refs += refs.len();
-                // An image whose blob fetch was abandoned is reclassified
-                // as a failure, exactly like the sequential path.
-                if refs.iter().any(|(d, _)| failed_digests.contains(d)) {
-                    download.failed_other += 1;
-                    continue;
+            let spec = layer_job(&layer.digest);
+            let JobResult::Layer(result) = results.take(&spec)? else {
+                return Err(results.corrupt(&spec));
+            };
+            let fetched = match result {
+                LayerResult::Ok(profile) => {
+                    let cls = profile.cls;
+                    layers.insert(layer.digest, profile);
+                    Some(cls)
                 }
-                download.images_downloaded += 1;
-                image_layers.push(ImageLayers { layers: refs.iter().map(|(d, _)| *d).collect() });
-                inputs.push(ImageInput {
-                    repo: repo.clone(),
-                    manifest_digest: Digest::parse(
-                        payload.get("manifestDigest").and_then(Json::as_str).unwrap(),
-                    )
-                    .expect("manifest digest parses"),
-                    layers: refs,
-                });
-            }
-            "auth" => download.failed_auth += 1,
-            "no_latest" => download.failed_no_latest += 1,
-            _ => download.failed_other += 1,
+                LayerResult::AnalyzeError { cls, .. } => {
+                    analyze_errors += 1;
+                    Some(cls)
+                }
+                LayerResult::GaveUp => None,
+            };
+            download.record_fetch(&transport, layer.digest, fetched);
         }
+        let manifest = Manifest::new(refs);
+        images.push(DownloadedImage { repo: repo.clone(), manifest_digest, manifest });
     }
-    download.unique_layers = fetched_layers.len();
-    download.bytes_fetched = fetched_layers.values().sum();
-    download.layer_fetches_skipped = (manifest_refs - layer_jobs.min(manifest_refs)) as u64;
-
-    let images = image_profiles(&inputs, &layers);
-    let pulls: Vec<(RepoName, u64)> =
-        repos.iter().filter_map(|r| hub.registry.pull_count(r).map(|c| (r.clone(), c))).collect();
-
-    set_dedup_ratio(obs, &download);
-
-    Ok(StudyData {
-        crawl,
-        download,
-        layers,
-        images,
-        image_layers,
-        pulls,
-        analyze_errors,
-        size_scale: hub.config.size_scale,
-        seed: hub.config.seed,
-    })
+    let (images, report) = download.finish(images);
+    set_dedup_ratio(obs, &report);
+    Ok(assemble_study(hub, crawl_result, images, report, layers, analyze_errors))
 }
 
 #[cfg(test)]
@@ -535,6 +525,77 @@ mod tests {
         }
     }
 
+    /// The durable result format, literally: stores written by earlier
+    /// binaries must keep decoding, and `bench/` reads `payload.profile`.
+    #[test]
+    fn result_payload_shapes_are_pinned() {
+        let d = "sha256:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855";
+        let digest = Digest::parse(d).unwrap();
+        let profile = format!(
+            r#"{{"digest":"{d}","fls":9,"cls":7,"dirCount":1,"fileCount":1,"maxDepth":2,"files":[{{"path":"a/b","digest":"{d}","kind":3,"size":9}}]}}"#
+        );
+        let shapes = [
+            (page_job(0), r#"{"fetched":true,"totalPages":3,"repos":["u/r","nginx"],"retries":2,"backoffNs":1500}"#.to_string()),
+            (page_job(2), r#"{"fetched":false,"retries":4,"backoffNs":9}"#.to_string()),
+            (
+                image_job(&RepoName::official("nginx")),
+                format!(r#"{{"status":"ok","manifestDigest":"{d}","layers":[{{"digest":"{d}","size":7}}]}}"#),
+            ),
+            (image_job(&RepoName::official("a")), r#"{"status":"auth"}"#.to_string()),
+            (image_job(&RepoName::official("b")), r#"{"status":"no_latest"}"#.to_string()),
+            (image_job(&RepoName::official("c")), r#"{"status":"other"}"#.to_string()),
+            (layer_job(&digest), format!(r#"{{"status":"ok","cls":7,"profile":{profile}}}"#)),
+            (
+                layer_job(&digest),
+                r#"{"status":"analyze_error","cls":7,"error":"layer gunzip failed: x"}"#.into(),
+            ),
+            (layer_job(&digest), r#"{"status":"gave_up"}"#.to_string()),
+        ];
+        for (spec, text) in &shapes {
+            let decoded = JobResult::decode(spec, text).unwrap_or_else(|| panic!("{text}"));
+            assert_eq!(&decoded.encode().to_string(), text, "{}", spec.id);
+            // A payload is only ever valid for its own job kind.
+            let kinds = [page_job(0), image_job(&RepoName::official("x")), layer_job(&digest)];
+            for other in kinds {
+                assert_eq!(JobResult::decode(&other, text).is_some(), other.kind == spec.kind);
+            }
+        }
+        match JobResult::decode(&shapes[0].0, &shapes[0].1) {
+            Some(JobResult::Page(PageFetch { parsed: Some(p), retries: 2, backoff })) => {
+                assert_eq!((p.info.total_pages, p.repos.len()), (3, 2));
+                assert_eq!(backoff, Duration::from_nanos(1500));
+            }
+            _ => panic!("page payload decoded to the wrong value"),
+        }
+    }
+
+    /// A result record whose envelope checksums but whose payload has the
+    /// wrong shape fails the study with `Corrupt` naming the record —
+    /// never a panic, never a silently zeroed field.
+    #[test]
+    fn wrong_shape_result_is_corrupt_not_a_panic() {
+        let config = SynthConfig::tiny(41).with_repos(8);
+        let plain = crate::pipeline::run_study(&generate_hub(&config), 2);
+        let poisoned = [
+            page_job(0),
+            image_job(&plain.images[0].repo),
+            layer_job(&plain.images[0].layers[0]),
+        ];
+        for spec in poisoned {
+            let root = tmp_root(&format!("corrupt-{}", spec.kind));
+            let store = PersistentDedupStore::open(root.join("store"), Publisher::new()).unwrap();
+            let queue = DurableQueue::open(root.join("queue"), Publisher::new()).unwrap();
+            queue.commit(&spec.id, "{}").unwrap();
+            let hub = generate_hub(&config);
+            let cfg = QueuedStudyConfig { workers: 2, ..QueuedStudyConfig::default() };
+            match run_study_queued_obs(&hub, &store, &queue, &cfg, &MetricsRegistry::new()) {
+                Err(QueueError::Corrupt(path)) => assert_eq!(path, queue.result_path(&spec.id)),
+                other => panic!("{}: expected Corrupt, got {:?}", spec.id, other.map(|_| "study")),
+            }
+            let _ = std::fs::remove_dir_all(root);
+        }
+    }
+
     #[test]
     fn queued_study_matches_sequential() {
         let plain = {
@@ -551,17 +612,10 @@ mod tests {
         let queued =
             run_study_queued_obs(&hub, &store, &queue, &cfg, &MetricsRegistry::new()).unwrap();
 
-        assert_eq!(queued.crawl.raw_results, plain.crawl.raw_results);
-        assert_eq!(queued.crawl.distinct_repos, plain.crawl.distinct_repos);
-        assert_eq!(queued.crawl.pages_fetched, plain.crawl.pages_fetched);
-        assert_eq!(queued.crawl.dedup_hits, plain.crawl.dedup_hits);
-        assert_eq!(queued.download.images_downloaded, plain.download.images_downloaded);
-        assert_eq!(queued.download.unique_layers, plain.download.unique_layers);
-        assert_eq!(queued.download.bytes_fetched, plain.download.bytes_fetched);
-        assert_eq!(queued.download.layer_fetches_skipped, plain.download.layer_fetches_skipped);
-        assert_eq!(queued.download.failed_auth, plain.download.failed_auth);
-        assert_eq!(queued.download.failed_no_latest, plain.download.failed_no_latest);
-        assert_eq!(queued.download.failed_other, plain.download.failed_other);
+        // Same fold, same record steps, same counters: the whole reports
+        // agree, simulated transfer time included.
+        assert_eq!(queued.crawl, plain.crawl);
+        assert_eq!(queued.download, plain.download);
         assert_eq!(queued.layers, plain.layers);
         assert_eq!(queued.images, plain.images);
         assert_eq!(queued.image_layers.len(), plain.image_layers.len());
@@ -615,9 +669,9 @@ mod tests {
 
         assert_eq!(resumed.layers, clean.layers);
         assert_eq!(resumed.images, clean.images);
-        assert_eq!(resumed.download.images_downloaded, clean.download.images_downloaded);
-        assert_eq!(resumed.download.unique_layers, clean.download.unique_layers);
-        assert_eq!(resumed.download.bytes_fetched, clean.download.bytes_fetched);
+        // Replayed from the durable results, not counted at execution.
+        assert_eq!(resumed.crawl, clean.crawl);
+        assert_eq!(resumed.download, clean.download);
         assert_eq!(
             store.mem().stats().dedup_factor().to_bits(),
             clean_store.mem().stats().dedup_factor().to_bits()

@@ -70,21 +70,26 @@ pub(crate) fn set_dedup_ratio(obs: &MetricsRegistry, download: &DownloadReport) 
 /// injector attached to `hub.registry` (if any) — the crawl consults the
 /// same injector for its search pages as the download does for its pulls.
 fn crawl_hub(hub: &SyntheticHub, policy: &RetryPolicy, obs: &MetricsRegistry) -> CrawlResult {
-    let officials: Vec<RepoName> =
-        hub.registry.repo_names().into_iter().filter(|r| r.is_official()).collect();
     let injector = hub.registry.fault_injector();
     let _stage = span!(obs, "crawl");
-    crawl_obs(&hub.search, &officials, injector.as_deref(), policy, obs)
+    crawl_obs(&hub.search, &known_officials(hub), injector.as_deref(), policy, obs)
 }
 
-/// Shared tail of every pipeline shape: aggregate image profiles, build
-/// the dedup view, collect pull counts, and assemble [`StudyData`].
-fn assemble_study(
+/// The official repositories, which the crawl's slash search cannot find.
+pub(crate) fn known_officials(hub: &SyntheticHub) -> Vec<RepoName> {
+    hub.registry.repo_names().into_iter().filter(|r| r.is_official()).collect()
+}
+
+/// Shared tail of every pipeline shape — batch, streaming, queued:
+/// aggregate image profiles over the analyzed `layers`, build the dedup
+/// view, collect pull counts, and assemble [`StudyData`].
+pub(crate) fn assemble_study(
     hub: &SyntheticHub,
     crawl_result: CrawlResult,
     images_dl: Vec<DownloadedImage>,
     download: DownloadReport,
-    analysis: AnalysisResult,
+    layers: FxHashMap<Digest, LayerProfile>,
+    analyze_errors: usize,
 ) -> StudyData {
     let inputs: Vec<ImageInput> = images_dl
         .iter()
@@ -94,7 +99,7 @@ fn assemble_study(
             layers: img.manifest.layers.iter().map(|l| (l.digest, l.size)).collect(),
         })
         .collect();
-    let images = image_profiles(&inputs, &analysis.layers);
+    let images = image_profiles(&inputs, &layers);
     let image_layers: Vec<ImageLayers> = images_dl
         .iter()
         .map(|img| ImageLayers { layers: img.manifest.layers.iter().map(|l| l.digest).collect() })
@@ -110,11 +115,11 @@ fn assemble_study(
     StudyData {
         crawl: crawl_result.report,
         download,
-        layers: analysis.layers,
+        layers,
         images,
         image_layers,
         pulls,
-        analyze_errors: analysis.errors.len(),
+        analyze_errors,
         size_scale: hub.config.size_scale,
         seed: hub.config.seed,
     }
@@ -144,7 +149,7 @@ fn batch_study(
         let _stage = span!(obs, "analyze");
         analyze(&dl.layers)
     };
-    assemble_study(hub, crawl_result, dl.images, dl.report, analysis)
+    assemble_study(hub, crawl_result, dl.images, dl.report, analysis.layers, analysis.errors.len())
 }
 
 /// The in-process download step over a simulated WAN.
@@ -286,7 +291,7 @@ pub fn run_study_streaming_obs(
     }
     let (images, report) = run.finish(images);
     set_dedup_ratio(obs, &report);
-    assemble_study(hub, crawl_result, images, report, analysis)
+    assemble_study(hub, crawl_result, images, report, analysis.layers, analysis.errors.len())
 }
 
 #[cfg(test)]

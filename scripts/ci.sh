@@ -202,12 +202,13 @@ echo "==> queue gate: dhub work fleet — 1 vs 4 workers, kill + resume"
 QUEUE_W1=$(mktemp -d /tmp/dhub-queue-w1.XXXXXX)
 QUEUE_W4=$(mktemp -d /tmp/dhub-queue-w4.XXXXXX)
 QUEUE_KILL=$(mktemp -d /tmp/dhub-queue-kill.XXXXXX)
+QUEUE_STORE=$(mktemp -d /tmp/dhub-queue-store.XXXXXX)
 QUEUE_OUT=$(mktemp /tmp/dhub-queue-out.XXXXXX)
-rm -rf "$QUEUE_W1" "$QUEUE_W4" "$QUEUE_KILL"
+rm -rf "$QUEUE_W1" "$QUEUE_W4" "$QUEUE_KILL" "$QUEUE_STORE"
 ./target/release/dhub work --repos 25 --seed 5 --scale 1024 --workers 1 \
-    --store-dir "$QUEUE_W1" > /dev/null
+    --store-dir "$QUEUE_W1" --metrics-snapshot "$QUEUE_OUT.w1.snap" > "$QUEUE_OUT.w1.out"
 ./target/release/dhub work --repos 25 --seed 5 --scale 1024 --workers 4 \
-    --store-dir "$QUEUE_W4" > /dev/null
+    --store-dir "$QUEUE_W4" --metrics-snapshot "$QUEUE_OUT.w4.snap" > "$QUEUE_OUT.w4.out"
 for q in summary dedup top-types layer-percentiles; do
     ./target/release/dhub query "$QUEUE_W1" "$q" > "$QUEUE_OUT.w1"
     ./target/release/dhub query "$QUEUE_W4" "$q" > "$QUEUE_OUT.w4"
@@ -215,6 +216,45 @@ for q in summary dedup top-types layer-percentiles; do
         || { echo "FAIL: query '$q' diverged between 1- and 4-worker fleets" >&2; exit 1; }
 done
 echo "queue gate: 4 query outputs byte-identical across 1- and 4-worker fleets"
+# Fleet half of the obs gate: the queue schedules the batch path's steps,
+# so a fleet's deterministic crawl / download / analyze counters are those
+# of `dhub store --store-dir` on the same arguments, at any worker count —
+# and, as in the store gate, every analyzed layer is exactly one ingest
+# and the printed `layers` line is that number again.
+./target/release/dhub store --repos 25 --seed 5 --scale 1024 --threads 2 \
+    --store-dir "$QUEUE_STORE" --metrics-snapshot "$QUEUE_OUT.store.snap" > /dev/null
+python3 - "$QUEUE_OUT" <<'EOF'
+import json
+import re
+import sys
+
+base = sys.argv[1]
+names = [
+    "dhub_crawl_pages_fetched_total", "dhub_crawl_raw_results_total",
+    "dhub_crawl_dedup_hits_total", "dhub_crawl_pages_gave_up_total",
+    "dhub_download_images_ok_total", "dhub_download_unique_layers_total",
+    "dhub_download_bytes_total", "dhub_download_layer_fetches_skipped_total",
+    "dhub_download_failed_auth_total", "dhub_download_failed_no_latest_total",
+    "dhub_download_failed_other_total", "dhub_analyze_layers_total",
+    "dhub_analyze_files_total", "dhub_analyze_bytes_total", "dhub_analyze_errors_total",
+]
+store = json.load(open(base + ".store.snap"))["counters"]
+bad = [f"store run exports no {n}" for n in names if n not in store]
+for w in ["w1", "w4"]:
+    c = json.load(open(f"{base}.{w}.snap"))["counters"]
+    bad += [f"{w}: {n}={c.get(n)} but store --store-dir has {store.get(n)}"
+            for n in names if c.get(n) != store.get(n)]
+    layers = int(re.search(r"layers\s*: (\d+)", open(f"{base}.{w}.out").read()).group(1))
+    for n in ["dhub_store_ingests_total", "dhub_analyze_layers_total"]:
+        if c.get(n) != layers:
+            bad.append(f"{w}: {n}={c.get(n)} but printed layers={layers}")
+if bad:
+    print("FAIL: fleet counters do not reconcile:", file=sys.stderr)
+    for b in bad:
+        print("  " + b, file=sys.stderr)
+    sys.exit(1)
+print(f"queue gate: {len(names)} counters identical across store --store-dir and 1/4-worker fleets")
+EOF
 # Budget 40 lands the kill mid-layer-ingest: pages + the 25 image jobs
 # commit first (under 30 together), so at least a dozen layer commits —
 # and so a partially populated store for the resume check — are
@@ -237,9 +277,7 @@ for q in summary dedup top-types layer-percentiles; do
         || { echo "FAIL: query '$q' diverged after kill + resume" >&2; exit 1; }
 done
 echo "queue gate: killed fleet resumed to byte-identical query answers"
-rm -rf "$QUEUE_W1" "$QUEUE_W4" "$QUEUE_KILL" "$QUEUE_OUT" \
-    "$QUEUE_OUT.w1" "$QUEUE_OUT.w4" "$QUEUE_OUT.kill" "$QUEUE_OUT.mid" \
-    "$QUEUE_OUT.resume" "$QUEUE_OUT.res"
+rm -rf "$QUEUE_W1" "$QUEUE_W4" "$QUEUE_KILL" "$QUEUE_STORE" "$QUEUE_OUT" "$QUEUE_OUT".*
 
 # The obs bench must at least run (the full download comparison is the
 # recorded BENCH_obs.json; here we smoke the cheap primitives only).
@@ -355,6 +393,34 @@ if [ "$ENTRY_POINTS" -gt 17 ]; then
     exit 1
 fi
 echo "entry-point audit: $ENTRY_POINTS public entry points (limit 17)"
+
+# Construction-site audit: `StudyData` is assembled in one place
+# (`assemble_study`) and the crawl / download reports are derived from
+# their counters in one place each, whichever scheduler ran. A second
+# struct literal outside test code is a second pipeline.
+echo "==> construction-site audit"
+python3 - <<'EOF'
+import glob
+import re
+import sys
+
+literal = re.compile(r"(?<![\w>] )\b(StudyData|CrawlReport|DownloadReport) \{")
+sites = {"StudyData": [], "CrawlReport": [], "DownloadReport": []}
+for path in sorted(glob.glob("crates/*/src/**/*.rs", recursive=True)):
+    for n, line in enumerate(open(path), 1):
+        if line.strip() == "#[cfg(test)]":
+            break
+        m = literal.search(line)
+        if m and not line.lstrip().startswith("//"):
+            sites[m.group(1)].append(f"{path}:{n}")
+bad = {k: v for k, v in sites.items() if len(v) != 1}
+if bad:
+    print("FAIL: expected exactly one struct literal each outside test code:", file=sys.stderr)
+    for k, v in sorted(bad.items()):
+        print(f"  {k}: {', '.join(v) or 'none'}", file=sys.stderr)
+    sys.exit(1)
+print("construction-site audit: " + ", ".join(f"{k} at {v[0]}" for k, v in sorted(sites.items())))
+EOF
 
 # End-to-end benchmark hook: all four BENCHMARK.json workloads in smoke
 # mode with every correctness check (incl. queued tables byte-identical

@@ -785,6 +785,35 @@ fn queued_study(
     (data, stats, obs)
 }
 
+/// The counters that are pure functions of the hub and the fault seed
+/// (event and byte counts; no retry tallies, no clocks), read off a run's
+/// registry: whoever schedules the crawl / download / analyze steps, these
+/// are the numbers Table 1 is printed from.
+fn study_counters(obs: &MetricsRegistry, with_analyze: bool) -> Vec<(&'static str, u64)> {
+    const CRAWL_DOWNLOAD: [&str; 12] = [
+        "dhub_crawl_pages_fetched_total",
+        "dhub_crawl_raw_results_total",
+        "dhub_crawl_dedup_hits_total",
+        "dhub_crawl_pages_gave_up_total",
+        "dhub_download_images_ok_total",
+        "dhub_download_unique_layers_total",
+        "dhub_download_bytes_total",
+        "dhub_download_layer_fetches_skipped_total",
+        "dhub_download_failed_auth_total",
+        "dhub_download_failed_no_latest_total",
+        "dhub_download_failed_other_total",
+        "dhub_download_sim_transfer_ns_total",
+    ];
+    const ANALYZE: [&str; 4] = [
+        "dhub_analyze_layers_total",
+        "dhub_analyze_files_total",
+        "dhub_analyze_bytes_total",
+        "dhub_analyze_errors_total",
+    ];
+    let analyze = if with_analyze { &ANALYZE[..] } else { &[] };
+    CRAWL_DOWNLOAD.iter().chain(analyze).map(|&name| (name, obs.counter_value(name))).collect()
+}
+
 #[test]
 fn queued_fleet_matches_single_process_at_every_worker_count_and_fault_rate() {
     use dhub_dedupstore::DedupStore;
@@ -793,9 +822,14 @@ fn queued_fleet_matches_single_process_at_every_worker_count_and_fault_rate() {
 
     // Reference: the clean single-process fused run and its tables.
     let ref_store = DedupStore::new();
-    let obs = MetricsRegistry::new();
-    let clean =
-        dhub_study::pipeline::run_study_store_obs(&hub(), THREADS, &patient(), &ref_store, &obs);
+    let ref_obs = MetricsRegistry::new();
+    let clean = dhub_study::pipeline::run_study_store_obs(
+        &hub(),
+        THREADS,
+        &patient(),
+        &ref_store,
+        &ref_obs,
+    );
     let ref_stats = ref_store.stats();
     let ref_dir = chaos_tmp("queue-ref");
     StudyDb::build(&clean, &ref_stats).save(&ref_dir.join("db"), &Publisher::new()).unwrap();
@@ -806,6 +840,15 @@ fn queued_fleet_matches_single_process_at_every_worker_count_and_fault_rate() {
         let data = data.unwrap_or_else(|e| panic!("workers={workers} rate={rate}: {e}"));
 
         assert_same_dataset(&data, &clean);
+        // The fleet schedules the batch path's steps: its reports are
+        // derived from the same counters, and the counters land on the
+        // batch run's values.
+        assert_counters_match_reports(&obs.snapshot(), &data);
+        assert_eq!(
+            study_counters(&obs, true),
+            study_counters(&ref_obs, true),
+            "fleet counters diverged from the batch run at workers={workers} rate={rate}"
+        );
         assert_eq!(stats, ref_stats, "store stats diverged at workers={workers} rate={rate}");
         assert_eq!(
             stats.dedup_factor().to_bits(),
@@ -844,9 +887,14 @@ fn queued_fleet_killed_mid_run_resumes_to_identical_state() {
     use dhub_study::db::StudyDb;
 
     let ref_store = DedupStore::new();
-    let obs = MetricsRegistry::new();
-    let clean =
-        dhub_study::pipeline::run_study_store_obs(&hub(), THREADS, &patient(), &ref_store, &obs);
+    let ref_obs = MetricsRegistry::new();
+    let clean = dhub_study::pipeline::run_study_store_obs(
+        &hub(),
+        THREADS,
+        &patient(),
+        &ref_store,
+        &ref_obs,
+    );
     let ref_stats = ref_store.stats();
     let ref_dir = chaos_tmp("queue-kill-ref");
     StudyDb::build(&clean, &ref_stats).save(&ref_dir.join("db"), &Publisher::new()).unwrap();
@@ -875,6 +923,14 @@ fn queued_fleet_killed_mid_run_resumes_to_identical_state() {
         ".tbl files diverged after two kills and a resume"
     );
     assert_eq!(obs.counter_value("dhub_queue_double_commits_total"), 0);
+    // Crawl and download are replayed from the durable results, so the
+    // third process reports the whole run although it executed only the
+    // tail (`dhub_analyze_*` ticks at execution and covers just that tail).
+    assert_eq!(
+        study_counters(&obs, false),
+        study_counters(&ref_obs, false),
+        "resumed fleet's crawl/download counters are not the never-killed run's"
+    );
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&ref_dir).ok();
 }
