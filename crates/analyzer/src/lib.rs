@@ -280,11 +280,11 @@ pub fn set_kernel_gauges(obs: &MetricsRegistry) {
     obs.gauge(&format!("dhub_kernel_inflate{{impl=\"{inf}\"}}")).set(1.0);
 }
 
-/// Handles to the `dhub_analyze_*` counters. Every scheduler of the
-/// per-layer pass — the batch loop, the streaming stage, the queued
-/// study's layer jobs — runs it under [`AnalyzeCounters::time_layer`], so
-/// the observability gates reconcile one set of names no matter which
-/// path ran or what the pass fed (plain analysis, fused ingest).
+/// Handles to the `dhub_analyze_*` counters. Both schedulers of the
+/// per-layer pass — the batch loop and the queued study's layer jobs —
+/// run it under [`AnalyzeCounters::time_layer`], so the observability
+/// gates reconcile one set of names no matter which path ran or what the
+/// pass fed (plain analysis, fused ingest).
 pub struct AnalyzeCounters {
     layers: Counter,
     files: Counter,
@@ -324,8 +324,8 @@ impl AnalyzeCounters {
     /// an error otherwise, and the wall-clock time either way. `f` returns
     /// the profile plus whatever else the pass produced (`()` for plain
     /// analysis, the ingest outcome for the fused pass). This is the
-    /// per-layer step of the batch loop ([`analyze_all_with`]), of the
-    /// streaming stage and of the queued study's layer job.
+    /// per-layer step of the batch loop ([`analyze_all_with`]) and of the
+    /// queued study's layer job.
     pub fn time_layer<T>(
         &self,
         f: impl FnOnce(&mut Scratch) -> Result<(LayerProfile, T), AnalyzeError>,
@@ -364,7 +364,7 @@ pub struct AnalysisResult {
 
 impl AnalysisResult {
     /// Files one layer's outcome under its digest.
-    pub fn record(&mut self, digest: Digest, outcome: Result<LayerProfile, AnalyzeError>) {
+    fn record(&mut self, digest: Digest, outcome: Result<LayerProfile, AnalyzeError>) {
         match outcome {
             Ok(profile) => {
                 self.layers.insert(digest, profile);

@@ -598,19 +598,25 @@ fn cmd_work(args: &Parsed, out: &mut impl Write) -> CmdResult {
 /// mid-ingest, or killed before its checkpoint) falls back to replaying
 /// the durable layer recipes.
 fn cmd_query(args: &Parsed, out: &mut impl Write) -> CmdResult {
+    use dhub_persist::PersistError;
     use dhub_study::db::StudyDb;
     let dir = args
         .pos(0)
         .ok_or("usage: dhub query <store-dir> [summary|dedup|top-types|layer-percentiles]")?;
     let question = args.pos(1).unwrap_or("summary");
-    let db = match StudyDb::load(&std::path::Path::new(dir).join("db")) {
+    let store_dir = std::path::Path::new(dir);
+    let db_dir = store_dir.join("db");
+    let db = match StudyDb::load(&db_dir) {
         Ok(db) => db,
+        // Mid-ingest store: a table is not written yet, but recipes are
+        // durable. A table that exists and fails validation is an error.
+        Err(PersistError::Io(e))
+            if e.kind() == std::io::ErrorKind::NotFound && store_dir.join("layers").is_dir() =>
+        {
+            return query_replayed(args, out, dir, question);
+        }
         Err(e) => {
-            // Mid-ingest store: no tables, but recipes are durable.
-            if std::path::Path::new(dir).join("layers").is_dir() {
-                return query_replayed(args, out, dir, question);
-            }
-            return Err(e.into());
+            return Err(format!("cannot load study tables under {}: {e}", db_dir.display()).into())
         }
     };
     match question {
@@ -624,19 +630,8 @@ fn cmd_query(args: &Parsed, out: &mut impl Write) -> CmdResult {
                 writeln!(out, "{row}")?;
             }
         }
-        "top-types" => {
-            let n = args.num("top", 10usize)?;
-            writeln!(out, "{:<12} {:>10} {:>14}", "type", "files", "bytes")?;
-            for (label, count, bytes) in db.top_file_types(n) {
-                writeln!(out, "{label:<12} {count:>10} {bytes:>14}")?;
-            }
-        }
-        "layer-percentiles" => {
-            writeln!(out, "{:<4} {:>14}", "pct", "layer bytes")?;
-            for (p, v) in db.layer_size_percentiles() {
-                writeln!(out, "{p:<4} {v:>14}")?;
-            }
-        }
+        "top-types" => print_top_types(out, &db.top_file_types(args.num("top", 10usize)?))?,
+        "layer-percentiles" => print_percentiles(out, &db.layer_size_percentiles())?,
         other => {
             return Err(format!(
                 "unknown question {other:?} (try summary, dedup, top-types, layer-percentiles)"
@@ -654,6 +649,7 @@ fn cmd_query(args: &Parsed, out: &mut impl Write) -> CmdResult {
 /// `summary` degrades to the dedup block with a notice.
 fn query_replayed(args: &Parsed, out: &mut impl Write, dir: &str, question: &str) -> CmdResult {
     use dhub_dedupstore::RecipeEntryKind;
+    use dhub_study::db::{size_percentiles, top_types};
 
     let store = PersistentDedupStore::open(dir, Publisher::new())?;
     let mem = store.mem();
@@ -675,7 +671,7 @@ fn query_replayed(args: &Parsed, out: &mut impl Write, dir: &str, question: &str
             let n = args.num("top", 10usize)?;
             let mut digests = mem.layer_digests();
             digests.sort();
-            let mut agg: std::collections::BTreeMap<String, (u64, u64)> = Default::default();
+            let mut files: Vec<(&str, u64)> = Vec::new();
             for d in &digests {
                 let recipe = mem.recipe(d).expect("replayed layer has a recipe");
                 for entry in &recipe.entries {
@@ -683,37 +679,16 @@ fn query_replayed(args: &Parsed, out: &mut impl Write, dir: &str, question: &str
                         let data =
                             mem.object_data(fd).ok_or_else(|| format!("missing object {fd}"))?;
                         let kind = dhub_magic::classify(&entry.path, &data);
-                        let e = agg.entry(kind.label().to_string()).or_insert((0, 0));
-                        e.0 += 1;
-                        e.1 += data.len() as u64;
+                        files.push((kind.label(), data.len() as u64));
                     }
                 }
             }
-            let mut rows: Vec<(String, u64, u64)> =
-                agg.into_iter().map(|(k, (c, b))| (k, c, b)).collect();
-            rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            rows.truncate(n);
-            writeln!(out, "{:<12} {:>10} {:>14}", "type", "files", "bytes")?;
-            for (label, count, bytes) in rows {
-                writeln!(out, "{label:<12} {count:>10} {bytes:>14}")?;
-            }
+            print_top_types(out, &top_types(files, n))?;
         }
         "layer-percentiles" => {
             let mut cls: Vec<u64> = mem.layer_sizes().into_iter().map(|(_, c)| c).collect();
             cls.sort_unstable();
-            let pick = |p: f64| -> u64 {
-                if cls.is_empty() {
-                    return 0;
-                }
-                let rank = ((p / 100.0) * cls.len() as f64).ceil() as usize;
-                cls[rank.clamp(1, cls.len()) - 1]
-            };
-            writeln!(out, "{:<4} {:>14}", "pct", "layer bytes")?;
-            for (p, v) in
-                [("p10", 10.0), ("p25", 25.0), ("p50", 50.0), ("p75", 75.0), ("p90", 90.0), ("p99", 99.0)]
-            {
-                writeln!(out, "{p:<4} {:>14}", pick(v))?;
-            }
+            print_percentiles(out, &size_percentiles(&cls))?;
         }
         other => {
             return Err(format!(
@@ -721,6 +696,22 @@ fn query_replayed(args: &Parsed, out: &mut impl Write, dir: &str, question: &str
             )
             .into())
         }
+    }
+    Ok(())
+}
+
+fn print_top_types(out: &mut impl Write, rows: &[(String, u64, u64)]) -> CmdResult {
+    writeln!(out, "{:<12} {:>10} {:>14}", "type", "files", "bytes")?;
+    for (label, count, bytes) in rows {
+        writeln!(out, "{label:<12} {count:>10} {bytes:>14}")?;
+    }
+    Ok(())
+}
+
+fn print_percentiles(out: &mut impl Write, rows: &[(&str, u64)]) -> CmdResult {
+    writeln!(out, "{:<4} {:>14}", "pct", "layer bytes")?;
+    for (p, v) in rows {
+        writeln!(out, "{p:<4} {v:>14}")?;
     }
     Ok(())
 }
@@ -1146,6 +1137,39 @@ mod tests {
         assert_eq!(code, 0, "{q}");
         assert_eq!(tail(&q, full_types.lines().count()), full_types.trim_end(),
             "replayed top-types diverged");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn query_corrupt_table_is_an_error_not_a_fallback() {
+        let dir = std::env::temp_dir().join(format!("dhub-cli-qtorn-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (code, out) = run_cmd(&[
+            "store", "--repos", "10", "--seed", "3", "--scale", "1024", "--threads", "2",
+            "--store-dir", dir.to_str().unwrap(),
+        ]);
+        assert_eq!(code, 0, "{out}");
+        let (code, full) = run_cmd(&["query", dir.to_str().unwrap(), "top-types"]);
+        assert_eq!(code, 0, "{full}");
+
+        // One flipped byte fails the table's CRC: the query must say so and
+        // name the file, not answer from replayed recipes.
+        let tbl = dir.join("db").join("files.tbl");
+        let mut bytes = std::fs::read(&tbl).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&tbl, &bytes).unwrap();
+        let (code, q) = run_cmd(&["query", dir.to_str().unwrap(), "top-types"]);
+        assert_ne!(code, 0, "{q}");
+        assert!(q.contains(tbl.to_str().unwrap()), "{q}");
+        assert!(!q.contains("no study tables"), "{q}");
+
+        // A table that is not there yet (killed mid-save) still falls back.
+        std::fs::remove_file(&tbl).unwrap();
+        let (code, q) = run_cmd(&["query", dir.to_str().unwrap(), "top-types"]);
+        assert_eq!(code, 0, "{q}");
+        assert!(q.contains("no study tables"), "{q}");
+        assert!(q.ends_with(&full), "replayed rows diverged from the tables':\n{q}\nvs\n{full}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

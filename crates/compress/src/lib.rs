@@ -26,7 +26,6 @@ pub mod gzip;
 pub mod huffman;
 pub mod inflate;
 pub mod lz77;
-pub mod zlib;
 mod tables;
 
 pub use copy::kernel_name as inflate_kernel_name;
@@ -35,4 +34,3 @@ pub use gzip::{
     gzip_compress, gzip_decompress, gzip_decompress_into, gzip_decompress_reference, GzipError,
 };
 pub use inflate::{inflate, inflate_into, inflate_reference, InflateError};
-pub use zlib::{adler32, zlib_compress, zlib_decompress, ZlibError};

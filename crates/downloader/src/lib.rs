@@ -11,11 +11,11 @@
 //!
 //! There is one download loop. What varies is the [`Transport`] a
 //! repository is pulled over (in-process [`InProcess`], or the Registry V2
-//! HTTP client) and who schedules the per-repository step
-//! ([`DownloadRun::pull_repo`]): the batch loop behind
-//! [`download_all_obs`] / [`download_all_http_obs`], or the study's
-//! streaming stage. The queued study runs the transport's operations in
-//! separate jobs and drives the record steps `pull_repo` is built from.
+//! HTTP client) and who schedules the per-repository step: the batch
+//! loop behind [`download_all_obs`] / [`download_all_http_obs`] calls
+//! `DownloadRun::pull_repo`; the queued study runs the transport's
+//! operations in separate jobs and drives the record steps `pull_repo` is
+//! built from.
 
 use dhub_faults::{fault_key, RetryPolicy};
 use dhub_model::{Digest, Manifest, RepoName};
@@ -366,12 +366,13 @@ impl Transport for RemoteRegistry {
 
 /// What one repository contributed to a run: its image, plus the layer
 /// blobs this pull was the first to claim.
-pub type Pulled = (DownloadedImage, Vec<(Digest, Arc<Vec<u8>>)>);
+type Pulled = (DownloadedImage, Vec<(Digest, Arc<Vec<u8>>)>);
 
 /// Shared state of one download run: the `dhub_download_*` counters, the
 /// unique-layer claim set, and the digests whose fetch was abandoned.
-/// Schedulers call [`DownloadRun::pull_repo`] once per repository from as
-/// many threads as they like, then [`DownloadRun::finish`] once.
+/// The batch loop calls `pull_repo` once per repository from as many
+/// threads as it likes, then [`DownloadRun::finish`] once; the queued
+/// study drives the record steps itself and ends in the same `finish`.
 pub struct DownloadRun<'a> {
     obs: &'a MetricsRegistry,
     counters: DownloadCounters,
@@ -407,7 +408,7 @@ impl<'a> DownloadRun<'a> {
     /// three record steps below around the transport's two operations; a
     /// scheduler that performs those operations elsewhere (the queued
     /// study's image and layer jobs) drives the steps itself.
-    pub fn pull_repo<T: Transport>(&self, transport: &T, repo: &RepoName) -> Option<Pulled> {
+    fn pull_repo<T: Transport>(&self, transport: &T, repo: &RepoName) -> Option<Pulled> {
         // Spans are roots, not nested: a shared layer's fetch is performed
         // by whichever worker wins the claim race, so nesting fetch spans
         // under the winner's manifest span would make trace ids depend on

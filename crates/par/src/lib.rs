@@ -4,27 +4,20 @@
 //! are downloaded/analyzed independently, and dedup counting aggregates
 //! billions of per-file records. This crate provides exactly the three
 //! primitives that workload needs, built on the in-repo `dhub-sync`
-//! substrate (channels, scoped work crews, striped locks) so the default
-//! workspace build has zero external dependencies:
+//! substrate (scoped work crews, striped locks) so the default workspace
+//! build has zero external dependencies:
 //!
-//! * [`par_map`]/[`par_for_each`] — data-parallel iteration over slices
-//!   with dynamic chunk self-scheduling (scoped threads, no `'static`
-//!   bounds),
-//! * [`pipeline::stage`] — bounded multi-worker pipeline stages with
-//!   backpressure, mirroring the crawl → download → analyze flow,
+//! * [`par_map`]/[`par_for_each`]/[`par_map_range`] — data-parallel
+//!   iteration over slices and index ranges with dynamic chunk
+//!   self-scheduling (scoped threads, no `'static` bounds),
 //! * [`sharded::ShardedMap`] — a lock-striped hash map for concurrent
-//!   counting (the dedup index), with a single-lock variant used as the
-//!   ablation baseline in the benches,
+//!   counting (the dedup index),
 //! * [`scratch::Scratch`] — the thread-local per-worker buffer arena the
 //!   fused layer-analysis path reuses across layers.
 
-pub mod pipeline;
-pub mod pool;
 pub mod scratch;
 pub mod sharded;
 
-pub use pipeline::stage;
-pub use pool::ThreadPool;
 pub use scratch::{with_scratch, Scratch, ScratchStats};
 pub use sharded::ShardedMap;
 

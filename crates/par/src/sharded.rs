@@ -4,7 +4,7 @@
 //! updated once per file record — billions of times at paper scale. A
 //! single mutex-protected map serializes every update; striping the key
 //! space across shards lets updates proceed in parallel with conflicts only
-//! on same-shard keys. `bench_sharded` quantifies the difference.
+//! on same-shard keys.
 
 use dhub_sync::{Mutex, Striped};
 use std::collections::HashMap;
@@ -122,44 +122,6 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
     }
 }
 
-/// Single-mutex map with the same interface — the ablation baseline for
-/// `bench_sharded`.
-pub struct CoarseMap<K, V> {
-    inner: Mutex<HashMap<K, V, BuildHasherDefault<ShardHasher>>>,
-}
-
-impl<K: Hash + Eq, V> CoarseMap<K, V> {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        CoarseMap { inner: Mutex::new(HashMap::default()) }
-    }
-
-    /// Same contract as [`ShardedMap::update`].
-    pub fn update(&self, key: K, f: impl FnOnce(&mut V))
-    where
-        V: Default,
-    {
-        let mut m = self.inner.lock();
-        f(m.entry(key).or_default());
-    }
-
-    /// Total entries.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// True when no entries exist.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<K: Hash + Eq, V> Default for CoarseMap<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,14 +156,6 @@ mod tests {
         assert_eq!(m.shard_count(), 8);
         let m: ShardedMap<u8, u8> = ShardedMap::new(0);
         assert_eq!(m.shard_count(), 1);
-    }
-
-    #[test]
-    fn coarse_map_counts_too() {
-        let map: CoarseMap<u64, u64> = CoarseMap::new();
-        let keys: Vec<u64> = (0..10_000).collect();
-        par_for_each(4, &keys, |&k| map.update(k % 100, |v| *v += 1));
-        assert_eq!(map.len(), 100);
     }
 
     #[test]

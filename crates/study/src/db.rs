@@ -239,22 +239,11 @@ impl StudyDb {
             .unwrap_or(0)
     }
 
-    /// Top `n` file types by count: `(kind label, files, bytes)`, count
-    /// descending, label ascending on ties.
+    /// Top `n` file types by count ([`top_types`] over the `files` table).
     pub fn top_file_types(&self, n: usize) -> Vec<(String, u64, u64)> {
         let kinds = self.files.col_str("kind").expect("files table has kind column");
         let sizes = self.files.col_u64("size").expect("files table has size column");
-        let mut agg: std::collections::BTreeMap<&str, (u64, u64)> = std::collections::BTreeMap::new();
-        for (k, s) in kinds.iter().zip(sizes) {
-            let e = agg.entry(k).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += s;
-        }
-        let mut rows: Vec<(String, u64, u64)> =
-            agg.into_iter().map(|(k, (c, b))| (k.to_string(), c, b)).collect();
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        rows.truncate(n);
-        rows
+        top_types(kinds.iter().map(String::as_str).zip(sizes.iter().copied()), n)
     }
 
     /// Total file bytes in one type group (e.g. "EOL"), via predicate
@@ -268,28 +257,50 @@ impl StudyDb {
         rows.iter().map(|&i| sizes[i]).sum()
     }
 
-    /// Compressed-layer-size percentiles (nearest-rank) for
-    /// `dhub query layer-percentiles`.
+    /// Compressed-layer-size percentiles ([`size_percentiles`] over the
+    /// `layers` table's `cls` column) for `dhub query layer-percentiles`.
     pub fn layer_size_percentiles(&self) -> Vec<(&'static str, u64)> {
         let mut cls: Vec<u64> =
             self.layers.col_u64("cls").expect("layers table has cls column").to_vec();
         cls.sort_unstable();
-        let pick = |p: f64| -> u64 {
-            if cls.is_empty() {
-                return 0;
-            }
-            let rank = ((p / 100.0) * cls.len() as f64).ceil() as usize;
-            cls[rank.clamp(1, cls.len()) - 1]
-        };
-        vec![
-            ("p10", pick(10.0)),
-            ("p25", pick(25.0)),
-            ("p50", pick(50.0)),
-            ("p75", pick(75.0)),
-            ("p90", pick(90.0)),
-            ("p99", pick(99.0)),
-        ]
+        size_percentiles(&cls)
     }
+}
+
+/// Top `n` file types by count over `(kind label, size)` pairs, one per
+/// file: `(kind label, files, bytes)`, count descending, label ascending
+/// on ties. Shared by [`StudyDb::top_file_types`] and `dhub query`'s
+/// replayed-recipe fallback, so both answer with the same rows.
+pub fn top_types<'a>(
+    files: impl IntoIterator<Item = (&'a str, u64)>,
+    n: usize,
+) -> Vec<(String, u64, u64)> {
+    let mut agg: std::collections::BTreeMap<&str, (u64, u64)> = std::collections::BTreeMap::new();
+    for (k, s) in files {
+        let e = agg.entry(k).or_insert((0, 0));
+        e.0 += 1;
+        e.1 += s;
+    }
+    let mut rows: Vec<(String, u64, u64)> =
+        agg.into_iter().map(|(k, (c, b))| (k.to_string(), c, b)).collect();
+    rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    rows.truncate(n);
+    rows
+}
+
+/// Nearest-rank p10 … p99 of an ascending-sorted slice (all 0 when empty).
+pub fn size_percentiles(sorted: &[u64]) -> Vec<(&'static str, u64)> {
+    let pick = |p: f64| -> u64 {
+        if sorted.is_empty() {
+            return 0;
+        }
+        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
+    };
+    [("p10", 10.0), ("p25", 25.0), ("p50", 50.0), ("p75", 75.0), ("p90", 90.0), ("p99", 99.0)]
+        .into_iter()
+        .map(|(label, p)| (label, pick(p)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -358,6 +369,22 @@ mod tests {
         let pcts = db.layer_size_percentiles();
         assert_eq!(pcts.len(), 6);
         assert!(pcts.windows(2).all(|w| w[0].1 <= w[1].1), "percentiles must be monotone");
+    }
+
+    #[test]
+    fn query_arithmetic_orders_ties_and_picks_nearest_rank() {
+        let files = [("ELF", 10), ("ASCII", 1), ("PNG", 7), ("ASCII", 2), ("ELF", 5), ("gzip", 9)];
+        let rows = top_types(files, 3);
+        let row = |k: &str, c, b| (k.to_string(), c, b);
+        // Count descending, then label ascending; truncated to n.
+        assert_eq!(rows, vec![row("ASCII", 2, 3), row("ELF", 2, 15), row("PNG", 1, 7)]);
+        assert!(top_types([], 3).is_empty());
+
+        let picks = |v: &[u64]| size_percentiles(v).into_iter().map(|(_, x)| x).collect::<Vec<_>>();
+        assert_eq!(picks(&[]), [0; 6]);
+        assert_eq!(picks(&[7]), [7; 6]);
+        let hundred: Vec<u64> = (1..=100).collect();
+        assert_eq!(picks(&hundred), [10, 25, 50, 75, 90, 99]);
     }
 
     #[test]

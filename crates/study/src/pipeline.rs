@@ -1,16 +1,12 @@
 //! The crawl → download → analyze pipeline (§III).
 
-use dhub_analyzer::{
-    analyze_all_obs, analyze_layer_scratch, image_profiles, AnalysisResult, AnalyzeCounters,
-    ImageInput,
-};
+use dhub_analyzer::{analyze_all_obs, image_profiles, AnalysisResult, ImageInput};
 use dhub_crawler::{crawl_obs, CrawlReport, CrawlResult};
 use dhub_dedup::ImageLayers;
 use dhub_dedupstore::{analyze_and_ingest_all, DedupStore, PersistentDedupStore};
 use dhub_digest::FxHashMap;
 use dhub_downloader::{
-    download_all_http_obs, download_all_obs, DownloadReport, DownloadResult, DownloadRun,
-    DownloadedImage, InProcess,
+    download_all_http_obs, download_all_obs, DownloadReport, DownloadResult, DownloadedImage,
 };
 use dhub_faults::RetryPolicy;
 use dhub_model::{Digest, ImageProfile, LayerProfile, RepoName};
@@ -80,7 +76,7 @@ pub(crate) fn known_officials(hub: &SyntheticHub) -> Vec<RepoName> {
     hub.registry.repo_names().into_iter().filter(|r| r.is_official()).collect()
 }
 
-/// Shared tail of every pipeline shape — batch, streaming, queued:
+/// Shared tail of both schedulers — batch and queued:
 /// aggregate image profiles over the analyzed `layers`, build the dedup
 /// view, collect pull counts, and assemble [`StudyData`].
 pub(crate) fn assemble_study(
@@ -239,69 +235,10 @@ pub fn run_study_http_obs(
     batch_study(hub, policy, obs, download, |layers| analyze_all_obs(layers, threads, obs))
 }
 
-/// Streaming scheduler for [`run_study_obs`]: repositories flow through
-/// bounded download → analyze pipeline stages (`dhub-par::pipeline`), so
-/// peak memory holds only the channel depths' worth of layer blobs instead
-/// of the whole dataset. This is the shape a paper-scale (47 TB) run
-/// needs. The stages run the batch path's own per-repository and
-/// per-layer steps against the same counters, so results, reports and
-/// `/metrics` totals are identical to the batch path.
-pub fn run_study_streaming_obs(
-    hub: &SyntheticHub,
-    threads: usize,
-    policy: &RetryPolicy,
-    obs: &MetricsRegistry,
-) -> StudyData {
-    use dhub_par::pipeline::{sink, source, stage};
-
-    let crawl_result = crawl_hub(hub, policy, obs);
-    let _stage = span!(obs, "stream");
-    let run = DownloadRun::on(obs);
-    let net = NetworkModel::wan();
-    let transport = InProcess::new(&hub.registry, &net, policy, run.retry());
-    let counters = AnalyzeCounters::on(obs);
-    let results = std::thread::scope(|s| {
-        // Stage 1 (network-bound): resolve manifests + fetch unique layers.
-        let repo_rx = source(s, &crawl_result.repos, 64);
-        let dl_rx = stage(s, repo_rx, threads.max(2), 32, |repo| run.pull_repo(&transport, repo));
-        // Stage 2 (CPU-bound): analyze each image's newly fetched layers on
-        // the stage worker's thread-local scratch arena.
-        let an_rx = stage(s, dl_rx, threads.max(1), 16, |(image, blobs)| {
-            let analyzed: Vec<_> = blobs
-                .into_iter()
-                .map(|(d, blob)| {
-                    let pass = |scratch: &mut _| {
-                        analyze_layer_scratch(d, &blob, scratch).map(|p| (p, ()))
-                    };
-                    (d, counters.time_layer(pass))
-                })
-                .collect();
-            Some((image, analyzed))
-        });
-        sink(an_rx)
-    });
-
-    let mut images = Vec::with_capacity(results.len());
-    let mut analysis = AnalysisResult::default();
-    for (image, analyzed) in results {
-        images.push(image);
-        for (digest, r) in analyzed {
-            analysis.record(digest, r.map(|(profile, ())| profile));
-        }
-    }
-    let (images, report) = run.finish(images);
-    set_dedup_ratio(obs, &report);
-    assemble_study(hub, crawl_result, images, report, analysis.layers, analysis.errors.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dhub_synth::{generate_hub, SynthConfig};
-
-    fn streaming_study(hub: &SyntheticHub, threads: usize, policy: &RetryPolicy) -> StudyData {
-        run_study_streaming_obs(hub, threads, policy, &MetricsRegistry::new())
-    }
 
     fn study() -> StudyData {
         let hub = generate_hub(&SynthConfig::tiny(11).with_repos(40));
@@ -328,65 +265,6 @@ mod tests {
                 assert!(s.layers.contains_key(d), "image references unanalyzed layer");
             }
         }
-    }
-
-    #[test]
-    fn streaming_matches_batch() {
-        let hub = generate_hub(&SynthConfig::tiny(17).with_repos(40));
-        let batch = run_study(&hub, 4);
-        let streaming = streaming_study(&hub, 4, &RetryPolicy::default());
-        assert_eq!(streaming.crawl, batch.crawl);
-        // Same per-repository step, same counters: the whole report agrees,
-        // simulated transfer time included.
-        assert_eq!(streaming.download, batch.download);
-        assert_eq!(streaming.layers.len(), batch.layers.len());
-        for (d, p) in &batch.layers {
-            assert_eq!(streaming.layers.get(d), Some(p), "layer profile mismatch");
-        }
-        assert_eq!(streaming.images.len(), batch.images.len());
-        for (a, b) in streaming.images.iter().zip(&batch.images) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn streaming_matches_batch_under_gave_up() {
-        use dhub_faults::{
-            FaultConfig, FaultInjector, FaultKind, FaultOp, RetryPolicy, ALL_FAULT_KINDS,
-        };
-        use std::sync::Arc;
-        // Corrupt-only blob faults with a zero retry budget: a good chunk
-        // of fetches are abandoned, and both pipeline shapes must agree on
-        // which images failed and which shared layers still made it into
-        // the corpus. Fresh injectors replay the identical fault stream.
-        let cfg = ALL_FAULT_KINDS
-            .iter()
-            .fold(FaultConfig::off().with_rate(FaultOp::Blob, 0.4), |c, &k| {
-                c.with_weight(k, u32::from(k == FaultKind::Corrupt))
-            });
-        let policy = RetryPolicy::none();
-
-        let hub = generate_hub(&SynthConfig::tiny(19).with_repos(40));
-        hub.registry.set_fault_injector(Some(Arc::new(FaultInjector::new(cfg.clone()))));
-        let batch = run_study_obs(&hub, 4, &policy, &MetricsRegistry::new());
-
-        let hub = generate_hub(&SynthConfig::tiny(19).with_repos(40));
-        hub.registry.set_fault_injector(Some(Arc::new(FaultInjector::new(cfg))));
-        let streaming = streaming_study(&hub, 4, &policy);
-
-        assert!(batch.download.gave_up > 0, "40 % faults with no retries must abandon fetches");
-        assert_eq!(streaming.download.images_downloaded, batch.download.images_downloaded);
-        assert_eq!(streaming.download.failed_other, batch.download.failed_other);
-        assert_eq!(streaming.download.failed_auth, batch.download.failed_auth);
-        assert_eq!(streaming.download.failed_no_latest, batch.download.failed_no_latest);
-        assert_eq!(streaming.download.gave_up, batch.download.gave_up);
-        assert_eq!(streaming.download.unique_layers, batch.download.unique_layers);
-        assert_eq!(streaming.download.bytes_fetched, batch.download.bytes_fetched);
-        assert_eq!(streaming.layers.len(), batch.layers.len());
-        for (d, p) in &batch.layers {
-            assert_eq!(streaming.layers.get(d), Some(p), "shared-layer corpus diverged");
-        }
-        assert_eq!(streaming.images, batch.images);
     }
 
     #[test]
@@ -430,10 +308,9 @@ mod tests {
         };
         let policy = RetryPolicy::default();
         type Run<'a> = &'a dyn Fn(&SyntheticHub, &MetricsRegistry) -> StudyData;
-        let runs: [(&str, Run); 3] = [
+        let runs: [(&str, Run); 2] = [
             ("batch", &|hub, obs| run_study_obs(hub, 2, &policy, obs)),
             ("store", &|hub, obs| run_study_store_obs(hub, 2, &policy, &DedupStore::new(), obs)),
-            ("streaming", &|hub, obs| run_study_streaming_obs(hub, 2, &policy, obs)),
         ];
         let mut layer_counts = Vec::new();
         for (name, run) in runs {

@@ -1,76 +1,12 @@
-//! Spin-then-park backoff for short waits.
-//!
-//! Parking a thread costs a syscall both ways; a value that will arrive in
-//! a few hundred nanoseconds is cheaper to spin for. [`Backoff`] ramps
-//! through exponential busy-spins, then scheduler yields, then tells the
-//! caller to park ([`Backoff::snooze`] returns `false`). The channel's
-//! send/recv fast paths drive their retry loops with it.
-
-/// Exhaust spins, then yields, then recommends parking.
-#[derive(Debug, Default)]
-pub struct Backoff {
-    step: u32,
-}
-
-/// Past this step each wait doubles no further (2^6 = 64 spin hints).
-const SPIN_LIMIT: u32 = 6;
-/// Past this step the caller should park instead of yielding again.
-const YIELD_LIMIT: u32 = 10;
-
-impl Backoff {
-    /// A fresh backoff at the cheapest step.
-    pub fn new() -> Backoff {
-        Backoff { step: 0 }
-    }
-
-    /// Rewinds to the cheapest step (call after making progress).
-    pub fn reset(&mut self) {
-        self.step = 0;
-    }
-
-    /// Busy-spins with exponentially increasing length. Never yields; use
-    /// in lock-retry loops where the holder runs on another core.
-    pub fn spin(&mut self) {
-        for _ in 0..1u32 << self.step.min(SPIN_LIMIT) {
-            std::hint::spin_loop();
-        }
-        if self.step <= SPIN_LIMIT {
-            self.step += 1;
-        }
-    }
-
-    /// One step of waiting: spins while cheap, then yields the scheduler
-    /// slot. Returns `false` once the budget is spent and the caller
-    /// should park on its condvar instead.
-    pub fn snooze(&mut self) -> bool {
-        if self.step <= SPIN_LIMIT {
-            for _ in 0..1u32 << self.step {
-                std::hint::spin_loop();
-            }
-        } else if self.step <= YIELD_LIMIT {
-            std::thread::yield_now();
-        } else {
-            return false;
-        }
-        self.step += 1;
-        true
-    }
-
-    /// True once [`Backoff::snooze`] has told the caller to park.
-    pub fn is_completed(&self) -> bool {
-        self.step > YIELD_LIMIT
-    }
-}
+//! Retry delay schedule ([`DelayBackoff`]).
 
 /// Capped exponential **delay** schedule for retry loops.
 ///
-/// Where [`Backoff`] answers "how long do I spin before parking" (sub-
-/// microsecond waits inside one process), `DelayBackoff` answers "how long
-/// do I sleep before retrying a failed network operation": each step
-/// doubles the previous delay until a cap, the classic
-/// retry-with-exponential-backoff shape registries expect from clients
-/// hitting 429/5xx. Jitter is deliberately *not* applied here — callers
-/// that need it (e.g. `dhub-faults::RetryPolicy`) derive it
+/// `DelayBackoff` answers "how long do I sleep before retrying a failed
+/// network operation": each step doubles the previous delay until a cap,
+/// the classic retry-with-exponential-backoff shape registries expect from
+/// clients hitting 429/5xx. Jitter is deliberately *not* applied here —
+/// callers that need it (e.g. `dhub-faults::RetryPolicy`) derive it
 /// deterministically from their own seed so schedules stay replayable.
 #[derive(Clone, Copy, Debug)]
 pub struct DelayBackoff {
@@ -109,35 +45,6 @@ impl DelayBackoff {
 mod tests {
     use super::*;
     use std::time::Duration;
-
-    #[test]
-    fn snooze_eventually_recommends_parking() {
-        let mut b = Backoff::new();
-        let mut steps = 0;
-        while b.snooze() {
-            steps += 1;
-            assert!(steps < 100, "backoff never completed");
-        }
-        assert!(b.is_completed());
-        assert!(steps >= (YIELD_LIMIT as usize), "should spin + yield first");
-    }
-
-    #[test]
-    fn reset_restarts_budget() {
-        let mut b = Backoff::new();
-        while b.snooze() {}
-        b.reset();
-        assert!(!b.is_completed());
-        assert!(b.snooze());
-    }
-
-    #[test]
-    fn spin_caps_step_growth() {
-        let mut b = Backoff::new();
-        for _ in 0..1000 {
-            b.spin(); // must terminate quickly even after many calls
-        }
-    }
 
     #[test]
     fn delay_backoff_doubles_then_caps() {

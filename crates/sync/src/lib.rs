@@ -2,54 +2,37 @@
 //!
 //! The paper's pipeline is concurrency-shaped end to end: a 30-day parallel
 //! crawl/download and sharded counting over 5.3 B file records. Every other
-//! crate rents its channels and locks from here rather than from external
-//! crates, which keeps the workspace dependency-free (offline-buildable
-//! with an empty registry cache) and makes the hot paths ours to tune and
-//! bench.
+//! crate rents its locks and worker crews from here rather than from
+//! external crates, which keeps the workspace dependency-free
+//! (offline-buildable with an empty registry cache) and makes the hot paths
+//! ours to tune.
 //!
 //! Primitives:
 //!
-//! * [`channel`] — bounded MPMC channel over a Mutex+Condvar ring buffer
-//!   (plus an unbounded variant for fire-and-forget job queues). Closing is
-//!   implicit: when every [`Sender`] is gone the channel drains then
-//!   reports disconnect; when every [`Receiver`] is gone sends fail fast.
 //! * [`crew`] — a scoped work-crew on `std::thread::scope`: spawn N
-//!   workers, join them all, propagate the first panic.
+//!   workers, join them all, propagate the first panic. Every parallel
+//!   stage (`dhub-par`'s `par_map` family, the queue's worker fleet) is a
+//!   crew pulling indices or jobs from shared state; there is no channel
+//!   or long-lived pool.
 //! * [`Striped`] — cache-padded lock striping, the substrate under
 //!   `dhub-par`'s `ShardedMap` (the dedup counting index).
-//! * [`Mutex`]/[`RwLock`] — thin poison-ignoring wrappers over the std
-//!   locks with guard-returning `lock()`/`read()`/`write()` (the calling
-//!   convention the rest of the workspace already used with its previous
-//!   external lock crate).
-//! * [`Backoff`] — spin-then-yield helper for short waits ahead of a park.
-//! * [`WaitGroup`] — clone-to-add, drop-to-done rendezvous.
+//! * [`Mutex`]/[`RwLock`]/[`Condvar`] — thin poison-ignoring wrappers over
+//!   the std locks with guard-returning `lock()`/`read()`/`write()` (the
+//!   calling convention the rest of the workspace already used with its
+//!   previous external lock crate).
 //! * [`Semaphore`] — counting semaphore with RAII permits, the admission
 //!   control under the registry HTTP accept loop.
-//!
-//! Design note — why Mutex+Condvar rather than lock-free: the channel
-//! carries *layer-sized* work items (manifests, multi-megabyte blobs), so
-//! per-op channel overhead is noise next to per-item work; what matters is
-//! correct blocking/backpressure and clean shutdown. A Condvar ring gives
-//! those semantics in ~200 lines that are easy to prove drain-correct,
-//! while the spin-then-park [`Backoff`] recovers the fast uncontended path.
-//! `BENCH_sync.json` (recorded on the single-core CI box) measures ~3.8 M
-//! send+recv ops/s SPSC at capacity 1024 and ~2.6 M ops/s with 4 producers
-//! and 4 consumers sharing a capacity-64 ring — three to four orders of
-//! magnitude above what the paper-scale pipeline pushes through a stage
-//! boundary, so the lock-based ring is nowhere near the critical path.
+//! * [`DelayBackoff`] — capped exponential delay schedule, the base of
+//!   `dhub-faults::RetryPolicy`.
 
 pub mod backoff;
-pub mod channel;
 pub mod crew;
 pub mod lock;
 pub mod semaphore;
 pub mod striped;
-pub mod waitgroup;
 
-pub use backoff::{Backoff, DelayBackoff};
-pub use channel::{bounded, unbounded, Receiver, RecvError, SendError, Sender, TryRecvError, TrySendError};
+pub use backoff::DelayBackoff;
 pub use crew::work_crew;
 pub use lock::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 pub use semaphore::{Semaphore, SemaphorePermit};
 pub use striped::{CachePadded, Striped};
-pub use waitgroup::WaitGroup;

@@ -1,94 +1,9 @@
-//! Cross-primitive tests for the concurrency substrate: ordering, blocking,
-//! wakeup, and panic-propagation semantics the pipeline layer depends on.
+//! Cross-primitive tests for the concurrency substrate: the
+//! panic-propagation and striping semantics the parallel helpers depend on.
 
-use dhub_sync::{bounded, unbounded, work_crew, RecvError, SendError, Striped, WaitGroup};
+use dhub_sync::{work_crew, Striped};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-/// Single-producer single-consumer order is FIFO across the blocking path
-/// (the ring wraps many times at capacity 8).
-#[test]
-fn channel_fifo_order() {
-    let (tx, rx) = bounded(8);
-    let producer = std::thread::spawn(move || {
-        for i in 0..10_000u64 {
-            tx.send(i).unwrap();
-        }
-    });
-    let got: Vec<u64> = rx.iter().collect();
-    producer.join().unwrap();
-    assert_eq!(got.len(), 10_000);
-    assert!(got.windows(2).all(|w| w[0] + 1 == w[1]), "out-of-order delivery");
-}
-
-/// A receiver parked on an empty channel must wake with `RecvError` when
-/// the last sender drops — the close/drain contract pipeline stages use to
-/// terminate.
-#[test]
-fn close_wakes_blocked_receiver() {
-    let (tx, rx) = bounded::<u32>(4);
-    let waiter = std::thread::spawn(move || rx.recv());
-    // Give the receiver time to park.
-    std::thread::sleep(Duration::from_millis(30));
-    drop(tx);
-    assert_eq!(waiter.join().unwrap(), Err(RecvError));
-}
-
-/// A sender parked on a full channel must wake with the rejected value when
-/// the last receiver drops (downstream hang-up).
-#[test]
-fn hangup_wakes_blocked_sender() {
-    let (tx, rx) = bounded(1);
-    tx.send(1u8).unwrap();
-    let sender = std::thread::spawn(move || tx.send(2));
-    std::thread::sleep(Duration::from_millis(30));
-    drop(rx);
-    assert_eq!(sender.join().unwrap(), Err(SendError(2)));
-}
-
-/// Bounded capacity holds under MPMC contention: many producers and
-/// consumers, every item delivered exactly once, buffer never over depth.
-#[test]
-fn mpmc_contention_full_empty_blocking() {
-    const PRODUCERS: usize = 4;
-    const CONSUMERS: usize = 4;
-    const PER_PRODUCER: usize = 5_000;
-    let (tx, rx) = bounded(4);
-    let received = Arc::new(AtomicUsize::new(0));
-    let sum = Arc::new(AtomicUsize::new(0));
-
-    let mut handles = Vec::new();
-    for p in 0..PRODUCERS {
-        let tx = tx.clone();
-        handles.push(std::thread::spawn(move || {
-            for i in 0..PER_PRODUCER {
-                tx.send(p * PER_PRODUCER + i).unwrap();
-            }
-        }));
-    }
-    drop(tx);
-    for _ in 0..CONSUMERS {
-        let rx = rx.clone();
-        let received = received.clone();
-        let sum = sum.clone();
-        handles.push(std::thread::spawn(move || {
-            while let Ok(v) = rx.recv() {
-                assert!(rx.len() <= 4, "ring exceeded its bound");
-                received.fetch_add(1, Ordering::Relaxed);
-                sum.fetch_add(v, Ordering::Relaxed);
-            }
-        }));
-    }
-    drop(rx);
-    for h in handles {
-        h.join().unwrap();
-    }
-    let n = PRODUCERS * PER_PRODUCER;
-    assert_eq!(received.load(Ordering::Relaxed), n);
-    assert_eq!(sum.load(Ordering::Relaxed), n * (n - 1) / 2, "lost or duplicated items");
-}
 
 /// A panicking crew worker propagates to the caller, after all healthy
 /// workers joined.
@@ -138,26 +53,4 @@ fn striped_map_matches_hashmap() {
         }
     }
     assert_eq!(merged, reference);
-}
-
-/// An unbounded channel through a WaitGroup barrier: jobs pushed from many
-/// threads are all visible after `wait()` returns.
-#[test]
-fn waitgroup_flushes_unbounded_queue() {
-    let (tx, rx) = unbounded();
-    let wg = WaitGroup::new();
-    for i in 0..16u64 {
-        let tx = tx.clone();
-        let member = wg.clone();
-        std::thread::spawn(move || {
-            tx.send(i).unwrap();
-            drop(member);
-        });
-    }
-    wg.wait();
-    drop(tx);
-    let got: Vec<u64> = rx.iter().collect();
-    assert_eq!(got.len(), 16);
-    let total: u64 = got.iter().sum();
-    assert_eq!(total, 120);
 }

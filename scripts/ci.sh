@@ -279,55 +279,6 @@ done
 echo "queue gate: killed fleet resumed to byte-identical query answers"
 rm -rf "$QUEUE_W1" "$QUEUE_W4" "$QUEUE_KILL" "$QUEUE_STORE" "$QUEUE_OUT" "$QUEUE_OUT".*
 
-# The obs bench must at least run (the full download comparison is the
-# recorded BENCH_obs.json; here we smoke the cheap primitives only).
-echo "==> obs bench smoke"
-cargo bench --offline -p dhub-bench --bench obs -- \
-    bench_span_enter_exit bench_snapshot bench_render > /dev/null
-
-# Mirror bench smoke: the cheap microbenches only (the zipf mirror/direct
-# comparison over real sockets is the recorded BENCH_mirror.json). The
-# harness prints one `name,median_ns,samples,threads` CSV line per bench;
-# check the lines actually appear.
-echo "==> mirror bench smoke"
-MIRROR_CSV=$(cargo bench --offline -p dhub-bench --bench mirror -- \
-    bench_ring_route bench_cache_hot_hit)
-echo "$MIRROR_CSV" | grep -q "^bench_ring_route_1k," \
-    || { echo "FAIL: mirror bench CSV missing bench_ring_route_1k" >&2; exit 1; }
-echo "$MIRROR_CSV" | grep -q "^bench_cache_hot_hit," \
-    || { echo "FAIL: mirror bench CSV missing bench_cache_hot_hit" >&2; exit 1; }
-
-# Analyze bench smoke: the hash kernels only (the fused-vs-reference
-# pipeline comparison is the recorded BENCH_analyze.json). Check the CSV
-# schema `name,median_ns,samples,threads` actually appears.
-echo "==> analyze bench smoke"
-ANALYZE_CSV=$(cargo bench --offline -p dhub-bench --bench analyze -- \
-    bench_sha256_1mib bench_crc32_1mib)
-echo "$ANALYZE_CSV" | grep -Eq "^bench_sha256_1mib,[0-9]+,[0-9]+,[0-9]+$" \
-    || { echo "FAIL: analyze bench CSV missing bench_sha256_1mib" >&2; exit 1; }
-echo "$ANALYZE_CSV" | grep -Eq "^bench_crc32_1mib,[0-9]+,[0-9]+,[0-9]+$" \
-    || { echo "FAIL: analyze bench CSV missing bench_crc32_1mib" >&2; exit 1; }
-
-# Persist bench smoke: the warm table queries only (the fsync-bound ingest
-# and cold-reopen figures are the recorded BENCH_persist.json). Check the
-# CSV schema `name,median_ns,samples,threads` actually appears.
-echo "==> persist bench smoke"
-PERSIST_CSV=$(cargo bench --offline -p dhub-bench --bench persist -- \
-    bench_table_save_100k_rows bench_table_load_100k_rows \
-    bench_scan_pushdown_streq_100k bench_scan_pushdown_range_100k)
-echo "$PERSIST_CSV" | grep -Eq "^bench_table_load_100k_rows,[0-9]+,[0-9]+,[0-9]+$" \
-    || { echo "FAIL: persist bench CSV missing bench_table_load_100k_rows" >&2; exit 1; }
-echo "$PERSIST_CSV" | grep -Eq "^bench_scan_pushdown_streq_100k,[0-9]+,[0-9]+,[0-9]+$" \
-    || { echo "FAIL: persist bench CSV missing bench_scan_pushdown_streq_100k" >&2; exit 1; }
-
-# Queue bench smoke: the in-memory lease-machine micro only (the full
-# fleet scaling/overhead comparison is the recorded BENCH_queue.json).
-echo "==> queue bench smoke"
-QUEUE_CSV=$(cargo bench --offline -p dhub-bench --bench queue -- \
-    bench_lease_claim_complete_1k)
-echo "$QUEUE_CSV" | grep -Eq "^bench_lease_claim_complete_1k,[0-9]+,[0-9]+,[0-9]+$" \
-    || { echo "FAIL: queue bench CSV missing bench_lease_claim_complete_1k" >&2; exit 1; }
-
 echo "==> dependency audit"
 # No references to the removed external crates anywhere in crate sources.
 if grep -rn "crossbeam\|parking_lot" crates/*/src; then
@@ -387,12 +338,12 @@ EOF
 echo "==> entry-point audit"
 ENTRY_RE="pub fn (run_study|download_all|analyze_and_ingest|analyze_layer|analyze_all)[a-z_]*"
 ENTRY_POINTS=$(grep -rhoE "$ENTRY_RE" crates/*/src | wc -l)
-if [ "$ENTRY_POINTS" -gt 17 ]; then
-    echo "FAIL: $ENTRY_POINTS public study/download/analyze entry points (limit 17):" >&2
+if [ "$ENTRY_POINTS" -gt 16 ]; then
+    echo "FAIL: $ENTRY_POINTS public study/download/analyze entry points (limit 16):" >&2
     grep -rnoE "$ENTRY_RE" crates/*/src >&2
     exit 1
 fi
-echo "entry-point audit: $ENTRY_POINTS public entry points (limit 17)"
+echo "entry-point audit: $ENTRY_POINTS public entry points (limit 16)"
 
 # Construction-site audit: `StudyData` is assembled in one place
 # (`assemble_study`) and the crawl / download reports are derived from
@@ -421,6 +372,19 @@ if bad:
     sys.exit(1)
 print("construction-site audit: " + ", ".join(f"{k} at {v[0]}" for k, v in sorted(sites.items())))
 EOF
+
+# Stale-reference audit: the legacy criterion-shaped bench crate and its
+# recordings, the streaming scheduler and the channel / pool / wait-group
+# substrate only those two reached are gone. Nothing outside the history
+# files, the issue text and the frozen bench/ tree may name them again.
+echo "==> stale-reference audit"
+STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap'
+if git grep -nE "$STALE_RE" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench' \
+    | grep -v '^scripts/ci.sh:[0-9]*:STALE_RE='; then
+    echo "FAIL: stale references to deleted code (listed above)" >&2
+    exit 1
+fi
+echo "stale-reference audit: clean"
 
 # End-to-end benchmark hook: all four BENCHMARK.json workloads in smoke
 # mode with every correctness check (incl. queued tables byte-identical

@@ -12,9 +12,7 @@ use dhub_faults::{FaultConfig, FaultInjector, FaultKind, RetryPolicy};
 use dhub_mirror::{Mirror, MirrorConfig, MirrorReport, PolicyKind};
 use dhub_obs::{MetricsRegistry, MetricsSnapshot};
 use dhub_registry::RegistryServer;
-use dhub_study::pipeline::{
-    run_study_http_obs, run_study_obs, run_study_streaming_obs, StudyData,
-};
+use dhub_study::pipeline::{run_study_http_obs, run_study_obs, StudyData};
 use dhub_synth::{generate_hub, SyntheticHub, SynthConfig};
 use std::sync::Arc;
 
@@ -103,24 +101,6 @@ fn chaos_run_is_deterministic_across_thread_counts() {
     assert_eq!(a.crawl, b.crawl);
 }
 
-#[test]
-fn streaming_pipeline_survives_the_same_chaos() {
-    let clean = run_study_obs(&hub(), THREADS, &patient(), &MetricsRegistry::new());
-    let obs = MetricsRegistry::new();
-    let faulted = run_study_streaming_obs(&faulted_hub(0.20), THREADS, &patient(), &obs);
-    assert_eq!(faulted.crawl.raw_results, clean.crawl.raw_results);
-    assert_eq!(faulted.download.images_downloaded, clean.download.images_downloaded);
-    assert_eq!(faulted.download.unique_layers, clean.download.unique_layers);
-    assert_eq!(faulted.download.bytes_fetched, clean.download.bytes_fetched);
-    assert_eq!(faulted.download.failed_auth, clean.download.failed_auth);
-    assert_eq!(faulted.download.failed_no_latest, clean.download.failed_no_latest);
-    assert_eq!(faulted.download.gave_up, 0);
-    assert!(faulted.download.retries > 0);
-    for (d, p) in &clean.layers {
-        assert_eq!(faulted.layers.get(d), Some(p));
-    }
-}
-
 /// Every counter the reports are derived from, checked against the report
 /// field it backs. A mismatch here means a code path updated one side
 /// without the other — exactly the drift the DeltaCounter design forbids.
@@ -175,13 +155,6 @@ fn obs_counters_reconcile_with_reports_at_every_fault_rate() {
         let s = run_study_obs(&faulted_hub(rate), THREADS, &patient(), &obs);
         assert_counters_match_reports(&obs.snapshot(), &s);
     }
-}
-
-#[test]
-fn streaming_obs_counters_reconcile_too() {
-    let obs = MetricsRegistry::new();
-    let s = run_study_streaming_obs(&faulted_hub(0.20), THREADS, &patient(), &obs);
-    assert_counters_match_reports(&obs.snapshot(), &s);
 }
 
 #[test]
@@ -248,12 +221,18 @@ fn fused_store_pipeline_matches_reference_at_every_fault_rate() {
         assert_same_dataset(&fused, &clean);
         assert_counters_match_reports(&obs.snapshot(), &fused);
 
-        // Store state identical to a reference (slow-path) ingest of the
-        // same layers, fetched clean from an identical hub.
+        // Profiles and store state identical to the frozen reference
+        // (slow-path) analysis and ingest of the same layers, fetched clean
+        // from an identical hub.
         let reference = DedupStore::new();
         let clean_hub = hub();
-        for d in fused.layers.keys() {
+        for (d, profile) in &fused.layers {
             let blob = clean_hub.registry.get_blob(d).expect("analyzed layers exist in the hub");
+            assert_eq!(
+                profile,
+                &dhub_analyzer::analyze_layer_reference(*d, &blob).unwrap(),
+                "fused profile diverged from reference at rate {rate}"
+            );
             reference.ingest_layer_reference(*d, &blob).unwrap();
         }
         assert_eq!(store.stats(), reference.stats(), "store stats diverged at rate {rate}");

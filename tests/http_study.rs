@@ -80,9 +80,9 @@ fn parse_exposition(text: &str) -> std::collections::BTreeMap<String, f64> {
 }
 
 #[test]
-fn metrics_endpoint_serves_live_counters_during_streaming_study() {
+fn metrics_endpoint_serves_live_counters_during_study() {
     use dhub_registry::RemoteRegistry;
-    use dhub_study::pipeline::run_study_streaming_obs;
+    use dhub_study::pipeline::run_study_obs;
     use std::sync::Arc;
 
     let hub = generate_hub(&SynthConfig::tiny(63).with_repos(50));
@@ -92,12 +92,12 @@ fn metrics_endpoint_serves_live_counters_during_streaming_study() {
     let server = RegistryServer::start_full(hub.registry.clone(), None, obs.clone(), dhub_registry::DEFAULT_MAX_CONNS).unwrap();
     let addr = server.addr();
 
-    // Two concurrent scrapers poll /metrics while the study streams; each
+    // Two concurrent scrapers poll /metrics while the study runs; each
     // asserts every `_total` series it sees is monotone non-decreasing.
     let study = {
         let obs = obs.clone();
         std::thread::spawn(move || {
-            run_study_streaming_obs(&hub, 4, &RetryPolicy::default(), &obs)
+            run_study_obs(&hub, 4, &RetryPolicy::default(), &obs)
         })
     };
     let scrapers: Vec<_> = (0..2)
