@@ -264,7 +264,7 @@ pub fn kernel_summary() -> String {
 
 /// True when any dispatched kernel is non-scalar (drives the
 /// `dhub_analyze_simd_bytes_total` counter).
-pub fn simd_active() -> bool {
+fn simd_active() -> bool {
     let (sha, crc) = dhub_digest::kernel_names();
     sha != "scalar" || crc != "scalar" || dhub_compress::inflate_kernel_name() != "scalar"
 }
@@ -272,7 +272,7 @@ pub fn simd_active() -> bool {
 /// Publishes the `dhub_kernel_*` info gauges on `obs`: one gauge per
 /// kernel, with the selected implementation embedded as a Prometheus label
 /// (`dhub_kernel_sha256{impl="sha_ni"} 1`).
-pub fn set_kernel_gauges(obs: &MetricsRegistry) {
+fn set_kernel_gauges(obs: &MetricsRegistry) {
     let (sha, crc) = dhub_digest::kernel_names();
     let inf = dhub_compress::inflate_kernel_name();
     obs.gauge(&format!("dhub_kernel_sha256{{impl=\"{sha}\"}}")).set(1.0);

@@ -1,7 +1,5 @@
 //! Property tests for cache policies.
 
-#![cfg(feature = "proptest")]
-
 use dhub_cache::{CachePolicy, Fifo, GreedyDualSizeFrequency, Lfu, Lru};
 use proptest::prelude::*;
 

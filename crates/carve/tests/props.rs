@@ -1,7 +1,5 @@
 //! Property tests: carving invariants over random image/file incidences.
 
-#![cfg(feature = "proptest")]
-
 use dhub_carve::{carve, CarveConfig};
 use dhub_digest::FxHashMap;
 use dhub_model::{Digest, FileKind, FileRecord, LayerProfile};

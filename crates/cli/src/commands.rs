@@ -80,7 +80,7 @@ PERSISTENCE (summary, store, work):
                             durable writes (torn/bit-flipped temp files),
                             which are retried under --max-retries.
 
-OBSERVABILITY (report, summary, pull, tags, cache-sim, carve, store):
+OBSERVABILITY (report, summary, pull, tags, cache-sim, carve, store, work):
   --metrics                 print Prometheus-style exposition when done,
                             and a periodic progress line on stderr
   --metrics-snapshot PATH   write the final metrics snapshot as JSON
@@ -247,8 +247,7 @@ fn open_durable(
 }
 
 /// Finishes a durable study: writes the queryable study tables under
-/// `<store_dir>/db`, checkpoints the refcount manifest, and sweeps crash
-/// orphans.
+/// `<store_dir>/db` and sweeps crash orphans.
 fn finish_durable(
     data: &StudyData,
     store: &PersistentDedupStore,
@@ -258,7 +257,6 @@ fn finish_durable(
 ) -> CmdResult {
     let db = dhub_study::db::StudyDb::build(data, &store.mem().stats());
     db.save(&std::path::Path::new(store_dir).join("db"), publisher)?;
-    store.checkpoint()?;
     let swept = store.gc()?;
     if swept.objects + swept.tmp_files > 0 {
         writeln!(out, "gc: {} orphan objects, {} temp files swept", swept.objects, swept.tmp_files)?;
@@ -278,7 +276,7 @@ fn print_store_stats(out: &mut impl Write, st: &StoreStats) -> std::io::Result<(
 /// Runs the study pipeline through the **durable** store at `store_dir`
 /// (`summary --store-dir`, `store --store-dir`): every layer is ingested
 /// through `dhub-persist`'s faultable publish path, then the study tables
-/// are written and the store checkpointed.
+/// are written.
 fn persistent_study_for(
     args: &Parsed,
     out: &mut impl Write,
@@ -569,33 +567,32 @@ fn cmd_work(args: &Parsed, out: &mut impl Write) -> CmdResult {
         let data = run_study_queued_obs(env.hub, &store, &queue, &qcfg, env.obs);
         Ok((data, store, publisher))
     })?;
-    let data = match data {
+    let committed = obs.counter_value("dhub_queue_jobs_completed_total");
+    match data {
         // A deliberate --max-commits kill is the crash harness working as
-        // intended, not a failure: report and leave the durable state for
-        // the resuming run.
-        Err(dhub_queue::QueueError::Killed) => {
-            writeln!(
-                out,
-                "fleet killed after {} commits (rerun the same command to resume)",
-                obs.counter_value("dhub_queue_jobs_completed_total")
-            )?;
-            return Ok(());
+        // intended, not a failure: report (metrics included — this is the
+        // run an operator wants a snapshot of) and leave the durable state
+        // for the resuming run.
+        Err(dhub_queue::QueueError::Killed) => writeln!(
+            out,
+            "fleet killed after {committed} commits (rerun the same command to resume)"
+        )?,
+        other => {
+            finish_durable(&other?, &store, &publisher, &store_dir, out)?;
+            let expiries = obs.counter_value("dhub_queue_lease_expiries_total");
+            writeln!(out, "jobs committed  : {committed}")?;
+            writeln!(out, "lease expiries  : {expiries}")?;
+            writeln!(out, "store dir       : {store_dir}")?;
+            print_store_stats(out, &store.mem().stats())?;
         }
-        other => other?,
-    };
-
-    finish_durable(&data, &store, &publisher, &store_dir, out)?;
-    writeln!(out, "jobs committed  : {}", obs.counter_value("dhub_queue_jobs_completed_total"))?;
-    writeln!(out, "lease expiries  : {}", obs.counter_value("dhub_queue_lease_expiries_total"))?;
-    writeln!(out, "store dir       : {store_dir}")?;
-    print_store_stats(out, &store.mem().stats())?;
+    }
     emit_metrics(args, &obs, out)
 }
 
 /// Answers Table-1-style questions from a persisted store's study
 /// database — no hub generation, no re-analysis, just `<dir>/db` reads.
 /// A store whose study tables are not written yet (a fleet still
-/// mid-ingest, or killed before its checkpoint) falls back to replaying
+/// mid-ingest, or killed before it finished) falls back to replaying
 /// the durable layer recipes.
 fn cmd_query(args: &Parsed, out: &mut impl Write) -> CmdResult {
     use dhub_persist::PersistError;
@@ -1061,11 +1058,20 @@ mod tests {
         // A killed fleet's resume replays crawl and download from the
         // durable results, so those counters are complete — equal to the
         // never-killed run's — although this process ran only the tail.
+        // The killed run reports like any other: exposition on stdout and
+        // a snapshot, both carrying the commit count it printed.
         let kill_dir = tmp("workk");
-        let (code, killed) =
-            run_cmd(&[&work(&kill_dir, "4")[..], &["--max-commits", "12"]].concat());
-        assert_eq!(code, 0, "{killed}");
-        assert!(killed.contains("fleet killed after"), "{killed}");
+        let (killed, killed_commits) = run_counted(
+            &[&work(&kill_dir, "4")[..], &["--max-commits", "12", "--metrics"]].concat(),
+            &["dhub_queue_jobs_completed_total"],
+        );
+        let printed: u64 = killed
+            .split_once("fleet killed after ")
+            .and_then(|(_, rest)| rest.split(' ').next()?.parse().ok())
+            .expect(&killed);
+        assert_eq!(killed_commits[0].1, Some(printed), "snapshot vs printed commits: {killed}");
+        let series = format!("dhub_queue_jobs_completed_total {printed}\n");
+        assert!(killed.contains(&series), "no exposition after the kill: {killed}");
         let (resumed, resumed_counters) =
             run_counted(&work(&kill_dir, "4"), &CRAWL_DOWNLOAD_COUNTERS);
         assert_eq!(stats_block(&resumed), stats_block(&plain), "resumed fleet diverged");
@@ -1108,7 +1114,7 @@ mod tests {
     #[test]
     fn query_mid_ingest_store_answers_from_recipes() {
         // A store with durable recipes but no study tables (fleet killed
-        // before the checkpoint) still answers store-shaped questions.
+        // before it finished) still answers store-shaped questions.
         let dir = std::env::temp_dir().join(format!("dhub-cli-midq-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let (code, out) = run_cmd(&[

@@ -201,11 +201,6 @@ impl<'a> BitReader<'a> {
         }
         Ok(out)
     }
-
-    /// True when all input (including buffered bits) has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.nbits == 0 && self.pos >= self.data.len()
-    }
 }
 
 #[cfg(test)]
@@ -251,7 +246,7 @@ mod tests {
         assert_eq!(r.read_bits(2).unwrap(), 0b11);
         r.align_byte();
         assert_eq!(r.read_bytes(2).unwrap(), vec![0xDE, 0xAD]);
-        assert!(r.is_exhausted());
+        assert_eq!(r.read_bits(1), Err(OutOfBits));
     }
 
     #[test]
@@ -302,7 +297,6 @@ mod tests {
         assert_eq!(&out[1..], &data[1..31]);
         r.read_slice_into(9, &mut out).unwrap();
         assert_eq!(&out[31..], &data[31..40]);
-        assert!(r.is_exhausted());
         assert_eq!(r.read_slice_into(1, &mut out), Err(OutOfBits));
     }
 

@@ -98,7 +98,7 @@ mod x86 {
     /// # Safety
     /// Requires SSE4.1 and `1 <= d <= out.len()`.
     #[target_feature(enable = "sse4.1")]
-    pub unsafe fn copy_match_sse41(out: &mut Vec<u8>, d: usize, len: usize) {
+    pub(super) unsafe fn copy_match_sse41(out: &mut Vec<u8>, d: usize, len: usize) {
         debug_assert!(d >= 1 && d <= out.len());
         if d == 1 {
             // Run of one byte: memset beats any copy loop.

@@ -107,7 +107,7 @@ pub fn canonical_codes(lengths: &[u8]) -> Vec<u16> {
 
 /// Reverses the low `n` bits of `v`.
 #[inline]
-pub fn reverse_bits(v: u16, n: u8) -> u16 {
+fn reverse_bits(v: u16, n: u8) -> u16 {
     let mut r = 0u16;
     let mut v = v;
     for _ in 0..n {

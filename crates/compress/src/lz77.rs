@@ -8,10 +8,10 @@
 //! small cost.
 
 /// Maximum backward distance DEFLATE can express.
-pub const WINDOW_SIZE: usize = 32 * 1024;
+const WINDOW_SIZE: usize = 32 * 1024;
 /// Minimum/maximum match lengths DEFLATE can express.
-pub const MIN_MATCH: usize = 3;
-pub const MAX_MATCH: usize = 258;
+const MIN_MATCH: usize = 3;
+const MAX_MATCH: usize = 258;
 
 const HASH_BITS: u32 = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;
@@ -164,29 +164,28 @@ pub fn tokenize(data: &[u8], opts: &Lz77Options) -> Vec<Token> {
     tokens
 }
 
-/// Expands tokens back into bytes (the reference decoder for tests and a
-/// building block for [`crate::inflate`]).
-pub fn expand(tokens: &[Token]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for t in tokens {
-        match *t {
-            Token::Literal(b) => out.push(b),
-            Token::Match { len, dist } => {
-                let start = out.len() - dist as usize;
-                // Byte-by-byte: overlapping copies (dist < len) must replicate.
-                for i in 0..len as usize {
-                    let b = out[start + i];
-                    out.push(b);
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Expands tokens back into bytes: the reference decoder.
+    fn expand(tokens: &[Token]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for t in tokens {
+            match *t {
+                Token::Literal(b) => out.push(b),
+                Token::Match { len, dist } => {
+                    let start = out.len() - dist as usize;
+                    // Byte-by-byte: overlapping copies (dist < len) must replicate.
+                    for i in 0..len as usize {
+                        let b = out[start + i];
+                        out.push(b);
+                    }
+                }
+            }
+        }
+        out
+    }
 
     fn roundtrip(data: &[u8], opts: &Lz77Options) {
         let tokens = tokenize(data, opts);

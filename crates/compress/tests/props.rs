@@ -1,7 +1,5 @@
 //! Property and interoperability tests for the DEFLATE/gzip codec.
 
-#![cfg(feature = "proptest")]
-
 use dhub_compress::{
     deflate, gzip_compress, gzip_decompress, gzip_decompress_reference, inflate, CompressOptions,
 };

@@ -17,9 +17,9 @@
 //! * [`fused`] — single-pass analyze + ingest sharing one decompression
 //!   and one content hash per file with the profiler,
 //! * [`persistent`] — the same store backed by `dhub-persist`'s
-//!   crash-safe on-disk layout (objects + recipe envelopes + refcount
-//!   manifest), so ingest output survives the process and can be
-//!   reopened, resumed, and garbage-collected.
+//!   crash-safe on-disk layout (objects + recipe envelopes), so ingest
+//!   output survives the process and can be reopened, resumed, and
+//!   garbage-collected.
 
 pub mod fused;
 pub mod persistent;

@@ -7,7 +7,6 @@
 //! ```text
 //! objects/ab/<hex>        content-addressed file objects (dhub-persist BlobStore)
 //! layers/ab/<hex>.json    one recipe envelope per ingested layer
-//! manifest.json           checkpointed refcount manifest (cache, not truth)
 //! ```
 //!
 //! **Write ordering** makes every crash recoverable without a journal: a
@@ -24,11 +23,8 @@
 //! live ingest uses. Every aggregate the store reports is an
 //! order-independent sum, so a reloaded store's stats — including the
 //! float `dedup_factor()` — are bit-identical to the single-process run
-//! that wrote it.
-//!
-//! The manifest is a checkpoint of derived state (refcounts + stats),
-//! fingerprinted against the layer set it summarized. A stale, torn, or
-//! missing manifest is simply ignored: recipes are authoritative.
+//! that wrote it. Recipes and objects are the only state on disk: nothing
+//! derived from them is stored, so there is nothing to go stale.
 
 use crate::recipe::LayerRecipe;
 use crate::store::{DedupStore, IngestStats, PendingEntry, StoreError};
@@ -36,8 +32,7 @@ use dhub_analyzer::analyze_layer_with;
 use dhub_digest::{FxHashMap, FxHashSet};
 use dhub_model::Digest;
 use dhub_obs::MetricsRegistry;
-use dhub_persist::{fsync_dir, hex_of, BlobStore, GcStats, PersistError, Publisher, RefManifest};
-use dhub_persist::manifest::ManifestStats;
+use dhub_persist::{fsync_dir, hex_of, BlobStore, GcStats, PersistError, Publisher};
 use std::path::{Path, PathBuf};
 
 /// Errors from the persistent store: either a logical store error (same
@@ -76,7 +71,6 @@ pub struct PersistentDedupStore {
     mem: DedupStore,
     objects: BlobStore,
     layers_dir: PathBuf,
-    manifest_path: PathBuf,
     publisher: Publisher,
 }
 
@@ -107,13 +101,7 @@ impl PersistentDedupStore {
             }
             None => DedupStore::new(),
         };
-        let store = PersistentDedupStore {
-            mem,
-            objects,
-            layers_dir,
-            manifest_path: root.join("manifest.json"),
-            publisher,
-        };
+        let store = PersistentDedupStore { mem, objects, layers_dir, publisher };
         store.replay()?;
         Ok(store)
     }
@@ -272,39 +260,10 @@ impl PersistentDedupStore {
         })
     }
 
-    /// Writes the refcount manifest checkpoint.
+    /// No-op: recipes + objects are the only durable state. Kept for the
+    /// frozen `bench/` driver, which still calls it (ROADMAP item 1).
     pub fn checkpoint(&self) -> Result<(), PersistentError> {
-        let stats = self.mem.stats();
-        let mut m = RefManifest {
-            stats: ManifestStats {
-                layers: stats.layers as u64,
-                unique_objects: stats.unique_objects as u64,
-                physical_bytes: stats.physical_bytes,
-                logical_bytes: stats.logical_bytes,
-                conventional_bytes: stats.conventional_bytes,
-            },
-            refcounts: self.mem.object_refcounts(),
-            layers: self.mem.layer_digests(),
-        };
-        m.normalize();
-        m.save(&self.manifest_path, &self.publisher)?;
         Ok(())
-    }
-
-    /// Whether the on-disk manifest exists, parses, and matches the live
-    /// state (fingerprint over the layer set plus the stats snapshot).
-    pub fn manifest_is_current(&self) -> bool {
-        let Ok(Some(m)) = RefManifest::load(&self.manifest_path) else {
-            return false;
-        };
-        let mut layers = self.mem.layer_digests();
-        layers.sort_by_key(hex_of);
-        let stats = self.mem.stats();
-        m.layers == layers
-            && m.stats.layers == stats.layers as u64
-            && m.stats.physical_bytes == stats.physical_bytes
-            && m.stats.logical_bytes == stats.logical_bytes
-            && m.stats.conventional_bytes == stats.conventional_bytes
     }
 
     /// Garbage-collects objects no recipe references (crash orphans,
@@ -385,8 +344,10 @@ mod tests {
                 let sm = reference.ingest_layer(*d, b).unwrap();
                 assert_eq!(sp, sm, "persistent ingest must report identical stats");
             }
-            store.checkpoint().unwrap();
         }
+        // Dirs written before the refcount manifest was dropped still carry
+        // one; it is never opened, whatever it holds.
+        std::fs::write(root.join("manifest.json"), b"{not json").unwrap();
         let reopened = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
         assert_eq!(reopened.mem().stats(), reference.stats());
         assert_eq!(
@@ -401,7 +362,6 @@ mod tests {
                 "reloaded recipes must reconstruct byte-identically"
             );
         }
-        assert!(reopened.manifest_is_current());
         // Each envelope on disk is byte for byte what serializing it as
         // one JSON value yields: splicing the recipe text in changed
         // nothing about the format.

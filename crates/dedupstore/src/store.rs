@@ -1,9 +1,7 @@
 //! The deduplicating store itself.
 
 use crate::recipe::{EntryMeta, LayerRecipe, RecipeEntryKind};
-use dhub_compress::{
-    gzip_compress, gzip_decompress_into, gzip_decompress_reference, CompressOptions,
-};
+use dhub_compress::{gzip_decompress_into, gzip_decompress_reference};
 use dhub_digest::FxHashMap;
 use dhub_model::Digest;
 use dhub_obs::{Counter, Gauge, MetricsRegistry};
@@ -363,13 +361,6 @@ impl DedupStore {
         Ok(w.finish())
     }
 
-    /// Rebuilds and re-compresses the layer blob. With the deterministic
-    /// gzip writer this is byte-identical to the original for layers our
-    /// own tooling produced with the same options.
-    pub fn reconstruct_blob(&self, layer_digest: &Digest, opts: &CompressOptions) -> Result<Vec<u8>, StoreError> {
-        Ok(gzip_compress(&self.reconstruct_tar(layer_digest)?, opts))
-    }
-
     /// The stored recipe for a layer.
     pub fn recipe(&self, layer_digest: &Digest) -> Option<Arc<LayerRecipe>> {
         self.recipes.read().get(layer_digest).cloned()
@@ -400,12 +391,6 @@ impl DedupStore {
         let mut v: Vec<(Digest, u64)> = self.layer_cls.read().iter().map(|(d, c)| (*d, *c)).collect();
         v.sort_by_key(|(d, _)| *d);
         v
-    }
-
-    /// `(content digest, reference count)` for every live object
-    /// (unordered) — the raw material of a persisted refcount manifest.
-    pub fn object_refcounts(&self) -> Vec<(Digest, u64)> {
-        self.objects.read().iter().map(|(d, o)| (*d, o.refs)).collect()
     }
 
     /// Removes a layer: drops its recipe, decrements object refcounts, and
@@ -448,6 +433,7 @@ impl DedupStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dhub_compress::{gzip_compress, CompressOptions};
 
     fn layer(entries: &[TarEntry]) -> (Digest, Vec<u8>) {
         let tar = dhub_tar::write_archive(entries);
@@ -498,7 +484,8 @@ mod tests {
 
         let rebuilt_tar = store.reconstruct_tar(&digest).unwrap();
         assert_eq!(rebuilt_tar, tar, "tar must rebuild byte-identically");
-        let rebuilt_blob = store.reconstruct_blob(&digest, &CompressOptions::fast()).unwrap();
+        // The gzip writer is deterministic, so the blob rebuilds too.
+        let rebuilt_blob = gzip_compress(&rebuilt_tar, &CompressOptions::fast());
         assert_eq!(rebuilt_blob, blob, "blob must rebuild byte-identically");
         assert_eq!(Digest::of(&rebuilt_blob), digest);
     }
@@ -624,8 +611,8 @@ mod tests {
                 Err(e) => panic!("{e}"),
             }
             // Layers built by our own tooling round-trip to the same blob.
-            let rebuilt = store.reconstruct_blob(&l.digest, &CompressOptions::fast()).unwrap();
-            assert_eq!(rebuilt, l.blob);
+            let rebuilt_tar = store.reconstruct_tar(&l.digest).unwrap();
+            assert_eq!(gzip_compress(&rebuilt_tar, &CompressOptions::fast()), l.blob);
         }
         assert!(total_dedup > 0, "synthetic layers share prototypes");
         assert!(store.stats().dedup_factor() > 1.0);

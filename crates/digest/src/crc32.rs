@@ -186,7 +186,7 @@ mod x86 {
     /// # Safety
     /// Requires `pclmulqdq` and `sse4.1`.
     #[target_feature(enable = "pclmulqdq,sse4.1")]
-    pub unsafe fn crc32_clmul(crc: u32, data: &[u8]) -> (u32, &[u8]) {
+    pub(super) unsafe fn crc32_clmul(crc: u32, data: &[u8]) -> (u32, &[u8]) {
         debug_assert!(data.len() >= 64);
         let mut ptr = data.as_ptr() as *const __m128i;
         let mut len = data.len();

@@ -69,7 +69,7 @@ impl CpuFeatures {
 /// True when `DHUB_FORCE_SCALAR=1` (or `true`) pins every automatic
 /// dispatcher to the scalar reference kernels. The `scripts/ci.sh` dual-run
 /// gate exercises both settings so each path stays green on any host.
-pub fn force_scalar() -> bool {
+fn force_scalar() -> bool {
     match std::env::var("DHUB_FORCE_SCALAR") {
         Ok(v) => v == "1" || v.eq_ignore_ascii_case("true"),
         Err(_) => false,

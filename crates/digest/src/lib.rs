@@ -23,8 +23,8 @@ pub mod sha256;
 
 pub use crc32::{crc32, crc32_scalar, Crc32};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use kernel::{force_scalar, CpuFeatures, Crc32Kernel, Sha256Kernel};
-pub use sha256::{sha256, sha256_hex, sha256_scalar, Sha256};
+pub use kernel::{CpuFeatures, Crc32Kernel, Sha256Kernel};
+pub use sha256::{sha256, sha256_scalar, Sha256};
 
 /// `(sha256, crc32)` kernel names currently dispatched (e.g.
 /// `("sha_ni", "pclmul")`) — the observability layer surfaces these.

@@ -52,7 +52,7 @@ type Blocks = fn(&mut [u32; 8], &[u8]);
 /// let mut h = Sha256::new();
 /// h.update(b"abc");
 /// assert_eq!(
-///     h.finalize_hex(),
+///     dhub_digest::sha256::to_hex(&h.finalize()),
 ///     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 /// );
 /// ```
@@ -153,11 +153,6 @@ impl Sha256 {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
         }
         out
-    }
-
-    /// Finishes the hash and returns the digest as lowercase hex.
-    pub fn finalize_hex(self) -> String {
-        to_hex(&self.finalize())
     }
 }
 
@@ -291,14 +286,14 @@ mod x86 {
 
     /// SHA-NI block compressor (requires `sha`, `sse4.1`, `ssse3` — checked
     /// by the caller before this fn pointer is ever handed out).
-    pub fn compress_blocks_shani(state: &mut [u32; 8], data: &[u8]) {
+    pub(super) fn compress_blocks_shani(state: &mut [u32; 8], data: &[u8]) {
         debug_assert_eq!(data.len() % 64, 0);
         unsafe { shani_blocks(state, data) }
     }
 
     /// AVX2 block compressor: SIMD message schedule + scalar rounds
     /// (requires `avx2`, `sse4.1`, `ssse3` — checked by the caller).
-    pub fn compress_blocks_avx2(state: &mut [u32; 8], data: &[u8]) {
+    pub(super) fn compress_blocks_avx2(state: &mut [u32; 8], data: &[u8]) {
         debug_assert_eq!(data.len() % 64, 0);
         unsafe { avx2_blocks(state, data) }
     }
@@ -507,11 +502,6 @@ pub fn sha256_scalar(data: &[u8]) -> [u8; 32] {
     h.finalize()
 }
 
-/// One-shot SHA-256 of `data` as lowercase hex (the form Docker digests use).
-pub fn sha256_hex(data: &[u8]) -> String {
-    to_hex(&sha256(data))
-}
-
 /// Lowercase hex encoding of a byte slice.
 pub fn to_hex(bytes: &[u8]) -> String {
     const HEX: &[u8; 16] = b"0123456789abcdef";
@@ -526,6 +516,10 @@ pub fn to_hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sha256_hex(data: &[u8]) -> String {
+        to_hex(&sha256(data))
+    }
 
     // NIST / FIPS 180-4 reference vectors.
     #[test]
@@ -560,7 +554,7 @@ mod tests {
             h.update(&chunk);
         }
         assert_eq!(
-            h.finalize_hex(),
+            to_hex(&h.finalize()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
     }

@@ -1,7 +1,5 @@
 //! Property tests for the hashing primitives.
 
-#![cfg(feature = "proptest")]
-
 use dhub_digest::{crc32, crc32_scalar, sha256, sha256_scalar, Crc32, Crc32Kernel, Sha256, Sha256Kernel};
 use proptest::prelude::*;
 

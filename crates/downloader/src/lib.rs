@@ -119,7 +119,7 @@ impl RetryCounters {
 
     /// Folds an HTTP client's retry statistics into these counters (the
     /// client runs its own retry loop and reports totals after the fact).
-    pub fn absorb(&self, stats: &dhub_registry::http::RetryStats) {
+    fn absorb(&self, stats: &dhub_registry::http::RetryStats) {
         self.retries.add(stats.retries);
         self.gave_up.add(stats.gave_up);
         self.corrupt_retries.add(stats.corrupt_retries);
@@ -169,7 +169,7 @@ pub enum BlobError {
 }
 
 /// Resolves a manifest under the retry policy, counting what the loop did.
-pub fn get_manifest_with_retry(
+fn get_manifest_with_retry(
     registry: &Registry,
     repo: &RepoName,
     tag: &str,

@@ -80,13 +80,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Builder: sets base and cap delays.
-    pub fn with_delays(mut self, base: Duration, cap: Duration) -> RetryPolicy {
-        self.base = base;
-        self.cap = cap.max(base);
-        self
-    }
-
     /// Builder: sets the jitter fraction (clamped to `0..=0.5`).
     pub fn with_jitter(mut self, jitter: f64) -> RetryPolicy {
         self.jitter = jitter.clamp(0.0, 0.5);
@@ -129,7 +122,7 @@ impl RetryPolicy {
     /// The realized delay before retry `attempt` of `key` — the raw
     /// jittered [`RetryPolicy::delay`] clamped so it never undercuts an
     /// earlier step, i.e. `schedule(key)[attempt]` without allocating.
-    pub fn scheduled_delay(&self, key: u64, attempt: u32) -> Duration {
+    fn scheduled_delay(&self, key: u64, attempt: u32) -> Duration {
         (0..=attempt).map(|a| self.delay(key, a)).max().unwrap_or(Duration::ZERO)
     }
 
@@ -143,15 +136,6 @@ impl RetryPolicy {
             std::thread::sleep(d);
         }
         d
-    }
-
-    /// Total backoff an operation on `key` accrues over its first
-    /// `attempts` retries — the sum of the realized (monotone) schedule,
-    /// i.e. exactly what a retry loop calling [`RetryPolicy::sleep`] for
-    /// attempts `0..attempts` sleeps in aggregate. Deterministic, so "time
-    /// lost to backoff" is reportable without measuring wall clock.
-    pub fn cumulative_delay(&self, key: u64, attempts: u32) -> Duration {
-        (0..attempts).map(|a| self.scheduled_delay(key, a)).sum()
     }
 }
 
@@ -217,23 +201,6 @@ mod tests {
     #[test]
     fn none_policy_has_empty_schedule() {
         assert!(RetryPolicy::none().schedule(1).is_empty());
-    }
-
-    #[test]
-    fn cumulative_delay_sums_realized_schedule() {
-        let p = RetryPolicy::new(6).with_seed(17).with_jitter(0.4);
-        for key in [0u64, 5, 999] {
-            let expect: Duration = p.schedule(key).iter().sum();
-            assert_eq!(p.cumulative_delay(key, p.max_retries), expect);
-            assert_eq!(p.cumulative_delay(key, 0), Duration::ZERO);
-            // Prefix sums are monotone in the attempt count.
-            let mut prev = Duration::ZERO;
-            for a in 0..=p.max_retries {
-                let c = p.cumulative_delay(key, a);
-                assert!(c >= prev);
-                prev = c;
-            }
-        }
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Property tests: print→parse is the identity on the value model.
 
-#![cfg(feature = "proptest")]
-
 use dhub_json::{parse, Json};
 use proptest::prelude::*;
 

@@ -1,7 +1,5 @@
 //! Property tests: the classifier is total and stable.
 
-#![cfg(feature = "proptest")]
-
 use dhub_magic::classify;
 use dhub_model::FileKind;
 use proptest::prelude::*;

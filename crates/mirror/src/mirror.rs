@@ -113,11 +113,10 @@ impl ShardHealth {
     }
 }
 
-/// One origin registry on the ring: its address, an anonymous client for
-/// cacheable traffic, a token-dancing client for credentialed traffic,
-/// and health state.
+/// One origin registry on the ring: an anonymous client for cacheable
+/// traffic, a token-dancing client for credentialed traffic, and health
+/// state.
 struct OriginShard {
-    addr: SocketAddr,
     anon: RemoteRegistry,
     tokened: RemoteRegistry,
     health: ShardHealth,
@@ -225,7 +224,6 @@ impl Mirror {
             .iter()
             .enumerate()
             .map(|(i, &addr)| OriginShard {
-                addr,
                 anon: RemoteRegistry::connect_anonymous(addr).with_retry_policy(config.retry),
                 tokened: RemoteRegistry::connect(addr).with_retry_policy(config.retry),
                 health: ShardHealth::new(
@@ -243,11 +241,6 @@ impl Mirror {
             cached_bytes_gauge: obs.gauge("dhub_mirror_cached_bytes"),
             obs,
         }
-    }
-
-    /// The origin addresses this mirror fronts, in shard order.
-    pub fn origin_addrs(&self) -> Vec<SocketAddr> {
-        self.origins.iter().map(|o| o.addr).collect()
     }
 
     /// Per-shard health, in shard order.

@@ -38,11 +38,6 @@ impl Digest {
         }
         Some(Digest(out))
     }
-
-    /// First 8 bytes as a u64 — a cheap pre-hashed key for sharded maps.
-    pub fn prefix64(self) -> u64 {
-        u64::from_le_bytes(self.0[..8].try_into().unwrap())
-    }
 }
 
 impl std::fmt::Debug for Digest {
@@ -95,10 +90,5 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a, Digest::of(b"a"));
         assert_eq!(a.cmp(&b), a.0.cmp(&b.0));
-    }
-
-    #[test]
-    fn prefix64_distinguishes() {
-        assert_ne!(Digest::of(b"x").prefix64(), Digest::of(b"y").prefix64());
     }
 }

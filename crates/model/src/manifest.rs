@@ -35,11 +35,6 @@ impl Manifest {
         Manifest { schema_version: 2, os: "linux".into(), architecture: "amd64".into(), layers }
     }
 
-    /// Sum of compressed layer sizes (the paper's CIS metric).
-    pub fn compressed_size(&self) -> u64 {
-        self.layers.iter().map(|l| l.size).sum()
-    }
-
     /// Serializes to canonical JSON bytes (deterministic key order).
     pub fn to_json(&self) -> String {
         let mut m = Json::obj();
@@ -111,12 +106,6 @@ mod tests {
         assert_eq!(sample().digest(), sample().digest());
         let other = Manifest::new(vec![LayerRef { digest: Digest::of(b"x"), size: 1 }]);
         assert_ne!(sample().digest(), other.digest());
-    }
-
-    #[test]
-    fn compressed_size_sums_layers() {
-        assert_eq!(sample().compressed_size(), 1333);
-        assert_eq!(Manifest::new(vec![]).compressed_size(), 0);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Property tests for the shared data model.
 
-#![cfg(feature = "proptest")]
-
 use dhub_model::{Digest, LayerRef, Manifest, RepoName};
 use proptest::prelude::*;
 

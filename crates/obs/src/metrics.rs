@@ -169,7 +169,7 @@ impl Histogram {
 
     /// Bucket index of a value: its bit length (0 for 0).
     #[inline]
-    pub fn bucket_of(v: u64) -> usize {
+    fn bucket_of(v: u64) -> usize {
         (u64::BITS - v.leading_zeros()) as usize
     }
 
@@ -177,11 +177,6 @@ impl Histogram {
     pub fn observe(&self, v: u64) {
         self.inner.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.inner.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Records a duration in nanoseconds.
-    pub fn observe_duration(&self, d: std::time::Duration) {
-        self.observe(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
     /// Total observations.

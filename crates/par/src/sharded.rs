@@ -13,7 +13,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// FxHash-style mixer for shard selection and map hashing (fast, non-DoS
 /// resistant; keys here are content digests).
 #[derive(Clone, Copy, Default)]
-pub struct ShardHasher {
+struct ShardHasher {
     hash: u64,
 }
 
@@ -95,11 +95,6 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
         self.len() == 0
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.stripe_count()
-    }
-
     /// Consumes the map, yielding all entries.
     pub fn into_entries(self) -> Vec<(K, V)> {
         let mut out = Vec::new();
@@ -148,14 +143,6 @@ mod tests {
         assert_eq!(map.len(), 1);
         let entries = map.into_entries();
         assert_eq!(entries, vec![("a".to_string(), 2)]);
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        let m: ShardedMap<u8, u8> = ShardedMap::new(5);
-        assert_eq!(m.shard_count(), 8);
-        let m: ShardedMap<u8, u8> = ShardedMap::new(0);
-        assert_eq!(m.shard_count(), 1);
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl BlobStore {
     /// Stores `data` under an already-computed `digest` (the fused ingest
     /// path has hashed every payload once; re-hashing here would double
     /// the per-byte cost). Debug builds verify the pair.
-    pub fn put_at(&self, digest: &Digest, data: &[u8]) -> Result<(), PersistError> {
+    fn put_at(&self, digest: &Digest, data: &[u8]) -> Result<(), PersistError> {
         debug_assert_eq!(*digest, Digest::of(data), "put_at digest/payload mismatch");
         let path = self.path_for(digest);
         if path.exists() {
@@ -206,15 +206,6 @@ impl BlobStore {
     /// True if the object exists (without reading or verifying it).
     pub fn contains(&self, digest: &Digest) -> bool {
         self.path_for(digest).exists()
-    }
-
-    /// Deletes an object if present; returns whether it existed.
-    pub fn delete(&self, digest: &Digest) -> Result<bool, PersistError> {
-        match std::fs::remove_file(self.path_for(digest)) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e.into()),
-        }
     }
 
     /// Walks the fanout tree, yielding `(digest, path, is_tmp, len)` for

@@ -37,7 +37,7 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 /// Publishes `data` at `path` with the full crash-safety discipline
 /// (temp write, fsync, atomic rename, parent fsync). The parent directory
 /// must exist.
-pub fn atomic_publish(path: &Path, data: &[u8]) -> std::io::Result<()> {
+fn atomic_publish(path: &Path, data: &[u8]) -> std::io::Result<()> {
     let parent = path.parent().expect("publish path has a parent directory");
     let tmp = tmp_path(path);
     {
@@ -76,9 +76,9 @@ impl Default for PublishMetrics {
     }
 }
 
-/// The faultable publish path: [`atomic_publish`] plus optional
+/// The faultable publish path: `atomic_publish` plus optional
 /// deterministic crash injection and metrics. All durable writes in the
-/// tier (objects, recipes, manifests, tables) go through one of these.
+/// tier (objects, recipes, queue records, tables) go through one of these.
 #[derive(Clone, Default)]
 pub struct Publisher {
     faults: Option<WriteFaults>,
@@ -108,11 +108,6 @@ impl Publisher {
             retries: reg.counter("dhub_persist_write_retries_total"),
         };
         self
-    }
-
-    /// Whether a fault injector is attached.
-    pub fn is_faulted(&self) -> bool {
-        self.faults.is_some()
     }
 
     /// Simulates one crashed write attempt: the temp file is left in

@@ -12,9 +12,6 @@
 //! * [`blobstore`] — content-addressed objects under sharded fanout
 //!   directories with digest-verified reads and GC of unreferenced
 //!   objects and in-flight temp debris.
-//! * [`manifest`] — a refcount manifest snapshot (JSON) that a layered
-//!   store checkpoints; authoritative state stays in the per-layer recipe
-//!   files, so a stale or missing manifest is rebuilt, never trusted.
 //! * [`table`] — typed columnar tables (u64 / f64 / string columns):
 //!   append in memory, snapshot to a crc-checked binary file, scan with
 //!   predicate pushdown over the column data.
@@ -25,12 +22,10 @@
 
 pub mod blobstore;
 pub mod fsync;
-pub mod manifest;
 pub mod table;
 
 pub use blobstore::{BlobStore, GcStats};
-pub use fsync::{atomic_publish, fsync_dir, tmp_path, Publisher, WriteFaults};
-pub use manifest::RefManifest;
+pub use fsync::{fsync_dir, tmp_path, Publisher, WriteFaults};
 pub use table::{ColType, Predicate, Schema, Table, Value};
 
 use dhub_model::Digest;
@@ -42,7 +37,7 @@ pub enum PersistError {
     Io(std::io::Error),
     /// Stored object bytes do not match their digest (on-disk corruption).
     Corrupt(Digest),
-    /// A table or manifest file failed its structural/checksum validation
+    /// A table or recipe file failed its structural/checksum validation
     /// (torn write that escaped the atomic-publish discipline, or outside
     /// tampering).
     Torn(PathBuf),

@@ -95,10 +95,6 @@ impl Schema {
         Schema { cols: cols.iter().map(|(n, t)| (n.to_string(), *t)).collect() }
     }
 
-    pub fn cols(&self) -> &[(String, ColType)] {
-        &self.cols
-    }
-
     fn index_of(&self, name: &str) -> Option<usize> {
         self.cols.iter().position(|(n, _)| n == name)
     }
@@ -122,25 +118,17 @@ impl Column {
     }
 }
 
-/// A pushed-down filter over one column. Ranges are inclusive on both
-/// ends so percentile-bucket queries compose without off-by-one edges.
+/// A pushed-down filter over one column.
 #[derive(Clone, Debug)]
 pub enum Predicate {
     U64Eq(String, u64),
-    U64Range(String, u64, u64),
-    F64Ge(String, f64),
     StrEq(String, String),
-    StrPrefix(String, String),
 }
 
 impl Predicate {
     fn column(&self) -> &str {
         match self {
-            Predicate::U64Eq(c, _)
-            | Predicate::U64Range(c, _, _)
-            | Predicate::F64Ge(c, _)
-            | Predicate::StrEq(c, _)
-            | Predicate::StrPrefix(c, _) => c,
+            Predicate::U64Eq(c, _) | Predicate::StrEq(c, _) => c,
         }
     }
 }
@@ -258,24 +246,9 @@ impl Table {
                         *m &= v == want;
                     }
                 }
-                (Predicate::U64Range(_, lo, hi), Column::U64(vs)) => {
-                    for (m, v) in mask.iter_mut().zip(vs) {
-                        *m &= v >= lo && v <= hi;
-                    }
-                }
-                (Predicate::F64Ge(_, lo), Column::F64(vs)) => {
-                    for (m, v) in mask.iter_mut().zip(vs) {
-                        *m &= v >= lo;
-                    }
-                }
                 (Predicate::StrEq(_, want), Column::Str(vs)) => {
                     for (m, v) in mask.iter_mut().zip(vs) {
                         *m &= v == want;
-                    }
-                }
-                (Predicate::StrPrefix(_, pre), Column::Str(vs)) => {
-                    for (m, v) in mask.iter_mut().zip(vs) {
-                        *m &= v.starts_with(pre.as_str());
                     }
                 }
                 _ => {
@@ -337,7 +310,7 @@ impl Table {
 
     /// Parses snapshot bytes; `None` on any structural or checksum
     /// violation (the caller maps that to [`PersistError::Torn`]).
-    pub fn from_bytes(data: &[u8]) -> Option<Table> {
+    fn from_bytes(data: &[u8]) -> Option<Table> {
         let mut r = Reader { data, at: 0 };
         // Trailer crc covers everything before it — check first so a torn
         // tail fails fast.
@@ -407,8 +380,8 @@ impl Table {
     }
 
     /// Loads a snapshot; [`PersistError::Torn`] on any validation failure,
-    /// `Io(NotFound)` when absent (a missing table is an error for
-    /// queries, unlike a missing manifest).
+    /// `Io(NotFound)` when absent (`dhub query` tells "not written yet"
+    /// from "damaged" by that difference).
     pub fn load(path: &Path) -> Result<Table, PersistError> {
         let data = std::fs::read(path)?;
         Table::from_bytes(&data).ok_or_else(|| PersistError::Torn(path.to_path_buf()))
@@ -458,7 +431,7 @@ mod tests {
         for (path, size, score) in [
             ("/bin/sh", 100u64, 0.5f64),
             ("/etc/passwd", 40, 0.25),
-            ("/bin/ls", 120, 0.75),
+            ("/bin/ls", 100, 0.75),
             ("/usr/lib/libc.so", 900, 1.0),
         ] {
             t.push_row(vec![path.into(), size.into(), score.into()]).unwrap();
@@ -480,15 +453,10 @@ mod tests {
     #[test]
     fn scan_pushes_predicates_down() {
         let t = sample();
-        let rows = t
-            .scan(&[
-                Predicate::StrPrefix("path".into(), "/bin/".into()),
-                Predicate::U64Range("size".into(), 100, 120),
-            ])
-            .unwrap();
-        assert_eq!(rows, vec![0, 2]);
-        let rows = t.scan(&[Predicate::F64Ge("score".into(), 0.75)]).unwrap();
-        assert_eq!(rows, vec![2, 3]);
+        let by_size = || Predicate::U64Eq("size".into(), 100);
+        assert_eq!(t.scan(&[by_size()]).unwrap(), vec![0, 2]);
+        let rows = t.scan(&[by_size(), Predicate::StrEq("path".into(), "/bin/ls".into())]).unwrap();
+        assert_eq!(rows, vec![2], "predicates AND together");
         assert_eq!(t.scan(&[]).unwrap().len(), 4, "no predicates selects all");
         assert!(matches!(
             t.scan(&[Predicate::U64Eq("nope".into(), 1)]),

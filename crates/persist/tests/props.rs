@@ -3,8 +3,6 @@
 //! published object — a reopened store never serves torn bytes, and GC
 //! never collects an object something still references.
 
-#![cfg(feature = "proptest")]
-
 use dhub_digest::FxHashSet;
 use dhub_model::Digest;
 use dhub_persist::{hex_of, tmp_path, BlobStore, PersistError, Publisher};

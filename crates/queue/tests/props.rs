@@ -5,8 +5,6 @@
 //! lease durations from `(seed, job-id)` alone, event streams from the
 //! config plus the operation sequence.
 
-#![cfg(feature = "proptest")]
-
 use dhub_queue::{LeaseConfig, LeaseEvent, LeaseManager, LeaseState};
 use proptest::prelude::*;
 use std::collections::HashMap;

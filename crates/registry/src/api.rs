@@ -305,41 +305,6 @@ impl Registry {
         self.repos.read().get(repo).map(|s| s.requires_auth)
     }
 
-    /// Deletes a tag. Blobs stay until [`Registry::gc`] runs (the
-    /// two-phase delete real registries use).
-    pub fn delete_tag(&self, repo: &RepoName, tag: &str) -> Result<(), ApiError> {
-        let mut repos = self.repos.write();
-        let state = repos.get_mut(repo).ok_or(ApiError::RepoNotFound)?;
-        state.tags.remove(tag).map(|_| ()).ok_or(ApiError::TagNotFound)
-    }
-
-    /// Garbage-collects blobs unreachable from any tagged manifest:
-    /// keeps every tagged manifest blob and every layer blob those
-    /// manifests reference; drops the rest. Returns `(blobs, bytes)`
-    /// reclaimed.
-    pub fn gc(&self) -> (usize, u64) {
-        use std::collections::HashSet;
-        let mut live: HashSet<Digest> = HashSet::new();
-        {
-            let repos = self.repos.read();
-            for state in repos.values() {
-                for digest in state.tags.values() {
-                    live.insert(*digest);
-                    if let Some(raw) = self.blobs.get(digest) {
-                        if let Ok(text) = std::str::from_utf8(&raw) {
-                            if let Some(m) = Manifest::from_json(text) {
-                                for l in &m.layers {
-                                    live.insert(l.digest);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.blobs.retain(|d| live.contains(d))
-    }
-
     /// Direct access to the blob store (analysis-side tooling).
     pub fn blob_store(&self) -> &BlobStore {
         &self.blobs
@@ -449,48 +414,6 @@ mod tests {
         assert_eq!(stats.repositories, 10);
         // 1 shared layer + 1 manifest blob (identical manifests dedup too).
         assert_eq!(stats.unique_blobs, 2);
-    }
-
-    #[test]
-    fn delete_tag_then_gc_reclaims() {
-        let reg = Registry::new();
-        let shared = b"shared layer".to_vec();
-        let a = RepoName::official("a");
-        let bname = RepoName::official("b");
-        for repo in [&a, &bname] {
-            reg.create_repo(repo.clone(), false);
-            let manifest = Manifest::new(vec![LayerRef {
-                digest: Digest::of(&shared),
-                size: shared.len() as u64,
-            }]);
-            reg.push_image(repo, "latest", &manifest, vec![shared.clone()]).unwrap();
-        }
-        // Give `a` a second, unshared image under another tag.
-        let solo = b"only-in-a-v2".to_vec();
-        let m2 = Manifest::new(vec![LayerRef { digest: Digest::of(&solo), size: solo.len() as u64 }]);
-        reg.push_image(&a, "v2", &m2, vec![solo.clone()]).unwrap();
-
-        // Nothing reclaimable while everything is tagged.
-        assert_eq!(reg.gc(), (0, 0));
-
-        // Untag v2: its manifest + unshared layer become garbage.
-        reg.delete_tag(&a, "v2").unwrap();
-        let (blobs, bytes) = reg.gc();
-        assert_eq!(blobs, 2, "manifest + solo layer");
-        assert!(bytes >= solo.len() as u64);
-        // Shared content untouched; latest still pullable on both repos.
-        assert!(reg.get_manifest(&a, "latest", false).is_ok());
-        assert!(reg.get_manifest(&bname, "latest", false).is_ok());
-        assert_eq!(reg.get_manifest(&a, "v2", false).unwrap_err(), ApiError::TagNotFound);
-    }
-
-    #[test]
-    fn delete_tag_errors() {
-        let reg = Registry::new();
-        let repo = RepoName::official("x");
-        assert_eq!(reg.delete_tag(&repo, "latest").unwrap_err(), ApiError::RepoNotFound);
-        reg.create_repo(repo.clone(), false);
-        assert_eq!(reg.delete_tag(&repo, "latest").unwrap_err(), ApiError::TagNotFound);
     }
 
     #[test]

@@ -60,29 +60,6 @@ impl BlobStore {
     pub fn total_bytes(&self) -> u64 {
         self.bytes.load(std::sync::atomic::Ordering::Relaxed)
     }
-
-    /// All stored digests (snapshot).
-    pub fn digests(&self) -> Vec<Digest> {
-        self.blobs.read().keys().copied().collect()
-    }
-
-    /// Keeps only blobs whose digest satisfies `keep`; returns the number
-    /// of blobs and bytes removed (the GC primitive).
-    pub fn retain(&self, keep: impl Fn(&Digest) -> bool) -> (usize, u64) {
-        let mut map = self.blobs.write();
-        let before = map.len();
-        let mut freed = 0u64;
-        map.retain(|d, blob| {
-            if keep(d) {
-                true
-            } else {
-                freed += blob.len() as u64;
-                false
-            }
-        });
-        self.bytes.fetch_sub(freed, std::sync::atomic::Ordering::Relaxed);
-        (before - map.len(), freed)
-    }
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ impl ClientError {
     /// Whether another attempt could plausibly succeed. Transport faults
     /// and corruption are transient; auth walls and 404s are facts about
     /// the repository, which the paper classified instead of retrying.
-    pub fn retry_class(&self) -> RetryClass {
+    fn retry_class(&self) -> RetryClass {
         match self {
             ClientError::Io(_)
             | ClientError::Wire(_)
@@ -107,7 +107,7 @@ pub struct RetryStats {
     /// The subset of `retries` caused by failed digest verification.
     pub corrupt_retries: u64,
     /// Nanoseconds of scheduled backoff slept between attempts
-    /// (deterministic per the policy — see `RetryPolicy::cumulative_delay`).
+    /// (deterministic per the policy — the sum of `RetryPolicy::sleep`s).
     pub backoff_ns: u64,
 }
 
@@ -118,7 +118,7 @@ pub struct RemoteRegistry {
     token: dhub_sync::Mutex<Option<String>>,
     /// Whether to attempt the token dance on 401 (the study's anonymous
     /// downloader does not hold credentials; `docker login` users do).
-    pub use_token_auth: bool,
+    use_token_auth: bool,
     /// Backoff schedule applied to retryable errors.
     policy: RetryPolicy,
     retries: AtomicU64,
@@ -152,11 +152,6 @@ impl RemoteRegistry {
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> RemoteRegistry {
         self.policy = policy;
         self
-    }
-
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     /// Snapshot of the retry counters.

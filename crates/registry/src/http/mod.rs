@@ -22,5 +22,5 @@ pub mod server;
 pub mod wire;
 
 pub use client::{ClientError, RemoteRegistry, RetryStats};
-pub use server::{BackendError, MirrorBackend, RegistryServer, DEFAULT_MAX_CONNS, DEMO_TOKEN};
+pub use server::{BackendError, MirrorBackend, RegistryServer, DEFAULT_MAX_CONNS};
 pub use wire::{read_request, read_response, Request, Response, WireError};

@@ -30,7 +30,7 @@ pub struct RegistryServer {
 
 /// The bearer token this simulation's `/token` endpoint issues. A real
 /// registry mints signed JWTs; the study only needs the protocol shape.
-pub const DEMO_TOKEN: &str = "dhub-demo-token";
+const DEMO_TOKEN: &str = "dhub-demo-token";
 
 /// Default cap on concurrent connection handler threads. Generous next to
 /// the study's bounded worker crews; the point is that it exists at all,

@@ -22,6 +22,6 @@ pub mod search;
 
 pub use api::{ApiError, PullSession, Registry, RegistryStats};
 pub use blobstore::BlobStore;
-pub use http::{BackendError, ClientError, MirrorBackend, RegistryServer, RemoteRegistry, RetryStats, DEFAULT_MAX_CONNS, DEMO_TOKEN};
+pub use http::{BackendError, ClientError, MirrorBackend, RegistryServer, RemoteRegistry, RetryStats, DEFAULT_MAX_CONNS};
 pub use network::NetworkModel;
 pub use search::{SearchIndex, SearchPage};

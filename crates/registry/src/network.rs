@@ -35,13 +35,6 @@ impl NetworkModel {
         let xfer = Duration::from_secs_f64(bytes as f64 / self.bandwidth_bps as f64);
         self.rtt + xfer
     }
-
-    /// Simulated time for `n` sequential requests totalling `bytes`
-    /// (parallel fetches divide this by the effective concurrency).
-    pub fn transfer_time_many(&self, n: u64, bytes: u64) -> Duration {
-        let xfer = Duration::from_secs_f64(bytes as f64 / self.bandwidth_bps as f64);
-        self.rtt * (n as u32) + xfer
-    }
 }
 
 #[cfg(test)]
@@ -63,14 +56,6 @@ mod tests {
         // 500 MB at 50 MB/s = 10 s.
         assert!(t >= Duration::from_secs(10));
         assert!(t < Duration::from_secs(11));
-    }
-
-    #[test]
-    fn many_requests_pay_rtt_each() {
-        let net = NetworkModel::wan();
-        let one = net.transfer_time_many(1, 0);
-        let ten = net.transfer_time_many(10, 0);
-        assert_eq!(ten, one * 10);
     }
 
     #[test]

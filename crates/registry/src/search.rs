@@ -53,16 +53,6 @@ impl SearchIndex {
         SearchIndex { rows, page_size: page_size.max(1) }
     }
 
-    /// Total result rows (including duplicates).
-    pub fn result_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Number of pages.
-    pub fn page_count(&self) -> usize {
-        self.rows.len().div_ceil(self.page_size).max(1)
-    }
-
     /// Serves one result page for the query. Only `"/"` (the list-everything
     /// trick) and the empty query are supported, matching how the study
     /// used the endpoint. Out-of-range pages yield an empty result list.
@@ -104,14 +94,14 @@ mod tests {
     #[test]
     fn duplication_factor_applied() {
         let idx = SearchIndex::build(repos(1000), 1.386, 25);
-        let ratio = idx.result_count() as f64 / 1000.0;
+        let ratio = idx.rows.len() as f64 / 1000.0;
         assert!((1.3..1.5).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]
     fn no_duplication_when_factor_one() {
         let idx = SearchIndex::build(repos(100), 1.0, 25);
-        assert_eq!(idx.result_count(), 100);
+        assert_eq!(idx.rows.len(), 100);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Property tests for the registry substrate.
 
-#![cfg(feature = "proptest")]
-
 use dhub_model::{Digest, LayerRef, Manifest, RepoName};
 use dhub_registry::Registry;
 use proptest::prelude::*;

@@ -65,18 +65,6 @@ impl Ecdf {
         *self.sorted.last().unwrap()
     }
 
-    /// Renders the CDF as `(x, fraction ≤ x)` points at `n` evenly spaced
-    /// quantiles — the series a plotting tool would consume.
-    pub fn curve(&self, n: usize) -> Vec<(f64, f64)> {
-        assert!(n >= 2);
-        (0..n)
-            .map(|i| {
-                let p = i as f64 / (n - 1) as f64;
-                (self.quantile(p), p)
-            })
-            .collect()
-    }
-
     /// Iterates the sorted samples.
     pub fn samples(&self) -> &[f64] {
         &self.sorted
@@ -105,16 +93,6 @@ mod tests {
         assert_eq!(e.fraction_le(1.0), 0.25);
         assert_eq!(e.fraction_le(2.0), 0.75);
         assert_eq!(e.fraction_le(10.0), 1.0);
-    }
-
-    #[test]
-    fn cdf_is_monotone() {
-        let e = Ecdf::new(vec![5.0, 1.0, 3.0, 3.0, 100.0, 0.5]);
-        let curve = e.curve(20);
-        for w in curve.windows(2) {
-            assert!(w[0].0 <= w[1].0, "x not monotone: {curve:?}");
-            assert!(w[0].1 <= w[1].1, "p not monotone");
-        }
     }
 
     #[test]

@@ -88,13 +88,6 @@ impl Zipf {
             Err(i) => (i + 1).min(self.cdf.len()),
         }
     }
-
-    /// Probability mass of rank `k`.
-    pub fn pmf(&self, k: usize) -> f64 {
-        let total = *self.cdf.last().unwrap();
-        let lo = if k >= 2 { self.cdf[k - 2] } else { 0.0 };
-        (self.cdf[k - 1] - lo) / total
-    }
 }
 
 /// Weighted categorical sampler using Walker's alias method: O(n) build,
@@ -164,27 +157,6 @@ impl Categorical {
     }
 }
 
-/// A two-component mixture of samplers, used for bimodal shapes like the
-/// paper's pull-count histogram (heavy tail plus a secondary peak near 37).
-#[derive(Clone, Debug)]
-pub struct Mixture<A, B> {
-    pub a: A,
-    pub b: B,
-    /// Probability of drawing from `a`.
-    pub p_a: f64,
-}
-
-impl<A, B> Mixture<A, B> {
-    /// Draws from `a` with probability `p_a`, else from `b`.
-    pub fn sample_with(&self, rng: &mut Rng, fa: impl Fn(&A, &mut Rng) -> f64, fb: impl Fn(&B, &mut Rng) -> f64) -> f64 {
-        if rng.chance(self.p_a) {
-            fa(&self.a, rng)
-        } else {
-            fb(&self.b, rng)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,13 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn zipf_pmf_sums_to_one() {
-        let z = Zipf::new(50, 1.3);
-        let total: f64 = (1..=50).map(|k| z.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn categorical_matches_weights() {
         let c = Categorical::new(&[1.0, 2.0, 7.0]);
         let mut rng = Rng::new(5);
@@ -284,17 +249,5 @@ mod tests {
     #[should_panic(expected = "all-zero")]
     fn categorical_rejects_all_zero() {
         Categorical::new(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn mixture_blends() {
-        let m = Mixture { a: LogNormal { mu: 0.0, sigma: 0.1 }, b: LogNormal { mu: 5.0, sigma: 0.1 }, p_a: 0.3 };
-        let mut rng = Rng::new(7);
-        let n = 50_000;
-        let low = (0..n)
-            .filter(|_| m.sample_with(&mut rng, |d, r| d.sample(r), |d, r| d.sample(r)) < 10.0)
-            .count();
-        let share = low as f64 / n as f64;
-        assert!((share - 0.3).abs() < 0.02, "share {share}");
     }
 }

@@ -21,7 +21,7 @@ pub mod rng;
 pub mod summary;
 
 pub use cdf::Ecdf;
-pub use dist::{Categorical, LogNormal, Mixture, Pareto, Zipf};
+pub use dist::{Categorical, LogNormal, Pareto, Zipf};
 pub use histogram::{Histogram, LogHistogram};
 pub use rng::Rng;
 pub use summary::{gini, lorenz_curve, Summary};

@@ -73,19 +73,6 @@ impl Rng {
         }
     }
 
-    /// Uniform integer in `[lo, hi]` (inclusive).
-    #[inline]
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.below(hi - lo + 1)
-    }
-
-    /// Uniform float in `[lo, hi)`.
-    #[inline]
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.next_f64() * (hi - lo)
-    }
-
     /// Bernoulli trial with probability `p`.
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {

@@ -33,12 +33,6 @@ impl Summary {
             p99: e.quantile(0.99),
         })
     }
-
-    /// Computes a summary from integer samples.
-    pub fn of_u64(samples: impl IntoIterator<Item = u64>) -> Option<Summary> {
-        let v: Vec<f64> = samples.into_iter().map(|x| x as f64).collect();
-        Summary::of(&v)
-    }
 }
 
 impl std::fmt::Display for Summary {
@@ -97,29 +91,13 @@ pub fn lorenz_curve(samples: &[f64], k: usize) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Formats a byte count the way the paper does (e.g. "4.0 MB", "1.3 GB").
-pub fn human_bytes(bytes: f64) -> String {
-    const UNITS: [&str; 6] = ["B", "KB", "MB", "GB", "TB", "PB"];
-    let mut v = bytes;
-    let mut u = 0;
-    while v >= 1000.0 && u < UNITS.len() - 1 {
-        v /= 1024.0;
-        u += 1;
-    }
-    if u == 0 {
-        format!("{:.0} {}", v, UNITS[u])
-    } else {
-        format!("{:.1} {}", v, UNITS[u])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn summary_of_range() {
-        let s = Summary::of_u64(1..=100).unwrap();
+        let s = Summary::of(&(1..=100).map(f64::from).collect::<Vec<_>>()).unwrap();
         assert_eq!(s.count, 100);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 100.0);
@@ -159,12 +137,5 @@ mod tests {
         }
         // The top quarter holds 97 % of mass.
         assert!(pts[3].1 < 0.05);
-    }
-
-    #[test]
-    fn human_bytes_formatting() {
-        assert_eq!(human_bytes(512.0), "512 B");
-        assert_eq!(human_bytes(4.0 * 1024.0 * 1024.0), "4.0 MB");
-        assert_eq!(human_bytes(1.3 * 1024.0 * 1024.0 * 1024.0), "1.3 GB");
     }
 }

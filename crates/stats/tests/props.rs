@@ -1,7 +1,5 @@
 //! Property tests for the statistics toolkit.
 
-#![cfg(feature = "proptest")]
-
 use dhub_stats::{Categorical, Ecdf, Histogram, LogHistogram, Rng, Zipf};
 use proptest::prelude::*;
 

@@ -232,7 +232,7 @@ impl StudyDb {
 
     /// Layers holding no regular files, via predicate pushdown on the
     /// `files` count column.
-    pub fn empty_layers(&self) -> usize {
+    fn empty_layers(&self) -> usize {
         self.layers
             .scan(&[Predicate::U64Eq("files".to_string(), 0)])
             .map(|rows| rows.len())
@@ -244,17 +244,6 @@ impl StudyDb {
         let kinds = self.files.col_str("kind").expect("files table has kind column");
         let sizes = self.files.col_u64("size").expect("files table has size column");
         top_types(kinds.iter().map(String::as_str).zip(sizes.iter().copied()), n)
-    }
-
-    /// Total file bytes in one type group (e.g. "EOL"), via predicate
-    /// pushdown on the string column.
-    pub fn group_bytes(&self, group: &str) -> u64 {
-        let Ok(rows) = self.files.scan(&[Predicate::StrEq("group".to_string(), group.to_string())])
-        else {
-            return 0;
-        };
-        let sizes = self.files.col_u64("size").expect("files table has size column");
-        rows.iter().map(|&i| sizes[i]).sum()
     }
 
     /// Compressed-layer-size percentiles ([`size_percentiles`] over the
@@ -385,17 +374,5 @@ mod tests {
         assert_eq!(picks(&[7]), [7; 6]);
         let hundred: Vec<u64> = (1..=100).collect();
         assert_eq!(picks(&hundred), [10, 25, 50, 75, 90, 99]);
-    }
-
-    #[test]
-    fn group_bytes_pushdown_matches_full_scan() {
-        let db = built();
-        let groups = db.files.col_str("group").unwrap().to_vec();
-        let sizes = db.files.col_u64("size").unwrap().to_vec();
-        for g in ["EOL", "Scr.", "Doc."] {
-            let want: u64 =
-                groups.iter().zip(&sizes).filter(|(k, _)| k.as_str() == g).map(|(_, s)| *s).sum();
-            assert_eq!(db.group_bytes(g), want, "pushdown diverged for group {g}");
-        }
     }
 }

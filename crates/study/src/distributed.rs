@@ -73,11 +73,6 @@ pub struct QueuedStudyConfig {
     /// Lease-fault injection (usually the hub's injector, so
     /// `FaultOp::Lease` shares the seeded plan with the transport ops).
     pub lease_faults: Option<Arc<FaultInjector>>,
-    /// Sleep out the WAN transfer time of each fetched blob. The
-    /// sequential pipeline only *records* simulated transfer; the
-    /// throughput benches enable real pacing so multi-worker overlap is
-    /// measurable.
-    pub pace_network: bool,
 }
 
 impl Default for QueuedStudyConfig {
@@ -88,7 +83,6 @@ impl Default for QueuedStudyConfig {
             lease: LeaseConfig::default(),
             max_commits: None,
             lease_faults: None,
-            pace_network: false,
         }
     }
 }
@@ -333,9 +327,6 @@ fn execute_job(
                 return Ok((JobResult::Layer(LayerResult::GaveUp), Vec::new()));
             };
             let cls = blob.len() as u64;
-            if cfg.pace_network {
-                std::thread::sleep(transport.transfer_time(cls));
-            }
             let fused = |scratch: &mut _| analyze_and_ingest(store, digest, &blob, scratch);
             let layer = match analyze.time_layer(fused) {
                 // AlreadyIngested is the resume path (a killed run ingested

@@ -62,36 +62,36 @@ impl TypeCensus {
     }
 
     /// (instances, bytes) for a whole group.
-    pub fn group_totals(&self, group: TypeGroup) -> (u64, u64) {
+    fn group_totals(&self, group: TypeGroup) -> (u64, u64) {
         Self::kinds_of(group)
             .into_iter()
             .fold((0, 0), |(c, b), k| (c + self.count(k), b + self.bytes(k)))
     }
 
     /// Count share of a group among all files.
-    pub fn group_count_share(&self, group: TypeGroup) -> f64 {
+    fn group_count_share(&self, group: TypeGroup) -> f64 {
         self.group_totals(group).0 as f64 / self.total_count().max(1) as f64
     }
 
     /// Capacity share of a group.
-    pub fn group_capacity_share(&self, group: TypeGroup) -> f64 {
+    fn group_capacity_share(&self, group: TypeGroup) -> f64 {
         self.group_totals(group).1 as f64 / self.total_bytes().max(1) as f64
     }
 
     /// Count share of a kind *within its group*.
-    pub fn kind_count_share_in_group(&self, k: FileKind) -> f64 {
+    fn kind_count_share_in_group(&self, k: FileKind) -> f64 {
         let (gc, _) = self.group_totals(k.group());
         self.count(k) as f64 / gc.max(1) as f64
     }
 
     /// Capacity share of a kind within its group.
-    pub fn kind_capacity_share_in_group(&self, k: FileKind) -> f64 {
+    fn kind_capacity_share_in_group(&self, k: FileKind) -> f64 {
         let (_, gb) = self.group_totals(k.group());
         self.bytes(k) as f64 / gb.max(1) as f64
     }
 
     /// Average file size of a kind, in paper-scale bytes.
-    pub fn kind_avg_size(&self, k: FileKind, size_scale: u64) -> f64 {
+    fn kind_avg_size(&self, k: FileKind, size_scale: u64) -> f64 {
         let c = self.count(k);
         if c == 0 {
             0.0
@@ -101,7 +101,7 @@ impl TypeCensus {
     }
 
     /// Average file size of a group, in paper-scale bytes.
-    pub fn group_avg_size(&self, g: TypeGroup, size_scale: u64) -> f64 {
+    fn group_avg_size(&self, g: TypeGroup, size_scale: u64) -> f64 {
         let (c, b) = self.group_totals(g);
         if c == 0 {
             0.0

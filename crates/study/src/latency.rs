@@ -18,19 +18,19 @@ use std::time::Duration;
 
 /// Cost model for a pull.
 #[derive(Clone, Copy, Debug)]
-pub struct LatencyModel {
+struct LatencyModel {
     /// Transport characteristics.
-    pub net: NetworkModel,
+    net: NetworkModel,
     /// Client decompression throughput (bytes/s of *compressed* input).
-    pub inflate_bps: u64,
+    inflate_bps: u64,
     /// Layers whose uncompressed size is below this are stored and
     /// transferred uncompressed (the §IV-A proposal); `0` disables it.
-    pub uncompressed_below: u64,
+    uncompressed_below: u64,
 }
 
 impl LatencyModel {
     /// WAN defaults with a typical single-core gunzip rate.
-    pub fn wan_default() -> LatencyModel {
+    fn wan_default() -> LatencyModel {
         LatencyModel { net: NetworkModel::wan(), inflate_bps: 60_000_000, uncompressed_below: 0 }
     }
 
@@ -51,7 +51,7 @@ impl LatencyModel {
 /// Per-image pull latencies under a model. `parallel` fetches all layers
 /// concurrently (cost = slowest layer); sequential sums them. Decompression
 /// is serialized in both cases, as in the Docker client.
-pub fn image_pull_latencies(data: &StudyData, model: &LatencyModel, parallel: bool) -> Vec<Duration> {
+fn image_pull_latencies(data: &StudyData, model: &LatencyModel, parallel: bool) -> Vec<Duration> {
     data.images
         .iter()
         .map(|img| {

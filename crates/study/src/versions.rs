@@ -27,7 +27,7 @@ pub struct VersionStudy {
 
 impl VersionStudy {
     /// Repositories with more than one version.
-    pub fn repos_with_history(&self) -> usize {
+    fn repos_with_history(&self) -> usize {
         self.tags_per_repo.iter().filter(|&&t| t > 1).count()
     }
 }

@@ -37,15 +37,6 @@ impl<T: ?Sized> Mutex<T> {
         MutexGuard(self.0.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Acquires the lock only if free right now.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(g)),
-            Err(sync::TryLockError::Poisoned(e)) => Some(MutexGuard(e.into_inner())),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
         self.0.get_mut().unwrap_or_else(|e| e.into_inner())
@@ -78,21 +69,6 @@ impl Condvar {
     /// Atomically releases the guard and parks until notified.
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         MutexGuard(self.0.wait(guard.0).unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Like [`Condvar::wait`] with an upper bound on the park time.
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        dur: std::time::Duration,
-    ) -> (MutexGuard<'a, T>, bool) {
-        let (g, res) = self.0.wait_timeout(guard.0, dur).unwrap_or_else(|e| e.into_inner());
-        (MutexGuard(g), res.timed_out())
-    }
-
-    /// Wakes one parked waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
     }
 
     /// Wakes every parked waiter.
@@ -171,15 +147,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn try_lock_contended() {
-        let m = Mutex::new(0u8);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Counting semaphore over Mutex+Condvar with RAII permits.
+//! Non-blocking counting semaphore with RAII permits.
 //!
 //! Built for admission control on the registry HTTP accept loop: the
 //! acceptor `try_acquire`s a permit per connection and sheds load (503)
@@ -6,79 +6,46 @@
 //! socket. Permits release on drop, so a panicking handler still returns
 //! its slot.
 
-use crate::lock::{Condvar, Mutex};
+use crate::lock::Mutex;
 use std::sync::Arc;
-
-struct Inner {
-    available: Mutex<usize>,
-    cv: Condvar,
-}
 
 /// A counting semaphore with a fixed number of permits.
 #[derive(Clone)]
 pub struct Semaphore {
-    inner: Arc<Inner>,
-    max: usize,
+    available: Arc<Mutex<usize>>,
 }
 
 impl Semaphore {
     /// Creates a semaphore with `permits` slots (at least one).
     pub fn new(permits: usize) -> Semaphore {
-        let permits = permits.max(1);
-        Semaphore {
-            inner: Arc::new(Inner { available: Mutex::new(permits), cv: Condvar::new() }),
-            max: permits,
-        }
-    }
-
-    /// The total number of permits (the admission cap).
-    pub fn max_permits(&self) -> usize {
-        self.max
-    }
-
-    /// Permits currently available.
-    pub fn available(&self) -> usize {
-        *self.inner.available.lock()
+        Semaphore { available: Arc::new(Mutex::new(permits.max(1))) }
     }
 
     /// Takes a permit without blocking; `None` when the semaphore is full.
     pub fn try_acquire(&self) -> Option<SemaphorePermit> {
-        let mut n = self.inner.available.lock();
+        let mut n = self.available.lock();
         if *n == 0 {
             return None;
         }
         *n -= 1;
-        Some(SemaphorePermit { inner: Arc::clone(&self.inner) })
-    }
-
-    /// Blocks until a permit is available.
-    pub fn acquire(&self) -> SemaphorePermit {
-        let mut n = self.inner.available.lock();
-        while *n == 0 {
-            n = self.inner.cv.wait(n);
-        }
-        *n -= 1;
-        SemaphorePermit { inner: Arc::clone(&self.inner) }
+        Some(SemaphorePermit { available: Arc::clone(&self.available) })
     }
 }
 
-/// RAII permit; dropping it returns the slot and wakes one waiter.
+/// RAII permit; dropping it returns the slot.
 pub struct SemaphorePermit {
-    inner: Arc<Inner>,
+    available: Arc<Mutex<usize>>,
 }
 
 impl Drop for SemaphorePermit {
     fn drop(&mut self) {
-        let mut n = self.inner.available.lock();
-        *n += 1;
-        self.inner.cv.notify_one();
+        *self.available.lock() += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn try_acquire_respects_cap() {
@@ -91,23 +58,9 @@ mod tests {
     }
 
     #[test]
-    fn acquire_blocks_until_release() {
-        let s = Semaphore::new(1);
-        let held = s.try_acquire().expect("permit");
-        let s2 = s.clone();
-        let waiter = std::thread::spawn(move || {
-            let _p = s2.acquire();
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!waiter.is_finished(), "acquire must block while held");
-        drop(held);
-        waiter.join().expect("waiter finishes after release");
-    }
-
-    #[test]
     fn zero_permits_rounds_up_to_one() {
         let s = Semaphore::new(0);
-        assert_eq!(s.max_permits(), 1);
+        assert_eq!(*s.available.lock(), 1);
         assert!(s.try_acquire().is_some());
     }
 }

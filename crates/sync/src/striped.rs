@@ -70,11 +70,6 @@ impl<T> Striped<T> {
         &self.stripes[i]
     }
 
-    /// Number of stripes (a power of two).
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
-    }
-
     /// Iterates over every stripe's lock in index order.
     pub fn iter(&self) -> impl Iterator<Item = &Mutex<T>> {
         self.stripes.iter().map(|s| &s.value)
@@ -92,9 +87,9 @@ mod tests {
 
     #[test]
     fn rounds_to_power_of_two() {
-        assert_eq!(Striped::new(5, || 0u8).stripe_count(), 8);
-        assert_eq!(Striped::new(0, || 0u8).stripe_count(), 1);
-        assert_eq!(Striped::new(16, || 0u8).stripe_count(), 16);
+        assert_eq!(Striped::new(5, || 0u8).stripes.len(), 8);
+        assert_eq!(Striped::new(0, || 0u8).stripes.len(), 1);
+        assert_eq!(Striped::new(16, || 0u8).stripes.len(), 16);
     }
 
     #[test]

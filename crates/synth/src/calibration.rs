@@ -58,10 +58,6 @@ impl SynthConfig {
 
 // --- Layer-level anchors (Figs. 3–7) -------------------------------------
 
-/// Median / p90 of files-in-layer size, uncompressed (Fig. 3a: 4 MB / 177 MB).
-pub const LAYER_FLS_MEDIAN: f64 = 4.0e6;
-pub const LAYER_FLS_P90: f64 = 177.0e6;
-
 /// Fraction of layers with zero files (§IV-A: 7 %).
 pub const LAYER_EMPTY_FRACTION: f64 = 0.07;
 /// Fraction of layers with exactly one file (§IV-A: 27 %).
@@ -220,7 +216,7 @@ pub const KIND_MIX: [KindSpec; 48] = [
 /// Target per-group redundancy (fraction of file instances removable by
 /// dedup) at full scale — Fig. 27: SC 96.8 %, Scr 98 %, Doc 92 %, EOL 86 %,
 /// Arch 86 %, Img 86 %, DB 76 %.
-pub fn group_redundancy(group: TypeGroup) -> f64 {
+fn group_redundancy(group: TypeGroup) -> f64 {
     match group {
         TypeGroup::SourceCode => 0.968,
         TypeGroup::Scripts => 0.98,

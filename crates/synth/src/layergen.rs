@@ -36,7 +36,7 @@ impl BuiltLayer {
 
 /// Samples a file count for an app layer (Fig. 5 shape: 7 % empty, 27 %
 /// single-file, log-normal mixture body).
-pub fn sample_file_count(rng: &mut Rng) -> u64 {
+fn sample_file_count(rng: &mut Rng) -> u64 {
     let u = rng.next_f64();
     if u < LAYER_EMPTY_FRACTION {
         return 0;

@@ -114,20 +114,10 @@ impl FilePool {
     }
 
     /// Draws a prototype of a specific kind.
-    pub fn draw_of_kind(&self, kind: FileKind, rng: &mut Rng) -> Prototype {
+    fn draw_of_kind(&self, kind: FileKind, rng: &mut Rng) -> Prototype {
         let pool = self.kinds[kind.index()].as_ref().expect("kind not in mix");
         let rank = pool.zipf.sample(rng);
         pool.protos[rank - 1]
-    }
-
-    /// Number of unique prototypes of a kind.
-    pub fn pool_size(&self, kind: FileKind) -> usize {
-        self.kinds[kind.index()].as_ref().map(|p| p.protos.len()).unwrap_or(0)
-    }
-
-    /// Total unique prototypes across kinds.
-    pub fn total_unique(&self) -> usize {
-        self.kinds.iter().flatten().map(|p| p.protos.len()).sum()
     }
 }
 
@@ -143,14 +133,15 @@ mod tests {
     #[test]
     fn pool_sizes_match_redundancy_targets() {
         let p = pool();
+        let pool_size = |kind: FileKind| p.kinds[kind.index()].as_ref().map_or(0, |k| k.protos.len());
         // C sources: 10.44 % of 100k files ≈ 10,440 instances at 96.8 %
         // redundancy → ~334 unique prototypes.
-        let c = p.pool_size(FileKind::CSource);
+        let c = pool_size(FileKind::CSource);
         assert!((234..434).contains(&c), "C pool {c}");
         // The empty file pool is a single prototype.
-        assert_eq!(p.pool_size(FileKind::Empty), 1);
+        assert_eq!(pool_size(FileKind::Empty), 1);
         // Low-redundancy kinds keep relatively more uniques.
-        let lib_ratio = p.pool_size(FileKind::Library) as f64 / (100_000.0 * 0.002);
+        let lib_ratio = pool_size(FileKind::Library) as f64 / (100_000.0 * 0.002);
         assert!((0.3..0.6).contains(&lib_ratio), "lib unique ratio {lib_ratio}");
     }
 

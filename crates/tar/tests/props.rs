@@ -1,7 +1,5 @@
 //! Property tests: write→read identity over arbitrary entry sets.
 
-#![cfg(feature = "proptest")]
-
 use dhub_tar::{read_archive, write_archive, EntryKind, TarEntry};
 use proptest::prelude::*;
 

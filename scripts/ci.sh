@@ -3,25 +3,19 @@
 #
 # The environment this runs in has no network and no cargo registry cache,
 # so everything must resolve from path dependencies alone. This script is
-# the contract: release build + default tests offline, the feature-gated
-# property suites per crate, and an audit that no external (registry)
-# dependency sneaks back into any manifest.
+# the contract: release build + the whole test suite offline (unit,
+# integration and property tests alike), and an audit that no external
+# (registry) dependency sneaks back into any manifest.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
-echo "==> cargo test -q --offline (default features)"
+# Every crate's tests/props.rs is part of this run: the in-repo proptest
+# engine is a plain dev-dependency, no feature flag.
+echo "==> cargo test -q --offline"
 cargo test -q --offline
-
-# Property tests are behind each crate's optional `proptest` feature; the
-# workspace root is virtual, so enable the feature per package.
-PROP_CRATES=(cache carve compress dedupstore digest json magic model persist queue registry stats tar)
-for c in "${PROP_CRATES[@]}"; do
-    echo "==> prop tests: dhub-$c"
-    cargo test -q --offline -p "dhub-$c" --features proptest --test props
-done
 
 # Kernel dispatch gate: the digest and compress suites (unit + property)
 # must also pass with dispatch pinned to the scalar reference kernels via
@@ -32,13 +26,6 @@ done
 # the SIMD code paths even under the pin.
 echo "==> kernel gate: digest/compress suites under DHUB_FORCE_SCALAR=1"
 DHUB_FORCE_SCALAR=1 cargo test -q --offline -p dhub-digest -p dhub-compress
-DHUB_FORCE_SCALAR=1 cargo test -q --offline -p dhub-digest --features proptest --test props
-DHUB_FORCE_SCALAR=1 cargo test -q --offline -p dhub-compress --features proptest --test props
-
-# dhub-faults carries proptest as a regular dependency (its fault stream IS
-# a seeded RNG), so its property suite needs no feature flag.
-echo "==> prop tests: dhub-faults"
-cargo test -q --offline -p dhub-faults --test props
 
 # Replayability is part of the contract: one property suite re-run under a
 # pinned PROPTEST_SEED must pass identically.
@@ -373,12 +360,99 @@ if bad:
 print("construction-site audit: " + ", ".join(f"{k} at {v[0]}" for k, v in sorted(sites.items())))
 EOF
 
+# Caller audit (ROADMAP 4d): nothing ships without a reader. Every `pub`
+# fn / const / type declared in shipping code (before the file's
+# `#[cfg(test)]`) must be named by shipping code of another file — under
+# crates/*/src, examples/ or the frozen bench/src — or carry a reason in
+# scripts/pub_allow.txt. Tests are not callers: an item only tests reach is
+# deleted with them, made private, or listed as the oracle / kernel /
+# fixture it is. The match is textual, so names too common for a text hit
+# to mean anything are skipped outright rather than passed on a false one.
+echo "==> caller audit"
+python3 - <<'EOF'
+import glob
+import re
+import sys
+
+STOP = set("""new len is_empty get put parse on finish name stats with_metrics build
+to_json from_json count fast claim update contains open load save iter insert remove
+read write lock wait sum min max sample""".split())
+decl = re.compile(r"^\s*pub (?:(?:const|unsafe) )*(fn|const|struct|enum|trait|type) (\w+)")
+
+
+def shipping(path):
+    """The file's non-comment lines before its `#[cfg(test)]`."""
+    out = []
+    for line in open(path):
+        if line.strip() == "#[cfg(test)]":
+            break
+        if not line.lstrip().startswith("//"):
+            out.append(line)
+    return "".join(out)
+
+
+text = {}
+for pat in ["crates/*/src/**/*.rs", "examples/*.rs", "bench/src/*.rs"]:
+    for path in sorted(glob.glob(pat, recursive=True)):
+        text[path] = shipping(path)
+# A re-export names a fn or const without calling it, so it is no caller.
+# A type travels by inference (whoever calls `carve()` holds a `Carving`
+# without spelling it), so for types the re-export is all the naming there
+# may be, and counts.
+reexport = re.compile(r"\bpub use [^;]*;")
+named = {p: set(re.findall(r"\w+", t)) for p, t in text.items()}
+called = {p: set(re.findall(r"\w+", reexport.sub("", t))) for p, t in text.items()}
+
+allow, bad = {}, []
+for n, line in enumerate(open("scripts/pub_allow.txt"), 1):
+    line = line.strip()
+    if not line or line.startswith("#"):
+        continue
+    key, sep, reason = line.partition(" — ")
+    if not sep or not reason.strip() or reason.strip().lower() == "unused":
+        bad.append(f"scripts/pub_allow.txt:{n}: want `path::name — reason`")
+    allow[key.strip()] = False
+
+audited = skipped = 0
+for path, body in text.items():
+    if not path.startswith("crates/") or path.startswith("crates/proptest/"):
+        continue
+    for line in body.splitlines():
+        m = decl.match(line)
+        if not m:
+            continue
+        kind, name = m.groups()
+        if name in STOP:
+            skipped += 1
+            continue
+        audited += 1
+        refs = called if kind in ("fn", "const") else named
+        if any(name in words for p, words in refs.items() if p != path):
+            continue
+        key = f"{path}::{name}"
+        if key in allow:
+            allow[key] = True
+        else:
+            bad.append(f"{key} ({kind}): no shipping code outside its file names it")
+bad += [f"scripts/pub_allow.txt: {k} is listed but has a caller (or is gone)"
+        for k, hit in allow.items() if not hit]
+if bad:
+    print("FAIL: public items with neither a shipping caller nor an allow-list reason:",
+          file=sys.stderr)
+    for b in bad:
+        print("  " + b, file=sys.stderr)
+    sys.exit(1)
+print(f"caller audit: {audited} pub items each have a shipping caller or one of "
+      f"{len(allow)} allow-list reasons ({skipped} stop-list names skipped)")
+EOF
+
 # Stale-reference audit: the legacy criterion-shaped bench crate and its
 # recordings, the streaming scheduler and the channel / pool / wait-group
-# substrate only those two reached are gone. Nothing outside the history
+# substrate only those two reached, the write-only refcount manifest and
+# the pacing option nobody set are gone. Nothing outside the history
 # files, the issue text and the frozen bench/ tree may name them again.
 echo "==> stale-reference audit"
-STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap'
+STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network'
 if git grep -nE "$STALE_RE" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench' \
     | grep -v '^scripts/ci.sh:[0-9]*:STALE_RE='; then
     echo "FAIL: stale references to deleted code (listed above)" >&2

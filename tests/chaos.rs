@@ -608,7 +608,6 @@ fn persistent_store_reopens_identical_at_every_fault_rate() {
             StudyDb::build(&data, &store.mem().stats())
                 .save(&dir.join("db"), &publisher)
                 .unwrap();
-            store.checkpoint().unwrap();
         } // store dropped: the "process" dies here.
 
         // "Process two": reopen from disk alone.
@@ -660,8 +659,8 @@ fn store_killed_mid_ingest_resumes_to_identical_state() {
 
     let dir = chaos_tmp("persist-kill");
     {
-        // "Process one" ingests half the layers, then dies without a
-        // checkpoint — some shard dirs full, manifest absent.
+        // "Process one" ingests half the layers, then dies — some shard
+        // dirs full, no study tables.
         let store = PersistentDedupStore::open(&dir, Publisher::new()).unwrap();
         let half: Vec<_> = clean.layers.keys().take(clean.layers.len() / 2).collect();
         let mut scratch = dhub_par::Scratch::new();
@@ -672,7 +671,6 @@ fn store_killed_mid_ingest_resumes_to_identical_state() {
                 analyze_and_ingest_persistent(&store, *d, &blob, &mut scratch).unwrap();
             ingest.unwrap();
         }
-        assert!(!store.manifest_is_current(), "no checkpoint was written");
     }
 
     // "Process two" replays the partial store and finishes the study; the
@@ -687,8 +685,6 @@ fn store_killed_mid_ingest_resumes_to_identical_state() {
     let st = store.mem().stats();
     assert_eq!(st, ref_stats, "resumed stats diverged from the never-killed run");
     assert_eq!(st.dedup_factor().to_bits(), ref_stats.dedup_factor().to_bits());
-    store.checkpoint().unwrap();
-    assert!(store.manifest_is_current());
 
     // And the tables it writes now are what process one would have written.
     let publisher = Publisher::new();
@@ -716,7 +712,7 @@ fn store_killed_mid_ingest_resumes_to_identical_state() {
 
 /// One queued-study "process": opens (or resumes) the store and queue at
 /// `dir`, runs the fleet, and — when the queue drains — writes the study
-/// tables and checkpoint. `rate` drives three independent deterministic
+/// tables. `rate` drives three independent deterministic
 /// injectors from the same pinned seed: wire faults (on `hub`), durable
 /// write crashes, and lease-loss faults.
 fn queued_study(
@@ -751,14 +747,12 @@ fn queued_study(
         lease: LeaseConfig { max_expiries: 12, ..LeaseConfig::default() },
         max_commits,
         lease_faults,
-        pace_network: false,
     };
     let data = run_study_queued_obs(hub, &store, &queue, &cfg, &obs);
     if let Ok(d) = &data {
         dhub_study::db::StudyDb::build(d, &store.mem().stats())
             .save(&dir.join("db"), &publisher)
             .unwrap();
-        store.checkpoint().unwrap();
     }
     let stats = store.mem().stats();
     (data, stats, obs)
