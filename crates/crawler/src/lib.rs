@@ -12,7 +12,9 @@ mod parse;
 
 pub use parse::{parse_results_page, PageError, PageInfo, ParsedPage};
 
-use dhub_faults::{fault_key, FaultInjector, FaultKind, FaultOp, RetryPolicy};
+use dhub_faults::{
+    fault_key, FaultInjector, FaultKind, FaultOp, RetryClass, RetryEvent, RetryPolicy,
+};
 use dhub_model::RepoName;
 use dhub_obs::{DeltaCounter, MetricsRegistry};
 use dhub_registry::SearchIndex;
@@ -85,33 +87,26 @@ pub fn fetch_search_page(
     let key = fault_key(format!("search:{page}").as_bytes());
     let mut retries = 0u32;
     let mut backoff = Duration::ZERO;
-    let mut attempt = 0u32;
-    let parsed = loop {
-        let fault = faults.and_then(|inj| {
+    let fetch = || {
+        if let Some(inj) = faults {
             match inj.decide(FaultOp::Search, key, &SEARCH_FAULTS) {
-                Some(FaultKind::SlowLink) => {
-                    // Stalled, not failed: wait it out and proceed.
-                    std::thread::sleep(inj.slow_link());
-                    None
-                }
-                f => f,
+                // Stalled, not failed: wait it out and proceed.
+                Some(FaultKind::SlowLink) => std::thread::sleep(inj.slow_link()),
+                Some(fault) => return Err(fault),
+                None => {}
             }
-        });
-        match fault {
-            None => {
-                let result = search.search("/", page);
-                break Some(
-                    parse_results_page(&result.html).expect("hub returned malformed page"),
-                );
-            }
-            Some(_) if attempt < policy.max_retries => {
-                retries += 1;
-                backoff += policy.sleep(key, attempt);
-                attempt += 1;
-            }
-            Some(_) => break None,
         }
+        let result = search.search("/", page);
+        Ok(parse_results_page(&result.html).expect("hub returned malformed page"))
     };
+    let parsed = policy
+        .run(key, fetch, |_| RetryClass::Retryable, |_, event| {
+            if let RetryEvent::Retry(slept) = event {
+                retries += 1;
+                backoff += slept;
+            }
+        })
+        .ok();
     PageFetch { parsed, retries, backoff }
 }
 

@@ -11,15 +11,14 @@
 //! by the paper).
 //!
 //! * [`recipe`] — the layer recipe model with JSON (de)serialization,
-//! * [`store`] — the store itself: ingest, reconstruct, per-file
-//!   refcounting, layer deletion with garbage collection, and savings
-//!   accounting,
+//! * [`store`] — the store itself: recipes and file objects in,
+//!   reconstructed layers and savings accounting out,
 //! * [`fused`] — single-pass analyze + ingest sharing one decompression
 //!   and one content hash per file with the profiler,
 //! * [`persistent`] — the same store backed by `dhub-persist`'s
 //!   crash-safe on-disk layout (objects + recipe envelopes), so ingest
-//!   output survives the process and can be reopened, resumed, and
-//!   garbage-collected.
+//!   output survives the process and can be reopened and resumed, with
+//!   crash orphans swept on the way out.
 
 pub mod fused;
 pub mod persistent;

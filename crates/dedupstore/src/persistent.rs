@@ -28,7 +28,6 @@
 
 use crate::recipe::LayerRecipe;
 use crate::store::{DedupStore, IngestStats, PendingEntry, StoreError};
-use dhub_analyzer::analyze_layer_with;
 use dhub_digest::{FxHashMap, FxHashSet};
 use dhub_model::Digest;
 use dhub_obs::MetricsRegistry;
@@ -142,11 +141,11 @@ impl PersistentDedupStore {
             return None;
         }
         let blob_len = j.get("blobLen")?.as_u64()?;
-        let recipe_text = j.get("recipe")?.to_string();
-        if Digest::parse(j.get("checksum")?.as_str()?)? != Digest::of(recipe_text.as_bytes()) {
+        let recipe = j.get("recipe")?;
+        if Digest::parse(j.get("checksum")?.as_str()?)? != Digest::of(recipe.to_string().as_bytes()) {
             return None;
         }
-        Some((LayerRecipe::from_json(&recipe_text)?, blob_len))
+        Some((LayerRecipe::from_value(recipe)?, blob_len))
     }
 
     /// Replays every recipe on disk through the normal commit path.
@@ -201,12 +200,6 @@ impl PersistentDedupStore {
         Ok(())
     }
 
-    /// True when a layer with this digest is already ingested (fast,
-    /// memory only — disk state mirrors it).
-    pub fn contains_layer(&self, layer_digest: &Digest) -> bool {
-        self.mem.contains_layer(layer_digest)
-    }
-
     /// Commits a layer from already-parsed entries, durably. Publishes
     /// new objects first, then the recipe envelope, then updates memory —
     /// see the module docs for why this ordering makes crashes safe.
@@ -240,34 +233,14 @@ impl PersistentDedupStore {
         Ok(self.mem.commit_parsed(layer_digest, blob_len, pending)?)
     }
 
-    /// Ingests a gzip-compressed layer tarball durably (decompress + walk
-    /// + hash, then [`PersistentDedupStore::commit_parsed`]).
-    pub fn ingest_layer(
-        &self,
-        layer_digest: Digest,
-        blob: &[u8],
-    ) -> Result<IngestStats, PersistentError> {
-        if self.mem.contains_layer(&layer_digest) {
-            return Err(StoreError::AlreadyIngested.into());
-        }
-        dhub_par::with_scratch(|scratch| {
-            let mut pending = Vec::new();
-            analyze_layer_with(layer_digest, blob, scratch, |entry, file| {
-                pending.push(PendingEntry::from_view(entry, file));
-            })
-            .map_err(|e| StoreError::BadLayer(e.to_string()))?;
-            self.commit_parsed(layer_digest, blob.len() as u64, pending)
-        })
-    }
-
     /// No-op: recipes + objects are the only durable state. Kept for the
     /// frozen `bench/` driver, which still calls it (ROADMAP item 1).
     pub fn checkpoint(&self) -> Result<(), PersistentError> {
         Ok(())
     }
 
-    /// Garbage-collects objects no recipe references (crash orphans,
-    /// deleted layers) and sweeps in-flight temp debris.
+    /// Garbage-collects objects no recipe references (crash orphans) and
+    /// sweeps in-flight temp debris.
     pub fn gc(&self) -> Result<GcStats, PersistentError> {
         let mut live: FxHashSet<Digest> = FxHashSet::default();
         for d in self.mem.layer_digests() {
@@ -278,18 +251,6 @@ impl PersistentDedupStore {
         Ok(self.objects.gc(&live)?)
     }
 
-    /// Removes a layer durably: deletes the recipe file, then mirrors the
-    /// removal (refcount decrements + GC) in memory and on disk.
-    pub fn remove_layer(&self, layer_digest: &Digest) -> Result<u64, PersistentError> {
-        let path = self.recipe_path(layer_digest);
-        if !self.mem.contains_layer(layer_digest) {
-            return Err(StoreError::UnknownLayer.into());
-        }
-        std::fs::remove_file(&path).map_err(PersistError::from)?;
-        let reclaimed = self.mem.remove_layer(layer_digest)?;
-        self.gc()?;
-        Ok(reclaimed)
-    }
 }
 
 #[cfg(test)]
@@ -319,6 +280,18 @@ mod tests {
         dir
     }
 
+    /// Ingests one layer the way `dhub store --store-dir` does: through
+    /// the fused analyze + ingest pass.
+    fn ingest(
+        store: &PersistentDedupStore,
+        digest: Digest,
+        blob: &[u8],
+    ) -> Result<IngestStats, PersistentError> {
+        dhub_par::with_scratch(|scratch| {
+            crate::analyze_and_ingest(store, digest, blob, scratch).expect("layer decodes").1
+        })
+    }
+
     fn sample_layers() -> Vec<(Digest, Vec<u8>)> {
         let shared = b"the shared library bytes".as_slice();
         vec![
@@ -340,7 +313,7 @@ mod tests {
         {
             let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
             for (d, b) in &sample_layers() {
-                let sp = store.ingest_layer(*d, b).unwrap();
+                let sp = ingest(&store, *d, b).unwrap();
                 let sm = reference.ingest_layer(*d, b).unwrap();
                 assert_eq!(sp, sm, "persistent ingest must report identical stats");
             }
@@ -378,16 +351,16 @@ mod tests {
         let layers = sample_layers();
         {
             let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
-            store.ingest_layer(layers[0].0, &layers[0].1).unwrap();
+            ingest(&store, layers[0].0, &layers[0].1).unwrap();
         }
         let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
-        assert!(store.contains_layer(&layers[0].0));
+        assert!(store.mem().contains_layer(&layers[0].0));
         assert!(matches!(
-            store.ingest_layer(layers[0].0, &layers[0].1),
+            ingest(&store, layers[0].0, &layers[0].1),
             Err(PersistentError::Store(StoreError::AlreadyIngested))
         ));
         for (d, b) in &layers[1..] {
-            store.ingest_layer(*d, b).unwrap();
+            ingest(&store, *d, b).unwrap();
         }
         assert_eq!(store.mem().stats().layers, 3);
         let _ = std::fs::remove_dir_all(root);
@@ -398,7 +371,7 @@ mod tests {
         let root = tmp_root("orphan");
         let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
         let (d, b) = sample_layers()[0].clone();
-        store.ingest_layer(d, &b).unwrap();
+        ingest(&store, d, &b).unwrap();
         // Simulate a crash between object publish and recipe publish:
         // objects on disk, no recipe referencing them.
         let orphan = store.objects().put(b"orphaned by a crash").unwrap();
@@ -427,7 +400,7 @@ mod tests {
         {
             let store = PersistentDedupStore::open(&root, publisher).unwrap();
             for (d, b) in &sample_layers() {
-                store.ingest_layer(*d, b).unwrap();
+                ingest(&store, *d, b).unwrap();
                 reference.ingest_layer(*d, b).unwrap();
             }
         }
@@ -443,7 +416,7 @@ mod tests {
         let (d, b) = sample_layers()[0].clone();
         {
             let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
-            store.ingest_layer(d, &b).unwrap();
+            ingest(&store, d, &b).unwrap();
         }
         // Flip a byte inside the recipe envelope behind the store's back.
         let hex = hex_of(&d);
@@ -486,25 +459,6 @@ mod tests {
         drop(pstore);
         let reopened = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
         assert_eq!(reopened.mem().stats(), mem_store.stats());
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn remove_layer_mirrors_on_disk() {
-        let root = tmp_root("remove");
-        let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
-        let layers = sample_layers();
-        for (d, b) in &layers {
-            store.ingest_layer(*d, b).unwrap();
-        }
-        let before_objects = store.objects().list().unwrap().len();
-        assert!(before_objects > 0);
-        store.remove_layer(&layers[2].0).unwrap();
-        assert!(!store.contains_layer(&layers[2].0));
-        drop(store);
-        let reopened = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
-        assert_eq!(reopened.mem().stats().layers, 2);
-        assert!(reopened.mem().reconstruct_tar(&layers[0].0).is_ok());
         let _ = std::fs::remove_dir_all(root);
     }
 }

@@ -82,7 +82,12 @@ impl LayerRecipe {
 
     /// Parses a recipe back from JSON.
     pub fn from_json(text: &str) -> Option<LayerRecipe> {
-        let j = dhub_json::parse(text).ok()?;
+        LayerRecipe::from_value(&dhub_json::parse(text).ok()?)
+    }
+
+    /// Rebuilds a recipe from its already-parsed JSON value (the recipe
+    /// envelope holds one; re-serialising it to parse it again is waste).
+    pub fn from_value(j: &Json) -> Option<LayerRecipe> {
         let layer_digest = Digest::parse(j.get("layerDigest")?.as_str()?)?;
         let entries = j
             .get("entries")?

@@ -72,19 +72,11 @@ impl StoreStats {
     }
 }
 
-/// Reference-counted file object.
-struct ObjectEntry {
-    data: Arc<Vec<u8>>,
-    refs: u64,
-}
-
 /// Live `dhub_store_*` metric handles. Default handles are detached (no
 /// registry), so an unobserved store pays only relaxed atomic increments.
 struct StoreMetrics {
     ingests: Counter,
     reconstructions: Counter,
-    gc_objects: Counter,
-    gc_reclaimed_bytes: Counter,
     dedup_factor: Gauge,
 }
 
@@ -93,8 +85,6 @@ impl Default for StoreMetrics {
         StoreMetrics {
             ingests: Counter::detached(),
             reconstructions: Counter::detached(),
-            gc_objects: Counter::detached(),
-            gc_reclaimed_bytes: Counter::detached(),
             dedup_factor: Gauge::detached(),
         }
     }
@@ -105,8 +95,6 @@ impl StoreMetrics {
         StoreMetrics {
             ingests: reg.counter("dhub_store_ingests_total"),
             reconstructions: reg.counter("dhub_store_reconstructions_total"),
-            gc_objects: reg.counter("dhub_store_gc_objects_total"),
-            gc_reclaimed_bytes: reg.counter("dhub_store_gc_reclaimed_bytes_total"),
             dedup_factor: reg.gauge("dhub_store_dedup_factor"),
         }
     }
@@ -160,7 +148,8 @@ impl<'a> PendingEntry<'a> {
 /// pipeline's workers.
 #[derive(Default)]
 pub struct DedupStore {
-    objects: RwLock<FxHashMap<Digest, ObjectEntry>>,
+    /// Content-addressed file objects, shared by every recipe naming them.
+    objects: RwLock<FxHashMap<Digest, Arc<Vec<u8>>>>,
     recipes: RwLock<FxHashMap<Digest, Arc<LayerRecipe>>>,
     /// Compressed (conventional) size of each ingested layer, so a store
     /// rebuilt from recipes alone can still answer size-distribution
@@ -177,7 +166,7 @@ impl DedupStore {
     }
 
     /// An empty store whose operations record into `reg` under
-    /// `dhub_store_*` (ingests, reconstructions, GC work) plus the
+    /// `dhub_store_*` (ingests, reconstructions) plus the
     /// `dhub_store_dedup_factor` gauge.
     pub fn with_metrics(reg: &MetricsRegistry) -> DedupStore {
         DedupStore { metrics: StoreMetrics::on(reg), ..DedupStore::default() }
@@ -232,17 +221,12 @@ impl DedupStore {
             for p in pending {
                 if let Some((digest, data)) = p.file {
                     stats.files += 1;
-                    match objects.get_mut(&digest) {
-                        Some(obj) => {
-                            obj.refs += 1;
-                            stats.bytes_deduped += data.len() as u64;
-                        }
-                        None => {
-                            stats.new_files += 1;
-                            stats.bytes_added += data.len() as u64;
-                            objects
-                                .insert(digest, ObjectEntry { data: Arc::new(data.to_vec()), refs: 1 });
-                        }
+                    if objects.contains_key(&digest) {
+                        stats.bytes_deduped += data.len() as u64;
+                    } else {
+                        stats.new_files += 1;
+                        stats.bytes_added += data.len() as u64;
+                        objects.insert(digest, Arc::new(data.to_vec()));
                     }
                 }
                 recipe_entries.push(p.meta);
@@ -289,16 +273,12 @@ impl DedupStore {
                         // so the SIMD production path is proven against it.
                         let digest = Digest::of_scalar(&data);
                         stats.files += 1;
-                        match objects.get_mut(&digest) {
-                            Some(obj) => {
-                                obj.refs += 1;
-                                stats.bytes_deduped += data.len() as u64;
-                            }
-                            None => {
-                                stats.new_files += 1;
-                                stats.bytes_added += data.len() as u64;
-                                objects.insert(digest, ObjectEntry { data: Arc::new(data), refs: 1 });
-                            }
+                        if objects.contains_key(&digest) {
+                            stats.bytes_deduped += data.len() as u64;
+                        } else {
+                            stats.new_files += 1;
+                            stats.bytes_added += data.len() as u64;
+                            objects.insert(digest, Arc::new(data));
                         }
                         RecipeEntryKind::File(digest)
                     }
@@ -341,8 +321,8 @@ impl DedupStore {
         for e in &recipe.entries {
             let kind = match &e.kind {
                 RecipeEntryKind::File(d) => {
-                    let obj = objects.get(d).ok_or(StoreError::MissingObject(*d))?;
-                    EntryKind::File(obj.data.as_ref().clone())
+                    let data = objects.get(d).ok_or(StoreError::MissingObject(*d))?;
+                    EntryKind::File(data.as_ref().clone())
                 }
                 RecipeEntryKind::Dir => EntryKind::Dir,
                 RecipeEntryKind::Symlink(t) => EntryKind::Symlink(t.clone()),
@@ -376,7 +356,7 @@ impl DedupStore {
     /// (e.g. `dhub query` answering from a replayed store) pair this with
     /// [`DedupStore::recipe`] to re-derive per-file facts.
     pub fn object_data(&self, digest: &Digest) -> Option<Arc<Vec<u8>>> {
-        self.objects.read().get(digest).map(|o| o.data.clone())
+        self.objects.read().get(digest).cloned()
     }
 
     /// Digests of every ingested layer (unordered).
@@ -391,37 +371,6 @@ impl DedupStore {
         let mut v: Vec<(Digest, u64)> = self.layer_cls.read().iter().map(|(d, c)| (*d, *c)).collect();
         v.sort_by_key(|(d, _)| *d);
         v
-    }
-
-    /// Removes a layer: drops its recipe, decrements object refcounts, and
-    /// garbage-collects objects that reached zero. Returns reclaimed bytes.
-    pub fn remove_layer(&self, layer_digest: &Digest) -> Result<u64, StoreError> {
-        let recipe = self.recipes.write().remove(layer_digest).ok_or(StoreError::UnknownLayer)?;
-        self.layer_cls.write().remove(layer_digest);
-        let mut objects = self.objects.write();
-        let mut reclaimed = 0u64;
-        let mut logical_removed = 0u64;
-        let mut collected = 0u64;
-        for d in recipe.file_digests() {
-            if let Some(obj) = objects.get_mut(&d) {
-                obj.refs -= 1;
-                logical_removed += obj.data.len() as u64;
-                if obj.refs == 0 {
-                    reclaimed += obj.data.len() as u64;
-                    collected += 1;
-                    objects.remove(&d);
-                }
-            }
-        }
-        let mut c = self.counters.write();
-        c.layers -= 1;
-        c.physical_bytes -= reclaimed;
-        c.logical_bytes -= logical_removed;
-        c.unique_objects = objects.len();
-        self.metrics.gc_objects.add(collected);
-        self.metrics.gc_reclaimed_bytes.add(reclaimed);
-        self.metrics.dedup_factor.set(c.dedup_factor());
-        Ok(reclaimed)
     }
 
     /// Aggregate statistics.
@@ -510,31 +459,6 @@ mod tests {
     fn unknown_layer_errors() {
         let store = DedupStore::new();
         assert_eq!(store.reconstruct_tar(&Digest::of(b"ghost")).unwrap_err(), StoreError::UnknownLayer);
-        assert_eq!(store.remove_layer(&Digest::of(b"ghost")).unwrap_err(), StoreError::UnknownLayer);
-    }
-
-    #[test]
-    fn remove_layer_gc() {
-        let store = DedupStore::new();
-        let shared = b"shared-content".as_slice();
-        let (d1, b1) = layer(&[file("a", shared), file("only1", b"111")]);
-        let (d2, b2) = layer(&[file("b", shared)]);
-        store.ingest_layer(d1, &b1).unwrap();
-        store.ingest_layer(d2, &b2).unwrap();
-
-        // Removing layer 1 reclaims only its exclusive object.
-        let reclaimed = store.remove_layer(&d1).unwrap();
-        assert_eq!(reclaimed, 3);
-        let stats = store.stats();
-        assert_eq!(stats.layers, 1);
-        assert_eq!(stats.unique_objects, 1);
-        // Layer 2 still reconstructs.
-        assert!(store.reconstruct_tar(&d2).is_ok());
-        // Removing layer 2 reclaims the shared object too.
-        let reclaimed = store.remove_layer(&d2).unwrap();
-        assert_eq!(reclaimed, shared.len() as u64);
-        assert_eq!(store.stats().physical_bytes, 0);
-        assert_eq!(store.stats().unique_objects, 0);
     }
 
     #[test]
@@ -551,10 +475,6 @@ mod tests {
         assert_eq!(reg.counter_value("dhub_store_reconstructions_total"), 1);
         let factor = reg.gauge_value("dhub_store_dedup_factor");
         assert!((factor - store.stats().dedup_factor()).abs() < 1e-12);
-
-        let reclaimed = store.remove_layer(&d1).unwrap();
-        assert_eq!(reg.counter_value("dhub_store_gc_objects_total"), 1);
-        assert_eq!(reg.counter_value("dhub_store_gc_reclaimed_bytes_total"), reclaimed);
     }
 
     #[test]

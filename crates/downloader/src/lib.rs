@@ -17,7 +17,7 @@
 //! operations in separate jobs and drives the record steps `pull_repo` is
 //! built from.
 
-use dhub_faults::{fault_key, RetryPolicy};
+use dhub_faults::{fault_key, RetryClass, RetryEvent, RetryPolicy};
 use dhub_model::{Digest, Manifest, RepoName};
 use dhub_obs::{DeltaCounter, MetricsRegistry};
 use dhub_par::ShardedMap;
@@ -118,45 +118,36 @@ impl RetryCounters {
     }
 
     /// Folds an HTTP client's retry statistics into these counters (the
-    /// client runs its own retry loop and reports totals after the fact).
+    /// client tallies its own retries and reports totals after the fact).
     fn absorb(&self, stats: &dhub_registry::http::RetryStats) {
         self.retries.add(stats.retries);
         self.gave_up.add(stats.gave_up);
         self.corrupt_retries.add(stats.corrupt_retries);
         self.backoff_ns.add(stats.backoff_ns);
     }
+
+    /// The [`RetryPolicy::run`] hook: ticks these counters per retry (so a
+    /// mid-run scrape sees them move) and per give-up. `corrupt` marks
+    /// errors that are failed digest verifications.
+    fn record<E: 'static>(&self, corrupt: fn(&E) -> bool) -> impl FnMut(&E, RetryEvent) + '_ {
+        move |e, event| match event {
+            RetryEvent::Retry(slept) => {
+                if corrupt(e) {
+                    self.corrupt_retries.add(1);
+                }
+                self.retries.add(1);
+                self.backoff_ns.add(slept.as_nanos() as u64);
+            }
+            RetryEvent::GaveUp => self.gave_up.add(1),
+        }
+    }
 }
 
-/// Runs `op` under `policy`: retryable errors back off (jittered, keyed by
-/// `key`) and re-issue; terminal errors and exhausted budgets surface.
-fn with_retries<T, E>(
-    policy: &RetryPolicy,
-    key: u64,
-    counters: &RetryCounters,
-    is_retryable: impl Fn(&E) -> bool,
-    is_corrupt: impl Fn(&E) -> bool,
-    op: impl Fn() -> Result<T, E>,
-) -> Result<T, E> {
-    let mut attempt = 0u32;
-    loop {
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) if is_retryable(&e) && attempt < policy.max_retries => {
-                if is_corrupt(&e) {
-                    counters.corrupt_retries.add(1);
-                }
-                counters.retries.add(1);
-                let slept = policy.sleep(key, attempt);
-                counters.backoff_ns.add(slept.as_nanos() as u64);
-                attempt += 1;
-            }
-            Err(e) => {
-                if is_retryable(&e) {
-                    counters.gave_up.add(1);
-                }
-                return Err(e);
-            }
-        }
+fn api_class(e: &ApiError) -> RetryClass {
+    if e.is_retryable() {
+        RetryClass::Retryable
+    } else {
+        RetryClass::Terminal
     }
 }
 
@@ -177,13 +168,11 @@ fn get_manifest_with_retry(
     counters: &RetryCounters,
 ) -> Result<dhub_registry::PullSession, ApiError> {
     let key = fault_key(format!("{}:{tag}", repo.full()).as_bytes());
-    with_retries(
-        policy,
+    policy.run(
         key,
-        counters,
-        ApiError::is_retryable,
-        |e| matches!(e, ApiError::CorruptManifest),
         || registry.get_manifest(repo, tag, false),
+        api_class,
+        counters.record(|e| matches!(e, ApiError::CorruptManifest)),
     )
 }
 
@@ -197,15 +186,8 @@ pub fn get_blob_verified(
     counters: &RetryCounters,
 ) -> Result<Arc<Vec<u8>>, BlobError> {
     let key = fault_key(&digest.0);
-    with_retries(
-        policy,
+    policy.run(
         key,
-        counters,
-        |e| match e {
-            BlobError::Api(e) => e.is_retryable(),
-            BlobError::DigestMismatch => true,
-        },
-        |e| matches!(e, BlobError::DigestMismatch),
         || {
             let blob = registry.get_blob(digest).map_err(BlobError::Api)?;
             if Digest::of(blob.as_ref()) != *digest {
@@ -213,6 +195,11 @@ pub fn get_blob_verified(
             }
             Ok(blob)
         },
+        |e| match e {
+            BlobError::Api(e) => api_class(e),
+            BlobError::DigestMismatch => RetryClass::Retryable,
+        },
+        counters.record(|e| matches!(e, BlobError::DigestMismatch)),
     )
 }
 

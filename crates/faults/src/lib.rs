@@ -18,7 +18,9 @@
 //!   injection point.
 //! * [`RetryPolicy`] is the consuming side: capped exponential backoff
 //!   (built on [`dhub_sync::DelayBackoff`]) with *deterministic* jitter
-//!   derived from the policy seed, so a retry schedule is replayable too.
+//!   derived from the policy seed, so a retry schedule is replayable too,
+//!   and [`RetryPolicy::run`], the one retry loop every consumer's
+//!   fetches and durable writes go through.
 //!
 //! [`Registry`]: ../dhub_registry/struct.Registry.html
 
@@ -29,4 +31,4 @@ pub use plan::{
     fault_key, FaultConfig, FaultInjector, FaultKind, FaultOp, FaultPlan, FaultStats,
     ALL_FAULT_KINDS, ALL_FAULT_OPS,
 };
-pub use retry::{RetryClass, RetryPolicy};
+pub use retry::{RetryClass, RetryEvent, RetryPolicy};

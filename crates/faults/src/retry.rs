@@ -15,6 +15,16 @@ pub enum RetryClass {
     Terminal,
 }
 
+/// What [`RetryPolicy::run`] tells its caller's hook about a retryable
+/// failure, alongside the error itself.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RetryEvent {
+    /// The loop slept this long and is about to call `op` again.
+    Retry(Duration),
+    /// The retry budget is spent; `run` returns the error.
+    GaveUp,
+}
+
 /// A replayable retry schedule: up to `max_retries` extra attempts, delays
 /// doubling from `base` to `cap` ([`dhub_sync::DelayBackoff`]), each shrunk
 /// by a deterministic jitter derived from `(seed, key, attempt)`.
@@ -126,16 +136,42 @@ impl RetryPolicy {
         (0..=attempt).map(|a| self.delay(key, a)).max().unwrap_or(Duration::ZERO)
     }
 
-    /// Sleeps the monotone schedule's delay before retry `attempt` of
-    /// `key` (the struct-level monotonicity guarantee holds for the delays
-    /// actually slept, not just for [`RetryPolicy::schedule`]). Returns the
-    /// duration slept so callers can account time lost to backoff.
-    pub fn sleep(&self, key: u64, attempt: u32) -> Duration {
-        let d = self.scheduled_delay(key, attempt);
-        if !d.is_zero() {
-            std::thread::sleep(d);
+    /// The retry loop — the only one in the workspace. Calls `op` once per
+    /// attempt until it succeeds, fails with an error `classify` calls
+    /// [`RetryClass::Terminal`] (returned at once: no sleep, no event), or
+    /// fails retryably with the budget spent (the last error is returned
+    /// after one [`RetryEvent::GaveUp`]). Between attempts it sleeps
+    /// `schedule(key)[attempt]`, `attempt` counting 0, 1, 2 … — the
+    /// monotonicity guarantee holds for the delays actually slept — and
+    /// then tells `on_event` how long: callers keep their own counters
+    /// there, so retry-or-give-up is decided in exactly one place.
+    pub fn run<T, E>(
+        &self,
+        key: u64,
+        mut op: impl FnMut() -> Result<T, E>,
+        classify: impl Fn(&E) -> RetryClass,
+        mut on_event: impl FnMut(&E, RetryEvent),
+    ) -> Result<T, E> {
+        let mut attempt = 0u32;
+        loop {
+            let err = match op() {
+                Ok(v) => return Ok(v),
+                Err(e) => e,
+            };
+            if classify(&err) == RetryClass::Terminal {
+                return Err(err);
+            }
+            if attempt >= self.max_retries {
+                on_event(&err, RetryEvent::GaveUp);
+                return Err(err);
+            }
+            let slept = self.scheduled_delay(key, attempt);
+            if !slept.is_zero() {
+                std::thread::sleep(slept);
+            }
+            on_event(&err, RetryEvent::Retry(slept));
+            attempt += 1;
         }
-        d
     }
 }
 
@@ -188,7 +224,7 @@ mod tests {
 
     #[test]
     fn sleep_delay_matches_monotone_schedule() {
-        // sleep() must realize schedule(), not the un-clamped delay().
+        // run() must sleep schedule(), not the un-clamped delay().
         let p = RetryPolicy::new(10).with_seed(99).with_jitter(0.5);
         for key in [7u64, 42, 1001] {
             let s = p.schedule(key);
@@ -196,6 +232,44 @@ mod tests {
                 assert_eq!(p.scheduled_delay(key, a as u32), *d);
             }
         }
+    }
+
+    #[test]
+    fn run_sleeps_the_schedule_then_gives_up_once() {
+        // Every attempt fails retryably: `max_retries + 1` calls, the whole
+        // schedule slept, one give-up, the last error returned. (The
+        // general case is `run_follows_the_schedule` in tests/props.rs.)
+        let p = RetryPolicy::fast(2).with_seed(9);
+        let (mut calls, mut slept, mut gave_up) = (0u32, Vec::new(), 0u32);
+        let out: Result<(), u32> = p.run(
+            77,
+            || {
+                calls += 1;
+                Err(calls)
+            },
+            |_| RetryClass::Retryable,
+            |_, event| match event {
+                RetryEvent::Retry(d) => slept.push(d),
+                RetryEvent::GaveUp => gave_up += 1,
+            },
+        );
+        assert_eq!((out, calls, gave_up), (Err(3), 3, 1));
+        assert_eq!(slept, p.schedule(77));
+    }
+
+    #[test]
+    fn run_returns_a_terminal_error_at_once() {
+        let mut calls = 0u32;
+        let out: Result<(), &str> = RetryPolicy::fast(5).run(
+            1,
+            || {
+                calls += 1;
+                Err("auth wall")
+            },
+            |_| RetryClass::Terminal,
+            |_, event| panic!("terminal errors reach no hook, got {event:?}"),
+        );
+        assert_eq!((out, calls), (Err("auth wall"), 1));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! counter-example.
 
 use dhub_faults::{
-    FaultConfig, FaultKind, FaultOp, FaultPlan, RetryPolicy, ALL_FAULT_KINDS, ALL_FAULT_OPS,
+    FaultConfig, FaultKind, FaultOp, FaultPlan, RetryClass, RetryEvent, RetryPolicy,
+    ALL_FAULT_KINDS, ALL_FAULT_OPS,
 };
 use dhub_sync::DelayBackoff;
 use proptest::prelude::*;
@@ -59,6 +60,37 @@ proptest! {
         let a = policy(seed, 12, jitter).schedule(key);
         let b = policy(seed, 12, jitter).schedule(key);
         prop_assert_eq!(a, b, "replay with the same seed diverged");
+    }
+
+    /// The retry loop: an op whose first `n` attempts fail retryably and
+    /// whose next one succeeds — or fails terminally — runs
+    /// `min(n, max_retries) + 1` times, sleeps exactly that prefix of
+    /// `schedule(key)`, and reports one give-up iff the budget ran out; a
+    /// terminal error costs no sleep and no give-up, whatever budget is left.
+    #[test]
+    fn run_follows_the_schedule(seed in 0u64..u64::MAX, key in 0u64..u64::MAX,
+                                retries in 0u32..6, n in 0u32..10, terminal in any::<bool>()) {
+        const TERMINAL: u32 = u32::MAX;
+        let p = RetryPolicy::fast(retries).with_seed(seed);
+        let (mut calls, mut slept, mut gave_up) = (0u32, Vec::new(), 0u32);
+        let out = p.run(
+            key,
+            || {
+                calls += 1;
+                if calls <= n { Err(calls) } else if terminal { Err(TERMINAL) } else { Ok(()) }
+            },
+            |&e| if e == TERMINAL { RetryClass::Terminal } else { RetryClass::Retryable },
+            |_, event| match event {
+                RetryEvent::Retry(d) => slept.push(d),
+                RetryEvent::GaveUp => gave_up += 1,
+            },
+        );
+        let retried = n.min(retries);
+        prop_assert_eq!(calls, retried + 1);
+        prop_assert_eq!(&slept[..], &p.schedule(key)[..retried as usize]);
+        prop_assert_eq!(gave_up, u32::from(n > retries));
+        let want = if n > retries { Err(retries + 1) } else if terminal { Err(TERMINAL) } else { Ok(()) };
+        prop_assert_eq!(out, want);
     }
 
     /// The fault decision is pure: identical (seed, op, key, attempt)

@@ -8,8 +8,11 @@ use dhub_faults::{FaultConfig, FaultInjector, FaultKind, RetryPolicy};
 use dhub_mirror::{Mirror, MirrorConfig, PolicyKind};
 use dhub_model::{Digest, LayerRef, Manifest, RepoName};
 use dhub_obs::MetricsRegistry;
+use dhub_registry::http::{read_response, Request};
 use dhub_registry::{BackendError, MirrorBackend, Registry, RegistryServer, RemoteRegistry};
 use std::collections::BTreeMap;
+use std::io::{BufReader, Write as _};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -257,4 +260,111 @@ fn mirror_server_reconciles_report_snapshot_and_exposition() {
     }
     assert_eq!(exposition.get("dhub_mirror_origin_up_0").copied(), Some(1.0));
     front.shutdown();
+}
+
+/// An origin server and a mirror-mode server fronting it.
+fn origin_and_mirror(reg: &Arc<Registry>) -> (RegistryServer, RegistryServer) {
+    let origin = RegistryServer::start(reg.clone()).unwrap();
+    let obs = Arc::new(MetricsRegistry::new());
+    let mirror =
+        Arc::new(Mirror::new(&[origin.addr()], MirrorConfig::new(1 << 20, PolicyKind::Lru), obs.clone()));
+    let front =
+        RegistryServer::start_mirror(mirror, obs, dhub_registry::DEFAULT_MAX_CONNS).unwrap();
+    (origin, front)
+}
+
+/// Origin and mirror answer through one endpoint set: the same raw request
+/// gets the same status, protocol headers and body from either tier.
+#[test]
+fn origin_and_mirror_answer_alike() {
+    let reg = origin_registry(2);
+    let (origin, front) = origin_and_mirror(&reg);
+    let (_, manifest) = manifest_for(&reg, "repo0");
+    let private = reg.get_manifest(&RepoName::user("corp", "secret"), "latest", true).unwrap();
+    let private_blob = private.manifest.layers[0].digest;
+    let non_ascii_digest = format!("sha256:a\u{e9}{}", "0".repeat(61));
+
+    // (method, target, with the demo token)
+    let mut requests: Vec<(&str, String, bool)> = [
+        "/v2/".to_string(),
+        "/v2/repo0/manifests/latest".into(),
+        format!("/v2/repo0/manifests/{}", manifest.digest()),
+        format!("/v2/repo0/blobs/{}", manifest.layers[0].digest),
+        "/v2/repo0/tags/list".into(),
+        "/v2/ghost/manifests/latest".into(),
+        "/v2/ghost/tags/list".into(),
+        "/v2/repo0/manifests/v9".into(),
+        format!("/v2/repo0/blobs/{}", Digest::of(b"no such blob")),
+        format!("/v2/repo0/blobs/{non_ascii_digest}"),
+        "/v2/repo0/blobs/sha256:zz".into(),
+        "/v2/a/b/c/tags/list".into(),
+        "/elsewhere".into(),
+    ]
+    .map(|target| ("GET", target, false))
+    .into();
+    for target in [
+        "/v2/corp/secret/manifests/latest".to_string(),
+        format!("/v2/corp/secret/blobs/{private_blob}"),
+        "/v2/corp/secret/blobs/sha256:zz".into(),
+        "/v2/corp/secret/tags/list".into(),
+    ] {
+        requests.push(("GET", target.clone(), false));
+        requests.push(("GET", target, true));
+    }
+    requests.push(("DELETE", "/v2/repo0/manifests/latest".into(), false));
+
+    let mut statuses = Vec::new();
+    for (method, target, token) in &requests {
+        let [o, m] = [origin.addr(), front.addr()].map(|addr| {
+            let mut req = Request::get(target).with_header("connection", "close");
+            req.method = method.to_string();
+            if *token {
+                req = req.with_header("authorization", "Bearer dhub-demo-token");
+            }
+            let mut stream = TcpStream::connect(addr).unwrap();
+            req.write_to(&mut stream).unwrap();
+            read_response(&mut BufReader::new(stream)).unwrap()
+        });
+        let what = format!("{method} {target} (token: {token})");
+        assert_eq!(o.status, m.status, "{what}: status");
+        for h in
+            ["content-type", "docker-content-digest", "www-authenticate", "docker-distribution-api-version"]
+        {
+            assert_eq!(o.header(h), m.header(h), "{what}: header {h}");
+        }
+        assert_eq!(String::from_utf8_lossy(&o.body), String::from_utf8_lossy(&m.body), "{what}: body");
+        statuses.push(o.status);
+    }
+    // The set covers each kind of answer, not 22 spellings of one.
+    for status in [200, 401, 404, 405] {
+        assert!(statuses.contains(&status), "no request answered {status}: {statuses:?}");
+    }
+    front.shutdown();
+    origin.shutdown();
+}
+
+/// Two requests written back to back on one connection get two responses,
+/// in order: bytes the server read past the first request are not dropped.
+#[test]
+fn pipelined_requests_are_both_answered() {
+    let reg = origin_registry(1);
+    let (origin, front) = origin_and_mirror(&reg);
+    for (tier, addr) in [("origin", origin.addr()), ("mirror", front.addr())] {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream
+            .write_all(
+                b"GET /v2/ HTTP/1.1\r\nhost: x\r\n\r\n\
+                  GET /v2/repo0/tags/list HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n",
+            )
+            .unwrap();
+        let mut reader = BufReader::new(stream);
+        let first = read_response(&mut reader).unwrap_or_else(|e| panic!("{tier}: first: {e}"));
+        assert_eq!(first.body, b"{}", "{tier}: the ping comes back first");
+        let second = read_response(&mut reader).unwrap_or_else(|e| panic!("{tier}: second: {e}"));
+        assert_eq!(second.status, 200, "{tier}");
+        assert!(String::from_utf8_lossy(&second.body).contains("latest"), "{tier}");
+    }
+    front.shutdown();
+    origin.shutdown();
 }

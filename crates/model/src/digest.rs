@@ -26,15 +26,19 @@ impl Digest {
         format!("sha256:{}", to_hex(&self.0))
     }
 
-    /// Parses `sha256:<64 hex>`.
+    /// Parses `sha256:` followed by exactly 64 ASCII hex digits (either
+    /// case). The input may come straight off the wire, so it is decoded
+    /// byte by byte: no `str` slicing that a multi-byte character could
+    /// split, and no sign a radix parser would accept.
     pub fn parse(s: &str) -> Option<Digest> {
-        let hex = s.strip_prefix("sha256:")?;
+        let hex = s.strip_prefix("sha256:")?.as_bytes();
         if hex.len() != 64 {
             return None;
         }
+        let nibble = |b: u8| (b as char).to_digit(16).map(|d| d as u8);
         let mut out = [0u8; 32];
-        for i in 0..32 {
-            out[i] = u8::from_str_radix(&hex[i * 2..i * 2 + 2], 16).ok()?;
+        for (byte, pair) in out.iter_mut().zip(hex.chunks_exact(2)) {
+            *byte = nibble(pair[0])? << 4 | nibble(pair[1])?;
         }
         Some(Digest(out))
     }
@@ -81,6 +85,21 @@ mod tests {
         assert!(Digest::parse(short).is_none());
         let bad_char = format!("sha256:{}", "g".repeat(64));
         assert!(Digest::parse(&bad_char).is_none());
+    }
+
+    #[test]
+    fn parse_decodes_bytes_not_str_slices() {
+        // 64 bytes, a two-byte character at an odd offset: no `str` slice
+        // two bytes wide lands on a boundary there.
+        assert!(Digest::parse(&format!("sha256:a\u{e9}{}", "0".repeat(61))).is_none());
+        // A sign is not a hex digit, whatever `from_str_radix` makes of "+f".
+        assert!(Digest::parse(&format!("sha256:{}", "+f".repeat(32))).is_none());
+        for len in [63, 65] {
+            assert!(Digest::parse(&format!("sha256:{}", "a".repeat(len))).is_none());
+        }
+        let d = Digest::of(b"case");
+        let upper = format!("sha256:{}", to_hex(&d.0).to_uppercase());
+        assert_eq!(Digest::parse(&upper), Some(d));
     }
 
     #[test]

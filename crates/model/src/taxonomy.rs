@@ -224,8 +224,8 @@ impl FileKind {
         }
     }
 
-    /// All leaf kinds (for exhaustive iteration in reports/tests).
-    pub const ALL: [FileKind; 50] = {
+    /// All leaf kinds in declaration order, so `ALL[k.index()] == k`.
+    pub const ALL: [FileKind; FileKind::COUNT] = {
         use FileKind::*;
         [
             Elf, Coff, MachO, PeExecutable, PythonBytecode, JavaClass, TerminfoCompiled,
@@ -234,7 +234,7 @@ impl FileKind {
             RubyScript, PerlScript, PhpScript, Makefile, M4Macro, NodeScript, TclScript,
             ShellScript, OtherScript, AsciiText, Utf8Text, Iso8859Text, XmlHtml, PdfPs, LatexDoc,
             OtherDocument, ZipGzip, Bzip2, XzArchive, TarArchive, OtherArchive, Png, Jpeg, Svg,
-            Gif, OtherImage, BerkeleyDb, MysqlDb, SqliteDb, OtherDb,
+            Gif, OtherImage, BerkeleyDb, MysqlDb, SqliteDb, OtherDb, Video, OtherBinary, Empty,
         ]
     };
 
@@ -274,14 +274,10 @@ mod tests {
 
     #[test]
     fn indices_dense_and_unique() {
-        let mut seen = std::collections::HashSet::new();
+        assert_eq!(FileKind::ALL.len(), FileKind::COUNT);
         for k in FileKind::ALL {
-            assert!(k.index() < FileKind::COUNT);
-            assert!(seen.insert(k.index()));
+            assert_eq!(FileKind::ALL[k.index()], k);
         }
-        // Variants not in ALL (Video, OtherBinary, Empty) also fit.
-        assert!(FileKind::Empty.index() < FileKind::COUNT);
-        assert!(FileKind::Video.index() < FileKind::COUNT);
     }
 
     #[test]

@@ -37,6 +37,33 @@ proptest! {
         prop_assert_eq!(Digest::parse(&d.to_docker_string()), Some(d));
     }
 
+    /// `Digest::parse` reads wire input: it never panics and accepts
+    /// exactly `sha256:` + 64 ASCII hex digits, which then round-trip.
+    /// Padding to 64 bytes lands multi-byte characters at every offset of
+    /// a right-length input.
+    #[test]
+    fn digest_parse_is_total(chars in proptest::collection::vec(any::<char>(), 0..70),
+                             pad in any::<bool>()) {
+        let mut body = String::new();
+        for c in chars {
+            if body.len() + c.len_utf8() <= 64 {
+                body.push(c);
+            }
+        }
+        while pad && body.len() < 64 {
+            body.push('0');
+        }
+        let text = format!("sha256:{body}");
+        let valid = body.len() == 64 && body.bytes().all(|b| b.is_ascii_hexdigit());
+        match Digest::parse(&text) {
+            Some(d) => {
+                prop_assert!(valid, "accepted {:?}", text);
+                prop_assert_eq!(d.to_docker_string(), text.to_ascii_lowercase());
+            }
+            None => prop_assert!(!valid, "rejected {:?}", text),
+        }
+    }
+
     /// RepoName::parse(full()) is the identity on valid names.
     #[test]
     fn repo_name_roundtrip(ns in "[a-z][a-z0-9]{0,14}", name in "[a-z][a-z0-9_.-]{0,20}") {

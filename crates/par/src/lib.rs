@@ -29,49 +29,14 @@ pub fn default_threads() -> usize {
 }
 
 /// Applies `f` to every element of `items` in parallel, preserving order of
-/// results. Work is self-scheduled in chunks: each worker atomically claims
-/// the next chunk, so skewed per-item costs (huge layers next to empty
-/// ones) still balance.
+/// results ([`par_map_range`] over the slice's indices).
 pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        return items.iter().map(f).collect();
-    }
-    // Chunk size balances scheduling overhead against skew; aim for ~8
-    // chunks per worker.
-    let chunk = (n / (threads * 8)).max(1);
-    let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let out_ptr = SendPtr(out.as_mut_ptr());
-
-    dhub_sync::work_crew(threads, |_| {
-        // Rebind to capture the whole wrapper (not the raw-pointer field,
-        // which edition-2021 disjoint capture would otherwise grab).
-        let out_ptr = out_ptr;
-        loop {
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            let end = (start + chunk).min(n);
-            for (i, item) in items[start..end].iter().enumerate() {
-                let r = f(item);
-                // Safe: each index is written by exactly one worker
-                // (disjoint chunks), and the Vec outlives the crew's scope.
-                unsafe { *out_ptr.0.add(start + i) = Some(r) };
-            }
-        }
-    });
-    out.into_iter().map(|r| r.expect("all indices written")).collect()
+    par_map_range(threads, 0..items.len(), |i| f(&items[i]))
 }
 
 /// Raw pointer wrapper so the scoped threads can share the output buffer.
@@ -94,9 +59,10 @@ where
     let _ = par_map(threads, items, |t| f(t));
 }
 
-/// Parallel map over an index range (for generators that produce items
-/// rather than consume them). Chunks the range directly — no materialized
-/// index vector — with the same self-scheduling discipline as [`par_map`].
+/// Parallel map over an index range, preserving order of results. Work is
+/// self-scheduled in chunks: each worker atomically claims the next chunk,
+/// so skewed per-item costs (huge layers next to empty ones) still balance.
+/// Chunks the range directly — no materialized index vector.
 pub fn par_map_range<R, F>(threads: usize, range: std::ops::Range<usize>, f: F) -> Vec<R>
 where
     R: Send,
@@ -111,12 +77,16 @@ where
     if threads == 1 {
         return range.map(f).collect();
     }
+    // Chunk size balances scheduling overhead against skew; aim for ~8
+    // chunks per worker.
     let chunk = (n / (threads * 8)).max(1);
     let next = AtomicUsize::new(0);
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let out_ptr = SendPtr(out.as_mut_ptr());
 
     dhub_sync::work_crew(threads, |_| {
+        // Rebind to capture the whole wrapper (not the raw-pointer field,
+        // which edition-2021 disjoint capture would otherwise grab).
         let out_ptr = out_ptr;
         loop {
             let start = next.fetch_add(chunk, Ordering::Relaxed);

@@ -18,7 +18,9 @@
 //! that verify digests/checksums catch everything else.
 
 use crate::PersistError;
-use dhub_faults::{fault_key, FaultInjector, FaultKind, FaultOp, RetryPolicy};
+use dhub_faults::{
+    fault_key, FaultInjector, FaultKind, FaultOp, RetryClass, RetryEvent, RetryPolicy,
+};
 use dhub_obs::{Counter, MetricsRegistry};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -150,26 +152,28 @@ impl Publisher {
         };
         let key = fault_key(path.file_name().map(|n| n.as_encoded_bytes()).unwrap_or_default());
         let allowed = [FaultKind::Drop, FaultKind::Truncate, FaultKind::Corrupt];
-        let mut attempt = 0u32;
-        loop {
-            match faults.injector.decide(FaultOp::Persist, key, &allowed) {
-                Some(kind) => {
-                    Publisher::crash(path, data, kind, key)?;
-                    self.metrics.crashes.inc();
-                    if attempt >= faults.policy.max_retries {
-                        return Err(PersistError::CrashedWrite(path.to_path_buf()));
-                    }
-                    faults.policy.sleep(key, attempt);
-                    self.metrics.retries.inc();
-                    attempt += 1;
-                }
-                None => {
-                    atomic_publish(path, data)?;
-                    self.metrics.publishes.inc();
-                    return Ok(());
-                }
+        // One attempt: a fired fault leaves its debris and fails the
+        // attempt as a crashed write — the only retryable outcome, and
+        // what the publish reports once the budget is spent.
+        let attempt = || {
+            if let Some(kind) = faults.injector.decide(FaultOp::Persist, key, &allowed) {
+                Publisher::crash(path, data, kind, key)?;
+                self.metrics.crashes.inc();
+                return Err(PersistError::CrashedWrite(path.to_path_buf()));
             }
-        }
+            atomic_publish(path, data)?;
+            self.metrics.publishes.inc();
+            Ok(())
+        };
+        let classify = |e: &PersistError| match e {
+            PersistError::CrashedWrite(_) => RetryClass::Retryable,
+            _ => RetryClass::Terminal,
+        };
+        faults.policy.run(key, attempt, classify, |_, event| {
+            if let RetryEvent::Retry(_) = event {
+                self.metrics.retries.inc();
+            }
+        })
     }
 
     /// Publishes a batch of files with one parent-directory fsync per

@@ -6,8 +6,9 @@
 //! retries once, exactly as `docker pull` does.
 
 use crate::http::wire::{read_response, Request, Response, WireError};
-use dhub_faults::{fault_key, RetryClass, RetryPolicy};
+use dhub_faults::{fault_key, RetryClass, RetryEvent, RetryPolicy};
 use dhub_model::{Digest, Manifest, RepoName};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -56,13 +57,18 @@ impl ClientError {
         }
     }
 
-    /// `retry_class() == Retryable`, as a predicate.
-    pub fn is_retryable(&self) -> bool {
-        self.retry_class() == RetryClass::Retryable
-    }
-
     fn is_corruption(&self) -> bool {
         matches!(self, ClientError::CorruptManifest | ClientError::CorruptBlob)
+    }
+}
+
+/// The error a non-200 `status` answering a `what` request stands for.
+fn status_error(what: &str, status: u16) -> ClientError {
+    match status {
+        404 => ClientError::NotFound,
+        429 => ClientError::RateLimited,
+        s if s >= 500 => ClientError::Unavailable,
+        s => ClientError::Protocol(format!("{what} -> {s}")),
     }
 }
 
@@ -107,7 +113,7 @@ pub struct RetryStats {
     /// The subset of `retries` caused by failed digest verification.
     pub corrupt_retries: u64,
     /// Nanoseconds of scheduled backoff slept between attempts
-    /// (deterministic per the policy — the sum of `RetryPolicy::sleep`s).
+    /// (deterministic per the policy — the sum of the `RetryEvent::Retry`s).
     pub backoff_ns: u64,
 }
 
@@ -164,33 +170,19 @@ impl RemoteRegistry {
         }
     }
 
-    /// Runs `op` under the retry policy: retryable errors sleep the
-    /// jittered backoff delay and re-issue, up to `max_retries` extra
-    /// attempts; terminal errors surface immediately.
-    fn retrying<T>(
-        &self,
-        key: u64,
-        op: impl Fn() -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let mut attempt = 0u32;
-        loop {
-            match op() {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_retryable() && attempt < self.policy.max_retries => {
-                    if e.is_corruption() {
-                        self.corrupt_retries.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    let slept = self.policy.sleep(key, attempt);
-                    self.backoff_ns.fetch_add(slept.as_nanos() as u64, Ordering::Relaxed);
-                    attempt += 1;
+    /// The [`RetryPolicy::run`] hook of every retried operation: tallies
+    /// what the loop did into the client's lifetime [`RetryStats`].
+    fn tally(&self) -> impl FnMut(&ClientError, RetryEvent) + '_ {
+        |e, event| match event {
+            RetryEvent::Retry(slept) => {
+                if e.is_corruption() {
+                    self.corrupt_retries.fetch_add(1, Ordering::Relaxed);
                 }
-                Err(e) => {
-                    if e.is_retryable() {
-                        self.gave_up.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Err(e);
-                }
+                self.retries.fetch_add(1, Ordering::Relaxed);
+                self.backoff_ns.fetch_add(slept.as_nanos() as u64, Ordering::Relaxed);
+            }
+            RetryEvent::GaveUp => {
+                self.gave_up.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -208,7 +200,7 @@ impl RemoteRegistry {
         let mut stream = TcpStream::connect(self.addr)?;
         req = req.with_header("connection", "close");
         req.write_to(&mut stream)?;
-        Ok(read_response(&mut stream)?)
+        Ok(read_response(&mut BufReader::new(stream))?)
     }
 
     /// GET with one 401-token-retry round, like the Docker client.
@@ -264,17 +256,15 @@ impl RemoteRegistry {
     /// exposition), retrying transient transport failures — a scraper must
     /// survive the same wire faults the data path does.
     pub fn metrics_text(&self) -> Result<String, ClientError> {
-        let key = fault_key(b"/metrics");
-        self.retrying(key, || {
+        let fetch = || {
             let resp = self.get("/metrics")?;
             match resp.status {
                 200 => String::from_utf8(resp.body)
                     .map_err(|_| ClientError::Protocol("metrics not utf8".into())),
-                429 => Err(ClientError::RateLimited),
-                s if s >= 500 => Err(ClientError::Unavailable),
-                s => Err(ClientError::Protocol(format!("metrics -> {s}"))),
+                s => Err(status_error("metrics", s)),
             }
-        })
+        };
+        self.policy.run(fault_key(b"/metrics"), fetch, ClientError::retry_class, self.tally())
     }
 
     /// Checks the `/v2/` version endpoint.
@@ -294,7 +284,8 @@ impl RemoteRegistry {
     /// re-fetched, not trusted.
     pub fn get_manifest(&self, repo: &RepoName, reference: &str) -> Result<(Digest, Manifest), ClientError> {
         let key = fault_key(format!("{}:{reference}", repo.full()).as_bytes());
-        self.retrying(key, || self.get_manifest_once(repo, reference))
+        let fetch = || self.get_manifest_once(repo, reference);
+        self.policy.run(key, fetch, ClientError::retry_class, self.tally())
     }
 
     fn get_manifest_once(
@@ -324,10 +315,7 @@ impl RemoteRegistry {
                 };
                 Ok((wire_digest, manifest))
             }
-            404 => Err(ClientError::NotFound),
-            429 => Err(ClientError::RateLimited),
-            s if s >= 500 => Err(ClientError::Unavailable),
-            s => Err(ClientError::Protocol(format!("manifest -> {s}"))),
+            s => Err(status_error("manifest", s)),
         }
     }
 
@@ -335,7 +323,8 @@ impl RemoteRegistry {
     /// bytes hash to the requested digest (re-fetching on mismatch).
     pub fn get_blob(&self, repo: &RepoName, digest: &Digest) -> Result<Vec<u8>, ClientError> {
         let key = fault_key(digest.to_docker_string().as_bytes());
-        self.retrying(key, || self.get_blob_once(repo, digest))
+        let fetch = || self.get_blob_once(repo, digest);
+        self.policy.run(key, fetch, ClientError::retry_class, self.tally())
     }
 
     fn get_blob_once(&self, repo: &RepoName, digest: &Digest) -> Result<Vec<u8>, ClientError> {
@@ -347,17 +336,15 @@ impl RemoteRegistry {
                 }
                 Ok(resp.body)
             }
-            404 => Err(ClientError::NotFound),
-            429 => Err(ClientError::RateLimited),
-            s if s >= 500 => Err(ClientError::Unavailable),
-            s => Err(ClientError::Protocol(format!("blob -> {s}"))),
+            s => Err(status_error("blob", s)),
         }
     }
 
     /// Lists a repository's tags, retrying transient failures.
     pub fn tags(&self, repo: &RepoName) -> Result<Vec<String>, ClientError> {
         let key = fault_key(format!("{}/tags", repo.full()).as_bytes());
-        self.retrying(key, || self.tags_once(repo))
+        let fetch = || self.tags_once(repo);
+        self.policy.run(key, fetch, ClientError::retry_class, self.tally())
     }
 
     fn tags_once(&self, repo: &RepoName) -> Result<Vec<String>, ClientError> {
@@ -374,10 +361,7 @@ impl RemoteRegistry {
                     .unwrap_or_default();
                 Ok(tags)
             }
-            404 => Err(ClientError::NotFound),
-            429 => Err(ClientError::RateLimited),
-            s if s >= 500 => Err(ClientError::Unavailable),
-            s => Err(ClientError::Protocol(format!("tags -> {s}"))),
+            s => Err(status_error("tags", s)),
         }
     }
 }

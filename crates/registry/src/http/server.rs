@@ -16,7 +16,7 @@ use dhub_json::Json;
 use dhub_model::{Digest, RepoName};
 use dhub_obs::MetricsRegistry;
 use dhub_sync::{Semaphore, SemaphorePermit};
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -51,12 +51,13 @@ pub enum BackendError {
     Unavailable,
 }
 
-/// What a mirror-mode [`RegistryServer`] serves from: something that can
-/// produce manifests/blobs/tags on demand (`dhub-mirror`'s pull-through
-/// cache implements this). Manifest bytes are the canonical `to_json`
-/// encoding, so the digest the backend returns must match
+/// What a [`RegistryServer`] serves from: something that can produce
+/// manifests/blobs/tags on demand. The origin's [`Registry`] and
+/// `dhub-mirror`'s pull-through cache both implement it, so the two tiers
+/// answer through the same endpoint code. Manifest bytes are the canonical
+/// `to_json` encoding, so the digest the backend returns must match
 /// `Digest::of(bytes)` — clients verify it against the
-/// `docker-content-digest` header exactly as they do against an origin.
+/// `docker-content-digest` header.
 pub trait MirrorBackend: Send + Sync {
     /// Resolves a manifest by tag/digest reference.
     fn fetch_manifest(
@@ -78,12 +79,52 @@ pub trait MirrorBackend: Send + Sync {
     fn tags(&self, repo: &RepoName, authed: bool) -> Result<Vec<String>, BackendError>;
 }
 
-/// What sits behind the HTTP front: a local in-process registry (optionally
-/// fault-injected) or a pull-through mirror. Wire faults only apply to the
-/// local flavor — a mirror's faults live at its origins.
-enum Backend {
-    Local { registry: Arc<Registry>, faults: Option<Arc<FaultInjector>> },
-    Mirror(Arc<dyn MirrorBackend>),
+impl From<ApiError> for BackendError {
+    fn from(e: ApiError) -> BackendError {
+        match e {
+            ApiError::AuthRequired => BackendError::AuthRequired,
+            ApiError::RepoNotFound | ApiError::TagNotFound | ApiError::BlobNotFound => {
+                BackendError::NotFound
+            }
+            ApiError::RateLimited => BackendError::RateLimited,
+            ApiError::Unavailable | ApiError::ConnectionReset | ApiError::CorruptManifest => {
+                BackendError::Unavailable
+            }
+        }
+    }
+}
+
+/// The origin tier: objects come straight out of the in-process registry.
+impl MirrorBackend for Registry {
+    fn fetch_manifest(
+        &self,
+        repo: &RepoName,
+        reference: &str,
+        authed: bool,
+    ) -> Result<(Digest, Vec<u8>), BackendError> {
+        let sess = self.get_manifest(repo, reference, authed)?;
+        Ok((sess.manifest_digest, sess.manifest.to_json().into_bytes()))
+    }
+
+    fn fetch_blob(
+        &self,
+        repo: &RepoName,
+        digest: &Digest,
+        authed: bool,
+    ) -> Result<Vec<u8>, BackendError> {
+        // Blob access obeys the repository's auth policy, like the real API.
+        if self.requires_auth(repo).unwrap_or(false) && !authed {
+            return Err(BackendError::AuthRequired);
+        }
+        Ok(self.get_blob(digest)?.as_ref().clone())
+    }
+
+    fn tags(&self, repo: &RepoName, authed: bool) -> Result<Vec<String>, BackendError> {
+        if self.requires_auth(repo).unwrap_or(false) && !authed {
+            return Err(BackendError::AuthRequired);
+        }
+        Registry::tags(self, repo).ok_or(BackendError::NotFound)
+    }
 }
 
 impl RegistryServer {
@@ -117,23 +158,25 @@ impl RegistryServer {
         metrics: Arc<MetricsRegistry>,
         max_conns: usize,
     ) -> std::io::Result<RegistryServer> {
-        RegistryServer::start_backend(Backend::Local { registry, faults }, metrics, max_conns)
+        RegistryServer::start_backend(registry, faults, metrics, max_conns)
     }
 
     /// Starts a mirror-mode server: every manifest/blob/tags request is
     /// answered by `backend` (a pull-through cache over origin registries)
-    /// instead of a local [`Registry`]. `/token`, `/v2/` and `/metrics`
-    /// behave exactly as in local mode.
+    /// instead of a local [`Registry`], through the same endpoints. Wire
+    /// faults stay origin-only — a mirror front end serves clean, and its
+    /// origins carry their own injectors.
     pub fn start_mirror(
         backend: Arc<dyn MirrorBackend>,
         metrics: Arc<MetricsRegistry>,
         max_conns: usize,
     ) -> std::io::Result<RegistryServer> {
-        RegistryServer::start_backend(Backend::Mirror(backend), metrics, max_conns)
+        RegistryServer::start_backend(backend, None, metrics, max_conns)
     }
 
     fn start_backend(
-        backend: Backend,
+        backend: Arc<dyn MirrorBackend>,
+        faults: Option<Arc<FaultInjector>>,
         metrics: Arc<MetricsRegistry>,
         max_conns: usize,
     ) -> std::io::Result<RegistryServer> {
@@ -142,7 +185,6 @@ impl RegistryServer {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
         listener.set_nonblocking(true)?;
-        let backend = Arc::new(backend);
         // Admission control: one permit per live connection handler. When
         // the cap is reached the acceptor sheds the connection with an
         // immediate 503 instead of spawning yet another thread.
@@ -161,12 +203,13 @@ impl RegistryServer {
                                 continue;
                             };
                             let be = backend.clone();
+                            let inj = faults.clone();
                             let met = metrics.clone();
                             // Thread-per-connection, bounded by the permit
                             // the handler carries until it returns.
                             let _ = std::thread::Builder::new()
                                 .name("dhub-registry-conn".into())
-                                .spawn(move || handle_connection(stream, be, met, permit));
+                                .spawn(move || handle_connection(stream, be, inj, met, permit));
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -214,34 +257,39 @@ enum Routed {
 }
 
 fn handle_connection(
-    mut stream: TcpStream,
-    backend: Arc<Backend>,
+    stream: TcpStream,
+    backend: Arc<dyn MirrorBackend>,
+    faults: Option<Arc<FaultInjector>>,
     metrics: Arc<MetricsRegistry>,
     _permit: SemaphorePermit,
 ) {
-    // Keep-alive: serve requests until the peer closes or errs.
+    // Keep-alive: serve requests until the peer closes or errs. One reader
+    // for the connection's lifetime, so bytes a pipelining client sent
+    // past the current request stay buffered for the next one.
+    let mut reader = BufReader::new(&stream);
+    let mut writer = &stream;
     loop {
-        let request = match read_request(&mut stream) {
+        let request = match read_request(&mut reader) {
             Ok(r) => r,
             Err(WireError::UnexpectedEof) => return,
             Err(_) => {
-                let _ = Response::new(400, b"bad request".to_vec()).write_to(&mut stream);
+                let _ = Response::new(400, b"bad request".to_vec()).write_to(&mut writer);
                 return;
             }
         };
-        let response = match route_faulty(&request, &backend, &metrics) {
+        let response = match route_faulty(&request, backend.as_ref(), faults.as_deref(), &metrics) {
             Routed::Respond(r) => r,
             Routed::RespondTruncated(r, keep) => {
-                let _ = r.write_truncated_to(&mut stream, keep);
+                let _ = r.write_truncated_to(&mut writer, keep);
                 return; // mid-transfer cut: connection dies with the body
             }
             Routed::Drop => return,
         };
-        if response.write_to(&mut stream).is_err() {
+        if response.write_to(&mut writer).is_err() {
             return;
         }
         if request.header("connection").map(|c| c.eq_ignore_ascii_case("close")).unwrap_or(false) {
-            let _ = stream.flush();
+            let _ = writer.flush();
             return;
         }
     }
@@ -264,7 +312,7 @@ fn json_error(status: u16, code: &str) -> Response {
         .with_header("content-type", "application/json")
 }
 
-fn route(req: &Request, backend: &Backend, metrics: &MetricsRegistry) -> Response {
+fn route(req: &Request, backend: &dyn MirrorBackend, metrics: &MetricsRegistry) -> Response {
     if req.method != "GET" {
         return json_error(405, "UNSUPPORTED");
     }
@@ -301,25 +349,13 @@ fn route(req: &Request, backend: &Backend, metrics: &MetricsRegistry) -> Respons
     // <name>/manifests/<ref> | <name>/blobs/<digest> | <name>/tags/list —
     // the name itself may contain one '/'.
     if let Some((name, reference)) = rest.rsplit_once("/manifests/") {
-        return match backend {
-            Backend::Local { registry, .. } => {
-                manifest_endpoint(registry, name, reference, authed(req))
-            }
-            Backend::Mirror(be) => mirror_manifest_endpoint(be.as_ref(), name, reference, authed(req)),
-        };
+        return manifest_endpoint(backend, name, reference, authed(req));
     }
     if let Some((name, digest)) = rest.rsplit_once("/blobs/") {
-        return match backend {
-            Backend::Local { registry, .. } => blob_endpoint(registry, name, digest, authed(req)),
-            Backend::Mirror(be) => mirror_blob_endpoint(be.as_ref(), name, digest, authed(req)),
-        };
+        return blob_endpoint(backend, name, digest, authed(req));
     }
     if let Some(name) = rest.strip_suffix("/tags/list") {
-        let name = name.trim_end_matches('/');
-        return match backend {
-            Backend::Local { registry, .. } => tags_endpoint(registry, name, authed(req)),
-            Backend::Mirror(be) => mirror_tags_endpoint(be.as_ref(), name, authed(req)),
-        };
+        return tags_endpoint(backend, name.trim_end_matches('/'), authed(req));
     }
     json_error(404, "NOT_FOUND")
 }
@@ -352,9 +388,14 @@ fn http_fault_op(path: &str) -> Option<FaultOp> {
 /// 429/503, auth flap, slow link) fire before the registry is consulted;
 /// body damage (truncate, bit flip) is applied to successful responses.
 /// Tallies `dhub_http_*` counters along the way.
-fn route_faulty(req: &Request, backend: &Backend, metrics: &MetricsRegistry) -> Routed {
+fn route_faulty(
+    req: &Request,
+    backend: &dyn MirrorBackend,
+    faults: Option<&FaultInjector>,
+    metrics: &MetricsRegistry,
+) -> Routed {
     metrics.counter("dhub_http_requests_total").inc();
-    let routed = route_faulty_inner(req, backend, metrics);
+    let routed = route_faulty_inner(req, backend, faults, metrics);
     let status = match &routed {
         Routed::Respond(r) | Routed::RespondTruncated(r, _) => r.status,
         Routed::Drop => 0,
@@ -368,14 +409,13 @@ fn route_faulty(req: &Request, backend: &Backend, metrics: &MetricsRegistry) -> 
     routed
 }
 
-fn route_faulty_inner(req: &Request, backend: &Backend, metrics: &MetricsRegistry) -> Routed {
+fn route_faulty_inner(
+    req: &Request,
+    backend: &dyn MirrorBackend,
+    faults: Option<&FaultInjector>,
+    metrics: &MetricsRegistry,
+) -> Routed {
     let route = |req, backend| route(req, backend, metrics);
-    // Wire faults are a local-registry affair; a mirror front end serves
-    // clean, and its origins carry their own injectors.
-    let faults = match backend {
-        Backend::Local { faults, .. } => faults.as_deref(),
-        Backend::Mirror(_) => None,
-    };
     let Some(inj) = faults else { return Routed::Respond(route(req, backend)) };
     let path = req.target.split('?').next().unwrap_or("");
     let Some(op) = http_fault_op(path) else { return Routed::Respond(route(req, backend)) };
@@ -436,61 +476,8 @@ fn challenge(resp: Response) -> Response {
     resp.with_header("www-authenticate", "Bearer realm=\"/token\",service=\"dhub-registry\"")
 }
 
-fn repo_of(name: &str) -> Option<RepoName> {
-    RepoName::parse(name)
-}
-
-fn manifest_endpoint(registry: &Registry, name: &str, reference: &str, authed: bool) -> Response {
-    let Some(repo) = repo_of(name) else { return json_error(404, "NAME_INVALID") };
-    match registry.get_manifest(&repo, reference, authed) {
-        Ok(sess) => {
-            let body = sess.manifest.to_json().into_bytes();
-            Response::new(200, body)
-                .with_header("content-type", "application/vnd.docker.distribution.manifest.v2+json")
-                .with_header("docker-content-digest", &sess.manifest_digest.to_docker_string())
-        }
-        Err(ApiError::AuthRequired) => challenge(json_error(401, "UNAUTHORIZED")),
-        Err(ApiError::TagNotFound) => json_error(404, "MANIFEST_UNKNOWN"),
-        Err(ApiError::RepoNotFound) => json_error(404, "NAME_UNKNOWN"),
-        Err(_) => json_error(404, "UNKNOWN"),
-    }
-}
-
-fn blob_endpoint(registry: &Registry, name: &str, digest: &str, authed: bool) -> Response {
-    let Some(repo) = repo_of(name) else { return json_error(404, "NAME_INVALID") };
-    // Blob access obeys the repository's auth policy, like the real API.
-    if registry.requires_auth(&repo).unwrap_or(false) && !authed {
-        return challenge(json_error(401, "UNAUTHORIZED"));
-    }
-    let Some(d) = Digest::parse(digest) else { return json_error(404, "DIGEST_INVALID") };
-    match registry.get_blob(&d) {
-        Ok(blob) => Response::new(200, blob.as_ref().clone())
-            .with_header("content-type", "application/octet-stream")
-            .with_header("docker-content-digest", digest),
-        Err(_) => json_error(404, "BLOB_UNKNOWN"),
-    }
-}
-
-fn tags_endpoint(registry: &Registry, name: &str, authed: bool) -> Response {
-    let Some(repo) = repo_of(name) else { return json_error(404, "NAME_INVALID") };
-    if registry.requires_auth(&repo).unwrap_or(false) && !authed {
-        return challenge(json_error(401, "UNAUTHORIZED"));
-    }
-    match registry.tags(&repo) {
-        Some(mut tags) => {
-            tags.sort();
-            let mut body = Json::obj();
-            body.set("name", name);
-            body.set("tags", tags);
-            Response::new(200, body.to_string().into_bytes())
-                .with_header("content-type", "application/json")
-        }
-        None => json_error(404, "NAME_UNKNOWN"),
-    }
-}
-
-/// Maps a [`BackendError`] to the response an origin would have sent, so a
-/// client cannot tell (status-wise) whether it talked to origin or mirror.
+/// Maps a [`BackendError`] to its registry V2 response; `not_found_code`
+/// is the route's 404 wording.
 fn backend_error_response(err: BackendError, not_found_code: &str) -> Response {
     match err {
         BackendError::AuthRequired => challenge(json_error(401, "UNAUTHORIZED")),
@@ -500,13 +487,8 @@ fn backend_error_response(err: BackendError, not_found_code: &str) -> Response {
     }
 }
 
-fn mirror_manifest_endpoint(
-    be: &dyn MirrorBackend,
-    name: &str,
-    reference: &str,
-    authed: bool,
-) -> Response {
-    let Some(repo) = repo_of(name) else { return json_error(404, "NAME_INVALID") };
+fn manifest_endpoint(be: &dyn MirrorBackend, name: &str, reference: &str, authed: bool) -> Response {
+    let Some(repo) = RepoName::parse(name) else { return json_error(404, "NAME_INVALID") };
     match be.fetch_manifest(&repo, reference, authed) {
         Ok((digest, body)) => Response::new(200, body)
             .with_header("content-type", "application/vnd.docker.distribution.manifest.v2+json")
@@ -515,8 +497,8 @@ fn mirror_manifest_endpoint(
     }
 }
 
-fn mirror_blob_endpoint(be: &dyn MirrorBackend, name: &str, digest: &str, authed: bool) -> Response {
-    let Some(repo) = repo_of(name) else { return json_error(404, "NAME_INVALID") };
+fn blob_endpoint(be: &dyn MirrorBackend, name: &str, digest: &str, authed: bool) -> Response {
+    let Some(repo) = RepoName::parse(name) else { return json_error(404, "NAME_INVALID") };
     let Some(d) = Digest::parse(digest) else { return json_error(404, "DIGEST_INVALID") };
     match be.fetch_blob(&repo, &d, authed) {
         Ok(body) => Response::new(200, body)
@@ -526,8 +508,8 @@ fn mirror_blob_endpoint(be: &dyn MirrorBackend, name: &str, digest: &str, authed
     }
 }
 
-fn mirror_tags_endpoint(be: &dyn MirrorBackend, name: &str, authed: bool) -> Response {
-    let Some(repo) = repo_of(name) else { return json_error(404, "NAME_INVALID") };
+fn tags_endpoint(be: &dyn MirrorBackend, name: &str, authed: bool) -> Response {
+    let Some(repo) = RepoName::parse(name) else { return json_error(404, "NAME_INVALID") };
     match be.tags(&repo, authed) {
         Ok(mut tags) => {
             tags.sort();
@@ -564,13 +546,11 @@ mod tests {
     }
 
     fn roundtrip(req: &Request, reg: &Arc<Registry>) -> Response {
-        let be = Backend::Local { registry: reg.clone(), faults: None };
-        route(req, &be, &MetricsRegistry::new())
+        route(req, reg.as_ref(), &MetricsRegistry::new())
     }
 
     fn faulty(req: &Request, reg: &Arc<Registry>, inj: FaultInjector) -> Routed {
-        let be = Backend::Local { registry: reg.clone(), faults: Some(Arc::new(inj)) };
-        route_faulty(req, &be, &MetricsRegistry::new())
+        route_faulty(req, reg.as_ref(), Some(&inj), &MetricsRegistry::new())
     }
 
     #[test]
@@ -644,6 +624,12 @@ mod tests {
             roundtrip(&Request::get("/v2/nginx/blobs/sha256:zz"), &reg).status,
             404
         );
+        // 64 bytes with a two-byte character at an odd offset: an invalid
+        // digest like any other, not a panic in the handler.
+        let non_ascii = format!("/v2/nginx/blobs/sha256:a\u{e9}{}", "0".repeat(61));
+        let resp = roundtrip(&Request::get(&non_ascii), &reg);
+        assert_eq!(resp.status, 404);
+        assert!(String::from_utf8_lossy(&resp.body).contains("DIGEST_INVALID"));
     }
 
     #[test]
@@ -815,11 +801,10 @@ mod tests {
         let blob = b"mirror-layer".to_vec();
         let manifest =
             Manifest::new(vec![LayerRef { digest: Digest::of(&blob), size: blob.len() as u64 }]);
-        let be = Arc::new(CannedBackend { manifest: manifest.clone(), blob: blob.clone() });
-        let backend = Backend::Mirror(be);
+        let backend = &CannedBackend { manifest: manifest.clone(), blob: blob.clone() };
         let metrics = MetricsRegistry::new();
 
-        let resp = route(&Request::get("/v2/nginx/manifests/latest"), &backend, &metrics);
+        let resp = route(&Request::get("/v2/nginx/manifests/latest"), backend, &metrics);
         assert_eq!(resp.status, 200);
         let m = Manifest::from_json(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert_eq!(m.layers.len(), 1);
@@ -827,14 +812,14 @@ mod tests {
         assert_eq!(d, Digest::of(&resp.body));
 
         let blob_path = format!("/v2/nginx/blobs/{}", Digest::of(&blob).to_docker_string());
-        let resp = route(&Request::get(&blob_path), &backend, &metrics);
+        let resp = route(&Request::get(&blob_path), backend, &metrics);
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, blob);
 
-        let resp = route(&Request::get("/v2/nginx/manifests/v9"), &backend, &metrics);
+        let resp = route(&Request::get("/v2/nginx/manifests/v9"), backend, &metrics);
         assert_eq!(resp.status, 404);
 
-        let resp = route(&Request::get("/v2/nginx/tags/list"), &backend, &metrics);
+        let resp = route(&Request::get("/v2/nginx/tags/list"), backend, &metrics);
         assert_eq!(resp.status, 200);
         assert!(std::str::from_utf8(&resp.body).unwrap().contains("latest"));
     }

@@ -1,6 +1,6 @@
 //! HTTP/1.1 message codec (requests and responses, Content-Length framing).
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, Write};
 
 /// Maximum accepted header block (defense against unbounded reads).
 const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -207,11 +207,12 @@ fn read_body(
     Ok(body)
 }
 
-/// Reads one request from a stream.
-pub fn read_request(stream: &mut impl Read) -> Result<Request, WireError> {
-    let mut r = BufReader::new(stream);
+/// Reads one request from a connection's reader. The caller owns the
+/// buffering so that whatever arrived past this request (a pipelined
+/// successor) is still there for the next call.
+pub fn read_request(r: &mut impl BufRead) -> Result<Request, WireError> {
     let mut budget = MAX_HEADER_BYTES;
-    let start = read_line(&mut r, &mut budget)?;
+    let start = read_line(r, &mut budget)?;
     let mut parts = start.split_whitespace();
     let method = parts.next().ok_or(WireError::Malformed("method"))?.to_string();
     let target = parts.next().ok_or(WireError::Malformed("target"))?.to_string();
@@ -219,16 +220,16 @@ pub fn read_request(stream: &mut impl Read) -> Result<Request, WireError> {
     if !version.starts_with("HTTP/1.") {
         return Err(WireError::Malformed("version"));
     }
-    let headers = read_headers(&mut r, &mut budget)?;
-    let body = read_body(&mut r, &headers)?;
+    let headers = read_headers(r, &mut budget)?;
+    let body = read_body(r, &headers)?;
     Ok(Request { method, target, headers, body })
 }
 
-/// Reads one response from a stream.
-pub fn read_response(stream: &mut impl Read) -> Result<Response, WireError> {
-    let mut r = BufReader::new(stream);
+/// Reads one response from a connection's reader (buffering is the
+/// caller's, as for [`read_request`]).
+pub fn read_response(r: &mut impl BufRead) -> Result<Response, WireError> {
     let mut budget = MAX_HEADER_BYTES;
-    let start = read_line(&mut r, &mut budget)?;
+    let start = read_line(r, &mut budget)?;
     let mut parts = start.splitn(3, ' ');
     let version = parts.next().ok_or(WireError::Malformed("version"))?;
     if !version.starts_with("HTTP/1.") {
@@ -240,8 +241,8 @@ pub fn read_response(stream: &mut impl Read) -> Result<Response, WireError> {
         .parse()
         .map_err(|_| WireError::Malformed("status"))?;
     let reason = parts.next().unwrap_or("").to_string();
-    let headers = read_headers(&mut r, &mut budget)?;
-    let body = read_body(&mut r, &headers)?;
+    let headers = read_headers(r, &mut budget)?;
+    let body = read_body(r, &headers)?;
     Ok(Response { status, reason, headers, body })
 }
 

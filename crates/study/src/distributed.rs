@@ -114,17 +114,6 @@ pub fn profile_json(p: &LayerProfile) -> Json {
     root
 }
 
-/// Inverse of [`FileKind::index`]. `FileKind::ALL` holds only the 50
-/// leaf kinds; `Video`, `OtherBinary` and `Empty` live past it in the
-/// discriminant space, so the search must cover all of them.
-fn kind_from_index(idx: usize) -> Option<FileKind> {
-    FileKind::ALL
-        .iter()
-        .copied()
-        .chain([FileKind::Video, FileKind::OtherBinary, FileKind::Empty])
-        .find(|k| k.index() == idx)
-}
-
 /// Rebuilds a [`LayerProfile`] from its already-parsed JSON value (the
 /// assembly path reads it straight out of the result payload without a
 /// detour through text).
@@ -137,7 +126,7 @@ pub fn profile_from_value(j: &Json) -> Option<LayerProfile> {
             Some(FileRecord {
                 path: f.get("path")?.as_str()?.to_string(),
                 digest: Digest::parse(f.get("digest")?.as_str()?)?,
-                kind: kind_from_index(f.get("kind")?.as_u64()? as usize)?,
+                kind: *FileKind::ALL.get(f.get("kind")?.as_u64()? as usize)?,
                 size: f.get("size")?.as_u64()?,
             })
         })

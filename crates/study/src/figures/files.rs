@@ -51,14 +51,7 @@ impl TypeCensus {
     }
 
     fn kinds_of(group: TypeGroup) -> Vec<FileKind> {
-        let mut v: Vec<FileKind> =
-            FileKind::ALL.iter().copied().filter(|k| k.group() == group).collect();
-        for extra in [FileKind::Video, FileKind::OtherBinary, FileKind::Empty] {
-            if extra.group() == group {
-                v.push(extra);
-            }
-        }
-        v
+        FileKind::ALL.iter().copied().filter(|k| k.group() == group).collect()
     }
 
     /// (instances, bytes) for a whole group.

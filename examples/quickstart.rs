@@ -38,5 +38,5 @@ fn main() {
     println!("{}", figures::fig04(&data).render());
     println!("{}", figures::fig23(&data).render());
     println!("{}", figures::table2(&data).render());
-    println!("Full set: `cargo run --release -p dhub-study --bin report` or `dhub report` (Figs. 3-29 + extensions).");
+    println!("Full set: `dhub report --repos 400 --seed 20170530 --scale 128` (Figs. 3-29 + extensions).");
 }

@@ -332,6 +332,16 @@ if [ "$ENTRY_POINTS" -gt 16 ]; then
 fi
 echo "entry-point audit: $ENTRY_POINTS public entry points (limit 16)"
 
+# Retry-loop audit: `RetryPolicy::run` is the one loop (DESIGN.md 6c), so
+# nothing outside its file sleeps a policy's schedule (`policy.sleep(key, n)`
+# is how the four hand-rolled loops it replaced did).
+echo "==> retry-loop audit"
+if grep -rnE '\.sleep\(key' crates/*/src | grep -v '^crates/faults/src/retry.rs:'; then
+    echo "FAIL: a retry loop outside RetryPolicy::run sleeps the schedule itself" >&2
+    exit 1
+fi
+echo "retry-loop audit: no retry loop outside crates/faults/src/retry.rs"
+
 # Construction-site audit: `StudyData` is assembled in one place
 # (`assemble_study`) and the crawl / download reports are derived from
 # their counters in one place each, whichever scheduler ran. A second
@@ -449,10 +459,13 @@ EOF
 # Stale-reference audit: the legacy criterion-shaped bench crate and its
 # recordings, the streaming scheduler and the channel / pool / wait-group
 # substrate only those two reached, the write-only refcount manifest and
-# the pacing option nobody set are gone. Nothing outside the history
-# files, the issue text and the frozen bench/ tree may name them again.
+# the pacing option nobody set, the three hand-rolled retry loops, the
+# origin-only endpoint set, layer removal with its refcounts and gc
+# counters, and the second report binary are gone. Nothing outside the
+# history files, the issue text and the frozen bench/ tree may name them
+# again.
 echo "==> stale-reference audit"
-STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network'
+STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network|fn with_retries|fn retrying|Backend::Local|mirror_(manifest|blob|tags)_endpoint|remove_layer|dhub_store_gc_|--bin report'
 if git grep -nE "$STALE_RE" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench' \
     | grep -v '^scripts/ci.sh:[0-9]*:STALE_RE='; then
     echo "FAIL: stale references to deleted code (listed above)" >&2

@@ -2,7 +2,7 @@
 """Regenerates the measured-anchors section of EXPERIMENTS.md from a
 report run:
 
-    cargo run --release -p dhub-study --bin report -- 400 20170530 128 > report_output.txt
+    cargo run --release -p dhub-cli -- report --repos 400 --seed 20170530 --scale 128 > report_output.txt
     python3 scripts/update_experiments.py
 """
 import re
@@ -25,8 +25,8 @@ for line in report.splitlines():
         rows.append((current, m.group(1).strip(), m.group(2), m.group(3), m.group(4)))
 
 section = ["## Measured anchors (reference run)", ""]
-header = (root / "report_output.txt").read_text().splitlines()[0]
-section.append(f"Generated from `{header.lstrip('# ')}` — regenerate with the commands above.")
+header = report.splitlines()[0].removeprefix("generating hub: ")
+section.append(f"Generated from `dhub report` at `{header}` — regenerate with the commands above.")
 section.append("")
 section.append("| Artifact | Anchor | Paper | Measured | Ratio |")
 section.append("|---|---|---:|---:|---:|")
