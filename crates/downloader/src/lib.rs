@@ -544,8 +544,8 @@ pub fn download_all_http_obs(
     obs: &MetricsRegistry,
 ) -> DownloadResult {
     download_loop(repos, threads, obs, |run, repo| {
-        // One client per repository; connections are per-request
-        // (connection: close), matching a crawl that cycles addresses.
+        // One client per repository: its kept-alive connection carries
+        // the manifest and every layer, and closes with the client.
         let client = RemoteRegistry::connect_anonymous(addr).with_retry_policy(*policy);
         let pulled = run.pull_repo(&client, repo);
         run.retry().absorb(&client.retry_stats());

@@ -35,7 +35,11 @@ use dhub_registry::{BackendError, ClientError, MirrorBackend, RemoteRegistry};
 use dhub_sync::{Condvar, Mutex, Striped};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+
+/// Memoised manifest digests per lock stripe (of 16) before the stripe's
+/// table is dropped and refilled.
+const DIGEST_MEMO_MAX: usize = 4096;
 
 /// Tuning for a [`Mirror`].
 #[derive(Clone, Debug)]
@@ -135,6 +139,16 @@ impl Flight {
     }
 }
 
+/// The content digest of one cached manifest, kept so a hit does not
+/// re-hash the body.
+struct DigestMemo {
+    /// The cached allocation `digest` was computed from. Being a `Weak` it
+    /// pins the allocation's address, so a pointer match cannot be a later
+    /// allocation that reused it.
+    of: Weak<Vec<u8>>,
+    digest: Digest,
+}
+
 struct MirrorCounters {
     requests: DeltaCounter,
     hits: DeltaCounter,
@@ -210,6 +224,7 @@ pub struct Mirror {
     ring: HashRing,
     cache: LiveCache,
     flights: Striped<FxHashMap<u64, Arc<Flight>>>,
+    manifest_digests: Striped<FxHashMap<u64, DigestMemo>>,
     counters: MirrorCounters,
     cached_bytes_gauge: Gauge,
     obs: Arc<MetricsRegistry>,
@@ -237,6 +252,7 @@ impl Mirror {
             ring: HashRing::new(origins.len(), config.vnodes),
             cache: LiveCache::new(config.cache_bytes, config.policy, config.stripes),
             flights: Striped::new(16, FxHashMap::default),
+            manifest_digests: Striped::new(16, FxHashMap::default),
             counters: MirrorCounters::on(&obs),
             cached_bytes_gauge: obs.gauge("dhub_mirror_cached_bytes"),
             obs,
@@ -394,6 +410,27 @@ impl Mirror {
     fn blob_key(digest: &Digest) -> u64 {
         fault_key(format!("blob:{}", digest.to_docker_string()).as_bytes())
     }
+
+    /// `Digest::of(bytes)` for the manifest cached under `key`, hashed
+    /// once per cached copy: hits hand out the cache's own `Arc`, so the
+    /// memo answers for exactly the allocation it was computed from and a
+    /// refetched manifest (new allocation, maybe new content) is re-hashed.
+    fn manifest_digest(&self, key: u64, bytes: &Arc<Vec<u8>>) -> Digest {
+        let mut memo = self.manifest_digests.stripe(key).lock();
+        if let Some(m) = memo.get(&key) {
+            if m.of.as_ptr() == Arc::as_ptr(bytes) {
+                return m.digest;
+            }
+        }
+        let digest = Digest::of(bytes);
+        // Entries outlive their manifest's eviction, so the table is
+        // bounded by being dropped whole; the next hits refill it.
+        if memo.len() >= DIGEST_MEMO_MAX {
+            memo.clear();
+        }
+        memo.insert(key, DigestMemo { of: Arc::downgrade(bytes), digest });
+        digest
+    }
 }
 
 impl MirrorBackend for Mirror {
@@ -407,37 +444,35 @@ impl MirrorBackend for Mirror {
         repo: &RepoName,
         reference: &str,
         authed: bool,
-    ) -> Result<(Digest, Vec<u8>), BackendError> {
+    ) -> Result<(Digest, Arc<Vec<u8>>), BackendError> {
         let key = Mirror::manifest_key(repo, reference);
         if authed {
             let (digest, manifest) =
                 self.with_failover(key, true, |c| c.get_manifest(repo, reference))?;
-            return Ok((digest, manifest.to_json().into_bytes()));
+            return Ok((digest, Arc::new(manifest.to_json().into_bytes())));
         }
         let bytes = self.fetch_cached(key, || {
             self.with_failover(key, false, |c| c.get_manifest(repo, reference))
                 .map(|(_, manifest)| manifest.to_json().into_bytes())
         })?;
-        Ok((Digest::of(&bytes), bytes.as_ref().clone()))
+        Ok((self.manifest_digest(key, &bytes), bytes))
     }
 
     /// Blobs are content-addressed, so cached bytes are verified by
     /// construction (the origin client re-hashes every fetch). Same
-    /// credentialed bypass as manifests.
+    /// credentialed bypass as manifests. A hit hands out the cache's own
+    /// `Arc`; nothing is copied.
     fn fetch_blob(
         &self,
         repo: &RepoName,
         digest: &Digest,
         authed: bool,
-    ) -> Result<Vec<u8>, BackendError> {
+    ) -> Result<Arc<Vec<u8>>, BackendError> {
         let key = Mirror::blob_key(digest);
         if authed {
-            return self.with_failover(key, true, |c| c.get_blob(repo, digest));
+            return self.with_failover(key, true, |c| c.get_blob(repo, digest)).map(Arc::new);
         }
-        let bytes = self.fetch_cached(key, || {
-            self.with_failover(key, false, |c| c.get_blob(repo, digest))
-        })?;
-        Ok(bytes.as_ref().clone())
+        self.fetch_cached(key, || self.with_failover(key, false, |c| c.get_blob(repo, digest)))
     }
 
     /// Tag listings are mutable metadata, so they pass through uncached.

@@ -74,8 +74,12 @@ fn mirror_serves_origin_objects_and_caches_them() {
 
     // Second round: both served from cache, origin untouched.
     let fetches_before = mirror.report().origin_fetches;
-    mirror.fetch_manifest(&repo, "latest", false).unwrap();
-    mirror.fetch_blob(&repo, &layer.digest, false).unwrap();
+    let (digest_again, bytes_again) = mirror.fetch_manifest(&repo, "latest", false).unwrap();
+    let blob_again = mirror.fetch_blob(&repo, &layer.digest, false).unwrap();
+    // A hit hands out the cache's own allocation, and the digest kept
+    // with it — not a copy of the bytes, re-hashed.
+    assert!(Arc::ptr_eq(&bytes, &bytes_again) && Arc::ptr_eq(&blob, &blob_again));
+    assert_eq!(digest_again, digest);
     let r = mirror.report();
     assert_eq!(r.origin_fetches, fetches_before, "warm hits must not touch origin");
     assert_eq!(r.hits, 2);
@@ -109,7 +113,7 @@ fn concurrent_misses_coalesce_into_one_origin_fetch() {
             std::thread::spawn(move || m.fetch_blob(&repo, &digest, false).unwrap())
         })
         .collect();
-    let blobs: Vec<Vec<u8>> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+    let blobs: Vec<Arc<Vec<u8>>> = workers.into_iter().map(|w| w.join().unwrap()).collect();
     for b in &blobs {
         assert_eq!(Digest::of(b), digest);
     }
@@ -160,6 +164,47 @@ fn dead_shard_fails_over_and_is_marked_down() {
     assert_eq!(r.requests, r.hits + r.misses + r.coalesced);
 }
 
+/// A shard that dies *after* serving traffic leaves the mirror holding
+/// kept-alive connections to it. Those must die with it: the next fetch
+/// fails over and the shard is marked down, instead of a detached handler
+/// on the "dead" origin answering on.
+#[test]
+fn shard_killed_after_serving_fails_over() {
+    let reg = origin_registry(24);
+    let served = [(); 2].map(|_| Arc::new(MetricsRegistry::new()));
+    let [doomed, live] = served.clone().map(|m| {
+        RegistryServer::start_full(reg.clone(), None, m, dhub_registry::DEFAULT_MAX_CONNS).unwrap()
+    });
+    let mirror = Mirror::new(
+        &[doomed.addr(), live.addr()],
+        MirrorConfig::new(1 << 20, PolicyKind::Lru)
+            .with_retry(RetryPolicy::fast(1).with_seed(7))
+            .with_down_after(2),
+        Arc::new(MetricsRegistry::new()),
+    );
+    let pull = |i: usize| {
+        let (repo, manifest) = manifest_for(&reg, &format!("repo{i}"));
+        mirror.fetch_manifest(&repo, "latest", false).unwrap();
+        let blob = mirror.fetch_blob(&repo, &manifest.layers[0].digest, false).unwrap();
+        assert_eq!(Digest::of(&blob), manifest.layers[0].digest);
+    };
+
+    (0..12).for_each(pull);
+    let before: Vec<u64> = served.iter().map(|m| m.counter_value("dhub_http_requests_total")).collect();
+    assert!(before.iter().all(|&n| n > 0), "both shards served the first half: {before:?}");
+    assert_eq!(mirror.report().failovers, 0);
+
+    doomed.shutdown();
+    (12..24).for_each(pull);
+    assert_eq!(
+        served[0].counter_value("dhub_http_requests_total"),
+        before[0],
+        "the killed shard answered after shutdown"
+    );
+    assert!(mirror.report().failovers > 0);
+    assert_eq!(mirror.origin_health(), vec![false, true], "killed shard marked down");
+}
+
 #[test]
 fn credentialed_requests_bypass_the_shared_cache() {
     let reg = origin_registry(1);
@@ -184,7 +229,7 @@ fn credentialed_requests_bypass_the_shared_cache() {
     assert_eq!(digest, Digest::of(&bytes));
     let manifest = Manifest::from_json(std::str::from_utf8(&bytes).unwrap()).unwrap();
     let blob = mirror.fetch_blob(&private, &manifest.layers[0].digest, true).unwrap();
-    assert_eq!(blob, b"private-bytes");
+    assert_eq!(*blob, b"private-bytes");
     assert_eq!(mirror.cached_bytes(), 0, "private bytes never enter the shared cache");
 }
 
@@ -237,6 +282,9 @@ fn mirror_server_reconciles_report_snapshot_and_exposition() {
     assert_eq!(r.hits + r.misses + r.coalesced, r.requests);
     assert_eq!(r.misses, 12, "cold round misses everything");
     assert_eq!(r.hits, 12, "warm round hits everything");
+    // One client, sequential pulls: the front saw one connection, reused.
+    assert_eq!(obs.counter_value("dhub_http_requests_total"), 24);
+    assert_eq!(obs.counter_value("dhub_http_connections_total"), 1);
 
     // Report == registry counters == snapshot == Prometheus exposition.
     let checks: [(&str, u64); 10] = [
@@ -360,7 +408,7 @@ fn pipelined_requests_are_both_answered() {
             .unwrap();
         let mut reader = BufReader::new(stream);
         let first = read_response(&mut reader).unwrap_or_else(|e| panic!("{tier}: first: {e}"));
-        assert_eq!(first.body, b"{}", "{tier}: the ping comes back first");
+        assert_eq!(*first.body, b"{}", "{tier}: the ping comes back first");
         let second = read_response(&mut reader).unwrap_or_else(|e| panic!("{tier}: second: {e}"));
         assert_eq!(second.status, 200, "{tier}");
         assert!(String::from_utf8_lossy(&second.body).contains("latest"), "{tier}");

@@ -4,13 +4,35 @@
 //! (manifest/blob/tags) over TCP, including the token dance: on a `401`
 //! challenge it fetches a bearer token from the advertised realm and
 //! retries once, exactly as `docker pull` does.
+//!
+//! Connections are kept alive: a client holds a small pool of idle ones
+//! and a request rides a pooled connection when there is one. A connection
+//! goes back to the pool only after a complete response that does not say
+//! `connection: close`; after anything else — an error, a truncated body,
+//! a dropped connection, a shed 503 — it is discarded and the error goes
+//! to the retry loop like any other. A request is never silently re-sent:
+//! the server's fault plan counts attempts per request key, so a hidden
+//! resend would make `retries` disagree with the plan.
 
+use crate::http::server::IDLE_TIMEOUT;
 use crate::http::wire::{read_response, Request, Response, WireError};
 use dhub_faults::{fault_key, RetryClass, RetryEvent, RetryPolicy};
 use dhub_model::{Digest, Manifest, RepoName};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Idle connections a client keeps; one returned to a full pool is closed.
+const POOL_MAX_IDLE: usize = 8;
+
+/// A pooled connection idle for this long is closed, not reused.
+const POOL_IDLE_LIMIT: Duration = Duration::from_secs(2);
+
+// Strictly below the server's idle timeout, so a client never writes a
+// request into a connection the server has already timed out and closed.
+const _: () = assert!(POOL_IDLE_LIMIT.as_millis() < IDLE_TIMEOUT.as_millis());
 
 /// Client-side errors.
 #[derive(Debug)]
@@ -127,6 +149,10 @@ pub struct RemoteRegistry {
     use_token_auth: bool,
     /// Backoff schedule applied to retryable errors.
     policy: RetryPolicy,
+    /// Idle keep-alive connections and when each went idle, oldest first.
+    /// Threads sharing the client (the mirror's handlers) each take one
+    /// out for the length of a request, so none is ever used by two.
+    pool: dhub_sync::Mutex<Vec<(Instant, BufReader<TcpStream>)>>,
     retries: AtomicU64,
     gave_up: AtomicU64,
     corrupt_retries: AtomicU64,
@@ -141,6 +167,7 @@ impl RemoteRegistry {
             token: dhub_sync::Mutex::new(None),
             use_token_auth: true,
             policy: RetryPolicy::default(),
+            pool: dhub_sync::Mutex::new(Vec::new()),
             retries: AtomicU64::new(0),
             gave_up: AtomicU64::new(0),
             corrupt_retries: AtomicU64::new(0),
@@ -197,10 +224,39 @@ impl RemoteRegistry {
                 req = req.with_header("authorization", &format!("Bearer {tok}"));
             }
         }
-        let mut stream = TcpStream::connect(self.addr)?;
-        req = req.with_header("connection", "close");
-        req.write_to(&mut stream)?;
-        Ok(read_response(&mut BufReader::new(stream))?)
+        let mut conn = self.checkout()?;
+        req.write_to(conn.get_mut())?;
+        let resp = read_response(&mut conn)?;
+        // Only a connection that carried a whole response and was not told
+        // to close is good for another request; every `?` above drops it.
+        if !resp.header("connection").is_some_and(|c| c.eq_ignore_ascii_case("close")) {
+            self.checkin(conn);
+        }
+        Ok(resp)
+    }
+
+    /// The most recently used idle connection still young enough to
+    /// trust, or a fresh dial.
+    fn checkout(&self) -> std::io::Result<BufReader<TcpStream>> {
+        let pooled = {
+            let mut pool = self.pool.lock();
+            pool.retain(|(idle_since, _)| idle_since.elapsed() < POOL_IDLE_LIMIT);
+            pool.pop()
+        };
+        if let Some((_, conn)) = pooled {
+            return Ok(conn);
+        }
+        let stream = TcpStream::connect(self.addr)?;
+        // Requests are whole messages; never hold one back for an ACK.
+        stream.set_nodelay(true)?;
+        Ok(BufReader::new(stream))
+    }
+
+    fn checkin(&self, conn: BufReader<TcpStream>) {
+        let mut pool = self.pool.lock();
+        if pool.len() < POOL_MAX_IDLE {
+            pool.push((Instant::now(), conn));
+        }
     }
 
     /// GET with one 401-token-retry round, like the Docker client.
@@ -259,7 +315,7 @@ impl RemoteRegistry {
         let fetch = || {
             let resp = self.get("/metrics")?;
             match resp.status {
-                200 => String::from_utf8(resp.body)
+                200 => String::from_utf8(Arc::unwrap_or_clone(resp.body))
                     .map_err(|_| ClientError::Protocol("metrics not utf8".into())),
                 s => Err(status_error("metrics", s)),
             }
@@ -334,7 +390,8 @@ impl RemoteRegistry {
                 if Digest::of(&resp.body) != *digest {
                     return Err(ClientError::CorruptBlob);
                 }
-                Ok(resp.body)
+                // Freshly read off the wire, so unshared: unwraps, no copy.
+                Ok(Arc::unwrap_or_clone(resp.body))
             }
             s => Err(status_error("blob", s)),
         }
@@ -374,7 +431,7 @@ mod tests {
     use dhub_model::{LayerRef, Manifest};
     use std::sync::Arc;
 
-    fn server() -> (RegistryServer, Arc<Registry>) {
+    fn hub() -> Arc<Registry> {
         let reg = Arc::new(Registry::new());
         let blob = b"http layer payload".to_vec();
         let repo = RepoName::official("nginx");
@@ -388,7 +445,11 @@ mod tests {
         let pb = b"classified".to_vec();
         let pm = Manifest::new(vec![LayerRef { digest: Digest::of(&pb), size: pb.len() as u64 }]);
         reg.push_image(&private, "latest", &pm, vec![pb]).unwrap();
+        reg
+    }
 
+    fn server() -> (RegistryServer, Arc<Registry>) {
+        let reg = hub();
         (RegistryServer::start(reg.clone()).unwrap(), reg)
     }
 
@@ -556,6 +617,147 @@ mod tests {
         assert_eq!(stats.gave_up, 0);
         assert!(inj.stats().total() > 0, "injector must actually have flapped");
         srv.shutdown();
+    }
+
+    use crate::http::server::{DEFAULT_MAX_CONNS, MAX_REQUESTS_PER_CONN};
+    use dhub_obs::MetricsRegistry;
+
+    /// A server over `hub()` recording into its own metrics, optionally faulted.
+    fn metered_server(
+        faults: Option<FaultConfig>,
+        max_conns: usize,
+    ) -> (RegistryServer, Arc<MetricsRegistry>, Option<Arc<FaultInjector>>) {
+        let metrics = Arc::new(MetricsRegistry::new());
+        let inj = faults.map(|cfg| Arc::new(FaultInjector::new(cfg)));
+        let srv = RegistryServer::start_full(hub(), inj.clone(), metrics.clone(), max_conns);
+        (srv.unwrap(), metrics, inj)
+    }
+
+    fn connections(metrics: &MetricsRegistry) -> u64 {
+        metrics.counter_value("dhub_http_connections_total")
+    }
+
+    #[test]
+    fn sequential_calls_ride_one_connection() {
+        let (srv, metrics, _) = metered_server(None, DEFAULT_MAX_CONNS);
+        let client = RemoteRegistry::connect(srv.addr());
+        let nginx = RepoName::official("nginx");
+        for _ in 0..10 {
+            client.ping().unwrap();
+            let (_, m) = client.get_manifest(&nginx, "latest").unwrap();
+            client.get_blob(&nginx, &m.layers[0].digest).unwrap();
+            client.tags(&nginx).unwrap();
+        }
+        // The token dance and a 404 are whole responses too: same connection.
+        client.get_manifest(&RepoName::user("corp", "vault"), "latest").unwrap();
+        assert!(matches!(client.get_manifest(&nginx, "v9"), Err(ClientError::NotFound)));
+        assert_eq!(connections(&metrics), 1);
+        assert_eq!(metrics.counter_value("dhub_http_requests_total"), 40 + 3 + 1);
+        srv.shutdown();
+    }
+
+    #[test]
+    fn threads_sharing_a_client_open_at_most_one_connection_each() {
+        let (srv, metrics, _) = metered_server(None, DEFAULT_MAX_CONNS);
+        let client = RemoteRegistry::connect_anonymous(srv.addr());
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..25 {
+                        client.tags(&RepoName::official("nginx")).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(metrics.counter_value("dhub_http_requests_total"), 200);
+        assert!((1..=8).contains(&connections(&metrics)), "{} connections", connections(&metrics));
+        srv.shutdown();
+    }
+
+    #[test]
+    fn capped_connection_is_replaced_without_a_retry() {
+        let (srv, metrics, _) = metered_server(None, DEFAULT_MAX_CONNS);
+        let client = RemoteRegistry::connect_anonymous(srv.addr());
+        for _ in 0..MAX_REQUESTS_PER_CONN + 1 {
+            client.tags(&RepoName::official("nginx")).unwrap();
+        }
+        assert_eq!(connections(&metrics), 2, "one redial, after the capped response");
+        assert_eq!(client.retry_stats(), RetryStats::default());
+        srv.shutdown();
+    }
+
+    /// Pulls through a server that faults half the requests with `kind`
+    /// alone; returns (faults fired, client retries, connections opened).
+    fn pull_under(kind: FaultKind) -> (u64, RetryStats, u64) {
+        let (srv, metrics, inj) =
+            metered_server(Some(FaultConfig::only(2024, 0.5, kind)), DEFAULT_MAX_CONNS);
+        let client = RemoteRegistry::connect_anonymous(srv.addr())
+            .with_retry_policy(RetryPolicy::fast(32).with_seed(7));
+        let nginx = RepoName::official("nginx");
+        for _ in 0..6 {
+            let (_, m) = client.get_manifest(&nginx, "latest").unwrap();
+            client.get_blob(&nginx, &m.layers[0].digest).unwrap();
+        }
+        let stats = client.retry_stats();
+        assert_eq!(stats.gave_up, 0);
+        let fired = inj.unwrap().stats().total();
+        assert!(fired > 0, "{kind:?} never fired");
+        srv.shutdown();
+        (fired, stats, connections(&metrics))
+    }
+
+    #[test]
+    fn a_broken_exchange_costs_one_retry_and_its_connection() {
+        // The plan fires per attempt it sees. A hidden resend would show as
+        // more faults than retries, a reused dead connection as fewer.
+        // What the connection-per-request client read for this seed.
+        let per_request =
+            RetryStats { retries: 10, gave_up: 0, corrupt_retries: 0, backoff_ns: 229_502 };
+        for kind in [FaultKind::Drop, FaultKind::Truncate] {
+            let (fired, stats, conns) = pull_under(kind);
+            assert_eq!(stats.retries, fired, "{kind:?}: every fault is one visible retry");
+            assert_eq!(stats, per_request, "{kind:?}");
+            assert_eq!(conns, 1 + fired, "{kind:?}: the broken connection is not reused");
+        }
+        // A complete 429 breaks nothing: retried, on the same connection.
+        let (fired, stats, conns) = pull_under(FaultKind::RateLimit);
+        assert_eq!((stats, conns), (per_request, 1));
+        assert_eq!(stats.retries, fired);
+    }
+
+    #[test]
+    fn shed_503_connection_is_not_reused() {
+        let (srv, metrics, _) = metered_server(None, 1);
+        let client =
+            RemoteRegistry::connect_anonymous(srv.addr()).with_retry_policy(RetryPolicy::none());
+        let nginx = RepoName::official("nginx");
+        // A parked raw connection owns the only permit, so the client's
+        // dial is shed: a complete 503 that says `connection: close`.
+        let holder = TcpStream::connect(srv.addr()).unwrap();
+        while connections(&metrics) == 0 {
+            std::thread::yield_now();
+        }
+        assert!(matches!(client.tags(&nginx), Err(ClientError::Unavailable)));
+        assert_eq!(metrics.counter_value("dhub_http_rejected_overload_total"), 1);
+        // With the permit free again the next call dials afresh; on the
+        // shed connection, closed by the server, it would fail.
+        drop(holder);
+        while client.tags(&nginx).is_err() {
+            assert!(metrics.counter_value("dhub_http_rejected_overload_total") < 1000);
+        }
+        assert_eq!(connections(&metrics), 2);
+        srv.shutdown();
+    }
+
+    #[test]
+    fn pooled_connection_dies_with_the_server() {
+        let (srv, metrics, _) = metered_server(None, DEFAULT_MAX_CONNS);
+        let client =
+            RemoteRegistry::connect_anonymous(srv.addr()).with_retry_policy(RetryPolicy::none());
+        client.ping().unwrap();
+        srv.shutdown();
+        assert!(client.ping().is_err(), "answered from a server that was shut down");
+        assert_eq!(metrics.counter_value("dhub_http_requests_total"), 1);
     }
 
     #[test]

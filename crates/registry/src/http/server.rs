@@ -15,17 +15,45 @@ use dhub_faults::{fault_key, FaultInjector, FaultKind, FaultOp};
 use dhub_json::Json;
 use dhub_model::{Digest, RepoName};
 use dhub_obs::MetricsRegistry;
-use dhub_sync::{Semaphore, SemaphorePermit};
-use std::io::{BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use dhub_sync::{Mutex, Semaphore, SemaphorePermit};
+use std::collections::HashMap;
+use std::io::BufReader;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-/// A running registry server; dropping it stops the accept loop.
+/// A running registry server; dropping it stops the accept loop and closes
+/// every connection it still holds open.
 pub struct RegistryServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
+}
+
+/// What the accept loop and every connection handler of one server share.
+struct Shared {
+    backend: Arc<dyn MirrorBackend>,
+    faults: Option<Arc<FaultInjector>>,
+    metrics: Arc<MetricsRegistry>,
+    idle_timeout: Duration,
+    stop: AtomicBool,
+    /// A second handle on every live connection's socket, so `shutdown`
+    /// can close them under their handlers.
+    live: Mutex<HashMap<u64, TcpStream>>,
+}
+
+/// A connection's entry in [`Shared::live`], removed when its handler ends
+/// (or never starts).
+struct LiveConn {
+    shared: Arc<Shared>,
+    id: u64,
+}
+
+impl Drop for LiveConn {
+    fn drop(&mut self) {
+        self.shared.live.lock().remove(&self.id);
+    }
 }
 
 /// The bearer token this simulation's `/token` endpoint issues. A real
@@ -36,6 +64,17 @@ const DEMO_TOKEN: &str = "dhub-demo-token";
 /// the study's bounded worker crews; the point is that it exists at all,
 /// so a connection flood sheds load instead of spawning without limit.
 pub const DEFAULT_MAX_CONNS: usize = 256;
+
+/// How long a connection may go without a byte arriving before the server
+/// closes it, silently. Clients must stop reusing a connection strictly
+/// earlier (`POOL_IDLE_LIMIT` in the client), so none writes into a
+/// connection this timeout has already closed.
+pub(super) const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Requests one connection may carry, so no client holds a handler thread
+/// and its permit for ever; the response to the last says `connection:
+/// close`.
+pub(super) const MAX_REQUESTS_PER_CONN: usize = 1000;
 
 /// Why a mirror backend could not produce the requested object. Maps onto
 /// the registry V2 status codes the front end answers with.
@@ -65,15 +104,16 @@ pub trait MirrorBackend: Send + Sync {
         repo: &RepoName,
         reference: &str,
         authed: bool,
-    ) -> Result<(Digest, Vec<u8>), BackendError>;
+    ) -> Result<(Digest, Arc<Vec<u8>>), BackendError>;
 
-    /// Fetches a blob by digest.
+    /// Fetches a blob by digest: the `Arc` the backend's own store or
+    /// cache holds, which the response body is then written from.
     fn fetch_blob(
         &self,
         repo: &RepoName,
         digest: &Digest,
         authed: bool,
-    ) -> Result<Vec<u8>, BackendError>;
+    ) -> Result<Arc<Vec<u8>>, BackendError>;
 
     /// Lists a repository's tags.
     fn tags(&self, repo: &RepoName, authed: bool) -> Result<Vec<String>, BackendError>;
@@ -101,9 +141,9 @@ impl MirrorBackend for Registry {
         repo: &RepoName,
         reference: &str,
         authed: bool,
-    ) -> Result<(Digest, Vec<u8>), BackendError> {
+    ) -> Result<(Digest, Arc<Vec<u8>>), BackendError> {
         let sess = self.get_manifest(repo, reference, authed)?;
-        Ok((sess.manifest_digest, sess.manifest.to_json().into_bytes()))
+        Ok((sess.manifest_digest, Arc::new(sess.manifest.to_json().into_bytes())))
     }
 
     fn fetch_blob(
@@ -111,12 +151,12 @@ impl MirrorBackend for Registry {
         repo: &RepoName,
         digest: &Digest,
         authed: bool,
-    ) -> Result<Vec<u8>, BackendError> {
+    ) -> Result<Arc<Vec<u8>>, BackendError> {
         // Blob access obeys the repository's auth policy, like the real API.
         if self.requires_auth(repo).unwrap_or(false) && !authed {
             return Err(BackendError::AuthRequired);
         }
-        Ok(self.get_blob(digest)?.as_ref().clone())
+        Ok(self.get_blob(digest)?)
     }
 
     fn tags(&self, repo: &RepoName, authed: bool) -> Result<Vec<String>, BackendError> {
@@ -158,7 +198,7 @@ impl RegistryServer {
         metrics: Arc<MetricsRegistry>,
         max_conns: usize,
     ) -> std::io::Result<RegistryServer> {
-        RegistryServer::start_backend(registry, faults, metrics, max_conns)
+        RegistryServer::start_backend(registry, faults, metrics, max_conns, IDLE_TIMEOUT)
     }
 
     /// Starts a mirror-mode server: every manifest/blob/tags request is
@@ -171,7 +211,7 @@ impl RegistryServer {
         metrics: Arc<MetricsRegistry>,
         max_conns: usize,
     ) -> std::io::Result<RegistryServer> {
-        RegistryServer::start_backend(backend, None, metrics, max_conns)
+        RegistryServer::start_backend(backend, None, metrics, max_conns, IDLE_TIMEOUT)
     }
 
     fn start_backend(
@@ -179,46 +219,25 @@ impl RegistryServer {
         faults: Option<Arc<FaultInjector>>,
         metrics: Arc<MetricsRegistry>,
         max_conns: usize,
+        idle_timeout: Duration,
     ) -> std::io::Result<RegistryServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        listener.set_nonblocking(true)?;
-        // Admission control: one permit per live connection handler. When
-        // the cap is reached the acceptor sheds the connection with an
-        // immediate 503 instead of spawning yet another thread.
-        let conn_permits = Semaphore::new(max_conns);
+        let shared = Arc::new(Shared {
+            backend,
+            faults,
+            metrics,
+            idle_timeout,
+            stop: AtomicBool::new(false),
+            live: Mutex::new(HashMap::new()),
+        });
         let accept_thread = std::thread::Builder::new()
             .name("dhub-registry-http".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((mut stream, _)) => {
-                            let Some(permit) = conn_permits.try_acquire() else {
-                                metrics.counter("dhub_http_rejected_overload_total").inc();
-                                let resp = json_error(503, "OVERLOADED")
-                                    .with_header("connection", "close");
-                                let _ = resp.write_to(&mut stream);
-                                continue;
-                            };
-                            let be = backend.clone();
-                            let inj = faults.clone();
-                            let met = metrics.clone();
-                            // Thread-per-connection, bounded by the permit
-                            // the handler carries until it returns.
-                            let _ = std::thread::Builder::new()
-                                .name("dhub-registry-conn".into())
-                                .spawn(move || handle_connection(stream, be, inj, met, permit));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(std::time::Duration::from_millis(2));
-                        }
-                        Err(_) => break,
-                    }
-                }
+            .spawn({
+                let shared = shared.clone();
+                move || accept_loop(listener, shared, max_conns)
             })?;
-        Ok(RegistryServer { addr, stop, accept_thread: Some(accept_thread) })
+        Ok(RegistryServer { addr, shared, accept_thread: Some(accept_thread) })
     }
 
     /// The bound address clients should dial.
@@ -226,15 +245,28 @@ impl RegistryServer {
         self.addr
     }
 
-    /// Stops accepting and joins the accept loop.
+    /// Stops accepting, joins the accept loop and closes every live
+    /// connection: once this returns, no request is answered — not on a
+    /// new connection, and not on one a client kept alive from before.
     pub fn shutdown(mut self) {
         self.stop_inner();
     }
 
     fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        let Some(accept_thread) = self.accept_thread.take() else { return };
+        self.shared.stop.store(true, Ordering::SeqCst);
+        // `accept` blocks; a throwaway connection wakes it to see the flag.
+        // Should the dial fail the thread is left to the next real
+        // connection rather than joined, so stopping never hangs.
+        if TcpStream::connect(self.addr).is_ok() {
+            let _ = accept_thread.join();
+        }
+        // Connections are registered by the accept loop itself, so with it
+        // joined the table holds every one that was ever handed a handler.
+        // Closing the socket under a handler fails its pending read and
+        // any later write; the handler then ends on its own.
+        for stream in self.shared.live.lock().values() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
     }
 }
@@ -242,6 +274,34 @@ impl RegistryServer {
 impl Drop for RegistryServer {
     fn drop(&mut self) {
         self.stop_inner();
+    }
+}
+
+/// Blocks in `accept` and hands each connection to a thread of its own,
+/// bounded by one permit per live handler: at the cap the connection is
+/// shed with an immediate 503 instead of spawning yet another thread.
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_conns: usize) {
+    let conn_permits = Semaphore::new(max_conns);
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
+        let Ok(mut stream) = stream else { break };
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let Some(permit) = conn_permits.try_acquire() else {
+            shared.metrics.counter("dhub_http_rejected_overload_total").inc();
+            let resp = json_error(503, "OVERLOADED").with_header("connection", "close");
+            let _ = resp.write_to(&mut stream);
+            continue;
+        };
+        let Ok(handle) = stream.try_clone() else { continue };
+        shared.live.lock().insert(id, handle);
+        let conn = LiveConn { shared: shared.clone(), id };
+        shared.metrics.counter("dhub_http_connections_total").inc();
+        // Detached: `shutdown` ends a handler by closing its socket, and a
+        // handler parked in a slow backend must not hold `shutdown` up.
+        let _ = std::thread::Builder::new()
+            .name("dhub-registry-conn".into())
+            .spawn(move || handle_connection(stream, conn, permit));
     }
 }
 
@@ -256,28 +316,40 @@ enum Routed {
     Drop,
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    backend: Arc<dyn MirrorBackend>,
-    faults: Option<Arc<FaultInjector>>,
-    metrics: Arc<MetricsRegistry>,
-    _permit: SemaphorePermit,
-) {
-    // Keep-alive: serve requests until the peer closes or errs. One reader
-    // for the connection's lifetime, so bytes a pipelining client sent
-    // past the current request stay buffered for the next one.
+/// One connection's life: requests are answered in order until the peer
+/// closes, asks to (`connection: close`), errs, goes idle past the
+/// timeout, uses up [`MAX_REQUESTS_PER_CONN`], or the server shuts down.
+fn handle_connection(stream: TcpStream, conn: LiveConn, _permit: SemaphorePermit) {
+    let shared = &*conn.shared;
+    // Responses are whole messages; never hold one back for an ACK.
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(shared.idle_timeout));
+    // One reader for the connection's lifetime, so bytes a pipelining
+    // client sent past the current request stay buffered for the next one.
     let mut reader = BufReader::new(&stream);
     let mut writer = &stream;
-    loop {
+    for served in 1..=MAX_REQUESTS_PER_CONN {
         let request = match read_request(&mut reader) {
             Ok(r) => r,
-            Err(WireError::UnexpectedEof) => return,
-            Err(_) => {
-                let _ = Response::new(400, b"bad request".to_vec()).write_to(&mut writer);
+            Err(e) => {
+                if let Some(refusal) = refusal(&e, &shared.metrics) {
+                    let _ = refusal.with_header("connection", "close").write_to(&mut writer);
+                }
                 return;
             }
         };
-        let response = match route_faulty(&request, backend.as_ref(), faults.as_deref(), &metrics) {
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let last = served == MAX_REQUESTS_PER_CONN
+            || request.header("connection").is_some_and(|c| c.eq_ignore_ascii_case("close"));
+        let response = match route_faulty(
+            &request,
+            shared.backend.as_ref(),
+            shared.faults.as_deref(),
+            &shared.metrics,
+        ) {
+            Routed::Respond(r) if last => r.with_header("connection", "close"),
             Routed::Respond(r) => r,
             Routed::RespondTruncated(r, keep) => {
                 let _ = r.write_truncated_to(&mut writer, keep);
@@ -285,12 +357,33 @@ fn handle_connection(
             }
             Routed::Drop => return,
         };
-        if response.write_to(&mut writer).is_err() {
+        if response.write_to(&mut writer).is_err() || last {
             return;
         }
-        if request.header("connection").map(|c| c.eq_ignore_ascii_case("close")).unwrap_or(false) {
-            let _ = writer.flush();
-            return;
+    }
+}
+
+/// What a request that could not be read is answered with before the
+/// connection closes. `None` closes silently: the peer is gone, reset, or
+/// idle past the timeout, and anything written would only sit in front of
+/// a response it is not waiting for.
+fn refusal(err: &WireError, metrics: &MetricsRegistry) -> Option<Response> {
+    match err {
+        WireError::UnexpectedEof => None,
+        WireError::Io(e) => {
+            if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) {
+                metrics.counter("dhub_http_idle_closed_total").inc();
+            }
+            None
+        }
+        WireError::Malformed(_) => Some(Response::new(400, b"bad request".to_vec())),
+        WireError::TooLarge => {
+            metrics.counter("dhub_http_rejected_header_total").inc();
+            Some(json_error(431, "HEADER_TOO_LARGE"))
+        }
+        WireError::BodyTooLarge => {
+            metrics.counter("dhub_http_rejected_body_total").inc();
+            Some(json_error(413, "BODY_TOO_LARGE"))
         }
     }
 }
@@ -465,7 +558,9 @@ fn route_faulty_inner(
             let mut resp = route(req, backend);
             if resp.status == 200 && !resp.body.is_empty() {
                 let bit = (key as usize) % (resp.body.len() * 8);
-                resp.body[bit / 8] ^= 1 << (bit % 8);
+                // The one place a served body is copied: the flip lands in
+                // a private copy, never in the store's or cache's bytes.
+                Arc::make_mut(&mut resp.body)[bit / 8] ^= 1 << (bit % 8);
             }
             Routed::Respond(resp)
         }
@@ -580,7 +675,7 @@ mod tests {
         let digest = manifest.layers[0].digest.to_docker_string();
         let resp = roundtrip(&Request::get(&format!("/v2/nginx/blobs/{digest}")), &reg);
         assert_eq!(resp.status, 200);
-        assert_eq!(resp.body, b"layer-bytes");
+        assert_eq!(*resp.body, b"layer-bytes");
     }
 
     #[test]
@@ -649,7 +744,10 @@ mod tests {
         assert!(text.contains("latest"), "{text}");
     }
 
+    use crate::http::wire::read_response;
     use dhub_faults::FaultConfig;
+    use std::io::{Read as _, Write as _};
+    use std::time::Instant;
 
     /// An injector that always fires `kind` (and nothing else).
     fn only(kind: FaultKind) -> FaultInjector {
@@ -692,7 +790,7 @@ mod tests {
                 let flipped: u32 = r
                     .body
                     .iter()
-                    .zip(&clean.body)
+                    .zip(clean.body.iter())
                     .map(|(a, b)| (a ^ b).count_ones())
                     .sum();
                 assert_eq!(flipped, 1);
@@ -724,7 +822,6 @@ mod tests {
 
     #[test]
     fn overload_sheds_with_503_and_counter() {
-        use std::io::Read as _;
         let reg = test_registry();
         let metrics = Arc::new(MetricsRegistry::new());
         let server = RegistryServer::start_full(reg, None, metrics.clone(), 1).unwrap();
@@ -756,12 +853,136 @@ mod tests {
         server.shutdown();
     }
 
+    /// A server over `test_registry()` recording into its own metrics.
+    fn metered_server(
+        faults: Option<FaultInjector>,
+        idle_timeout: Duration,
+    ) -> (RegistryServer, Arc<Registry>, Arc<MetricsRegistry>) {
+        let reg = test_registry();
+        let metrics = Arc::new(MetricsRegistry::new());
+        let server = RegistryServer::start_backend(
+            reg.clone(),
+            faults.map(Arc::new),
+            metrics.clone(),
+            DEFAULT_MAX_CONNS,
+            idle_timeout,
+        );
+        (server.unwrap(), reg, metrics)
+    }
+
+    const PING: &[u8] = b"GET /v2/ HTTP/1.1\r\nhost: x\r\n\r\n";
+
+    /// A raw keep-alive connection that has had one ping answered.
+    fn warm_connection(server: &RegistryServer) -> BufReader<TcpStream> {
+        let mut conn = BufReader::new(TcpStream::connect(server.addr()).unwrap());
+        conn.get_mut().write_all(PING).unwrap();
+        assert_eq!(read_response(&mut conn).unwrap().status, 200);
+        conn
+    }
+
+    #[test]
+    fn shutdown_is_prompt_and_closes_kept_alive_connections() {
+        let (server, _reg, metrics) = metered_server(None, IDLE_TIMEOUT);
+        let mut used = warm_connection(&server);
+        let mut idle = warm_connection(&server);
+        assert_eq!(metrics.counter_value("dhub_http_connections_total"), 2);
+
+        let t = Instant::now();
+        server.shutdown();
+        let took = t.elapsed();
+        assert!(took < Duration::from_millis(100), "shutdown took {took:?} with idle connections");
+
+        // The connection predates the shutdown; the server must not answer on it.
+        let _ = used.get_mut().write_all(PING);
+        assert!(read_response(&mut used).is_err(), "a stopped server answered a kept-alive connection");
+        assert_eq!(metrics.counter_value("dhub_http_requests_total"), 2);
+        // The idle one was closed by the shutdown, not left to its timeout.
+        idle.get_ref().set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        assert_eq!(idle.read_to_end(&mut Vec::new()).unwrap(), 0);
+    }
+
+    #[test]
+    fn request_cap_is_announced_on_the_last_response() {
+        let (server, _reg, metrics) = metered_server(None, IDLE_TIMEOUT);
+        let mut conn = BufReader::new(TcpStream::connect(server.addr()).unwrap());
+        for served in 1..=MAX_REQUESTS_PER_CONN {
+            conn.get_mut().write_all(PING).unwrap();
+            let resp = read_response(&mut conn).unwrap();
+            assert_eq!(resp.status, 200);
+            let announced = resp.header("connection") == Some("close");
+            assert_eq!(announced, served == MAX_REQUESTS_PER_CONN, "response {served}");
+        }
+        let mut rest = Vec::new();
+        assert_eq!(conn.read_to_end(&mut rest).unwrap(), 0, "closed after the capped response");
+        assert_eq!(metrics.counter_value("dhub_http_connections_total"), 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn idle_connection_is_closed_without_a_word() {
+        let (server, _reg, metrics) = metered_server(None, Duration::from_millis(50));
+        // Idle from the start, and idle after a served request: both read
+        // EOF and not one byte — never a 400 queued for the next exchange.
+        let mut fresh = TcpStream::connect(server.addr()).unwrap();
+        let mut used = warm_connection(&server);
+        let mut seen = Vec::new();
+        assert_eq!(fresh.read_to_end(&mut seen).unwrap(), 0, "{:?}", String::from_utf8_lossy(&seen));
+        assert_eq!(used.read_to_end(&mut seen).unwrap(), 0, "{:?}", String::from_utf8_lossy(&seen));
+        assert_eq!(metrics.counter_value("dhub_http_idle_closed_total"), 2);
+        assert_eq!(metrics.counter_value("dhub_http_status_4xx_total"), 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn unreadable_requests_get_the_status_that_names_the_problem() {
+        let (server, _reg, metrics) = metered_server(None, IDLE_TIMEOUT);
+        let exchange = |raw: &[u8]| {
+            let mut conn = TcpStream::connect(server.addr()).unwrap();
+            conn.write_all(raw).unwrap();
+            let resp = read_response(&mut BufReader::new(conn)).unwrap();
+            assert_eq!(resp.header("connection"), Some("close"), "{}", resp.status);
+            resp.status
+        };
+        let mut long_header = b"GET /v2/ HTTP/1.1\r\nx: ".to_vec();
+        long_header.extend(std::iter::repeat_n(b'a', 17 * 1024));
+        long_header.extend_from_slice(b"\r\n\r\n");
+        assert_eq!(exchange(&long_header), 431);
+        // 2 GiB declared, none sent: answered at once, from the length alone.
+        let t = Instant::now();
+        assert_eq!(exchange(b"GET /v2/ HTTP/1.1\r\ncontent-length: 2147483647\r\n\r\n"), 413);
+        assert!(t.elapsed() < Duration::from_secs(1));
+        assert_eq!(exchange(b"NOPE\r\n\r\n"), 400);
+        assert_eq!(metrics.counter_value("dhub_http_rejected_header_total"), 1);
+        assert_eq!(metrics.counter_value("dhub_http_rejected_body_total"), 1);
+        // None of the three was routed.
+        assert_eq!(metrics.counter_value("dhub_http_requests_total"), 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn corruption_reaches_the_wire_and_never_the_store() {
+        let (server, reg, _metrics) = metered_server(Some(only(FaultKind::Corrupt)), IDLE_TIMEOUT);
+        let digest = Digest::of(b"layer-bytes");
+        let stored = reg.get_blob(&digest).unwrap();
+        let mut conn = BufReader::new(TcpStream::connect(server.addr()).unwrap());
+        Request::get(&format!("/v2/nginx/blobs/{digest}")).write_to(conn.get_mut()).unwrap();
+        let resp = read_response(&mut conn).unwrap();
+        assert_eq!(resp.status, 200);
+        let flipped: u32 =
+            resp.body.iter().zip(stored.iter()).map(|(a, b)| (a ^ b).count_ones()).sum();
+        assert_eq!(flipped, 1, "exactly one bit differs on the wire");
+        // The store still holds the same allocation with the same bytes.
+        assert!(Arc::ptr_eq(&stored, &reg.get_blob(&digest).unwrap()));
+        assert_eq!(**stored, *b"layer-bytes");
+        server.shutdown();
+    }
+
     /// A canned backend standing in for `dhub-mirror` (which lives
     /// downstream of this crate): proves the mirror server mode speaks the
     /// same protocol shape as the local one.
     struct CannedBackend {
         manifest: Manifest,
-        blob: Vec<u8>,
+        blob: Arc<Vec<u8>>,
     }
 
     impl MirrorBackend for CannedBackend {
@@ -770,12 +991,12 @@ mod tests {
             repo: &RepoName,
             reference: &str,
             _authed: bool,
-        ) -> Result<(Digest, Vec<u8>), BackendError> {
+        ) -> Result<(Digest, Arc<Vec<u8>>), BackendError> {
             if repo.full() != "nginx" || reference != "latest" {
                 return Err(BackendError::NotFound);
             }
             let body = self.manifest.to_json().into_bytes();
-            Ok((Digest::of(&body), body))
+            Ok((Digest::of(&body), Arc::new(body)))
         }
 
         fn fetch_blob(
@@ -783,7 +1004,7 @@ mod tests {
             _repo: &RepoName,
             digest: &Digest,
             _authed: bool,
-        ) -> Result<Vec<u8>, BackendError> {
+        ) -> Result<Arc<Vec<u8>>, BackendError> {
             if *digest == Digest::of(&self.blob) {
                 Ok(self.blob.clone())
             } else {
@@ -801,7 +1022,7 @@ mod tests {
         let blob = b"mirror-layer".to_vec();
         let manifest =
             Manifest::new(vec![LayerRef { digest: Digest::of(&blob), size: blob.len() as u64 }]);
-        let backend = &CannedBackend { manifest: manifest.clone(), blob: blob.clone() };
+        let backend = &CannedBackend { manifest: manifest.clone(), blob: Arc::new(blob.clone()) };
         let metrics = MetricsRegistry::new();
 
         let resp = route(&Request::get("/v2/nginx/manifests/latest"), backend, &metrics);
@@ -814,7 +1035,7 @@ mod tests {
         let blob_path = format!("/v2/nginx/blobs/{}", Digest::of(&blob).to_docker_string());
         let resp = route(&Request::get(&blob_path), backend, &metrics);
         assert_eq!(resp.status, 200);
-        assert_eq!(resp.body, blob);
+        assert_eq!(*resp.body, blob);
 
         let resp = route(&Request::get("/v2/nginx/manifests/v9"), backend, &metrics);
         assert_eq!(resp.status, 404);

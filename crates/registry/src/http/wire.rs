@@ -1,11 +1,20 @@
 //! HTTP/1.1 message codec (requests and responses, Content-Length framing).
 
-use std::io::{BufRead, Write};
+use std::fmt::Write as _;
+use std::io::{BufRead, Read as _, Write};
+use std::sync::Arc;
 
 /// Maximum accepted header block (defense against unbounded reads).
 const MAX_HEADER_BYTES: usize = 16 * 1024;
-/// Maximum accepted body (larger than any layer this simulation stores).
+/// Maximum accepted response body (larger than any layer this simulation
+/// stores) — the client-side ceiling.
 const MAX_BODY_BYTES: usize = 1 << 31;
+/// Maximum declared request body. The server is GET-only, so anything
+/// larger is refused before a byte of it is buffered.
+const MAX_REQUEST_BODY_BYTES: usize = 64 * 1024;
+/// A body up to this size is copied behind its head and leaves in the same
+/// write; a larger one gets a write of its own.
+const ONE_WRITE_BODY_BYTES: usize = 16 * 1024;
 
 /// Wire-level errors.
 #[derive(Debug)]
@@ -13,8 +22,11 @@ pub enum WireError {
     Io(std::io::Error),
     /// Malformed start line or header.
     Malformed(&'static str),
-    /// Header block or body exceeded limits.
+    /// Header block exceeded [`MAX_HEADER_BYTES`].
     TooLarge,
+    /// Declared body length exceeds what this end accepts; nothing was
+    /// allocated for it and none of it was read.
+    BodyTooLarge,
     /// Peer closed before a complete message arrived.
     UnexpectedEof,
 }
@@ -24,7 +36,8 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::Io(e) => write!(f, "io: {e}"),
             WireError::Malformed(what) => write!(f, "malformed http: {what}"),
-            WireError::TooLarge => f.write_str("http message too large"),
+            WireError::TooLarge => f.write_str("http header block too large"),
+            WireError::BodyTooLarge => f.write_str("http body too large"),
             WireError::UnexpectedEof => f.write_str("connection closed mid-message"),
         }
     }
@@ -63,46 +76,75 @@ impl Request {
 
     /// First value of a header (name is case-insensitive).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers.iter().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 
     /// Serializes onto a writer.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        write!(w, "{} {} HTTP/1.1\r\n", self.method, self.target)?;
-        for (n, v) in &self.headers {
-            write!(w, "{n}: {v}\r\n")?;
-        }
-        write!(w, "content-length: {}\r\n\r\n", self.body.len())?;
-        w.write_all(&self.body)?;
-        w.flush()
+        let start = format!("{} {} HTTP/1.1\r\n", self.method, self.target);
+        write_message(w, start, &self.headers, self.body.len(), &self.body)
     }
 }
 
-/// An HTTP response.
+fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
+}
+
+/// Writes one message: `start` line, headers and a `content-length` of
+/// `declared` in one buffer, then `body` — in the same `write_all` when it
+/// is small, in a second one when it is not. An unbuffered socket so sees
+/// one or two writes per message, never one per header fragment.
+fn write_message(
+    w: &mut impl Write,
+    start: String,
+    headers: &[(String, String)],
+    declared: usize,
+    body: &[u8],
+) -> std::io::Result<()> {
+    let mut head = start;
+    for (n, v) in headers {
+        let _ = write!(head, "{n}: {v}\r\n");
+    }
+    let _ = write!(head, "content-length: {declared}\r\n\r\n");
+    let mut head = head.into_bytes();
+    if body.len() <= ONE_WRITE_BODY_BYTES {
+        head.extend_from_slice(body);
+        w.write_all(&head)?;
+    } else {
+        w.write_all(&head)?;
+        w.write_all(body)?;
+    }
+    w.flush()
+}
+
+/// An HTTP response. The body is shared, not owned: a server answers with
+/// the very `Arc` its blob store or cache holds, so a body is never copied
+/// on its way to the socket.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Response {
     pub status: u16,
     pub reason: String,
     pub headers: Vec<(String, String)>,
-    pub body: Vec<u8>,
+    pub body: Arc<Vec<u8>>,
 }
 
 impl Response {
-    /// Builds a response with a body.
-    pub fn new(status: u16, body: Vec<u8>) -> Response {
+    /// Builds a response with a body (a `Vec<u8>` or an `Arc` of one).
+    pub fn new(status: u16, body: impl Into<Arc<Vec<u8>>>) -> Response {
         let reason = match status {
             200 => "OK",
             401 => "Unauthorized",
             404 => "Not Found",
             400 => "Bad Request",
             405 => "Method Not Allowed",
+            413 => "Content Too Large",
             429 => "Too Many Requests",
+            431 => "Request Header Fields Too Large",
             500 => "Internal Server Error",
             503 => "Service Unavailable",
             _ => "Response",
         };
-        Response { status, reason: reason.into(), headers: Vec::new(), body }
+        Response { status, reason: reason.into(), headers: Vec::new(), body: body.into() }
     }
 
     /// Adds a header.
@@ -113,19 +155,12 @@ impl Response {
 
     /// First value of a header.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers.iter().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 
     /// Serializes onto a writer.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        write!(w, "HTTP/1.1 {} {}\r\n", self.status, self.reason)?;
-        for (n, v) in &self.headers {
-            write!(w, "{n}: {v}\r\n")?;
-        }
-        write!(w, "content-length: {}\r\n\r\n", self.body.len())?;
-        w.write_all(&self.body)?;
-        w.flush()
+        self.write_truncated_to(w, self.body.len())
     }
 
     /// Serializes a *lying* response: headers promise the full body
@@ -133,37 +168,28 @@ impl Response {
     /// written. The fault-injecting server uses this to model a connection
     /// cut mid-transfer; readers see [`WireError::UnexpectedEof`].
     pub fn write_truncated_to(&self, w: &mut impl Write, keep: usize) -> std::io::Result<()> {
-        write!(w, "HTTP/1.1 {} {}\r\n", self.status, self.reason)?;
-        for (n, v) in &self.headers {
-            write!(w, "{n}: {v}\r\n")?;
-        }
-        write!(w, "content-length: {}\r\n\r\n", self.body.len())?;
-        w.write_all(&self.body[..keep.min(self.body.len())])?;
-        w.flush()
+        let start = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason);
+        let kept = &self.body[..keep.min(self.body.len())];
+        write_message(w, start, &self.headers, self.body.len(), kept)
     }
 }
 
+/// Reads one line, without its `\n` / `\r\n`, charging its bytes to the
+/// header block's `budget`.
 fn read_line(r: &mut impl BufRead, budget: &mut usize) -> Result<String, WireError> {
     let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte)? {
-            0 => {
-                if line.is_empty() {
-                    return Err(WireError::UnexpectedEof);
-                }
-                break;
-            }
-            _ => {
-                if byte[0] == b'\n' {
-                    break;
-                }
-                if byte[0] != b'\r' {
-                    line.push(byte[0]);
-                }
-                *budget = budget.checked_sub(1).ok_or(WireError::TooLarge)?;
-            }
-        }
+    // One byte past the budget, so a line that ends exactly on it and one
+    // that runs over it read differently.
+    r.take(*budget as u64 + 1).read_until(b'\n', &mut line)?;
+    if line.is_empty() {
+        return Err(WireError::UnexpectedEof);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    }
+    *budget = budget.checked_sub(line.len()).ok_or(WireError::TooLarge)?;
+    if line.last() == Some(&b'\r') {
+        line.pop();
     }
     String::from_utf8(line).map_err(|_| WireError::Malformed("non-utf8 header"))
 }
@@ -183,27 +209,26 @@ fn read_headers(
     }
 }
 
+/// Reads the body `headers` declare, refusing one over `max` before
+/// allocating for it.
 fn read_body(
     r: &mut impl BufRead,
     headers: &[(String, String)],
+    max: usize,
 ) -> Result<Vec<u8>, WireError> {
-    let len: usize = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .map(|(_, v)| v.parse().map_err(|_| WireError::Malformed("content-length")))
+    let len: usize = header(headers, "content-length")
+        .map(|v| v.parse().map_err(|_| WireError::Malformed("content-length")))
         .transpose()?
         .unwrap_or(0);
-    if len > MAX_BODY_BYTES {
-        return Err(WireError::TooLarge);
+    if len > max {
+        return Err(WireError::BodyTooLarge);
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::UnexpectedEof
-        } else {
-            WireError::Io(e)
-        }
-    })?;
+    // Straight into reserved, unzeroed capacity: each byte is written once.
+    let mut body = Vec::with_capacity(len);
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(WireError::UnexpectedEof);
+    }
     Ok(body)
 }
 
@@ -221,7 +246,7 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Request, WireError> {
         return Err(WireError::Malformed("version"));
     }
     let headers = read_headers(r, &mut budget)?;
-    let body = read_body(r, &headers)?;
+    let body = read_body(r, &headers, MAX_REQUEST_BODY_BYTES)?;
     Ok(Request { method, target, headers, body })
 }
 
@@ -242,8 +267,8 @@ pub fn read_response(r: &mut impl BufRead) -> Result<Response, WireError> {
         .map_err(|_| WireError::Malformed("status"))?;
     let reason = parts.next().unwrap_or("").to_string();
     let headers = read_headers(r, &mut budget)?;
-    let body = read_body(r, &headers)?;
-    Ok(Response { status, reason, headers, body })
+    let body = read_body(r, &headers, MAX_BODY_BYTES)?;
+    Ok(Response { status, reason, headers, body: Arc::new(body) })
 }
 
 #[cfg(test)]
@@ -272,7 +297,7 @@ mod tests {
         resp.write_to(&mut buf).unwrap();
         let back = read_response(&mut buf.as_slice()).unwrap();
         assert_eq!(back.status, 200);
-        assert_eq!(back.body, b"{\"ok\":true}");
+        assert_eq!(*back.body, b"{\"ok\":true}");
         assert_eq!(back.header("content-type").unwrap(), "application/json");
     }
 
@@ -283,7 +308,7 @@ mod tests {
         let mut buf = Vec::new();
         resp.write_to(&mut buf).unwrap();
         let back = read_response(&mut buf.as_slice()).unwrap();
-        assert_eq!(back.body, payload);
+        assert_eq!(*back.body, payload);
     }
 
     #[test]
@@ -326,6 +351,67 @@ mod tests {
         let mut buf = Vec::new();
         resp.write_truncated_to(&mut buf, 300).unwrap();
         assert!(matches!(read_response(&mut buf.as_slice()), Err(WireError::UnexpectedEof)));
+    }
+
+    /// Counts the `write` calls a message costs an unbuffered writer.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_message_is_one_write_or_two() {
+        let headed = |body: Vec<u8>| {
+            Response::new(200, body)
+                .with_header("content-type", "application/octet-stream")
+                .with_header("docker-content-digest", "sha256:00")
+        };
+        let mut w = CountingWriter::default();
+        headed(vec![1; ONE_WRITE_BODY_BYTES]).write_to(&mut w).unwrap();
+        assert_eq!(w.writes, 1, "head and a small body leave together");
+        assert_eq!(read_response(&mut w.bytes.as_slice()).unwrap().body.len(), ONE_WRITE_BODY_BYTES);
+
+        let mut w = CountingWriter::default();
+        headed(vec![2; ONE_WRITE_BODY_BYTES + 1]).write_to(&mut w).unwrap();
+        assert_eq!(w.writes, 2, "head, then a large body uncopied");
+
+        let mut w = CountingWriter::default();
+        Request::get("/v2/").with_header("authorization", "Bearer t").write_to(&mut w).unwrap();
+        assert_eq!(w.writes, 1);
+    }
+
+    #[test]
+    fn oversize_request_body_is_refused_before_it_is_read() {
+        // The declared 2 GiB never arrives: a reader that allocated or
+        // waited for it would not return `BodyTooLarge` from this input.
+        let raw = b"GET /v2/ HTTP/1.1\r\ncontent-length: 2147483647\r\n\r\n";
+        assert!(matches!(read_request(&mut &raw[..]), Err(WireError::BodyTooLarge)));
+        let fits = format!("GET /v2/ HTTP/1.1\r\ncontent-length: {MAX_REQUEST_BODY_BYTES}\r\n\r\n");
+        assert!(matches!(read_request(&mut fits.as_bytes()), Err(WireError::UnexpectedEof)));
+        // The same length is an ordinary (if truncated) layer to a client.
+        let resp = b"HTTP/1.1 200 OK\r\ncontent-length: 70000\r\n\r\nshort";
+        assert!(matches!(read_response(&mut &resp[..]), Err(WireError::UnexpectedEof)));
+    }
+
+    #[test]
+    fn header_budget_is_exact_and_spans_lines() {
+        // "GET / HTTP/1.1\r" + "x: aaa…\r" + "\r" fill the budget to the byte.
+        let fill = MAX_HEADER_BYTES - "GET / HTTP/1.1\r".len() - "x: \r".len() - "\r".len();
+        let block = |n: usize| format!("GET / HTTP/1.1\r\nx: {}\r\n\r\n", "a".repeat(n));
+        assert!(read_request(&mut block(fill).as_bytes()).is_ok());
+        assert!(matches!(read_request(&mut block(fill + 1).as_bytes()), Err(WireError::TooLarge)));
     }
 
     #[test]

@@ -342,6 +342,39 @@ if grep -rnE '\.sleep\(key' crates/*/src | grep -v '^crates/faults/src/retry.rs:
 fi
 echo "retry-loop audit: no retry loop outside crates/faults/src/retry.rs"
 
+# Serve-path audit (DESIGN.md 6e): a request costs what its bytes cost. The
+# accept loop blocks in `accept` — no polling listener, no sleep between
+# polls; the only sleep either end may take is the injected slow-link
+# fault's — and the client keeps its connections alive, so it never asks
+# the server to close one.
+echo "==> serve-path audit"
+python3 - <<'EOF'
+import re
+import sys
+
+RULES = [
+    (r"set_nonblocking\(\s*true\s*\)", "polls a non-blocking socket", ("server", "client")),
+    (r"thread::sleep\((?!.*slow_link)", "sleeps outside the slow_link fault", ("server", "client")),
+    (r'"connection"\s*,\s*"close"', "writes a `connection: close` request header", ("client",)),
+]
+bad = []
+for name in ("server", "client"):
+    path = f"crates/registry/src/http/{name}.rs"
+    for n, line in enumerate(open(path), 1):
+        if line.strip() == "#[cfg(test)]":
+            break
+        if line.lstrip().startswith("//"):
+            continue
+        bad += [f"{path}:{n}: {what}: {line.strip()}"
+                for pattern, what, files in RULES if name in files and re.search(pattern, line)]
+if bad:
+    print("FAIL: the serve path waits on something other than its sockets:", file=sys.stderr)
+    for b in bad:
+        print("  " + b, file=sys.stderr)
+    sys.exit(1)
+print("serve-path audit: blocking accept, no sleep but slow_link, client never asks to close")
+EOF
+
 # Construction-site audit: `StudyData` is assembled in one place
 # (`assemble_study`) and the crawl / download reports are derived from
 # their counters in one place each, whichever scheduler ran. A second
