@@ -19,12 +19,16 @@
 //! published first.
 //!
 //! **Reopen** replays the recipe files (sorted by digest, so
-//! deterministic) through the same [`DedupStore::commit_parsed`] path a
-//! live ingest uses. Every aggregate the store reports is an
-//! order-independent sum, so a reloaded store's stats — including the
-//! float `dedup_factor()` — are bit-identical to the single-process run
-//! that wrote it. Recipes and objects are the only state on disk: nothing
-//! derived from them is stored, so there is nothing to go stale.
+//! deterministic) in three steps: every envelope read and parsed in
+//! parallel, every referenced object fetched and digest-verified exactly
+//! once in parallel, then a sequential commit in recipe order that moves
+//! recipes and bytes into memory with the checks and counters of a live
+//! ingest's [`DedupStore::commit_parsed`]. Every aggregate the store
+//! reports is an order-independent sum, so a reloaded store's stats —
+//! including the float `dedup_factor()` — are bit-identical to the
+//! single-process run that wrote it, at any thread count. Recipes and
+//! objects are the only state on disk: nothing derived from them is
+//! stored, so there is nothing to go stale.
 
 use crate::recipe::LayerRecipe;
 use crate::store::{DedupStore, IngestStats, PendingEntry, StoreError};
@@ -89,7 +93,17 @@ impl PersistentDedupStore {
         publisher: Publisher,
         reg: Option<&MetricsRegistry>,
     ) -> Result<Self, PersistentError> {
-        let root = root.as_ref().to_path_buf();
+        Self::open_with(root.as_ref(), publisher, reg, dhub_par::default_threads())
+    }
+
+    /// [`PersistentDedupStore::open_obs`] replaying on `threads` workers
+    /// (every core outside tests).
+    fn open_with(
+        root: &Path,
+        publisher: Publisher,
+        reg: Option<&MetricsRegistry>,
+        threads: usize,
+    ) -> Result<Self, PersistentError> {
         let layers_dir = root.join("layers");
         std::fs::create_dir_all(&layers_dir).map_err(PersistError::from)?;
         let mut objects = BlobStore::open(root.join("objects"), publisher.clone())?;
@@ -101,7 +115,7 @@ impl PersistentDedupStore {
             None => DedupStore::new(),
         };
         let store = PersistentDedupStore { mem, objects, layers_dir, publisher };
-        store.replay()?;
+        store.replay_with(threads)?;
         Ok(store)
     }
 
@@ -121,43 +135,54 @@ impl PersistentDedupStore {
         self.layers_dir.join(&hex[..2]).join(format!("{hex}.json"))
     }
 
-    /// Serializes a recipe envelope: the recipe JSON plus the compressed
-    /// blob length (needed to rebuild the conventional-bytes counter) and
-    /// a checksum over the recipe text so tampering behind the store's
-    /// back is caught on replay. The recipe text is spliced in as written:
-    /// it is already the serialization of a JSON value, which is what the
-    /// read side's checksum (over `to_string ∘ parse`) relies on too.
-    fn envelope(recipe: &LayerRecipe, blob_len: u64) -> String {
-        let recipe_text = recipe.to_json();
-        let checksum = Digest::of(recipe_text.as_bytes()).to_docker_string();
+    /// Everything of an envelope before the recipe text. The writer emits
+    /// it and the reader rebuilds it from the parsed fields to find the
+    /// recipe span, so this is the only envelope layout there is: any
+    /// other byte layout reads as torn.
+    fn envelope_head(blob_len: u64, checksum: &str) -> String {
         format!(
-            r#"{{"schema":"dhub-persist-recipe-v1","blobLen":{blob_len},"checksum":"{checksum}","recipe":{recipe_text}}}"#
+            r#"{{"schema":"dhub-persist-recipe-v1","blobLen":{blob_len},"checksum":"{checksum}","recipe":"#
         )
     }
 
+    /// Serializes a recipe envelope: the recipe JSON plus the compressed
+    /// blob length (needed to rebuild the conventional-bytes counter) and
+    /// a checksum over the recipe text so tampering behind the store's
+    /// back is caught on replay. The recipe text is spliced in as written.
+    fn envelope(recipe: &LayerRecipe, blob_len: u64) -> String {
+        let recipe_text = recipe.to_json();
+        let checksum = Digest::of(recipe_text.as_bytes()).to_docker_string();
+        format!("{}{recipe_text}}}", Self::envelope_head(blob_len, &checksum))
+    }
+
+    /// Parses an envelope once and checks its checksum over the raw
+    /// `recipe` span of `text` — the bytes [`Self::envelope`] hashed —
+    /// rather than over a re-serialisation of the parsed value.
     fn parse_envelope(text: &str) -> Option<(LayerRecipe, u64)> {
         let j = dhub_json::parse(text).ok()?;
         if j.get("schema")?.as_str()? != "dhub-persist-recipe-v1" {
             return None;
         }
         let blob_len = j.get("blobLen")?.as_u64()?;
-        let recipe = j.get("recipe")?;
-        if Digest::parse(j.get("checksum")?.as_str()?)? != Digest::of(recipe.to_string().as_bytes()) {
+        let checksum = j.get("checksum")?.as_str()?;
+        let head = Self::envelope_head(blob_len, checksum);
+        let recipe_text = text.strip_prefix(head.as_str())?.strip_suffix('}')?;
+        if Digest::parse(checksum)? != Digest::of(recipe_text.as_bytes()) {
             return None;
         }
-        Some((LayerRecipe::from_value(recipe)?, blob_len))
+        Some((LayerRecipe::from_value(j.get("recipe")?)?, blob_len))
     }
 
-    /// Replays every recipe on disk through the normal commit path.
-    fn replay(&self) -> Result<(), PersistentError> {
+    /// Every `*.json` under `layers/`, sorted — the replay order.
+    fn recipe_files(&self) -> Result<Vec<PathBuf>, PersistError> {
         let mut recipe_files: Vec<PathBuf> = Vec::new();
-        for shard in std::fs::read_dir(&self.layers_dir).map_err(PersistError::from)? {
-            let shard = shard.map_err(PersistError::from)?;
-            if !shard.file_type().map_err(PersistError::from)?.is_dir() {
+        for shard in std::fs::read_dir(&self.layers_dir)? {
+            let shard = shard?;
+            if !shard.file_type()?.is_dir() {
                 continue;
             }
-            for f in std::fs::read_dir(shard.path()).map_err(PersistError::from)? {
-                let path = f.map_err(PersistError::from)?.path();
+            for f in std::fs::read_dir(shard.path())? {
+                let path = f?.path();
                 // In-flight temp files are crash debris, not recipes.
                 if path.extension().map(|e| e == "json").unwrap_or(false) {
                     recipe_files.push(path);
@@ -165,37 +190,45 @@ impl PersistentDedupStore {
             }
         }
         recipe_files.sort();
-        for path in recipe_files {
-            let text = std::fs::read_to_string(&path).map_err(PersistError::from)?;
-            let (recipe, blob_len) = Self::parse_envelope(&text)
-                .ok_or_else(|| PersistError::Torn(path.clone()))?;
-            // Fetch each referenced object once; reads are digest-verified,
-            // so torn or flipped bytes surface as Corrupt, never as data.
-            let mut contents: FxHashMap<Digest, Vec<u8>> = FxHashMap::default();
-            for d in recipe.file_digests() {
-                if contents.contains_key(&d) {
-                    continue;
-                }
-                let data = self
-                    .objects
-                    .get(&d)?
-                    .ok_or(PersistentError::Store(StoreError::MissingObject(d)))?;
-                contents.insert(d, data);
-            }
-            let pending: Vec<PendingEntry<'_>> = recipe
-                .entries
-                .iter()
-                .map(|meta| {
-                    let file = match &meta.kind {
-                        crate::recipe::RecipeEntryKind::File(d) => {
-                            Some((*d, contents[d].as_slice()))
-                        }
-                        _ => None,
-                    };
-                    PendingEntry { meta: meta.clone(), file }
-                })
-                .collect();
-            self.mem.commit_parsed(recipe.layer_digest, blob_len, pending)?;
+        Ok(recipe_files)
+    }
+
+    /// Replays every recipe on disk into memory: reopen, in three steps
+    /// over the sorted recipe list. Steps 1 and 2 run on `threads` workers
+    /// but hand their results back in input order, and each is checked
+    /// front to back before the next starts, so the damaged file an error
+    /// names never depends on thread timing: the first bad recipe in path
+    /// order, else the first bad object in first-seen order.
+    fn replay_with(&self, threads: usize) -> Result<(), PersistentError> {
+        // (1) Read and parse every envelope.
+        let recipe_files = self.recipe_files()?;
+        let parsed = dhub_par::par_map(threads, &recipe_files, |path| {
+            let text = std::fs::read_to_string(path)?;
+            Self::parse_envelope(&text).ok_or_else(|| PersistError::Torn(path.clone()))
+        });
+        let recipes = parsed.into_iter().collect::<Result<Vec<_>, PersistError>>()?;
+
+        // (2) Fetch each referenced object once, however many layers name
+        // it; reads are digest-verified, so torn or flipped bytes surface
+        // as Corrupt, never as data.
+        let mut seen: FxHashSet<Digest> = FxHashSet::default();
+        let wanted: Vec<Digest> = recipes
+            .iter()
+            .flat_map(|(recipe, _)| recipe.file_digests())
+            .filter(|d| seen.insert(*d))
+            .collect();
+        let fetched = dhub_par::par_map(threads, &wanted, |d| {
+            self.objects.get(d)?.ok_or(PersistentError::Store(StoreError::MissingObject(*d)))
+        });
+        let mut contents = wanted
+            .iter()
+            .zip(fetched)
+            .map(|(d, data)| Ok((*d, data?)))
+            .collect::<Result<FxHashMap<Digest, Vec<u8>>, PersistentError>>()?;
+
+        // (3) Commit in recipe order; recipes and bytes move into memory.
+        for (recipe, blob_len) in recipes {
+            self.mem.commit_recipe(recipe, blob_len, &mut contents)?;
         }
         Ok(())
     }
@@ -227,8 +260,11 @@ impl PersistentDedupStore {
         };
         let path = self.recipe_path(&layer_digest);
         let shard = path.parent().expect("recipe path has a shard dir");
-        std::fs::create_dir_all(shard).map_err(PersistError::from)?;
-        fsync_dir(&self.layers_dir).map_err(PersistError::from)?;
+        if !shard.exists() {
+            std::fs::create_dir_all(shard).map_err(PersistError::from)?;
+            // The fanout directory itself is a fresh entry in `layers/`.
+            fsync_dir(&self.layers_dir).map_err(PersistError::from)?;
+        }
         self.publisher.publish(&path, Self::envelope(&recipe, blob_len).as_bytes())?;
         Ok(self.mem.commit_parsed(layer_digest, blob_len, pending)?)
     }
@@ -240,7 +276,10 @@ impl PersistentDedupStore {
     }
 
     /// Garbage-collects objects no recipe references (crash orphans) and
-    /// sweeps in-flight temp debris.
+    /// sweeps in-flight temp debris. Must not overlap a layer commit: a
+    /// commit's objects land before the recipe that makes them live, so a
+    /// sweep in between would collect them. (Against a bare object publish
+    /// the sweep is safe — both hold that fanout shard's lock.)
     pub fn gc(&self) -> Result<GcStats, PersistentError> {
         let mut live: FxHashSet<Digest> = FxHashSet::default();
         for d in self.mem.layer_digests() {
@@ -432,6 +471,195 @@ mod tests {
             PersistentError::Persist(PersistError::Torn(p)) => assert_eq!(p, path),
             other => panic!("expected torn recipe error, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// Twelve layers whose objects are shared by all, by pairs, by none,
+    /// and twice within one layer — 19 unique objects over 48 file entries.
+    fn many_layers() -> Vec<(Digest, Vec<u8>)> {
+        (0..12u32)
+            .map(|i| {
+                let own = format!("only in layer {i}");
+                layer(&[
+                    TarEntry::dir("shared/"),
+                    file("shared/lib", b"shared by every layer"),
+                    file(&format!("pair/{}", i / 2), format!("shared by pair {}", i / 2).as_bytes()),
+                    file(&format!("own/{i}"), own.as_bytes()),
+                    file("own/again", own.as_bytes()),
+                ])
+            })
+            .collect()
+    }
+
+    /// A populated store dir plus the in-memory store the same layers give.
+    fn populated(tag: &str) -> (PathBuf, DedupStore) {
+        let root = tmp_root(tag);
+        let reference = DedupStore::new();
+        let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
+        for (d, b) in &many_layers() {
+            ingest(&store, *d, b).unwrap();
+            reference.ingest_layer(*d, b).unwrap();
+        }
+        (root, reference)
+    }
+
+    fn flip_byte(path: &Path, at: usize) {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[at] ^= 0x01;
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn reopen_is_bit_identical_at_any_thread_count() {
+        let (root, reference) = populated("threads");
+        for threads in [1, 2, 8] {
+            let reopened =
+                PersistentDedupStore::open_with(&root, Publisher::new(), None, threads).unwrap();
+            assert_eq!(reopened.mem().stats(), reference.stats(), "threads={threads}");
+            assert_eq!(
+                reopened.mem().stats().dedup_factor().to_bits(),
+                reference.stats().dedup_factor().to_bits(),
+                "threads={threads}"
+            );
+            for (d, _) in &many_layers() {
+                assert_eq!(
+                    reopened.mem().reconstruct_tar(d).unwrap(),
+                    reference.reconstruct_tar(d).unwrap(),
+                    "threads={threads}"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn reopen_reads_and_verifies_each_object_exactly_once() {
+        let (root, reference) = populated("readonce");
+        let reg = MetricsRegistry::new();
+        let reopened = PersistentDedupStore::open_obs(&root, Publisher::new(), Some(&reg)).unwrap();
+        let stats = reopened.mem().stats();
+        assert_eq!(stats, reference.stats());
+        assert!(stats.logical_bytes > stats.physical_bytes, "the sample must share objects");
+        assert_eq!(reg.counter_value("dhub_persist_reads_total"), stats.unique_objects as u64);
+        assert_eq!(reg.counter_value("dhub_persist_read_bytes_total"), stats.physical_bytes);
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn the_damaged_file_open_names_does_not_depend_on_thread_timing() {
+        let (root, _) = populated("blame");
+        let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
+        let recipe_files = store.recipe_files().unwrap();
+        let mut first_seen: Vec<Digest> = Vec::new();
+        for path in &recipe_files {
+            let text = std::fs::read_to_string(path).unwrap();
+            let (recipe, _) = PersistentDedupStore::parse_envelope(&text).unwrap();
+            for d in recipe.file_digests() {
+                if !first_seen.contains(&d) {
+                    first_seen.push(d);
+                }
+            }
+        }
+        drop(store);
+        let object_path = |d: &Digest| {
+            let hex = hex_of(d);
+            root.join("objects").join(&hex[..2]).join(hex)
+        };
+        // Two torn recipes and two flipped objects at once: the first torn
+        // recipe in path order is named, whatever the objects look like.
+        let torn = [&recipe_files[3], &recipe_files[9]];
+        let sound: Vec<Vec<u8>> = torn.iter().map(|p| std::fs::read(p).unwrap()).collect();
+        let flipped = [first_seen[4], first_seen[first_seen.len() - 2]];
+        for path in torn {
+            flip_byte(path, 200);
+        }
+        for d in &flipped {
+            flip_byte(&object_path(d), 0);
+        }
+        for threads in [1, 2, 8] {
+            match PersistentDedupStore::open_with(&root, Publisher::new(), None, threads).err() {
+                Some(PersistentError::Persist(PersistError::Torn(p))) => {
+                    assert_eq!(&p, torn[0], "threads={threads}")
+                }
+                other => panic!("threads={threads}: expected a torn recipe, got {other:?}"),
+            }
+        }
+        // Every recipe sound again: the first flipped object in first-seen
+        // order is named.
+        for (path, bytes) in torn.iter().zip(&sound) {
+            std::fs::write(path, bytes).unwrap();
+        }
+        for threads in [1, 2, 8] {
+            match PersistentDedupStore::open_with(&root, Publisher::new(), None, threads).err() {
+                Some(PersistentError::Persist(PersistError::Corrupt(d))) => {
+                    assert_eq!(d, flipped[0], "threads={threads}")
+                }
+                other => panic!("threads={threads}: expected a corrupt object, got {other:?}"),
+            }
+        }
+        // And an object gone altogether, earlier still, is what is named.
+        std::fs::remove_file(object_path(&first_seen[1])).unwrap();
+        for threads in [1, 2, 8] {
+            match PersistentDedupStore::open_with(&root, Publisher::new(), None, threads).err() {
+                Some(PersistentError::Store(StoreError::MissingObject(d))) => {
+                    assert_eq!(d, first_seen[1], "threads={threads}")
+                }
+                other => panic!("threads={threads}: expected a missing object, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn any_envelope_layout_but_the_writers_is_torn() {
+        let root = tmp_root("tamper");
+        let (d, b) = sample_layers()[0].clone();
+        let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
+        ingest(&store, d, &b).unwrap();
+        let path = store.recipe_path(&d);
+        drop(store);
+        let sound = std::fs::read_to_string(&path).unwrap();
+        assert!(PersistentDedupStore::parse_envelope(&sound).is_some());
+        let head_len = sound.find(r#""recipe":"#).unwrap() + r#""recipe":"#.len();
+
+        // One flipped bit anywhere. `blobLen`'s digits are the one part of
+        // an envelope its checksum has never covered (a flipped digit is
+        // another digit): skipped here, not claimed.
+        let blob_len_at = sound.find(r#""blobLen":"#).unwrap() + r#""blobLen":"#.len();
+        let blob_len_digits = sound[blob_len_at..].find(',').unwrap();
+        let flip = |at: usize| {
+            let mut bytes = sound.clone().into_bytes();
+            bytes[at] ^= 0x01;
+            String::from_utf8(bytes).expect("ascii stays ascii")
+        };
+        for at in 0..sound.len() {
+            if (blob_len_at..blob_len_at + blob_len_digits).contains(&at) {
+                continue;
+            }
+            assert!(PersistentDedupStore::parse_envelope(&flip(at)).is_none(), "flip at byte {at}");
+        }
+
+        // The named cases, end to end through `open`: a flip in the head,
+        // in the recipe span, in the tail, and a JSON-equal envelope that
+        // is spaced differently.
+        let respaced = sound.replacen(r#","recipe":"#, r#", "recipe": "#, 1);
+        assert_eq!(dhub_json::parse(&respaced).unwrap(), dhub_json::parse(&sound).unwrap());
+        let cases = [
+            ("head", flip(3)),
+            ("recipe span", flip(head_len + (sound.len() - head_len) / 2)),
+            ("tail", flip(sound.len() - 1)),
+            ("trailing newline", format!("{sound}\n")),
+            ("re-spaced", respaced),
+        ];
+        for (what, text) in cases {
+            std::fs::write(&path, text).unwrap();
+            match PersistentDedupStore::open(&root, Publisher::new()).err() {
+                Some(PersistentError::Persist(PersistError::Torn(p))) => assert_eq!(p, path, "{what}"),
+                other => panic!("{what}: expected a torn recipe, got {other:?}"),
+            }
+        }
+        std::fs::write(&path, &sound).unwrap();
+        assert!(PersistentDedupStore::open(&root, Publisher::new()).is_ok());
         let _ = std::fs::remove_dir_all(root);
     }
 

@@ -232,7 +232,46 @@ impl DedupStore {
                 recipe_entries.push(p.meta);
             }
         }
-        let recipe = LayerRecipe { layer_digest, entries: recipe_entries };
+        self.record_layer(LayerRecipe { layer_digest, entries: recipe_entries }, blob_len, stats);
+        Ok(stats)
+    }
+
+    /// Commits a layer from its owned recipe (the reopen path): the recipe
+    /// is moved in as it stands, and the bytes of every object the store
+    /// does not hold yet are moved out of `fetched` — nothing is cloned.
+    /// Same checks, stats and counters as [`DedupStore::commit_parsed`].
+    pub(crate) fn commit_recipe(
+        &self,
+        recipe: LayerRecipe,
+        blob_len: u64,
+        fetched: &mut FxHashMap<Digest, Vec<u8>>,
+    ) -> Result<IngestStats, StoreError> {
+        if self.contains_layer(&recipe.layer_digest) {
+            return Err(StoreError::AlreadyIngested);
+        }
+        let mut stats = IngestStats::default();
+        {
+            let mut objects = self.objects.write();
+            for digest in recipe.file_digests() {
+                stats.files += 1;
+                if let Some(held) = objects.get(&digest) {
+                    stats.bytes_deduped += held.len() as u64;
+                } else {
+                    let data = fetched.remove(&digest).ok_or(StoreError::MissingObject(digest))?;
+                    stats.new_files += 1;
+                    stats.bytes_added += data.len() as u64;
+                    objects.insert(digest, Arc::new(data));
+                }
+            }
+        }
+        self.record_layer(recipe, blob_len, stats);
+        Ok(stats)
+    }
+
+    /// The tail of every commit: files the recipe and the layer's
+    /// compressed size, then folds `stats` into the store counters.
+    fn record_layer(&self, recipe: LayerRecipe, blob_len: u64, stats: IngestStats) {
+        let layer_digest = recipe.layer_digest;
         self.recipes.write().insert(layer_digest, Arc::new(recipe));
         self.layer_cls.write().insert(layer_digest, blob_len);
 
@@ -244,7 +283,6 @@ impl DedupStore {
         c.unique_objects = self.objects.read().len();
         self.metrics.ingests.inc();
         self.metrics.dedup_factor.set(c.dedup_factor());
-        Ok(stats)
     }
 
     /// Golden-model ingest: the original owned-decompression, owned-entry

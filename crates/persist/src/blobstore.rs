@@ -7,11 +7,11 @@
 //! [`PersistError::Corrupt`], never as wrong bytes.
 
 use crate::fsync::{fsync_dir, Publisher};
-use crate::{digest_from_hex, hex_of, PersistError};
+use crate::{digest_from_hex, PersistError};
 use dhub_digest::FxHashSet;
 use dhub_model::Digest;
 use dhub_obs::{Counter, MetricsRegistry};
-use dhub_sync::Mutex;
+use dhub_sync::Striped;
 use std::path::{Path, PathBuf};
 
 /// What one garbage-collection sweep removed.
@@ -67,16 +67,24 @@ impl BlobMetrics {
 
 /// A content-addressed object store rooted at a directory.
 ///
-/// Thread-safe: concurrent `put`s of distinct digests write distinct
-/// files; same-digest writers are serialized by a store-wide lock (the
-/// rename is atomic regardless — the lock only avoids redundant temp
-/// writes, matching the registry disk store).
+/// Thread-safe. One lock per fanout shard (the digest's first byte)
+/// covers a publish from its exists-check to its shard-directory fsync,
+/// so writers to different shards never wait on each other, and two
+/// writers of the same digest never share a temp file (the rename is
+/// atomic regardless — the lock avoids the redundant write). [`gc`]
+/// sweeps each shard under the same lock, so it cannot remove the
+/// `*.tmp` a publish is about to rename.
+///
+/// [`gc`]: BlobStore::gc
 pub struct BlobStore {
     root: PathBuf,
     publisher: Publisher,
-    write_lock: Mutex<()>,
+    shard_locks: Striped<()>,
     metrics: BlobMetrics,
 }
+
+/// Fanout shards: one per value of a digest's first byte.
+const SHARDS: usize = 256;
 
 impl BlobStore {
     /// Opens (creating if needed) a store rooted at `root`, publishing
@@ -87,7 +95,7 @@ impl BlobStore {
         Ok(BlobStore {
             root,
             publisher,
-            write_lock: Mutex::new(()),
+            shard_locks: Striped::new(SHARDS, || ()),
             metrics: BlobMetrics::default(),
         })
     }
@@ -108,80 +116,79 @@ impl BlobStore {
         &self.publisher
     }
 
+    /// `<root>/ab/<64-hex>`, built from the digest bytes in one allocation.
     fn path_for(&self, digest: &Digest) -> PathBuf {
-        let hex = hex_of(digest);
-        self.root.join(&hex[..2]).join(hex)
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut rel = [b'/'; 67];
+        for (i, byte) in digest.0.iter().enumerate() {
+            rel[3 + 2 * i] = HEX[(byte >> 4) as usize];
+            rel[4 + 2 * i] = HEX[(byte & 0xf) as usize];
+        }
+        rel.copy_within(3..5, 0);
+        let rel = std::str::from_utf8(&rel).expect("hex digits are ascii");
+        let mut path = PathBuf::with_capacity(self.root.as_os_str().len() + 1 + rel.len());
+        path.push(&self.root);
+        path.push(rel);
+        path
     }
 
     /// Stores `data`, returning its digest. Idempotent; crash-safe (a
     /// killed write leaves only invisible `*.tmp` debris).
     pub fn put(&self, data: &[u8]) -> Result<Digest, PersistError> {
         let digest = Digest::of(data);
-        self.put_at(&digest, data)?;
+        self.put_batch(&[(digest, data)])?;
         Ok(digest)
     }
 
-    /// Stores `data` under an already-computed `digest` (the fused ingest
-    /// path has hashed every payload once; re-hashing here would double
-    /// the per-byte cost). Debug builds verify the pair.
-    fn put_at(&self, digest: &Digest, data: &[u8]) -> Result<(), PersistError> {
-        debug_assert_eq!(*digest, Digest::of(data), "put_at digest/payload mismatch");
-        let path = self.path_for(digest);
-        if path.exists() {
-            return Ok(());
-        }
-        let _guard = self.write_lock.lock();
-        if path.exists() {
-            return Ok(());
-        }
-        let parent = path.parent().expect("object path has parent");
-        if !parent.exists() {
-            std::fs::create_dir_all(parent)?;
-            // The fanout directory itself is a fresh entry in the root.
-            fsync_dir(&self.root)?;
-        }
-        self.publisher.publish(&path, data)?;
-        self.metrics.objects_written.inc();
-        self.metrics.object_bytes.add(data.len() as u64);
-        Ok(())
-    }
-
-    /// Stores a batch of pre-hashed objects with one parent-directory
-    /// fsync per fanout shard (via [`Publisher::publish_batch`]) instead
-    /// of one per object — the fsync-bound durable ingest path spends
-    /// most of its time in exactly those directory fsyncs. Duplicate
-    /// digests within the batch and objects already on disk are skipped.
+    /// Stores a batch of pre-hashed objects (the fused ingest path has
+    /// hashed every payload once; re-hashing here would double the
+    /// per-byte cost — debug builds verify the pairs) with one
+    /// parent-directory fsync per fanout shard (via
+    /// [`Publisher::publish_batch`]) instead of one per object — the
+    /// fsync-bound durable ingest path spends most of its time in exactly
+    /// those directory fsyncs. Duplicate digests within the batch and
+    /// objects already on disk are skipped. The batch is published shard
+    /// by shard, each under that shard's lock only.
     pub fn put_batch(&self, items: &[(Digest, &[u8])]) -> Result<(), PersistError> {
-        let _guard = self.write_lock.lock();
         let mut seen = FxHashSet::default();
-        let mut to_publish: Vec<(PathBuf, &[u8])> = Vec::new();
+        let mut items: Vec<(u8, PathBuf, &[u8])> = items
+            .iter()
+            .filter(|(digest, _)| seen.insert(*digest))
+            .map(|(digest, data)| {
+                debug_assert_eq!(*digest, Digest::of(data), "put_batch digest/payload mismatch");
+                (digest.0[0], self.path_for(digest), *data)
+            })
+            .collect();
+        items.sort_by_key(|(shard, _, _)| *shard);
+        // A missing shard directory means nothing in it is published yet,
+        // so creating it needs no lock; all fresh ones share one root fsync.
         let mut fresh_shard = false;
-        for (digest, data) in items {
-            debug_assert_eq!(*digest, Digest::of(data), "put_batch digest/payload mismatch");
-            if !seen.insert(*digest) {
-                continue;
-            }
-            let path = self.path_for(digest);
-            if path.exists() {
-                continue;
-            }
-            let parent = path.parent().expect("object path has parent");
-            if !parent.exists() {
-                std::fs::create_dir_all(parent)?;
+        for shard in items.chunk_by(|a, b| a.0 == b.0) {
+            let dir = shard[0].1.parent().expect("object path has parent");
+            if !dir.exists() {
+                std::fs::create_dir_all(dir)?;
                 fresh_shard = true;
             }
-            to_publish.push((path, data));
         }
         if fresh_shard {
             // The fanout directories themselves are fresh entries in the root.
             fsync_dir(&self.root)?;
         }
-        if to_publish.is_empty() {
-            return Ok(());
+        let mut rest = items.into_iter().peekable();
+        while let Some(&(shard, _, _)) = rest.peek() {
+            let _guard = self.shard_locks.get(shard as usize).lock();
+            let to_publish: Vec<(PathBuf, &[u8])> =
+                std::iter::from_fn(|| rest.next_if(|item| item.0 == shard))
+                    .filter(|(_, path, _)| !path.exists())
+                    .map(|(_, path, data)| (path, data))
+                    .collect();
+            if to_publish.is_empty() {
+                continue;
+            }
+            self.publisher.publish_batch(&to_publish)?;
+            self.metrics.objects_written.add(to_publish.len() as u64);
+            self.metrics.object_bytes.add(to_publish.iter().map(|(_, d)| d.len() as u64).sum());
         }
-        self.publisher.publish_batch(&to_publish)?;
-        self.metrics.objects_written.add(to_publish.len() as u64);
-        self.metrics.object_bytes.add(to_publish.iter().map(|(_, d)| d.len() as u64).sum());
         Ok(())
     }
 
@@ -208,72 +215,76 @@ impl BlobStore {
         self.path_for(digest).exists()
     }
 
-    /// Walks the fanout tree, yielding `(digest, path, is_tmp, len)` for
-    /// every file. Deterministic order (sorted shards, sorted names).
-    fn walk(&self) -> Result<Vec<(Option<Digest>, PathBuf, bool, u64)>, PersistError> {
-        let mut out = Vec::new();
-        let mut shards: Vec<PathBuf> = Vec::new();
-        for shard in std::fs::read_dir(&self.root)? {
-            let shard = shard?;
-            if shard.file_type()?.is_dir() {
-                shards.push(shard.path());
-            }
+    /// The entries of fanout shard `shard`'s directory — none when nothing
+    /// has been published into that shard yet. Anything else under the
+    /// root is foreign and never visited.
+    fn shard_entries(&self, shard: u8) -> Result<Vec<std::fs::DirEntry>, PersistError> {
+        let dir = self.root.join(format!("{shard:02x}"));
+        if !dir.is_dir() {
+            return Ok(Vec::new());
         }
-        shards.sort();
-        for shard in shards {
-            let mut files: Vec<PathBuf> = Vec::new();
-            for f in std::fs::read_dir(&shard)? {
-                files.push(f?.path());
-            }
-            files.sort();
-            for path in files {
-                let is_tmp = path.extension().map(|e| e == "tmp").unwrap_or(false);
-                let len = path.metadata()?.len();
-                let digest = if is_tmp {
-                    None
-                } else {
-                    path.file_name().and_then(|n| n.to_str()).and_then(digest_from_hex)
-                };
-                out.push((digest, path, is_tmp, len));
-            }
-        }
-        Ok(out)
+        Ok(std::fs::read_dir(dir)?.collect::<Result<_, _>>()?)
     }
 
     /// Digests of every published (non-temp) object, sorted.
     pub fn list(&self) -> Result<Vec<Digest>, PersistError> {
-        Ok(self.walk()?.into_iter().filter_map(|(d, _, _, _)| d).collect())
+        let mut out = Vec::new();
+        for shard in 0..=u8::MAX {
+            for f in self.shard_entries(shard)? {
+                out.extend(f.file_name().to_str().and_then(digest_from_hex));
+            }
+        }
+        out.sort_unstable();
+        Ok(out)
     }
 
     /// Total bytes across published objects (temp debris excluded).
     pub fn disk_bytes(&self) -> Result<u64, PersistError> {
-        Ok(self.walk()?.iter().filter(|(_, _, tmp, _)| !tmp).map(|(_, _, _, l)| l).sum())
+        let mut bytes = 0;
+        for shard in 0..=u8::MAX {
+            for f in self.shard_entries(shard)? {
+                if !is_tmp(&f.file_name()) {
+                    bytes += f.metadata()?.len();
+                }
+            }
+        }
+        Ok(bytes)
     }
 
     /// Garbage collection: deletes every published object whose digest is
     /// not in `live`, and all `*.tmp` debris from crashed writes.
-    /// Referenced objects are never touched.
+    /// Referenced objects are never touched. Sweeps shard by shard under
+    /// the shard's publish lock (a `*.tmp` seen here is therefore never a
+    /// publish in flight), and stats only what it deletes.
     pub fn gc(&self, live: &FxHashSet<Digest>) -> Result<GcStats, PersistError> {
-        let _guard = self.write_lock.lock();
         let mut stats = GcStats::default();
-        for (digest, path, is_tmp, len) in self.walk()? {
-            if is_tmp {
-                std::fs::remove_file(&path)?;
-                stats.tmp_files += 1;
-                continue;
-            }
-            // Unparseable names are foreign files — leave them alone.
-            let Some(d) = digest else { continue };
-            if !live.contains(&d) {
-                std::fs::remove_file(&path)?;
-                stats.objects += 1;
-                stats.bytes += len;
+        for shard in 0..=u8::MAX {
+            let _guard = self.shard_locks.get(shard as usize).lock();
+            for f in self.shard_entries(shard)? {
+                let name = f.file_name();
+                if is_tmp(&name) {
+                    std::fs::remove_file(f.path())?;
+                    stats.tmp_files += 1;
+                    continue;
+                }
+                // Unparseable names are foreign files — leave them alone.
+                let Some(d) = name.to_str().and_then(digest_from_hex) else { continue };
+                if !live.contains(&d) {
+                    stats.bytes += f.metadata()?.len();
+                    std::fs::remove_file(f.path())?;
+                    stats.objects += 1;
+                }
             }
         }
         self.metrics.gc_objects.add(stats.objects);
         self.metrics.gc_bytes.add(stats.bytes);
         Ok(stats)
     }
+}
+
+/// True for the in-flight temp name of a publish ([`crate::tmp_path`]).
+fn is_tmp(name: &std::ffi::OsStr) -> bool {
+    Path::new(name).extension().is_some_and(|e| e == "tmp")
 }
 
 #[cfg(test)]
@@ -368,6 +379,67 @@ mod tests {
         assert_eq!(reg.counter_value("dhub_persist_object_bytes_total"), 100);
         assert_eq!(reg.counter_value("dhub_persist_reads_total"), 1);
         assert_eq!(reg.counter_value("dhub_persist_read_bytes_total"), 100);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn concurrent_overlapping_batches_publish_each_object_once() {
+        let dir = std::env::temp_dir().join(format!("dhub-persist-blob-batch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let reg = MetricsRegistry::new();
+        let s = BlobStore::open(&dir, Publisher::new()).unwrap().with_metrics(&reg);
+        let payloads: Vec<Vec<u8>> = (0..200u32).map(|i| format!("object {i}").into_bytes()).collect();
+        let objects: Vec<(Digest, &[u8])> =
+            payloads.iter().map(|p| (Digest::of(p), p.as_slice())).collect();
+        // Eight writers, each a 60-object window overlapping its
+        // neighbours' by 40, in batches of 7 (with in-batch repeats).
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let (s, objects, start) = (&s, &objects, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for batch in objects[t * 20..t * 20 + 60].chunks(7) {
+                        s.put_batch(&[batch, &batch[..1]].concat()).unwrap();
+                    }
+                });
+            }
+        });
+        for (d, data) in &objects {
+            assert_eq!(s.get(d).unwrap().as_deref(), Some(*data));
+        }
+        assert_eq!(s.list().unwrap().len(), objects.len());
+        for shard in std::fs::read_dir(&dir).unwrap() {
+            for f in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+                assert!(!is_tmp(&f.unwrap().file_name()), "no temp file may outlive its publish");
+            }
+        }
+        assert_eq!(reg.counter_value("dhub_persist_objects_written_total"), objects.len() as u64);
+        assert_eq!(
+            reg.counter_value("dhub_persist_object_bytes_total"),
+            payloads.iter().map(|p| p.len() as u64).sum::<u64>()
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn gc_never_sweeps_the_temp_file_of_a_publish_in_flight() {
+        let (dir, s) = store("gc-race");
+        let payloads: Vec<Vec<u8>> = (0..300u32).map(|i| format!("live {i}").into_bytes()).collect();
+        let live: FxHashSet<Digest> = payloads.iter().map(|p| Digest::of(p)).collect();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(std::sync::atomic::Ordering::Acquire) {
+                    assert_eq!(s.gc(&live).unwrap(), GcStats::default());
+                }
+            });
+            for p in &payloads {
+                s.put(p).unwrap();
+            }
+            done.store(true, std::sync::atomic::Ordering::Release);
+        });
+        assert_eq!(s.list().unwrap().len(), payloads.len());
         let _ = std::fs::remove_dir_all(dir);
     }
 

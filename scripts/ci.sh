@@ -172,14 +172,36 @@ for q in summary dedup top-types layer-percentiles; do
         || { echo "FAIL: query '$q' diverged between clean and faulted stores" >&2; exit 1; }
 done
 echo "persist gate: 4 query outputs byte-identical across clean and faulted stores"
-# Resume: the same ingest again must replay, not re-ingest.
+# Resume: the same ingest again must replay, not re-ingest — and the
+# replay must read and verify each object once, not once per layer that
+# references it: the run's object-read counters are its own printed totals.
 ./target/release/dhub store --repos 25 --seed 5 --scale 1024 --threads 2 \
-    --store-dir "$PERSIST_CLEAN" > "$PERSIST_OUT.resume"
+    --store-dir "$PERSIST_CLEAN" --metrics-snapshot "$PERSIST_OUT.snap" > "$PERSIST_OUT.resume"
 grep -q "resuming store with" "$PERSIST_OUT.resume" \
     || { echo "FAIL: second run over a populated store did not resume" >&2; exit 1; }
 echo "persist gate: populated store resumed instead of re-ingesting"
+python3 - "$PERSIST_OUT.snap" "$PERSIST_OUT.resume" <<'EOF'
+import json
+import re
+import sys
+
+c = json.load(open(sys.argv[1]))["counters"]
+out = open(sys.argv[2]).read()
+bad = []
+for counter, label in [("dhub_persist_reads_total", "unique objects"),
+                       ("dhub_persist_read_bytes_total", "physical bytes")]:
+    want = int(re.search(re.escape(label) + r"\s*: (\d+)", out).group(1))
+    if c.get(counter) != want:
+        bad.append(f"{counter}={c.get(counter)} but the run printed {label} {want}")
+if bad:
+    print("FAIL: reopen did not read each object exactly once:", file=sys.stderr)
+    for b in bad:
+        print("  " + b, file=sys.stderr)
+    sys.exit(1)
+print("persist gate: reopen read and verified each object exactly once")
+EOF
 rm -rf "$PERSIST_CLEAN" "$PERSIST_FAULT" "$PERSIST_OUT" "$PERSIST_OUT.q" \
-    "$PERSIST_OUT.clean" "$PERSIST_OUT.fault" "$PERSIST_OUT.resume"
+    "$PERSIST_OUT.clean" "$PERSIST_OUT.fault" "$PERSIST_OUT.resume" "$PERSIST_OUT.snap"
 
 # Queue gate: the lease-based worker fleet must produce byte-identical
 # query answers at 1 and 4 workers, and a fleet killed mid-run by its
@@ -494,11 +516,11 @@ EOF
 # substrate only those two reached, the write-only refcount manifest and
 # the pacing option nobody set, the three hand-rolled retry loops, the
 # origin-only endpoint set, layer removal with its refcounts and gc
-# counters, and the second report binary are gone. Nothing outside the
-# history files, the issue text and the frozen bench/ tree may name them
-# again.
+# counters, the second report binary, and the blob store's store-wide
+# publish lock are gone. Nothing outside the history files, the issue
+# text and the frozen bench/ tree may name them again.
 echo "==> stale-reference audit"
-STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network|fn with_retries|fn retrying|Backend::Local|mirror_(manifest|blob|tags)_endpoint|remove_layer|dhub_store_gc_|--bin report'
+STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network|fn with_retries|fn retrying|Backend::Local|mirror_(manifest|blob|tags)_endpoint|remove_layer|dhub_store_gc_|--bin report|write_lock'
 if git grep -nE "$STALE_RE" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench' \
     | grep -v '^scripts/ci.sh:[0-9]*:STALE_RE='; then
     echo "FAIL: stale references to deleted code (listed above)" >&2
