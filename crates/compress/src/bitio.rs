@@ -142,6 +142,22 @@ impl<'a> BitReader<'a> {
         self.nbits
     }
 
+    /// Hands the input and the cursor `(pos, acc, nbits)` to the inflate
+    /// fast loop, which refills on its own.
+    pub(crate) fn take_state(&self) -> (&'a [u8], usize, u64, u32) {
+        (self.data, self.pos, self.acc, self.nbits)
+    }
+
+    /// Takes the cursor back from the fast loop. Its accumulator may hold
+    /// stream bits above `nbits` (the next bytes from `pos` on); they are
+    /// masked off here to restore the zero-padding `peek` relies on.
+    pub(crate) fn restore_state(&mut self, pos: usize, acc: u64, nbits: u32) {
+        debug_assert!(nbits < 64 && pos <= self.data.len());
+        self.pos = pos;
+        self.acc = acc & ((1u64 << nbits) - 1);
+        self.nbits = nbits;
+    }
+
     /// Appends `n` raw bytes to `out` in one bulk copy; requires byte
     /// alignment. The fast-path equivalent of [`read_bytes`](Self::read_bytes)
     /// for stored DEFLATE blocks.

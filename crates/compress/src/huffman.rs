@@ -3,8 +3,11 @@
 //! DEFLATE transmits only code *lengths*; both sides derive the canonical
 //! codes from them (RFC 1951 §3.2.2). The encoder assigns optimal
 //! length-limited lengths with the package-merge algorithm (alphabet sizes
-//! here are ≤ 288 and limits ≤ 15, so the O(n·L) cost is negligible), and
-//! the decoder walks the canonical first-code/count tables bit by bit.
+//! here are ≤ 288 and limits ≤ 15, so the O(n·L) cost is negligible). Two
+//! decoders accept the same length sets: [`Decoder`] walks the canonical
+//! first-code/count tables bit by bit (the golden model), and the packed
+//! lookup table inflate's loops index resolves a symbol in one or two
+//! table reads.
 
 use crate::bitio::{BitReader, OutOfBits};
 
@@ -152,32 +155,8 @@ impl Decoder {
     /// also rejected, except for the single-code case DEFLATE allows for
     /// distance trees.
     pub fn new(lengths: &[u8]) -> Result<Decoder, HuffError> {
-        let max_len = lengths.iter().copied().max().unwrap_or(0);
-        if max_len == 0 {
-            return Err(HuffError::InvalidLengths);
-        }
-        let mut count = vec![0u16; max_len as usize + 1];
-        for &l in lengths {
-            if l > 0 {
-                count[l as usize] += 1;
-            }
-        }
-        // Kraft check.
-        let mut left: i64 = 1;
-        for &c in &count[1..=max_len as usize] {
-            left <<= 1;
-            left -= c as i64;
-            if left < 0 {
-                return Err(HuffError::InvalidLengths);
-            }
-        }
+        let (mut count, max_len) = checked_counts(lengths)?;
         let total: u32 = count.iter().map(|&c| c as u32).sum();
-        if left > 0 && total != 1 {
-            // Incomplete code with more than one symbol: reject. (The
-            // single-symbol case arises from our own encoder for degenerate
-            // distance trees and is tolerated like zlib does.)
-            return Err(HuffError::InvalidLengths);
-        }
 
         // offsets[l] = index of first symbol of length l in `symbols`.
         let mut offsets = vec![0u16; max_len as usize + 2];
@@ -221,145 +200,206 @@ impl Decoder {
     }
 }
 
-/// Root-table width for [`TableDecoder`]. Codes up to this length decode in
-/// a single lookup; longer codes chain through one subtable.
-const PRIMARY_BITS: u32 = 10;
-
-/// Flag bit marking a primary entry as a link to a subtable.
-const LINK: u32 = 0x8000_0000;
-
-/// Table-driven canonical Huffman decoder: a `1 << PRIMARY_BITS` root table
-/// plus second-level subtables for codes longer than [`PRIMARY_BITS`].
+/// Validates a code-length set for both decoders, returning the number of
+/// codes of each length and the longest length.
 ///
-/// Entries are `u32`s: a direct entry packs `(symbol << 16) | code_len`; a
-/// link entry sets [`LINK`] and packs `(subtable_base << 8) | subtable_bits`.
-/// Unreachable patterns (holes in incomplete codes) stay zero and decode to
-/// [`HuffError::BadCode`]. Accepts exactly the length sets [`Decoder::new`]
-/// accepts and returns the same error kinds [`Decoder::decode`] would, so
-/// the two are interchangeable; this one trades build cost for a decode
-/// that touches at most two table entries instead of one branch per bit.
-#[derive(Debug)]
-pub struct TableDecoder {
-    primary: Vec<u32>,
-    sub: Vec<u32>,
-    max_len: u8,
+/// Accepts complete codes and the degenerate one-symbol code. An
+/// over-subscribed set (Kraft sum > 1) is rejected; an incomplete set is
+/// also rejected, except for the single-code case DEFLATE allows for
+/// distance trees.
+fn checked_counts(lengths: &[u8]) -> Result<(Vec<u16>, u8), HuffError> {
+    let max_len = lengths.iter().copied().max().unwrap_or(0);
+    if max_len == 0 {
+        return Err(HuffError::InvalidLengths);
+    }
+    let mut count = vec![0u16; max_len as usize + 1];
+    for &l in lengths {
+        if l > 0 {
+            count[l as usize] += 1;
+        }
+    }
+    // Kraft check.
+    let mut left: i64 = 1;
+    for &c in &count[1..=max_len as usize] {
+        left <<= 1;
+        left -= c as i64;
+        if left < 0 {
+            return Err(HuffError::InvalidLengths);
+        }
+    }
+    let total: u32 = count.iter().map(|&c| c as u32).sum();
+    if left > 0 && total != 1 {
+        // Incomplete code with more than one symbol: reject. (The
+        // single-symbol case arises from our own encoder for degenerate
+        // distance trees and is tolerated like zlib does.)
+        return Err(HuffError::InvalidLengths);
+    }
+    Ok((count, max_len))
 }
 
-impl TableDecoder {
-    /// Builds the lookup tables from code lengths. Validation is identical
-    /// to [`Decoder::new`]: over-subscribed sets and incomplete sets (other
-    /// than the single-symbol degenerate code) are rejected.
-    pub fn new(lengths: &[u8]) -> Result<TableDecoder, HuffError> {
-        let max_len = lengths.iter().copied().max().unwrap_or(0);
-        if max_len == 0 {
-            return Err(HuffError::InvalidLengths);
-        }
-        let mut count = vec![0u32; max_len as usize + 1];
-        for &l in lengths {
-            if l > 0 {
-                count[l as usize] += 1;
-            }
-        }
-        let mut left: i64 = 1;
-        for &c in &count[1..=max_len as usize] {
-            left <<= 1;
-            left -= c as i64;
-            if left < 0 {
-                return Err(HuffError::InvalidLengths);
-            }
-        }
-        let total: u32 = count.iter().sum();
-        if left > 0 && total != 1 {
-            return Err(HuffError::InvalidLengths);
-        }
+// Packed table entries. Each `u32` slot carries everything the inflate
+// loops need from one lookup:
+//
+//   bits 0..=3    length of the whole code (root plus subtable bits), so
+//                 `acc.wrapping_shr(entry)` consumes it; bits 4..=5 stay
+//                 clear for exactly that shift
+//   bits 8..=11   extra-bit count of a length / distance symbol, or the
+//                 index width of a subtable link
+//   bit 12        EOB                       } each only with
+//   bit 13        HOLE: no code maps here   } EXCEPTIONAL
+//   bit 14        SUBTABLE link             }
+//   bit 15        EXCEPTIONAL: EOB, a bad symbol, a hole or a link
+//   bits 16..=30  literal byte, length / distance base, or subtable offset
+//   bit 31        LITERAL
+//
+// HOLE and SUBTABLE are the table's own; the builder's `payload` supplies
+// every other bit above the code length.
 
+/// Mask of an entry's code length.
+pub(crate) const LEN_MASK: u32 = 0xF;
+/// End-of-block symbol.
+pub(crate) const EOB: u32 = 1 << 12;
+/// Root or subtable slot no code maps to (incomplete one-symbol codes).
+pub(crate) const HOLE: u32 = 1 << 13;
+/// Root slot linking to a subtable for codes longer than the root width.
+pub(crate) const SUBTABLE: u32 = 1 << 14;
+/// Anything but a literal or a valid length / distance.
+pub(crate) const EXCEPTIONAL: u32 = 1 << 15;
+/// Literal byte in bits 16..=23.
+pub(crate) const LITERAL: u32 = 1 << 31;
+
+/// Longest code DEFLATE allows; the checked decode peeks this many bits.
+const MAX_CODE_LEN: u32 = 15;
+
+/// Table-driven canonical Huffman decoder over packed entries: a
+/// `1 << root_bits` root plus, per root prefix shared by longer codes, one
+/// subtable sized by the deepest of them. Accepts exactly the length sets
+/// [`Decoder::new`] accepts, and [`decode`](Self::decode) fails exactly
+/// where [`Decoder::decode`] would, with the same error.
+pub(crate) struct PackedTable {
+    entries: Vec<u32>,
+    root_bits: u32,
+    max_len: u32,
+}
+
+impl PackedTable {
+    /// An empty table with a `1 << root_bits` root, to [`rebuild`](Self::rebuild) into.
+    pub(crate) fn new(root_bits: u32) -> PackedTable {
+        debug_assert!(root_bits <= MAX_CODE_LEN);
+        PackedTable { entries: Vec::new(), root_bits, max_len: 0 }
+    }
+
+    /// Refills the table from code lengths, keeping its allocation.
+    /// `payload(sym)` gives the bits of symbol `sym`'s entry above the code
+    /// length. On error the table is left unusable until the next rebuild.
+    pub(crate) fn rebuild(
+        &mut self,
+        lengths: &[u8],
+        payload: impl Fn(usize) -> u32,
+    ) -> Result<(), HuffError> {
+        let (_, max_len) = checked_counts(lengths)?;
+        let root_bits = self.root_bits;
+        let root_size = 1usize << root_bits;
         let codes = canonical_codes(lengths);
-        let mut primary = vec![0u32; 1 << PRIMARY_BITS];
-        let mut sub: Vec<u32> = Vec::new();
+        self.max_len = max_len as u32;
+        let entries = &mut self.entries;
+        entries.clear();
+        entries.resize(root_size, EXCEPTIONAL | HOLE);
 
-        // Short codes stride-fill the root table directly.
+        // Short codes stride-fill the root directly.
         for (sym, &len) in lengths.iter().enumerate() {
             let len = len as u32;
-            if len == 0 || len > PRIMARY_BITS {
+            if len == 0 || len > root_bits {
                 continue;
             }
-            let entry = ((sym as u32) << 16) | len;
+            let entry = payload(sym) | len;
             let mut idx = codes[sym] as usize;
-            while idx < (1 << PRIMARY_BITS) {
-                primary[idx] = entry;
+            while idx < root_size {
+                entries[idx] = entry;
                 idx += 1 << len;
             }
         }
-
-        if max_len as u32 > PRIMARY_BITS {
-            // Long codes: group by their low PRIMARY_BITS (the first bits on
-            // the wire — `canonical_codes` is already LSB-first), size each
-            // prefix's subtable by its deepest code, then stride-fill.
-            let mut sub_max = vec![0u8; 1 << PRIMARY_BITS];
-            for (sym, &len) in lengths.iter().enumerate() {
-                if (len as u32) > PRIMARY_BITS {
-                    let prefix = (codes[sym] as usize) & ((1 << PRIMARY_BITS) - 1);
-                    sub_max[prefix] = sub_max[prefix].max(len);
-                }
-            }
-            let mut base = vec![0u32; 1 << PRIMARY_BITS];
-            for prefix in 0..1usize << PRIMARY_BITS {
-                if sub_max[prefix] == 0 {
-                    continue;
-                }
-                let sub_bits = sub_max[prefix] as u32 - PRIMARY_BITS;
-                base[prefix] = sub.len() as u32;
-                sub.resize(sub.len() + (1 << sub_bits), 0);
-                primary[prefix] = LINK | (base[prefix] << 8) | sub_bits;
-            }
-            for (sym, &len) in lengths.iter().enumerate() {
-                let len = len as u32;
-                if len <= PRIMARY_BITS {
-                    continue;
-                }
-                let prefix = (codes[sym] as usize) & ((1 << PRIMARY_BITS) - 1);
-                let sub_bits = sub_max[prefix] as u32 - PRIMARY_BITS;
-                let entry = ((sym as u32) << 16) | len;
-                let mut idx = (codes[sym] as usize) >> PRIMARY_BITS;
-                while idx < (1 << sub_bits) {
-                    sub[base[prefix] as usize + idx] = entry;
-                    idx += 1 << (len - PRIMARY_BITS);
-                }
-            }
+        if self.max_len <= root_bits {
+            return Ok(());
         }
 
-        Ok(TableDecoder { primary, sub, max_len })
+        // Long codes group by their low `root_bits` (the first bits on the
+        // wire: `canonical_codes` is LSB-first). Each prefix's link first
+        // records its deepest code, then gets its subtable appended, then
+        // the codes stride-fill it.
+        let prefix_of = |sym: usize| (codes[sym] as usize) & (root_size - 1);
+        for (sym, &len) in lengths.iter().enumerate() {
+            let sub_bits = (len as u32).saturating_sub(root_bits);
+            let link = &mut entries[prefix_of(sym)];
+            if sub_bits > 0 && (*link & SUBTABLE == 0 || (*link >> 8) & LEN_MASK < sub_bits) {
+                *link = EXCEPTIONAL | SUBTABLE | (sub_bits << 8);
+            }
+        }
+        for prefix in 0..root_size {
+            let link = entries[prefix];
+            if link & SUBTABLE != 0 {
+                entries[prefix] = link | ((entries.len() as u32) << 16);
+                entries.resize(entries.len() + (1 << ((link >> 8) & LEN_MASK)), EXCEPTIONAL | HOLE);
+            }
+        }
+        for (sym, &len) in lengths.iter().enumerate() {
+            let len = len as u32;
+            if len <= root_bits {
+                continue;
+            }
+            let link = entries[prefix_of(sym)];
+            let (base, size) = ((link >> 16) as usize, 1usize << ((link >> 8) & LEN_MASK));
+            let entry = payload(sym) | len;
+            let mut idx = (codes[sym] as usize) >> root_bits;
+            while idx < size {
+                entries[base + idx] = entry;
+                idx += 1 << (len - root_bits);
+            }
+        }
+        Ok(())
     }
 
-    /// Decodes one symbol from `r` via zero-padded lookahead.
-    ///
-    /// Error mapping matches the bit-by-bit walk exactly: a valid entry
-    /// whose code length exceeds the remaining input is `Truncated`; a hole
-    /// is `BadCode` only when a full `max_len` bits were actually available
-    /// (otherwise the walk would have run dry first).
+    /// The root table: index it with the next `root_bits` stream bits.
     #[inline]
-    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u16, HuffError> {
-        r.ensure(self.max_len as u32);
-        let mut entry = self.primary[r.peek(PRIMARY_BITS) as usize];
-        if entry & LINK != 0 {
-            let sub_bits = entry & 0xff;
-            let base = (entry >> 8) & 0x7fff;
-            let idx = r.peek(PRIMARY_BITS + sub_bits) >> PRIMARY_BITS;
-            entry = self.sub[(base + idx) as usize];
+    pub(crate) fn root(&self) -> &[u32] {
+        &self.entries[..1 << self.root_bits]
+    }
+
+    /// Follows a subtable `link` found in the root for the stream bits `bits`.
+    #[inline]
+    pub(crate) fn sub_entry(&self, link: u32, bits: u64) -> u32 {
+        let mask = (1usize << ((link >> 8) & LEN_MASK)) - 1;
+        self.entries[(link >> 16) as usize + ((bits >> self.root_bits) as usize & mask)]
+    }
+
+    /// Decodes one symbol from `r` and returns its entry, never a link or a
+    /// hole.
+    ///
+    /// Errors match the bit-by-bit walk exactly: an entry whose code is
+    /// longer than the remaining input is `Truncated`; a hole is `BadCode`
+    /// only when a full `max_len` bits were actually available (otherwise
+    /// the walk would have run dry first).
+    #[inline]
+    pub(crate) fn decode(&self, r: &mut BitReader<'_>) -> Result<u32, HuffError> {
+        r.ensure(self.max_len);
+        let bits = r.peek(MAX_CODE_LEN) as u64;
+        let mut entry = self.root()[bits as usize & ((1 << self.root_bits) - 1)];
+        if entry & SUBTABLE != 0 {
+            entry = self.sub_entry(entry, bits);
         }
-        if entry == 0 {
-            return if r.available() < self.max_len as u32 {
-                Err(HuffError::Truncated)
+        if entry & HOLE != 0 {
+            return Err(if r.available() < self.max_len {
+                HuffError::Truncated
             } else {
-                Err(HuffError::BadCode)
-            };
+                HuffError::BadCode
+            });
         }
-        let len = entry & 0x1f;
+        let len = entry & LEN_MASK;
         if len > r.available() {
             return Err(HuffError::Truncated);
         }
         r.consume(len);
-        Ok((entry >> 16) as u16)
+        Ok(entry)
     }
 }
 
@@ -460,59 +500,105 @@ mod tests {
         assert_eq!(dec.decode(&mut r).unwrap(), 1);
     }
 
+    /// A packed table whose payload is the symbol, for comparing against
+    /// [`Decoder`].
+    fn packed(lens: &[u8], root_bits: u32) -> Result<PackedTable, HuffError> {
+        let mut t = PackedTable::new(root_bits);
+        t.rebuild(lens, |sym| (sym as u32) << 16)?;
+        Ok(t)
+    }
+
+    fn packed_sym(t: &PackedTable, r: &mut BitReader<'_>) -> Result<u16, HuffError> {
+        t.decode(r).map(|e| (e >> 16) as u16)
+    }
+
     #[test]
     fn table_decoder_matches_bitwise_decoder() {
-        // Deep, skewed tree: forces codes past PRIMARY_BITS so both the
-        // root table and the subtable path are exercised.
+        // Deep, skewed tree: forces codes past both root widths so the root
+        // and the subtable paths are exercised.
         let freqs: Vec<u64> = (0..40).map(|i| 1u64 << (i / 3).min(13)).collect();
         let lens = limited_code_lengths(&freqs, 15);
-        assert!(lens.iter().any(|&l| l as u32 > super::PRIMARY_BITS), "want long codes");
+        assert!(lens.iter().any(|&l| l > 11), "want long codes");
         let codes = canonical_codes(&lens);
-        let bitwise = Decoder::new(&lens).unwrap();
-        let table = TableDecoder::new(&lens).unwrap();
         let msg: Vec<u16> = (0..2000u32).map(|i| (i * 13 % 40) as u16).collect();
         let mut w = BitWriter::new();
         for &s in &msg {
             w.write_bits(codes[s as usize] as u32, lens[s as usize] as u32);
         }
         let bytes = w.finish();
-        let (mut r1, mut r2) = (BitReader::new(&bytes), BitReader::new(&bytes));
-        for &s in &msg {
-            assert_eq!(bitwise.decode(&mut r1).unwrap(), s);
-            assert_eq!(table.decode(&mut r2).unwrap(), s);
+        let bitwise = Decoder::new(&lens).unwrap();
+        for root_bits in [8, 11] {
+            let table = packed(&lens, root_bits).unwrap();
+            let (mut r1, mut r2) = (BitReader::new(&bytes), BitReader::new(&bytes));
+            for &s in &msg {
+                assert_eq!(bitwise.decode(&mut r1).unwrap(), s);
+                assert_eq!(packed_sym(&table, &mut r2).unwrap(), s);
+            }
         }
     }
 
     #[test]
     fn table_decoder_validation_matches() {
-        assert_eq!(TableDecoder::new(&[1, 1, 1]).unwrap_err(), HuffError::InvalidLengths);
-        assert_eq!(TableDecoder::new(&[2, 2, 2]).unwrap_err(), HuffError::InvalidLengths);
-        assert_eq!(TableDecoder::new(&[0, 0]).unwrap_err(), HuffError::InvalidLengths);
-        assert!(TableDecoder::new(&[0, 1, 0]).is_ok());
+        for lens in [&[1u8, 1, 1][..], &[2, 2, 2], &[0, 0], &[0, 1, 0], &[0, 12, 0]] {
+            let want = Decoder::new(lens).err();
+            assert_eq!(packed(lens, 8).err(), want, "{lens:?}");
+        }
     }
 
     #[test]
     fn table_decoder_single_code_and_hole() {
-        let dec = TableDecoder::new(&[0, 1, 0]).unwrap();
-        let mut w = BitWriter::new();
-        w.write_bits(0, 1);
-        w.write_bits(1, 1); // the unassigned half of the code space
-        for _ in 0..14 {
-            w.write_bits(1, 1); // pad so max_len bits are available
+        // A lone 1-bit code sits in the root; a lone 12-bit code behind an
+        // 8-bit root sits in a subtable, so it has holes at both levels.
+        for (lens, code_len) in [(&[0u8, 1, 0][..], 1u32), (&[0, 12, 0], 12)] {
+            let bitwise = Decoder::new(lens).unwrap();
+            let table = packed(lens, 8).unwrap();
+            // A set first bit is a root hole; eight zero bits then a set
+            // bit is a subtable hole.
+            let holes: &[u32] = if code_len > 8 { &[1, 1 << 8] } else { &[1] };
+            for &hole in holes {
+                let mut w = BitWriter::new();
+                w.write_bits(0, code_len);
+                w.write_bits(hole, 16);
+                let bytes = w.finish();
+                let (mut r1, mut r2) = (BitReader::new(&bytes), BitReader::new(&bytes));
+                assert_eq!(bitwise.decode(&mut r1).unwrap(), 1);
+                assert_eq!(packed_sym(&table, &mut r2).unwrap(), 1);
+                assert_eq!(bitwise.decode(&mut r1).unwrap_err(), HuffError::BadCode);
+                assert_eq!(packed_sym(&table, &mut r2).unwrap_err(), HuffError::BadCode);
+            }
+            // Fewer than max_len bits left: a hole is Truncated, as the walk
+            // runs dry before it could tell.
+            let tail = [0xffu8];
+            let want = if code_len > 8 { HuffError::Truncated } else { HuffError::BadCode };
+            assert_eq!(bitwise.decode(&mut BitReader::new(&tail)).unwrap_err(), want);
+            assert_eq!(packed_sym(&table, &mut BitReader::new(&tail)).unwrap_err(), want);
         }
-        let bytes = w.finish();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(dec.decode(&mut r).unwrap(), 1);
-        r.consume(0); // no-op; next decode peeks the hole
-        assert_eq!(dec.decode(&mut r).unwrap_err(), HuffError::BadCode);
     }
 
     #[test]
     fn table_decoder_truncated() {
         let lens = [3u8, 3, 3, 3, 3, 2, 4, 4];
-        let dec = TableDecoder::new(&lens).unwrap();
+        let table = packed(&lens, 8).unwrap();
         let mut r = BitReader::new(&[]);
-        assert_eq!(dec.decode(&mut r).unwrap_err(), HuffError::Truncated);
+        assert_eq!(packed_sym(&table, &mut r).unwrap_err(), HuffError::Truncated);
+        // A code the zero padding would complete is Truncated too: three
+        // 2-bit symbol-5 codes, then the first two bits of symbol 6's
+        // 4-bit code end the byte.
+        let codes = canonical_codes(&lens);
+        let mut w = BitWriter::new();
+        for _ in 0..3 {
+            w.write_bits(codes[5] as u32, 2);
+        }
+        w.write_bits(codes[6] as u32 & 0b11, 2);
+        let bytes = w.finish();
+        let bitwise = Decoder::new(&lens).unwrap();
+        let (mut r1, mut r2) = (BitReader::new(&bytes), BitReader::new(&bytes));
+        for _ in 0..3 {
+            assert_eq!(bitwise.decode(&mut r1).unwrap(), 5);
+            assert_eq!(packed_sym(&table, &mut r2).unwrap(), 5);
+        }
+        assert_eq!(bitwise.decode(&mut r1).unwrap_err(), HuffError::Truncated);
+        assert_eq!(packed_sym(&table, &mut r2).unwrap_err(), HuffError::Truncated);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!
 //! * [`bitio`] — LSB-first bit reader/writer used by the format,
 //! * [`huffman`] — length-limited (package-merge) canonical Huffman codes
-//!   and their decoder,
+//!   and their decoders (bit-by-bit reference, packed lookup tables),
+//! * [`copy`] — the LZ77 match-copy kernels inflate dispatches to,
 //! * [`lz77`] — hash-chain match finder over a 32 KiB window with lazy
 //!   matching,
 //! * [`deflate`]/[`inflate`] — block encoder (stored/fixed/dynamic) and the

@@ -1,9 +1,9 @@
-//! Equivalence properties for the table-driven inflate fast path.
+//! Equivalence properties for the packed-table inflate fast path.
 //!
-//! Unlike `tests/props.rs` this suite is NOT feature-gated: the fast path
-//! is what every layer in the study flows through, and its golden model —
-//! the original bit-by-bit decoder, kept as `inflate_reference` — must
-//! agree with it on every stream, valid or garbage. Replayable via
+//! The fast path is what every layer in the study flows through, and its
+//! golden model — the original bit-by-bit decoder, kept as
+//! `inflate_reference` — must agree with it on every stream, valid or
+//! garbage: the same bytes, or the same error variant. Replayable via
 //! `PROPTEST_SEED` like every other property suite in the workspace.
 
 use dhub_compress::{
@@ -46,16 +46,10 @@ proptest! {
     }
 
     /// On arbitrary garbage the fast path and the reference agree: both
-    /// accept with identical bytes or both reject.
+    /// accept with identical bytes or both reject with the same error.
     #[test]
     fn fast_matches_reference_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..2_000)) {
-        let fast = inflate(&data);
-        let slow = inflate_reference(&data);
-        match (fast, slow) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-            (Err(_), Err(_)) => {}
-            (a, b) => prop_assert!(false, "fast={:?} reference={:?}", a.is_ok(), b.is_ok()),
-        }
+        prop_assert_eq!(inflate(&data), inflate_reference(&data));
     }
 
     /// Same agreement at the gzip framing layer (ISIZE pre-size, CRC check).
@@ -68,19 +62,35 @@ proptest! {
     }
 
     /// Corrupting one byte anywhere in a member never panics either path,
-    /// and acceptance agrees (a flipped bit that still decodes must decode
-    /// to the same bytes).
+    /// and they agree: a flipped bit that still decodes must decode to the
+    /// same bytes, and one that does not must fail with the same error.
     #[test]
     fn corrupted_member_agreement(data in proptest::collection::vec(any::<u8>(), 1..4_000), at in any::<u16>(), mask in any::<u8>()) {
         let mut gz = gzip_compress(&data, &CompressOptions::fast());
         let i = at as usize % gz.len();
         gz[i] ^= mask | 1;
-        let fast = gzip_decompress(&gz);
-        let slow = gzip_decompress_reference(&gz);
-        match (fast, slow) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-            (Err(_), Err(_)) => {}
-            (a, b) => prop_assert!(false, "fast={:?} reference={:?}", a.is_ok(), b.is_ok()),
+        prop_assert_eq!(gzip_decompress(&gz), gzip_decompress_reference(&gz));
+    }
+
+    /// The same on members of 64 KiB and more of low-entropy text, corrupted
+    /// in one byte or truncated anywhere: long blocks keep the fast loop
+    /// running, so errors land inside it and at its hand-off to the checked
+    /// loop, not only in a short stream's tail.
+    #[test]
+    fn large_member_corruption_agreement(words in proptest::collection::vec(0usize..12, 1..4_000),
+                                         len in 65_536usize..100_000, at in any::<u32>(),
+                                         mask in any::<u8>(), truncate in any::<bool>()) {
+        const VOCAB: [&str; 12] = ["usr/", "lib/", "share/", "doc/", "bin/", "etc/", "python3.8/",
+                                   "site-packages/", ".so", ".py", "\n", "\0\0\0\0"];
+        let data: Vec<u8> =
+            words.iter().cycle().flat_map(|&w| VOCAB[w].bytes()).take(len).collect();
+        let mut gz = gzip_compress(&data, &CompressOptions::fast());
+        let i = at as usize % gz.len();
+        if truncate {
+            gz.truncate(i);
+        } else {
+            gz[i] ^= mask | 1;
         }
+        prop_assert_eq!(gzip_decompress(&gz), gzip_decompress_reference(&gz));
     }
 }

@@ -26,6 +26,19 @@ cargo test -q --offline
 # the SIMD code paths even under the pin.
 echo "==> kernel gate: digest/compress suites under DHUB_FORCE_SCALAR=1"
 DHUB_FORCE_SCALAR=1 cargo test -q --offline -p dhub-digest -p dhub-compress
+# End to end: the whole study report must come out byte-identical whether
+# inflate copies matches in 16-byte chunks (and SHA-256 / CRC-32 run their
+# SIMD kernels) or every kernel is pinned to its scalar reference.
+echo "==> kernel gate: dhub report native == DHUB_FORCE_SCALAR=1"
+REPORT_NATIVE=$(mktemp /tmp/dhub-report-native.XXXXXX)
+REPORT_SCALAR=$(mktemp /tmp/dhub-report-scalar.XXXXXX)
+./target/release/dhub report --repos 25 --seed 5 --scale 1024 --threads 2 > "$REPORT_NATIVE"
+DHUB_FORCE_SCALAR=1 ./target/release/dhub report --repos 25 --seed 5 --scale 1024 --threads 2 \
+    > "$REPORT_SCALAR"
+cmp "$REPORT_NATIVE" "$REPORT_SCALAR" \
+    || { echo "FAIL: dhub report differs between dispatched and scalar kernels" >&2; exit 1; }
+echo "kernel gate: $(wc -l < "$REPORT_NATIVE")-line report byte-identical native and scalar"
+rm -f "$REPORT_NATIVE" "$REPORT_SCALAR"
 
 # Replayability is part of the contract: one property suite re-run under a
 # pinned PROPTEST_SEED must pass identically.
@@ -519,8 +532,10 @@ EOF
 # counters, the second report binary, and the blob store's store-wide
 # publish lock are gone. Nothing outside the history files, the issue
 # text and the frozen bench/ tree may name them again.
+# The same holds for the Huffman table decoder that sat beside inflate's
+# packed tables, and for the block loop that drove it.
 echo "==> stale-reference audit"
-STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network|fn with_retries|fn retrying|Backend::Local|mirror_(manifest|blob|tags)_endpoint|remove_layer|dhub_store_gc_|--bin report|write_lock'
+STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network|fn with_retries|fn retrying|Backend::Local|mirror_(manifest|blob|tags)_endpoint|remove_layer|dhub_store_gc_|--bin report|write_lock|TableDecoder|huffman_block_fast'
 if git grep -nE "$STALE_RE" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench' \
     | grep -v '^scripts/ci.sh:[0-9]*:STALE_RE='; then
     echo "FAIL: stale references to deleted code (listed above)" >&2
