@@ -19,18 +19,18 @@
 //! zero-copy with [`TarView`], and each file is hashed exactly once — the
 //! digest and the borrowed payload are handed to a caller-supplied sink so
 //! downstream consumers (the dedup store) never re-decompress or re-hash.
-//! [`analyze_layer_reference`] keeps the original allocate-per-layer
-//! implementation as the golden model the equivalence tests compare
-//! against.
+//! The original allocate-per-layer implementation is the test oracle
+//! `dhub_oracle::analyze_layer_reference`, which the equivalence tests
+//! hold this pass to.
 
-use dhub_compress::{gzip_decompress_into, gzip_decompress_reference};
+use dhub_compress::gzip_decompress_into;
 use dhub_digest::FxHashMap;
 use dhub_model::{
     profile::path_depth, Digest, FileRecord, ImageProfile, LayerProfile, RepoName,
 };
 use dhub_obs::{Counter, MetricsRegistry};
 use dhub_par::Scratch;
-use dhub_tar::{read_archive, EntryKind, EntryView, EntryViewKind, TarView};
+use dhub_tar::{EntryView, EntryViewKind, TarView};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -178,80 +178,6 @@ fn expand_dirs(seeds: &HashSet<String>) -> HashSet<String> {
         }
     }
     all
-}
-
-/// Golden-model analysis: the original allocate-per-layer implementation
-/// (owned decompression buffer, owned tar entries, per-entry ancestor
-/// walk). The equivalence tests assert [`analyze_layer`] produces
-/// byte-identical profiles; keep this in sync with nothing — it is the
-/// frozen baseline.
-pub fn analyze_layer_reference(
-    digest: Digest,
-    blob: &[u8],
-) -> Result<LayerProfile, AnalyzeError> {
-    let tar = gzip_decompress_reference(blob).map_err(|e| AnalyzeError::BadGzip(e.to_string()))?;
-    let entries = read_archive(&tar).map_err(|e| AnalyzeError::BadTar(e.to_string()))?;
-
-    let mut dirs: HashSet<&str> = HashSet::new();
-    let mut files = Vec::new();
-    let mut fls = 0u64;
-    let mut max_depth = 0u64;
-
-    for entry in &entries {
-        let path = entry.path.trim_end_matches('/');
-        max_depth = max_depth.max(path_depth(path));
-        match &entry.kind {
-            EntryKind::Dir => {
-                dirs.insert(path);
-            }
-            EntryKind::File(data) => {
-                collect_ancestors(path, &mut dirs);
-                fls += data.len() as u64;
-                files.push(FileRecord {
-                    path: path.to_string(),
-                    // Pinned to the scalar kernel: the golden model must stay
-                    // fully scalar so equivalence gates prove the SIMD
-                    // production path digests bit-identically.
-                    digest: Digest::of_scalar(data),
-                    kind: dhub_magic::classify(path, data),
-                    size: data.len() as u64,
-                });
-            }
-            EntryKind::Symlink(_) | EntryKind::Hardlink(_) => {
-                collect_ancestors(path, &mut dirs);
-            }
-        }
-    }
-    let explicit: Vec<&str> = dirs.iter().copied().collect();
-    let mut all_dirs: HashSet<String> = explicit.iter().map(|s| s.to_string()).collect();
-    for d in explicit {
-        let mut prefix = String::new();
-        for comp in d.split('/').filter(|c| !c.is_empty()) {
-            if !prefix.is_empty() {
-                prefix.push('/');
-            }
-            prefix.push_str(comp);
-            all_dirs.insert(prefix.clone());
-        }
-    }
-
-    Ok(LayerProfile {
-        digest,
-        fls,
-        cls: blob.len() as u64,
-        dir_count: all_dirs.len() as u64,
-        file_count: files.len() as u64,
-        max_depth,
-        files,
-    })
-}
-
-fn collect_ancestors<'a>(path: &'a str, dirs: &mut HashSet<&'a str>) {
-    let mut end = path.len();
-    while let Some(pos) = path[..end].rfind('/') {
-        dirs.insert(&path[..pos]);
-        end = pos;
-    }
 }
 
 /// One-line summary of the kernels every analysis pass dispatches to, e.g.
@@ -534,37 +460,6 @@ mod tests {
         let garbage = gzip_compress(&[0xAAu8; 700], &CompressOptions::fast());
         let err = analyze_layer(Digest::of(b"x"), &garbage).unwrap_err();
         assert!(matches!(err, AnalyzeError::BadTar(_)));
-    }
-
-    #[test]
-    fn fused_matches_reference() {
-        let long = format!("{}/file.bin", "deep/".repeat(60).trim_end_matches('/'));
-        let (digest, blob) = layer_blob(&[
-            TarEntry::dir("usr/"),
-            TarEntry::dir("usr/bin/"),
-            TarEntry::file("usr/bin/bash", b"\x7fELF fake".to_vec()),
-            TarEntry::file("empty", Vec::new()),
-            TarEntry::symlink("usr/bin/sh", "bash"),
-            TarEntry::hardlink("usr/bin/rbash", "usr/bin/bash"),
-            TarEntry::file(&long, vec![0xAB; 1234]),
-        ]);
-        let fast = analyze_layer(digest, &blob).unwrap();
-        let golden = analyze_layer_reference(digest, &blob).unwrap();
-        assert_eq!(fast, golden);
-    }
-
-    #[test]
-    fn reference_agrees_on_errors() {
-        for blob in [&b"not gzip at all"[..], &gzip_compress(&[0xAA; 700], &CompressOptions::fast())[..]]
-        {
-            let fast = analyze_layer(Digest::of(b"x"), blob).unwrap_err();
-            let golden = analyze_layer_reference(Digest::of(b"x"), blob).unwrap_err();
-            assert_eq!(
-                std::mem::discriminant(&fast),
-                std::mem::discriminant(&golden),
-                "fast={fast:?} golden={golden:?}"
-            );
-        }
     }
 
     #[test]

@@ -158,9 +158,8 @@ impl<'a> BitReader<'a> {
         self.nbits = nbits;
     }
 
-    /// Appends `n` raw bytes to `out` in one bulk copy; requires byte
-    /// alignment. The fast-path equivalent of [`read_bytes`](Self::read_bytes)
-    /// for stored DEFLATE blocks.
+    /// Appends `n` raw bytes to `out` in one bulk copy (stored DEFLATE
+    /// blocks); requires byte alignment.
     pub fn read_slice_into(&mut self, n: usize, out: &mut Vec<u8>) -> Result<(), OutOfBits> {
         debug_assert_eq!(self.nbits % 8, 0);
         let mut n = n;
@@ -207,16 +206,6 @@ impl<'a> BitReader<'a> {
         self.acc >>= drop;
         self.nbits -= drop;
     }
-
-    /// Reads `n` raw bytes; requires byte alignment.
-    pub fn read_bytes(&mut self, n: usize) -> Result<Vec<u8>, OutOfBits> {
-        debug_assert_eq!(self.nbits % 8, 0);
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.read_bits(8)? as u8);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -261,7 +250,9 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(2).unwrap(), 0b11);
         r.align_byte();
-        assert_eq!(r.read_bytes(2).unwrap(), vec![0xDE, 0xAD]);
+        let mut raw = Vec::new();
+        r.read_slice_into(2, &mut raw).unwrap();
+        assert_eq!(raw, vec![0xDE, 0xAD]);
         assert_eq!(r.read_bits(1), Err(OutOfBits));
     }
 

@@ -5,9 +5,10 @@
 //! length-limited lengths with the package-merge algorithm (alphabet sizes
 //! here are ≤ 288 and limits ≤ 15, so the O(n·L) cost is negligible). Two
 //! decoders accept the same length sets: [`Decoder`] walks the canonical
-//! first-code/count tables bit by bit (the golden model), and the packed
-//! lookup table inflate's loops index resolves a symbol in one or two
-//! table reads.
+//! first-code/count tables bit by bit (inflate's code-length alphabet, and
+//! every symbol of the `dhub_oracle` test decoder), and the packed lookup
+//! table inflate's loops index resolves a symbol in one or two table
+//! reads.
 
 use crate::bitio::{BitReader, OutOfBits};
 

@@ -7,7 +7,7 @@
 //!
 //! * [`bitio`] — LSB-first bit reader/writer used by the format,
 //! * [`huffman`] — length-limited (package-merge) canonical Huffman codes
-//!   and their decoders (bit-by-bit reference, packed lookup tables),
+//!   and their decoders (bit-by-bit, packed lookup tables),
 //! * [`copy`] — the LZ77 match-copy kernels inflate dispatches to,
 //! * [`lz77`] — hash-chain match finder over a 32 KiB window with lazy
 //!   matching,
@@ -31,7 +31,5 @@ mod tables;
 
 pub use copy::kernel_name as inflate_kernel_name;
 pub use deflate::{deflate, CompressOptions};
-pub use gzip::{
-    gzip_compress, gzip_decompress, gzip_decompress_into, gzip_decompress_reference, GzipError,
-};
-pub use inflate::{inflate, inflate_into, inflate_reference, InflateError};
+pub use gzip::{gzip_compress, gzip_decompress, gzip_decompress_into, GzipError};
+pub use inflate::{inflate, inflate_into, InflateError};

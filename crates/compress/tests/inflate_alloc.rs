@@ -3,41 +3,12 @@
 //! grow the output geometrically while the fast loop keeps running, and a
 //! generous one must never move it.
 
-use dhub_compress::{deflate, inflate_into, inflate_reference, CompressOptions};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// Counts `realloc` calls made by the current thread (tests run in
-/// parallel, so a global count would mix them).
-struct CountingAlloc;
-
-thread_local! {
-    static REALLOCS: Cell<usize> = const { Cell::new(0) };
-}
-
-// SAFETY: every call forwards to `System` unchanged; the only addition is
-// a thread-local counter with no destructor, which allocates nothing.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REALLOCS.with(|n| n.set(n.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use dhub_compress::{deflate, inflate_into, CompressOptions};
+use dhub_oracle::alloc::{allocs_during, CountingAlloc};
+use dhub_oracle::inflate_reference;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-fn reallocs_during(f: impl FnOnce()) -> usize {
-    let before = REALLOCS.with(Cell::get);
-    f();
-    REALLOCS.with(Cell::get) - before
-}
 
 /// 1 MiB of layer-like text: long matches and literal runs, all Huffman.
 fn stream() -> (Vec<u8>, Vec<u8>) {
@@ -54,10 +25,11 @@ fn zero_hint_grows_geometrically() {
     let (data, c) = stream();
     assert_eq!(inflate_reference(&c).unwrap(), data);
     let mut out = Vec::new();
-    let n = reallocs_during(|| inflate_into(&c, &mut out, Some(0)).unwrap());
+    let ((), used) = allocs_during(|| inflate_into(&c, &mut out, Some(0)).unwrap());
     assert!(out == data);
     // Doubling from a few hundred bytes to 1 MiB is about a dozen moves;
     // growing by one fast-loop margin at a time would be thousands.
+    let n = used.reallocs;
     assert!(n <= 24, "{n} reallocations to inflate 1 MiB from a zero hint");
 }
 
@@ -65,8 +37,8 @@ fn zero_hint_grows_geometrically() {
 fn huge_hint_never_moves_the_buffer() {
     let (data, c) = stream();
     let mut out = Vec::new();
-    let n = reallocs_during(|| inflate_into(&c, &mut out, Some(64 << 20)).unwrap());
+    let ((), used) = allocs_during(|| inflate_into(&c, &mut out, Some(64 << 20)).unwrap());
     assert!(out == data);
     assert!(out.capacity() >= 64 << 20);
-    assert_eq!(n, 0, "an over-sized hint reallocated");
+    assert_eq!(used.reallocs, 0, "an over-sized hint reallocated");
 }

@@ -1,15 +1,15 @@
 //! Equivalence properties for the packed-table inflate fast path.
 //!
 //! The fast path is what every layer in the study flows through, and its
-//! golden model — the original bit-by-bit decoder, kept as
-//! `inflate_reference` — must agree with it on every stream, valid or
-//! garbage: the same bytes, or the same error variant. Replayable via
-//! `PROPTEST_SEED` like every other property suite in the workspace.
+//! golden model — the original bit-by-bit decoder, the test oracle
+//! `dhub_oracle::inflate_reference` — must agree with it on every stream,
+//! valid or garbage: the same bytes, or the same error variant. Replayable
+//! via `PROPTEST_SEED` like every other property suite in the workspace.
 
 use dhub_compress::{
-    deflate, gzip_compress, gzip_decompress, gzip_decompress_reference, inflate, inflate_into,
-    inflate_reference, CompressOptions,
+    deflate, gzip_compress, gzip_decompress, inflate, inflate_into, CompressOptions,
 };
+use dhub_oracle::{gzip_decompress_reference, inflate_reference};
 use proptest::prelude::*;
 
 proptest! {

@@ -1,8 +1,7 @@
 //! Property and interoperability tests for the DEFLATE/gzip codec.
 
-use dhub_compress::{
-    deflate, gzip_compress, gzip_decompress, gzip_decompress_reference, inflate, CompressOptions,
-};
+use dhub_compress::{deflate, gzip_compress, gzip_decompress, inflate, CompressOptions};
+use dhub_oracle::gzip_decompress_reference;
 use proptest::prelude::*;
 
 /// The 16-byte match-copy kernel must be byte-identical to the 8-byte one

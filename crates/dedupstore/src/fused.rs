@@ -123,37 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_matches_analyze_then_ingest() {
-        let shared = b"the shared library bytes".as_slice();
-        let layers = vec![
-            layer(&[TarEntry::dir("usr/"), file("usr/lib/libx.so", shared), file("etc/one", b"one")]),
-            layer(&[file("opt/lib/libx.so", shared), TarEntry::symlink("opt/l", "lib")]),
-        ];
-
-        let fused_store = DedupStore::new();
-        let plain_store = DedupStore::new();
-        let mut scratch = Scratch::new();
-        for (d, b) in &layers {
-            let (profile, ingest) = analyze_and_ingest(&fused_store, *d, b, &mut scratch).unwrap();
-            let want_profile = dhub_analyzer::analyze_layer_reference(*d, b).unwrap();
-            let want_ingest = plain_store.ingest_layer_reference(*d, b).unwrap();
-            assert_eq!(profile, want_profile);
-            assert_eq!(ingest.unwrap(), want_ingest);
-        }
-        assert_eq!(fused_store.stats(), plain_store.stats());
-        for (d, _) in &layers {
-            assert_eq!(
-                fused_store.reconstruct_tar(d).unwrap(),
-                plain_store.reconstruct_tar(d).unwrap(),
-                "recipes must reconstruct identically"
-            );
-        }
-        let f = fused_store.stats().dedup_factor();
-        let p = plain_store.stats().dedup_factor();
-        assert_eq!(f.to_bits(), p.to_bits(), "dedup factor must be bit-identical");
-    }
-
-    #[test]
     fn bad_blob_reports_analysis_error_and_stores_nothing() {
         let store = DedupStore::new();
         let mut scratch = Scratch::new();

@@ -1,11 +1,11 @@
 //! The deduplicating store itself.
 
 use crate::recipe::{EntryMeta, LayerRecipe, RecipeEntryKind};
-use dhub_compress::{gzip_decompress_into, gzip_decompress_reference};
+use dhub_compress::gzip_decompress_into;
 use dhub_digest::FxHashMap;
 use dhub_model::Digest;
 use dhub_obs::{Counter, Gauge, MetricsRegistry};
-use dhub_tar::{read_archive, EntryKind, EntryView, EntryViewKind, TarEntry, TarView, Writer};
+use dhub_tar::{EntryKind, EntryView, EntryViewKind, TarEntry, TarView, Writer};
 use dhub_sync::RwLock;
 use std::sync::Arc;
 
@@ -285,70 +285,6 @@ impl DedupStore {
         self.metrics.dedup_factor.set(c.dedup_factor());
     }
 
-    /// Golden-model ingest: the original owned-decompression, owned-entry
-    /// implementation. The equivalence tests assert [`ingest_layer`] (and
-    /// the fused path) produce identical stats, recipes, and store state;
-    /// this baseline stays frozen.
-    pub fn ingest_layer_reference(
-        &self,
-        layer_digest: Digest,
-        blob: &[u8],
-    ) -> Result<IngestStats, StoreError> {
-        if self.recipes.read().contains_key(&layer_digest) {
-            return Err(StoreError::AlreadyIngested);
-        }
-        let tar = gzip_decompress_reference(blob).map_err(|e| StoreError::BadLayer(e.to_string()))?;
-        let entries = read_archive(&tar).map_err(|e| StoreError::BadLayer(e.to_string()))?;
-
-        let mut stats = IngestStats::default();
-        let mut recipe_entries = Vec::with_capacity(entries.len());
-        {
-            let mut objects = self.objects.write();
-            for entry in entries {
-                let kind = match entry.kind {
-                    EntryKind::File(data) => {
-                        // Scalar kernel: the golden model stays fully scalar
-                        // so the SIMD production path is proven against it.
-                        let digest = Digest::of_scalar(&data);
-                        stats.files += 1;
-                        if objects.contains_key(&digest) {
-                            stats.bytes_deduped += data.len() as u64;
-                        } else {
-                            stats.new_files += 1;
-                            stats.bytes_added += data.len() as u64;
-                            objects.insert(digest, Arc::new(data));
-                        }
-                        RecipeEntryKind::File(digest)
-                    }
-                    EntryKind::Dir => RecipeEntryKind::Dir,
-                    EntryKind::Symlink(t) => RecipeEntryKind::Symlink(t),
-                    EntryKind::Hardlink(t) => RecipeEntryKind::Hardlink(t),
-                };
-                recipe_entries.push(EntryMeta {
-                    path: entry.path,
-                    kind,
-                    mode: entry.mode,
-                    uid: entry.uid,
-                    gid: entry.gid,
-                    mtime: entry.mtime,
-                });
-            }
-        }
-        let recipe = LayerRecipe { layer_digest, entries: recipe_entries };
-        self.recipes.write().insert(layer_digest, Arc::new(recipe));
-        self.layer_cls.write().insert(layer_digest, blob.len() as u64);
-
-        let mut c = self.counters.write();
-        c.layers += 1;
-        c.physical_bytes += stats.bytes_added;
-        c.logical_bytes += stats.bytes_added + stats.bytes_deduped;
-        c.conventional_bytes += blob.len() as u64;
-        c.unique_objects = self.objects.read().len();
-        self.metrics.ingests.inc();
-        self.metrics.dedup_factor.set(c.dedup_factor());
-        Ok(stats)
-    }
-
     /// Rebuilds the layer tarball (uncompressed) from its recipe. The
     /// result contains the same entries, metadata, and order as the
     /// original archive.
@@ -522,35 +458,6 @@ mod tests {
         store.ingest_layer(d, &b).unwrap();
         assert_eq!(store.stats().conventional_bytes, b.len() as u64);
         assert_eq!(store.stats().logical_bytes, 5000);
-    }
-
-    #[test]
-    fn zero_copy_ingest_matches_reference() {
-        let long = format!("{}/file.bin", "deep/".repeat(60).trim_end_matches('/'));
-        let shared = b"shared across layers".as_slice();
-        let layers = vec![
-            layer(&[
-                TarEntry::dir("usr/"),
-                file("usr/bin/tool", shared),
-                file(&long, &[0xAB; 1234]),
-                TarEntry::symlink("usr/bin/t", "tool"),
-                TarEntry::hardlink("usr/bin/t2", "usr/bin/tool"),
-                file("empty", b""),
-            ]),
-            layer(&[file("opt/tool", shared)]),
-        ];
-        let fast = DedupStore::new();
-        let golden = DedupStore::new();
-        for (d, b) in &layers {
-            let sf = fast.ingest_layer(*d, b).unwrap();
-            let sg = golden.ingest_layer_reference(*d, b).unwrap();
-            assert_eq!(sf, sg);
-            assert_eq!(fast.recipe(d).unwrap().entries, golden.recipe(d).unwrap().entries);
-        }
-        assert_eq!(fast.stats(), golden.stats());
-        for (d, _) in &layers {
-            assert_eq!(fast.reconstruct_tar(d).unwrap(), golden.reconstruct_tar(d).unwrap());
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! PCLMULQDQ the dispatcher switches to carry-less-multiply folding (four
 //! 128-bit accumulators folded 64 bytes per iteration, then Barrett
 //! reduction back to 32 bits — the classic Intel white-paper scheme); the
-//! slice-by-8 path remains the frozen reference ([`crc32_scalar`]) and
+//! slice-by-8 path remains the frozen reference (`Crc32Kernel::Scalar`) and
 //! handles the sub-64-byte head/tail either way.
 
 use crate::kernel::{CpuFeatures, Crc32Kernel};
@@ -71,11 +71,6 @@ impl Crc32 {
     /// Creates a fresh CRC state using the dispatched (fastest) kernel.
     pub fn new() -> Self {
         Crc32 { state: 0, kernel: dispatch() }
-    }
-
-    /// Creates a fresh CRC state pinned to the slice-by-8 reference kernel.
-    pub fn new_scalar() -> Self {
-        Crc32 { state: 0, kernel: Crc32Kernel::Scalar }
     }
 
     /// Creates a state pinned to `kernel`, or `None` when the hardware
@@ -250,16 +245,15 @@ pub fn crc32(data: &[u8]) -> u32 {
     c.finalize()
 }
 
-/// One-shot CRC-32 of `data` pinned to the slice-by-8 reference kernel.
-pub fn crc32_scalar(data: &[u8]) -> u32 {
-    let mut c = Crc32::new_scalar();
-    c.update(data);
-    c.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn scalar_crc32(data: &[u8]) -> u32 {
+        let mut c = Crc32::with_kernel(Crc32Kernel::Scalar).unwrap();
+        c.update(data);
+        c.finalize()
+    }
 
     #[test]
     fn check_value() {
@@ -311,7 +305,7 @@ mod tests {
             for &b in &data[..len] {
                 c = TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
             }
-            assert_eq!(crc32_scalar(&data[..len]), !c, "len {len}");
+            assert_eq!(scalar_crc32(&data[..len]), !c, "len {len}");
         }
     }
 
@@ -326,7 +320,7 @@ mod tests {
         {
             let mut c = Crc32::with_kernel(Crc32Kernel::Pclmul).unwrap();
             c.update(&data[..n]);
-            assert_eq!(c.finalize(), crc32_scalar(&data[..n]), "len {n}");
+            assert_eq!(c.finalize(), scalar_crc32(&data[..n]), "len {n}");
         }
         // Incremental feeding with chunk sizes around the threshold.
         for chunk in [48usize, 64, 65, 200, 4096] {
@@ -334,7 +328,7 @@ mod tests {
             for ch in data.chunks(chunk) {
                 c.update(ch);
             }
-            assert_eq!(c.finalize(), crc32_scalar(&data), "chunk {chunk}");
+            assert_eq!(c.finalize(), scalar_crc32(&data), "chunk {chunk}");
         }
     }
 

@@ -13,18 +13,18 @@
 //! SHA-256 and CRC-32 dispatch at runtime to SIMD kernels where the CPU
 //! supports them (see [`kernel`]): SHA-NI or an AVX2 message schedule for
 //! SHA-256, PCLMULQDQ folding for CRC-32. The scalar implementations are the
-//! frozen references ([`sha256_scalar`], [`crc32_scalar`]); dispatch can be
-//! pinned to them process-wide with `DHUB_FORCE_SCALAR=1`.
+//! frozen references (`Sha256Kernel::Scalar`, `Crc32Kernel::Scalar`);
+//! dispatch can be pinned to them process-wide with `DHUB_FORCE_SCALAR=1`.
 
 pub mod crc32;
 pub mod fxhash;
 pub mod kernel;
 pub mod sha256;
 
-pub use crc32::{crc32, crc32_scalar, Crc32};
+pub use crc32::{crc32, Crc32};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use kernel::{CpuFeatures, Crc32Kernel, Sha256Kernel};
-pub use sha256::{sha256, sha256_scalar, Sha256};
+pub use sha256::{sha256, Sha256};
 
 /// `(sha256, crc32)` kernel names currently dispatched (e.g.
 /// `("sha_ni", "pclmul")`) — the observability layer surfaces these.

@@ -15,9 +15,10 @@
 //! [`crate::kernel`]) to a SHA-NI kernel (`sha256rnds2`/`sha256msg1`/
 //! `sha256msg2` — the whole round function in hardware) or an AVX2 kernel
 //! that vectorizes the message schedule four words at a time and reuses the
-//! scalar rounds. The scalar path is the frozen reference: [`sha256_scalar`]
-//! always runs it, and the property suite pins every SIMD kernel to
-//! bit-identical digests against it.
+//! scalar rounds. The scalar path is the frozen reference:
+//! `Sha256::with_kernel(Sha256Kernel::Scalar)` always runs it, and the
+//! property suite pins every SIMD kernel to bit-identical digests against
+//! it.
 
 use crate::kernel::{CpuFeatures, Sha256Kernel};
 use std::sync::OnceLock;
@@ -78,13 +79,6 @@ impl Sha256 {
     /// supports (scalar under `DHUB_FORCE_SCALAR=1` or on non-x86-64).
     pub fn new() -> Self {
         Self::with_blocks(dispatch().0)
-    }
-
-    /// Creates a hasher pinned to the scalar reference kernel regardless of
-    /// CPU features. This is the frozen baseline the equivalence gates
-    /// compare SIMD output against.
-    pub fn new_scalar() -> Self {
-        Self::with_blocks(compress_blocks_scalar)
     }
 
     /// Creates a hasher pinned to `kernel`, or `None` if the hardware lacks
@@ -493,15 +487,6 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     h.finalize()
 }
 
-/// One-shot SHA-256 of `data` pinned to the scalar reference kernel. The
-/// frozen reference paths (analyzer/dedupstore/gzip) hash through this so
-/// the chaos gates compare SIMD production runs against true scalar output.
-pub fn sha256_scalar(data: &[u8]) -> [u8; 32] {
-    let mut h = Sha256::new_scalar();
-    h.update(data);
-    h.finalize()
-}
-
 /// Lowercase hex encoding of a byte slice.
 pub fn to_hex(bytes: &[u8]) -> String {
     const HEX: &[u8; 16] = b"0123456789abcdef";
@@ -519,6 +504,12 @@ mod tests {
 
     fn sha256_hex(data: &[u8]) -> String {
         to_hex(&sha256(data))
+    }
+
+    fn scalar_sha256(data: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::with_kernel(Sha256Kernel::Scalar).unwrap();
+        h.update(data);
+        h.finalize()
     }
 
     // NIST / FIPS 180-4 reference vectors.
@@ -613,7 +604,7 @@ mod tests {
     fn scalar_matches_dispatched() {
         let data: Vec<u8> = (0..300_000u32).map(|i| (i * 31 % 257) as u8).collect();
         for n in [0, 1, 55, 56, 63, 64, 65, 127, 128, 4096, data.len()] {
-            assert_eq!(sha256(&data[..n]), sha256_scalar(&data[..n]), "len {n}");
+            assert_eq!(sha256(&data[..n]), scalar_sha256(&data[..n]), "len {n}");
         }
     }
 
@@ -627,7 +618,7 @@ mod tests {
                 h.update(&data[..n]);
                 assert_eq!(
                     h.finalize(),
-                    sha256_scalar(&data[..n]),
+                    scalar_sha256(&data[..n]),
                     "{} len {n}",
                     kernel.name()
                 );
@@ -637,7 +628,7 @@ mod tests {
             for c in data.chunks(97) {
                 h.update(c);
             }
-            assert_eq!(h.finalize(), sha256_scalar(&data), "{} incremental", kernel.name());
+            assert_eq!(h.finalize(), scalar_sha256(&data), "{} incremental", kernel.name());
         }
     }
 

@@ -1,6 +1,6 @@
 //! Content digests in Docker's `sha256:<hex>` notation.
 
-use dhub_digest::sha256::{sha256, sha256_scalar, to_hex};
+use dhub_digest::sha256::{sha256, to_hex};
 
 /// A sha256 content address. Stored as raw bytes (32) rather than hex (64)
 /// — the dedup index holds one per unique file, so size matters.
@@ -11,14 +11,6 @@ impl Digest {
     /// Digests a byte slice.
     pub fn of(data: &[u8]) -> Digest {
         Digest(sha256(data))
-    }
-
-    /// Digests a byte slice with the scalar SHA-256 reference kernel. The
-    /// frozen reference paths (analyzer/dedupstore golden models) hash
-    /// through this so equivalence gates compare SIMD production runs
-    /// against true scalar output.
-    pub fn of_scalar(data: &[u8]) -> Digest {
-        Digest(sha256_scalar(data))
     }
 
     /// Renders as `sha256:<hex>` (the registry wire format).

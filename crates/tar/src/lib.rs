@@ -2,8 +2,9 @@
 //! extension).
 //!
 //! Docker image layers are tar archives; the synthetic hub writes layer
-//! tarballs with [`Writer`] and the analyzer walks them back with
-//! [`Reader`]. The format implemented here covers what container layers
+//! tarballs with [`Writer`] and the analyzer walks them back zero-copy with
+//! [`TarView`] ([`read_archive`] collects the same walk into owned
+//! entries). The format implemented here covers what container layers
 //! use: regular files, directories, symlinks, hardlinks, the ustar
 //! name/prefix split, and GNU `L`-type long-name records for paths over
 //! 255 bytes.
@@ -14,7 +15,7 @@ mod view;
 mod writer;
 
 pub use header::{EntryKind, TarEntry, TarError, BLOCK_SIZE};
-pub use reader::Reader;
+pub use reader::read_archive;
 pub use view::{EntryView, EntryViewKind, TarView};
 pub use writer::Writer;
 
@@ -25,11 +26,6 @@ pub fn write_archive(entries: &[TarEntry]) -> Vec<u8> {
         w.append(e);
     }
     w.finish()
-}
-
-/// Parses a complete tar archive into entries.
-pub fn read_archive(data: &[u8]) -> Result<Vec<TarEntry>, TarError> {
-    Reader::new(data).collect()
 }
 
 #[cfg(test)]

@@ -1,30 +1,12 @@
-//! Tar archive reader (owned entries).
-//!
-//! All parsing lives in the zero-copy [`TarView`]; this reader is a thin
-//! wrapper that materializes each view into an owned [`TarEntry`], so the
-//! two iteration paths cannot disagree on format handling.
+//! Owned reading: [`read_archive`] materializes every [`TarView`] entry
+//! into a [`TarEntry`], so owned and zero-copy reads share one parser.
 
 use crate::header::{TarEntry, TarError};
 use crate::view::TarView;
 
-/// Iterator over the entries of an in-memory tar archive.
-pub struct Reader<'a> {
-    view: TarView<'a>,
-}
-
-impl<'a> Reader<'a> {
-    /// Creates a reader over archive bytes.
-    pub fn new(data: &'a [u8]) -> Self {
-        Reader { view: TarView::new(data) }
-    }
-}
-
-impl<'a> Iterator for Reader<'a> {
-    type Item = Result<TarEntry, TarError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.view.next().map(|r| r.map(|e| e.to_entry()))
-    }
+/// Parses a complete tar archive into owned entries.
+pub fn read_archive(data: &[u8]) -> Result<Vec<TarEntry>, TarError> {
+    TarView::new(data).map(|r| r.map(|e| e.to_entry())).collect()
 }
 
 #[cfg(test)]
@@ -37,14 +19,14 @@ mod tests {
     fn corrupt_checksum_detected() {
         let mut bytes = write_archive(&[TarEntry::file("f", b"x".to_vec())]);
         bytes[0] ^= 0xff;
-        let err = Reader::new(&bytes).collect::<Result<Vec<_>, _>>().unwrap_err();
+        let err = TarView::new(&bytes).collect::<Result<Vec<_>, _>>().unwrap_err();
         assert_eq!(err, TarError::BadChecksum);
     }
 
     #[test]
     fn truncated_payload_detected() {
         let bytes = write_archive(&[TarEntry::file("f", vec![7; 5000])]);
-        let err = Reader::new(&bytes[..BLOCK_SIZE + 512]).collect::<Result<Vec<_>, _>>().unwrap_err();
+        let err = TarView::new(&bytes[..BLOCK_SIZE + 512]).collect::<Result<Vec<_>, _>>().unwrap_err();
         assert_eq!(err, TarError::Truncated);
     }
 
@@ -53,7 +35,7 @@ mod tests {
         let full = write_archive(&[TarEntry::file("f", b"data".to_vec())]);
         // Strip the two zero blocks.
         let trimmed = &full[..full.len() - 2 * BLOCK_SIZE];
-        let entries = Reader::new(trimmed).collect::<Result<Vec<_>, _>>().unwrap();
+        let entries = TarView::new(trimmed).collect::<Result<Vec<_>, _>>().unwrap();
         assert_eq!(entries.len(), 1);
     }
 
@@ -64,7 +46,7 @@ mod tests {
             TarEntry::file("b", b"2".to_vec()),
         ]);
         bytes[0] ^= 0xff;
-        let results: Vec<_> = Reader::new(&bytes).collect();
+        let results: Vec<_> = TarView::new(&bytes).collect();
         assert_eq!(results.len(), 1);
         assert!(results[0].is_err());
     }
@@ -79,7 +61,7 @@ mod tests {
         header.copy_from_slice(&bytes[..BLOCK_SIZE]);
         let sum = checksum(&header);
         bytes[148..156].copy_from_slice(format!("{:06o}\0 ", sum).as_bytes());
-        let entries = Reader::new(&bytes).collect::<Result<Vec<_>, _>>().unwrap();
+        let entries = TarView::new(&bytes).collect::<Result<Vec<_>, _>>().unwrap();
         assert!(entries[0].is_file());
         assert_eq!(entries[0].data(), b"old");
     }

@@ -6,8 +6,8 @@
 //! form needs assembly (ustar prefix split). This is the analyzer's hot
 //! path — a layer's decompressed tar lives in a reusable scratch buffer
 //! and its files are hashed and classified in place, with no per-entry
-//! `Vec` materialization. The owned [`Reader`](crate::Reader) is a thin
-//! wrapper converting views to [`TarEntry`]s, so the two cannot diverge.
+//! `Vec` materialization. The owned [`read_archive`](crate::read_archive)
+//! converts views to [`TarEntry`]s, so the two cannot diverge.
 
 use crate::header::{checksum, parse_octal, EntryKind, TarEntry, TarError, BLOCK_SIZE};
 use std::borrow::Cow;

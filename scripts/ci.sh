@@ -438,13 +438,52 @@ if bad:
 print("construction-site audit: " + ", ".join(f"{k} at {v[0]}" for k, v in sorted(sites.items())))
 EOF
 
+# Oracle gate: the test oracles (crates/oracle: the pre-fusion inflate,
+# analyzer and dedup ingest) are a dev-dependency and nothing else. No
+# manifest may name `dhub-oracle` outside `[dev-dependencies]`, the `dhub`
+# binary's dependency tree must not contain it, and no `*_reference`
+# function may be declared outside it.
+echo "==> oracle gate"
+python3 - <<'EOF'
+import glob
+import re
+import sys
+
+bad = []
+section_re = re.compile(r"^\[(.+)\]\s*$")
+for manifest in sorted(glob.glob("crates/*/Cargo.toml")):
+    section = ""
+    for n, line in enumerate(open(manifest), 1):
+        m = section_re.match(line.strip())
+        if m:
+            section = m.group(1)
+            continue
+        if "dhub-oracle" in line and section not in ("dev-dependencies", "package"):
+            bad.append(f"{manifest}:{n}: [{section}] names dhub-oracle: {line.strip()}")
+if bad:
+    print("FAIL: dhub-oracle outside [dev-dependencies]:", file=sys.stderr)
+    for b in bad:
+        print("  " + b, file=sys.stderr)
+    sys.exit(1)
+EOF
+if cargo tree --offline -e normal -p dhub-cli | grep -q "dhub-oracle"; then
+    echo "FAIL: the dhub binary links dhub-oracle" >&2
+    exit 1
+fi
+if git grep -nE 'pub fn [a-z_]*_reference' -- 'crates/*/src' ':!crates/oracle'; then
+    echo "FAIL: a *_reference oracle is declared in a shipping crate (listed above)" >&2
+    exit 1
+fi
+echo "oracle gate: dhub-oracle is a dev-dependency only and holds every *_reference oracle"
+
 # Caller audit (ROADMAP 4d): nothing ships without a reader. Every `pub`
 # fn / const / type declared in shipping code (before the file's
 # `#[cfg(test)]`) must be named by shipping code of another file — under
 # crates/*/src, examples/ or the frozen bench/src — or carry a reason in
-# scripts/pub_allow.txt. Tests are not callers: an item only tests reach is
-# deleted with them, made private, or listed as the oracle / kernel /
-# fixture it is. The match is textual, so names too common for a text hit
+# scripts/pub_allow.txt. Tests are not callers, and neither are the test
+# engine (crates/proptest) and the test oracles (crates/oracle), which are
+# audited as neither declarers nor callers: an item only tests reach is
+# deleted with them, made private, or listed as the kernel / fixture it is. The match is textual, so names too common for a text hit
 # to mean anything are skipped outright rather than passed on a false one.
 echo "==> caller audit"
 python3 - <<'EOF'
@@ -469,10 +508,12 @@ def shipping(path):
     return "".join(out)
 
 
+TEST_ONLY = ("crates/proptest/", "crates/oracle/")
 text = {}
 for pat in ["crates/*/src/**/*.rs", "examples/*.rs", "bench/src/*.rs"]:
     for path in sorted(glob.glob(pat, recursive=True)):
-        text[path] = shipping(path)
+        if not path.startswith(TEST_ONLY):
+            text[path] = shipping(path)
 # A re-export names a fn or const without calling it, so it is no caller.
 # A type travels by inference (whoever calls `carve()` holds a `Carving`
 # without spelling it), so for types the re-export is all the naming there
@@ -493,7 +534,7 @@ for n, line in enumerate(open("scripts/pub_allow.txt"), 1):
 
 audited = skipped = 0
 for path, body in text.items():
-    if not path.startswith("crates/") or path.startswith("crates/proptest/"):
+    if not path.startswith("crates/"):
         continue
     for line in body.splitlines():
         m = decl.match(line)
@@ -533,9 +574,12 @@ EOF
 # publish lock are gone. Nothing outside the history files, the issue
 # text and the frozen bench/ tree may name them again.
 # The same holds for the Huffman table decoder that sat beside inflate's
-# packed tables, and for the block loop that drove it.
+# packed tables, and for the block loop that drove it; and for the helpers
+# only the test oracles called before they moved to crates/oracle (the
+# scalar one-shot digests, the byte-at-a-time bit read, the owned tar
+# `Reader`).
 echo "==> stale-reference audit"
-STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network|fn with_retries|fn retrying|Backend::Local|mirror_(manifest|blob|tags)_endpoint|remove_layer|dhub_store_gc_|--bin report|write_lock|TableDecoder|huffman_block_fast'
+STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network|fn with_retries|fn retrying|Backend::Local|mirror_(manifest|blob|tags)_endpoint|remove_layer|dhub_store_gc_|--bin report|write_lock|TableDecoder|huffman_block_fast|of_scalar|new_scalar|sha256_scalar|crc32_scalar|read_bytes\(|reader::Reader|tar::Reader'
 if git grep -nE "$STALE_RE" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench' \
     | grep -v '^scripts/ci.sh:[0-9]*:STALE_RE='; then
     echo "FAIL: stale references to deleted code (listed above)" >&2

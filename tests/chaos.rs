@@ -221,16 +221,16 @@ fn fused_store_pipeline_matches_reference_at_every_fault_rate() {
         assert_same_dataset(&fused, &clean);
         assert_counters_match_reports(&obs.snapshot(), &fused);
 
-        // Profiles and store state identical to the frozen reference
-        // (slow-path) analysis and ingest of the same layers, fetched clean
-        // from an identical hub.
-        let reference = DedupStore::new();
+        // Profiles and store state identical to the oracles' (slow-path)
+        // analysis and ingest of the same layers, fetched clean from an
+        // identical hub.
+        let mut reference = dhub_oracle::ReferenceStore::new();
         let clean_hub = hub();
         for (d, profile) in &fused.layers {
             let blob = clean_hub.registry.get_blob(d).expect("analyzed layers exist in the hub");
             assert_eq!(
                 profile,
-                &dhub_analyzer::analyze_layer_reference(*d, &blob).unwrap(),
+                &dhub_oracle::analyze_layer_reference(*d, &blob).unwrap(),
                 "fused profile diverged from reference at rate {rate}"
             );
             reference.ingest_layer_reference(*d, &blob).unwrap();
