@@ -5,9 +5,13 @@ use dhub_compress::gzip_decompress_into;
 use dhub_digest::FxHashMap;
 use dhub_model::Digest;
 use dhub_obs::{Counter, Gauge, MetricsRegistry};
-use dhub_tar::{EntryKind, EntryView, EntryViewKind, TarEntry, TarView, Writer};
-use dhub_sync::RwLock;
-use std::sync::Arc;
+use dhub_sync::{Mutex, RwLock};
+use dhub_tar::{encode_entry, encoded_len, EntryView, EntryViewKind, TarView, BLOCK_SIZE};
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
+
+/// Content-addressed file objects, shared by every recipe naming them.
+type Objects = FxHashMap<Digest, Arc<Vec<u8>>>;
 
 /// Errors from store operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -148,8 +152,7 @@ impl<'a> PendingEntry<'a> {
 /// pipeline's workers.
 #[derive(Default)]
 pub struct DedupStore {
-    /// Content-addressed file objects, shared by every recipe naming them.
-    objects: RwLock<FxHashMap<Digest, Arc<Vec<u8>>>>,
+    objects: RwLock<Objects>,
     recipes: RwLock<FxHashMap<Digest, Arc<LayerRecipe>>>,
     /// Compressed (conventional) size of each ingested layer, so a store
     /// rebuilt from recipes alone can still answer size-distribution
@@ -288,31 +291,24 @@ impl DedupStore {
     /// Rebuilds the layer tarball (uncompressed) from its recipe. The
     /// result contains the same entries, metadata, and order as the
     /// original archive.
+    ///
+    /// One pass over the recipe sizes the tar exactly; it is then one
+    /// zeroed allocation, and every entry is encoded at its offset straight
+    /// from the shared object, so each payload byte is copied once. From
+    /// 4 MiB up, contiguous byte-balanced runs of entries are encoded on
+    /// every core.
     pub fn reconstruct_tar(&self, layer_digest: &Digest) -> Result<Vec<u8>, StoreError> {
         let recipe = self.recipes.read().get(layer_digest).cloned().ok_or(StoreError::UnknownLayer)?;
         let objects = self.objects.read();
-        let mut w = Writer::new();
+        let mut body = 0;
         for e in &recipe.entries {
-            let kind = match &e.kind {
-                RecipeEntryKind::File(d) => {
-                    let data = objects.get(d).ok_or(StoreError::MissingObject(*d))?;
-                    EntryKind::File(data.as_ref().clone())
-                }
-                RecipeEntryKind::Dir => EntryKind::Dir,
-                RecipeEntryKind::Symlink(t) => EntryKind::Symlink(t.clone()),
-                RecipeEntryKind::Hardlink(t) => EntryKind::Hardlink(t.clone()),
-            };
-            w.append(&TarEntry {
-                path: e.path.clone(),
-                kind,
-                mode: e.mode,
-                uid: e.uid,
-                gid: e.gid,
-                mtime: e.mtime,
-            });
+            body += encoded_len(&entry_view(e, &objects)?);
         }
+        let mut tar = vec![0u8; body + 2 * BLOCK_SIZE];
+        let threads = if body < PARALLEL_REBUILD_FLOOR { 1 } else { rebuild_threads() };
+        fill_segmented(&recipe.entries, &objects, &mut tar[..body], threads);
         self.metrics.reconstructions.inc();
-        Ok(w.finish())
+        Ok(tar)
     }
 
     /// The stored recipe for a layer.
@@ -353,10 +349,72 @@ impl DedupStore {
     }
 }
 
+/// Rebuilt tars at least this long are encoded on every core. Below it a
+/// rebuild is a few hundred microseconds of copying, less than starting the
+/// crew would cost.
+const PARALLEL_REBUILD_FLOOR: usize = 4 << 20;
+
+/// Cores a large rebuild splits across, asked once per process:
+/// `available_parallelism` reads cgroup files on every call.
+fn rebuild_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(dhub_par::default_threads)
+}
+
+/// A recipe entry as the encoder takes it, its payload borrowed from the
+/// object store.
+fn entry_view<'a>(e: &'a EntryMeta, objects: &'a Objects) -> Result<EntryView<'a>, StoreError> {
+    let kind = match &e.kind {
+        RecipeEntryKind::File(d) => EntryViewKind::File(objects.get(d).ok_or(StoreError::MissingObject(*d))?),
+        RecipeEntryKind::Dir => EntryViewKind::Dir,
+        RecipeEntryKind::Symlink(t) => EntryViewKind::Symlink(t),
+        RecipeEntryKind::Hardlink(t) => EntryViewKind::Hardlink(t),
+    };
+    Ok(EntryView { path: Cow::Borrowed(&e.path), kind, mode: e.mode, uid: e.uid, gid: e.gid, mtime: e.mtime })
+}
+
+/// Encodes `entries` back to back into `out`, which holds exactly their
+/// encoded length and is zeroed. Every object they name was found when the
+/// rebuild was sized, under the same read lock.
+fn fill(entries: &[EntryMeta], objects: &Objects, out: &mut [u8]) {
+    let mut at = 0;
+    for e in entries {
+        at += encode_entry(&entry_view(e, objects).expect("sized under the same lock"), &mut out[at..]);
+    }
+    debug_assert_eq!(at, out.len());
+}
+
+/// [`fill`] on up to `segments` workers: `entries` is cut into contiguous
+/// runs of about `out.len() / segments` bytes each (a cut falls after the
+/// entry that crosses each mark), `out` is split at the same offsets, and
+/// each run is encoded into its own slice.
+fn fill_segmented(entries: &[EntryMeta], objects: &Objects, out: &mut [u8], segments: usize) {
+    if segments <= 1 {
+        return fill(entries, objects, out);
+    }
+    let total = out.len();
+    let mut runs = Vec::with_capacity(segments);
+    let (mut rest, mut first, mut start, mut at) = (out, 0, 0, 0);
+    for (i, e) in entries.iter().enumerate() {
+        at += encoded_len(&entry_view(e, objects).expect("sized under the same lock"));
+        if i + 1 == entries.len() || at * segments >= total * (runs.len() + 1) {
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(at - start);
+            runs.push(Mutex::new((first..i + 1, run)));
+            (rest, first, start) = (tail, i + 1, at);
+        }
+    }
+    dhub_sync::work_crew(runs.len(), |k| {
+        let mut run = runs[k].lock();
+        let (range, out) = &mut *run;
+        fill(&entries[range.clone()], objects, out);
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dhub_compress::{gzip_compress, CompressOptions};
+    use dhub_tar::TarEntry;
 
     fn layer(entries: &[TarEntry]) -> (Digest, Vec<u8>) {
         let tar = dhub_tar::write_archive(entries);

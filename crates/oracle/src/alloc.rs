@@ -20,7 +20,9 @@ pub struct CountingAlloc;
 /// What the current thread allocated.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Allocs {
-    /// `realloc` calls.
+    /// `realloc` calls that grow a block, each of which may copy it. A
+    /// shrinking one copies nothing new and is not counted (std shrinks,
+    /// for one, when it turns a spawned thread's name into a C string).
     pub reallocs: usize,
     /// Bytes requested: every allocation's size plus every reallocation's
     /// growth.
@@ -49,7 +51,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(1, new_size.saturating_sub(layout.size()));
+        if new_size > layout.size() {
+            count(1, new_size - layout.size());
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

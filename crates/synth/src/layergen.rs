@@ -148,6 +148,19 @@ mod tests {
         assert_eq!(fls, layer.fls);
     }
 
+    /// The tar bytes of one generated layer, pinned, so a drift in the
+    /// shared ustar encoder cannot hide behind a rebuild that drifts with it.
+    #[test]
+    fn app_layer_tar_bytes_are_pinned() {
+        let layer = build_app_layer(&pool(), 15);
+        assert_eq!(layer.file_count, 104);
+        let tar = gzip_decompress(&layer.blob).unwrap();
+        assert_eq!(
+            Digest::of(&tar).to_docker_string(),
+            "sha256:8f36a62dbe40e8e0f97a5624c6fa44c072c3af884553c931314f4a5920e488d8"
+        );
+    }
+
     #[test]
     fn same_seed_same_blob() {
         let p = pool();

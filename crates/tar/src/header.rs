@@ -1,4 +1,4 @@
-//! Tar entry model and the 512-byte ustar header codec.
+//! Tar entry model and the 512-byte ustar header's numeric fields.
 
 /// Tar block size; headers and data are padded to this.
 pub const BLOCK_SIZE: usize = 512;
@@ -10,11 +10,12 @@ pub enum TarError {
     Truncated,
     /// Header checksum mismatch.
     BadChecksum,
-    /// A numeric field contained non-octal characters.
+    /// A numeric field was neither octal nor GNU base-256, or its value
+    /// does not fit the field's type.
     BadNumber,
     /// Unsupported type flag.
     UnsupportedType(u8),
-    /// A GNU long-name record was not followed by a real entry.
+    /// A GNU long-name or long-link record was not followed by a real entry.
     DanglingLongName,
     /// Entry name is not valid UTF-8 (paths in this study always are).
     BadUtf8,
@@ -25,7 +26,7 @@ impl std::fmt::Display for TarError {
         match self {
             TarError::Truncated => f.write_str("truncated tar archive"),
             TarError::BadChecksum => f.write_str("tar header checksum mismatch"),
-            TarError::BadNumber => f.write_str("invalid octal field"),
+            TarError::BadNumber => f.write_str("invalid numeric field"),
             TarError::UnsupportedType(t) => write!(f, "unsupported tar entry type {:?}", *t as char),
             TarError::DanglingLongName => f.write_str("GNU long-name record without entry"),
             TarError::BadUtf8 => f.write_str("non-UTF-8 path"),
@@ -107,26 +108,57 @@ impl TarEntry {
         }
     }
 
-    /// Size of the payload that follows the header.
-    pub fn payload_len(&self) -> usize {
-        self.data().len()
-    }
-
     /// True if this entry is a regular file.
     pub fn is_file(&self) -> bool {
         matches!(self.kind, EntryKind::File(_))
     }
 }
 
-/// Writes an octal numeric field: `width-1` octal digits + NUL.
-pub fn write_octal(buf: &mut [u8], value: u64) {
-    let width = buf.len();
-    let s = format!("{:0>width$o}\0", value, width = width - 1);
-    buf.copy_from_slice(s.as_bytes());
+/// Writes `value` into a numeric field: `width - 1` octal digits and a
+/// NUL when it fits them, else all `width` bytes as digits (no NUL), else
+/// GNU base-256 — a `0x80` lead byte, then the value big-endian.
+pub fn put_number(field: &mut [u8], value: u64) {
+    let width = field.len();
+    if value >> (3 * (width - 1)) == 0 {
+        put_octal(&mut field[..width - 1], value);
+        field[width - 1] = 0;
+    } else if value >> (3 * width) == 0 {
+        put_octal(field, value);
+    } else {
+        debug_assert!(width > 8 || value >> (8 * (width - 1)) == 0, "{value} overflows a {width}-byte field");
+        field[0] = 0x80;
+        for (i, b) in field[1..].iter_mut().rev().enumerate() {
+            *b = value.checked_shr(8 * i as u32).unwrap_or(0) as u8;
+        }
+    }
 }
 
-/// Parses an octal field, tolerating leading spaces and trailing NUL/space.
-pub fn parse_octal(field: &[u8]) -> Result<u64, TarError> {
+/// Fills `digits` with `value` in zero-padded octal.
+fn put_octal(digits: &mut [u8], mut value: u64) {
+    for d in digits.iter_mut().rev() {
+        *d = b'0' + (value & 7) as u8;
+        value >>= 3;
+    }
+}
+
+/// Parses a numeric field: octal (leading spaces, then digits up to a
+/// NUL, a space or the field's end) or GNU base-256 (lead byte `0x80`).
+/// Negative base-256 values and values past `u64` are `BadNumber`.
+pub fn parse_number(field: &[u8]) -> Result<u64, TarError> {
+    match field.first() {
+        Some(&lead) if lead & 0x80 != 0 => {
+            if lead & 0x40 != 0 {
+                return Err(TarError::BadNumber);
+            }
+            field[1..].iter().try_fold((lead & 0x3f) as u64, |v, &b| {
+                v.checked_mul(256).map(|v| v | b as u64).ok_or(TarError::BadNumber)
+            })
+        }
+        _ => parse_octal(field),
+    }
+}
+
+fn parse_octal(field: &[u8]) -> Result<u64, TarError> {
     let mut v: u64 = 0;
     let mut seen = false;
     for &b in field {
@@ -145,43 +177,85 @@ pub fn parse_octal(field: &[u8]) -> Result<u64, TarError> {
 
 /// Computes the header checksum: byte sum with the checksum field blanked.
 pub fn checksum(header: &[u8; BLOCK_SIZE]) -> u32 {
-    let mut sum: u32 = 0;
-    for (i, &b) in header.iter().enumerate() {
-        sum += if (148..156).contains(&i) { b' ' as u32 } else { b as u32 };
-    }
-    sum
+    let sum = |bytes: &[u8]| bytes.iter().map(|&b| b as u32).sum::<u32>();
+    sum(header) - sum(&header[148..156]) + 8 * b' ' as u32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn put(width: usize, value: u64) -> Vec<u8> {
+        let mut field = vec![0xAA; width];
+        put_number(&mut field, value);
+        field
+    }
+
     #[test]
     fn octal_roundtrip() {
-        let mut buf = [0u8; 12];
-        for v in [0u64, 1, 0o644, 0o777, 123456, 0o77777777777] {
-            write_octal(&mut buf, v);
-            assert_eq!(parse_octal(&buf).unwrap(), v);
+        for (width, v) in [(8, 0u64), (8, 1), (8, 0o644), (8, 0o777), (12, 123456), (12, 0o77777777777)] {
+            assert_eq!(parse_number(&put(width, v)).unwrap(), v);
         }
     }
 
     #[test]
+    fn number_uses_nul_terminated_octal_when_it_fits() {
+        assert_eq!(put(8, 0o644), b"0000644\0");
+        assert_eq!(put(12, 1_495_000_000), b"13106761700\0");
+    }
+
+    #[test]
+    fn number_drops_the_nul_before_going_binary() {
+        // uid 3,000,000 is eight octal digits: no room for the NUL.
+        assert_eq!(put(8, 3_000_000), b"13343300");
+        assert_eq!(parse_number(b"13343300").unwrap(), 3_000_000);
+        assert_eq!(parse_number(b"10000000").unwrap(), 1 << 21);
+        assert_eq!(put(12, 1 << 35), b"400000000000");
+    }
+
+    #[test]
+    fn number_falls_back_to_base_256() {
+        assert_eq!(put(8, u32::MAX as u64), [0x80, 0, 0, 0, 0xff, 0xff, 0xff, 0xff]);
+        assert_eq!(put(8, 1 << 24), [0x80, 0, 0, 0, 1, 0, 0, 0]);
+        for (width, v) in [(8, 1u64 << 24), (8, u32::MAX as u64), (12, 1 << 36), (12, 1 << 40), (12, u64::MAX)] {
+            assert_eq!(parse_number(&put(width, v)).unwrap(), v, "width {width} value {v}");
+        }
+    }
+
+    #[test]
+    fn base_256_overflow_and_negatives_rejected() {
+        let mut wide = [0xffu8; 12];
+        wide[0] = 0x80;
+        assert_eq!(parse_number(&wide), Err(TarError::BadNumber), "88 value bits overflow u64");
+        assert_eq!(parse_number(&[0xff; 8]), Err(TarError::BadNumber), "negative");
+    }
+
+    #[test]
     fn parse_octal_tolerates_gnu_format() {
-        assert_eq!(parse_octal(b"  644 \0").unwrap(), 0o644);
-        assert_eq!(parse_octal(b"\0\0\0").unwrap(), 0);
+        assert_eq!(parse_number(b"  644 \0").unwrap(), 0o644);
+        assert_eq!(parse_number(b"\0\0\0").unwrap(), 0);
     }
 
     #[test]
     fn parse_octal_rejects_garbage() {
-        assert_eq!(parse_octal(b"12x4"), Err(TarError::BadNumber));
-        assert_eq!(parse_octal(b"9"), Err(TarError::BadNumber));
+        assert_eq!(parse_number(b"12x4"), Err(TarError::BadNumber));
+        assert_eq!(parse_number(b"9"), Err(TarError::BadNumber));
+    }
+
+    #[test]
+    fn checksum_reads_its_own_field_as_spaces() {
+        let mut header = [0u8; BLOCK_SIZE];
+        header[0] = b'a';
+        assert_eq!(checksum(&header), b'a' as u32 + 8 * 32);
+        header[148..156].copy_from_slice(b"99999999");
+        assert_eq!(checksum(&header), b'a' as u32 + 8 * 32);
     }
 
     #[test]
     fn entry_constructors() {
         let f = TarEntry::file("a/b", vec![1, 2]);
         assert!(f.is_file());
-        assert_eq!(f.payload_len(), 2);
+        assert_eq!(f.data(), [1, 2]);
         let d = TarEntry::dir("a/");
         assert!(!d.is_file());
         assert_eq!(d.data(), b"");

@@ -6,8 +6,13 @@
 //! [`TarView`] ([`read_archive`] collects the same walk into owned
 //! entries). The format implemented here covers what container layers
 //! use: regular files, directories, symlinks, hardlinks, the ustar
-//! name/prefix split, and GNU `L`-type long-name records for paths over
-//! 255 bytes.
+//! name/prefix split, GNU `L` long-name records for paths the split cannot
+//! hold, GNU `K` long-link records for link targets over 100 bytes, and GNU
+//! base-256 for numbers too wide for their octal field.
+//!
+//! There is one encoder, [`encode_entry`]: it writes an entry into a
+//! zeroed slice sized by [`encoded_len`], with no allocation. [`Writer`]
+//! appends through it, and the dedup store rebuilds whole layers through it.
 
 mod header;
 mod reader;
@@ -17,7 +22,7 @@ mod writer;
 pub use header::{EntryKind, TarEntry, TarError, BLOCK_SIZE};
 pub use reader::read_archive;
 pub use view::{EntryView, EntryViewKind, TarView};
-pub use writer::Writer;
+pub use writer::{encode_entry, encoded_len, Writer};
 
 /// Serializes `entries` into a complete tar archive in memory.
 pub fn write_archive(entries: &[TarEntry]) -> Vec<u8> {

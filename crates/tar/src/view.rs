@@ -9,7 +9,7 @@
 //! `Vec` materialization. The owned [`read_archive`](crate::read_archive)
 //! converts views to [`TarEntry`]s, so the two cannot diverge.
 
-use crate::header::{checksum, parse_octal, EntryKind, TarEntry, TarError, BLOCK_SIZE};
+use crate::header::{checksum, parse_number, EntryKind, TarEntry, TarError, BLOCK_SIZE};
 use std::borrow::Cow;
 
 /// Entry kind with payloads borrowed from the archive buffer.
@@ -70,20 +70,52 @@ impl<'a> EntryView<'a> {
     }
 }
 
+impl TarEntry {
+    /// Borrows this entry as an [`EntryView`], the form the encoder takes.
+    pub fn view(&self) -> EntryView<'_> {
+        let kind = match &self.kind {
+            EntryKind::File(d) => EntryViewKind::File(d),
+            EntryKind::Dir => EntryViewKind::Dir,
+            EntryKind::Symlink(t) => EntryViewKind::Symlink(t),
+            EntryKind::Hardlink(t) => EntryViewKind::Hardlink(t),
+        };
+        EntryView {
+            path: Cow::Borrowed(&self.path),
+            kind,
+            mode: self.mode,
+            uid: self.uid,
+            gid: self.gid,
+            mtime: self.mtime,
+        }
+    }
+}
+
 /// Iterator over the entries of an in-memory tar archive, zero-copy.
 pub struct TarView<'a> {
     data: &'a [u8],
     pos: usize,
-    /// Long name captured from a preceding GNU 'L' record (a slice of the
+    /// Path captured from a preceding GNU 'L' record (a slice of the
     /// record's payload).
     pending_longname: Option<&'a str>,
+    /// Link target captured from a preceding GNU 'K' record, likewise.
+    pending_longlink: Option<&'a str>,
     done: bool,
 }
 
 impl<'a> TarView<'a> {
     /// Creates a view over archive bytes.
     pub fn new(data: &'a [u8]) -> Self {
-        TarView { data, pos: 0, pending_longname: None, done: false }
+        TarView { data, pos: 0, pending_longname: None, pending_longlink: None, done: false }
+    }
+
+    /// End of the archive: an error if a GNU record is still waiting for
+    /// the entry it belongs to.
+    fn end(&mut self) -> Result<Option<EntryView<'a>>, TarError> {
+        self.done = true;
+        match (self.pending_longname, self.pending_longlink) {
+            (None, None) => Ok(None),
+            _ => Err(TarError::DanglingLongName),
+        }
     }
 
     fn take_block(&mut self) -> Result<&'a [u8], TarError> {
@@ -103,43 +135,51 @@ impl<'a> TarView<'a> {
             if self.pos >= self.data.len() {
                 // Tolerate archives missing the final zero blocks (some
                 // real-world docker layers are truncated like this).
-                self.done = true;
-                return Ok(None);
+                return self.end();
             }
             let block = self.take_block()?;
             if block.iter().all(|&b| b == 0) {
                 // End marker (first of two zero blocks).
-                self.done = true;
-                return Ok(None);
+                return self.end();
             }
             let header: &[u8; BLOCK_SIZE] = block.try_into().expect("block is BLOCK_SIZE");
-            let want = parse_octal(&header[148..156])?;
+            let want = parse_number(&header[148..156])?;
             if checksum(header) as u64 != want {
                 return Err(TarError::BadChecksum);
             }
-            let size = parse_octal(&header[124..136])? as usize;
-            let mode = parse_octal(&header[100..108])? as u32;
-            let uid = parse_octal(&header[108..116])? as u32;
-            let gid = parse_octal(&header[116..124])? as u32;
-            let mtime = parse_octal(&header[136..148])?;
+            let size = number::<usize>(&header[124..136])?;
+            let mode = number::<u32>(&header[100..108])?;
+            let uid = number::<u32>(&header[108..116])?;
+            let gid = number::<u32>(&header[116..124])?;
+            let mtime = parse_number(&header[136..148])?;
             let typeflag = header[156];
 
-            let payload_blocks = size.div_ceil(BLOCK_SIZE);
-            if self.pos + payload_blocks * BLOCK_SIZE > self.data.len() {
-                return Err(TarError::Truncated);
-            }
+            // A base-256 size can be near `usize::MAX`: checked all the way.
+            let next = size
+                .checked_next_multiple_of(BLOCK_SIZE)
+                .and_then(|padded| self.pos.checked_add(padded))
+                .filter(|&next| next <= self.data.len())
+                .ok_or(TarError::Truncated)?;
             let payload = &self.data[self.pos..self.pos + size];
-            self.pos += payload_blocks * BLOCK_SIZE;
+            self.pos = next;
 
-            if typeflag == b'L' {
-                // GNU long name: payload is the real path (NUL-terminated),
-                // borrowed straight out of the record payload.
-                let end = payload.iter().position(|&b| b == 0).unwrap_or(payload.len());
-                let name = std::str::from_utf8(&payload[..end]).map_err(|_| TarError::BadUtf8)?;
-                self.pending_longname = Some(name);
-                continue;
+            // GNU long name / long link: the payload is the real path or
+            // link target (NUL-terminated), borrowed straight out of the
+            // record for the entry that follows.
+            match typeflag {
+                b'L' => {
+                    self.pending_longname = Some(c_str(payload)?);
+                    continue;
+                }
+                b'K' => {
+                    self.pending_longlink = Some(c_str(payload)?);
+                    continue;
+                }
+                _ => {}
             }
 
+            let longlink = self.pending_longlink.take();
+            let link = || longlink.map_or_else(|| c_str(&header[157..257]), Ok);
             let path: Cow<'a, str> = match self.pending_longname.take() {
                 Some(p) => Cow::Borrowed(p),
                 None => {
@@ -156,8 +196,8 @@ impl<'a> TarView<'a> {
             let kind = match typeflag {
                 b'0' | 0 | b'7' => EntryViewKind::File(payload),
                 b'5' => EntryViewKind::Dir,
-                b'2' => EntryViewKind::Symlink(c_str(&header[157..257])?),
-                b'1' => EntryViewKind::Hardlink(c_str(&header[157..257])?),
+                b'2' => EntryViewKind::Symlink(link()?),
+                b'1' => EntryViewKind::Hardlink(link()?),
                 // PAX metadata records ('x'/'g') carry attributes we do not
                 // model; skip them (their payload was already consumed).
                 b'x' | b'g' => continue,
@@ -181,6 +221,11 @@ impl<'a> Iterator for TarView<'a> {
             }
         }
     }
+}
+
+/// A numeric field that must fit `T` (a `u32` uid, a `usize` size).
+fn number<T: TryFrom<u64>>(field: &[u8]) -> Result<T, TarError> {
+    T::try_from(parse_number(field)?).map_err(|_| TarError::BadNumber)
 }
 
 /// NUL-terminated field as a borrowed str. The borrow has the archive's
@@ -209,6 +254,16 @@ mod tests {
             TarEntry::hardlink("usr/bin/rbash", "usr/bin/bash"),
             TarEntry::file(&long, vec![0xAB; 1234]),
         ]
+    }
+
+    /// The encoder's bytes, pinned. Every reader and oracle in the tree
+    /// goes through the same encoder, so only a recorded digest catches it
+    /// drifting.
+    #[test]
+    fn encoder_bytes_are_pinned() {
+        let digest = dhub_digest::sha256(&write_archive(&exhaustive_entries()));
+        let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "c9206aa315015be585814e5ef534ad8ff0fd6867242c47477f3c83df9b9c58c4");
     }
 
     #[test]
@@ -253,6 +308,36 @@ mod tests {
         let view_results: Vec<_> = TarView::new(&bytes).collect();
         assert_eq!(view_results.len(), 1);
         assert_eq!(view_results[0].as_ref().unwrap_err(), &TarError::BadChecksum);
+    }
+
+    /// Re-signs the first header after a field was patched.
+    fn resign(bytes: &mut [u8]) {
+        let sum = checksum(bytes[..BLOCK_SIZE].try_into().unwrap());
+        bytes[148..156].copy_from_slice(format!("{sum:06o}\0 ").as_bytes());
+    }
+
+    #[test]
+    fn numbers_too_wide_for_their_type_are_bad() {
+        let mut bytes = write_archive(&[TarEntry::file("f", b"x".to_vec())]);
+        // uid 2^40 in base-256 parses as a number but is no u32.
+        bytes[108..116].copy_from_slice(&[0x80, 0, 1, 0, 0, 0, 0, 0]);
+        resign(&mut bytes);
+        assert_eq!(TarView::new(&bytes).next().unwrap(), Err(TarError::BadNumber));
+        // A size near u64::MAX is a truncated archive, not an overflow.
+        bytes[108..116].copy_from_slice(b"0000000\0");
+        bytes[124..136].copy_from_slice(&[0x80, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff]);
+        resign(&mut bytes);
+        assert_eq!(TarView::new(&bytes).next().unwrap(), Err(TarError::Truncated));
+    }
+
+    #[test]
+    fn longlink_is_borrowed() {
+        let target = "t".repeat(200);
+        let bytes = write_archive(&[TarEntry::symlink("l", &target)]);
+        let entry = TarView::new(&bytes).next().unwrap().unwrap();
+        assert_eq!(entry.kind, EntryViewKind::Symlink(&target));
+        let EntryViewKind::Symlink(t) = entry.kind else { unreachable!() };
+        assert!(bytes.as_ptr_range().contains(&t.as_ptr()), "GNU long link should borrow from the record");
     }
 
     #[test]

@@ -3,17 +3,30 @@
 use dhub_tar::{read_archive, write_archive, EntryKind, TarEntry, TarView};
 use proptest::prelude::*;
 
+/// The longest prefix of `s` that is at most `max` bytes on a character
+/// boundary.
+fn cut(mut s: String, max: usize) -> String {
+    let mut end = s.len().min(max);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    s.truncate(end);
+    s
+}
+
+/// Paths and link targets up to 300 bytes, multibyte characters included:
+/// plain ustar names, prefix splits, GNU `L` long names and `K` long links.
 fn arb_entry() -> impl Strategy<Value = TarEntry> {
-    let path = "[a-z]{1,12}(/[a-z0-9._-]{1,12}){0,4}";
+    let path = "[a-z\u{e9}]{1,12}(/\\PC{1,40}){0,8}".prop_map(|p| cut(p, 300));
+    let target = || "\\PC{1,150}".prop_map(|t| cut(t, 300));
     let kind = prop_oneof![
         proptest::collection::vec(any::<u8>(), 0..2048).prop_map(EntryKind::File),
         Just(EntryKind::Dir),
-        "[a-z]{1,20}".prop_map(EntryKind::Symlink),
-        "[a-z]{1,20}".prop_map(EntryKind::Hardlink),
+        target().prop_map(EntryKind::Symlink),
+        target().prop_map(EntryKind::Hardlink),
     ];
-    (path, kind, 0u32..0o1000, 0u32..1 << 18, 0u64..1 << 33).prop_map(
-        |(path, kind, mode, uid, mtime)| TarEntry { path, kind, mode, uid, gid: uid / 2, mtime },
-    )
+    (path, kind, 0u32..0o10000, any::<u32>(), any::<u32>(), 0u64..1 << 40)
+        .prop_map(|(path, kind, mode, uid, gid, mtime)| TarEntry { path, kind, mode, uid, gid, mtime })
 }
 
 proptest! {

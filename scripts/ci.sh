@@ -40,6 +40,16 @@ cmp "$REPORT_NATIVE" "$REPORT_SCALAR" \
 echo "kernel gate: $(wc -l < "$REPORT_NATIVE")-line report byte-identical native and scalar"
 rm -f "$REPORT_NATIVE" "$REPORT_SCALAR"
 
+# Rebuild gate: `DedupStore::reconstruct_tar` sizes each layer first and
+# encodes it into one zeroed buffer, inline below 4 MiB and split across
+# cores above. Its properties (byte-identical rebuilds on both sides of the
+# split, one allocation per rebuild) run pinned to one core, where
+# `available_parallelism()` is 1 and every layer is filled inline, and
+# unpinned, where the large ones are split.
+echo "==> rebuild gate: reconstruct_tar on one core and on all"
+taskset -c 0 cargo test -q --offline -p dhub-dedupstore --test rebuild
+cargo test -q --offline -p dhub-dedupstore --test rebuild
+
 # Replayability is part of the contract: one property suite re-run under a
 # pinned PROPTEST_SEED must pass identically.
 echo "==> prop test replay: dhub-faults under pinned PROPTEST_SEED"
@@ -577,9 +587,11 @@ EOF
 # packed tables, and for the block loop that drove it; and for the helpers
 # only the test oracles called before they moved to crates/oracle (the
 # scalar one-shot digests, the byte-at-a-time bit read, the owned tar
-# `Reader`).
+# `Reader`); and for the tar writer's allocating octal field writer and
+# its patch-and-re-checksum long-name path, which the one ustar encoder
+# replaced.
 echo "==> stale-reference audit"
-STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network|fn with_retries|fn retrying|Backend::Local|mirror_(manifest|blob|tags)_endpoint|remove_layer|dhub_store_gc_|--bin report|write_lock|TableDecoder|huffman_block_fast|of_scalar|new_scalar|sha256_scalar|crc32_scalar|read_bytes\(|reader::Reader|tar::Reader'
+STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network|fn with_retries|fn retrying|Backend::Local|mirror_(manifest|blob|tags)_endpoint|remove_layer|dhub_store_gc_|--bin report|write_lock|TableDecoder|huffman_block_fast|of_scalar|new_scalar|sha256_scalar|crc32_scalar|read_bytes\(|reader::Reader|tar::Reader|write_octal|append_gnu_longname'
 if git grep -nE "$STALE_RE" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench' \
     | grep -v '^scripts/ci.sh:[0-9]*:STALE_RE='; then
     echo "FAIL: stale references to deleted code (listed above)" >&2
