@@ -1,8 +1,8 @@
 //! Layer rebuild: `DedupStore::reconstruct_tar` must give back the original
-//! tar bytes, for layers on both sides of the 4 MiB size from which the
+//! tar bytes, for layers on both sides of the 3 MiB size from which the
 //! rebuild is split across cores — empty files, directories, links, long
-//! names and multi-MiB files that straddle the cuts between segments — and
-//! it must build its output in one exact-sized allocation.
+//! names and MiB-sized files that straddle the cuts between runs — and it
+//! must build its output in one exact-sized allocation.
 //!
 //! `scripts/ci.sh` runs this file twice: pinned to one core (`taskset -c 0`,
 //! where `available_parallelism()` is 1 and every layer is filled inline)
@@ -18,6 +18,9 @@ use proptest::prelude::*;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 const MIB: usize = 1 << 20;
+
+/// The tar size from which a rebuild is split across cores.
+const SPLIT: usize = 3 * MIB;
 
 /// `len` bytes that differ per `seed` (cheap to make at multi-MiB sizes).
 fn content(len: usize, seed: u64) -> Vec<u8> {
@@ -52,9 +55,9 @@ fn arb_small_entry() -> impl Strategy<Value = TarEntry> {
         .prop_map(|(path, kind, mode, uid, mtime)| TarEntry { path, kind, mode, uid, gid: uid / 3, mtime })
 }
 
-/// Small entries with `big` multi-MiB files dropped in at random places.
+/// Small entries with `big` files of 1–2 MiB dropped in at random places.
 fn arb_layer(small: std::ops::Range<usize>, big: std::ops::Range<usize>) -> impl Strategy<Value = Vec<TarEntry>> {
-    let bigs = proptest::collection::vec((MIB + MIB / 2..3 * MIB, any::<u64>(), any::<u32>()), big);
+    let bigs = proptest::collection::vec((MIB..2 * MIB, any::<u64>(), any::<u32>()), big);
     (proptest::collection::vec(arb_small_entry(), small), bigs).prop_map(|(mut entries, bigs)| {
         for (i, (len, seed, at)) in bigs.into_iter().enumerate() {
             let file = TarEntry::file(&format!("big/{i}.bin"), content(len, seed));
@@ -79,6 +82,7 @@ proptest! {
     #[test]
     fn layers_below_the_split_rebuild_exactly(entries in arb_layer(0..40, 0..1)) {
         let tar = write_archive(&entries);
+        prop_assert!(tar.len() < SPLIT);
         let store = DedupStore::new();
         let digest = ingest(&store, &tar);
         prop_assert_eq!(store.reconstruct_tar(&digest).unwrap(), tar);
@@ -91,7 +95,7 @@ proptest! {
     #[test]
     fn layers_above_the_split_rebuild_exactly(entries in arb_layer(0..60, 3..6)) {
         let tar = write_archive(&entries);
-        prop_assert!(tar.len() > 4 * MIB);
+        prop_assert!(tar.len() >= SPLIT);
         let store = DedupStore::new();
         let digest = ingest(&store, &tar);
         prop_assert!(store.reconstruct_tar(&digest).unwrap() == tar, "rebuilt tar differs");
@@ -112,7 +116,8 @@ fn one_entry_holding_most_of_the_bytes() {
 }
 
 /// A rebuild sizes its output first: no reallocation, and nothing beyond
-/// the tar itself but a few KiB (the segment list and the crew's threads).
+/// the tar itself but a few KiB (the entry end offsets and the spawned
+/// thread).
 #[test]
 fn a_rebuild_allocates_its_output_once() {
     for (small, big) in [(300u64, 0u64), (300, 4)] {
@@ -123,7 +128,7 @@ fn a_rebuild_allocates_its_output_once() {
         let store = DedupStore::new();
         let digest = ingest(&store, &tar);
         // The first large rebuild in a process asks the OS for its core
-        // count (which reads cgroup files); measure the one after it.
+        // count once (which reads cgroup files); measure the one after it.
         store.reconstruct_tar(&digest).unwrap();
         let (rebuilt, allocs) = allocs_during(|| store.reconstruct_tar(&digest).unwrap());
         assert!(rebuilt == tar, "rebuilt tar differs");

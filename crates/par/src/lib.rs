@@ -22,10 +22,13 @@ pub use scratch::{with_scratch, Scratch, ScratchStats};
 pub use sharded::ShardedMap;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// Default parallelism: the number of available cores.
+/// Default parallelism: the number of available cores, asked once per
+/// process (`available_parallelism` reads cgroup files on every call).
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
 }
 
 /// Applies `f` to every element of `items` in parallel, preserving order of

@@ -41,7 +41,7 @@ echo "kernel gate: $(wc -l < "$REPORT_NATIVE")-line report byte-identical native
 rm -f "$REPORT_NATIVE" "$REPORT_SCALAR"
 
 # Rebuild gate: `DedupStore::reconstruct_tar` sizes each layer first and
-# encodes it into one zeroed buffer, inline below 4 MiB and split across
+# encodes it into one zeroed buffer, inline below 3 MiB and split across
 # cores above. Its properties (byte-identical rebuilds on both sides of the
 # split, one allocation per rebuild) run pinned to one core, where
 # `available_parallelism()` is 1 and every layer is filled inline, and
