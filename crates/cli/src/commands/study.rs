@@ -37,8 +37,9 @@ pub(super) fn cmd_summary(args: &Parsed, out: &mut impl Write) -> CmdResult {
         let (data, _stats, obs) = durable::persistent_study_for(args, out, &store_dir)?;
         (data, obs)
     };
-    writeln!(out, "{}", figures::table1(&data).render())?;
-    writeln!(out, "{}", figures::table2(&data).render())?;
+    let view = figures::StudyView::new(&data);
+    writeln!(out, "{}", figures::table1(&view).render())?;
+    writeln!(out, "{}", figures::table2(&view).render())?;
     emit_metrics(args, &obs, out)
 }
 

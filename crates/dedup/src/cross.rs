@@ -5,7 +5,7 @@
 //! plots, per layer, the fraction of its files that are cross-layer
 //! duplicates — and likewise per image.
 
-use crate::ImageLayers;
+use crate::{FileIndex, ImageLayers};
 use dhub_digest::{FxHashMap, FxHashSet};
 use dhub_model::{Digest, LayerProfile};
 use dhub_par::ShardedMap;
@@ -21,58 +21,22 @@ pub struct CrossDuplicates {
     pub image_fractions: Vec<f64>,
 }
 
-impl CrossDuplicates {
-    fn quantile(sorted: &[f64], p: f64) -> f64 {
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
-    }
-
-    /// p10 of layer fractions — the paper states "90 % of layers contain
-    /// more than 97.6 % duplicated files", i.e. the 10th percentile.
-    pub fn layer_p10(&self) -> f64 {
-        let mut v = self.layer_fractions.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        Self::quantile(&v, 0.1)
-    }
-
-    /// p10 of image fractions (paper: 99.4 %).
-    pub fn image_p10(&self) -> f64 {
-        let mut v = self.image_fractions.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        Self::quantile(&v, 0.1)
-    }
-}
-
-/// Computes both fraction distributions.
+/// Computes both fraction distributions. `files` indexes `layers` (its
+/// distinct-layer counts decide the layer fractions); the image pass
+/// counts distinct images itself.
 pub fn cross_duplicates(
     layers: &[&LayerProfile],
+    files: &FileIndex,
     images: &[ImageLayers],
     profiles: &FxHashMap<Digest, LayerProfile>,
     threads: usize,
 ) -> CrossDuplicates {
-    // How many distinct layers contain each file digest.
-    let layer_occurrences: ShardedMap<Digest, u32> = ShardedMap::new(64);
-    dhub_par::par_for_each(threads, layers, |layer| {
-        let mut seen = FxHashSet::default();
-        for f in &layer.files {
-            if seen.insert(f.digest) {
-                layer_occurrences.update(f.digest, |c| *c += 1);
-            }
-        }
-    });
-
     let layer_fractions: Vec<f64> = layers
         .iter()
         .filter(|l| !l.files.is_empty())
         .map(|l| {
-            let dup = l
-                .files
-                .iter()
-                .filter(|f| layer_occurrences.get_clone(&f.digest).unwrap_or(0) > 1)
-                .count();
+            let cross_layer = |d| files.get(d).is_some_and(|e| e.layers > 1);
+            let dup = l.files.iter().filter(|f| cross_layer(&f.digest)).count();
             dup as f64 / l.files.len() as f64
         })
         .collect();
@@ -123,6 +87,15 @@ mod tests {
     use super::*;
     use dhub_model::{FileKind, FileRecord};
 
+    fn cross(
+        layers: &[&LayerProfile],
+        images: &[ImageLayers],
+        profiles: &FxHashMap<Digest, LayerProfile>,
+        threads: usize,
+    ) -> CrossDuplicates {
+        cross_duplicates(layers, &FileIndex::build(layers, threads), images, profiles, threads)
+    }
+
     fn file(tag: &str) -> FileRecord {
         FileRecord { path: tag.into(), digest: Digest::of(tag.as_bytes()), kind: FileKind::AsciiText, size: 10 }
     }
@@ -147,7 +120,7 @@ mod tests {
         let mut profiles = FxHashMap::default();
         profiles.insert(l1.digest, l1.clone());
         profiles.insert(l2.digest, l2.clone());
-        let cd = cross_duplicates(&[&l1, &l2], &[], &profiles, 2);
+        let cd = cross(&[&l1, &l2], &[], &profiles, 2);
         let mut fr = cd.layer_fractions.clone();
         fr.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!((fr[0] - 1.0 / 3.0).abs() < 1e-9);
@@ -159,7 +132,7 @@ mod tests {
         let l1 = layer(1, &["dup", "dup"]);
         let l2 = layer(2, &["other"]);
         let profiles = FxHashMap::default();
-        let cd = cross_duplicates(&[&l1, &l2], &[], &profiles, 1);
+        let cd = cross(&[&l1, &l2], &[], &profiles, 1);
         // "dup" appears in only one distinct layer ⇒ not a cross-layer dup.
         assert_eq!(cd.layer_fractions, vec![0.0, 0.0]);
     }
@@ -178,7 +151,7 @@ mod tests {
             ImageLayers { layers: vec![l1.digest] },
             ImageLayers { layers: vec![l2.digest, l3.digest] },
         ];
-        let cd = cross_duplicates(&[&l1, &l2, &l3], &images, &profiles, 2);
+        let cd = cross(&[&l1, &l2, &l3], &images, &profiles, 2);
         let mut fr = cd.image_fractions.clone();
         fr.sort_by(|a, b| a.partial_cmp(b).unwrap());
         // Image 2: "a" of 3 files dup; image 1: "a" of 2 files dup.
@@ -190,9 +163,9 @@ mod tests {
     fn empty_layers_excluded() {
         let l1 = layer(1, &[]);
         let profiles = FxHashMap::default();
-        let cd = cross_duplicates(&[&l1], &[], &profiles, 1);
+        let cd = cross(&[&l1], &[], &profiles, 1);
         assert!(cd.layer_fractions.is_empty());
-        assert_eq!(cd.layer_p10(), 0.0);
+        assert_eq!(dhub_stats::nearest_rank(&cd.layer_fractions, 0.1), 0.0);
     }
 
     #[test]
@@ -205,7 +178,9 @@ mod tests {
         }
         layers.push(layer(9, &["s1", "u"]));
         let refs: Vec<&LayerProfile> = layers.iter().collect();
-        let cd = cross_duplicates(&refs, &[], &FxHashMap::default(), 2);
-        assert!((cd.layer_p10() - 0.5).abs() < 1e-9);
+        let cd = cross(&refs, &[], &FxHashMap::default(), 2);
+        let mut fr = cd.layer_fractions.clone();
+        fr.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert_eq!(dhub_stats::nearest_rank(&fr, 0.1), 0.5);
     }
 }

@@ -1,18 +1,95 @@
-//! File-level deduplication (Fig. 24 and the paper's headline numbers:
-//! only 3.2 % of files unique; 31.5× by count, 6.9× by capacity).
+//! The per-digest file index and file-level deduplication (Fig. 24 and
+//! the paper's headline numbers: only 3.2 % of files unique; 31.5× by
+//! count, 6.9× by capacity).
 
-use dhub_model::{FileKind, LayerProfile};
+use crate::by_type::TypeDedupRow;
+use dhub_digest::{FxHashMap, FxHashSet};
+use dhub_model::{Digest, FileKind, LayerProfile};
 use dhub_par::ShardedMap;
 
 /// Per-unique-file aggregate.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FileEntry {
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FileEntry {
     /// Number of instances (copies) across all layers.
     pub copies: u64,
-    /// File size in bytes.
+    /// File size in bytes (identical content ⇒ identical size).
     pub size: u64,
-    /// Classified kind (identical content ⇒ identical kind).
-    pub kind: Option<FileKind>,
+    /// The smallest kind any copy was classified as. One content can
+    /// classify differently by path (magic falls back to the extension);
+    /// the minimum does not depend on which worker touched it last.
+    pub kind: FileKind,
+    /// Number of distinct layers holding at least one copy.
+    pub layers: u32,
+}
+
+/// Every unique file of a layer population, keyed by content digest.
+/// Built in one parallel pass, then read without locks by every dedup
+/// analysis: the headline stats, the per-type rows, the cross-layer
+/// fractions and each growth sample.
+pub struct FileIndex {
+    entries: FxHashMap<Digest, FileEntry>,
+}
+
+impl FileIndex {
+    /// Indexes all files in all `layers`, in parallel.
+    pub fn build(layers: &[&LayerProfile], threads: usize) -> FileIndex {
+        let index: ShardedMap<Digest, Option<FileEntry>> = ShardedMap::new(64);
+        dhub_par::par_for_each(threads, layers, |layer| {
+            let mut seen = FxHashSet::default();
+            for f in &layer.files {
+                let new_layer = seen.insert(f.digest) as u32;
+                index.update(f.digest, |slot| match slot {
+                    Some(e) => {
+                        e.copies += 1;
+                        e.kind = e.kind.min(f.kind);
+                        e.layers += new_layer;
+                    }
+                    None => {
+                        *slot = Some(FileEntry { copies: 1, size: f.size, kind: f.kind, layers: 1 })
+                    }
+                });
+            }
+        });
+        let entries = (index.into_entries().into_iter())
+            .map(|(d, e)| (d, e.expect("the first update fills the slot")))
+            .collect();
+        FileIndex { entries }
+    }
+
+    /// The entry of one content, if any indexed layer holds it.
+    pub(crate) fn get(&self, digest: &Digest) -> Option<&FileEntry> {
+        self.entries.get(digest)
+    }
+
+    /// Every unique file, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Digest, &FileEntry)> {
+        self.entries.iter()
+    }
+
+    /// The headline dedup statistics: one fold over the index.
+    pub fn stats(&self) -> FileDedupStats {
+        let mut total = TypeDedupRow::default();
+        let mut repeat_counts = Vec::with_capacity(self.entries.len());
+        for e in self.entries.values() {
+            total.add(e);
+            repeat_counts.push(e.copies);
+        }
+        repeat_counts.sort_unstable_by(|a, b| b.cmp(a));
+        // Ties on copies go to the smallest digest, so the row does not
+        // depend on the order the workers filled the map in.
+        let top = (self.entries.iter())
+            .max_by(|(da, a), (db, b)| a.copies.cmp(&b.copies).then(db.cmp(da)));
+        let (max_repeat, max_repeat_size) = top.map_or((0, 0), |(_, e)| (e.copies, e.size));
+        FileDedupStats {
+            total_instances: total.instances,
+            unique_files: total.unique,
+            total_bytes: total.bytes,
+            unique_bytes: total.unique_bytes,
+            repeat_counts,
+            max_repeat,
+            max_repeat_size,
+        }
+    }
 }
 
 /// Dedup statistics over a layer population.
@@ -81,54 +158,14 @@ impl FileDedupStats {
     }
 }
 
-/// Builds the dedup index over all files in all layers, in parallel.
-pub fn file_dedup(layers: &[&LayerProfile], threads: usize) -> FileDedupStats {
-    let index: ShardedMap<dhub_model::Digest, FileEntry> = ShardedMap::new(64);
-    dhub_par::par_for_each(threads, layers, |layer| {
-        for f in &layer.files {
-            index.update(f.digest, |e| {
-                e.copies += 1;
-                e.size = f.size;
-                e.kind = Some(f.kind);
-            });
-        }
-    });
-
-    let mut total_instances = 0u64;
-    let mut total_bytes = 0u64;
-    let mut unique_bytes = 0u64;
-    let mut repeat_counts = Vec::new();
-    let mut max_repeat = 0u64;
-    let mut max_repeat_size = 0u64;
-    let entries = index.into_entries();
-    let unique_files = entries.len() as u64;
-    for (_, e) in entries {
-        total_instances += e.copies;
-        total_bytes += e.copies * e.size;
-        unique_bytes += e.size;
-        repeat_counts.push(e.copies);
-        if e.copies > max_repeat {
-            max_repeat = e.copies;
-            max_repeat_size = e.size;
-        }
-    }
-    repeat_counts.sort_unstable_by(|a, b| b.cmp(a));
-
-    FileDedupStats {
-        total_instances,
-        unique_files,
-        total_bytes,
-        unique_bytes,
-        repeat_counts,
-        max_repeat,
-        max_repeat_size,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhub_model::{Digest, FileRecord};
+    use dhub_model::FileRecord;
+
+    fn file_dedup(layers: &[&LayerProfile], threads: usize) -> FileDedupStats {
+        FileIndex::build(layers, threads).stats()
+    }
 
     fn file(content: &[u8], size: u64) -> FileRecord {
         FileRecord {
@@ -223,5 +260,36 @@ mod tests {
         ra.sort_unstable();
         rb.sort_unstable();
         assert_eq!(ra, rb);
+    }
+
+    #[test]
+    fn tied_max_repeat_takes_the_smallest_digest() {
+        // Two contents with three copies each, of different sizes: the
+        // reported size is the smaller digest's, at every thread count.
+        let (a, b) = (file(b"tie-a", 7), file(b"tie-b", 9));
+        let layers: Vec<LayerProfile> =
+            (0..3).map(|i| layer(vec![a.clone(), b.clone(), file(&[i], 1)])).collect();
+        let refs: Vec<&LayerProfile> = layers.iter().collect();
+        let want = if a.digest < b.digest { a.size } else { b.size };
+        for threads in [1, 2, 8] {
+            for _ in 0..10 {
+                let stats = file_dedup(&refs, threads);
+                let max = (stats.max_repeat, stats.max_repeat_size);
+                assert_eq!(max, (3, want), "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn entries_record_smallest_kind_and_distinct_layers() {
+        let mut elf = file(b"same", 4);
+        elf.kind = FileKind::Elf;
+        let l1 = layer(vec![file(b"same", 4), file(b"same", 4)]);
+        let l2 = layer(vec![elf]);
+        let index = FileIndex::build(&[&l1, &l2], 2);
+        let e = index.get(&Digest::of(b"same")).unwrap();
+        assert_eq!((e.copies, e.layers), (3, 2));
+        assert_eq!(e.kind, FileKind::AsciiText.min(FileKind::Elf));
+        assert!(index.get(&Digest::of(b"absent")).is_none());
     }
 }

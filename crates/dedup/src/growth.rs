@@ -5,7 +5,7 @@
 //! and 1.9× to 6.9× (capacity). The same procedure runs here: deterministic
 //! samples of the layer population at increasing sizes.
 
-use crate::file_dedup::file_dedup;
+use crate::FileIndex;
 use dhub_model::LayerProfile;
 use dhub_stats::Rng;
 
@@ -37,7 +37,7 @@ pub fn dedup_growth(
             // Prefix of one shuffle ⇒ samples are nested, like growing a
             // registry by adding layers.
             let sample: Vec<&LayerProfile> = indices[..n].iter().map(|&i| layers[i]).collect();
-            let stats = file_dedup(&sample, threads);
+            let stats = FileIndex::build(&sample, threads).stats();
             GrowthPoint {
                 layers: n,
                 count_ratio: stats.count_ratio(),

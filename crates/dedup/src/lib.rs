@@ -1,20 +1,25 @@
 //! Redundancy analysis (§V of the paper).
 //!
-//! Four analyses over the analyzer's profiles:
+//! Layer sharing, and four file-level analyses that all read one
+//! per-digest [`FileIndex`]:
 //!
 //! * [`layer_sharing`] — how often layers are referenced by multiple
 //!   images, and the storage saved by content-addressed layer sharing
 //!   (Fig. 23; the paper's 1.8×),
-//! * [`file_dedup`] — file-level deduplication by count and capacity
-//!   (Fig. 24 and the headline 31.5× / 6.9× numbers),
-//! * [`growth`] — dedup ratio as a function of dataset size (Fig. 25),
-//! * [`cross`] — cross-layer and cross-image duplicate fractions
+//! * [`file_dedup`] — the index itself, and file-level deduplication by
+//!   count and capacity folded from it (Fig. 24 and the headline
+//!   31.5× / 6.9× numbers),
+//! * [`growth`] — dedup ratio as a function of dataset size, one index per
+//!   nested sample (Fig. 25),
+//! * [`cross`] — cross-layer duplicate fractions from the index's
+//!   distinct-layer counts, and cross-image ones from an image pass
 //!   (Fig. 26),
-//! * [`by_type`] — dedup ratio per type group and per specific type
-//!   (Figs. 27–29).
+//! * [`by_type`] — dedup ratio per type group and per specific type, folded
+//!   from the index (Figs. 27–29).
 //!
-//! All counting passes run over a [`dhub_par::ShardedMap`] so multi-million
-//! file populations aggregate in parallel.
+//! The index is built in one pass over a [`dhub_par::ShardedMap`] so
+//! multi-million file populations aggregate in parallel, then read without
+//! locks.
 
 pub mod by_type;
 pub mod cross;
@@ -24,7 +29,7 @@ pub mod layer_sharing;
 
 pub use by_type::{dedup_by_group, dedup_by_kind, TypeDedupRow};
 pub use cross::{cross_duplicates, CrossDuplicates};
-pub use file_dedup::{file_dedup, FileDedupStats};
+pub use file_dedup::{FileDedupStats, FileIndex};
 pub use growth::{dedup_growth, GrowthPoint};
 pub use layer_sharing::{layer_sharing, LayerSharing};
 

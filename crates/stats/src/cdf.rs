@@ -40,16 +40,11 @@ impl Ecdf {
         idx as f64 / self.sorted.len() as f64
     }
 
-    /// The `p`-quantile (p in `[0,1]`), nearest-rank method — matches how
-    /// the paper reads values like "90 % of layers are smaller than 177 MB".
+    /// The `p`-quantile (p in `[0,1]`) by [`nearest_rank`].
     pub fn quantile(&self, p: f64) -> f64 {
         assert!(!self.sorted.is_empty(), "quantile of empty ECDF");
         assert!((0.0..=1.0).contains(&p));
-        if p <= 0.0 {
-            return self.sorted[0];
-        }
-        let rank = (p * self.sorted.len() as f64).ceil() as usize;
-        self.sorted[rank.clamp(1, self.sorted.len()) - 1]
+        nearest_rank(&self.sorted, p)
     }
 
     /// Convenience: the median.
@@ -71,6 +66,16 @@ impl Ecdf {
     }
 }
 
+/// The nearest-rank `p`-quantile of an ascending-sorted slice — how the
+/// paper reads values like "90 % of layers are smaller than 177 MB". An
+/// empty slice gives `T::default()` (zero for the numbers figures plot).
+pub fn nearest_rank<T: Copy + Default>(sorted: &[T], p: f64) -> T {
+    match sorted.len() {
+        0 => T::default(),
+        n => sorted[((p * n as f64).ceil() as usize).clamp(1, n) - 1],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,6 +89,17 @@ mod tests {
         assert_eq!(e.quantile(0.0), 1.0);
         assert_eq!(e.min(), 1.0);
         assert_eq!(e.max(), 100.0);
+    }
+
+    #[test]
+    fn nearest_rank_of_slices() {
+        let v: Vec<u64> = (1..=10).collect();
+        assert_eq!(nearest_rank(&v, 0.0), 1);
+        assert_eq!(nearest_rank(&v, 0.1), 1);
+        assert_eq!(nearest_rank(&v, 0.11), 2);
+        assert_eq!(nearest_rank(&v, 1.0), 10);
+        assert_eq!(nearest_rank::<u64>(&[], 0.5), 0);
+        assert_eq!(nearest_rank::<f64>(&[], 0.1), 0.0);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod histogram;
 pub mod rng;
 pub mod summary;
 
-pub use cdf::Ecdf;
+pub use cdf::{nearest_rank, Ecdf};
 pub use dist::{Categorical, LogNormal, Pareto, Zipf};
 pub use histogram::{Histogram, LogHistogram};
 pub use rng::Rng;

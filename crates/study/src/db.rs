@@ -279,16 +279,9 @@ pub fn top_types<'a>(
 
 /// Nearest-rank p10 … p99 of an ascending-sorted slice (all 0 when empty).
 pub fn size_percentiles(sorted: &[u64]) -> Vec<(&'static str, u64)> {
-    let pick = |p: f64| -> u64 {
-        if sorted.is_empty() {
-            return 0;
-        }
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
-    };
-    [("p10", 10.0), ("p25", 25.0), ("p50", 50.0), ("p75", 75.0), ("p90", 90.0), ("p99", 99.0)]
+    [("p10", 0.10), ("p25", 0.25), ("p50", 0.50), ("p75", 0.75), ("p90", 0.90), ("p99", 0.99)]
         .into_iter()
-        .map(|(label, p)| (label, pick(p)))
+        .map(|(label, p)| (label, dhub_stats::nearest_rank(sorted, p)))
         .collect()
 }
 

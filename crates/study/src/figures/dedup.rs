@@ -1,25 +1,23 @@
 //! Deduplication figures (Figs. 23–29 and the §V-B headline numbers).
 
-use crate::pipeline::StudyData;
+use super::StudyView;
 use crate::report::{Anchor, FigureReport};
-use dhub_dedup::{
-    cross_duplicates, dedup_by_group, dedup_by_kind, dedup_growth, file_dedup, layer_sharing,
-};
+use dhub_dedup::{cross_duplicates, dedup_by_group, dedup_by_kind, dedup_growth, layer_sharing};
 use dhub_model::{FileKind, TypeGroup};
 use dhub_par::default_threads;
-use dhub_stats::Ecdf;
+use dhub_stats::{nearest_rank, Ecdf};
 
 /// Fig. 23 — layer reference counts and the layer-sharing factor.
-pub fn fig23(data: &StudyData) -> FigureReport {
-    let sizes = data.layer_sizes();
-    let sharing = layer_sharing(&data.image_layers, &sizes);
+pub fn fig23(v: &StudyView) -> FigureReport {
+    let sizes = v.data.layer_sizes();
+    let sharing = layer_sharing(&v.data.image_layers, &sizes);
     let counts = sharing.counts();
     let e = Ecdf::from_u64(counts.iter().copied());
 
     let top_is_empty = sharing
         .top(1)
         .first()
-        .map(|(d, _)| data.layers.get(d).map(|p| p.file_count == 0).unwrap_or(false))
+        .map(|(d, _)| v.data.layers.get(d).map(|p| p.file_count == 0).unwrap_or(false))
         .unwrap_or(false);
     let over_25 =
         counts.iter().filter(|&&c| c > 25).count() as f64 / counts.len().max(1) as f64;
@@ -31,7 +29,7 @@ pub fn fig23(data: &StudyData) -> FigureReport {
         format!("sharing factor                : {:.2}x", sharing.sharing_factor()),
     ];
     for (d, c) in sharing.top(5) {
-        let files = data.layers.get(d).map(|p| p.file_count).unwrap_or(0);
+        let files = v.data.layers.get(d).map(|p| p.file_count).unwrap_or(0);
         rows.push(format!("top layer {d:?} refs {c} ({files} files)"));
     }
 
@@ -51,9 +49,8 @@ pub fn fig23(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 24 — file repeat counts.
-pub fn fig24(data: &StudyData) -> FigureReport {
-    let layers = data.layer_slice();
-    let stats = file_dedup(&layers, default_threads());
+pub fn fig24(v: &StudyView) -> FigureReport {
+    let stats = v.files.stats();
 
     // Per-unique-file CDF of copy counts. (The paper's "50 % of files have
     // exactly 4 copies" is over unique files: an instance-weighted reading
@@ -61,13 +58,6 @@ pub fn fig24(data: &StudyData) -> FigureReport {
     let hist = stats.repeat_histogram();
     let mut per_file = stats.repeat_counts.clone();
     per_file.sort_unstable();
-    let quantile = |p: f64| -> u64 {
-        if per_file.is_empty() {
-            return 0;
-        }
-        let rank = ((p * per_file.len() as f64).ceil() as usize).clamp(1, per_file.len());
-        per_file[rank - 1]
-    };
 
     let mut rows: Vec<String> = hist
         .iter()
@@ -85,8 +75,8 @@ pub fn fig24(data: &StudyData) -> FigureReport {
         rows,
         anchors: vec![
             Anchor::new("fraction of instances with >1 copy", 0.994, stats.duplicated_instance_fraction()),
-            Anchor::new("median copies per unique file", 4.0, quantile(0.5) as f64),
-            Anchor::new("p90 copies per unique file", 10.0, quantile(0.9) as f64),
+            Anchor::new("median copies per unique file", 4.0, nearest_rank(&per_file, 0.5) as f64),
+            Anchor::new("p90 copies per unique file", 10.0, nearest_rank(&per_file, 0.9) as f64),
             Anchor::new(
                 "most-repeated file is empty",
                 1.0,
@@ -97,10 +87,9 @@ pub fn fig24(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 25 — dedup ratio growth with dataset size.
-pub fn fig25(data: &StudyData) -> FigureReport {
-    let layers = data.layer_slice();
-    let sizes = dhub_dedup::growth::default_sample_sizes(layers.len());
-    let points = dedup_growth(&layers, &sizes, data.seed ^ 0x617, default_threads());
+pub fn fig25(v: &StudyView) -> FigureReport {
+    let sizes = dhub_dedup::growth::default_sample_sizes(v.layers.len());
+    let points = dedup_growth(&v.layers, &sizes, v.data.seed ^ 0x617, default_threads());
 
     let rows: Vec<String> = points
         .iter()
@@ -131,11 +120,11 @@ pub fn fig25(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 26 — cross-layer and cross-image duplicate fractions.
-pub fn fig26(data: &StudyData) -> FigureReport {
-    let layers = data.layer_slice();
-    let cd = cross_duplicates(&layers, &data.image_layers, &data.layers, default_threads());
-    let le = Ecdf::new(cd.layer_fractions.clone());
-    let ie = Ecdf::new(cd.image_fractions.clone());
+pub fn fig26(v: &StudyView) -> FigureReport {
+    let (data, threads) = (v.data, default_threads());
+    let cd = cross_duplicates(&v.layers, &v.files, &data.image_layers, &data.layers, threads);
+    let le = Ecdf::new(cd.layer_fractions);
+    let ie = Ecdf::new(cd.image_fractions);
 
     let mut rows = crate::report::cdf_rows(&le, "layer dup fraction");
     rows.extend(crate::report::cdf_rows(&ie, "image dup fraction"));
@@ -145,8 +134,8 @@ pub fn fig26(data: &StudyData) -> FigureReport {
         title: "cross-layer / cross-image file duplicates".into(),
         rows,
         anchors: vec![
-            Anchor::new("p10 layer duplicate fraction", 0.976, cd.layer_p10()),
-            Anchor::new("p10 image duplicate fraction", 0.994, cd.image_p10()),
+            Anchor::new("p10 layer duplicate fraction", 0.976, nearest_rank(le.samples(), 0.1)),
+            Anchor::new("p10 image duplicate fraction", 0.994, nearest_rank(ie.samples(), 0.1)),
         ],
     }
 }
@@ -167,10 +156,9 @@ fn redundancy_anchor(
 /// Fig. 27 — dedup by type group. The paper's percentages are capacity
 /// redundancies (their weighted mean reproduces the overall 85.69 %,
 /// which equals 1 − 1/6.9).
-pub fn fig27(data: &StudyData) -> FigureReport {
-    let layers = data.layer_slice();
-    let rows_data = dedup_by_group(&layers, default_threads());
-    let stats = file_dedup(&layers, default_threads());
+pub fn fig27(v: &StudyView) -> FigureReport {
+    let rows_data = dedup_by_group(&v.files);
+    let stats = v.files.stats();
 
     let rows: Vec<String> = rows_data
         .iter()
@@ -217,9 +205,8 @@ fn kind_redundancy_anchor(
 }
 
 /// Fig. 28 — dedup within the EOL group.
-pub fn fig28(data: &StudyData) -> FigureReport {
-    let layers = data.layer_slice();
-    let rows_data = dedup_by_kind(&layers, TypeGroup::Eol, default_threads());
+pub fn fig28(v: &StudyView) -> FigureReport {
+    let rows_data = dedup_by_kind(&v.files, TypeGroup::Eol);
     let rows = rows_data
         .iter()
         .map(|(k, r)| format!("{:<14} capacity redundancy {:>5.1} %", k.label(), r.capacity_redundancy() * 100.0))
@@ -239,9 +226,8 @@ pub fn fig28(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 29 — dedup within source code.
-pub fn fig29(data: &StudyData) -> FigureReport {
-    let layers = data.layer_slice();
-    let rows_data = dedup_by_kind(&layers, TypeGroup::SourceCode, default_threads());
+pub fn fig29(v: &StudyView) -> FigureReport {
+    let rows_data = dedup_by_kind(&v.files, TypeGroup::SourceCode);
     let c_share = {
         let total: u64 = rows_data.iter().map(|(_, r)| r.bytes - r.unique_bytes).sum();
         let c = rows_data
@@ -268,9 +254,8 @@ pub fn fig29(data: &StudyData) -> FigureReport {
 }
 
 /// Table 2 — the headline dedup numbers of §V-B.
-pub fn table2(data: &StudyData) -> FigureReport {
-    let layers = data.layer_slice();
-    let stats = file_dedup(&layers, default_threads());
+pub fn table2(v: &StudyView) -> FigureReport {
+    let stats = v.files.stats();
     let rows = vec![
         format!("file instances       : {}", stats.total_instances),
         format!("unique files         : {}", stats.unique_files),
@@ -295,21 +280,22 @@ pub fn table2(data: &StudyData) -> FigureReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::run_study;
+    use crate::pipeline::{run_study, StudyData};
     use dhub_synth::{generate_hub, SynthConfig};
     use std::sync::OnceLock;
 
-    fn data() -> &'static StudyData {
+    fn view() -> &'static StudyView<'static> {
         static DATA: OnceLock<StudyData> = OnceLock::new();
-        DATA.get_or_init(|| {
+        static VIEW: OnceLock<StudyView<'static>> = OnceLock::new();
+        VIEW.get_or_init(|| StudyView::new(DATA.get_or_init(|| {
             let hub = generate_hub(&SynthConfig::default_scale(24).with_repos(80));
             run_study(&hub, 4)
-        })
+        })))
     }
 
     #[test]
     fn fig23_sharing_shape() {
-        let f = fig23(data());
+        let f = fig23(view());
         let once = f.anchors.iter().find(|a| a.name.contains("once")).unwrap();
         assert!(once.measured > 0.5, "refcount-1 fraction {}", once.measured);
         let top_empty = f.anchors.iter().find(|a| a.name.contains("empty layer")).unwrap();
@@ -320,7 +306,7 @@ mod tests {
 
     #[test]
     fn fig24_duplication_dominates() {
-        let f = fig24(data());
+        let f = fig24(view());
         for r in &f.rows {
             eprintln!("{r}");
         }
@@ -332,7 +318,7 @@ mod tests {
 
     #[test]
     fn fig25_growth_monotone() {
-        let f = fig25(data());
+        let f = fig25(view());
         assert!(f.rows.len() >= 3);
         let growth = f.anchors.iter().find(|a| a.name.contains("growth")).unwrap();
         assert!(growth.measured > 1.2, "dedup should grow with scale: {}", growth.measured);
@@ -340,7 +326,7 @@ mod tests {
 
     #[test]
     fn fig26_high_duplicate_fractions() {
-        let f = fig26(data());
+        let f = fig26(view());
         let layer_p10 = &f.anchors[0];
         assert!(layer_p10.measured > 0.5, "layer p10 {}", layer_p10.measured);
         let image_p10 = &f.anchors[1];
@@ -349,7 +335,7 @@ mod tests {
 
     #[test]
     fn fig27_group_ordering_holds() {
-        let f = fig27(data());
+        let f = fig27(view());
         let get = |label: &str| {
             f.anchors.iter().find(|a| a.name.starts_with(label)).map(|a| a.measured).unwrap()
         };
@@ -360,7 +346,7 @@ mod tests {
 
     #[test]
     fn fig28_libraries_dedup_worst() {
-        let f = fig28(data());
+        let f = fig28(view());
         let get = |label: &str| {
             f.anchors.iter().find(|a| a.name.starts_with(label)).map(|a| a.measured).unwrap()
         };
@@ -369,7 +355,7 @@ mod tests {
 
     #[test]
     fn table2_consistency() {
-        let f = table2(data());
+        let f = table2(view());
         let unique_frac = &f.anchors[0];
         let count_ratio = &f.anchors[1];
         assert!((unique_frac.measured * count_ratio.measured - 1.0).abs() < 1e-9);
@@ -378,7 +364,7 @@ mod tests {
 
     #[test]
     fn all_dedup_figures_render() {
-        let d = data();
+        let d = view();
         for f in [fig23(d), fig24(d), fig25(d), fig26(d), fig27(d), fig28(d), fig29(d), table2(d)] {
             assert!(!f.render().is_empty());
         }

@@ -1,8 +1,8 @@
 //! File characterization figures (Figs. 13–22, §IV-C).
 
-use crate::pipeline::StudyData;
+use super::StudyView;
 use crate::report::{Anchor, FigureReport};
-use dhub_model::{FileKind, TypeGroup};
+use dhub_model::{FileKind, LayerProfile, TypeGroup};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-kind census over every file instance in every unique layer.
@@ -14,11 +14,10 @@ pub struct TypeCensus {
 
 impl TypeCensus {
     /// Builds the census in parallel.
-    pub fn build(data: &StudyData) -> TypeCensus {
+    pub(crate) fn build(layers: &[&LayerProfile], threads: usize) -> TypeCensus {
         let counts: Vec<AtomicU64> = (0..FileKind::COUNT).map(|_| AtomicU64::new(0)).collect();
         let bytes: Vec<AtomicU64> = (0..FileKind::COUNT).map(|_| AtomicU64::new(0)).collect();
-        let layers = data.layer_slice();
-        dhub_par::par_for_each(dhub_par::default_threads(), &layers, |layer| {
+        dhub_par::par_for_each(threads, layers, |layer| {
             for f in &layer.files {
                 counts[f.kind.index()].fetch_add(1, Ordering::Relaxed);
                 bytes[f.kind.index()].fetch_add(f.size, Ordering::Relaxed);
@@ -36,7 +35,7 @@ impl TypeCensus {
     }
 
     /// Logical bytes of one kind.
-    pub fn bytes(&self, k: FileKind) -> u64 {
+    fn bytes(&self, k: FileKind) -> u64 {
         self.bytes[k.index()]
     }
 
@@ -46,7 +45,7 @@ impl TypeCensus {
     }
 
     /// Total logical bytes.
-    pub fn total_bytes(&self) -> u64 {
+    fn total_bytes(&self) -> u64 {
         self.bytes.iter().sum()
     }
 
@@ -121,8 +120,8 @@ fn group_breakdown_rows(census: &TypeCensus, group: TypeGroup, scale: u64) -> Ve
 }
 
 /// Fig. 13 — the three-level type taxonomy.
-pub fn fig13(data: &StudyData) -> FigureReport {
-    let census = TypeCensus::build(data);
+pub fn fig13(v: &StudyView) -> FigureReport {
+    let census = &v.census;
     let mut rows = vec!["level 1: commonly used file types (everything generated)".to_string()];
     for g in TypeGroup::ALL {
         let (c, b) = census.group_totals(g);
@@ -143,8 +142,8 @@ pub fn fig13(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 14 — file count % and capacity % by type group.
-pub fn fig14(data: &StudyData) -> FigureReport {
-    let census = TypeCensus::build(data);
+pub fn fig14(v: &StudyView) -> FigureReport {
+    let census = &v.census;
     let rows = TypeGroup::ALL
         .iter()
         .map(|&g| {
@@ -174,27 +173,27 @@ pub fn fig14(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 15 — average file size by type group.
-pub fn fig15(data: &StudyData) -> FigureReport {
-    let census = TypeCensus::build(data);
+pub fn fig15(v: &StudyView) -> FigureReport {
+    let census = &v.census;
     let rows = TypeGroup::ALL
         .iter()
-        .map(|&g| format!("{:<6} avg {:>12.0} B", g.label(), census.group_avg_size(g, data.size_scale)))
+        .map(|&g| format!("{:<6} avg {:>12.0} B", g.label(), census.group_avg_size(g, v.data.size_scale)))
         .collect();
     FigureReport {
         id: "Fig. 15",
         title: "average file size by type group".into(),
         rows,
         anchors: vec![
-            Anchor::new("DB avg size (bytes)", 978.8e3, census.group_avg_size(TypeGroup::Database, data.size_scale)),
-            Anchor::new("EOL avg size (bytes)", 100.0e3, census.group_avg_size(TypeGroup::Eol, data.size_scale)),
-            Anchor::new("archival avg size (bytes)", 100.0e3, census.group_avg_size(TypeGroup::Archival, data.size_scale)),
+            Anchor::new("DB avg size (bytes)", 978.8e3, census.group_avg_size(TypeGroup::Database, v.data.size_scale)),
+            Anchor::new("EOL avg size (bytes)", 100.0e3, census.group_avg_size(TypeGroup::Eol, v.data.size_scale)),
+            Anchor::new("archival avg size (bytes)", 100.0e3, census.group_avg_size(TypeGroup::Archival, v.data.size_scale)),
         ],
     }
 }
 
 /// Fig. 16 — EOL breakdown.
-pub fn fig16(data: &StudyData) -> FigureReport {
-    let census = TypeCensus::build(data);
+pub fn fig16(v: &StudyView) -> FigureReport {
+    let census = &v.census;
     let ir_count: u64 = [FileKind::PythonBytecode, FileKind::JavaClass, FileKind::TerminfoCompiled]
         .iter()
         .map(|&k| census.count(k))
@@ -207,28 +206,28 @@ pub fn fig16(data: &StudyData) -> FigureReport {
     FigureReport {
         id: "Fig. 16",
         title: "EOL files (executables, object code, libraries)".into(),
-        rows: group_breakdown_rows(&census, TypeGroup::Eol, data.size_scale),
+        rows: group_breakdown_rows(census, TypeGroup::Eol, v.data.size_scale),
         anchors: vec![
             Anchor::new("ELF count share of EOL", 0.30, census.kind_count_share_in_group(FileKind::Elf)),
             Anchor::new("IR count share of EOL", 0.64, ir_count as f64 / eol_count.max(1) as f64),
             Anchor::new("ELF capacity share of EOL", 0.84, census.kind_capacity_share_in_group(FileKind::Elf)),
-            Anchor::new("avg ELF size (bytes)", 312.0e3, census.kind_avg_size(FileKind::Elf, data.size_scale)),
+            Anchor::new("avg ELF size (bytes)", 312.0e3, census.kind_avg_size(FileKind::Elf, v.data.size_scale)),
             Anchor::new(
                 "avg IR size (bytes)",
                 9.0e3,
-                ir_bytes as f64 * data.size_scale as f64 / ir_count.max(1) as f64,
+                ir_bytes as f64 * v.data.size_scale as f64 / ir_count.max(1) as f64,
             ),
         ],
     }
 }
 
 /// Fig. 17 — source code breakdown.
-pub fn fig17(data: &StudyData) -> FigureReport {
-    let census = TypeCensus::build(data);
+pub fn fig17(v: &StudyView) -> FigureReport {
+    let census = &v.census;
     FigureReport {
         id: "Fig. 17",
         title: "source code files".into(),
-        rows: group_breakdown_rows(&census, TypeGroup::SourceCode, data.size_scale),
+        rows: group_breakdown_rows(census, TypeGroup::SourceCode, v.data.size_scale),
         anchors: vec![
             Anchor::new("C/C++ count share", 0.803, census.kind_count_share_in_group(FileKind::CSource)),
             Anchor::new("C/C++ capacity share", 0.80, census.kind_capacity_share_in_group(FileKind::CSource)),
@@ -241,12 +240,12 @@ pub fn fig17(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 18 — scripts breakdown.
-pub fn fig18(data: &StudyData) -> FigureReport {
-    let census = TypeCensus::build(data);
+pub fn fig18(v: &StudyView) -> FigureReport {
+    let census = &v.census;
     FigureReport {
         id: "Fig. 18",
         title: "script files".into(),
-        rows: group_breakdown_rows(&census, TypeGroup::Scripts, data.size_scale),
+        rows: group_breakdown_rows(census, TypeGroup::Scripts, v.data.size_scale),
         anchors: vec![
             Anchor::new("Python count share", 0.535, census.kind_count_share_in_group(FileKind::PythonScript)),
             Anchor::new("Python capacity share", 0.66, census.kind_capacity_share_in_group(FileKind::PythonScript)),
@@ -258,12 +257,12 @@ pub fn fig18(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 19 — documents breakdown.
-pub fn fig19(data: &StudyData) -> FigureReport {
-    let census = TypeCensus::build(data);
+pub fn fig19(v: &StudyView) -> FigureReport {
+    let census = &v.census;
     FigureReport {
         id: "Fig. 19",
         title: "document files".into(),
-        rows: group_breakdown_rows(&census, TypeGroup::Documents, data.size_scale),
+        rows: group_breakdown_rows(census, TypeGroup::Documents, v.data.size_scale),
         anchors: vec![
             Anchor::new("ASCII count share", 0.80, census.kind_count_share_in_group(FileKind::AsciiText)),
             Anchor::new("UTF-8 count share", 0.05, census.kind_count_share_in_group(FileKind::Utf8Text)),
@@ -274,30 +273,30 @@ pub fn fig19(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 20 — archival breakdown.
-pub fn fig20(data: &StudyData) -> FigureReport {
-    let census = TypeCensus::build(data);
+pub fn fig20(v: &StudyView) -> FigureReport {
+    let census = &v.census;
     FigureReport {
         id: "Fig. 20",
         title: "archival files".into(),
-        rows: group_breakdown_rows(&census, TypeGroup::Archival, data.size_scale),
+        rows: group_breakdown_rows(census, TypeGroup::Archival, v.data.size_scale),
         anchors: vec![
             Anchor::new("zip/gzip count share", 0.963, census.kind_count_share_in_group(FileKind::ZipGzip)),
             Anchor::new("zip/gzip capacity share", 0.70, census.kind_capacity_share_in_group(FileKind::ZipGzip)),
-            Anchor::new("avg zip/gzip size (bytes)", 67.0e3, census.kind_avg_size(FileKind::ZipGzip, data.size_scale)),
-            Anchor::new("avg bzip2 size (bytes)", 199.0e3, census.kind_avg_size(FileKind::Bzip2, data.size_scale)),
-            Anchor::new("avg tar size (bytes)", 466.0e3, census.kind_avg_size(FileKind::TarArchive, data.size_scale)),
-            Anchor::new("avg xz size (bytes)", 534.0e3, census.kind_avg_size(FileKind::XzArchive, data.size_scale)),
+            Anchor::new("avg zip/gzip size (bytes)", 67.0e3, census.kind_avg_size(FileKind::ZipGzip, v.data.size_scale)),
+            Anchor::new("avg bzip2 size (bytes)", 199.0e3, census.kind_avg_size(FileKind::Bzip2, v.data.size_scale)),
+            Anchor::new("avg tar size (bytes)", 466.0e3, census.kind_avg_size(FileKind::TarArchive, v.data.size_scale)),
+            Anchor::new("avg xz size (bytes)", 534.0e3, census.kind_avg_size(FileKind::XzArchive, v.data.size_scale)),
         ],
     }
 }
 
 /// Fig. 21 — database breakdown.
-pub fn fig21(data: &StudyData) -> FigureReport {
-    let census = TypeCensus::build(data);
+pub fn fig21(v: &StudyView) -> FigureReport {
+    let census = &v.census;
     FigureReport {
         id: "Fig. 21",
         title: "database files".into(),
-        rows: group_breakdown_rows(&census, TypeGroup::Database, data.size_scale),
+        rows: group_breakdown_rows(census, TypeGroup::Database, v.data.size_scale),
         anchors: vec![
             Anchor::new("BerkeleyDB count share", 0.33, census.kind_count_share_in_group(FileKind::BerkeleyDb)),
             Anchor::new("MySQL count share", 0.30, census.kind_count_share_in_group(FileKind::MysqlDb)),
@@ -308,12 +307,12 @@ pub fn fig21(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 22 — image-data breakdown.
-pub fn fig22(data: &StudyData) -> FigureReport {
-    let census = TypeCensus::build(data);
+pub fn fig22(v: &StudyView) -> FigureReport {
+    let census = &v.census;
     FigureReport {
         id: "Fig. 22",
         title: "image data files".into(),
-        rows: group_breakdown_rows(&census, TypeGroup::ImageData, data.size_scale),
+        rows: group_breakdown_rows(census, TypeGroup::ImageData, v.data.size_scale),
         anchors: vec![
             Anchor::new("PNG count share", 0.67, census.kind_count_share_in_group(FileKind::Png)),
             Anchor::new("PNG capacity share", 0.45, census.kind_capacity_share_in_group(FileKind::Png)),
@@ -325,44 +324,43 @@ pub fn fig22(data: &StudyData) -> FigureReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::run_study;
+    use crate::pipeline::{run_study, StudyData};
     use dhub_synth::{generate_hub, SynthConfig};
     use std::sync::OnceLock;
 
-    fn data() -> &'static StudyData {
+    fn view() -> &'static StudyView<'static> {
         static DATA: OnceLock<StudyData> = OnceLock::new();
-        DATA.get_or_init(|| {
+        static VIEW: OnceLock<StudyView<'static>> = OnceLock::new();
+        VIEW.get_or_init(|| StudyView::new(DATA.get_or_init(|| {
             let hub = generate_hub(&SynthConfig::default_scale(23).with_repos(70));
             run_study(&hub, 4)
-        })
+        })))
     }
 
     #[test]
     fn census_totals_match_layer_counts() {
-        let d = data();
-        let census = TypeCensus::build(d);
-        let files: u64 = d.layer_slice().iter().map(|l| l.file_count).sum();
-        assert_eq!(census.total_count(), files);
-        let bytes: u64 = d.layer_slice().iter().map(|l| l.fls).sum();
-        assert_eq!(census.total_bytes(), bytes);
+        let v = view();
+        let files: u64 = v.layers.iter().map(|l| l.file_count).sum();
+        assert_eq!(v.census.total_count(), files);
+        let bytes: u64 = v.layers.iter().map(|l| l.fls).sum();
+        assert_eq!(v.census.total_bytes(), bytes);
     }
 
     #[test]
     fn fig14_group_shares_in_band() {
-        let f = fig14(data());
+        let f = fig14(view());
         let doc = f.anchors.iter().find(|a| a.name.contains("documents count")).unwrap();
         assert!((0.30..0.55).contains(&doc.measured), "doc share {}", doc.measured);
         let eol = f.anchors.iter().find(|a| a.name.contains("EOL count")).unwrap();
         assert!((0.05..0.20).contains(&eol.measured), "eol share {}", eol.measured);
         // Shares sum to ~1 across groups.
-        let census = TypeCensus::build(data());
-        let total: f64 = TypeGroup::ALL.iter().map(|&g| census.group_count_share(g)).sum();
+        let total: f64 = TypeGroup::ALL.iter().map(|&g| view().census.group_count_share(g)).sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn fig16_elf_dominates_eol_capacity() {
-        let f = fig16(data());
+        let f = fig16(view());
         let cap = f.anchors.iter().find(|a| a.name.contains("ELF capacity")).unwrap();
         assert!(cap.measured > 0.5, "ELF capacity share {}", cap.measured);
         let ir = f.anchors.iter().find(|a| a.name.contains("IR count")).unwrap();
@@ -371,19 +369,19 @@ mod tests {
 
     #[test]
     fn fig17_c_dominates_source() {
-        let f = fig17(data());
+        let f = fig17(view());
         assert!(f.anchors[0].measured > 0.6, "C share {}", f.anchors[0].measured);
     }
 
     #[test]
     fn fig20_zip_dominates_archival() {
-        let f = fig20(data());
+        let f = fig20(view());
         assert!(f.anchors[0].measured > 0.85);
     }
 
     #[test]
     fn fig21_sqlite_capacity_heavy() {
-        let f = fig21(data());
+        let f = fig21(view());
         let cap = f.anchors.iter().find(|a| a.name.contains("SQLite capacity")).unwrap();
         let cnt = f.anchors.iter().find(|a| a.name.contains("SQLite count")).unwrap();
         assert!(cap.measured > cnt.measured, "sqlite capacity {} vs count {}", cap.measured, cnt.measured);
@@ -391,13 +389,13 @@ mod tests {
 
     #[test]
     fn fig13_all_groups_populated() {
-        let f = fig13(data());
+        let f = fig13(view());
         assert_eq!(f.anchors[0].measured, 8.0);
     }
 
     #[test]
     fn all_file_figures_render() {
-        let d = data();
+        let d = view();
         for f in [fig13(d), fig14(d), fig15(d), fig16(d), fig17(d), fig18(d), fig19(d), fig20(d), fig21(d), fig22(d)] {
             assert!(!f.rows.is_empty(), "{} has no rows", f.id);
             assert!(!f.render().is_empty());

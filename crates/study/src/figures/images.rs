@@ -1,12 +1,12 @@
 //! Image characterization figures (Figs. 8–12, §IV-B).
 
-use crate::pipeline::StudyData;
+use super::StudyView;
 use crate::report::{cdf_rows, Anchor, FigureReport};
 use dhub_stats::{Ecdf, Histogram, LogHistogram};
 
 /// Fig. 8 — repository popularity (pull counts).
-pub fn fig08(data: &StudyData) -> FigureReport {
-    let pulls: Vec<u64> = data.pulls.iter().map(|(_, c)| *c).collect();
+pub fn fig08(v: &StudyView) -> FigureReport {
+    let pulls: Vec<u64> = v.data.pulls.iter().map(|(_, c)| *c).collect();
     let e = Ecdf::from_u64(pulls.iter().copied());
     let mut rows = cdf_rows(&e, "pulls");
 
@@ -20,7 +20,8 @@ pub fn fig08(data: &StudyData) -> FigureReport {
             .filter(|(_, _, c)| *c > 0)
             .map(|(lo, hi, c)| format!("pulls [{lo:.0},{hi:.0}) : {c} repos")),
     );
-    let top: Vec<String> = data
+    let top: Vec<String> = v
+        .data
         .pulls
         .iter()
         .filter(|(_, c)| *c > 1_000_000)
@@ -47,10 +48,10 @@ pub fn fig08(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 9 — image size distribution (CIS, FIS).
-pub fn fig09(data: &StudyData) -> FigureReport {
-    let scale = data.size_scale as f64;
-    let cis = Ecdf::new(data.images.iter().map(|i| i.cis as f64 * scale).collect());
-    let fis = Ecdf::new(data.images.iter().map(|i| i.fis as f64 * scale).collect());
+pub fn fig09(v: &StudyView) -> FigureReport {
+    let scale = v.data.size_scale as f64;
+    let cis = Ecdf::new(v.data.images.iter().map(|i| i.cis as f64 * scale).collect());
+    let fis = Ecdf::new(v.data.images.iter().map(|i| i.fis as f64 * scale).collect());
     let mut rows = cdf_rows(&cis, "CIS(B)");
     rows.extend(cdf_rows(&fis, "FIS(B)"));
 
@@ -68,8 +69,8 @@ pub fn fig09(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 10 — layers per image.
-pub fn fig10(data: &StudyData) -> FigureReport {
-    let counts: Vec<u64> = data.images.iter().map(|i| i.layer_count() as u64).collect();
+pub fn fig10(v: &StudyView) -> FigureReport {
+    let counts: Vec<u64> = v.data.images.iter().map(|i| i.layer_count() as u64).collect();
     let e = Ecdf::from_u64(counts.iter().copied());
     let mut freq = std::collections::BTreeMap::new();
     for &c in &counts {
@@ -96,11 +97,11 @@ pub fn fig10(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 11 — directories per image.
-pub fn fig11(data: &StudyData) -> FigureReport {
-    let e = Ecdf::from_u64(data.images.iter().map(|i| i.dir_count));
+pub fn fig11(v: &StudyView) -> FigureReport {
+    let e = Ecdf::from_u64(v.data.images.iter().map(|i| i.dir_count));
     let mut rows = cdf_rows(&e, "dirs");
     let mut hist = LogHistogram::new();
-    for i in &data.images {
+    for i in &v.data.images {
         hist.record(i.dir_count);
     }
     rows.extend(hist.rows().iter().map(|(lo, hi, c)| format!("dirs [{lo},{hi}) : {c} images")));
@@ -117,8 +118,8 @@ pub fn fig11(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 12 — files per image.
-pub fn fig12(data: &StudyData) -> FigureReport {
-    let e = Ecdf::from_u64(data.images.iter().map(|i| i.file_count));
+pub fn fig12(v: &StudyView) -> FigureReport {
+    let e = Ecdf::from_u64(v.data.images.iter().map(|i| i.file_count));
     FigureReport {
         id: "Fig. 12",
         title: "files per image".into(),
@@ -133,21 +134,22 @@ pub fn fig12(data: &StudyData) -> FigureReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::run_study;
+    use crate::pipeline::{run_study, StudyData};
     use dhub_synth::{generate_hub, SynthConfig};
     use std::sync::OnceLock;
 
-    fn data() -> &'static StudyData {
+    fn view() -> &'static StudyView<'static> {
         static DATA: OnceLock<StudyData> = OnceLock::new();
-        DATA.get_or_init(|| {
+        static VIEW: OnceLock<StudyView<'static>> = OnceLock::new();
+        VIEW.get_or_init(|| StudyView::new(DATA.get_or_init(|| {
             let hub = generate_hub(&SynthConfig::default_scale(22).with_repos(70));
             run_study(&hub, 4)
-        })
+        })))
     }
 
     #[test]
     fn fig08_famous_max_reproduced() {
-        let f = fig08(data());
+        let f = fig08(view());
         let max = f.anchors.iter().find(|a| a.name.contains("max")).unwrap();
         // nginx's implanted 650 M pulls (+1 for our own download).
         assert!((max.measured - 650.0e6).abs() < 100.0, "max {}", max.measured);
@@ -156,14 +158,14 @@ mod tests {
 
     #[test]
     fn fig08_median_in_band() {
-        let f = fig08(data());
+        let f = fig08(view());
         let med = &f.anchors[0];
         assert!((10.0..120.0).contains(&med.measured), "median pulls {}", med.measured);
     }
 
     #[test]
     fn fig09_cis_below_fis() {
-        let f = fig09(data());
+        let f = fig09(view());
         let cis = f.anchors.iter().find(|a| a.name.contains("median CIS")).unwrap();
         let fis = f.anchors.iter().find(|a| a.name.contains("median FIS")).unwrap();
         assert!(cis.measured < fis.measured, "compression must shrink images");
@@ -171,7 +173,7 @@ mod tests {
 
     #[test]
     fn fig10_mode_and_median() {
-        let f = fig10(data());
+        let f = fig10(view());
         let mode = f.anchors.iter().find(|a| a.name.contains("modal")).unwrap();
         assert!((5.0..=11.0).contains(&mode.measured), "mode {}", mode.measured);
         let med = f.anchors.iter().find(|a| a.name.contains("median")).unwrap();
@@ -180,8 +182,8 @@ mod tests {
 
     #[test]
     fn fig11_fig12_positive() {
-        let f11 = fig11(data());
-        let f12 = fig12(data());
+        let f11 = fig11(view());
+        let f12 = fig12(view());
         assert!(f11.anchors[0].measured > 1.0);
         assert!(f12.anchors[0].measured > 10.0);
         // Images hold more files than directories.

@@ -1,21 +1,20 @@
 //! Layer characterization figures (Figs. 3–7, §IV-A).
 
-use crate::pipeline::StudyData;
+use super::StudyView;
 use crate::report::{cdf_rows, Anchor, FigureReport};
 use dhub_stats::{Ecdf, Histogram, LogHistogram};
 
 /// Fig. 3 — layer size distribution (CLS and FLS).
-pub fn fig03(data: &StudyData) -> FigureReport {
-    let scale = data.size_scale as f64;
-    let layers = data.layer_slice();
-    let cls = Ecdf::new(layers.iter().map(|l| l.cls as f64 * scale).collect());
-    let fls = Ecdf::new(layers.iter().map(|l| l.fls as f64 * scale).collect());
+pub fn fig03(v: &StudyView) -> FigureReport {
+    let scale = v.data.size_scale as f64;
+    let cls = Ecdf::new(v.layers.iter().map(|l| l.cls as f64 * scale).collect());
+    let fls = Ecdf::new(v.layers.iter().map(|l| l.fls as f64 * scale).collect());
 
     let mut rows = cdf_rows(&cls, "CLS(B)");
     rows.extend(cdf_rows(&fls, "FLS(B)"));
     // Fig. 3b: frequencies in the 0–128 MB range (paper-scale), log bins.
     let mut hist = LogHistogram::new();
-    for l in &layers {
+    for l in &v.layers {
         hist.record((l.cls as f64 * scale) as u64);
     }
     rows.extend(
@@ -36,11 +35,11 @@ pub fn fig03(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 4 — FLS-to-CLS compression ratio.
-pub fn fig04(data: &StudyData) -> FigureReport {
-    let layers = data.layer_slice();
+pub fn fig04(v: &StudyView) -> FigureReport {
     // The paper computes the ratio per layer; layers with no file bytes
     // have no meaningful ratio and are excluded from the ratio CDF.
-    let ratios: Vec<f64> = layers
+    let ratios: Vec<f64> = v
+        .layers
         .iter()
         .filter(|l| l.fls > 0)
         .map(|l| l.compression_ratio())
@@ -64,11 +63,10 @@ pub fn fig04(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 5 — file count per layer.
-pub fn fig05(data: &StudyData) -> FigureReport {
-    let layers = data.layer_slice();
-    let e = Ecdf::from_u64(layers.iter().map(|l| l.file_count));
-    let zero = layers.iter().filter(|l| l.file_count == 0).count() as f64 / layers.len() as f64;
-    let one = layers.iter().filter(|l| l.file_count == 1).count() as f64 / layers.len() as f64;
+pub fn fig05(v: &StudyView) -> FigureReport {
+    let e = Ecdf::from_u64(v.layers.iter().map(|l| l.file_count));
+    let zero = v.layers.iter().filter(|l| l.file_count == 0).count() as f64 / v.layers.len() as f64;
+    let one = v.layers.iter().filter(|l| l.file_count == 1).count() as f64 / v.layers.len() as f64;
 
     FigureReport {
         id: "Fig. 5",
@@ -85,12 +83,11 @@ pub fn fig05(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 6 — directory count per layer.
-pub fn fig06(data: &StudyData) -> FigureReport {
-    let layers = data.layer_slice();
+pub fn fig06(v: &StudyView) -> FigureReport {
     // The paper reports a minimum of one directory; its analyzer counts
     // the layer root. Skip fully empty layers for the minimum anchor.
-    let e = Ecdf::from_u64(layers.iter().map(|l| l.dir_count));
-    let nonempty_min = layers.iter().map(|l| l.dir_count).filter(|&d| d > 0).min().unwrap_or(0);
+    let e = Ecdf::from_u64(v.layers.iter().map(|l| l.dir_count));
+    let nonempty_min = v.layers.iter().map(|l| l.dir_count).filter(|&d| d > 0).min().unwrap_or(0);
 
     FigureReport {
         id: "Fig. 6",
@@ -106,9 +103,8 @@ pub fn fig06(data: &StudyData) -> FigureReport {
 }
 
 /// Fig. 7 — maximum directory depth per layer.
-pub fn fig07(data: &StudyData) -> FigureReport {
-    let layers = data.layer_slice();
-    let depths: Vec<u64> = layers.iter().filter(|l| l.dir_count > 0).map(|l| l.max_depth).collect();
+pub fn fig07(v: &StudyView) -> FigureReport {
+    let depths: Vec<u64> = v.layers.iter().filter(|l| l.dir_count > 0).map(|l| l.max_depth).collect();
     let e = Ecdf::from_u64(depths.iter().copied());
     let mut hist = Histogram::new(0.0, 16.0, 16);
     hist.extend(depths.iter().map(|&d| d as f64));
@@ -137,21 +133,22 @@ pub fn fig07(data: &StudyData) -> FigureReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::run_study;
+    use crate::pipeline::{run_study, StudyData};
     use dhub_synth::{generate_hub, SynthConfig};
     use std::sync::OnceLock;
 
-    fn data() -> &'static StudyData {
+    fn view() -> &'static StudyView<'static> {
         static DATA: OnceLock<StudyData> = OnceLock::new();
-        DATA.get_or_init(|| {
+        static VIEW: OnceLock<StudyView<'static>> = OnceLock::new();
+        VIEW.get_or_init(|| StudyView::new(DATA.get_or_init(|| {
             let hub = generate_hub(&SynthConfig::default_scale(21).with_repos(60));
             run_study(&hub, 4)
-        })
+        })))
     }
 
     #[test]
     fn fig03_has_both_series() {
-        let f = fig03(data());
+        let f = fig03(view());
         assert!(f.rows.iter().any(|r| r.contains("CLS")));
         assert!(f.rows.iter().any(|r| r.contains("FLS")));
         assert_eq!(f.anchors.len(), 4);
@@ -160,7 +157,7 @@ mod tests {
 
     #[test]
     fn fig04_ratios_positive() {
-        let f = fig04(data());
+        let f = fig04(view());
         let median = &f.anchors[0];
         assert!(median.measured > 0.8, "median ratio {}", median.measured);
         assert!(median.measured < 20.0);
@@ -168,7 +165,7 @@ mod tests {
 
     #[test]
     fn fig05_fractions_sane() {
-        let f = fig05(data());
+        let f = fig05(view());
         let one = f.anchors.iter().find(|a| a.name.contains("single-file")).unwrap();
         assert!((0.1..0.45).contains(&one.measured), "single-file {}", one.measured);
         let zero = f.anchors.iter().find(|a| a.name.contains("empty")).unwrap();
@@ -177,21 +174,21 @@ mod tests {
 
     #[test]
     fn fig06_min_dirs_is_one() {
-        let f = fig06(data());
+        let f = fig06(view());
         let min = f.anchors.iter().find(|a| a.name.contains("min dirs")).unwrap();
         assert_eq!(min.measured, 1.0);
     }
 
     #[test]
     fn fig07_mode_near_three() {
-        let f = fig07(data());
+        let f = fig07(view());
         let mode = f.anchors.iter().find(|a| a.name.contains("modal")).unwrap();
         assert!((2.0..=5.0).contains(&mode.measured), "mode {}", mode.measured);
     }
 
     #[test]
     fn reports_render() {
-        for f in [fig03(data()), fig04(data()), fig05(data()), fig06(data()), fig07(data())] {
+        for f in [fig03(view()), fig04(view()), fig05(view()), fig06(view()), fig07(view())] {
             let text = f.render();
             assert!(text.contains(f.id));
             assert!(text.contains("anchors"));

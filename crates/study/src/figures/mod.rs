@@ -1,9 +1,9 @@
 //! One renderer per paper artifact (Table 1, Figs. 3–29).
 //!
-//! Every function takes the pipeline's [`StudyData`] and returns a
-//! [`FigureReport`]: the same series the paper plots, plus paper-vs-measured
-//! anchors. Size-valued measurements are rescaled by `size_scale` back to
-//! paper units before comparison.
+//! Every function takes a [`StudyView`] of the pipeline's [`StudyData`] and
+//! returns a [`FigureReport`]: the same series the paper plots, plus
+//! paper-vs-measured anchors. Size-valued measurements are rescaled by
+//! `size_scale` back to paper units before comparison.
 
 mod dedup;
 mod files;
@@ -17,9 +17,34 @@ pub use layers::{fig03, fig04, fig05, fig06, fig07};
 
 use crate::pipeline::StudyData;
 use crate::report::{Anchor, FigureReport};
+use dhub_dedup::FileIndex;
+use dhub_model::LayerProfile;
+
+/// What the figures read besides [`StudyData`] itself, each derived once:
+/// the sorted layer slice, the per-kind census (Figs. 13–22) and the
+/// full-population file index (Figs. 24, 26–29 and Table 2).
+pub struct StudyView<'a> {
+    pub data: &'a StudyData,
+    /// Unique layer profiles, sorted by digest.
+    pub layers: Vec<&'a LayerProfile>,
+    pub census: TypeCensus,
+    pub files: FileIndex,
+}
+
+impl<'a> StudyView<'a> {
+    /// Derives the view on every core.
+    pub fn new(data: &'a StudyData) -> StudyView<'a> {
+        let layers = data.layer_slice();
+        let threads = dhub_par::default_threads();
+        let census = TypeCensus::build(&layers, threads);
+        let files = FileIndex::build(&layers, threads);
+        StudyView { data, layers, census, files }
+    }
+}
 
 /// Table 1-style dataset summary (§III).
-pub fn table1(data: &StudyData) -> FigureReport {
+pub fn table1(v: &StudyView) -> FigureReport {
+    let data = v.data;
     let raw = data.crawl.raw_results as f64;
     let distinct = data.crawl.distinct_repos as f64;
     let attempted = distinct;
@@ -28,7 +53,7 @@ pub fn table1(data: &StudyData) -> FigureReport {
     let auth_share = if failures > 0.0 { data.download.failed_auth as f64 / failures } else { 0.0 };
     let layers_per_image =
         if ok > 0.0 { data.download.unique_layers as f64 / ok } else { 0.0 };
-    let total_files: u64 = data.layer_slice().iter().map(|l| l.file_count).sum();
+    let total_files: u64 = v.layers.iter().map(|l| l.file_count).sum();
 
     let rows = vec![
         format!("search results (raw)        : {}", data.crawl.raw_results),
@@ -43,10 +68,7 @@ pub fn table1(data: &StudyData) -> FigureReport {
         format!("  - digest-verify refetches : {}", data.download.corrupt_retries),
         format!("retry give-ups              : {}", data.download.gave_up),
         format!("files analyzed              : {total_files}"),
-        format!(
-            "layer bytes analyzed        : {}",
-            data.layer_slice().iter().map(|l| l.cls).sum::<u64>()
-        ),
+        format!("layer bytes analyzed        : {}", v.layers.iter().map(|l| l.cls).sum::<u64>()),
         format!(
             "compressed bytes (paper-scale): {:.1} GB",
             data.download.bytes_fetched as f64 * data.size_scale as f64 / 1e9
@@ -67,35 +89,36 @@ pub fn table1(data: &StudyData) -> FigureReport {
 
 /// All artifacts in paper order.
 pub fn all_figures(data: &StudyData) -> Vec<FigureReport> {
+    let v = &StudyView::new(data);
     vec![
-        table1(data),
-        fig03(data),
-        fig04(data),
-        fig05(data),
-        fig06(data),
-        fig07(data),
-        fig08(data),
-        fig09(data),
-        fig10(data),
-        fig11(data),
-        fig12(data),
-        fig13(data),
-        fig14(data),
-        fig15(data),
-        fig16(data),
-        fig17(data),
-        fig18(data),
-        fig19(data),
-        fig20(data),
-        fig21(data),
-        fig22(data),
-        fig23(data),
-        fig24(data),
-        fig25(data),
-        fig26(data),
-        fig27(data),
-        fig28(data),
-        fig29(data),
-        table2(data),
+        table1(v),
+        fig03(v),
+        fig04(v),
+        fig05(v),
+        fig06(v),
+        fig07(v),
+        fig08(v),
+        fig09(v),
+        fig10(v),
+        fig11(v),
+        fig12(v),
+        fig13(v),
+        fig14(v),
+        fig15(v),
+        fig16(v),
+        fig17(v),
+        fig18(v),
+        fig19(v),
+        fig20(v),
+        fig21(v),
+        fig22(v),
+        fig23(v),
+        fig24(v),
+        fig25(v),
+        fig26(v),
+        fig27(v),
+        fig28(v),
+        fig29(v),
+        table2(v),
     ]
 }

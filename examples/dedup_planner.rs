@@ -11,7 +11,7 @@
 //! cargo run --release --example dedup_planner [repos] [seed]
 //! ```
 
-use dhub_dedup::{dedup_by_group, file_dedup, layer_sharing};
+use dhub_dedup::{dedup_by_group, layer_sharing, FileIndex};
 use dhub_dedupstore::DedupStore;
 use dhub_model::TypeGroup;
 use dhub_study::run_study;
@@ -26,7 +26,7 @@ fn main() {
     let hub = generate_hub(&cfg);
     let data = run_study(&hub, dhub_par::default_threads());
     let layers = data.layer_slice();
-    let threads = dhub_par::default_threads();
+    let files = FileIndex::build(&layers, dhub_par::default_threads());
 
     println!("=== Dedup planning report ({} unique layers) ===\n", layers.len());
 
@@ -39,7 +39,7 @@ fn main() {
     println!("  savings factor                             : {:>10.2}x\n", sharing.sharing_factor());
 
     // Tier 2: what file-level dedup would add.
-    let stats = file_dedup(&layers, threads);
+    let stats = files.stats();
     println!("Tier 2 — file-level dedup (proposed):");
     println!("  file instances                             : {:>14}", stats.total_instances);
     println!("  unique files                               : {:>14}", stats.unique_files);
@@ -71,7 +71,7 @@ fn main() {
 
     // Where the reclaimable bytes live.
     println!("Reclaimable capacity by type group:");
-    let mut rows = dedup_by_group(&layers, threads);
+    let mut rows = dedup_by_group(&files);
     rows.sort_by_key(|(_, r)| std::cmp::Reverse(r.bytes - r.unique_bytes));
     for (g, r) in &rows {
         let reclaim = r.bytes - r.unique_bytes;

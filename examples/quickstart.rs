@@ -34,9 +34,10 @@ fn main() {
     println!("  pipeline finished in {:.1?}", t1.elapsed());
 
     println!();
-    println!("{}", figures::table1(&data).render());
-    println!("{}", figures::fig04(&data).render());
-    println!("{}", figures::fig23(&data).render());
-    println!("{}", figures::table2(&data).render());
+    let view = figures::StudyView::new(&data);
+    println!("{}", figures::table1(&view).render());
+    println!("{}", figures::fig04(&view).render());
+    println!("{}", figures::fig23(&view).render());
+    println!("{}", figures::table2(&view).render());
     println!("Full set: `dhub report --repos 400 --seed 20170530 --scale 128` (Figs. 3-29 + extensions).");
 }

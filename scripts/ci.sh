@@ -40,6 +40,19 @@ cmp "$REPORT_NATIVE" "$REPORT_SCALAR" \
 echo "kernel gate: $(wc -l < "$REPORT_NATIVE")-line report byte-identical native and scalar"
 rm -f "$REPORT_NATIVE" "$REPORT_SCALAR"
 
+# Figures gate: the study and every figure run on `default_threads()`
+# workers, so a figure that depends on which worker touched a file last
+# shows up as a report that differs between one core and all of them.
+echo "==> figures gate: dhub report pinned to one core == unpinned"
+REPORT_ONE=$(mktemp /tmp/dhub-report-one.XXXXXX)
+REPORT_ALL=$(mktemp /tmp/dhub-report-all.XXXXXX)
+taskset -c 0 ./target/release/dhub report --repos 25 --seed 5 --scale 1024 > "$REPORT_ONE"
+./target/release/dhub report --repos 25 --seed 5 --scale 1024 > "$REPORT_ALL"
+cmp "$REPORT_ONE" "$REPORT_ALL" \
+    || { echo "FAIL: dhub report differs between one core and all cores" >&2; exit 1; }
+echo "figures gate: $(wc -l < "$REPORT_ONE")-line report byte-identical on one core and on all"
+rm -f "$REPORT_ONE" "$REPORT_ALL"
+
 # Rebuild gate: `DedupStore::reconstruct_tar` sizes each layer first and
 # encodes it into one zeroed buffer, inline below 3 MiB and split across
 # cores above. Its properties (byte-identical rebuilds on both sides of the

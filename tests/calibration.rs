@@ -6,18 +6,22 @@
 //! these tests guard the *shape* of each distribution (who dominates, where
 //! medians sit, which group dedups worst), not decimal places.
 
-use dhub_study::figures;
+use dhub_study::figures::{self, StudyView};
 use dhub_study::pipeline::{run_study, StudyData};
 use dhub_study::FigureReport;
 use dhub_synth::{generate_hub, SynthConfig};
 use std::sync::OnceLock;
 
-fn data() -> &'static StudyData {
+/// The study's figure view, derived once for every test in the file.
+fn view() -> &'static StudyView<'static> {
     static DATA: OnceLock<StudyData> = OnceLock::new();
-    DATA.get_or_init(|| {
-        let cfg = SynthConfig::default_scale(20170530).with_repos(180);
-        let hub = generate_hub(&cfg);
-        run_study(&hub, dhub_par::default_threads())
+    static VIEW: OnceLock<StudyView<'static>> = OnceLock::new();
+    VIEW.get_or_init(|| {
+        StudyView::new(DATA.get_or_init(|| {
+            let cfg = SynthConfig::default_scale(20170530).with_repos(180);
+            let hub = generate_hub(&cfg);
+            run_study(&hub, dhub_par::default_threads())
+        }))
     })
 }
 
@@ -42,7 +46,7 @@ fn assert_anchor_band(fig: &FigureReport, name_contains: &str, lo: f64, hi: f64)
 
 #[test]
 fn table1_population_anchors() {
-    let f = figures::table1(data());
+    let f = figures::table1(view());
     assert_anchor_band(&f, "search duplication", 0.9, 1.1);
     assert_anchor_band(&f, "downloaded fraction", 0.9, 1.1);
     assert_anchor_band(&f, "auth share of failures", 0.5, 1.8);
@@ -50,7 +54,7 @@ fn table1_population_anchors() {
 
 #[test]
 fn fig04_compression_ratio_anchors() {
-    let f = figures::fig04(data());
+    let f = figures::fig04(view());
     // Median layer ratio: paper 2.6. At size_scale 1/128 the per-file tar
     // framing (1 KiB of header+padding per file, which size_scale cannot
     // shrink) biases FLS/CLS down; `fig04_ratio_recovers_at_paper_scale`
@@ -89,7 +93,7 @@ fn fig04_ratio_recovers_at_paper_scale() {
 
 #[test]
 fn fig05_file_count_anchors() {
-    let f = figures::fig05(data());
+    let f = figures::fig05(view());
     assert_anchor_band(&f, "median files", 0.4, 2.5);
     assert_anchor_band(&f, "single-file layers", 0.6, 1.5);
     assert_anchor_band(&f, "empty layers", 0.5, 2.0);
@@ -97,14 +101,14 @@ fn fig05_file_count_anchors() {
 
 #[test]
 fn fig07_depth_anchors() {
-    let f = figures::fig07(data());
+    let f = figures::fig07(view());
     assert_anchor_band(&f, "median max depth", 0.5, 2.0);
     assert_anchor_band(&f, "modal depth", 0.6, 1.7);
 }
 
 #[test]
 fn fig08_popularity_anchors() {
-    let f = figures::fig08(data());
+    let f = figures::fig08(view());
     assert_anchor_band(&f, "median pulls", 0.5, 2.0);
     assert_anchor_band(&f, "p90 pulls", 0.5, 2.0);
     assert_anchor_band(&f, "max pulls", 0.99, 1.01);
@@ -112,7 +116,7 @@ fn fig08_popularity_anchors() {
 
 #[test]
 fn fig10_layer_count_anchors() {
-    let f = figures::fig10(data());
+    let f = figures::fig10(view());
     assert_anchor_band(&f, "median layers", 0.75, 1.4);
     assert_anchor_band(&f, "p90 layers", 0.7, 1.5);
     assert_anchor_band(&f, "modal layer count", 0.7, 1.4);
@@ -121,7 +125,7 @@ fn fig10_layer_count_anchors() {
 
 #[test]
 fn fig14_type_mix_anchors() {
-    let f = figures::fig14(data());
+    let f = figures::fig14(view());
     assert_anchor_band(&f, "documents count share", 0.8, 1.25);
     assert_anchor_band(&f, "source count share", 0.8, 1.25);
     assert_anchor_band(&f, "EOL count share", 0.8, 1.25);
@@ -132,7 +136,7 @@ fn fig14_type_mix_anchors() {
 
 #[test]
 fn fig16_eol_anchors() {
-    let f = figures::fig16(data());
+    let f = figures::fig16(view());
     assert_anchor_band(&f, "ELF count share", 0.8, 1.3);
     assert_anchor_band(&f, "IR count share", 0.8, 1.3);
     assert_anchor_band(&f, "ELF capacity share", 0.8, 1.2);
@@ -140,7 +144,7 @@ fn fig16_eol_anchors() {
 
 #[test]
 fn fig17_source_anchors() {
-    let f = figures::fig17(data());
+    let f = figures::fig17(view());
     assert_anchor_band(&f, "C/C++ count share", 0.9, 1.15);
     assert_anchor_band(&f, "Perl5 count share", 0.7, 1.4);
     assert_anchor_band(&f, "Ruby count share", 0.7, 1.4);
@@ -148,21 +152,21 @@ fn fig17_source_anchors() {
 
 #[test]
 fn fig18_script_anchors() {
-    let f = figures::fig18(data());
+    let f = figures::fig18(view());
     assert_anchor_band(&f, "Python count share", 0.85, 1.2);
     assert_anchor_band(&f, "shell count share", 0.8, 1.3);
 }
 
 #[test]
 fn fig20_archival_anchors() {
-    let f = figures::fig20(data());
+    let f = figures::fig20(view());
     assert_anchor_band(&f, "zip/gzip count share", 0.95, 1.05);
     assert_anchor_band(&f, "avg zip/gzip size", 0.4, 2.5);
 }
 
 #[test]
 fn fig21_database_anchors() {
-    let f = figures::fig21(data());
+    let f = figures::fig21(view());
     assert_anchor_band(&f, "BerkeleyDB count share", 0.7, 1.5);
     assert_anchor_band(&f, "MySQL count share", 0.7, 1.5);
     // SQLite: few files, most capacity — the paper's defining DB trait.
@@ -171,13 +175,13 @@ fn fig21_database_anchors() {
 
 #[test]
 fn fig22_imagefile_anchors() {
-    let f = figures::fig22(data());
+    let f = figures::fig22(view());
     assert_anchor_band(&f, "PNG count share", 0.85, 1.2);
 }
 
 #[test]
 fn fig23_layer_sharing_anchors() {
-    let f = figures::fig23(data());
+    let f = figures::fig23(view());
     assert_anchor_band(&f, "fraction referenced once", 0.85, 1.12);
     assert_anchor_band(&f, "top layer is the empty layer", 1.0, 1.0);
     assert_anchor_band(&f, "layer-sharing dedup factor", 0.6, 1.8);
@@ -185,7 +189,7 @@ fn fig23_layer_sharing_anchors() {
 
 #[test]
 fn fig24_repeat_anchors() {
-    let f = figures::fig24(data());
+    let f = figures::fig24(view());
     assert_anchor_band(&f, ">1 copy", 0.85, 1.1);
     assert_anchor_band(&f, "median copies", 0.3, 3.0);
     assert_anchor_band(&f, "p90 copies", 0.3, 3.0);
@@ -194,7 +198,7 @@ fn fig24_repeat_anchors() {
 
 #[test]
 fn fig25_growth_is_monotone() {
-    let f = figures::fig25(data());
+    let f = figures::fig25(view());
     // The growth factor must be materially above 1 (the figure's message).
     let g = f.anchors.iter().find(|a| a.name.contains("growth")).unwrap();
     assert!(g.measured > 1.3, "growth {}", g.measured);
@@ -202,14 +206,14 @@ fn fig25_growth_is_monotone() {
 
 #[test]
 fn fig26_cross_duplicate_anchors() {
-    let f = figures::fig26(data());
+    let f = figures::fig26(view());
     assert_anchor_band(&f, "p10 layer duplicate", 0.75, 1.05);
     assert_anchor_band(&f, "p10 image duplicate", 0.8, 1.05);
 }
 
 #[test]
 fn fig27_group_dedup_ordering() {
-    let f = figures::fig27(data());
+    let f = figures::fig27(view());
     let get = |label: &str| {
         f.anchors.iter().find(|a| a.name.starts_with(label)).map(|a| a.measured).unwrap()
     };
@@ -222,7 +226,7 @@ fn fig27_group_dedup_ordering() {
 
 #[test]
 fn fig28_eol_dedup_ordering() {
-    let f = figures::fig28(data());
+    let f = figures::fig28(view());
     let get = |label: &str| {
         f.anchors.iter().find(|a| a.name.starts_with(label)).map(|a| a.measured).unwrap()
     };
@@ -232,7 +236,7 @@ fn fig28_eol_dedup_ordering() {
 
 #[test]
 fn table2_headline_direction() {
-    let f = figures::table2(data());
+    let f = figures::table2(view());
     // At 220 repos we sit on the left part of the Fig. 25 growth curve; the
     // count ratio must already be well above 1 and below the full-scale 31.5.
     let count = f.anchors.iter().find(|a| a.name.contains("count dedup")).unwrap();

@@ -429,6 +429,7 @@ fn study_through_mirror_is_byte_identical_to_direct() {
 
 #[test]
 fn mirror_fails_over_when_an_origin_shard_is_killed() {
+    use dhub_study::figures::{table1, StudyView};
     let clean = direct_clean_study();
 
     // Shard 0 is killed for the entire run: every request to its address
@@ -459,8 +460,8 @@ fn mirror_fails_over_when_an_origin_shard_is_killed() {
     // Table 1 (and the whole dataset behind it) is unchanged by the loss.
     assert_same_http_dataset(&data, &clean);
     assert_eq!(
-        dhub_study::figures::table1(&data).render(),
-        dhub_study::figures::table1(&clean).render(),
+        table1(&StudyView::new(&data)).render(),
+        table1(&StudyView::new(&clean)).render(),
         "Table 1 must not change when an origin shard dies"
     );
 

@@ -2,7 +2,7 @@
 //! dedup pipeline against a generated hub, checked against the generator's
 //! ground truth.
 
-use dhub_study::figures;
+use dhub_study::figures::{self, StudyView};
 use dhub_study::pipeline::{run_study, StudyData};
 use dhub_synth::{generate_hub, GroundTruth, SynthConfig, SyntheticHub};
 use std::sync::OnceLock;
@@ -15,6 +15,11 @@ fn hub() -> &'static SyntheticHub {
 fn data() -> &'static StudyData {
     static DATA: OnceLock<StudyData> = OnceLock::new();
     DATA.get_or_init(|| run_study(hub(), dhub_par::default_threads()))
+}
+
+fn view() -> &'static StudyView<'static> {
+    static VIEW: OnceLock<StudyView<'static>> = OnceLock::new();
+    VIEW.get_or_init(|| StudyView::new(data()))
 }
 
 fn truth() -> &'static GroundTruth {
@@ -69,9 +74,8 @@ fn empty_layer_is_most_referenced() {
 
 #[test]
 fn dedup_invariants() {
-    let d = data();
-    let layers = d.layer_slice();
-    let stats = dhub_dedup::file_dedup(&layers, 4);
+    let v = view();
+    let stats = v.files.stats();
     assert!(stats.unique_files <= stats.total_instances);
     assert!(stats.unique_bytes <= stats.total_bytes);
     assert!(stats.count_ratio() >= 1.0);
@@ -79,7 +83,7 @@ fn dedup_invariants() {
     let sum_of_repeats: u64 = stats.repeat_counts.iter().sum();
     assert_eq!(sum_of_repeats, stats.total_instances);
     // The analyzer's own totals agree with the dedup index.
-    let files: u64 = layers.iter().map(|l| l.file_count).sum();
+    let files: u64 = v.layers.iter().map(|l| l.file_count).sum();
     assert_eq!(files, stats.total_instances);
 }
 
@@ -153,8 +157,7 @@ fn registry_bytes_match_downloaded_bytes() {
 fn classifier_sees_no_unclassifiable_flood() {
     // The generator forges valid signatures; OtherBinary should stay a
     // modest minority (it is 8.8 % of the mix), not a catch-all flood.
-    let d = data();
-    let census = figures::TypeCensus::build(d);
+    let census = &view().census;
     let other = census.count(dhub_model::FileKind::OtherBinary) as f64;
     let total = census.total_count() as f64;
     assert!(other / total < 0.2, "OtherBinary share {}", other / total);
