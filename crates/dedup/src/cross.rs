@@ -31,11 +31,11 @@ pub fn cross_duplicates(
     profiles: &FxHashMap<Digest, LayerProfile>,
     threads: usize,
 ) -> CrossDuplicates {
+    let cross_layer = |d: &Digest| files.get(d).is_some_and(|e| e.layers > 1);
     let layer_fractions: Vec<f64> = layers
         .iter()
         .filter(|l| !l.files.is_empty())
         .map(|l| {
-            let cross_layer = |d| files.get(d).is_some_and(|e| e.layers > 1);
             let dup = l.files.iter().filter(|f| cross_layer(&f.digest)).count();
             dup as f64 / l.files.len() as f64
         })

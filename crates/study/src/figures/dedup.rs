@@ -121,8 +121,8 @@ pub fn fig25(v: &StudyView) -> FigureReport {
 
 /// Fig. 26 — cross-layer and cross-image duplicate fractions.
 pub fn fig26(v: &StudyView) -> FigureReport {
-    let (data, threads) = (v.data, default_threads());
-    let cd = cross_duplicates(&v.layers, &v.files, &data.image_layers, &data.layers, threads);
+    let images = &v.data.image_layers;
+    let cd = cross_duplicates(&v.layers, &v.files, images, &v.data.layers, default_threads());
     let le = Ecdf::new(cd.layer_fractions);
     let ie = Ecdf::new(cd.image_fractions);
 
