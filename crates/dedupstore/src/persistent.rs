@@ -33,6 +33,7 @@
 use crate::recipe::LayerRecipe;
 use crate::store::{DedupStore, IngestStats, PendingEntry, StoreError};
 use dhub_digest::{FxHashMap, FxHashSet};
+use dhub_json::Reader;
 use dhub_model::Digest;
 use dhub_obs::MetricsRegistry;
 use dhub_persist::{fsync_dir, hex_of, BlobStore, GcStats, PersistError, Publisher};
@@ -155,22 +156,38 @@ impl PersistentDedupStore {
         format!("{}{recipe_text}}}", Self::envelope_head(blob_len, &checksum))
     }
 
-    /// Parses an envelope once and checks its checksum over the raw
-    /// `recipe` span of `text` — the bytes [`Self::envelope`] hashed —
-    /// rather than over a re-serialisation of the parsed value.
+    /// Reads an envelope in one pass, building no `Json` tree. The
+    /// fields before the recipe rebuild [`Self::envelope_head`], which
+    /// must be the text's exact prefix; the checksum is checked over the
+    /// raw `recipe` span of `text` — the bytes [`Self::envelope`] hashed —
+    /// and only then is that span decoded. The rest of the envelope must
+    /// still be well-formed JSON.
     fn parse_envelope(text: &str) -> Option<(LayerRecipe, u64)> {
-        let j = dhub_json::parse(text).ok()?;
-        if j.get("schema")?.as_str()? != "dhub-persist-recipe-v1" {
+        fn key(r: &mut Reader<'_>, name: &str) -> Option<()> {
+            (r.next_key().ok()?? == name).then_some(())
+        }
+        let mut r = Reader::new(text);
+        r.begin_object().ok()?;
+        key(&mut r, "schema")?;
+        if r.string().ok()? != "dhub-persist-recipe-v1" {
             return None;
         }
-        let blob_len = j.get("blobLen")?.as_u64()?;
-        let checksum = j.get("checksum")?.as_str()?;
-        let head = Self::envelope_head(blob_len, checksum);
+        key(&mut r, "blobLen")?;
+        let blob_len = r.u64().ok()??;
+        key(&mut r, "checksum")?;
+        let checksum = r.string().ok()?;
+        key(&mut r, "recipe")?;
+        let head = Self::envelope_head(blob_len, &checksum);
         let recipe_text = text.strip_prefix(head.as_str())?.strip_suffix('}')?;
-        if Digest::parse(checksum)? != Digest::of(recipe_text.as_bytes()) {
+        if Digest::parse(&checksum)? != Digest::of(recipe_text.as_bytes()) {
             return None;
         }
-        Some((LayerRecipe::from_value(j.get("recipe")?)?, blob_len))
+        let recipe = LayerRecipe::read(&mut r)?;
+        while r.next_key().ok()?.is_some() {
+            r.skip_value().ok()?;
+        }
+        r.end().ok()?;
+        Some((recipe, blob_len))
     }
 
     /// Every `*.json` under `layers/`, sorted — the replay order.

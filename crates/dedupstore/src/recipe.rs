@@ -1,8 +1,9 @@
 //! Layer recipes: everything needed to rebuild a layer except the file
 //! contents themselves, which live deduplicated in the object store.
 
-use dhub_json::Json;
+use dhub_json::{push_string, push_u64, Kind, Reader};
 use dhub_model::Digest;
+use std::borrow::Cow;
 
 /// Non-content entry kind.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,73 +46,154 @@ impl LayerRecipe {
         })
     }
 
-    /// Serializes to JSON (the registry would store this as a small blob).
+    /// Serializes to JSON (the registry would store this as a small blob),
+    /// written straight into one pre-sized `String`. The bytes are what
+    /// printing the equivalent `Json` object yields: keys in the order
+    /// below, through `dhub-json`'s own escaper and number writer.
     pub fn to_json(&self) -> String {
-        let mut root = Json::obj();
-        root.set("layerDigest", self.layer_digest.to_docker_string());
-        let entries: Vec<Json> = self
-            .entries
-            .iter()
-            .map(|e| {
-                let mut o = Json::obj();
-                o.set("path", e.path.as_str())
-                    .set("mode", e.mode as u64)
-                    .set("uid", e.uid as u64)
-                    .set("gid", e.gid as u64)
-                    .set("mtime", e.mtime);
-                match &e.kind {
-                    RecipeEntryKind::File(d) => {
-                        o.set("type", "file").set("digest", d.to_docker_string());
-                    }
-                    RecipeEntryKind::Dir => {
-                        o.set("type", "dir");
-                    }
-                    RecipeEntryKind::Symlink(t) => {
-                        o.set("type", "symlink").set("target", t.as_str());
-                    }
-                    RecipeEntryKind::Hardlink(t) => {
-                        o.set("type", "hardlink").set("target", t.as_str());
-                    }
+        // Room for an entry's keys, four numbers and a file digest.
+        const ENTRY: usize = 180;
+        let link = |e: &EntryMeta| match &e.kind {
+            RecipeEntryKind::Symlink(t) | RecipeEntryKind::Hardlink(t) => t.len(),
+            _ => 0,
+        };
+        let size: usize = self.entries.iter().map(|e| ENTRY + e.path.len() + link(e)).sum();
+        let mut out = String::with_capacity(100 + size);
+        out.push_str(r#"{"layerDigest":""#);
+        self.layer_digest.push_docker_string(&mut out);
+        out.push_str(r#"","entries":["#);
+        for (i, e) in self.entries.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(r#"{"path":"#);
+            push_string(&mut out, &e.path);
+            for (key, n) in [
+                (r#","mode":"#, e.mode as u64),
+                (r#","uid":"#, e.uid as u64),
+                (r#","gid":"#, e.gid as u64),
+                (r#","mtime":"#, e.mtime),
+            ] {
+                out.push_str(key);
+                push_u64(&mut out, n);
+            }
+            match &e.kind {
+                RecipeEntryKind::File(d) => {
+                    out.push_str(r#","type":"file","digest":""#);
+                    d.push_docker_string(&mut out);
+                    out.push('"');
                 }
-                o
-            })
-            .collect();
-        root.set("entries", Json::Arr(entries));
-        root.to_string()
+                RecipeEntryKind::Dir => out.push_str(r#","type":"dir""#),
+                RecipeEntryKind::Symlink(t) => {
+                    out.push_str(r#","type":"symlink","target":"#);
+                    push_string(&mut out, t);
+                }
+                RecipeEntryKind::Hardlink(t) => {
+                    out.push_str(r#","type":"hardlink","target":"#);
+                    push_string(&mut out, t);
+                }
+            }
+            out.push('}');
+        }
+        out.push_str("]}");
+        out
     }
 
     /// Parses a recipe back from JSON.
     pub fn from_json(text: &str) -> Option<LayerRecipe> {
-        LayerRecipe::from_value(&dhub_json::parse(text).ok()?)
+        let mut r = Reader::new(text);
+        let recipe = LayerRecipe::read(&mut r)?;
+        r.end().ok()?;
+        Some(recipe)
     }
 
-    /// Rebuilds a recipe from its already-parsed JSON value (the recipe
-    /// envelope holds one; re-serialising it to parse it again is waste).
-    pub fn from_value(j: &Json) -> Option<LayerRecipe> {
-        let layer_digest = Digest::parse(j.get("layerDigest")?.as_str()?)?;
-        let entries = j
-            .get("entries")?
-            .as_arr()?
-            .iter()
-            .map(|e| {
-                let kind = match e.get("type")?.as_str()? {
-                    "file" => RecipeEntryKind::File(Digest::parse(e.get("digest")?.as_str()?)?),
-                    "dir" => RecipeEntryKind::Dir,
-                    "symlink" => RecipeEntryKind::Symlink(e.get("target")?.as_str()?.to_string()),
-                    "hardlink" => RecipeEntryKind::Hardlink(e.get("target")?.as_str()?.to_string()),
+    /// Reads one recipe object off `r`, building no `Json` tree but
+    /// accepting exactly what a lookup in one would: keys in any order,
+    /// the first of a repeated key wins, unknown keys are skipped, and
+    /// integers follow `Json::as_u64`. `None` on anything else, and on
+    /// malformed JSON anywhere in the value.
+    pub(crate) fn read(r: &mut Reader<'_>) -> Option<LayerRecipe> {
+        let (mut layer_digest, mut entries) = (None, None);
+        r.begin_object().ok()?;
+        while let Some(key) = r.next_key().ok()? {
+            match &*key {
+                "layerDigest" if layer_digest.is_none() => {
+                    layer_digest = Some(Digest::parse(&r.string().ok()?)?);
+                }
+                "entries" if entries.is_none() => {
+                    let mut list = Vec::new();
+                    r.begin_array().ok()?;
+                    while r.next_item().ok()? {
+                        list.push(read_entry(r)?);
+                    }
+                    entries = Some(list);
+                }
+                _ => r.skip_value().ok()?,
+            }
+        }
+        Some(LayerRecipe { layer_digest: layer_digest?, entries: entries? })
+    }
+}
+
+/// An entry's `type`, before the field it names is looked at.
+#[derive(Clone, Copy)]
+enum Type {
+    File,
+    Dir,
+    Symlink,
+    Hardlink,
+}
+
+/// One entry object, by [`LayerRecipe::read`]'s rules. `digest` and
+/// `target` matter only for the types that use them, so their first
+/// occurrence is kept whatever it holds and judged once `type` is known.
+fn read_entry(r: &mut Reader<'_>) -> Option<EntryMeta> {
+    let (mut path, mut ty, mut digest, mut target) = (None, None, None, None);
+    let (mut mode, mut uid, mut gid, mut mtime) = (None, None, None, None);
+    let int = |r: &mut Reader<'_>| r.u64().ok().flatten();
+    r.begin_object().ok()?;
+    while let Some(key) = r.next_key().ok()? {
+        match &*key {
+            "path" if path.is_none() => path = Some(r.string().ok()?.into_owned()),
+            "mode" if mode.is_none() => mode = Some(int(r)? as u32),
+            "uid" if uid.is_none() => uid = Some(int(r)? as u32),
+            "gid" if gid.is_none() => gid = Some(int(r)? as u32),
+            "mtime" if mtime.is_none() => mtime = Some(int(r)?),
+            "type" if ty.is_none() => {
+                ty = Some(match &*r.string().ok()? {
+                    "file" => Type::File,
+                    "dir" => Type::Dir,
+                    "symlink" => Type::Symlink,
+                    "hardlink" => Type::Hardlink,
                     _ => return None,
-                };
-                Some(EntryMeta {
-                    path: e.get("path")?.as_str()?.to_string(),
-                    kind,
-                    mode: e.get("mode")?.as_u64()? as u32,
-                    uid: e.get("uid")?.as_u64()? as u32,
-                    gid: e.get("gid")?.as_u64()? as u32,
-                    mtime: e.get("mtime")?.as_u64()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(LayerRecipe { layer_digest, entries })
+                });
+            }
+            "digest" if digest.is_none() => {
+                digest = Some(string_or_skip(r)?.and_then(|s| Digest::parse(&s)));
+            }
+            "target" if target.is_none() => {
+                target = Some(string_or_skip(r)?.map(|s| s.into_owned()));
+            }
+            _ => r.skip_value().ok()?,
+        }
+    }
+    let kind = match ty? {
+        Type::File => RecipeEntryKind::File(digest??),
+        Type::Dir => RecipeEntryKind::Dir,
+        Type::Symlink => RecipeEntryKind::Symlink(target??),
+        Type::Hardlink => RecipeEntryKind::Hardlink(target??),
+    };
+    Some(EntryMeta { path: path?, kind, mode: mode?, uid: uid?, gid: gid?, mtime: mtime? })
+}
+
+/// The next value if it is a string, else `Some(None)` once it is skipped;
+/// `None` on malformed JSON.
+fn string_or_skip<'a>(r: &mut Reader<'a>) -> Option<Option<Cow<'a, str>>> {
+    if r.peek().ok()? == Kind::Str {
+        Some(Some(r.string().ok()?))
+    } else {
+        r.skip_value().ok()?;
+        Some(None)
     }
 }
 

@@ -2,14 +2,22 @@
 //!
 //! Docker stores image manifests as JSON documents; the registry substrate
 //! serializes and parses them through this crate. It is a small, complete
-//! implementation of RFC 8259: a [`Json`] value model, a recursive-descent
-//! [`parse`], and a deterministic writer (`Json::to_string` via `Display`) that emits
-//! object keys in insertion order so manifest bytes (and therefore their
-//! sha256 digests) are stable.
+//! implementation of RFC 8259 with one tokenizer and one escaper:
+//!
+//! * [`Reader`] — a pull reader over `&str`, for codecs that decode
+//!   straight into their own structs;
+//! * [`parse`] — the [`Json`] value model built over that reader;
+//! * [`push_string`] / [`push_u64`] — the escaper and number writer, which
+//!   the `Json` printer (`to_string` via `Display`) also writes through. It
+//!   emits object keys in insertion order so manifest bytes (and therefore
+//!   their sha256 digests) are stable.
 
 mod parse;
+mod read;
 mod value;
 mod write;
 
-pub use parse::{parse, ParseError};
+pub use parse::parse;
+pub use read::{Kind, ParseError, Reader};
 pub use value::Json;
+pub use write::{push_string, push_u64};

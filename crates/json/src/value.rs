@@ -66,10 +66,7 @@ impl Json {
 
     /// Returns the number as u64 if it is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
-            _ => None,
-        }
+        self.as_f64().and_then(u64_of)
     }
 
     /// Returns the array elements, if this is an array.
@@ -87,6 +84,11 @@ impl Json {
             _ => None,
         }
     }
+}
+
+/// `n` as a u64 if it is a non-negative integer no larger than 2^53.
+pub(crate) fn u64_of(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as u64)
 }
 
 impl From<bool> for Json {
@@ -136,8 +138,10 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
 }
 
 impl fmt::Display for Json {
+    /// Compact JSON, object keys in insertion order, written straight to
+    /// the formatter.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&crate::write::to_string(self))
+        crate::write::write_value(self, f)
     }
 }
 

@@ -2,6 +2,18 @@
 
 use dhub_digest::sha256::{sha256, to_hex};
 
+/// Each byte's value as a hex digit (either case), or 0xff if it is not one.
+const NIBBLE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[b"0123456789abcdef"[i] as usize] = i as u8;
+        table[b"0123456789ABCDEF"[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
 /// A sha256 content address. Stored as raw bytes (32) rather than hex (64)
 /// — the dedup index holds one per unique file, so size matters.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -15,7 +27,20 @@ impl Digest {
 
     /// Renders as `sha256:<hex>` (the registry wire format).
     pub fn to_docker_string(self) -> String {
-        format!("sha256:{}", to_hex(&self.0))
+        let mut out = String::with_capacity(71);
+        self.push_docker_string(&mut out);
+        out
+    }
+
+    /// Appends `sha256:<hex>` to `out`, allocating nothing of its own.
+    pub fn push_docker_string(self, out: &mut String) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut text = *b"sha256:0000000000000000000000000000000000000000000000000000000000000000";
+        for (pair, b) in text[7..].chunks_exact_mut(2).zip(self.0) {
+            pair[0] = HEX[(b >> 4) as usize];
+            pair[1] = HEX[(b & 0xf) as usize];
+        }
+        out.push_str(std::str::from_utf8(&text).expect("hex is ASCII"));
     }
 
     /// Parses `sha256:` followed by exactly 64 ASCII hex digits (either
@@ -27,10 +52,13 @@ impl Digest {
         if hex.len() != 64 {
             return None;
         }
-        let nibble = |b: u8| (b as char).to_digit(16).map(|d| d as u8);
         let mut out = [0u8; 32];
         for (byte, pair) in out.iter_mut().zip(hex.chunks_exact(2)) {
-            *byte = nibble(pair[0])? << 4 | nibble(pair[1])?;
+            let (hi, lo) = (NIBBLE[pair[0] as usize], NIBBLE[pair[1] as usize]);
+            if (hi | lo) > 0xf {
+                return None;
+            }
+            *byte = hi << 4 | lo;
         }
         Some(Digest(out))
     }
@@ -59,6 +87,14 @@ mod tests {
             d.to_docker_string(),
             "sha256:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         );
+    }
+
+    #[test]
+    fn push_appends_the_wire_form() {
+        let d = Digest::of(b"layer data");
+        let mut out = String::from("x=");
+        d.push_docker_string(&mut out);
+        assert_eq!(out, format!("x=sha256:{}", to_hex(&d.0)));
     }
 
     #[test]

@@ -1,0 +1,340 @@
+//! The recursive-descent JSON parser (RFC 8259) `dhub_json::parse` was
+//! before it became a tree builder over the pull `Reader`, and the layer
+//! recipe codec as it was before it stopped building a `Json` tree: the
+//! recipe built as a `Json` object and printed, and read back by lookups
+//! in the parsed tree.
+
+use dhub_dedupstore::{EntryMeta, LayerRecipe, RecipeEntryKind};
+use dhub_json::{Json, ParseError};
+use dhub_model::Digest;
+
+/// Parses a complete JSON document, char by char into fresh `String`s,
+/// with the same values, error offsets and messages `dhub_json::parse`
+/// must give.
+pub fn json_reference(input: &str) -> Result<Json, ParseError> {
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
+    p.skip_ws();
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(p.err("trailing characters"));
+    }
+    Ok(v)
+}
+
+/// Nesting limit: manifests are shallow; this guards against stack overflow
+/// on adversarial input.
+const MAX_DEPTH: usize = 128;
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    depth: usize,
+}
+
+impl<'a> Parser<'a> {
+    fn err(&self, msg: &'static str) -> ParseError {
+        ParseError { at: self.pos, msg }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn bump(&mut self) -> Option<u8> {
+        let b = self.peek()?;
+        self.pos += 1;
+        Some(b)
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, b: u8, msg: &'static str) -> Result<(), ParseError> {
+        if self.bump() == Some(b) {
+            Ok(())
+        } else {
+            self.pos = self.pos.saturating_sub(1);
+            Err(self.err(msg))
+        }
+    }
+
+    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, ParseError> {
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(v)
+        } else {
+            Err(self.err("invalid literal"))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, ParseError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => Err(self.err("expected a value")),
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, ParseError> {
+        self.expect(b'{', "expected '{'")?;
+        self.depth += 1;
+        let mut pairs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(Json::Obj(pairs));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':', "expected ':'")?;
+            self.skip_ws();
+            let val = self.value()?;
+            pairs.push((key, val));
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => continue,
+                Some(b'}') => break,
+                _ => {
+                    self.pos = self.pos.saturating_sub(1);
+                    return Err(self.err("expected ',' or '}'"));
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(Json::Obj(pairs))
+    }
+
+    fn array(&mut self) -> Result<Json, ParseError> {
+        self.expect(b'[', "expected '['")?;
+        self.depth += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => continue,
+                Some(b']') => break,
+                _ => {
+                    self.pos = self.pos.saturating_sub(1);
+                    return Err(self.err("expected ',' or ']'"));
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(Json::Arr(items))
+    }
+
+    fn string(&mut self) -> Result<String, ParseError> {
+        self.expect(b'"', "expected '\"'")?;
+        let mut s = String::new();
+        loop {
+            match self.bump() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => return Ok(s),
+                Some(b'\\') => match self.bump() {
+                    Some(b'"') => s.push('"'),
+                    Some(b'\\') => s.push('\\'),
+                    Some(b'/') => s.push('/'),
+                    Some(b'b') => s.push('\u{8}'),
+                    Some(b'f') => s.push('\u{c}'),
+                    Some(b'n') => s.push('\n'),
+                    Some(b'r') => s.push('\r'),
+                    Some(b't') => s.push('\t'),
+                    Some(b'u') => {
+                        let cp = self.hex4()?;
+                        if (0xD800..0xDC00).contains(&cp) {
+                            // High surrogate: must be followed by \uDC00..DFFF.
+                            self.expect(b'\\', "expected low surrogate")?;
+                            self.expect(b'u', "expected low surrogate")?;
+                            let lo = self.hex4()?;
+                            if !(0xDC00..0xE000).contains(&lo) {
+                                return Err(self.err("invalid low surrogate"));
+                            }
+                            let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                            s.push(char::from_u32(c).ok_or_else(|| self.err("invalid codepoint"))?);
+                        } else if (0xDC00..0xE000).contains(&cp) {
+                            return Err(self.err("unpaired low surrogate"));
+                        } else {
+                            s.push(char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"))?);
+                        }
+                    }
+                    _ => return Err(self.err("invalid escape")),
+                },
+                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
+                Some(b) if b < 0x80 => s.push(b as char),
+                Some(b) => {
+                    // Multi-byte UTF-8: the input &str is already valid UTF-8,
+                    // so decode the remaining bytes of the scalar directly.
+                    let start = self.pos - 1;
+                    let len = utf8_len(b);
+                    let end = start + len;
+                    if end > self.bytes.len() {
+                        return Err(self.err("truncated utf-8"));
+                    }
+                    // Safe: source was a &str.
+                    let ch = std::str::from_utf8(&self.bytes[start..end])
+                        .map_err(|_| self.err("invalid utf-8"))?
+                        .chars()
+                        .next()
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
+                    s.push(ch);
+                    self.pos = end;
+                }
+            }
+        }
+    }
+
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let mut v = 0u32;
+        for _ in 0..4 {
+            let d = match self.bump() {
+                Some(b @ b'0'..=b'9') => (b - b'0') as u32,
+                Some(b @ b'a'..=b'f') => (b - b'a' + 10) as u32,
+                Some(b @ b'A'..=b'F') => (b - b'A' + 10) as u32,
+                _ => return Err(self.err("invalid \\u escape")),
+            };
+            v = v * 16 + d;
+        }
+        Ok(v)
+    }
+
+    fn number(&mut self) -> Result<Json, ParseError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+            }
+            Some(b'1'..=b'9') => {
+                while matches!(self.peek(), Some(b'0'..=b'9')) {
+                    self.pos += 1;
+                }
+            }
+            _ => return Err(self.err("invalid number")),
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("digit required after decimal point"));
+            }
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("digit required in exponent"));
+            }
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| self.err("number out of range"))
+    }
+}
+
+fn utf8_len(first: u8) -> usize {
+    match first {
+        0xC0..=0xDF => 2,
+        0xE0..=0xEF => 3,
+        _ => 4,
+    }
+}
+
+/// A recipe's JSON bytes as a printed `Json` object: what
+/// `LayerRecipe::to_json` must write.
+pub fn recipe_json_reference(recipe: &LayerRecipe) -> String {
+    let mut root = Json::obj();
+    root.set("layerDigest", recipe.layer_digest.to_docker_string());
+    let entries: Vec<Json> = recipe
+        .entries
+        .iter()
+        .map(|e| {
+            let mut o = Json::obj();
+            o.set("path", e.path.as_str())
+                .set("mode", e.mode as u64)
+                .set("uid", e.uid as u64)
+                .set("gid", e.gid as u64)
+                .set("mtime", e.mtime);
+            match &e.kind {
+                RecipeEntryKind::File(d) => {
+                    o.set("type", "file").set("digest", d.to_docker_string());
+                }
+                RecipeEntryKind::Dir => {
+                    o.set("type", "dir");
+                }
+                RecipeEntryKind::Symlink(t) => {
+                    o.set("type", "symlink").set("target", t.as_str());
+                }
+                RecipeEntryKind::Hardlink(t) => {
+                    o.set("type", "hardlink").set("target", t.as_str());
+                }
+            }
+            o
+        })
+        .collect();
+    root.set("entries", Json::Arr(entries));
+    root.to_string()
+}
+
+/// A recipe read by lookups in its parsed `Json` tree (the first of a
+/// repeated key wins, as with `Json::get`): what `LayerRecipe::from_json`
+/// must return.
+pub fn recipe_from_json_reference(text: &str) -> Option<LayerRecipe> {
+    let j = json_reference(text).ok()?;
+    let layer_digest = Digest::parse(j.get("layerDigest")?.as_str()?)?;
+    let entries = j
+        .get("entries")?
+        .as_arr()?
+        .iter()
+        .map(|e| {
+            let kind = match e.get("type")?.as_str()? {
+                "file" => RecipeEntryKind::File(Digest::parse(e.get("digest")?.as_str()?)?),
+                "dir" => RecipeEntryKind::Dir,
+                "symlink" => RecipeEntryKind::Symlink(e.get("target")?.as_str()?.to_string()),
+                "hardlink" => RecipeEntryKind::Hardlink(e.get("target")?.as_str()?.to_string()),
+                _ => return None,
+            };
+            Some(EntryMeta {
+                path: e.get("path")?.as_str()?.to_string(),
+                kind,
+                mode: e.get("mode")?.as_u64()? as u32,
+                uid: e.get("uid")?.as_u64()? as u32,
+                gid: e.get("gid")?.as_u64()? as u32,
+                mtime: e.get("mtime")?.as_u64()?,
+            })
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some(LayerRecipe { layer_digest, entries })
+}

@@ -11,26 +11,32 @@
 //! * [`analyze_layer_reference`] — the allocate-per-layer analyzer (owned
 //!   buffer, owned tar entries, per-entry ancestor walk);
 //! * [`ReferenceStore::ingest_layer_reference`] — analyze-then-ingest into
-//!   a store with its own maps and its own commit arithmetic.
+//!   a store with its own maps and its own commit arithmetic;
+//! * [`json_reference`] — the recursive-descent JSON parser, and
+//!   [`recipe_json_reference`] / [`recipe_from_json_reference`] — the
+//!   layer recipe codec over the `Json` tree.
 //!
 //! They never dispatch: SHA-256 and CRC-32 run on the scalar kernels, so an
 //! equality against them proves the SIMD production path bit-identical.
 //! They share no code with the paths they check beyond the bit reader, the
 //! canonical Huffman decoder, the tar walk (`TarView`, through
-//! `read_archive`) and the error types.
+//! `read_archive`), the `Json` value model and its printer, and the error
+//! types.
 //!
 //! This crate is a dev-dependency only. It links the library builds of
-//! `dhub-compress`, `dhub-analyzer` and `dhub-dedupstore`, so comparisons
-//! against it run from integration tests (`crates/*/tests/`,
+//! `dhub-compress`, `dhub-analyzer`, `dhub-dedupstore` and `dhub-json`, so
+//! comparisons against it run from integration tests (`crates/*/tests/`,
 //! `tests/chaos.rs`), never from a crate's own unit tests.
 
 pub mod alloc;
 mod analyze;
 mod inflate;
+mod json;
 mod store;
 
 pub use analyze::analyze_layer_reference;
 pub use inflate::{fixed_block, gzip_decompress_reference, inflate_reference, Sym};
+pub use json::{json_reference, recipe_from_json_reference, recipe_json_reference};
 pub use store::ReferenceStore;
 
 use dhub_digest::{Sha256, Sha256Kernel};

@@ -64,10 +64,14 @@ taskset -c 0 cargo test -q --offline -p dhub-dedupstore --test rebuild
 cargo test -q --offline -p dhub-dedupstore --test rebuild
 
 # Replayability is part of the contract: one property suite re-run under a
-# pinned PROPTEST_SEED must pass identically.
-echo "==> prop test replay: dhub-faults under pinned PROPTEST_SEED"
+# pinned PROPTEST_SEED must pass identically. The JSON hostile-input suite
+# (parse == the recursive-descent oracle, allocating no more than it)
+# replays under the same seed.
+echo "==> prop test replay: dhub-faults and dhub-json hostile under pinned PROPTEST_SEED"
 PROPTEST_SEED=0x00000000002a2a2a \
     cargo test -q --offline -p dhub-faults --test props
+PROPTEST_SEED=0x00000000002a2a2a \
+    cargo test -q --offline -p dhub-json --test hostile
 
 # The chaos suite: full crawl→download pipeline under deterministic fault
 # injection, asserting byte-identical datasets with retries on. Includes
@@ -602,9 +606,10 @@ EOF
 # scalar one-shot digests, the byte-at-a-time bit read, the owned tar
 # `Reader`); and for the tar writer's allocating octal field writer and
 # its patch-and-re-checksum long-name path, which the one ustar encoder
-# replaced.
+# replaced; and for the recipe decoder over a parsed `Json` tree, which
+# the pull-reader codec replaced.
 echo "==> stale-reference audit"
-STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network|fn with_retries|fn retrying|Backend::Local|mirror_(manifest|blob|tags)_endpoint|remove_layer|dhub_store_gc_|--bin report|write_lock|TableDecoder|huffman_block_fast|of_scalar|new_scalar|sha256_scalar|crc32_scalar|read_bytes\(|reader::Reader|tar::Reader|write_octal|append_gnu_longname'
+STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network|fn with_retries|fn retrying|Backend::Local|mirror_(manifest|blob|tags)_endpoint|remove_layer|dhub_store_gc_|--bin report|write_lock|TableDecoder|huffman_block_fast|of_scalar|new_scalar|sha256_scalar|crc32_scalar|read_bytes\(|reader::Reader|tar::Reader|write_octal|append_gnu_longname|LayerRecipe::from_value'
 if git grep -nE "$STALE_RE" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench' \
     | grep -v '^scripts/ci.sh:[0-9]*:STALE_RE='; then
     echo "FAIL: stale references to deleted code (listed above)" >&2
