@@ -92,6 +92,7 @@ fn hub_for(args: &Parsed, out: &mut impl Write) -> Result<SyntheticHub, crate::A
     let mut cfg = SynthConfig::default_scale(args.num("seed", 42u64)?)
         .with_repos(args.num("repos", 120usize)?);
     cfg.size_scale = args.num("scale", 128u64)?;
+    cfg.threads = threads(args)?;
     writeln!(out, "generating hub: repos={} seed={} scale=1/{}", cfg.repos, cfg.seed, cfg.size_scale)
         .ok();
     Ok(generate_hub(&cfg))

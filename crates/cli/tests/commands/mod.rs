@@ -31,6 +31,16 @@ fn generate_summarizes_hub() {
 }
 
 #[test]
+fn generate_is_the_same_hub_at_any_thread_count() {
+    // `--threads` sizes the generator's workers; the hub it builds must
+    // not depend on them.
+    let args = ["generate", "--repos", "30", "--seed", "3", "--scale", "1024", "--threads"];
+    let one = ok(&[&args[..], &["1"]].concat());
+    assert_eq!(ok(&[&args[..], &["8"]].concat()), one);
+    assert!(one.contains("repositories : 30"), "{one}");
+}
+
+#[test]
 fn pull_over_http_works() {
     let out = ok(&["pull", "nginx", "--repos", "20", "--seed", "3", "--scale", "1024"]);
     assert!(out.contains("pulled"), "{out}");

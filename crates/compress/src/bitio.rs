@@ -5,13 +5,13 @@
 //! which callers achieve by reversing the code bits before calling
 //! [`BitWriter::write_bits`].
 
-/// Accumulates bits into a byte vector.
+/// Accumulates bits into a byte vector, flushing whole 32-bit words.
 #[derive(Default)]
 pub struct BitWriter {
     out: Vec<u8>,
     /// Bit accumulator; bits fill from the LSB.
     acc: u64,
-    /// Number of valid bits in `acc` (always < 8 after `flush_bytes`).
+    /// Number of valid bits in `acc` (always < 32 between calls).
     nbits: u32,
 }
 
@@ -21,6 +21,11 @@ impl BitWriter {
         Self::default()
     }
 
+    /// A writer that appends to `out` (a container header, say).
+    pub(crate) fn with_bytes(out: Vec<u8>) -> Self {
+        BitWriter { out, acc: 0, nbits: 0 }
+    }
+
     /// Writes the low `n` bits of `value` (LSB first). `n` must be ≤ 32.
     #[inline]
     pub fn write_bits(&mut self, value: u32, n: u32) {
@@ -28,21 +33,20 @@ impl BitWriter {
         debug_assert!(n == 32 || (value as u64) < (1u64 << n));
         self.acc |= (value as u64) << self.nbits;
         self.nbits += n;
-        while self.nbits >= 8 {
-            self.out.push((self.acc & 0xff) as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
+        if self.nbits >= 32 {
+            self.out.extend_from_slice(&(self.acc as u32).to_le_bytes());
+            self.acc >>= 32;
+            self.nbits -= 32;
         }
     }
 
     /// Pads with zero bits to the next byte boundary (used before stored
-    /// blocks and at stream end).
+    /// blocks and at stream end) and flushes every pending byte.
     pub fn align_byte(&mut self) {
-        if self.nbits > 0 {
-            self.out.push((self.acc & 0xff) as u8);
-            self.acc = 0;
-            self.nbits = 0;
-        }
+        let bytes = self.nbits.div_ceil(8) as usize;
+        self.out.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
+        self.acc = 0;
+        self.nbits = 0;
     }
 
     /// Appends raw bytes; caller must be byte-aligned.

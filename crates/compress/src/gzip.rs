@@ -5,7 +5,8 @@
 //! header, the compressed stream, then CRC-32 and ISIZE trailers which the
 //! decoder verifies.
 
-use crate::deflate::{deflate, CompressOptions};
+use crate::bitio::BitWriter;
+use crate::deflate::{deflate_into, CompressOptions};
 use crate::inflate::{inflate_into, InflateError};
 use dhub_digest::crc32;
 
@@ -54,19 +55,22 @@ impl std::fmt::Display for GzipError {
 
 impl std::error::Error for GzipError {}
 
-/// Compresses `data` into a single gzip member.
+/// Compresses `data` into a single gzip member. The header goes first into
+/// the buffer the DEFLATE stream is written to, so the body is never
+/// copied.
 pub fn gzip_compress(data: &[u8], opts: &CompressOptions) -> Vec<u8> {
-    let body = deflate(data, opts);
-    let mut out = Vec::with_capacity(body.len() + 18);
-    out.extend_from_slice(&MAGIC);
-    out.push(CM_DEFLATE);
-    out.push(0); // FLG: no optional fields
-    out.extend_from_slice(&[0, 0, 0, 0]); // MTIME = 0 for reproducible bytes
-    out.push(0); // XFL
-    out.push(OS_UNKNOWN);
-    out.extend_from_slice(&body);
+    let mut header = Vec::new();
+    header.extend_from_slice(&MAGIC);
+    header.push(CM_DEFLATE);
+    header.push(0); // FLG: no optional fields
+    header.extend_from_slice(&[0, 0, 0, 0]); // MTIME = 0 for reproducible bytes
+    header.push(0); // XFL
+    header.push(OS_UNKNOWN);
+    let mut out = deflate_into(data, opts, BitWriter::with_bytes(header));
     out.extend_from_slice(&crc32(data).to_le_bytes());
     out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+    // Registries keep blobs for the life of the hub: give back the slack.
+    out.shrink_to_fit();
     out
 }
 

@@ -12,68 +12,90 @@
 
 use crate::bitio::{BitReader, OutOfBits};
 
+/// Largest alphabet [`limited_code_lengths`] codes: DEFLATE's 288
+/// literal/length symbols.
+const MAX_SYMBOLS: usize = 288;
+
 /// Assigns optimal code lengths for `freqs` limited to `max_len` bits.
 ///
 /// Returns a length per symbol (0 for unused symbols). Symbols with nonzero
 /// frequency always receive a nonzero length. Panics if the alphabet cannot
-/// fit in `max_len` bits (needs `2^max_len` ≥ used symbols).
+/// fit in `max_len` bits (needs `2^max_len` ≥ used symbols), or if more
+/// than 288 symbols are used or `max_len` exceeds 15, which DEFLATE never
+/// asks for.
+///
+/// Package-merge, row by row: row 1 is the used symbols sorted by weight
+/// (ties in symbol order), and row k merges those leaves with the packages
+/// (adjacent pairs) of row k − 1, a leaf going first on equal weight. The
+/// first 2n − 2 entries of row `max_len` are selected; a selected package
+/// selects the two entries it was made of, which are a prefix of the row
+/// below, and the selected leaves of each row are a prefix of the sorted
+/// leaves. A symbol's code length is the number of rows that select its
+/// leaf, so a row keeps only its weights and which entries are leaves:
+/// no package remembers its symbols, and nothing is allocated but the
+/// returned lengths.
 pub fn limited_code_lengths(freqs: &[u64], max_len: u8) -> Vec<u8> {
-    let used: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] > 0).collect();
+    const MAX_BITS: usize = 15;
+    const ROW: usize = 2 * MAX_SYMBOLS;
     let mut lengths = vec![0u8; freqs.len()];
-    match used.len() {
+    let mut leaves = [0u16; MAX_SYMBOLS];
+    let mut n = 0;
+    for (sym, &f) in freqs.iter().enumerate() {
+        if f > 0 {
+            assert!(n < MAX_SYMBOLS, "more than {MAX_SYMBOLS} symbols used");
+            leaves[n] = sym as u16;
+            n += 1;
+        }
+    }
+    match n {
         0 => return lengths,
         1 => {
-            lengths[used[0]] = 1;
+            lengths[leaves[0] as usize] = 1;
             return lengths;
         }
         n => assert!((1usize << max_len) >= n, "alphabet too large for length limit"),
     }
-
-    // Package-merge. Each coin is (weight, symbols-it-contains).
-    #[derive(Clone)]
-    struct Coin {
-        weight: u64,
-        syms: Vec<u16>,
+    assert!(max_len as usize <= MAX_BITS, "length limit above 15 bits");
+    let rows = max_len as usize;
+    let leaves = &mut leaves[..n];
+    leaves.sort_by_key(|&s| freqs[s as usize]);
+    let mut leaf_w = [0u64; MAX_SYMBOLS];
+    for (w, &s) in leaf_w.iter_mut().zip(leaves.iter()) {
+        *w = freqs[s as usize];
     }
-    let mut base: Vec<Coin> = used
-        .iter()
-        .map(|&s| Coin { weight: freqs[s], syms: vec![s as u16] })
-        .collect();
-    base.sort_by_key(|c| c.weight);
 
-    let mut row = base.clone();
-    for _ in 1..max_len {
-        // Package: pair up adjacent coins of the previous row.
-        let mut packaged: Vec<Coin> = Vec::with_capacity(row.len() / 2);
-        let mut it = row.chunks_exact(2);
-        for pair in &mut it {
-            let mut syms = pair[0].syms.clone();
-            syms.extend_from_slice(&pair[1].syms);
-            packaged.push(Coin { weight: pair[0].weight + pair[1].weight, syms });
-        }
-        // Merge with the base coins, keeping sorted order.
-        let mut merged = Vec::with_capacity(base.len() + packaged.len());
-        let (mut i, mut j) = (0, 0);
-        while i < base.len() || j < packaged.len() {
-            let take_base = j >= packaged.len()
-                || (i < base.len() && base[i].weight <= packaged[j].weight);
-            if take_base {
-                merged.push(base[i].clone());
+    let mut is_leaf = [[false; ROW]; MAX_BITS];
+    let mut row_len = [0usize; MAX_BITS];
+    let (mut row, mut next) = ([0u64; ROW], [0u64; ROW]);
+    row[..n].copy_from_slice(&leaf_w[..n]);
+    is_leaf[0][..n].fill(true);
+    row_len[0] = n;
+    for k in 1..rows {
+        let packages = row_len[k - 1] / 2;
+        let (mut i, mut j, mut m) = (0, 0, 0);
+        while i < n || j < packages {
+            let package = if j < packages { row[2 * j] + row[2 * j + 1] } else { 0 };
+            if j >= packages || (i < n && leaf_w[i] <= package) {
+                next[m] = leaf_w[i];
+                is_leaf[k][m] = true;
                 i += 1;
             } else {
-                merged.push(packaged[j].clone());
+                next[m] = package;
                 j += 1;
             }
+            m += 1;
         }
-        row = merged;
+        row_len[k] = m;
+        std::mem::swap(&mut row, &mut next);
     }
 
-    // The first 2n-2 coins of the final row determine the lengths: a
-    // symbol's code length is the number of coins containing it.
-    for coin in row.iter().take(2 * used.len() - 2) {
-        for &s in &coin.syms {
+    let mut take = (2 * n - 2).min(row_len[rows - 1]);
+    for k in (0..rows).rev() {
+        let leaves_taken = is_leaf[k][..take].iter().filter(|&&leaf| leaf).count();
+        for &s in &leaves[..leaves_taken] {
             lengths[s as usize] += 1;
         }
+        take = 2 * (take - leaves_taken);
     }
     lengths
 }

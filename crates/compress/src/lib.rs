@@ -11,8 +11,8 @@
 //! * [`copy`] — the LZ77 match-copy kernels inflate dispatches to,
 //! * [`lz77`] — hash-chain match finder over a 32 KiB window with lazy
 //!   matching,
-//! * [`deflate`]/[`inflate`] — block encoder (stored/fixed/dynamic) and the
-//!   corresponding decoder,
+//! * [`deflate`]/[`inflate`] — streaming block encoder (stored/fixed/dynamic,
+//!   one block of tokens held at a time) and the corresponding decoder,
 //! * [`gzip`] — the gzip member framing with CRC-32 and ISIZE checking.
 //!
 //! The encoder picks, per block, whichever of stored/fixed/dynamic encodes

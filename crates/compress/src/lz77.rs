@@ -5,7 +5,8 @@
 //! the longest match, bounded by a configurable chain depth. One-step lazy
 //! matching (emit a literal and take the next position's match when it is
 //! strictly longer) recovers most of the ratio gap to optimal parsing at a
-//! small cost.
+//! small cost. One [`MatchFinder`] serves the greedy and the lazy parse, and
+//! hands out tokens one at a time, so the encoder holds one block of them.
 
 /// Maximum backward distance DEFLATE can express.
 const WINDOW_SIZE: usize = 32 * 1024;
@@ -18,7 +19,7 @@ const HASH_SIZE: usize = 1 << HASH_BITS;
 
 /// One LZ77 token.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Token {
+pub(crate) enum Token {
     /// A single literal byte.
     Literal(u8),
     /// A back-reference: copy `len` bytes from `dist` bytes back.
@@ -56,112 +57,170 @@ impl Lz77Options {
 
 #[inline]
 fn hash3(data: &[u8], pos: usize) -> usize {
-    let v = u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], 0]);
+    // One 4-byte load where the input allows, the fourth byte masked off.
+    let v = match data.get(pos..pos + 4) {
+        Some(w) => u32::from_le_bytes(w.try_into().unwrap()) & 0x00FF_FFFF,
+        None => u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], 0]),
+    };
     ((v.wrapping_mul(0x9E37_79B1)) >> (32 - HASH_BITS)) as usize
 }
 
-/// Tokenizes `data` into literals and matches.
-pub fn tokenize(data: &[u8], opts: &Lz77Options) -> Vec<Token> {
-    let n = data.len();
-    let mut tokens = Vec::with_capacity(n / 2 + 16);
-    if n < MIN_MATCH + 1 {
-        tokens.extend(data.iter().map(|&b| Token::Literal(b)));
-        return tokens;
+/// Length of the common prefix of `data[a..]` and `data[b..]`, at most
+/// `max`; `a < b` and `b + max ≤ data.len()`.
+#[inline]
+fn common_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
+    let mut l = 0;
+    while l + 8 <= max {
+        let x = u64::from_le_bytes(data[a + l..a + l + 8].try_into().unwrap());
+        let y = u64::from_le_bytes(data[b + l..b + l + 8].try_into().unwrap());
+        if x != y {
+            return l + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < max && data[a + l] == data[b + l] {
+        l += 1;
+    }
+    l
+}
+
+/// A zeroed table, allocated straight on the heap.
+fn zeroed<const N: usize>() -> Box<[u32; N]> {
+    vec![0; N].into_boxed_slice().try_into().expect("length N")
+}
+
+/// The parse as a token stream: hash chains over the 32 KiB window, and
+/// with [`Lz77Options::lazy`] one step of lazy matching (emit a literal and
+/// take the next position's match when it is strictly longer).
+///
+/// `head[h]` is the most recent position with hash `h` and
+/// `prev[pos % WINDOW]` the one before it with the same hash (both +1;
+/// 0 = empty). Every position that has three bytes left is inserted exactly
+/// once, in order: by [`find`](Self::find) when a match is looked up
+/// there, or by [`insert`](Self::insert) when a match covers it. The
+/// tables carry across the caller's blocks, so cutting the stream into
+/// blocks never changes a token.
+pub(crate) struct MatchFinder<'a> {
+    data: &'a [u8],
+    opts: Lz77Options,
+    head: Box<[u32; HASH_SIZE]>,
+    prev: Box<[u32; WINDOW_SIZE]>,
+    /// Next position to tokenize.
+    pos: usize,
+    /// The lazy parse's look-ahead match at `pos`, which is inserted
+    /// already; the parse emitted a literal to take it.
+    carried: Option<(usize, usize)>,
+}
+
+impl<'a> MatchFinder<'a> {
+    pub(crate) fn new(data: &'a [u8], opts: &Lz77Options) -> Self {
+        MatchFinder {
+            data,
+            opts: *opts,
+            head: zeroed(),
+            prev: zeroed(),
+            pos: 0,
+            carried: None,
+        }
     }
 
-    // head[h] = most recent position with hash h (+1; 0 = empty).
-    // prev[pos % WINDOW] = previous position with the same hash (+1).
-    let mut head = vec![0u32; HASH_SIZE];
-    let mut prev = vec![0u32; WINDOW_SIZE];
+    /// Bytes tokenized so far.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
 
-    let insert = |head: &mut [u32], prev: &mut [u32], data: &[u8], pos: usize| {
-        if pos + MIN_MATCH <= data.len() {
-            let h = hash3(data, pos);
-            prev[pos % WINDOW_SIZE] = head[h];
-            head[h] = pos as u32 + 1;
+    /// Inserts `pos` into the hash chains.
+    #[inline]
+    fn insert(&mut self, pos: usize) {
+        if pos + MIN_MATCH <= self.data.len() {
+            let h = hash3(self.data, pos);
+            self.prev[pos & (WINDOW_SIZE - 1)] = self.head[h];
+            self.head[h] = pos as u32 + 1;
         }
-    };
+    }
 
-    let find_match = |head: &[u32], prev: &[u32], pos: usize, min_len: usize| -> Option<(usize, usize)> {
-        if pos + MIN_MATCH > n {
-            return None;
-        }
-        let max_len = MAX_MATCH.min(n - pos);
-        if max_len < MIN_MATCH {
+    /// Inserts `pos` and returns its longest match longer than `min_len`
+    /// (and than 2) as `(len, dist)`: the first chain candidate reaching
+    /// the longest length, searching at most `max_chain` candidates and
+    /// stopping at the first that reaches `good_enough`. One head-table
+    /// access serves the lookup and the insert.
+    #[inline]
+    fn find(&mut self, pos: usize, min_len: usize) -> Option<(usize, usize)> {
+        let data = self.data;
+        if pos + MIN_MATCH > data.len() {
             return None;
         }
         let h = hash3(data, pos);
-        let mut cand = head[h];
+        let mut cand = self.head[h];
+        self.prev[pos & (WINDOW_SIZE - 1)] = cand;
+        self.head[h] = pos as u32 + 1;
+
+        let max_len = MAX_MATCH.min(data.len() - pos);
         let mut best_len = min_len.max(MIN_MATCH - 1);
         let mut best_dist = 0usize;
-        let mut chain = opts.max_chain;
+        let mut chain = self.opts.max_chain;
         while cand != 0 && chain > 0 {
             let cpos = (cand - 1) as usize;
-            if cpos >= pos || pos - cpos > WINDOW_SIZE {
+            let dist = pos - cpos;
+            if dist > WINDOW_SIZE {
                 break;
             }
-            // Quick reject: compare the byte that would extend the best match.
-            if best_dist == 0 || data[cpos + best_len.min(max_len - 1)] == data[pos + best_len.min(max_len - 1)] {
-                let mut l = 0usize;
-                while l < max_len && data[cpos + l] == data[pos + l] {
-                    l += 1;
-                }
+            // Quick reject: a candidate that differs at the byte that would
+            // extend the best match cannot beat it.
+            let probe = best_len.min(max_len - 1);
+            if data[cpos + probe] == data[pos + probe] {
+                let l = common_len(data, cpos, pos, max_len);
                 if l > best_len {
                     best_len = l;
-                    best_dist = pos - cpos;
-                    if l >= opts.good_enough || l == max_len {
+                    best_dist = dist;
+                    if l >= self.opts.good_enough || l == max_len {
                         break;
                     }
                 }
             }
-            cand = prev[cpos % WINDOW_SIZE];
+            // `pos` took this candidate's `prev` slot: the rest of its chain
+            // is out of the window anyway.
+            if dist == WINDOW_SIZE {
+                break;
+            }
+            cand = self.prev[cpos & (WINDOW_SIZE - 1)];
             chain -= 1;
         }
-        if best_dist > 0 && best_len >= MIN_MATCH {
-            Some((best_len, best_dist))
-        } else {
-            None
-        }
-    };
-
-    let mut pos = 0usize;
-    while pos < n {
-        let cur = find_match(&head, &prev, pos, 0);
-        match cur {
-            None => {
-                tokens.push(Token::Literal(data[pos]));
-                insert(&mut head, &mut prev, data, pos);
-                pos += 1;
-            }
-            Some((len, dist)) => {
-                // Lazy evaluation: if the next position has a strictly longer
-                // match, emit a literal here instead.
-                if opts.lazy && len < opts.good_enough && pos + 1 < n {
-                    insert(&mut head, &mut prev, data, pos);
-                    if let Some((nlen, _)) = find_match(&head, &prev, pos + 1, len) {
-                        if nlen > len {
-                            tokens.push(Token::Literal(data[pos]));
-                            pos += 1;
-                            continue;
-                        }
-                    }
-                    // Keep the current match; position `pos` is already inserted.
-                    tokens.push(Token::Match { len: len as u16, dist: dist as u16 });
-                    for p in pos + 1..pos + len {
-                        insert(&mut head, &mut prev, data, p);
-                    }
-                    pos += len;
-                } else {
-                    tokens.push(Token::Match { len: len as u16, dist: dist as u16 });
-                    for p in pos..pos + len {
-                        insert(&mut head, &mut prev, data, p);
-                    }
-                    pos += len;
-                }
-            }
-        }
+        (best_dist > 0).then_some((best_len, best_dist))
     }
-    tokens
+
+    /// The next token, or `None` once the input is consumed.
+    #[inline]
+    pub(crate) fn next_token(&mut self) -> Option<Token> {
+        let pos = self.pos;
+        let n = self.data.len();
+        if pos >= n {
+            return None;
+        }
+        let found = match self.carried.take() {
+            Some(m) => Some(m),
+            None => self.find(pos, 0),
+        };
+        let Some((len, dist)) = found else {
+            self.pos += 1;
+            return Some(Token::Literal(self.data[pos]));
+        };
+        let mut covered = pos + 1;
+        if self.opts.lazy && len < self.opts.good_enough && pos + 1 < n {
+            // Any match found here is strictly longer than the current one.
+            if let Some(next) = self.find(pos + 1, len) {
+                self.carried = Some(next);
+                self.pos += 1;
+                return Some(Token::Literal(self.data[pos]));
+            }
+            covered = pos + 2;
+        }
+        for p in covered..pos + len {
+            self.insert(p);
+        }
+        self.pos = pos + len;
+        Some(Token::Match { len: len as u16, dist: dist as u16 })
+    }
 }
 
 #[cfg(test)]
@@ -185,6 +244,12 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The whole token stream.
+    fn tokenize(data: &[u8], opts: &Lz77Options) -> Vec<Token> {
+        let mut finder = MatchFinder::new(data, opts);
+        std::iter::from_fn(|| finder.next_token()).collect()
     }
 
     fn roundtrip(data: &[u8], opts: &Lz77Options) {

@@ -32,39 +32,64 @@ pub const DIST_CODES: [(u16, u8); 30] = [
 /// Order in which code-length-code lengths are transmitted (§3.2.7).
 pub const CLCL_ORDER: [usize; 19] = [16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15];
 
+/// Length code index (relative to symbol 257) for every match length
+/// 0..=258; entries below 3 are unused.
+const LENGTH_CODE: [u8; 259] = {
+    let mut t = [0u8; 259];
+    let mut code = 0;
+    while code < 28 {
+        let (base, extra) = LENGTH_CODES[code];
+        let mut len = base as usize;
+        while len < base as usize + (1 << extra) {
+            t[len] = code as u8;
+            len += 1;
+        }
+        code += 1;
+    }
+    // 258 has its own code (285), though code 284's range reaches it too.
+    t[258] = 28;
+    t
+};
+
+/// Distance code for `dist - 1`: entries 0..256 index small distances
+/// directly, entries 256.. index `(dist - 1) >> 7` (zlib's `d_code`).
+const DIST_CODE: [u8; 512] = {
+    let mut t = [0u8; 512];
+    let mut code = 0;
+    while code < 30 {
+        let (base, extra) = DIST_CODES[code];
+        let mut d = base as usize - 1;
+        while d < base as usize - 1 + (1 << extra) {
+            if d < 256 {
+                t[d] = code as u8;
+            } else {
+                t[256 + (d >> 7)] = code as u8;
+            }
+            d += 1;
+        }
+        code += 1;
+    }
+    t
+};
+
 /// Maps a match length (3..=258) to `(code_index, extra_bits, extra_value)`
 /// where `code_index` is relative to symbol 257.
 #[inline]
 pub fn length_to_code(len: u16) -> (usize, u8, u16) {
     debug_assert!((3..=258).contains(&len));
-    // Linear scan from the top; 29 entries, often hit early. A 256-entry
-    // lookup table would be faster; clarity wins here and the encoder
-    // amortizes this over full blocks.
-    for i in (0..LENGTH_CODES.len()).rev() {
-        let (base, extra) = LENGTH_CODES[i];
-        if len >= base {
-            // Code 285 (index 28) encodes exactly 258 with 0 extra bits, but
-            // base 258 also matches lengths < 258 via earlier entries.
-            if i == 28 && len != 258 {
-                continue;
-            }
-            return (i, extra, len - base);
-        }
-    }
-    unreachable!("length out of range")
+    let code = LENGTH_CODE[len as usize] as usize;
+    let (base, extra) = LENGTH_CODES[code];
+    (code, extra, len - base)
 }
 
 /// Maps a distance (1..=32768) to `(code, extra_bits, extra_value)`.
 #[inline]
 pub fn dist_to_code(dist: u16) -> (usize, u8, u16) {
     debug_assert!(dist >= 1);
-    for i in (0..DIST_CODES.len()).rev() {
-        let (base, extra) = DIST_CODES[i];
-        if dist >= base {
-            return (i, extra, dist - base);
-        }
-    }
-    unreachable!("distance out of range")
+    let d = dist as usize - 1;
+    let code = DIST_CODE[if d < 256 { d } else { 256 + (d >> 7) }] as usize;
+    let (base, extra) = DIST_CODES[code];
+    (code, extra, dist - base)
 }
 
 /// Fixed literal/length code lengths (§3.2.6).

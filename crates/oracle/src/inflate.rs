@@ -10,7 +10,7 @@ use dhub_compress::{GzipError, InflateError};
 use dhub_digest::{Crc32, Crc32Kernel};
 
 /// Length codes 257..=285: `(base_length, extra_bits)` (§3.2.5).
-const LENGTH_CODES: [(u16, u8); 29] = [
+pub(crate) const LENGTH_CODES: [(u16, u8); 29] = [
     (3, 0), (4, 0), (5, 0), (6, 0), (7, 0), (8, 0), (9, 0), (10, 0),
     (11, 1), (13, 1), (15, 1), (17, 1),
     (19, 2), (23, 2), (27, 2), (31, 2),
@@ -21,7 +21,7 @@ const LENGTH_CODES: [(u16, u8); 29] = [
 ];
 
 /// Distance codes 0..=29: `(base_distance, extra_bits)` (§3.2.5).
-const DIST_CODES: [(u16, u8); 30] = [
+pub(crate) const DIST_CODES: [(u16, u8); 30] = [
     (1, 0), (2, 0), (3, 0), (4, 0),
     (5, 1), (7, 1),
     (9, 2), (13, 2),
@@ -39,10 +39,10 @@ const DIST_CODES: [(u16, u8); 30] = [
 ];
 
 /// Order in which code-length-code lengths are transmitted (§3.2.7).
-const CLCL_ORDER: [usize; 19] = [16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15];
+pub(crate) const CLCL_ORDER: [usize; 19] = [16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15];
 
 /// Fixed literal/length code lengths (§3.2.6).
-fn fixed_lit_lengths() -> [u8; 288] {
+pub(crate) fn fixed_lit_lengths() -> [u8; 288] {
     std::array::from_fn(|i| match i {
         0..=143 => 8,
         144..=255 => 9,
@@ -52,7 +52,7 @@ fn fixed_lit_lengths() -> [u8; 288] {
 }
 
 /// Fixed distance code lengths: all 32 codes are 5 bits (§3.2.6).
-const FIXED_DIST_LENGTHS: [u8; 32] = [5; 32];
+pub(crate) const FIXED_DIST_LENGTHS: [u8; 32] = [5; 32];
 
 /// Decompresses a raw DEFLATE stream, one bit at a time.
 pub fn inflate_reference(data: &[u8]) -> Result<Vec<u8>, InflateError> {

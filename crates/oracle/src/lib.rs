@@ -8,6 +8,9 @@
 //!
 //! * [`inflate_reference`] / [`gzip_decompress_reference`] — the original
 //!   bit-by-bit DEFLATE decoder and its gzip framing;
+//! * [`deflate_reference`] / [`gzip_compress_reference`] — the whole-input
+//!   encoder the streaming block encoder replaced, with its package-merge
+//!   [`limited_code_lengths_reference`];
 //! * [`analyze_layer_reference`] — the allocate-per-layer analyzer (owned
 //!   buffer, owned tar entries, per-entry ancestor walk);
 //! * [`ReferenceStore::ingest_layer_reference`] — analyze-then-ingest into
@@ -19,7 +22,8 @@
 //! They never dispatch: SHA-256 and CRC-32 run on the scalar kernels, so an
 //! equality against them proves the SIMD production path bit-identical.
 //! They share no code with the paths they check beyond the bit reader, the
-//! canonical Huffman decoder, the tar walk (`TarView`, through
+//! canonical Huffman codes and decoder, the encoder's option structs, the
+//! tar walk (`TarView`, through
 //! `read_archive`), the `Json` value model and its printer, and the error
 //! types.
 //!
@@ -30,11 +34,13 @@
 
 pub mod alloc;
 mod analyze;
+mod deflate;
 mod inflate;
 mod json;
 mod store;
 
 pub use analyze::analyze_layer_reference;
+pub use deflate::{deflate_reference, gzip_compress_reference, limited_code_lengths_reference};
 pub use inflate::{fixed_block, gzip_decompress_reference, inflate_reference, Sym};
 pub use json::{json_reference, recipe_from_json_reference, recipe_json_reference};
 pub use store::ReferenceStore;

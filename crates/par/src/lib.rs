@@ -7,9 +7,9 @@
 //! substrate (scoped work crews, striped locks) so the default workspace
 //! build has zero external dependencies:
 //!
-//! * [`par_map`]/[`par_for_each`]/[`par_map_range`] — data-parallel
-//!   iteration over slices and index ranges with dynamic chunk
-//!   self-scheduling (scoped threads, no `'static` bounds),
+//! * [`par_map`]/[`par_for_each`]/[`par_map_range`]/[`par_map_each`] —
+//!   data-parallel iteration over slices and index ranges with dynamic
+//!   chunk self-scheduling (scoped threads, no `'static` bounds),
 //! * [`sharded::ShardedMap`] — a lock-striped hash map for concurrent
 //!   counting (the dedup index),
 //! * [`scratch::Scratch`] — the thread-local per-worker buffer arena the
@@ -71,6 +71,30 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    // Chunk size balances scheduling overhead against skew; aim for ~8
+    // chunks per worker.
+    let n = range.end.saturating_sub(range.start);
+    let chunk = (n / (threads.clamp(1, n.max(1)) * 8)).max(1);
+    par_map_chunked(threads, range, chunk, f)
+}
+
+/// [`par_map`] claiming one item at a time: for items few and costly
+/// enough that a chunk of them would unbalance the workers, such as a list
+/// sorted largest first, whose head a chunk would hand to one worker whole.
+pub fn par_map_each<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    par_map_chunked(threads, 0..items.len(), 1, |i| f(&items[i]))
+}
+
+fn par_map_chunked<R, F>(threads: usize, range: std::ops::Range<usize>, chunk: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
     let base = range.start;
     let n = range.end.saturating_sub(range.start);
     if n == 0 {
@@ -80,9 +104,6 @@ where
     if threads == 1 {
         return range.map(f).collect();
     }
-    // Chunk size balances scheduling overhead against skew; aim for ~8
-    // chunks per worker.
-    let chunk = (n / (threads * 8)).max(1);
     let next = AtomicUsize::new(0);
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let out_ptr = SendPtr(out.as_mut_ptr());
@@ -139,6 +160,33 @@ mod tests {
             x
         });
         assert_eq!(out, items);
+    }
+
+    #[test]
+    fn par_map_each_balances_a_sorted_head() {
+        // Item 0 waits for item 1 to start: claimed one at a time, item 1
+        // goes to the other worker and starts at once; in one chunk with
+        // item 0 it would wait out the whole timeout.
+        use std::sync::atomic::AtomicBool;
+        let started = AtomicBool::new(false);
+        let items: Vec<u64> = (0..64).collect();
+        let overlapped = par_map_each(2, &items, |&x| match x {
+            0 => {
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while !started.load(Ordering::Acquire) && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                started.load(Ordering::Acquire)
+            }
+            1 => {
+                started.store(true, Ordering::Release);
+                true
+            }
+            _ => true,
+        });
+        assert!(overlapped[0], "items 0 and 1 ran on one worker");
+        assert_eq!(par_map_each(8, &items, |&x| x * 3), items.iter().map(|x| x * 3).collect::<Vec<_>>());
+        assert!(par_map_each(2, &[] as &[u64], |&x| x).is_empty());
     }
 
     #[test]

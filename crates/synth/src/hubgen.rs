@@ -2,7 +2,7 @@
 
 use crate::calibration::*;
 use crate::imagegen::{layer_count_dist, sample_fate, sample_layer_count, sample_pull_count, RepoFate};
-use crate::layergen::{build_app_layer, build_empty_layer, build_layer_with_files, BuiltLayer};
+use crate::layergen::{app_layer_files, build_app_layer, build_empty_layer, build_layer_with_files, BuiltLayer};
 use crate::pool::FilePool;
 use dhub_model::{Digest, LayerRef, Manifest, RepoName};
 use dhub_registry::{Registry, SearchIndex};
@@ -59,91 +59,141 @@ const OFFICIAL_NAMES: [&str; 20] = [
     "elasticsearch", "jenkins",
 ];
 
-/// One repository's full plan, built in parallel and pushed sequentially.
-/// `images` holds every tagged version, oldest first; the paper's study
-/// pulls only `latest`, but the version history exists for the §VI
-/// extension analysis (multi-version layer reuse).
+/// One repository's draws, all made before any shared layer is built.
 struct RepoPlan {
     name: RepoName,
     fate: RepoFate,
     pulls: u64,
-    images: Vec<(String, Manifest, Vec<Vec<u8>>)>,
+    content: Content,
+}
+
+/// What a repository pushes.
+enum Content {
+    /// Every tagged version, oldest first; the paper's study pulls only
+    /// `latest`, but the version history exists for the §VI extension
+    /// analysis (multi-version layer reuse). Each version is the first
+    /// `base.1` layers of base chain `base.0`, then its app layers by seed,
+    /// then the empty layer when `use_empty` is set.
+    Images { base: Option<(usize, usize)>, versions: Vec<Vec<u64>>, use_empty: bool },
+    /// One small layer drawn from the repository's own RNG, so built while
+    /// planning.
+    Single(BuiltLayer),
+}
+
+/// A distinct layer build: a whole base chain (its RNG is sequential, so
+/// one task), or the app layer of the `n`th distinct seed.
+#[derive(Clone, Copy)]
+enum Job {
+    Base(usize),
+    App(usize),
 }
 
 /// Generates the complete synthetic hub.
+///
+/// Three phases: plan every repository's draws; build each distinct layer
+/// once (base chains and app layers by seed — half of all app-layer uses
+/// repeat a seed, through old versions and donor repos) in one parallel
+/// pass, largest first so no worker idles behind a big base chain; then
+/// assemble the manifests. Every blob goes into the registry once.
 pub fn generate_hub(cfg: &SynthConfig) -> SyntheticHub {
     let root = Rng::new(cfg.seed);
     let ok_fraction = 1.0 - cfg.auth_fraction - cfg.no_latest_fraction;
     let expected_files = ((cfg.repos as f64) * ok_fraction * 6.0 * 700.0) as u64 + 200_000;
     let pool = FilePool::build(cfg, expected_files);
 
-    let registry = Arc::new(Registry::new());
-
-    // --- Shared layers: base chains and the empty layer -------------------
+    // --- Plan --------------------------------------------------------------
     let n_bases = base_pool_size(cfg.repos);
-    let bases: Vec<Vec<BuiltLayer>> = dhub_par::par_map_range(cfg.threads, 0..n_bases, |b| {
-        let spec = &BASE_ARCHETYPES[b % BASE_ARCHETYPES.len()];
-        let mut rng = root.fork(0xBA5E_0000 + b as u64);
-        // Front-load the chain: the first layer is the OS snapshot, later
-        // layers are incremental additions.
-        let mut remaining = spec.files;
-        (0..spec.chain)
-            .map(|pos| {
-                let share = if pos == 0 { remaining * 6 / 10 } else { remaining / (spec.chain - pos) as u64 };
-                let share = share.max(1).min(remaining.max(1));
-                remaining = remaining.saturating_sub(share);
-                build_layer_with_files(&pool, share, &mut rng)
-            })
-            .collect()
-    });
-    let empty = build_empty_layer();
-
-    let mut truth = GroundTruth {
-        empty_layer_digest: Some(empty.digest),
-        ..GroundTruth::default()
-    };
-    // Pre-store shared blobs so manifests referencing them can be pushed.
-    registry.blob_store().put(empty.blob.clone());
-    for chain in &bases {
-        for layer in chain {
-            truth.base_layer_digests.push(layer.digest);
-            registry.blob_store().put(layer.blob.clone());
-        }
-    }
-
     let layer_dist = layer_count_dist();
     let base_zipf = Zipf::new(n_bases, BASE_ZIPF_EXPONENT);
     let official_count = official_repo_count(cfg.repos).min(cfg.repos);
+    let plans: Vec<RepoPlan> = dhub_par::par_map_range(cfg.threads, 0..cfg.repos, |i| {
+        plan_repo(cfg, i, official_count, &pool, &layer_dist, &base_zipf, &root)
+    });
 
-    // --- Repositories, planned in parallel chunks -------------------------
-    const CHUNK: usize = 128;
-    let mut idx = 0;
-    while idx < cfg.repos {
-        let hi = (idx + CHUNK).min(cfg.repos);
-        let plans: Vec<RepoPlan> = dhub_par::par_map_range(cfg.threads, idx..hi, |i| {
-            plan_repo(cfg, i, official_count, &pool, &bases, &empty, &layer_dist, &base_zipf, &root)
-        });
-        for plan in plans {
-            let authed = plan.fate == RepoFate::AuthRequired;
-            registry.create_repo(plan.name.clone(), authed);
-            let tags = plan.images.len();
-            for (tag, manifest, blobs) in plan.images {
-                registry
-                    .push_image(&plan.name, &tag, &manifest, blobs)
-                    .expect("generator pushes are internally consistent");
-                truth.images_pushed += 1;
+    // --- Build each distinct layer once, largest first -------------------
+    let mut seeds: Vec<u64> = Vec::new();
+    for plan in &plans {
+        if let Content::Images { versions, .. } = &plan.content {
+            seeds.extend(versions.iter().flatten());
+        }
+    }
+    seeds.sort_unstable();
+    seeds.dedup();
+    let mut jobs: Vec<(u64, Job)> = (0..n_bases)
+        .map(|b| (base_spec(b).files, Job::Base(b)))
+        .chain(seeds.iter().enumerate().map(|(n, &seed)| (app_layer_files(seed), Job::App(n))))
+        .collect();
+    jobs.sort_by_key(|&(files, _)| std::cmp::Reverse(files));
+    let built: Vec<Vec<BuiltLayer>> = dhub_par::par_map_each(cfg.threads, &jobs, |&(_, job)| match job {
+        Job::Base(b) => build_base_chain(&pool, b, &root),
+        Job::App(n) => vec![build_app_layer(&pool, seeds[n])],
+    });
+
+    // --- Assemble ----------------------------------------------------------
+    let registry = Arc::new(Registry::new());
+    let blobs = registry.blob_store();
+    let mut put = |layer: BuiltLayer| {
+        let r = LayerRef { digest: layer.digest, size: layer.cls() };
+        blobs.put(layer.blob);
+        r
+    };
+    let mut bases: Vec<Vec<LayerRef>> = vec![Vec::new(); n_bases];
+    let mut apps: Vec<Option<LayerRef>> = vec![None; seeds.len()];
+    for (&(_, job), layers) in jobs.iter().zip(built) {
+        match job {
+            Job::Base(b) => bases[b] = layers.into_iter().map(&mut put).collect(),
+            Job::App(n) => apps[n] = layers.into_iter().next().map(&mut put),
+        }
+    }
+    let app = |seed: u64| apps[seeds.binary_search(&seed).expect("planned seed")].expect("built");
+    let empty = put(build_empty_layer());
+
+    let mut truth = GroundTruth {
+        empty_layer_digest: Some(empty.digest),
+        base_layer_digests: bases.iter().flatten().map(|l| l.digest).collect(),
+        ..GroundTruth::default()
+    };
+    for plan in plans {
+        let authed = plan.fate == RepoFate::AuthRequired;
+        registry.create_repo(plan.name.clone(), authed);
+        let mut tags = 0;
+        let mut push = |tag: &str, refs: Vec<LayerRef>| {
+            registry
+                .push_image(&plan.name, tag, &Manifest::new(refs), Vec::new())
+                .expect("generator pushes are internally consistent");
+            tags += 1;
+        };
+        match plan.content {
+            Content::Images { base, versions, use_empty } => {
+                let newest = versions.len() - 1;
+                for (v, seeds) in versions.iter().enumerate() {
+                    let mut refs: Vec<LayerRef> = match base {
+                        Some((b, take)) => bases[b][..take].to_vec(),
+                        None => Vec::new(),
+                    };
+                    refs.extend(seeds.iter().map(|&seed| app(seed)));
+                    if use_empty {
+                        refs.push(empty);
+                    }
+                    let tag = if v == newest { "latest".to_string() } else { format!("v{}", v + 1) };
+                    push(&tag, refs);
+                }
             }
-            registry.add_pulls(&plan.name, plan.pulls);
-            if tags > 1 {
-                truth.multi_tag_repos.push((plan.name.clone(), tags));
-            }
-            match plan.fate {
-                RepoFate::Ok => truth.ok_repos.push(plan.name),
-                RepoFate::AuthRequired => truth.auth_repos.push(plan.name),
-                RepoFate::NoLatest => truth.no_latest_repos.push(plan.name),
+            Content::Single(layer) => {
+                let tag = if plan.fate == RepoFate::NoLatest { "v1" } else { "latest" };
+                push(tag, vec![put(layer)]);
             }
         }
-        idx = hi;
+        truth.images_pushed += tags;
+        registry.add_pulls(&plan.name, plan.pulls);
+        if tags > 1 {
+            truth.multi_tag_repos.push((plan.name.clone(), tags));
+        }
+        match plan.fate {
+            RepoFate::Ok => truth.ok_repos.push(plan.name),
+            RepoFate::AuthRequired => truth.auth_repos.push(plan.name),
+            RepoFate::NoLatest => truth.no_latest_repos.push(plan.name),
+        }
     }
 
     let all_names: Vec<RepoName> = registry.repo_names();
@@ -152,14 +202,33 @@ pub fn generate_hub(cfg: &SynthConfig) -> SyntheticHub {
     SyntheticHub { registry, search, truth, config: cfg.clone() }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Base chain `b`'s archetype.
+fn base_spec(b: usize) -> &'static BaseSpec {
+    &BASE_ARCHETYPES[b % BASE_ARCHETYPES.len()]
+}
+
+/// Builds base chain `b` from its own RNG stream.
+fn build_base_chain(pool: &FilePool, b: usize, root: &Rng) -> Vec<BuiltLayer> {
+    let spec = base_spec(b);
+    let mut rng = root.fork(0xBA5E_0000 + b as u64);
+    // Front-load the chain: the first layer is the OS snapshot, later
+    // layers are incremental additions.
+    let mut remaining = spec.files;
+    (0..spec.chain)
+        .map(|pos| {
+            let share = if pos == 0 { remaining * 6 / 10 } else { remaining / (spec.chain - pos) as u64 };
+            let share = share.max(1).min(remaining.max(1));
+            remaining = remaining.saturating_sub(share);
+            build_layer_with_files(pool, share, &mut rng)
+        })
+        .collect()
+}
+
 fn plan_repo(
     cfg: &SynthConfig,
     i: usize,
     official_count: usize,
     pool: &FilePool,
-    bases: &[Vec<BuiltLayer>],
-    empty: &BuiltLayer,
     layer_dist: &dhub_stats::Categorical,
     base_zipf: &Zipf,
     root: &Rng,
@@ -185,23 +254,20 @@ fn plan_repo(
     let fate = if i < official_count { RepoFate::Ok } else { sample_fate(cfg, &mut rng) };
     let pulls = if i < FAMOUS_REPOS.len() { FAMOUS_REPOS[i].1 } else { sample_pull_count(&mut rng) };
 
-    match fate {
+    let content = match fate {
         RepoFate::Ok => {
             let total_layers = sample_layer_count(layer_dist, &mut rng);
-            let mut refs: Vec<LayerRef> = Vec::with_capacity(total_layers);
             let mut slots = total_layers;
 
             let use_empty = slots > 1 && rng.chance(EMPTY_LAYER_IMAGE_FRACTION);
             if use_empty {
                 slots -= 1;
             }
+            let mut base = None;
             if slots > 1 && rng.chance(BASE_CHAIN_IMAGE_FRACTION) {
                 let b = base_zipf.sample(&mut rng) - 1;
-                let chain = &bases[b];
-                let take = chain.len().min(slots - 1);
-                for layer in &chain[..take] {
-                    refs.push(LayerRef { digest: layer.digest, size: layer.cls() });
-                }
+                let take = base_spec(b).chain.min(slots - 1);
+                base = Some((b, take));
                 slots -= take;
             }
             let mut app_seeds: Vec<u64> = Vec::with_capacity(slots);
@@ -222,44 +288,28 @@ fn plan_repo(
             // from its successor in the topmost app layer — the incremental
             // rebuild pattern real registries exhibit.
             let old_versions = if rng.chance(0.45) { 1 + rng.below(4) as usize } else { 0 };
-            let mut images: Vec<(String, Manifest, Vec<Vec<u8>>)> = Vec::with_capacity(old_versions + 1);
-            for v in 0..=old_versions {
-                // v == old_versions is the newest (latest); lower v replaces
-                // the last app layer with its era's build.
-                let mut vrefs = refs.clone();
-                let mut vblobs: Vec<Vec<u8>> = Vec::new();
-                for (j, &seed) in app_seeds.iter().enumerate() {
-                    let seed = if v < old_versions && j == app_seeds.len() - 1 {
-                        app_seed(cfg.seed, i, 0x900 + v)
-                    } else {
-                        seed
-                    };
-                    let layer = build_app_layer(pool, seed);
-                    vrefs.push(LayerRef { digest: layer.digest, size: layer.cls() });
-                    vblobs.push(layer.blob);
-                }
-                if use_empty {
-                    vrefs.push(LayerRef { digest: empty.digest, size: empty.blob.len() as u64 });
-                }
-                let tag = if v == old_versions { "latest".to_string() } else { format!("v{}", v + 1) };
-                images.push((tag, Manifest::new(vrefs), vblobs));
-            }
-            RepoPlan { name, fate, pulls, images }
+            let versions = (0..=old_versions)
+                .map(|v| {
+                    // v == old_versions is the newest (latest); lower v
+                    // replaces the last app layer with its era's build.
+                    let mut seeds = app_seeds.clone();
+                    if v < old_versions {
+                        if let Some(last) = seeds.last_mut() {
+                            *last = app_seed(cfg.seed, i, 0x900 + v);
+                        }
+                    }
+                    seeds
+                })
+                .collect();
+            Content::Images { base, versions, use_empty }
         }
+        // Content exists but the study cannot (auth) or does not (no
+        // latest) fetch it; keep it small.
         RepoFate::AuthRequired | RepoFate::NoLatest => {
-            // Content exists but the study cannot (auth) or does not
-            // (no latest) fetch it; keep it small.
-            let layer = build_layer_with_files(pool, 3, &mut rng);
-            let refs = vec![LayerRef { digest: layer.digest, size: layer.cls() }];
-            let tag = if fate == RepoFate::NoLatest { "v1" } else { "latest" };
-            RepoPlan {
-                name,
-                fate,
-                pulls,
-                images: vec![(tag.to_string(), Manifest::new(refs), vec![layer.blob])],
-            }
+            Content::Single(build_layer_with_files(pool, 3, &mut rng))
         }
-    }
+    };
+    RepoPlan { name, fate, pulls, content }
 }
 
 #[cfg(test)]

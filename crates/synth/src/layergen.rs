@@ -55,6 +55,12 @@ fn sample_file_count(rng: &mut Rng) -> u64 {
     2
 }
 
+/// The file count of the app layer built from `seed`: its build's first
+/// draws, and the generator's estimate of its cost.
+pub(crate) fn app_layer_files(seed: u64) -> u64 {
+    sample_file_count(&mut Rng::new(seed))
+}
+
 /// Builds an app layer entirely from its seed.
 pub fn build_app_layer(pool: &FilePool, seed: u64) -> BuiltLayer {
     let mut rng = Rng::new(seed);

@@ -65,13 +65,17 @@ cargo test -q --offline -p dhub-dedupstore --test rebuild
 
 # Replayability is part of the contract: one property suite re-run under a
 # pinned PROPTEST_SEED must pass identically. The JSON hostile-input suite
-# (parse == the recursive-descent oracle, allocating no more than it)
-# replays under the same seed.
-echo "==> prop test replay: dhub-faults and dhub-json hostile under pinned PROPTEST_SEED"
+# (parse == the recursive-descent oracle, allocating no more than it) and
+# the encoder oracle suite (gzip_compress == the whole-input reference
+# encoder byte for byte, allocating ≤ 4 × its output + 1 MiB) replay under
+# the same seed.
+echo "==> prop test replay: dhub-faults, dhub-json hostile and dhub-compress encoder oracle under pinned PROPTEST_SEED"
 PROPTEST_SEED=0x00000000002a2a2a \
     cargo test -q --offline -p dhub-faults --test props
 PROPTEST_SEED=0x00000000002a2a2a \
     cargo test -q --offline -p dhub-json --test hostile
+PROPTEST_SEED=0x00000000002a2a2a \
+    cargo test -q --offline -p dhub-compress --test encoder_oracle
 
 # The chaos suite: full crawl→download pipeline under deterministic fault
 # injection, asserting byte-identical datasets with retries on. Includes
@@ -466,7 +470,8 @@ print("construction-site audit: " + ", ".join(f"{k} at {v[0]}" for k, v in sorte
 EOF
 
 # Oracle gate: the test oracles (crates/oracle: the pre-fusion inflate,
-# analyzer and dedup ingest) are a dev-dependency and nothing else. No
+# the whole-input deflate, analyzer and dedup ingest) are a dev-dependency
+# and nothing else. No
 # manifest may name `dhub-oracle` outside `[dev-dependencies]`, the `dhub`
 # binary's dependency tree must not contain it, and no `*_reference`
 # function may be declared outside it.
