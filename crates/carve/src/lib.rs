@@ -17,11 +17,13 @@
 //! references, which hurts pull latency (§IV-B's layer-count concern). A
 //! practical knob, `min_group_bytes`, folds tiny carved groups back into
 //! per-image residual layers — trading some duplication for bounded layer
-//! counts. [`carve`] computes the carving and both storage and layer-count
-//! statistics so the trade-off can be swept (`bench_carve`).
+//! counts. [`Carver`] groups the files by signature once; each
+//! [`Carver::carve`] is then a fold over the groups at one threshold,
+//! giving both storage and layer-count statistics, so a sweep over
+//! thresholds (Ext. C1) costs one grouping.
 
-use dhub_digest::{FxHashMap, FxHashSet};
-use dhub_model::{Digest, LayerProfile};
+use dhub_digest::FxHashMap;
+use dhub_model::Digest;
 
 /// Carving configuration.
 #[derive(Clone, Copy, Debug)]
@@ -34,21 +36,22 @@ pub struct CarveConfig {
 
 
 /// One carved layer: a set of unique files shared by a set of images.
-#[derive(Clone, Debug)]
-pub struct CarvedGroup {
-    /// Images referencing this carved layer (indices into the input).
-    pub images: Vec<u32>,
+#[derive(Clone, Copy, Debug)]
+pub struct CarvedGroup<'a> {
+    /// Images referencing this carved layer (ids, ascending).
+    pub images: &'a [u32],
     /// Unique files in the group.
-    pub files: Vec<Digest>,
+    pub files: &'a [Digest],
     /// Total unique bytes.
     pub bytes: u64,
 }
 
 /// Result of a carving run.
 #[derive(Clone, Debug)]
-pub struct Carving {
-    /// Shared carved layers (referenced by ≥ 1 image).
-    pub groups: Vec<CarvedGroup>,
+pub struct Carving<'a> {
+    /// Shared carved layers (referenced by ≥ 1 image), largest first, ties
+    /// by image ids.
+    pub groups: Vec<CarvedGroup<'a>>,
     /// Per-image residual bytes (files folded out of tiny groups are
     /// duplicated into each owning image's residual layer).
     pub residual_bytes: Vec<u64>,
@@ -63,7 +66,7 @@ pub struct Carving {
     pub perfect_bytes: u64,
 }
 
-impl Carving {
+impl Carving<'_> {
     /// Storage saving factor vs. the original layering.
     pub fn saving_factor(&self) -> f64 {
         if self.stored_bytes == 0 {
@@ -89,102 +92,116 @@ impl Carving {
     }
 }
 
-/// Carves layers for `images`, where each image is the list of original
-/// layer digests and `profiles` maps those digests to analyzed layers.
-pub fn carve(
-    images: &[Vec<Digest>],
-    profiles: &FxHashMap<Digest, LayerProfile>,
-    cfg: &CarveConfig,
-) -> Carving {
-    // 1. Per unique file: size and image signature.
-    //    Signatures are kept as sorted image-index vectors and interned.
-    let mut file_images: FxHashMap<Digest, (u64, FxHashSet<u32>)> = FxHashMap::default();
-    for (idx, layers) in images.iter().enumerate() {
-        for ld in layers {
-            let Some(lp) = profiles.get(ld) else { continue };
-            for f in &lp.files {
-                let e = file_images.entry(f.digest).or_insert_with(|| (f.size, FxHashSet::default()));
-                e.1.insert(idx as u32);
-            }
+/// The unique files of an image population grouped by signature: the
+/// part of carving every threshold shares.
+pub struct Carver<'s> {
+    /// Every signature's group — its images, files and bytes — largest
+    /// first, ties by image ids.
+    groups: Vec<(&'s [u32], Vec<Digest>, u64)>,
+    images: usize,
+    original_bytes: u64,
+    perfect_bytes: u64,
+}
+
+impl<'s> Carver<'s> {
+    /// Groups `files` — each unique file's digest, size and signature
+    /// (sorted ids below `images` of the images holding it; never empty) —
+    /// for a population whose original layering stores `original_bytes`.
+    pub fn new(
+        files: impl IntoIterator<Item = (Digest, u64, &'s [u32])>,
+        images: usize,
+        original_bytes: u64,
+    ) -> Carver<'s> {
+        let mut groups: Vec<(&[u32], Vec<Digest>, u64)> = Vec::new();
+        let mut by_signature: FxHashMap<&[u32], usize> = FxHashMap::default();
+        let mut perfect_bytes = 0u64;
+        for (digest, size, signature) in files {
+            perfect_bytes += size;
+            let at = *by_signature.entry(signature).or_insert_with(|| {
+                groups.push((signature, Vec::new(), 0));
+                groups.len() - 1
+            });
+            groups[at].1.push(digest);
+            groups[at].2 += size;
         }
+        groups.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(b.0)));
+        Carver { groups, images, original_bytes, perfect_bytes }
     }
 
-    // Original storage: unique original layers' file bytes.
-    let mut seen_layers = FxHashSet::default();
-    let mut original_bytes = 0u64;
-    for layers in images {
-        for ld in layers {
-            if seen_layers.insert(*ld) {
-                if let Some(lp) = profiles.get(ld) {
-                    original_bytes += lp.fls;
+    /// Carves at `cfg`'s threshold: groups below it fold into the residual
+    /// layer of every image that holds them, so a group shared by several
+    /// images is duplicated once per image.
+    pub fn carve(&self, cfg: &CarveConfig) -> Carving<'_> {
+        let mut residual_bytes = vec![0u64; self.images];
+        let mut layers_per_image = vec![0u32; self.images];
+        let mut kept = Vec::new();
+        for (images, files, bytes) in &self.groups {
+            if *bytes < cfg.min_group_bytes {
+                for &i in *images {
+                    residual_bytes[i as usize] += bytes;
                 }
+            } else {
+                for &i in *images {
+                    layers_per_image[i as usize] += 1;
+                }
+                kept.push(CarvedGroup { images, files, bytes: *bytes });
             }
         }
-    }
-
-    // 2. Group by signature.
-    let mut groups: FxHashMap<Vec<u32>, CarvedGroup> = FxHashMap::default();
-    let mut perfect_bytes = 0u64;
-    for (digest, (size, sig)) in file_images {
-        perfect_bytes += size;
-        let mut key: Vec<u32> = sig.into_iter().collect();
-        key.sort_unstable();
-        let g = groups.entry(key.clone()).or_insert_with(|| CarvedGroup {
-            images: key,
-            files: Vec::new(),
-            bytes: 0,
-        });
-        g.files.push(digest);
-        g.bytes += size;
-    }
-
-    // 3. Fold tiny groups into per-image residuals.
-    let mut residual_bytes = vec![0u64; images.len()];
-    let mut kept: Vec<CarvedGroup> = Vec::new();
-    for (_, g) in groups {
-        if g.bytes < cfg.min_group_bytes && g.images.len() > 1 {
-            // Duplicate the group's bytes into every owning image.
-            for &i in &g.images {
-                residual_bytes[i as usize] += g.bytes;
-            }
-        } else if g.bytes < cfg.min_group_bytes {
-            // Single-image tiny group: residual without duplication.
-            residual_bytes[g.images[0] as usize] += g.bytes;
-        } else {
-            kept.push(g);
+        for (n, &r) in layers_per_image.iter_mut().zip(&residual_bytes) {
+            *n += (r > 0) as u32;
         }
-    }
-    // Deterministic output order.
-    kept.sort_by(|a, b| b.bytes.cmp(&a.bytes).then_with(|| a.images.cmp(&b.images)));
-
-    // 4. Per-image layer counts.
-    let mut layers_per_image = vec![0u32; images.len()];
-    for g in &kept {
-        for &i in &g.images {
-            layers_per_image[i as usize] += 1;
+        let stored_bytes =
+            kept.iter().map(|g| g.bytes).sum::<u64>() + residual_bytes.iter().sum::<u64>();
+        Carving {
+            groups: kept,
+            residual_bytes,
+            layers_per_image,
+            stored_bytes,
+            original_bytes: self.original_bytes,
+            perfect_bytes: self.perfect_bytes,
         }
-    }
-    for (i, &r) in residual_bytes.iter().enumerate() {
-        if r > 0 {
-            layers_per_image[i] += 1;
-        }
-    }
-
-    let stored_bytes = kept.iter().map(|g| g.bytes).sum::<u64>() + residual_bytes.iter().sum::<u64>();
-    Carving {
-        groups: kept,
-        residual_bytes,
-        layers_per_image,
-        stored_bytes,
-        original_bytes,
-        perfect_bytes,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhub_model::{FileKind, FileRecord};
+    use dhub_digest::FxHashSet;
+    use dhub_model::{FileKind, FileRecord, LayerProfile};
+
+    /// Each unique file's signature, found the plain way: a set of image
+    /// ids per file, filled image by image. Leaked, so the carver can
+    /// borrow them for the rest of the test.
+    fn carver(images: &[Vec<Digest>], profiles: &FxHashMap<Digest, LayerProfile>) -> Carver<'static> {
+        let mut order = Vec::new();
+        let mut sigs: FxHashMap<Digest, (u64, FxHashSet<u32>)> = FxHashMap::default();
+        let mut original_bytes = 0;
+        let mut seen_layers = FxHashSet::default();
+        for (idx, layers) in images.iter().enumerate() {
+            for ld in layers {
+                let Some(lp) = profiles.get(ld) else { continue };
+                if seen_layers.insert(*ld) {
+                    original_bytes += lp.fls;
+                }
+                for f in &lp.files {
+                    let e = sigs.entry(f.digest).or_insert_with(|| {
+                        order.push(f.digest);
+                        (f.size, FxHashSet::default())
+                    });
+                    e.1.insert(idx as u32);
+                }
+            }
+        }
+        let files: Vec<(Digest, u64, Vec<u32>)> = (order.iter())
+            .map(|d| {
+                let mut ids: Vec<u32> = sigs[d].1.iter().copied().collect();
+                ids.sort_unstable();
+                (*d, sigs[d].0, ids)
+            })
+            .collect();
+        let files: &'static [(Digest, u64, Vec<u32>)] = Vec::leak(files);
+        Carver::new(files.iter().map(|(d, s, ids)| (*d, *s, &ids[..])), images.len(), original_bytes)
+    }
 
     fn file(tag: &str, size: u64) -> FileRecord {
         FileRecord { path: tag.into(), digest: Digest::of(tag.as_bytes()), kind: FileKind::AsciiText, size }
@@ -217,7 +234,8 @@ mod tests {
     #[test]
     fn perfect_carving_reaches_dedup_bound() {
         let (images, profiles) = setup();
-        let c = carve(&images, &profiles, &CarveConfig::default());
+        let k = carver(&images, &profiles);
+        let c = k.carve(&CarveConfig::default());
         // Original: 110 + 120 = 230; perfect: 100 + 10 + 20 = 130.
         assert_eq!(c.original_bytes, 230);
         assert_eq!(c.perfect_bytes, 130);
@@ -236,7 +254,8 @@ mod tests {
         let (images, profiles) = setup();
         // Threshold 50: the 10- and 20-byte private groups fold into
         // residuals (no duplication: single-image groups).
-        let c = carve(&images, &profiles, &CarveConfig { min_group_bytes: 50 });
+        let k = carver(&images, &profiles);
+        let c = k.carve(&CarveConfig { min_group_bytes: 50 });
         assert_eq!(c.groups.len(), 1, "only the shared group survives");
         assert_eq!(c.residual_bytes, vec![10, 20]);
         assert_eq!(c.stored_bytes, 130, "single-image folds do not duplicate");
@@ -248,7 +267,8 @@ mod tests {
         let (images, profiles) = setup();
         // Threshold beyond the shared group's 100 bytes: everything folds;
         // the shared file is duplicated into both images.
-        let c = carve(&images, &profiles, &CarveConfig { min_group_bytes: 1000 });
+        let k = carver(&images, &profiles);
+        let c = k.carve(&CarveConfig { min_group_bytes: 1000 });
         assert!(c.groups.is_empty());
         assert_eq!(c.residual_bytes, vec![110, 120]);
         assert_eq!(c.stored_bytes, 230);
@@ -259,14 +279,16 @@ mod tests {
     #[test]
     fn carving_never_stores_more_than_original_when_perfect() {
         let (images, profiles) = setup();
-        let c = carve(&images, &profiles, &CarveConfig::default());
+        let k = carver(&images, &profiles);
+        let c = k.carve(&CarveConfig::default());
         assert!(c.stored_bytes <= c.original_bytes);
         assert_eq!(c.stored_bytes, c.perfect_bytes);
     }
 
     #[test]
     fn empty_inputs() {
-        let c = carve(&[], &FxHashMap::default(), &CarveConfig::default());
+        let k = carver(&[], &FxHashMap::default());
+        let c = k.carve(&CarveConfig::default());
         assert_eq!(c.stored_bytes, 0);
         assert_eq!(c.saving_factor(), 1.0);
         assert_eq!(c.mean_layers_per_image(), 0.0);
@@ -284,7 +306,8 @@ mod tests {
         for l in [l1, l2, l3] {
             profiles.insert(l.digest, l);
         }
-        let c = carve(&images, &profiles, &CarveConfig::default());
+        let k = carver(&images, &profiles);
+        let c = k.carve(&CarveConfig::default());
         for (idx, layers) in images.iter().enumerate() {
             let mut want: FxHashSet<Digest> = FxHashSet::default();
             for ld in layers {
@@ -312,10 +335,11 @@ mod tests {
         let images = vec![vec![l1.digest], vec![l2.digest]];
         profiles.insert(l1.digest, l1);
         profiles.insert(l2.digest, l2);
+        let k = carver(&images, &profiles);
         let mut last_groups = usize::MAX;
         let mut last_bytes = 0u64;
         for t in [0u64, 20, 50, 1000, 100_000] {
-            let c = carve(&images, &profiles, &CarveConfig { min_group_bytes: t });
+            let c = k.carve(&CarveConfig { min_group_bytes: t });
             assert!(c.groups.len() <= last_groups);
             assert!(c.stored_bytes >= last_bytes);
             last_groups = c.groups.len();

@@ -17,14 +17,15 @@ fn study_for(
 
 pub(super) fn cmd_report(args: &Parsed, out: &mut impl Write) -> CmdResult {
     let (hub, data, obs) = study_for(args, out)?;
-    for fig in figures::all_figures(&data) {
+    let view = figures::StudyView::new(&data);
+    for fig in figures::artifacts(&view) {
         writeln!(out, "{}", fig.render())?;
     }
     let repos = hub.registry.repo_names();
     let versions = dhub_study::versions::analyze_versions(&hub.registry, &repos);
     writeln!(out, "{}", dhub_study::versions::ext_v1(&versions, hub.config.size_scale).render())?;
     writeln!(out, "{}", dhub_study::latency::ext_l1(&data).render())?;
-    writeln!(out, "{}", dhub_study::carving::ext_c1(&data).render())?;
+    writeln!(out, "{}", dhub_study::carving::ext_c1(&view).render())?;
     emit_metrics(args, &obs, out)
 }
 
@@ -78,6 +79,7 @@ pub(super) fn cmd_cache_sim(args: &Parsed, out: &mut impl Write) -> CmdResult {
 
 pub(super) fn cmd_carve(args: &Parsed, out: &mut impl Write) -> CmdResult {
     let (_hub, data, obs) = study_for(args, out)?;
-    writeln!(out, "{}", dhub_study::carving::ext_c1(&data).render())?;
+    let view = figures::StudyView::new(&data);
+    writeln!(out, "{}", dhub_study::carving::ext_c1(&view).render())?;
     emit_metrics(args, &obs, out)
 }

@@ -3,12 +3,13 @@
 //! A file is a *cross-layer duplicate* if its content appears in more than
 //! one distinct layer (layer sharing cannot eliminate it). The figure
 //! plots, per layer, the fraction of its files that are cross-layer
-//! duplicates — and likewise per image.
+//! duplicates — and likewise per image. Both are folds over indexes built
+//! elsewhere: distinct-layer counts come from the [`FileIndex`], and
+//! distinct-image counts from the [`ImageIndex`].
 
-use crate::{FileIndex, ImageLayers};
-use dhub_digest::{FxHashMap, FxHashSet};
+use crate::{FileIndex, ImageIndex, ImageLayers};
+use dhub_digest::FxHashMap;
 use dhub_model::{Digest, LayerProfile};
-use dhub_par::ShardedMap;
 
 /// Per-layer and per-image duplicate fractions.
 #[derive(Clone, Debug)]
@@ -21,15 +22,13 @@ pub struct CrossDuplicates {
     pub image_fractions: Vec<f64>,
 }
 
-/// Computes both fraction distributions. `files` indexes `layers` (its
-/// distinct-layer counts decide the layer fractions); the image pass
-/// counts distinct images itself.
+/// Computes both fraction distributions. `files` indexes `layers`, and
+/// `members` indexes `images`.
 pub fn cross_duplicates(
     layers: &[&LayerProfile],
     files: &FileIndex,
     images: &[ImageLayers],
-    profiles: &FxHashMap<Digest, LayerProfile>,
-    threads: usize,
+    members: &ImageIndex,
 ) -> CrossDuplicates {
     let cross_layer = |d: &Digest| files.get(d).is_some_and(|e| e.layers > 1);
     let layer_fractions: Vec<f64> = layers
@@ -41,35 +40,22 @@ pub fn cross_duplicates(
         })
         .collect();
 
-    // How many distinct images contain each file digest.
-    let image_occurrences: ShardedMap<Digest, u32> = ShardedMap::new(64);
-    dhub_par::par_for_each(threads, images, |img| {
-        let mut seen = FxHashSet::default();
-        for ld in &img.layers {
-            if let Some(lp) = profiles.get(ld) {
-                for f in &lp.files {
-                    if seen.insert(f.digest) {
-                        image_occurrences.update(f.digest, |c| *c += 1);
-                    }
-                }
-            }
-        }
-    });
-
+    // An image's file instances are its layers' files, every reference
+    // counted, so its counts are sums of per-layer counts — each taken
+    // once, however many images share the layer. A layer nobody analyzed
+    // has no members and adds nothing.
+    let mut layer_counts: FxHashMap<Digest, (usize, usize)> = FxHashMap::default();
     let image_fractions: Vec<f64> = images
         .iter()
         .filter_map(|img| {
-            let mut total = 0usize;
-            let mut dup = 0usize;
+            let (mut total, mut dup) = (0usize, 0usize);
             for ld in &img.layers {
-                if let Some(lp) = profiles.get(ld) {
-                    for f in &lp.files {
-                        total += 1;
-                        if image_occurrences.get_clone(&f.digest).unwrap_or(0) > 1 {
-                            dup += 1;
-                        }
-                    }
-                }
+                let (n, d) = *layer_counts.entry(*ld).or_insert_with(|| {
+                    let count = |(n, d), ids: &[u32]| (n + 1, d + (ids.len() > 1) as usize);
+                    members.layer_members(ld).fold((0, 0), count)
+                });
+                total += n;
+                dup += d;
             }
             if total == 0 {
                 None
@@ -93,7 +79,8 @@ mod tests {
         profiles: &FxHashMap<Digest, LayerProfile>,
         threads: usize,
     ) -> CrossDuplicates {
-        cross_duplicates(layers, &FileIndex::build(layers, threads), images, profiles, threads)
+        let files = FileIndex::build(layers, threads);
+        cross_duplicates(layers, &files, images, &ImageIndex::build(images, profiles))
     }
 
     fn file(tag: &str) -> FileRecord {

@@ -92,6 +92,15 @@ impl FileIndex {
     }
 }
 
+/// A dedup ratio: logical over physical, 1 when nothing is stored.
+pub(crate) fn ratio(logical: u64, physical: u64) -> f64 {
+    if physical == 0 {
+        1.0
+    } else {
+        logical as f64 / physical as f64
+    }
+}
+
 /// Dedup statistics over a layer population.
 #[derive(Clone, Debug)]
 pub struct FileDedupStats {
@@ -111,20 +120,12 @@ pub struct FileDedupStats {
 impl FileDedupStats {
     /// The paper's count dedup ratio (31.5× at full scale).
     pub fn count_ratio(&self) -> f64 {
-        if self.unique_files == 0 {
-            1.0
-        } else {
-            self.total_instances as f64 / self.unique_files as f64
-        }
+        ratio(self.total_instances, self.unique_files)
     }
 
     /// The paper's capacity dedup ratio (6.9× at full scale).
     pub fn capacity_ratio(&self) -> f64 {
-        if self.unique_bytes == 0 {
-            1.0
-        } else {
-            self.total_bytes as f64 / self.unique_bytes as f64
-        }
+        ratio(self.total_bytes, self.unique_bytes)
     }
 
     /// Fraction of files that remain after dedup (paper: 3.2 %).

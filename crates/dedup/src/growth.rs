@@ -2,11 +2,13 @@
 //!
 //! The paper draws 4 random samples of increasing layer counts plus the
 //! full dataset and shows the dedup ratio rising from 3.6× to 31.5× (count)
-//! and 1.9× to 6.9× (capacity). The same procedure runs here: deterministic
-//! samples of the layer population at increasing sizes.
+//! and 1.9× to 6.9× (capacity). The same procedure runs here, in one pass:
+//! the samples are nested prefixes of one seeded shuffle, so walking the
+//! shuffle once with running totals passes through every sample in turn.
 
-use crate::FileIndex;
-use dhub_model::LayerProfile;
+use crate::file_dedup::ratio;
+use dhub_digest::FxHashMap;
+use dhub_model::{Digest, LayerProfile};
 use dhub_stats::Rng;
 
 /// One point of the growth curve.
@@ -20,31 +22,46 @@ pub struct GrowthPoint {
 
 /// Computes dedup ratios for random samples of `sizes` layers each (plus
 /// whatever sizes exceed the population, clamped to "all layers").
-pub fn dedup_growth(
-    layers: &[&LayerProfile],
-    sizes: &[usize],
-    seed: u64,
-    threads: usize,
-) -> Vec<GrowthPoint> {
+///
+/// A content counts as unique at the first sampled layer that holds it,
+/// and every copy counts that first copy's size, as in [`crate::FileIndex`];
+/// each point is then the running integer sums divided once, so it equals
+/// the stats of an index built over the same sample.
+pub fn dedup_growth(layers: &[&LayerProfile], sizes: &[usize], seed: u64) -> Vec<GrowthPoint> {
     let mut rng = Rng::new(seed);
-    let mut indices: Vec<usize> = (0..layers.len()).collect();
-    rng.shuffle(&mut indices);
+    let mut order: Vec<usize> = (0..layers.len()).collect();
+    rng.shuffle(&mut order);
 
-    sizes
-        .iter()
-        .map(|&want| {
-            let n = want.min(layers.len());
-            // Prefix of one shuffle ⇒ samples are nested, like growing a
-            // registry by adding layers.
-            let sample: Vec<&LayerProfile> = indices[..n].iter().map(|&i| layers[i]).collect();
-            let stats = FileIndex::build(&sample, threads).stats();
-            GrowthPoint {
-                layers: n,
-                count_ratio: stats.count_ratio(),
-                capacity_ratio: stats.capacity_ratio(),
+    let mut marks: Vec<usize> = sizes.iter().map(|&s| s.min(layers.len())).collect();
+    marks.sort_unstable();
+    marks.dedup();
+
+    let mut sizes_seen: FxHashMap<Digest, u64> = FxHashMap::default();
+    let (mut instances, mut bytes, mut unique, mut unique_bytes) = (0u64, 0u64, 0u64, 0u64);
+    let mut walked = 0;
+    let mut points = Vec::with_capacity(marks.len());
+    for &n in &marks {
+        for &i in &order[walked..n] {
+            for f in &layers[i].files {
+                let size = *sizes_seen.entry(f.digest).or_insert_with(|| {
+                    unique += 1;
+                    unique_bytes += f.size;
+                    f.size
+                });
+                instances += 1;
+                bytes += size;
             }
-        })
-        .collect()
+        }
+        walked = n;
+        points.push(GrowthPoint {
+            layers: n,
+            count_ratio: ratio(instances, unique),
+            capacity_ratio: ratio(bytes, unique_bytes),
+        });
+    }
+
+    let point = |s: usize| points[marks.binary_search(&s.min(layers.len())).expect("marked")];
+    sizes.iter().map(|&s| point(s)).collect()
 }
 
 /// The sample ladder the figure uses, scaled to the population size:
@@ -99,7 +116,7 @@ mod tests {
     fn ratio_grows_with_sample_size() {
         let pop = population(500);
         let refs: Vec<&LayerProfile> = pop.iter().collect();
-        let points = dedup_growth(&refs, &[5, 50, 500], 7, 2);
+        let points = dedup_growth(&refs, &[5, 50, 500], 7);
         assert_eq!(points.len(), 3);
         assert!(points[0].count_ratio < points[1].count_ratio);
         assert!(points[1].count_ratio < points[2].count_ratio);
@@ -112,21 +129,21 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
+        // Points come back in the order asked for, repeats included.
         let pop = population(100);
         let refs: Vec<&LayerProfile> = pop.iter().collect();
-        let a = dedup_growth(&refs, &[10, 100], 3, 2);
-        let b = dedup_growth(&refs, &[10, 100], 3, 4);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.layers, y.layers);
-            assert!((x.count_ratio - y.count_ratio).abs() < 1e-12);
-        }
+        let bits = |p: &GrowthPoint| (p.layers, p.count_ratio.to_bits(), p.capacity_ratio.to_bits());
+        let a: Vec<_> = dedup_growth(&refs, &[10, 100], 3).iter().map(bits).collect();
+        let b: Vec<_> = dedup_growth(&refs, &[100, 10, 10], 3).iter().map(bits).collect();
+        assert_eq!(b, vec![a[1], a[0], a[0]]);
+        assert_eq!(dedup_growth(&refs, &[10, 100], 3).iter().map(bits).collect::<Vec<_>>(), a);
     }
 
     #[test]
     fn oversized_sample_clamped() {
         let pop = population(20);
         let refs: Vec<&LayerProfile> = pop.iter().collect();
-        let points = dedup_growth(&refs, &[1000], 3, 2);
+        let points = dedup_growth(&refs, &[1000], 3);
         assert_eq!(points[0].layers, 20);
     }
 

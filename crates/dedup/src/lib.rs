@@ -1,36 +1,44 @@
 //! Redundancy analysis (§V of the paper).
 //!
-//! Layer sharing, and four file-level analyses that all read one
-//! per-digest [`FileIndex`]:
+//! Layer sharing, and file-level analyses that read two per-digest
+//! indexes: the [`FileIndex`] (copies, size, kind and distinct layers of
+//! every unique file) and the [`ImageIndex`] (the sorted ids of the images
+//! holding it).
 //!
 //! * [`layer_sharing`] — how often layers are referenced by multiple
 //!   images, and the storage saved by content-addressed layer sharing
 //!   (Fig. 23; the paper's 1.8×),
-//! * [`file_dedup`] — the index itself, and file-level deduplication by
+//! * [`file_dedup`] — the file index, and file-level deduplication by
 //!   count and capacity folded from it (Fig. 24 and the headline
 //!   31.5× / 6.9× numbers),
-//! * [`growth`] — dedup ratio as a function of dataset size, one index per
-//!   nested sample (Fig. 25),
-//! * [`cross`] — cross-layer duplicate fractions from the index's
-//!   distinct-layer counts, and cross-image ones from an image pass
+//! * [`growth`] — dedup ratio as a function of dataset size: one pass over
+//!   a seeded shuffle, reading each nested sample off running sums
+//!   (Fig. 25),
+//! * [`cross`] — cross-layer duplicate fractions from the file index's
+//!   distinct-layer counts, and cross-image ones from the image index
 //!   (Fig. 26),
 //! * [`by_type`] — dedup ratio per type group and per specific type, folded
-//!   from the index (Figs. 27–29).
+//!   from the file index (Figs. 27–29),
+//! * [`image_index`] — the image index, which perfect-layer carving also
+//!   groups by.
 //!
-//! The index is built in one pass over a [`dhub_par::ShardedMap`] so
+//! The file index is built in one pass over a [`dhub_par::ShardedMap`] so
 //! multi-million file populations aggregate in parallel, then read without
-//! locks.
+//! locks. The image index is one sequential pass in image order, which
+//! leaves every content's image ids sorted.
 
 pub mod by_type;
 pub mod cross;
 pub mod file_dedup;
 pub mod growth;
+pub mod image_index;
 pub mod layer_sharing;
 
 pub use by_type::{dedup_by_group, dedup_by_kind, TypeDedupRow};
 pub use cross::{cross_duplicates, CrossDuplicates};
 pub use file_dedup::{FileDedupStats, FileIndex};
 pub use growth::{dedup_growth, GrowthPoint};
+pub use image_index::ImageIndex;
 pub use layer_sharing::{layer_sharing, LayerSharing};
 
 use dhub_model::{Digest, LayerProfile};

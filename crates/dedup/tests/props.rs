@@ -1,16 +1,18 @@
-//! Property tests for the per-digest file index: over seeded random layer
-//! populations, every analysis that folds the index equals a plain
+//! Property tests for the per-digest indexes: over seeded random layer and
+//! image populations, every analysis that folds an index equals a plain
 //! sequential fold written here, at every thread count.
 //!
 //! Each population draws its files from a small content universe, so
 //! copies repeat within and across layers, and one content ("chameleon")
-//! is classified differently by path in every layer that holds it.
+//! is classified differently by path in every layer that holds it. Layers
+//! can be empty; images share layers, can list one layer twice, and can
+//! name a layer that was never analyzed.
 
 use dhub_dedup::{
     cross_duplicates, dedup_by_group, dedup_by_kind, dedup_growth, FileDedupStats, FileIndex,
-    TypeDedupRow,
+    ImageIndex, ImageLayers, TypeDedupRow,
 };
-use dhub_digest::FxHashMap;
+use dhub_digest::{FxHashMap, FxHashSet};
 use dhub_model::{Digest, FileKind, FileRecord, LayerProfile, TypeGroup};
 use dhub_stats::Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -48,6 +50,45 @@ fn population(seed: u64) -> Vec<LayerProfile> {
             }
         })
         .collect()
+}
+
+/// Images over `layers`: each lists up to five layer references drawn with
+/// replacement, now and then one nobody analyzed.
+fn images(seed: u64, layers: &[LayerProfile]) -> Vec<ImageLayers> {
+    let mut rng = Rng::new(seed ^ 0x1a6e5);
+    let unanalyzed = Digest::of(b"never analyzed");
+    let pick = |rng: &mut Rng| match rng.below(layers.len() as u64 + 1) as usize {
+        i if i < layers.len() => layers[i].digest,
+        _ => unanalyzed,
+    };
+    (0..rng.below(12)).map(|_| ImageLayers { layers: (0..rng.below(6)).map(|_| pick(&mut rng)).collect() }).collect()
+}
+
+fn by_digest(layers: &[LayerProfile]) -> FxHashMap<Digest, LayerProfile> {
+    layers.iter().map(|l| (l.digest, l.clone())).collect()
+}
+
+/// Image fractions the plain way: a set of digests per image, a count of
+/// images per digest, then every file instance of every image checked.
+fn reference_image_fractions(
+    images: &[ImageLayers],
+    profiles: &FxHashMap<Digest, LayerProfile>,
+) -> Vec<f64> {
+    let files = |img: &ImageLayers| -> Vec<Digest> {
+        let layers = img.layers.iter().filter_map(|ld| profiles.get(ld));
+        layers.flat_map(|lp| lp.files.iter().map(|f| f.digest)).collect()
+    };
+    let mut holders: FxHashMap<Digest, u32> = FxHashMap::default();
+    for img in images {
+        for d in files(img).into_iter().collect::<FxHashSet<Digest>>() {
+            *holders.entry(d).or_default() += 1;
+        }
+    }
+    let fraction = |all: Vec<Digest>| {
+        let dup = all.iter().filter(|d| holders[d] > 1).count();
+        (!all.is_empty()).then(|| dup as f64 / all.len() as f64)
+    };
+    images.iter().filter_map(|img| fraction(files(img))).collect()
 }
 
 /// One unique content: (copies, size, smallest kind, distinct layer positions).
@@ -129,6 +170,7 @@ fn index_folds_equal_the_sequential_fold() {
         let pop = population(seed);
         let refs: Vec<&LayerProfile> = pop.iter().collect();
         let want = reference(&refs);
+        let no_images = ImageIndex::build(&[], &FxHashMap::default());
         let fractions: Vec<u64> =
             reference_layer_fractions(&refs, &want).iter().map(|f| f.to_bits()).collect();
         for threads in THREADS {
@@ -139,10 +181,49 @@ fn index_folds_equal_the_sequential_fold() {
             for g in TypeGroup::ALL {
                 assert_eq!(dedup_by_kind(&index, g), reference_kinds(&want, g), "{case} {g:?}");
             }
-            let cd = cross_duplicates(&refs, &index, &[], &FxHashMap::default(), threads);
+            let cd = cross_duplicates(&refs, &index, &[], &no_images);
             let got: Vec<u64> = cd.layer_fractions.iter().map(|f| f.to_bits()).collect();
             assert_eq!(got, fractions, "{case}");
         }
+    }
+}
+
+#[test]
+fn image_index_equals_per_image_sets() {
+    for seed in 0..CASES {
+        let pop = population(seed);
+        let (images, profiles) = (images(seed, &pop), by_digest(&pop));
+        // Per content: first-seen size and the set of images holding it.
+        let mut want: BTreeMap<Digest, (u64, BTreeSet<u32>)> = BTreeMap::new();
+        for (id, img) in images.iter().enumerate() {
+            for f in img.layers.iter().filter_map(|ld| profiles.get(ld)).flat_map(|lp| &lp.files) {
+                want.entry(f.digest).or_insert((f.size, BTreeSet::new())).1.insert(id as u32);
+            }
+        }
+        let index = ImageIndex::build(&images, &profiles);
+        let got: BTreeMap<Digest, (u64, BTreeSet<u32>)> = (index.iter())
+            .map(|(d, size, ids)| {
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "seed={seed}: ids not sorted");
+                (d, (size, ids.iter().copied().collect()))
+            })
+            .collect();
+        assert_eq!(index.iter().count(), want.len(), "seed={seed}: a content listed twice");
+        assert_eq!(got, want, "seed={seed}");
+    }
+}
+
+#[test]
+fn image_fractions_equal_per_image_sets() {
+    for seed in 0..CASES {
+        let pop = population(seed);
+        let refs: Vec<&LayerProfile> = pop.iter().collect();
+        let (images, profiles) = (images(seed, &pop), by_digest(&pop));
+        let want: Vec<u64> =
+            reference_image_fractions(&images, &profiles).iter().map(|f| f.to_bits()).collect();
+        let (files, members) = (FileIndex::build(&refs, 1), ImageIndex::build(&images, &profiles));
+        let cd = cross_duplicates(&refs, &files, &images, &members);
+        let got: Vec<u64> = cd.image_fractions.iter().map(|f| f.to_bits()).collect();
+        assert_eq!(got, want, "seed={seed}");
     }
 }
 
@@ -151,19 +232,22 @@ fn growth_points_equal_per_sample_stats() {
     for seed in 0..CASES {
         let pop = population(seed);
         let refs: Vec<&LayerProfile> = pop.iter().collect();
-        let sizes = [1, refs.len() / 3, refs.len() / 2, refs.len(), refs.len() + 5];
+        // Out of order, repeated, empty and past the population.
+        let sizes = [refs.len() / 2, 0, 1, refs.len() / 3, refs.len(), 1, refs.len() + 5];
         // The samples are nested prefixes of one seeded shuffle.
         let mut order: Vec<usize> = (0..refs.len()).collect();
         Rng::new(seed ^ 0x5eed).shuffle(&mut order);
-        for threads in THREADS {
-            let points = dedup_growth(&refs, &sizes, seed ^ 0x5eed, threads);
-            for (p, &want) in points.iter().zip(&sizes) {
-                let n = want.min(refs.len());
-                let sample: Vec<&LayerProfile> = order[..n].iter().map(|&i| refs[i]).collect();
-                let stats = reference_stats(&reference(&sample));
-                let got = (p.layers, p.count_ratio.to_bits(), p.capacity_ratio.to_bits());
-                let want = (n, stats.count_ratio().to_bits(), stats.capacity_ratio().to_bits());
-                assert_eq!(got, want, "seed={seed} threads={threads}");
+        let points = dedup_growth(&refs, &sizes, seed ^ 0x5eed);
+        assert_eq!(points.len(), sizes.len());
+        for (p, &want) in points.iter().zip(&sizes) {
+            let n = want.min(refs.len());
+            let sample: Vec<&LayerProfile> = order[..n].iter().map(|&i| refs[i]).collect();
+            let got = (p.layers, p.count_ratio.to_bits(), p.capacity_ratio.to_bits());
+            let bits = |s: FileDedupStats| (n, s.count_ratio().to_bits(), s.capacity_ratio().to_bits());
+            assert_eq!(got, bits(reference_stats(&reference(&sample))), "seed={seed} n={n}");
+            for threads in THREADS {
+                let stats = FileIndex::build(&sample, threads).stats();
+                assert_eq!(got, bits(stats), "seed={seed} n={n} threads={threads}");
             }
         }
     }

@@ -72,14 +72,6 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
         self.shard_for(&key).lock().insert(key, value)
     }
 
-    /// Clones the value for `key`.
-    pub fn get_clone(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.shard_for(key).lock().get(key).cloned()
-    }
-
     /// True if the key is present.
     pub fn contains(&self, key: &K) -> bool {
         self.shard_for(key).lock().contains_key(key)
@@ -130,7 +122,8 @@ mod tests {
         assert_eq!(map.len(), 1000);
         let total = map.fold(0u64, |acc, _, v| acc + v);
         assert_eq!(total, 100_000);
-        assert_eq!(map.get_clone(&0), Some(100));
+        let zero = map.into_entries().into_iter().find(|&(k, _)| k == 0);
+        assert_eq!(zero, Some((0, 100)));
     }
 
     #[test]

@@ -3,20 +3,31 @@
 //! Runs the perfect-layer carving of `dhub-carve` against the measured
 //! image population and sweeps the fold threshold, exposing the trade-off
 //! the paper's layer-count analysis (Fig. 10) and dedup analysis (§V)
-//! jointly imply: fewer bytes stored versus more layers per image.
+//! jointly imply: fewer bytes stored versus more layers per image. The
+//! signatures are the view's image index, grouped once for every
+//! threshold.
 
-use crate::pipeline::StudyData;
+use crate::figures::StudyView;
 use crate::report::{Anchor, FigureReport};
-use dhub_carve::{carve, CarveConfig};
-use dhub_model::Digest;
+use dhub_carve::{CarveConfig, Carver};
+use dhub_digest::FxHashSet;
 
 /// Extension figure C1 — storage vs layer-count trade-off of carving.
-pub fn ext_c1(data: &StudyData) -> FigureReport {
-    let images: Vec<Vec<Digest>> = data.image_layers.iter().map(|i| i.layers.clone()).collect();
+pub fn ext_c1(v: &StudyView) -> FigureReport {
+    let data = v.data;
+    // The original layering stores each referenced, analyzed layer once.
+    let mut seen_layers = FxHashSet::default();
+    let original_bytes: u64 = (data.image_layers.iter().flat_map(|i| &i.layers))
+        .filter(|ld| seen_layers.insert(**ld))
+        .filter_map(|ld| data.layers.get(ld))
+        .map(|lp| lp.fls)
+        .sum();
+    let carver = Carver::new(v.image_index().iter(), data.image_layers.len(), original_bytes);
 
     let mut rows = Vec::new();
     let mut perfect_saving = 0.0;
     let mut perfect_layers = 0.0;
+    let mut perfect_bound = 0.0;
     let original_layers = data
         .images
         .iter()
@@ -30,7 +41,7 @@ pub fn ext_c1(data: &StudyData) -> FigureReport {
         ("fold <64KB", 64 << 10),
         ("fold <1MB", 1 << 20),
     ] {
-        let c = carve(&images, &data.layers, &CarveConfig { min_group_bytes: threshold });
+        let c = carver.carve(&CarveConfig { min_group_bytes: threshold });
         rows.push(format!(
             "{label:<10} carved layers {:>7}  stored {:>13} B  saving {:>5.2}x  mean layers/image {:>7.1}  duplicated {:>12} B",
             c.groups.len(),
@@ -42,6 +53,8 @@ pub fn ext_c1(data: &StudyData) -> FigureReport {
         if threshold == 0 {
             perfect_saving = c.saving_factor();
             perfect_layers = c.mean_layers_per_image();
+            perfect_bound =
+                if c.perfect_bytes == 0 { 1.0 } else { c.stored_bytes as f64 / c.perfect_bytes as f64 };
         }
     }
     rows.push(format!("original mean layers/image: {original_layers:.1}"));
@@ -53,10 +66,7 @@ pub fn ext_c1(data: &StudyData) -> FigureReport {
         anchors: vec![
             // Perfect carving must reach the file-dedup capacity bound the
             // paper reports (our Table 2 capacity ratio at this scale).
-            Anchor::new("carving saving vs capacity-dedup bound", 1.0, {
-                let c = carve(&images, &data.layers, &CarveConfig::default());
-                if c.perfect_bytes == 0 { 1.0 } else { c.stored_bytes as f64 / c.perfect_bytes as f64 }
-            }),
+            Anchor::new("carving saving vs capacity-dedup bound", 1.0, perfect_bound),
             Anchor::new(
                 "perfect-carving layers/image vs original (>1)",
                 10.0,
@@ -77,7 +87,7 @@ mod tests {
     fn carving_on_pipeline_output() {
         let hub = generate_hub(&SynthConfig::tiny(51).with_repos(40));
         let data = run_study(&hub, 2);
-        let f = ext_c1(&data);
+        let f = ext_c1(&StudyView::new(&data));
         assert!(f.render().contains("Ext. C1"));
         // Perfect carving stores exactly the dedup bound.
         let bound = f.anchors.iter().find(|a| a.name.contains("bound")).unwrap();

@@ -4,7 +4,6 @@ use super::StudyView;
 use crate::report::{Anchor, FigureReport};
 use dhub_dedup::{cross_duplicates, dedup_by_group, dedup_by_kind, dedup_growth, layer_sharing};
 use dhub_model::{FileKind, TypeGroup};
-use dhub_par::default_threads;
 use dhub_stats::{nearest_rank, Ecdf};
 
 /// Fig. 23 — layer reference counts and the layer-sharing factor.
@@ -89,7 +88,7 @@ pub fn fig24(v: &StudyView) -> FigureReport {
 /// Fig. 25 — dedup ratio growth with dataset size.
 pub fn fig25(v: &StudyView) -> FigureReport {
     let sizes = dhub_dedup::growth::default_sample_sizes(v.layers.len());
-    let points = dedup_growth(&v.layers, &sizes, v.data.seed ^ 0x617, default_threads());
+    let points = dedup_growth(&v.layers, &sizes, v.data.seed ^ 0x617);
 
     let rows: Vec<String> = points
         .iter()
@@ -122,7 +121,7 @@ pub fn fig25(v: &StudyView) -> FigureReport {
 /// Fig. 26 — cross-layer and cross-image duplicate fractions.
 pub fn fig26(v: &StudyView) -> FigureReport {
     let images = &v.data.image_layers;
-    let cd = cross_duplicates(&v.layers, &v.files, images, &v.data.layers, default_threads());
+    let cd = cross_duplicates(&v.layers, &v.files, images, v.image_index());
     let le = Ecdf::new(cd.layer_fractions);
     let ie = Ecdf::new(cd.image_fractions);
 

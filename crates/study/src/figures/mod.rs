@@ -17,28 +17,39 @@ pub use layers::{fig03, fig04, fig05, fig06, fig07};
 
 use crate::pipeline::StudyData;
 use crate::report::{Anchor, FigureReport};
-use dhub_dedup::FileIndex;
+use dhub_dedup::{FileIndex, ImageIndex};
 use dhub_model::LayerProfile;
+use std::sync::OnceLock;
 
 /// What the figures read besides [`StudyData`] itself, each derived once:
-/// the sorted layer slice, the per-kind census (Figs. 13–22) and the
-/// full-population file index (Figs. 24, 26–29 and Table 2).
+/// the sorted layer slice, the per-kind census (Figs. 13–22), the
+/// full-population file index (Figs. 24, 26–29 and Table 2) and, on first
+/// use, the image index (Fig. 26 and Ext. C1).
 pub struct StudyView<'a> {
     pub data: &'a StudyData,
     /// Unique layer profiles, sorted by digest.
     pub layers: Vec<&'a LayerProfile>,
     pub census: TypeCensus,
     pub files: FileIndex,
+    image_index: OnceLock<ImageIndex>,
 }
 
 impl<'a> StudyView<'a> {
-    /// Derives the view on every core.
+    /// Derives the view on every core. The image index waits for its
+    /// first reader, so a view that renders only the tables never builds it.
     pub fn new(data: &'a StudyData) -> StudyView<'a> {
         let layers = data.layer_slice();
         let threads = dhub_par::default_threads();
         let census = TypeCensus::build(&layers, threads);
         let files = FileIndex::build(&layers, threads);
-        StudyView { data, layers, census, files }
+        StudyView { data, layers, census, files, image_index: OnceLock::new() }
+    }
+
+    /// Which images hold each unique file, with image ids indexing
+    /// `data.image_layers`.
+    pub fn image_index(&self) -> &ImageIndex {
+        let data = self.data;
+        self.image_index.get_or_init(|| ImageIndex::build(&data.image_layers, &data.layers))
     }
 }
 
@@ -89,7 +100,11 @@ pub fn table1(v: &StudyView) -> FigureReport {
 
 /// All artifacts in paper order.
 pub fn all_figures(data: &StudyData) -> Vec<FigureReport> {
-    let v = &StudyView::new(data);
+    artifacts(&StudyView::new(data))
+}
+
+/// All artifacts in paper order, rendered from one view.
+pub fn artifacts(v: &StudyView) -> Vec<FigureReport> {
     vec![
         table1(v),
         fig03(v),
@@ -121,4 +136,23 @@ pub fn all_figures(data: &StudyData) -> Vec<FigureReport> {
         fig29(v),
         table2(v),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::run_study;
+    use dhub_synth::{generate_hub, SynthConfig};
+
+    #[test]
+    fn new_leaves_the_image_index_unbuilt() {
+        let data = run_study(&generate_hub(&SynthConfig::tiny(7).with_repos(12)), 2);
+        let v = StudyView::new(&data);
+        assert!(v.image_index.get().is_none(), "StudyView::new built the image index");
+        table1(&v);
+        table2(&v);
+        assert!(v.image_index.get().is_none(), "the tables built the image index");
+        fig26(&v);
+        assert!(v.image_index.get().is_some());
+    }
 }
