@@ -10,13 +10,15 @@
 //! demand (cf. Slimmer \[16\] and "Carving perfect layers" \[30\], both cited
 //! by the paper).
 //!
-//! * [`recipe`] — the layer recipe model with JSON (de)serialization,
+//! * [`recipe`] — the layer recipe model with JSON (de)serialization (the
+//!   format of stores written before layer files),
 //! * [`store`] — the store itself: recipes and file objects in,
 //!   reconstructed layers and savings accounting out,
 //! * [`fused`] — single-pass analyze + ingest sharing one decompression
 //!   and one content hash per file with the profiler,
 //! * [`persistent`] — the same store backed by `dhub-persist`'s
-//!   crash-safe on-disk layout (objects + recipe envelopes), so ingest
+//!   crash-safe on-disk layout (one self-contained file per layer, with
+//!   its small objects inline, plus one file per large object), so ingest
 //!   output survives the process and can be reopened and resumed, with
 //!   crash orphans swept on the way out.
 

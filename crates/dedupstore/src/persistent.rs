@@ -5,39 +5,217 @@
 //! On-disk layout under the store root:
 //!
 //! ```text
-//! objects/ab/<hex>        content-addressed file objects (dhub-persist BlobStore)
-//! layers/ab/<hex>.json    one recipe envelope per ingested layer
+//! layers/ab/<hex>         one self-contained file per ingested layer
+//! objects/ab/<hex>        content-addressed file objects over 4 KiB
+//!                         (dhub-persist BlobStore)
 //! ```
 //!
-//! **Write ordering** makes every crash recoverable without a journal: a
-//! layer commit publishes (1) any new file objects, then (2) the recipe
-//! envelope, then (3) updates the in-memory store. Each publish is
-//! atomic (temp + fsync + rename + parent fsync), so a crash anywhere
-//! leaves either orphan objects with no recipe — garbage, collected by
-//! [`PersistentDedupStore::gc`] — or a complete recipe whose objects are
-//! all already durable. A recipe can never reference bytes that were not
-//! published first.
+//! A **layer file** is one `dhub-persist` table (`DHTB` v2): a row per tar
+//! entry in archive order — path, kind, mode, uid, gid, mtime, size,
+//! sha256 and link target, the per-file schema of a layer — plus a bytes
+//! column that holds the content of every regular file of at most
+//! [`INLINE_MAX`] bytes on that content's first row in the layer (empty
+//! elsewhere). Its metadata carries the format version and the layer's
+//! compressed length, and its trailing CRC covers every byte of the file.
+//! Inline content is duplicated across layers rather than owned by one, so
+//! a layer file's bytes depend on its layer alone, never on which layer
+//! was committed first: store dirs are byte-identical at any worker count.
+//! A durable study thus writes one file per layer and one per large
+//! object, not one per object.
 //!
-//! **Reopen** replays the recipe files (sorted by digest, so
-//! deterministic) in three steps: every envelope read and parsed in
-//! parallel, every referenced object fetched and digest-verified exactly
-//! once in parallel, then a sequential commit in recipe order that moves
-//! recipes and bytes into memory with the checks and counters of a live
-//! ingest's [`DedupStore::commit_parsed`]. Every aggregate the store
-//! reports is an order-independent sum, so a reloaded store's stats —
-//! including the float `dedup_factor()` — are bit-identical to the
-//! single-process run that wrote it, at any thread count. Recipes and
-//! objects are the only state on disk: nothing derived from them is
-//! stored, so there is nothing to go stale.
+//! **Write ordering** makes every crash recoverable without a journal: a
+//! layer commit publishes (1) any new objects over [`INLINE_MAX`], then
+//! (2) the layer file, then (3) updates the in-memory store. Each publish
+//! is atomic (temp + fsync + rename + parent fsync), so a crash anywhere
+//! leaves either orphan objects with no layer — garbage, collected by
+//! [`PersistentDedupStore::gc`] with any temp debris — or a complete layer
+//! file whose large objects are all already durable. A layer can never
+//! reference bytes that were not published first.
+//!
+//! **Reopen** replays the layer files (sorted by path, so deterministic)
+//! in four steps: (1) every layer file read and CRC-checked in parallel;
+//! (2) each distinct inline object digest-verified exactly once, and (3)
+//! each large object fetched and digest-verified exactly once, together in
+//! parallel and counted alike as object reads; then (4) a sequential
+//! commit in layer order that moves recipes and bytes into memory with the
+//! checks and counters of a live ingest's [`DedupStore::commit_parsed`].
+//! Every aggregate the store reports is an order-independent sum, so a
+//! reloaded store's stats — including the float `dedup_factor()` — are
+//! bit-identical to the single-process run that wrote it, at any thread
+//! count. Layers and objects are the only state on disk: nothing derived
+//! from them is stored, so there is nothing to go stale.
+//!
+//! Stores written before layer files existed hold `layers/ab/<hex>.json`
+//! recipe envelopes (format v1) and every object in `objects/`. Reopen
+//! still reads them, and a resumed ingest appends layer files beside them.
 
-use crate::recipe::LayerRecipe;
+use crate::recipe::{EntryMeta, LayerRecipe, RecipeEntryKind};
 use crate::store::{DedupStore, IngestStats, PendingEntry, StoreError};
 use dhub_digest::{FxHashMap, FxHashSet};
 use dhub_json::Reader;
 use dhub_model::Digest;
 use dhub_obs::MetricsRegistry;
-use dhub_persist::{fsync_dir, hex_of, BlobStore, GcStats, PersistError, Publisher};
+use dhub_persist::{
+    digest_from_hex, fsync_dir, hex_of, BlobStore, ColType, Column, GcStats, PersistError,
+    Publisher, Schema, Table,
+};
 use std::path::{Path, PathBuf};
+
+/// Objects up to one filesystem block are kept inline in the file of each
+/// layer that holds them; larger ones get an object file of their own.
+const INLINE_MAX: usize = 4096;
+
+/// The layer file's format version (v1 was the JSON recipe envelope).
+const LAYER_FORMAT: u64 = 2;
+
+/// The layer file's `kind` column.
+const FILE: u64 = 0;
+const DIR: u64 = 1;
+const SYMLINK: u64 = 2;
+const HARDLINK: u64 = 3;
+
+/// The layer file's columns, in order.
+fn layer_schema() -> Schema {
+    use ColType::{Bytes, Str, U64};
+    Schema::new(&[
+        ("path", Str),
+        ("kind", U64),
+        ("mode", U64),
+        ("uid", U64),
+        ("gid", U64),
+        ("mtime", U64),
+        ("size", U64),
+        ("sha256", Bytes),
+        ("target", Str),
+        ("content", Bytes),
+    ])
+}
+
+/// One layer as read back from disk: its recipe, compressed length, and
+/// the objects its file carries inline.
+struct StoredLayer {
+    recipe: LayerRecipe,
+    blob_len: u64,
+    inline: Vec<(Digest, Vec<u8>)>,
+}
+
+/// The layer file of `pending`: one row per entry, each small content
+/// inline on its first row.
+fn layer_table(blob_len: u64, pending: &[PendingEntry<'_>]) -> Table {
+    let n = pending.len();
+    let (mut path, mut target) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let (mut sha256, mut content) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    // kind, mode, uid, gid, mtime, size
+    let mut ints: [Vec<u64>; 6] = std::array::from_fn(|_| Vec::with_capacity(n));
+    let mut inlined = FxHashSet::default();
+    for p in pending {
+        let m = &p.meta;
+        let (kind, link) = match &m.kind {
+            RecipeEntryKind::File(_) => (FILE, ""),
+            RecipeEntryKind::Dir => (DIR, ""),
+            RecipeEntryKind::Symlink(t) => (SYMLINK, t.as_str()),
+            RecipeEntryKind::Hardlink(t) => (HARDLINK, t.as_str()),
+        };
+        let (size, digest, body) = match p.file {
+            Some((d, data)) => {
+                let inline = data.len() <= INLINE_MAX && inlined.insert(d);
+                (data.len() as u64, d.0.to_vec(), if inline { data.to_vec() } else { Vec::new() })
+            }
+            None => (0, Vec::new(), Vec::new()),
+        };
+        let row = [kind, m.mode.into(), m.uid.into(), m.gid.into(), m.mtime, size];
+        for (col, v) in ints.iter_mut().zip(row) {
+            col.push(v);
+        }
+        path.push(m.path.clone());
+        target.push(link.to_string());
+        sha256.push(digest);
+        content.push(body);
+    }
+    let [kind, mode, uid, gid, mtime, size] = ints.map(Column::U64);
+    let cols = vec![
+        Column::Str(path),
+        kind,
+        mode,
+        uid,
+        gid,
+        mtime,
+        size,
+        Column::Bytes(sha256),
+        Column::Str(target),
+        Column::Bytes(content),
+    ];
+    Table::from_columns(layer_schema(), cols)
+        .expect("columns built to the layer schema")
+        .with_meta("format", LAYER_FORMAT)
+        .with_meta("blob_len", blob_len)
+}
+
+/// Reads a layer file's bytes back; `None` unless they are exactly what
+/// [`layer_table`] writes for some layer: valid CRCs, the layer schema and
+/// metadata, and every row's fields consistent with its kind — a file's
+/// content inline on its first row in the layer when it is small, and
+/// nowhere else.
+fn decode_layer(layer_digest: Digest, data: &[u8]) -> Option<StoredLayer> {
+    let table = Table::from_bytes(data)?;
+    let blob_len = match table.meta() {
+        [(format, LAYER_FORMAT), (key, len)] if format == "format" && key == "blob_len" => *len,
+        _ => return None,
+    };
+    if table.schema() != &layer_schema() {
+        return None;
+    }
+    let cols = <[Column; 10]>::try_from(table.into_columns()).ok()?;
+    let [
+        Column::Str(path),
+        Column::U64(kind),
+        Column::U64(mode),
+        Column::U64(uid),
+        Column::U64(gid),
+        Column::U64(mtime),
+        Column::U64(size),
+        Column::Bytes(sha256),
+        Column::Str(target),
+        Column::Bytes(content),
+    ] = cols
+    else {
+        return None;
+    };
+    let mut entries = Vec::with_capacity(path.len());
+    let mut inline = Vec::new();
+    let mut inlined = FxHashSet::default();
+    let rows = path.into_iter().zip(target).zip(content).enumerate();
+    for (i, ((path, target), content)) in rows {
+        let bare = size[i] == 0 && sha256[i].is_empty() && content.is_empty();
+        let kind = match kind[i] {
+            FILE if target.is_empty() => {
+                let d = Digest(sha256[i].as_slice().try_into().ok()?);
+                if size[i] <= INLINE_MAX as u64 && inlined.insert(d) {
+                    if content.len() as u64 != size[i] {
+                        return None;
+                    }
+                    inline.push((d, content));
+                } else if !content.is_empty() {
+                    return None;
+                }
+                RecipeEntryKind::File(d)
+            }
+            DIR if bare && target.is_empty() => RecipeEntryKind::Dir,
+            SYMLINK if bare => RecipeEntryKind::Symlink(target),
+            HARDLINK if bare => RecipeEntryKind::Hardlink(target),
+            _ => return None,
+        };
+        entries.push(EntryMeta {
+            path,
+            kind,
+            mode: u32::try_from(mode[i]).ok()?,
+            uid: u32::try_from(uid[i]).ok()?,
+            gid: u32::try_from(gid[i]).ok()?,
+            mtime: mtime[i],
+        });
+    }
+    Some(StoredLayer { recipe: LayerRecipe { layer_digest, entries }, blob_len, inline })
+}
 
 /// Errors from the persistent store: either a logical store error (same
 /// domain as the in-memory store) or a durability-tier failure.
@@ -131,37 +309,29 @@ impl PersistentDedupStore {
         &self.objects
     }
 
-    fn recipe_path(&self, layer_digest: &Digest) -> PathBuf {
+    /// `layers/ab/<hex>`: where a layer's file is published.
+    fn layer_path(&self, layer_digest: &Digest) -> PathBuf {
         let hex = hex_of(layer_digest);
-        self.layers_dir.join(&hex[..2]).join(format!("{hex}.json"))
+        self.layers_dir.join(&hex[..2]).join(hex)
     }
 
-    /// Everything of an envelope before the recipe text. The writer emits
-    /// it and the reader rebuilds it from the parsed fields to find the
-    /// recipe span, so this is the only envelope layout there is: any
-    /// other byte layout reads as torn.
+    /// Everything of a v1 envelope before the recipe text. The v1 writer
+    /// emitted it and the reader rebuilds it from the parsed fields to find
+    /// the recipe span, so this is the only v1 layout there is: any other
+    /// byte layout reads as torn.
     fn envelope_head(blob_len: u64, checksum: &str) -> String {
         format!(
             r#"{{"schema":"dhub-persist-recipe-v1","blobLen":{blob_len},"checksum":"{checksum}","recipe":"#
         )
     }
 
-    /// Serializes a recipe envelope: the recipe JSON plus the compressed
-    /// blob length (needed to rebuild the conventional-bytes counter) and
-    /// a checksum over the recipe text so tampering behind the store's
-    /// back is caught on replay. The recipe text is spliced in as written.
-    fn envelope(recipe: &LayerRecipe, blob_len: u64) -> String {
-        let recipe_text = recipe.to_json();
-        let checksum = Digest::of(recipe_text.as_bytes()).to_docker_string();
-        format!("{}{recipe_text}}}", Self::envelope_head(blob_len, &checksum))
-    }
-
-    /// Reads an envelope in one pass, building no `Json` tree. The
-    /// fields before the recipe rebuild [`Self::envelope_head`], which
+    /// Reads a v1 recipe envelope in one pass, building no `Json` tree.
+    /// The fields before the recipe rebuild [`Self::envelope_head`], which
     /// must be the text's exact prefix; the checksum is checked over the
-    /// raw `recipe` span of `text` — the bytes [`Self::envelope`] hashed —
-    /// and only then is that span decoded. The rest of the envelope must
-    /// still be well-formed JSON.
+    /// raw `recipe` span of `text` — the bytes the v1 writer hashed — and
+    /// only then is that span decoded. The rest of the envelope must still
+    /// be well-formed JSON. Kept so stores written before layer files
+    /// existed reopen; nothing writes v1 any more.
     fn parse_envelope(text: &str) -> Option<(LayerRecipe, u64)> {
         fn key(r: &mut Reader<'_>, name: &str) -> Option<()> {
             (r.next_key().ok()?? == name).then_some(())
@@ -190,9 +360,12 @@ impl PersistentDedupStore {
         Some((recipe, blob_len))
     }
 
-    /// Every `*.json` under `layers/`, sorted — the replay order.
-    fn recipe_files(&self) -> Result<Vec<PathBuf>, PersistError> {
-        let mut recipe_files: Vec<PathBuf> = Vec::new();
+    /// Every layer file under `layers/`, sorted by path — the replay order
+    /// — with the layer digest its name gives; `None` for a v1 `*.json`
+    /// envelope, which names its layer inside. Temp debris and names that
+    /// are neither are not layers.
+    fn layer_files(&self) -> Result<Vec<(PathBuf, Option<Digest>)>, PersistError> {
+        let mut files = Vec::new();
         for shard in std::fs::read_dir(&self.layers_dir)? {
             let shard = shard?;
             if !shard.file_type()?.is_dir() {
@@ -200,59 +373,89 @@ impl PersistentDedupStore {
             }
             for f in std::fs::read_dir(shard.path())? {
                 let path = f?.path();
-                // In-flight temp files are crash debris, not recipes.
-                if path.extension().map(|e| e == "json").unwrap_or(false) {
-                    recipe_files.push(path);
+                let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+                if let Some(digest) = digest_from_hex(name) {
+                    files.push((path, Some(digest)));
+                } else if path.extension().is_some_and(|e| e == "json") {
+                    files.push((path, None));
                 }
             }
         }
-        recipe_files.sort();
-        Ok(recipe_files)
+        files.sort();
+        Ok(files)
     }
 
-    /// Replays every recipe on disk into memory: reopen, in three steps
-    /// over the sorted recipe list. Steps 1 and 2 run on `threads` workers
-    /// but hand their results back in input order, and each is checked
-    /// front to back before the next starts, so the damaged file an error
-    /// names never depends on thread timing: the first bad recipe in path
-    /// order, else the first bad object in first-seen order.
+    /// Reads one layer file, either format; [`PersistError::Torn`] when its
+    /// bytes are not a layer.
+    fn read_layer(path: &Path, digest: Option<Digest>) -> Result<StoredLayer, PersistError> {
+        let data = std::fs::read(path)?;
+        let layer = match digest {
+            Some(digest) => decode_layer(digest, &data),
+            None => std::str::from_utf8(&data)
+                .ok()
+                .and_then(Self::parse_envelope)
+                .map(|(recipe, blob_len)| StoredLayer { recipe, blob_len, inline: Vec::new() }),
+        };
+        layer.ok_or_else(|| PersistError::Torn(path.to_path_buf()))
+    }
+
+    /// Replays every layer on disk into memory: reopen, in the four steps
+    /// of the module docs over the sorted layer list. Steps 1 and 2–3 run
+    /// on `threads` workers but hand their results back in input order,
+    /// and each is checked front to back before the next starts, so the
+    /// damaged file an error names never depends on thread timing: the
+    /// first torn layer file in path order, else the first bad object in
+    /// first-seen order, inline or not.
     fn replay_with(&self, threads: usize) -> Result<(), PersistentError> {
-        // (1) Read and parse every envelope.
-        let recipe_files = self.recipe_files()?;
-        let parsed = dhub_par::par_map(threads, &recipe_files, |path| {
-            let text = std::fs::read_to_string(path)?;
-            Self::parse_envelope(&text).ok_or_else(|| PersistError::Torn(path.clone()))
-        });
-        let recipes = parsed.into_iter().collect::<Result<Vec<_>, PersistError>>()?;
+        // (1) Read every layer file and check its CRCs.
+        let files = self.layer_files()?;
+        let read =
+            dhub_par::par_map(threads, &files, |(path, digest)| Self::read_layer(path, *digest));
+        let layers = read.into_iter().collect::<Result<Vec<_>, PersistError>>()?;
 
-        // (2) Fetch each referenced object once, however many layers name
-        // it; reads are digest-verified, so torn or flipped bytes surface
-        // as Corrupt, never as data.
+        // (2) + (3) Each referenced object once, however many layers name
+        // it: the first inline copy when a layer file carries one,
+        // otherwise the object file. Both are digest-verified, so torn or
+        // flipped bytes surface as Corrupt, never as data.
+        let mut inline: FxHashMap<Digest, Vec<u8>> = FxHashMap::default();
         let mut seen: FxHashSet<Digest> = FxHashSet::default();
-        let wanted: Vec<Digest> = recipes
-            .iter()
-            .flat_map(|(recipe, _)| recipe.file_digests())
-            .filter(|d| seen.insert(*d))
-            .collect();
-        let fetched = dhub_par::par_map(threads, &wanted, |d| {
-            self.objects.get(d)?.ok_or(PersistentError::Store(StoreError::MissingObject(*d)))
+        let mut wanted: Vec<Digest> = Vec::new();
+        let mut stored = Vec::with_capacity(layers.len());
+        for layer in layers {
+            for (d, data) in layer.inline {
+                inline.entry(d).or_insert(data);
+            }
+            wanted.extend(layer.recipe.file_digests().filter(|d| seen.insert(*d)));
+            stored.push((layer.recipe, layer.blob_len));
+        }
+        let fetched = dhub_par::par_map(threads, &wanted, |d| match inline.get(d) {
+            Some(data) => {
+                self.objects.verify(d, data).map(|()| None).map_err(PersistentError::from)
+            }
+            None => match self.objects.get(d)? {
+                Some(data) => Ok(Some(data)),
+                None => Err(StoreError::MissingObject(*d).into()),
+            },
         });
-        let mut contents = wanted
-            .iter()
-            .zip(fetched)
-            .map(|(d, data)| Ok((*d, data?)))
-            .collect::<Result<FxHashMap<Digest, Vec<u8>>, PersistentError>>()?;
+        let mut contents = FxHashMap::default();
+        for (d, data) in wanted.iter().zip(fetched) {
+            let data = match data? {
+                Some(data) => data,
+                None => inline.remove(d).expect("verified inline above"),
+            };
+            contents.insert(*d, data);
+        }
 
-        // (3) Commit in recipe order; recipes and bytes move into memory.
-        for (recipe, blob_len) in recipes {
+        // (4) Commit in layer order; recipes and bytes move into memory.
+        for (recipe, blob_len) in stored {
             self.mem.commit_recipe(recipe, blob_len, &mut contents)?;
         }
         Ok(())
     }
 
     /// Commits a layer from already-parsed entries, durably. Publishes
-    /// new objects first, then the recipe envelope, then updates memory —
-    /// see the module docs for why this ordering makes crashes safe.
+    /// new large objects first, then the layer file, then updates memory
+    /// — see the module docs for why this ordering makes crashes safe.
     pub fn commit_parsed(
         &self,
         layer_digest: Digest,
@@ -262,41 +465,38 @@ impl PersistentDedupStore {
         if self.mem.contains_layer(&layer_digest) {
             return Err(StoreError::AlreadyIngested.into());
         }
-        // One batched publish for the layer's new objects: a single fanout
-        // dir fsync per touched shard instead of one per object.
+        // One batched publish for the layer's new large objects: a single
+        // fanout dir fsync per touched shard instead of one per object.
         let new_objects: Vec<(Digest, &[u8])> = pending
             .iter()
             .filter_map(|p| p.file.as_ref())
-            .filter(|(digest, _)| !self.mem.has_object(digest))
+            .filter(|(digest, data)| data.len() > INLINE_MAX && !self.mem.has_object(digest))
             .map(|(digest, data)| (*digest, *data))
             .collect();
         self.objects.put_batch(&new_objects)?;
-        let recipe = LayerRecipe {
-            layer_digest,
-            entries: pending.iter().map(|p| p.meta.clone()).collect(),
-        };
-        let path = self.recipe_path(&layer_digest);
-        let shard = path.parent().expect("recipe path has a shard dir");
+        let path = self.layer_path(&layer_digest);
+        let shard = path.parent().expect("layer path has a shard dir");
         if !shard.exists() {
             std::fs::create_dir_all(shard).map_err(PersistError::from)?;
             // The fanout directory itself is a fresh entry in `layers/`.
             fsync_dir(&self.layers_dir).map_err(PersistError::from)?;
         }
-        self.publisher.publish(&path, Self::envelope(&recipe, blob_len).as_bytes())?;
+        self.publisher.publish(&path, &layer_table(blob_len, &pending).to_bytes())?;
         Ok(self.mem.commit_parsed(layer_digest, blob_len, pending)?)
     }
 
-    /// No-op: recipes + objects are the only durable state. Kept for the
+    /// No-op: layers + objects are the only durable state. Kept for the
     /// frozen `bench/` driver, which still calls it (ROADMAP item 1).
     pub fn checkpoint(&self) -> Result<(), PersistentError> {
         Ok(())
     }
 
     /// Garbage-collects objects no recipe references (crash orphans) and
-    /// sweeps in-flight temp debris. Must not overlap a layer commit: a
-    /// commit's objects land before the recipe that makes them live, so a
-    /// sweep in between would collect them. (Against a bare object publish
-    /// the sweep is safe — both hold that fanout shard's lock.)
+    /// sweeps in-flight temp debris under `objects/` and `layers/`. Must
+    /// not overlap a layer commit: a commit's objects land before the layer
+    /// file that makes them live, so a sweep in between would collect
+    /// them. (Against a bare object publish the sweep is safe — both hold
+    /// that fanout shard's lock.)
     pub fn gc(&self) -> Result<GcStats, PersistentError> {
         let mut live: FxHashSet<Digest> = FxHashSet::default();
         for d in self.mem.layer_digests() {
@@ -304,9 +504,29 @@ impl PersistentDedupStore {
                 live.extend(r.file_digests());
             }
         }
-        Ok(self.objects.gc(&live)?)
+        let mut stats = self.objects.gc(&live)?;
+        stats.tmp_files += self.sweep_layer_debris().map_err(PersistError::from)?;
+        Ok(stats)
     }
 
+    /// Deletes the `*.tmp` debris of layer files whose publish crashed.
+    fn sweep_layer_debris(&self) -> std::io::Result<u64> {
+        let mut swept = 0;
+        for shard in std::fs::read_dir(&self.layers_dir)? {
+            let shard = shard?.path();
+            if !shard.is_dir() {
+                continue;
+            }
+            for f in std::fs::read_dir(&shard)? {
+                let path = f?.path();
+                if path.extension().is_some_and(|e| e == "tmp") {
+                    std::fs::remove_file(&path)?;
+                    swept += 1;
+                }
+            }
+        }
+        Ok(swept)
+    }
 }
 
 #[cfg(test)]
@@ -348,16 +568,29 @@ mod tests {
         })
     }
 
+    /// `len` bytes that differ per `seed`: over [`INLINE_MAX`] they get an
+    /// object file of their own.
+    fn large(len: usize, seed: u8) -> Vec<u8> {
+        (0..len).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect()
+    }
+
     fn sample_layers() -> Vec<(Digest, Vec<u8>)> {
         let shared = b"the shared library bytes".as_slice();
+        let big = large(INLINE_MAX + 1, 1);
         vec![
             layer(&[
                 TarEntry::dir("usr/"),
                 file("usr/lib/libx.so", shared),
+                file("usr/lib/big.so", &big),
                 file("etc/one", b"one"),
                 TarEntry::symlink("usr/l", "lib"),
             ]),
-            layer(&[file("opt/lib/libx.so", shared), file("etc/two", b"two")]),
+            layer(&[
+                file("opt/lib/libx.so", shared),
+                file("opt/lib/big.so", &big),
+                file("etc/two", b"two"),
+                file("etc/edge", &large(INLINE_MAX, 2)),
+            ]),
             layer(&[file("var/empty", b""), TarEntry::hardlink("var/h", "var/empty")]),
         ]
     }
@@ -391,12 +624,11 @@ mod tests {
                 "reloaded recipes must reconstruct byte-identically"
             );
         }
-        // Each envelope on disk is byte for byte what serializing it as
-        // one JSON value yields: splicing the recipe text in changed
-        // nothing about the format.
+        // Each layer file decodes to the recipe the live ingest recorded.
         for (d, _) in &sample_layers() {
-            let text = std::fs::read_to_string(reopened.recipe_path(d)).unwrap();
-            assert_eq!(dhub_json::parse(&text).unwrap().to_string(), text);
+            let stored =
+                PersistentDedupStore::read_layer(&reopened.layer_path(d), Some(*d)).unwrap();
+            assert_eq!(Some(&stored.recipe), reference.recipe(d).as_deref());
         }
         let _ = std::fs::remove_dir_all(root);
     }
@@ -428,8 +660,8 @@ mod tests {
         let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
         let (d, b) = sample_layers()[0].clone();
         ingest(&store, d, &b).unwrap();
-        // Simulate a crash between object publish and recipe publish:
-        // objects on disk, no recipe referencing them.
+        // Simulate a crash between object publish and layer publish:
+        // objects on disk, no layer referencing them.
         let orphan = store.objects().put(b"orphaned by a crash").unwrap();
         let live_before = store.mem().stats().unique_objects;
         let swept = store.gc().unwrap();
@@ -444,6 +676,32 @@ mod tests {
     }
 
     #[test]
+    fn gc_sweeps_the_debris_of_crashed_layer_publishes() {
+        let root = tmp_root("layer-debris");
+        let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
+        let layers = sample_layers();
+        ingest(&store, layers[0].0, &layers[0].1).unwrap();
+        // A publish killed mid-write leaves its temp file beside the layer
+        // files: one in a shard that holds a layer, one in a shard of its own.
+        let next = store.layer_path(&layers[1].0);
+        let beside = store.layer_path(&layers[0].0).with_file_name("f".repeat(64));
+        let beside = dhub_persist::tmp_path(&beside);
+        std::fs::create_dir_all(next.parent().unwrap()).unwrap();
+        let debris = [dhub_persist::tmp_path(&next), beside];
+        for path in &debris {
+            std::fs::write(path, b"torn layer fi").unwrap();
+        }
+        let swept = store.gc().unwrap();
+        assert_eq!((swept.objects, swept.tmp_files), (0, 2));
+        assert!(debris.iter().all(|p| !p.exists()));
+        assert!(store.layer_path(&layers[0].0).exists(), "a published layer file is never swept");
+        drop(store);
+        let reopened = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
+        assert_eq!(reopened.mem().stats().layers, 1);
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
     fn faulted_writes_retry_to_a_consistent_store() {
         use dhub_faults::{FaultConfig, FaultInjector, RetryPolicy};
         let root = tmp_root("faulted");
@@ -454,8 +712,10 @@ mod tests {
         }));
         let reference = DedupStore::new();
         {
+            // Twelve layers: enough publishes (one per layer and per large
+            // object) for the crash rate to fire.
             let store = PersistentDedupStore::open(&root, publisher).unwrap();
-            for (d, b) in &sample_layers() {
+            for (d, b) in &many_layers() {
                 ingest(&store, *d, b).unwrap();
                 reference.ingest_layer(*d, b).unwrap();
             }
@@ -474,33 +734,40 @@ mod tests {
             let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
             ingest(&store, d, &b).unwrap();
         }
-        // Flip a byte inside the recipe envelope behind the store's back.
+        // Flip a byte inside the layer file behind the store's back.
         let hex = hex_of(&d);
-        let path = root.join("layers").join(&hex[..2]).join(format!("{hex}.json"));
+        let path = root.join("layers").join(&hex[..2]).join(hex);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let err = PersistentDedupStore::open(&root, Publisher::new())
             .err()
-            .expect("replay of a tampered recipe must fail");
+            .expect("replay of a tampered layer file must fail");
         match err {
             PersistentError::Persist(PersistError::Torn(p)) => assert_eq!(p, path),
-            other => panic!("expected torn recipe error, got {other:?}"),
+            other => panic!("expected torn layer error, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(root);
     }
 
     /// Twelve layers whose objects are shared by all, by pairs, by none,
     /// and twice within one layer — 19 unique objects over 48 file entries.
+    /// The one every layer shares and every other pair's are large; the
+    /// rest are inline.
     fn many_layers() -> Vec<(Digest, Vec<u8>)> {
         (0..12u32)
             .map(|i| {
                 let own = format!("only in layer {i}");
+                let pair = i / 2;
+                let mut pair_content = format!("shared by pair {pair}").into_bytes();
+                if pair % 2 == 0 {
+                    pair_content.extend(large(INLINE_MAX, pair as u8));
+                }
                 layer(&[
                     TarEntry::dir("shared/"),
-                    file("shared/lib", b"shared by every layer"),
-                    file(&format!("pair/{}", i / 2), format!("shared by pair {}", i / 2).as_bytes()),
+                    file("shared/lib", &large(2 * INLINE_MAX, 0xa5)),
+                    file(&format!("pair/{pair}"), &pair_content),
                     file(&format!("own/{i}"), own.as_bytes()),
                     file("own/again", own.as_bytes()),
                 ])
@@ -524,6 +791,29 @@ mod tests {
         let mut bytes = std::fs::read(path).unwrap();
         bytes[at] ^= 0x01;
         std::fs::write(path, &bytes).unwrap();
+    }
+
+    /// Rewrites `path`'s layer file with one byte of the inline copy of
+    /// `victim` flipped and every CRC recomputed: the file reads back
+    /// sound, and only the object's digest can catch the flip. False when
+    /// the file carries no inline copy of `victim`.
+    fn flip_inline(path: &Path, victim: &Digest) -> bool {
+        let table = Table::from_bytes(&std::fs::read(path).unwrap()).unwrap();
+        let meta = table.meta().to_vec();
+        let mut cols = table.into_columns();
+        let (Column::Bytes(shas), Column::Bytes(contents)) = (&cols[7], &cols[9]) else {
+            unreachable!("the layer schema")
+        };
+        let carried = shas.iter().zip(contents).position(|(sha, c)| sha == &victim.0 && !c.is_empty());
+        let Some(row) = carried else { return false };
+        let Column::Bytes(contents) = &mut cols[9] else { unreachable!() };
+        contents[row][0] ^= 0x01;
+        let mut tampered = Table::from_columns(layer_schema(), cols).unwrap();
+        for (key, value) in &meta {
+            tampered = tampered.with_meta(key, *value);
+        }
+        std::fs::write(path, tampered.to_bytes()).unwrap();
+        true
     }
 
     #[test]
@@ -564,84 +854,151 @@ mod tests {
 
     #[test]
     fn the_damaged_file_open_names_does_not_depend_on_thread_timing() {
-        let (root, _) = populated("blame");
+        let (root, reference) = populated("blame");
         let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
-        let recipe_files = store.recipe_files().unwrap();
+        let layer_files = store.layer_files().unwrap();
         let mut first_seen: Vec<Digest> = Vec::new();
-        for path in &recipe_files {
-            let text = std::fs::read_to_string(path).unwrap();
-            let (recipe, _) = PersistentDedupStore::parse_envelope(&text).unwrap();
-            for d in recipe.file_digests() {
+        for (path, digest) in &layer_files {
+            let stored = PersistentDedupStore::read_layer(path, *digest).unwrap();
+            for d in stored.recipe.file_digests() {
                 if !first_seen.contains(&d) {
                     first_seen.push(d);
                 }
             }
         }
         drop(store);
+        let is_large = |d: &Digest| reference.object_data(d).unwrap().len() > INLINE_MAX;
         let object_path = |d: &Digest| {
             let hex = hex_of(d);
             root.join("objects").join(&hex[..2]).join(hex)
         };
-        // Two torn recipes and two flipped objects at once: the first torn
-        // recipe in path order is named, whatever the objects look like.
-        let torn = [&recipe_files[3], &recipe_files[9]];
+        // Two torn layer files, a flipped object file and a flipped inline
+        // object at once: the first torn layer file in path order is named,
+        // whatever the objects look like.
+        let torn = [&layer_files[3].0, &layer_files[9].0];
         let sound: Vec<Vec<u8>> = torn.iter().map(|p| std::fs::read(p).unwrap()).collect();
-        let flipped = [first_seen[4], first_seen[first_seen.len() - 2]];
+        let inline_victim = *first_seen.iter().filter(|d| !is_large(d)).nth(2).unwrap();
+        let large_victim = *first_seen.iter().filter(|d| is_large(d)).last().unwrap();
+        let inline_at = first_seen.iter().position(|d| *d == inline_victim).unwrap();
+        let large_at = first_seen.iter().position(|d| *d == large_victim).unwrap();
+        assert!(inline_at < large_at);
         for path in torn {
             flip_byte(path, 200);
         }
-        for d in &flipped {
-            flip_byte(&object_path(d), 0);
-        }
-        for threads in [1, 2, 8] {
-            match PersistentDedupStore::open_with(&root, Publisher::new(), None, threads).err() {
-                Some(PersistentError::Persist(PersistError::Torn(p))) => {
-                    assert_eq!(&p, torn[0], "threads={threads}")
-                }
-                other => panic!("threads={threads}: expected a torn recipe, got {other:?}"),
+        flip_byte(&object_path(&large_victim), 0);
+        let carrier = layer_files
+            .iter()
+            .find(|(path, _)| !torn.contains(&path) && flip_inline(path, &inline_victim))
+            .expect("a sound layer file carries the inline victim")
+            .0
+            .clone();
+        let blame = |want: &dyn Fn(PersistentError) -> bool, what: &str| {
+            for threads in [1, 2, 8] {
+                let err =
+                    PersistentDedupStore::open_with(&root, Publisher::new(), None, threads).err();
+                assert!(err.is_some_and(want), "threads={threads}: expected {what}");
             }
-        }
-        // Every recipe sound again: the first flipped object in first-seen
-        // order is named.
+        };
+        let corrupt = |want: Digest| {
+            move |e| matches!(e, PersistentError::Persist(PersistError::Corrupt(d)) if d == want)
+        };
+        blame(
+            &|e| matches!(e, PersistentError::Persist(PersistError::Torn(p)) if &p == torn[0]),
+            "the first torn file",
+        );
+        // Every layer file sound again: the first bad object in first-seen
+        // order is named, here the inline one…
         for (path, bytes) in torn.iter().zip(&sound) {
             std::fs::write(path, bytes).unwrap();
         }
-        for threads in [1, 2, 8] {
-            match PersistentDedupStore::open_with(&root, Publisher::new(), None, threads).err() {
-                Some(PersistentError::Persist(PersistError::Corrupt(d))) => {
-                    assert_eq!(d, flipped[0], "threads={threads}")
-                }
-                other => panic!("threads={threads}: expected a corrupt object, got {other:?}"),
-            }
-        }
+        blame(&corrupt(inline_victim), "the inline object");
+        // …and once it is sound, the object file.
+        assert!(flip_inline(&carrier, &inline_victim));
+        blame(&corrupt(large_victim), "the object file");
         // And an object gone altogether, earlier still, is what is named.
-        std::fs::remove_file(object_path(&first_seen[1])).unwrap();
-        for threads in [1, 2, 8] {
-            match PersistentDedupStore::open_with(&root, Publisher::new(), None, threads).err() {
-                Some(PersistentError::Store(StoreError::MissingObject(d))) => {
-                    assert_eq!(d, first_seen[1], "threads={threads}")
-                }
-                other => panic!("threads={threads}: expected a missing object, got {other:?}"),
-            }
-        }
+        assert!(is_large(&first_seen[0]));
+        std::fs::remove_file(object_path(&first_seen[0])).unwrap();
+        blame(
+            &|e| matches!(e, PersistentError::Store(StoreError::MissingObject(d)) if d == first_seen[0]),
+            "the missing object",
+        );
         let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
-    fn any_envelope_layout_but_the_writers_is_torn() {
-        let root = tmp_root("tamper");
-        let (d, b) = sample_layers()[0].clone();
+    fn every_bit_flip_in_a_layer_file_is_torn() {
+        let root = tmp_root("flip");
+        let (d, b) = sample_layers()[1].clone();
         let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
         ingest(&store, d, &b).unwrap();
-        let path = store.recipe_path(&d);
+        let path = store.layer_path(&d);
+        drop(store);
+        let sound = std::fs::read(&path).unwrap();
+        let stored = decode_layer(d, &sound).expect("the writer's bytes decode");
+        assert_eq!(stored.blob_len, b.len() as u64);
+        assert_eq!(stored.inline.len(), 3, "every file up to INLINE_MAX, and only those");
+        // The compressed length sits in the metadata, under the CRC like
+        // every other byte.
+        let blob_len = (b.len() as u64).to_le_bytes();
+        let blob_len_at = sound.windows(8).position(|w| w == blob_len).unwrap();
+        let flip = |bit: usize| {
+            let mut bytes = sound.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            bytes
+        };
+        for bit in 0..sound.len() * 8 {
+            assert!(decode_layer(d, &flip(bit)).is_none(), "flip of bit {bit}");
+        }
+        // End to end through `open`: the head, the compressed length, an
+        // inline object, the trailer.
+        let content_at = sound.windows(3).position(|w| w == b"two").unwrap();
+        for at in [3, blob_len_at, content_at, sound.len() - 1] {
+            std::fs::write(&path, flip(8 * at)).unwrap();
+            match PersistentDedupStore::open(&root, Publisher::new()).err() {
+                Some(PersistentError::Persist(PersistError::Torn(p))) => {
+                    assert_eq!(p, path, "byte {at}")
+                }
+                other => panic!("byte {at}: expected a torn layer file, got {other:?}"),
+            }
+        }
+        std::fs::write(&path, &sound).unwrap();
+        assert!(PersistentDedupStore::open(&root, Publisher::new()).is_ok());
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// A copy of the store dir the JSON-envelope (v1) writer left for three
+    /// layers, checked in under `tests/fixtures/v1-store`.
+    fn v1_store(tag: &str) -> PathBuf {
+        let root = tmp_root(tag);
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1-store");
+        for sub in ["layers", "objects"] {
+            for shard in std::fs::read_dir(fixture.join(sub)).unwrap() {
+                let shard = shard.unwrap().path();
+                let to = root.join(sub).join(shard.file_name().unwrap());
+                std::fs::create_dir_all(&to).unwrap();
+                for f in std::fs::read_dir(&shard).unwrap() {
+                    let f = f.unwrap().path();
+                    std::fs::copy(&f, to.join(f.file_name().unwrap())).unwrap();
+                }
+            }
+        }
+        root
+    }
+
+    #[test]
+    fn any_envelope_layout_but_the_writers_is_torn() {
+        let root = v1_store("tamper");
+        let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
+        let (path, _) = store.layer_files().unwrap().into_iter().next().unwrap();
         drop(store);
         let sound = std::fs::read_to_string(&path).unwrap();
         assert!(PersistentDedupStore::parse_envelope(&sound).is_some());
         let head_len = sound.find(r#""recipe":"#).unwrap() + r#""recipe":"#.len();
 
         // One flipped bit anywhere. `blobLen`'s digits are the one part of
-        // an envelope its checksum has never covered (a flipped digit is
-        // another digit): skipped here, not claimed.
+        // a v1 envelope its checksum has never covered (a flipped digit is
+        // another digit): skipped here, not claimed. Layer files close the
+        // gap (`every_bit_flip_in_a_layer_file_is_torn`).
         let blob_len_at = sound.find(r#""blobLen":"#).unwrap() + r#""blobLen":"#.len();
         let blob_len_digits = sound[blob_len_at..].find(',').unwrap();
         let flip = |at: usize| {
@@ -657,19 +1014,22 @@ mod tests {
         }
 
         // The named cases, end to end through `open`: a flip in the head,
-        // in the recipe span, in the tail, and a JSON-equal envelope that
-        // is spaced differently.
+        // in the recipe span, in the tail, a high bit that leaves the text
+        // not utf-8, and a JSON-equal envelope that is spaced differently.
         let respaced = sound.replacen(r#","recipe":"#, r#", "recipe": "#, 1);
         assert_eq!(dhub_json::parse(&respaced).unwrap(), dhub_json::parse(&sound).unwrap());
+        let mut not_utf8 = sound.clone().into_bytes();
+        not_utf8[head_len] ^= 0x80;
         let cases = [
-            ("head", flip(3)),
-            ("recipe span", flip(head_len + (sound.len() - head_len) / 2)),
-            ("tail", flip(sound.len() - 1)),
-            ("trailing newline", format!("{sound}\n")),
-            ("re-spaced", respaced),
+            ("head", flip(3).into_bytes()),
+            ("recipe span", flip(head_len + (sound.len() - head_len) / 2).into_bytes()),
+            ("tail", flip(sound.len() - 1).into_bytes()),
+            ("not utf-8", not_utf8),
+            ("trailing newline", format!("{sound}\n").into_bytes()),
+            ("re-spaced", respaced.into_bytes()),
         ];
-        for (what, text) in cases {
-            std::fs::write(&path, text).unwrap();
+        for (what, bytes) in cases {
+            std::fs::write(&path, bytes).unwrap();
             match PersistentDedupStore::open(&root, Publisher::new()).err() {
                 Some(PersistentError::Persist(PersistError::Torn(p))) => assert_eq!(p, path, "{what}"),
                 other => panic!("{what}: expected a torn recipe, got {other:?}"),

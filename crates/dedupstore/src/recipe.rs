@@ -46,7 +46,8 @@ impl LayerRecipe {
         })
     }
 
-    /// Serializes to JSON (the registry would store this as a small blob),
+    /// Serializes to JSON, the recipe format of stores written before
+    /// layer files (the store writes none now; `bench/` still replays it),
     /// written straight into one pre-sized `String`. The bytes are what
     /// printing the equivalent `Json` object yields: keys in the order
     /// below, through `dhub-json`'s own escaper and number writer.

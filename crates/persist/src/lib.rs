@@ -12,9 +12,11 @@
 //! * [`blobstore`] — content-addressed objects under sharded fanout
 //!   directories with digest-verified reads and GC of unreferenced
 //!   objects and in-flight temp debris.
-//! * [`table`] — typed columnar tables (u64 / f64 / string columns):
-//!   append in memory, snapshot to a crc-checked binary file, scan with
-//!   predicate pushdown over the column data.
+//! * [`table`] — typed columnar tables (u64 / f64 / string / bytes
+//!   columns, plus named u64 metadata): append in memory, snapshot to a
+//!   crc-checked binary file, scan with predicate pushdown over the column
+//!   data. The study database is a set of them, and so is each layer of
+//!   the durable dedup store.
 //!
 //! Every durable write goes through the same publish path, so one fault
 //! plan (`--fault-rate`) exercises torn and bit-flipped in-flight files
@@ -26,7 +28,7 @@ pub mod table;
 
 pub use blobstore::{BlobStore, GcStats};
 pub use fsync::{fsync_dir, tmp_path, Publisher, WriteFaults};
-pub use table::{ColType, Predicate, Schema, Table, Value};
+pub use table::{ColType, Column, Predicate, Schema, Table, Value};
 
 use dhub_model::Digest;
 use std::path::PathBuf;
@@ -37,7 +39,7 @@ pub enum PersistError {
     Io(std::io::Error),
     /// Stored object bytes do not match their digest (on-disk corruption).
     Corrupt(Digest),
-    /// A table or recipe file failed its structural/checksum validation
+    /// A table or layer file failed its structural/checksum validation
     /// (torn write that escaped the atomic-publish discipline, or outside
     /// tampering).
     Torn(PathBuf),
@@ -70,7 +72,7 @@ impl From<std::io::Error> for PersistError {
 }
 
 /// Lowercase hex of a digest, without the `sha256:` prefix — the on-disk
-/// object/recipe file name.
+/// object/layer file name.
 pub fn hex_of(d: &Digest) -> String {
     let s = d.to_docker_string();
     s.strip_prefix("sha256:").unwrap_or(&s).to_string()

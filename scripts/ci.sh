@@ -65,15 +65,19 @@ cargo test -q --offline -p dhub-dedupstore --test rebuild
 
 # Replayability is part of the contract: one property suite re-run under a
 # pinned PROPTEST_SEED must pass identically. The JSON hostile-input suite
-# (parse == the recursive-descent oracle, allocating no more than it) and
-# the encoder oracle suite (gzip_compress == the whole-input reference
-# encoder byte for byte, allocating ≤ 4 × its output + 1 MiB) replay under
-# the same seed.
-echo "==> prop test replay: dhub-faults, dhub-json hostile and dhub-compress encoder oracle under pinned PROPTEST_SEED"
+# (parse == the recursive-descent oracle, allocating no more than it), the
+# table hostile-input suite (`Table::load` on arbitrary and mutated bytes:
+# Torn or the exact table, never a panic, allocating ≤ 16 × the file's
+# length + 1 KiB) and the encoder oracle suite (gzip_compress == the
+# whole-input reference encoder byte for byte, allocating ≤ 4 × its
+# output + 1 MiB) replay under the same seed.
+echo "==> prop test replay: dhub-faults, dhub-json and dhub-persist hostile, dhub-compress encoder oracle under pinned PROPTEST_SEED"
 PROPTEST_SEED=0x00000000002a2a2a \
     cargo test -q --offline -p dhub-faults --test props
 PROPTEST_SEED=0x00000000002a2a2a \
     cargo test -q --offline -p dhub-json --test hostile
+PROPTEST_SEED=0x00000000002a2a2a \
+    cargo test -q --offline -p dhub-persist --test hostile
 PROPTEST_SEED=0x00000000002a2a2a \
     cargo test -q --offline -p dhub-compress --test encoder_oracle
 

@@ -1,9 +1,10 @@
-//! Golden bytes for the JSON the durable tiers write for themselves: every
-//! recipe envelope of a fixed small durable study, and every job and
+//! Golden bytes for the files the durable tiers write for themselves:
+//! every layer file of a fixed small durable study, and every job and
 //! result envelope of the same study run through the queue. Each file's
 //! SHA-256 is folded, in path order, into one digest per tree and pinned.
 //! A store or queue dir written by an older build must reopen unchanged,
 //! so these bytes may only move together with an on-disk format version.
+//! Also here: the shape of a durable study's dir, file by file.
 
 use dhub_dedupstore::PersistentDedupStore;
 use dhub_faults::RetryPolicy;
@@ -12,6 +13,7 @@ use dhub_obs::MetricsRegistry;
 use dhub_persist::Publisher;
 use dhub_queue::DurableQueue;
 use dhub_study::distributed::{run_study_queued_obs, QueuedStudyConfig};
+use dhub_study::db::StudyDb;
 use dhub_study::pipeline::run_study_persist_obs;
 use dhub_synth::{generate_hub, SynthConfig, SyntheticHub};
 use std::path::{Path, PathBuf};
@@ -26,8 +28,8 @@ fn tmp(tag: &str) -> PathBuf {
     dir
 }
 
-/// Every `*.json` under `dir`, as (path relative to `dir`, bytes).
-fn json_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+/// Every file under `dir`, as (path relative to `dir`, bytes).
+fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
@@ -35,7 +37,7 @@ fn json_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
             let path = entry.unwrap().path();
             if path.is_dir() {
                 stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "json") {
+            } else {
                 let name = path.strip_prefix(dir).unwrap().to_string_lossy().into_owned();
                 out.push((name, std::fs::read(&path).unwrap()));
             }
@@ -48,7 +50,7 @@ fn json_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
 /// The file count under `dir`, and one digest over each file's path and
 /// SHA-256 in path order.
 fn tree_digest(dir: &Path) -> (usize, String) {
-    let files = json_files(dir);
+    let files = files(dir);
     let listing: String = files
         .iter()
         .map(|(name, bytes)| format!("{name} {}\n", Digest::of(bytes).to_docker_string()))
@@ -56,6 +58,8 @@ fn tree_digest(dir: &Path) -> (usize, String) {
     (files.len(), Digest::of(listing.as_bytes()).to_docker_string())
 }
 
+/// Pins the layer files (the recipe envelopes before them, under the
+/// same name).
 #[test]
 fn recipe_envelopes_are_pinned() {
     let dir = tmp("persist");
@@ -83,11 +87,53 @@ fn queue_envelopes_are_pinned() {
     assert_eq!(results, (JOBS, RESULTS_DIGEST.to_string()), "result envelopes");
 }
 
-// Recorded from the build before the recipe codec stopped building a
-// `Json` tree.
+/// A durable study's dir holds one file per layer, one per object over
+/// 4 KiB, and the study tables — no file per small object.
+#[test]
+fn a_durable_study_dir_holds_a_file_per_layer_and_per_large_object() {
+    let dir = tmp("shape");
+    let publisher = Publisher::new();
+    let store = PersistentDedupStore::open(&dir, publisher.clone()).unwrap();
+    let obs = MetricsRegistry::new();
+    let data = run_study_persist_obs(&hub(), 2, &RetryPolicy::default(), &store, &obs);
+    StudyDb::build(&data, &store.mem().stats()).save(&dir.join("db"), &publisher).unwrap();
+    let mem = store.mem();
+    let stats = mem.stats();
+    let mut large: Vec<String> = Vec::new();
+    for layer in mem.layer_digests() {
+        for d in mem.recipe(&layer).unwrap().file_digests() {
+            if mem.object_data(&d).unwrap().len() > 4096 {
+                large.push(format!("objects/{}", dhub_persist::hex_of(&d)));
+            }
+        }
+    }
+    large.sort();
+    large.dedup();
+    let listing: Vec<String> = files(&dir).into_iter().map(|(name, _)| name).collect();
+    let (mut layers, mut objects, mut tables) = (0, Vec::new(), 0);
+    for name in &listing {
+        let (top, rest) = name.split_once('/').unwrap();
+        match top {
+            "layers" => layers += 1,
+            "objects" => objects.push(format!("objects/{}", rest.split_once('/').unwrap().1)),
+            "db" if rest.ends_with(".tbl") && !rest.contains('/') => tables += 1,
+            _ => panic!("unexpected file {name}"),
+        }
+    }
+    objects.sort();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(layers, stats.layers);
+    assert_eq!(objects, large);
+    assert!(!large.is_empty(), "the study has objects over 4 KiB");
+    assert!(large.len() * 4 < stats.unique_objects, "{} of {}", large.len(), stats.unique_objects);
+    assert_eq!(tables, 5);
+}
+
+// Recorded at the switch from JSON recipe envelopes to layer files
+// (layer file format 2).
 const RECIPES: usize = 91;
 const RECIPES_DIGEST: &str =
-    "sha256:652ca6fa4708aaa0315971894427de31895e4060513eecd5c94d5b04fb36c59c";
+    "sha256:3d86784b83babc19b7094db94c30ecd22562c18d40a8ca93e21abd75da13a5fb";
 const JOBS: usize = 108;
 const JOBS_DIGEST: &str = "sha256:97bdf7441e9ff6c1e8a2fd7330f39bfa810bee5723e75292567af2252731b504";
 const RESULTS_DIGEST: &str =
