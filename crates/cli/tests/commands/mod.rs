@@ -357,6 +357,23 @@ fn query_corrupt_table_is_an_error_not_a_fallback() {
 }
 
 #[test]
+fn query_of_a_table_in_the_wrong_place_is_an_error_not_a_panic() {
+    // Two CRC-valid tables swapped: the load fails naming the first of
+    // them it reads, where the queries used to panic.
+    let dir = durable_store("qswap", "10");
+    let tbl = |name: &str| dir.join("db").join(format!("{name}.tbl"));
+    let files = std::fs::read(tbl("files")).unwrap();
+    std::fs::copy(tbl("layers"), tbl("files")).unwrap();
+    std::fs::write(tbl("layers"), &files).unwrap();
+    for question in ["top-types", "summary"] {
+        let (code, q) = run_cmd(&["query", arg(&dir), question]);
+        assert_eq!(code, 1, "{q}");
+        assert!(q.contains("cannot load study tables") && q.contains(arg(&tbl("layers"))), "{q}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn query_missing_store_fails_cleanly() {
     let (code, out) = run_cmd(&["query", "/nonexistent/dhub-store"]);
     assert_eq!(code, 1);

@@ -10,8 +10,8 @@
 //! demand (cf. Slimmer \[16\] and "Carving perfect layers" \[30\], both cited
 //! by the paper).
 //!
-//! * [`recipe`] — the layer recipe model with JSON (de)serialization (the
-//!   format of stores written before layer files),
+//! * [`recipe`] — the layer recipe model, and its JSON form (what stores
+//!   before layer files held; written for `bench/`'s replay, never read),
 //! * [`store`] — the store itself: recipes and file objects in,
 //!   reconstructed layers and savings accounting out,
 //! * [`fused`] — single-pass analyze + ingest sharing one decompression

@@ -44,20 +44,15 @@
 //! bit-identical to the single-process run that wrote it, at any thread
 //! count. Layers and objects are the only state on disk: nothing derived
 //! from them is stored, so there is nothing to go stale.
-//!
-//! Stores written before layer files existed hold `layers/ab/<hex>.json`
-//! recipe envelopes (format v1) and every object in `objects/`. Reopen
-//! still reads them, and a resumed ingest appends layer files beside them.
 
 use crate::recipe::{EntryMeta, LayerRecipe, RecipeEntryKind};
 use crate::store::{DedupStore, IngestStats, PendingEntry, StoreError};
 use dhub_digest::{FxHashMap, FxHashSet};
-use dhub_json::Reader;
 use dhub_model::Digest;
 use dhub_obs::MetricsRegistry;
 use dhub_persist::{
-    digest_from_hex, fsync_dir, hex_of, BlobStore, ColType, Column, GcStats, PersistError,
-    Publisher, Schema, Table,
+    digest_from_hex, fsync_dir, hex_of, BlobStore, BytesColumn, ColType, Column, GcStats,
+    PersistError, Publisher, Schema, StrColumn, Table,
 };
 use std::path::{Path, PathBuf};
 
@@ -103,8 +98,11 @@ struct StoredLayer {
 /// inline on its first row.
 fn layer_table(blob_len: u64, pending: &[PendingEntry<'_>]) -> Table {
     let n = pending.len();
-    let (mut path, mut target) = (Vec::with_capacity(n), Vec::with_capacity(n));
-    let (mut sha256, mut content) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let paths: usize = pending.iter().map(|p| p.meta.path.len()).sum();
+    let mut path = StrColumn::with_capacity(n, paths);
+    let mut target = StrColumn::with_capacity(n, 0);
+    let mut sha256 = BytesColumn::with_capacity(n, 32 * n);
+    let mut content = BytesColumn::with_capacity(n, 0);
     // kind, mode, uid, gid, mtime, size
     let mut ints: [Vec<u64>; 6] = std::array::from_fn(|_| Vec::with_capacity(n));
     let mut inlined = FxHashSet::default();
@@ -116,19 +114,19 @@ fn layer_table(blob_len: u64, pending: &[PendingEntry<'_>]) -> Table {
             RecipeEntryKind::Symlink(t) => (SYMLINK, t.as_str()),
             RecipeEntryKind::Hardlink(t) => (HARDLINK, t.as_str()),
         };
-        let (size, digest, body) = match p.file {
+        let (size, digest, body): (u64, &[u8], &[u8]) = match &p.file {
             Some((d, data)) => {
-                let inline = data.len() <= INLINE_MAX && inlined.insert(d);
-                (data.len() as u64, d.0.to_vec(), if inline { data.to_vec() } else { Vec::new() })
+                let inline = data.len() <= INLINE_MAX && inlined.insert(*d);
+                (data.len() as u64, &d.0, if inline { data } else { &[] })
             }
-            None => (0, Vec::new(), Vec::new()),
+            None => (0, &[], &[]),
         };
         let row = [kind, m.mode.into(), m.uid.into(), m.gid.into(), m.mtime, size];
         for (col, v) in ints.iter_mut().zip(row) {
             col.push(v);
         }
-        path.push(m.path.clone());
-        target.push(link.to_string());
+        path.push(&m.path);
+        target.push(link);
         sha256.push(digest);
         content.push(body);
     }
@@ -155,8 +153,9 @@ fn layer_table(blob_len: u64, pending: &[PendingEntry<'_>]) -> Table {
 /// [`layer_table`] writes for some layer: valid CRCs, the layer schema and
 /// metadata, and every row's fields consistent with its kind — a file's
 /// content inline on its first row in the layer when it is small, and
-/// nowhere else.
-fn decode_layer(layer_digest: Digest, data: &[u8]) -> Option<StoredLayer> {
+/// nowhere else. Only an inline row's content and a link's target are
+/// copied out of `data`.
+fn decode_layer(layer_digest: Digest, data: Vec<u8>) -> Option<StoredLayer> {
     let table = Table::from_bytes(data)?;
     let blob_len = match table.meta() {
         [(format, LAYER_FORMAT), (key, len)] if format == "format" && key == "blob_len" => *len,
@@ -184,29 +183,29 @@ fn decode_layer(layer_digest: Digest, data: &[u8]) -> Option<StoredLayer> {
     let mut entries = Vec::with_capacity(path.len());
     let mut inline = Vec::new();
     let mut inlined = FxHashSet::default();
-    let rows = path.into_iter().zip(target).zip(content).enumerate();
-    for (i, ((path, target), content)) in rows {
-        let bare = size[i] == 0 && sha256[i].is_empty() && content.is_empty();
+    let rows = path.iter().zip(target.iter()).zip(sha256.iter()).zip(content.iter());
+    for (i, (((path, target), sha256), content)) in rows.enumerate() {
+        let bare = size[i] == 0 && sha256.is_empty() && content.is_empty();
         let kind = match kind[i] {
             FILE if target.is_empty() => {
-                let d = Digest(sha256[i].as_slice().try_into().ok()?);
+                let d = Digest(sha256.try_into().ok()?);
                 if size[i] <= INLINE_MAX as u64 && inlined.insert(d) {
                     if content.len() as u64 != size[i] {
                         return None;
                     }
-                    inline.push((d, content));
+                    inline.push((d, content.to_vec()));
                 } else if !content.is_empty() {
                     return None;
                 }
                 RecipeEntryKind::File(d)
             }
             DIR if bare && target.is_empty() => RecipeEntryKind::Dir,
-            SYMLINK if bare => RecipeEntryKind::Symlink(target),
-            HARDLINK if bare => RecipeEntryKind::Hardlink(target),
+            SYMLINK if bare => RecipeEntryKind::Symlink(target.to_string()),
+            HARDLINK if bare => RecipeEntryKind::Hardlink(target.to_string()),
             _ => return None,
         };
         entries.push(EntryMeta {
-            path,
+            path: path.to_string(),
             kind,
             mode: u32::try_from(mode[i]).ok()?,
             uid: u32::try_from(uid[i]).ok()?,
@@ -315,57 +314,14 @@ impl PersistentDedupStore {
         self.layers_dir.join(&hex[..2]).join(hex)
     }
 
-    /// Everything of a v1 envelope before the recipe text. The v1 writer
-    /// emitted it and the reader rebuilds it from the parsed fields to find
-    /// the recipe span, so this is the only v1 layout there is: any other
-    /// byte layout reads as torn.
-    fn envelope_head(blob_len: u64, checksum: &str) -> String {
-        format!(
-            r#"{{"schema":"dhub-persist-recipe-v1","blobLen":{blob_len},"checksum":"{checksum}","recipe":"#
-        )
-    }
-
-    /// Reads a v1 recipe envelope in one pass, building no `Json` tree.
-    /// The fields before the recipe rebuild [`Self::envelope_head`], which
-    /// must be the text's exact prefix; the checksum is checked over the
-    /// raw `recipe` span of `text` — the bytes the v1 writer hashed — and
-    /// only then is that span decoded. The rest of the envelope must still
-    /// be well-formed JSON. Kept so stores written before layer files
-    /// existed reopen; nothing writes v1 any more.
-    fn parse_envelope(text: &str) -> Option<(LayerRecipe, u64)> {
-        fn key(r: &mut Reader<'_>, name: &str) -> Option<()> {
-            (r.next_key().ok()?? == name).then_some(())
-        }
-        let mut r = Reader::new(text);
-        r.begin_object().ok()?;
-        key(&mut r, "schema")?;
-        if r.string().ok()? != "dhub-persist-recipe-v1" {
-            return None;
-        }
-        key(&mut r, "blobLen")?;
-        let blob_len = r.u64().ok()??;
-        key(&mut r, "checksum")?;
-        let checksum = r.string().ok()?;
-        key(&mut r, "recipe")?;
-        let head = Self::envelope_head(blob_len, &checksum);
-        let recipe_text = text.strip_prefix(head.as_str())?.strip_suffix('}')?;
-        if Digest::parse(&checksum)? != Digest::of(recipe_text.as_bytes()) {
-            return None;
-        }
-        let recipe = LayerRecipe::read(&mut r)?;
-        while r.next_key().ok()?.is_some() {
-            r.skip_value().ok()?;
-        }
-        r.end().ok()?;
-        Some((recipe, blob_len))
-    }
-
     /// Every layer file under `layers/`, sorted by path — the replay order
-    /// — with the layer digest its name gives; `None` for a v1 `*.json`
-    /// envelope, which names its layer inside. Temp debris and names that
-    /// are neither are not layers.
-    fn layer_files(&self) -> Result<Vec<(PathBuf, Option<Digest>)>, PersistError> {
-        let mut files = Vec::new();
+    /// — with the layer digest its name gives. Temp debris is not a layer.
+    /// A `*.json` recipe envelope, what stores written before layer files
+    /// hold, fails the open as [`PersistError::Torn`] (the first in path
+    /// order): this build does not read that format, and skipping it would
+    /// let `gc` collect the objects only it references.
+    fn layer_files(&self) -> Result<Vec<(PathBuf, Digest)>, PersistError> {
+        let (mut files, mut envelopes) = (Vec::new(), Vec::new());
         for shard in std::fs::read_dir(&self.layers_dir)? {
             let shard = shard?;
             if !shard.file_type()?.is_dir() {
@@ -375,28 +331,24 @@ impl PersistentDedupStore {
                 let path = f?.path();
                 let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
                 if let Some(digest) = digest_from_hex(name) {
-                    files.push((path, Some(digest)));
+                    files.push((path, digest));
                 } else if path.extension().is_some_and(|e| e == "json") {
-                    files.push((path, None));
+                    envelopes.push(path);
                 }
             }
+        }
+        if let Some(path) = envelopes.into_iter().min() {
+            return Err(PersistError::Torn(path));
         }
         files.sort();
         Ok(files)
     }
 
-    /// Reads one layer file, either format; [`PersistError::Torn`] when its
-    /// bytes are not a layer.
-    fn read_layer(path: &Path, digest: Option<Digest>) -> Result<StoredLayer, PersistError> {
+    /// Reads one layer file; [`PersistError::Torn`] when its bytes are not
+    /// a layer.
+    fn read_layer(path: &Path, digest: Digest) -> Result<StoredLayer, PersistError> {
         let data = std::fs::read(path)?;
-        let layer = match digest {
-            Some(digest) => decode_layer(digest, &data),
-            None => std::str::from_utf8(&data)
-                .ok()
-                .and_then(Self::parse_envelope)
-                .map(|(recipe, blob_len)| StoredLayer { recipe, blob_len, inline: Vec::new() }),
-        };
-        layer.ok_or_else(|| PersistError::Torn(path.to_path_buf()))
+        decode_layer(digest, data).ok_or_else(|| PersistError::Torn(path.to_path_buf()))
     }
 
     /// Replays every layer on disk into memory: reopen, in the four steps
@@ -627,7 +579,7 @@ mod tests {
         // Each layer file decodes to the recipe the live ingest recorded.
         for (d, _) in &sample_layers() {
             let stored =
-                PersistentDedupStore::read_layer(&reopened.layer_path(d), Some(*d)).unwrap();
+                PersistentDedupStore::read_layer(&reopened.layer_path(d), *d).unwrap();
             assert_eq!(Some(&stored.recipe), reference.recipe(d).as_deref());
         }
         let _ = std::fs::remove_dir_all(root);
@@ -798,16 +750,27 @@ mod tests {
     /// sound, and only the object's digest can catch the flip. False when
     /// the file carries no inline copy of `victim`.
     fn flip_inline(path: &Path, victim: &Digest) -> bool {
-        let table = Table::from_bytes(&std::fs::read(path).unwrap()).unwrap();
+        let table = Table::from_bytes(std::fs::read(path).unwrap()).unwrap();
         let meta = table.meta().to_vec();
         let mut cols = table.into_columns();
         let (Column::Bytes(shas), Column::Bytes(contents)) = (&cols[7], &cols[9]) else {
             unreachable!("the layer schema")
         };
-        let carried = shas.iter().zip(contents).position(|(sha, c)| sha == &victim.0 && !c.is_empty());
+        let carried =
+            shas.iter().zip(contents.iter()).position(|(sha, c)| sha == victim.0 && !c.is_empty());
         let Some(row) = carried else { return false };
-        let Column::Bytes(contents) = &mut cols[9] else { unreachable!() };
-        contents[row][0] ^= 0x01;
+        let flipped: BytesColumn = contents
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let mut c = c.to_vec();
+                if i == row {
+                    c[0] ^= 0x01;
+                }
+                c
+            })
+            .collect();
+        cols[9] = Column::Bytes(flipped);
         let mut tampered = Table::from_columns(layer_schema(), cols).unwrap();
         for (key, value) in &meta {
             tampered = tampered.with_meta(key, *value);
@@ -934,7 +897,7 @@ mod tests {
         let path = store.layer_path(&d);
         drop(store);
         let sound = std::fs::read(&path).unwrap();
-        let stored = decode_layer(d, &sound).expect("the writer's bytes decode");
+        let stored = decode_layer(d, sound.clone()).expect("the writer's bytes decode");
         assert_eq!(stored.blob_len, b.len() as u64);
         assert_eq!(stored.inline.len(), 3, "every file up to INLINE_MAX, and only those");
         // The compressed length sits in the metadata, under the CRC like
@@ -947,7 +910,7 @@ mod tests {
             bytes
         };
         for bit in 0..sound.len() * 8 {
-            assert!(decode_layer(d, &flip(bit)).is_none(), "flip of bit {bit}");
+            assert!(decode_layer(d, flip(bit)).is_none(), "flip of bit {bit}");
         }
         // End to end through `open`: the head, the compressed length, an
         // inline object, the trailer.
@@ -959,80 +922,6 @@ mod tests {
                     assert_eq!(p, path, "byte {at}")
                 }
                 other => panic!("byte {at}: expected a torn layer file, got {other:?}"),
-            }
-        }
-        std::fs::write(&path, &sound).unwrap();
-        assert!(PersistentDedupStore::open(&root, Publisher::new()).is_ok());
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    /// A copy of the store dir the JSON-envelope (v1) writer left for three
-    /// layers, checked in under `tests/fixtures/v1-store`.
-    fn v1_store(tag: &str) -> PathBuf {
-        let root = tmp_root(tag);
-        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1-store");
-        for sub in ["layers", "objects"] {
-            for shard in std::fs::read_dir(fixture.join(sub)).unwrap() {
-                let shard = shard.unwrap().path();
-                let to = root.join(sub).join(shard.file_name().unwrap());
-                std::fs::create_dir_all(&to).unwrap();
-                for f in std::fs::read_dir(&shard).unwrap() {
-                    let f = f.unwrap().path();
-                    std::fs::copy(&f, to.join(f.file_name().unwrap())).unwrap();
-                }
-            }
-        }
-        root
-    }
-
-    #[test]
-    fn any_envelope_layout_but_the_writers_is_torn() {
-        let root = v1_store("tamper");
-        let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
-        let (path, _) = store.layer_files().unwrap().into_iter().next().unwrap();
-        drop(store);
-        let sound = std::fs::read_to_string(&path).unwrap();
-        assert!(PersistentDedupStore::parse_envelope(&sound).is_some());
-        let head_len = sound.find(r#""recipe":"#).unwrap() + r#""recipe":"#.len();
-
-        // One flipped bit anywhere. `blobLen`'s digits are the one part of
-        // a v1 envelope its checksum has never covered (a flipped digit is
-        // another digit): skipped here, not claimed. Layer files close the
-        // gap (`every_bit_flip_in_a_layer_file_is_torn`).
-        let blob_len_at = sound.find(r#""blobLen":"#).unwrap() + r#""blobLen":"#.len();
-        let blob_len_digits = sound[blob_len_at..].find(',').unwrap();
-        let flip = |at: usize| {
-            let mut bytes = sound.clone().into_bytes();
-            bytes[at] ^= 0x01;
-            String::from_utf8(bytes).expect("ascii stays ascii")
-        };
-        for at in 0..sound.len() {
-            if (blob_len_at..blob_len_at + blob_len_digits).contains(&at) {
-                continue;
-            }
-            assert!(PersistentDedupStore::parse_envelope(&flip(at)).is_none(), "flip at byte {at}");
-        }
-
-        // The named cases, end to end through `open`: a flip in the head,
-        // in the recipe span, in the tail, a high bit that leaves the text
-        // not utf-8, and a JSON-equal envelope that is spaced differently.
-        let respaced = sound.replacen(r#","recipe":"#, r#", "recipe": "#, 1);
-        assert_eq!(dhub_json::parse(&respaced).unwrap(), dhub_json::parse(&sound).unwrap());
-        let mut not_utf8 = sound.clone().into_bytes();
-        not_utf8[head_len] ^= 0x80;
-        let cases = [
-            ("head", flip(3).into_bytes()),
-            ("recipe span", flip(head_len + (sound.len() - head_len) / 2).into_bytes()),
-            ("tail", flip(sound.len() - 1).into_bytes()),
-            ("not utf-8", not_utf8),
-            ("trailing newline", format!("{sound}\n").into_bytes()),
-            ("re-spaced", respaced.into_bytes()),
-        ];
-        for (what, bytes) in cases {
-            std::fs::write(&path, bytes).unwrap();
-            match PersistentDedupStore::open(&root, Publisher::new()).err() {
-                Some(PersistentError::Persist(PersistError::Torn(p))) => assert_eq!(p, path, "{what}"),
-                other => panic!("{what}: expected a torn recipe, got {other:?}"),
             }
         }
         std::fs::write(&path, &sound).unwrap();

@@ -1,9 +1,8 @@
 //! Layer recipes: everything needed to rebuild a layer except the file
 //! contents themselves, which live deduplicated in the object store.
 
-use dhub_json::{push_string, push_u64, Kind, Reader};
+use dhub_json::{push_string, push_u64};
 use dhub_model::Digest;
-use std::borrow::Cow;
 
 /// Non-content entry kind.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -99,103 +98,6 @@ impl LayerRecipe {
         out.push_str("]}");
         out
     }
-
-    /// Parses a recipe back from JSON.
-    pub fn from_json(text: &str) -> Option<LayerRecipe> {
-        let mut r = Reader::new(text);
-        let recipe = LayerRecipe::read(&mut r)?;
-        r.end().ok()?;
-        Some(recipe)
-    }
-
-    /// Reads one recipe object off `r`, building no `Json` tree but
-    /// accepting exactly what a lookup in one would: keys in any order,
-    /// the first of a repeated key wins, unknown keys are skipped, and
-    /// integers follow `Json::as_u64`. `None` on anything else, and on
-    /// malformed JSON anywhere in the value.
-    pub(crate) fn read(r: &mut Reader<'_>) -> Option<LayerRecipe> {
-        let (mut layer_digest, mut entries) = (None, None);
-        r.begin_object().ok()?;
-        while let Some(key) = r.next_key().ok()? {
-            match &*key {
-                "layerDigest" if layer_digest.is_none() => {
-                    layer_digest = Some(Digest::parse(&r.string().ok()?)?);
-                }
-                "entries" if entries.is_none() => {
-                    let mut list = Vec::new();
-                    r.begin_array().ok()?;
-                    while r.next_item().ok()? {
-                        list.push(read_entry(r)?);
-                    }
-                    entries = Some(list);
-                }
-                _ => r.skip_value().ok()?,
-            }
-        }
-        Some(LayerRecipe { layer_digest: layer_digest?, entries: entries? })
-    }
-}
-
-/// An entry's `type`, before the field it names is looked at.
-#[derive(Clone, Copy)]
-enum Type {
-    File,
-    Dir,
-    Symlink,
-    Hardlink,
-}
-
-/// One entry object, by [`LayerRecipe::read`]'s rules. `digest` and
-/// `target` matter only for the types that use them, so their first
-/// occurrence is kept whatever it holds and judged once `type` is known.
-fn read_entry(r: &mut Reader<'_>) -> Option<EntryMeta> {
-    let (mut path, mut ty, mut digest, mut target) = (None, None, None, None);
-    let (mut mode, mut uid, mut gid, mut mtime) = (None, None, None, None);
-    let int = |r: &mut Reader<'_>| r.u64().ok().flatten();
-    r.begin_object().ok()?;
-    while let Some(key) = r.next_key().ok()? {
-        match &*key {
-            "path" if path.is_none() => path = Some(r.string().ok()?.into_owned()),
-            "mode" if mode.is_none() => mode = Some(int(r)? as u32),
-            "uid" if uid.is_none() => uid = Some(int(r)? as u32),
-            "gid" if gid.is_none() => gid = Some(int(r)? as u32),
-            "mtime" if mtime.is_none() => mtime = Some(int(r)?),
-            "type" if ty.is_none() => {
-                ty = Some(match &*r.string().ok()? {
-                    "file" => Type::File,
-                    "dir" => Type::Dir,
-                    "symlink" => Type::Symlink,
-                    "hardlink" => Type::Hardlink,
-                    _ => return None,
-                });
-            }
-            "digest" if digest.is_none() => {
-                digest = Some(string_or_skip(r)?.and_then(|s| Digest::parse(&s)));
-            }
-            "target" if target.is_none() => {
-                target = Some(string_or_skip(r)?.map(|s| s.into_owned()));
-            }
-            _ => r.skip_value().ok()?,
-        }
-    }
-    let kind = match ty? {
-        Type::File => RecipeEntryKind::File(digest??),
-        Type::Dir => RecipeEntryKind::Dir,
-        Type::Symlink => RecipeEntryKind::Symlink(target??),
-        Type::Hardlink => RecipeEntryKind::Hardlink(target??),
-    };
-    Some(EntryMeta { path: path?, kind, mode: mode?, uid: uid?, gid: gid?, mtime: mtime? })
-}
-
-/// The next value if it is a string, else `Some(None)` once it is skipped;
-/// `None` on malformed JSON.
-fn string_or_skip<'a>(r: &mut Reader<'a>) -> Option<Option<Cow<'a, str>>> {
-    if r.peek().ok()? == Kind::Str {
-        Some(Some(r.string().ok()?))
-    } else {
-        r.skip_value().ok()?;
-        Some(None)
-    }
 }
 
 #[cfg(test)]
@@ -234,11 +136,21 @@ mod tests {
         }
     }
 
+    /// The text is JSON holding the recipe's fields, entries in archive
+    /// order.
     #[test]
     fn json_roundtrip() {
         let r = sample();
-        let text = r.to_json();
-        assert_eq!(LayerRecipe::from_json(&text), Some(r));
+        let j = dhub_json::parse(&r.to_json()).unwrap();
+        let digest = r.layer_digest.to_docker_string();
+        assert_eq!(j.get("layerDigest").and_then(|d| d.as_str()), Some(digest.as_str()));
+        let entries = j.get("entries").and_then(|e| e.as_arr()).unwrap();
+        assert_eq!(entries.len(), r.entries.len());
+        let field = |i: usize, key: &str| entries[i].get(key).and_then(|v| v.as_str()).unwrap();
+        assert_eq!(field(1, "type"), "file");
+        assert_eq!(field(1, "digest"), Digest::of(b"contents").to_docker_string());
+        assert_eq!(field(2, "target"), "tool");
+        assert_eq!(entries[1].get("mtime").and_then(|v| v.as_u64()), Some(1_495_000_000));
     }
 
     #[test]
@@ -249,18 +161,10 @@ mod tests {
     }
 
     #[test]
-    fn rejects_malformed() {
-        assert!(LayerRecipe::from_json("{}").is_none());
-        assert!(LayerRecipe::from_json("nope").is_none());
-        let bad_type = r#"{"layerDigest":"sha256:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855","entries":[{"path":"x","mode":1,"uid":0,"gid":0,"mtime":0,"type":"socket"}]}"#;
-        assert!(LayerRecipe::from_json(bad_type).is_none());
-    }
-
-    #[test]
     fn order_preserved() {
         let r = sample();
-        let back = LayerRecipe::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.entries[0].path, "usr");
-        assert_eq!(back.entries[2].path, "usr/bin/alias");
+        let text = r.to_json();
+        let at = |path: &str| text.find(&format!(r#""path":"{path}""#)).unwrap();
+        assert!(at("usr") < at("usr/bin/tool") && at("usr/bin/tool") < at("usr/bin/alias"));
     }
 }

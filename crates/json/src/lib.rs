@@ -4,8 +4,7 @@
 //! serializes and parses them through this crate. It is a small, complete
 //! implementation of RFC 8259 with one tokenizer and one escaper:
 //!
-//! * [`Reader`] — a pull reader over `&str`, for codecs that decode
-//!   straight into their own structs;
+//! * [`Reader`] — a pull reader over `&str`, the one tokenizer;
 //! * [`parse`] — the [`Json`] value model built over that reader;
 //! * [`push_string`] / [`push_u64`] — the escaper and number writer, which
 //!   the `Json` printer (`to_string` via `Display`) also writes through. It

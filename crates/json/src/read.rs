@@ -43,8 +43,8 @@ pub enum Kind {
 /// Values are read in document order: [`Reader::begin_object`] then
 /// [`Reader::next_key`] until it returns `None`, reading each key's value
 /// in between; [`Reader::begin_array`] then [`Reader::next_item`] likewise;
-/// scalars through their typed readers; anything unwanted through
-/// [`Reader::skip_value`]; and [`Reader::end`] once the document is done.
+/// scalars through their typed readers; and [`Reader::end`] once the
+/// document is done.
 /// Every read validates what it passes over, so a document read to its end
 /// is well-formed JSON.
 pub struct Reader<'a> {
@@ -244,37 +244,6 @@ impl<'a> Reader<'a> {
         hit
     }
 
-    /// Validates and steps over the next value, allocating nothing for
-    /// strings and numbers.
-    pub fn skip_value(&mut self) -> Result<(), ParseError> {
-        match self.peek()? {
-            Kind::Obj => {
-                self.begin_object()?;
-                while self.next_key()?.is_some() {
-                    self.skip_value()?;
-                }
-            }
-            Kind::Arr => {
-                self.begin_array()?;
-                while self.next_item()? {
-                    self.skip_value()?;
-                }
-            }
-            Kind::Str => {
-                self.pos += 1;
-                self.string_body(None)?;
-            }
-            Kind::Num => {
-                self.number_token()?;
-            }
-            Kind::Bool => {
-                self.bool()?;
-            }
-            Kind::Null => self.null()?,
-        }
-        Ok(())
-    }
-
     /// Checks that nothing but whitespace is left.
     pub fn end(&mut self) -> Result<(), ParseError> {
         self.skip_ws();
@@ -452,7 +421,8 @@ mod tests {
         assert_eq!(r.next_key().unwrap().as_deref(), Some("b\n"));
         assert_eq!(r.string().unwrap(), "x\"y");
         assert_eq!(r.next_key().unwrap().as_deref(), Some("c"));
-        r.skip_value().unwrap();
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap(), None);
         assert_eq!(r.next_key().unwrap(), None);
         r.end().unwrap();
     }

@@ -4,9 +4,8 @@
 //! recipe built as a `Json` object and printed, and read back by lookups
 //! in the parsed tree.
 
-use dhub_dedupstore::{EntryMeta, LayerRecipe, RecipeEntryKind};
+use dhub_dedupstore::{LayerRecipe, RecipeEntryKind};
 use dhub_json::{Json, ParseError};
-use dhub_model::Digest;
 
 /// Parses a complete JSON document, char by char into fresh `String`s,
 /// with the same values, error offsets and messages `dhub_json::parse`
@@ -306,35 +305,4 @@ pub fn recipe_json_reference(recipe: &LayerRecipe) -> String {
         .collect();
     root.set("entries", Json::Arr(entries));
     root.to_string()
-}
-
-/// A recipe read by lookups in its parsed `Json` tree (the first of a
-/// repeated key wins, as with `Json::get`): what `LayerRecipe::from_json`
-/// must return.
-pub fn recipe_from_json_reference(text: &str) -> Option<LayerRecipe> {
-    let j = json_reference(text).ok()?;
-    let layer_digest = Digest::parse(j.get("layerDigest")?.as_str()?)?;
-    let entries = j
-        .get("entries")?
-        .as_arr()?
-        .iter()
-        .map(|e| {
-            let kind = match e.get("type")?.as_str()? {
-                "file" => RecipeEntryKind::File(Digest::parse(e.get("digest")?.as_str()?)?),
-                "dir" => RecipeEntryKind::Dir,
-                "symlink" => RecipeEntryKind::Symlink(e.get("target")?.as_str()?.to_string()),
-                "hardlink" => RecipeEntryKind::Hardlink(e.get("target")?.as_str()?.to_string()),
-                _ => return None,
-            };
-            Some(EntryMeta {
-                path: e.get("path")?.as_str()?.to_string(),
-                kind,
-                mode: e.get("mode")?.as_u64()? as u32,
-                uid: e.get("uid")?.as_u64()? as u32,
-                gid: e.get("gid")?.as_u64()? as u32,
-                mtime: e.get("mtime")?.as_u64()?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(LayerRecipe { layer_digest, entries })
 }

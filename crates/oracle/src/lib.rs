@@ -16,8 +16,8 @@
 //! * [`ReferenceStore::ingest_layer_reference`] — analyze-then-ingest into
 //!   a store with its own maps and its own commit arithmetic;
 //! * [`json_reference`] — the recursive-descent JSON parser, and
-//!   [`recipe_json_reference`] / [`recipe_from_json_reference`] — the
-//!   layer recipe codec over the `Json` tree.
+//!   [`recipe_json_reference`] — the layer recipe writer over the `Json`
+//!   tree.
 //!
 //! They never dispatch: SHA-256 and CRC-32 run on the scalar kernels, so an
 //! equality against them proves the SIMD production path bit-identical.
@@ -42,7 +42,7 @@ mod store;
 pub use analyze::analyze_layer_reference;
 pub use deflate::{deflate_reference, gzip_compress_reference, limited_code_lengths_reference};
 pub use inflate::{fixed_block, gzip_decompress_reference, inflate_reference, Sym};
-pub use json::{json_reference, recipe_from_json_reference, recipe_json_reference};
+pub use json::{json_reference, recipe_json_reference};
 pub use store::ReferenceStore;
 
 use dhub_digest::{Sha256, Sha256Kernel};

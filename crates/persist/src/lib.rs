@@ -13,10 +13,11 @@
 //!   directories with digest-verified reads and GC of unreferenced
 //!   objects and in-flight temp debris.
 //! * [`table`] — typed columnar tables (u64 / f64 / string / bytes
-//!   columns, plus named u64 metadata): append in memory, snapshot to a
-//!   crc-checked binary file, scan with predicate pushdown over the column
-//!   data. The study database is a set of them, and so is each layer of
-//!   the durable dedup store.
+//!   columns, plus named u64 metadata): built from whole columns, a
+//!   string or bytes column held as its on-disk block, snapshotted to a
+//!   crc-checked binary file, scanned with predicate pushdown over the
+//!   column data. The study database is a set of them, and so is each
+//!   layer of the durable dedup store.
 //!
 //! Every durable write goes through the same publish path, so one fault
 //! plan (`--fault-rate`) exercises torn and bit-flipped in-flight files
@@ -28,7 +29,7 @@ pub mod table;
 
 pub use blobstore::{BlobStore, GcStats};
 pub use fsync::{fsync_dir, tmp_path, Publisher, WriteFaults};
-pub use table::{ColType, Column, Predicate, Schema, Table, Value};
+pub use table::{BytesColumn, ColType, Column, Predicate, Schema, StrColumn, Table};
 
 use dhub_model::Digest;
 use std::path::PathBuf;

@@ -197,8 +197,8 @@ fn a_huge_row_count_is_torn_not_an_abort() {
     for t in [ColType::U64, ColType::Str, ColType::Bytes] {
         let table = Table::from_columns(Schema::new(&[("x", t)]), vec![match t {
             ColType::U64 => Column::U64(vec![1]),
-            ColType::Str => Column::Str(vec!["abcd".into()]),
-            _ => Column::Bytes(vec![vec![1, 2, 3, 4]]),
+            ColType::Str => Column::Str(["abcd"].into_iter().collect()),
+            _ => Column::Bytes([[1, 2, 3, 4]].into_iter().collect()),
         }])
         .unwrap();
         let mut bytes = table.to_bytes();
@@ -211,4 +211,47 @@ fn a_huge_row_count_is_torn_not_an_abort() {
         assert!(matches!(Table::load(&path), Err(PersistError::Torn(_))), "{t:?}");
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// Rewrites the CRC of the block that holds byte `at`, then the trailer:
+/// a mutant whose checksums all hold, so only the row walk can catch it.
+fn fix_crcs(bytes: &mut [u8], at: usize) {
+    let (start, _) = *length_fields(bytes)
+        .iter()
+        .rfind(|(field, width)| *width == 8 && field + 8 <= at)
+        .expect("a block length before the byte");
+    let len = u64::from_le_bytes(bytes[start..start + 8].try_into().unwrap()) as usize;
+    let block = start + 8..start + 8 + len;
+    assert!(block.contains(&at), "byte {at} is not in a block");
+    let crc = crc32(&bytes[block.clone()]);
+    bytes[block.end..block.end + 4].copy_from_slice(&crc.to_le_bytes());
+    fix_trailer(bytes);
+}
+
+/// A Str block whose later row is not utf-8, and one whose last length
+/// runs past its block, with every CRC right: both are torn, within the
+/// allocation bound.
+#[test]
+fn a_bad_row_behind_good_crcs_is_torn() {
+    let rows = ["first", "second", "third"];
+    let table = Table::from_columns(
+        Schema::new(&[("n", ColType::U64), ("s", ColType::Str)]),
+        vec![Column::U64(vec![1, 2, 3]), Column::Str(rows.into_iter().collect())],
+    )
+    .unwrap();
+    let sound = table.to_bytes();
+    check(&sound).unwrap();
+    let third = sound.windows(5).position(|w| w == b"third").unwrap();
+
+    let mut not_utf8 = sound.clone();
+    not_utf8[third + 2] = 0xff;
+    fix_crcs(&mut not_utf8, third);
+    assert!(Table::from_bytes(not_utf8.clone()).is_none());
+    check(&not_utf8).unwrap();
+
+    let mut past = sound.clone();
+    past[third - 4..third].copy_from_slice(&6u32.to_le_bytes());
+    fix_crcs(&mut past, third);
+    assert!(Table::from_bytes(past.clone()).is_none());
+    check(&past).unwrap();
 }

@@ -20,7 +20,9 @@
 
 use crate::pipeline::StudyData;
 use dhub_dedupstore::StoreStats;
-use dhub_persist::{hex_of, ColType, PersistError, Predicate, Publisher, Schema, Table, Value};
+use dhub_persist::{
+    hex_of, ColType, Column, PersistError, Predicate, Publisher, Schema, StrColumn, Table,
+};
 use std::path::{Path, PathBuf};
 
 /// The five study tables, in memory.
@@ -79,68 +81,85 @@ fn study_schema() -> Schema {
     Schema::new(&[("key", ColType::Str), ("value", ColType::U64)])
 }
 
+fn table(schema: Schema, cols: Vec<Column>) -> Table {
+    Table::from_columns(schema, cols).expect("columns built to the schema")
+}
+
 impl StudyDb {
     /// Builds the tables from one pipeline run plus the dedup store's
     /// aggregate stats.
     pub fn build(data: &StudyData, store: &StoreStats) -> StudyDb {
-        let mut layers = Table::new(layers_schema());
-        let mut files = Table::new(files_schema());
-        for p in data.layer_slice() {
-            let hex = hex_of(&p.digest);
-            layers
-                .push_row(vec![
-                    Value::Str(hex.clone()),
-                    Value::U64(p.cls),
-                    Value::U64(p.fls),
-                    Value::U64(p.file_count),
-                    Value::U64(p.dir_count),
-                    Value::U64(p.max_depth),
-                ])
-                .expect("layers schema matches");
+        let layers_in = data.layer_slice();
+        let hexes: Vec<String> = layers_in.iter().map(|p| hex_of(&p.digest)).collect();
+        let u64s = |f: fn(&_) -> u64| Column::U64(layers_in.iter().map(f).collect());
+        let layers = table(
+            layers_schema(),
+            vec![
+                Column::Str(hexes.iter().collect()),
+                u64s(|p| p.cls),
+                u64s(|p| p.fls),
+                u64s(|p| p.file_count),
+                u64s(|p| p.dir_count),
+                u64s(|p| p.max_depth),
+            ],
+        );
+
+        let nfiles: usize = layers_in.iter().map(|p| p.files.len()).sum();
+        let mut layer = StrColumn::with_capacity(nfiles, 64 * nfiles);
+        let mut path = StrColumn::with_capacity(nfiles, 0);
+        let mut kind = StrColumn::with_capacity(nfiles, 0);
+        let mut group = StrColumn::with_capacity(nfiles, 0);
+        let mut size = Vec::with_capacity(nfiles);
+        for (p, hex) in layers_in.iter().zip(&hexes) {
             for f in &p.files {
-                files
-                    .push_row(vec![
-                        Value::Str(hex.clone()),
-                        Value::Str(f.path.clone()),
-                        Value::Str(f.kind.label().to_string()),
-                        Value::Str(f.kind.group().label().to_string()),
-                        Value::U64(f.size),
-                    ])
-                    .expect("files schema matches");
+                layer.push(hex);
+                path.push(&f.path);
+                kind.push(f.kind.label());
+                group.push(f.kind.group().label());
+                size.push(f.size);
             }
         }
+        let files = table(
+            files_schema(),
+            vec![
+                Column::Str(layer),
+                Column::Str(path),
+                Column::Str(kind),
+                Column::Str(group),
+                Column::U64(size),
+            ],
+        );
 
-        let mut images = Table::new(images_schema());
-        for img in &data.images {
-            images
-                .push_row(vec![
-                    Value::Str(img.repo.to_string()),
-                    Value::Str(hex_of(&img.manifest_digest)),
-                    Value::U64(img.layer_count() as u64),
-                    Value::U64(img.fis),
-                    Value::U64(img.cis),
-                    Value::U64(img.file_count),
-                ])
-                .expect("images schema matches");
-        }
+        let imgs = &data.images;
+        let u64s = |f: fn(&_) -> u64| Column::U64(imgs.iter().map(f).collect());
+        let images = table(
+            images_schema(),
+            vec![
+                Column::Str(imgs.iter().map(|img| img.repo.to_string()).collect()),
+                Column::Str(imgs.iter().map(|img| hex_of(&img.manifest_digest)).collect()),
+                u64s(|img| img.layer_count() as u64),
+                u64s(|img| img.fis),
+                u64s(|img| img.cis),
+                u64s(|img| img.file_count),
+            ],
+        );
 
-        let mut dedup = Table::new(dedup_schema());
-        dedup
-            .push_row(vec![
-                Value::U64(store.layers as u64),
-                Value::U64(store.unique_objects as u64),
-                Value::U64(store.physical_bytes),
-                Value::U64(store.logical_bytes),
-                Value::U64(store.conventional_bytes),
-                Value::F64(store.dedup_factor()),
-            ])
-            .expect("dedup schema matches");
+        let dedup = table(
+            dedup_schema(),
+            vec![
+                Column::U64(vec![store.layers as u64]),
+                Column::U64(vec![store.unique_objects as u64]),
+                Column::U64(vec![store.physical_bytes]),
+                Column::U64(vec![store.logical_bytes]),
+                Column::U64(vec![store.conventional_bytes]),
+                Column::F64(vec![store.dedup_factor()]),
+            ],
+        );
 
         // Table-1 counters, keyed by the human label `summary` prints.
-        let total_files: u64 = data.layer_slice().iter().map(|l| l.file_count).sum();
-        let layer_bytes: u64 = data.layer_slice().iter().map(|l| l.cls).sum();
-        let mut study = Table::new(study_schema());
-        let rows: Vec<(&str, u64)> = vec![
+        let total_files: u64 = layers_in.iter().map(|l| l.file_count).sum();
+        let layer_bytes: u64 = layers_in.iter().map(|l| l.cls).sum();
+        let rows: [(&str, u64); 14] = [
             ("search results (raw)", data.crawl.raw_results as u64),
             ("distinct repositories", data.crawl.distinct_repos as u64),
             ("images downloaded", data.download.images_downloaded as u64),
@@ -156,11 +175,13 @@ impl StudyDb {
             ("size scale", data.size_scale),
             ("seed", data.seed),
         ];
-        for (k, v) in rows {
-            study
-                .push_row(vec![Value::Str(k.to_string()), Value::U64(v)])
-                .expect("study schema matches");
-        }
+        let study = table(
+            study_schema(),
+            vec![
+                Column::Str(rows.iter().map(|(k, _)| k).collect()),
+                Column::U64(rows.iter().map(|(_, v)| *v).collect()),
+            ],
+        );
 
         StudyDb { layers, files, images, dedup, study }
     }
@@ -185,14 +206,24 @@ impl StudyDb {
         Ok(())
     }
 
-    /// Loads all five tables from `dir`.
+    /// Loads all five tables from `dir`. A table that is not the one its
+    /// builder writes — another schema, or a `dedup` table without exactly
+    /// one row — is [`PersistError::Torn`], so the queries never meet one.
     pub fn load(dir: &Path) -> Result<StudyDb, PersistError> {
+        let load = |name: &str, schema: Schema, rows: Option<usize>| {
+            let path = Self::table_path(dir, name);
+            let table = Table::load(&path)?;
+            if table.schema() != &schema || rows.is_some_and(|n| n != table.len()) {
+                return Err(PersistError::Torn(path));
+            }
+            Ok(table)
+        };
         Ok(StudyDb {
-            layers: Table::load(&Self::table_path(dir, "layers"))?,
-            files: Table::load(&Self::table_path(dir, "files"))?,
-            images: Table::load(&Self::table_path(dir, "images"))?,
-            dedup: Table::load(&Self::table_path(dir, "dedup"))?,
-            study: Table::load(&Self::table_path(dir, "study"))?,
+            layers: load("layers", layers_schema(), None)?,
+            files: load("files", files_schema(), None)?,
+            images: load("images", images_schema(), None)?,
+            dedup: load("dedup", dedup_schema(), Some(1))?,
+            study: load("study", study_schema(), None)?,
         })
     }
 
@@ -243,7 +274,7 @@ impl StudyDb {
     pub fn top_file_types(&self, n: usize) -> Vec<(String, u64, u64)> {
         let kinds = self.files.col_str("kind").expect("files table has kind column");
         let sizes = self.files.col_u64("size").expect("files table has size column");
-        top_types(kinds.iter().map(String::as_str).zip(sizes.iter().copied()), n)
+        top_types(kinds.iter().zip(sizes.iter().copied()), n)
     }
 
     /// Compressed-layer-size percentiles ([`size_percentiles`] over the
@@ -264,7 +295,8 @@ pub fn top_types<'a>(
     files: impl IntoIterator<Item = (&'a str, u64)>,
     n: usize,
 ) -> Vec<(String, u64, u64)> {
-    let mut agg: std::collections::BTreeMap<&str, (u64, u64)> = std::collections::BTreeMap::new();
+    // The std hasher: the labels come off disk.
+    let mut agg: std::collections::HashMap<&str, (u64, u64)> = std::collections::HashMap::new();
     for (k, s) in files {
         let e = agg.entry(k).or_insert((0, 0));
         e.0 += 1;
@@ -323,6 +355,38 @@ mod tests {
         assert_eq!(loaded.files.to_bytes(), a.files.to_bytes());
         assert_eq!(loaded.summary(), a.summary(), "query answers must survive reload");
         assert_eq!(loaded.dedup_factor().to_bits(), a.dedup_factor().to_bits());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// CRC-valid tables in the wrong places used to load and then panic in
+    /// the queries; they are torn now, named by the file that is wrong.
+    #[test]
+    fn a_table_its_builder_did_not_write_is_torn() {
+        let dir = std::env::temp_dir().join(format!("dhub-studydb-swap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        built().save(&dir, &Publisher::new()).unwrap();
+        let path = |name: &str| StudyDb::table_path(&dir, name);
+        let torn = |want: &str| match StudyDb::load(&dir) {
+            Err(PersistError::Torn(p)) => assert_eq!(p, path(want)),
+            Err(other) => panic!("expected {want} torn, got {other}"),
+            Ok(_) => panic!("expected {want} torn, got tables"),
+        };
+        let read = |name: &str| std::fs::read(path(name)).unwrap();
+        let (files, layers) = (read("files"), read("layers"));
+        std::fs::write(path("files"), &layers).unwrap();
+        std::fs::write(path("layers"), &files).unwrap();
+        torn("layers");
+        std::fs::write(path("layers"), &layers).unwrap();
+        torn("files");
+        std::fs::write(path("files"), &files).unwrap();
+        assert!(StudyDb::load(&dir).is_ok());
+        // A `dedup` table of the right schema but no row (or two).
+        for rows in [0, 2] {
+            let mut cols = vec![Column::U64(vec![7; rows]); 5];
+            cols.push(Column::F64(vec![1.5; rows]));
+            table(dedup_schema(), cols).save(&path("dedup"), &Publisher::new()).unwrap();
+            torn("dedup");
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

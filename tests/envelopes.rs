@@ -1,6 +1,6 @@
 //! Golden bytes for the files the durable tiers write for themselves:
-//! every layer file of a fixed small durable study, and every job and
-//! result envelope of the same study run through the queue. Each file's
+//! every layer file and study table of a fixed small durable study, and
+//! every job and result envelope of the same study run through the queue. Each file's
 //! SHA-256 is folded, in path order, into one digest per tree and pinned.
 //! A store or queue dir written by an older build must reopen unchanged,
 //! so these bytes may only move together with an on-disk format version.
@@ -59,15 +59,20 @@ fn tree_digest(dir: &Path) -> (usize, String) {
 }
 
 /// Pins the layer files (the recipe envelopes before them, under the
-/// same name).
+/// same name) and the five study tables under `db/`.
 #[test]
 fn recipe_envelopes_are_pinned() {
     let dir = tmp("persist");
-    let store = PersistentDedupStore::open(&dir, Publisher::new()).unwrap();
-    run_study_persist_obs(&hub(), 2, &RetryPolicy::default(), &store, &MetricsRegistry::new());
+    let publisher = Publisher::new();
+    let store = PersistentDedupStore::open(&dir, publisher.clone()).unwrap();
+    let data =
+        run_study_persist_obs(&hub(), 2, &RetryPolicy::default(), &store, &MetricsRegistry::new());
+    StudyDb::build(&data, &store.mem().stats()).save(&dir.join("db"), &publisher).unwrap();
     let got = tree_digest(&dir.join("layers"));
+    let tables = tree_digest(&dir.join("db"));
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(got, (RECIPES, RECIPES_DIGEST.to_string()));
+    assert_eq!(tables, (5, TABLES_DIGEST.to_string()), "study tables");
 }
 
 #[test]
@@ -134,6 +139,9 @@ fn a_durable_study_dir_holds_a_file_per_layer_and_per_large_object() {
 const RECIPES: usize = 91;
 const RECIPES_DIGEST: &str =
     "sha256:3d86784b83babc19b7094db94c30ecd22562c18d40a8ca93e21abd75da13a5fb";
+// Recorded before string columns were held as one buffer each.
+const TABLES_DIGEST: &str =
+    "sha256:7f572647c503597802b5a0f90865b6d37bcf0f8d3a4ce1e8d8e3b18fb76198dd";
 const JOBS: usize = 108;
 const JOBS_DIGEST: &str = "sha256:97bdf7441e9ff6c1e8a2fd7330f39bfa810bee5723e75292567af2252731b504";
 const RESULTS_DIGEST: &str =
