@@ -2,7 +2,7 @@
 //! it, `work` fills it through the job queue, `query` answers from it.
 
 use super::*;
-use dhub_dedupstore::{DedupStore, PersistentDedupStore, RecipeEntryKind, StoreStats};
+use dhub_dedupstore::{DedupStore, PersistentDedupStore, RowKind, StoreStats};
 use dhub_persist::{PersistError, Publisher, WriteFaults};
 use dhub_study::db::{size_percentiles, top_types, StudyDb};
 use dhub_study::pipeline::{run_study_persist_obs, run_study_store_obs, StudyData};
@@ -225,11 +225,11 @@ fn query_replayed(out: &mut impl Write, dir: &str, question: Question) -> CmdRes
             let mut files: Vec<(&str, u64)> = Vec::new();
             for d in &digests {
                 let recipe = mem.recipe(d).expect("replayed layer has a recipe");
-                for entry in &recipe.entries {
-                    if let RecipeEntryKind::File(fd) = &entry.kind {
+                for row in recipe.rows() {
+                    if let RowKind::File(fd) = row.kind {
                         let data =
-                            mem.object_data(fd).ok_or_else(|| format!("missing object {fd}"))?;
-                        files.push((dhub_magic::classify(&entry.path, &data).label(), data.len() as u64));
+                            mem.object_data(&fd).ok_or_else(|| format!("missing object {fd}"))?;
+                        files.push((dhub_magic::classify(row.path, &data).label(), data.len() as u64));
                     }
                 }
             }

@@ -4,13 +4,13 @@
 //! The study's store pipeline previously ran each layer through
 //! `analyze_layer` (inflate → untar → hash) and then `ingest_layer`
 //! (inflate → untar → hash again). [`analyze_and_ingest`] drives the
-//! analyzer's entry sink to stage [`PendingEntry`]s while the profile is
-//! built, then commits them — the second decompression and the second
+//! analyzer's entry sink to append each entry to a [`ParsedLayer`]'s recipe
+//! columns while the profile is built, then commits it — the second decompression and the second
 //! content hash per file disappear, and the decompressed tar only ever
 //! lives in the worker's scratch arena.
 
 use crate::persistent::{PersistentDedupStore, PersistentError};
-use crate::store::{DedupStore, IngestStats, PendingEntry, StoreError};
+use crate::store::{DedupStore, IngestStats, ParsedLayer, StoreError};
 use dhub_analyzer::{analyze_all_with, analyze_layer_with, AnalysisResult, AnalyzeError};
 use dhub_model::{Digest, LayerProfile};
 use dhub_obs::MetricsRegistry;
@@ -24,38 +24,23 @@ pub trait LayerSink: Sync {
     /// What a failed commit reports.
     type Error: Send;
 
-    /// Commits a layer from entries the analyzer already parsed and hashed.
-    fn commit_parsed(
-        &self,
-        layer_digest: Digest,
-        blob_len: u64,
-        pending: Vec<PendingEntry<'_>>,
-    ) -> Result<IngestStats, Self::Error>;
+    /// Commits a layer the analyzer already parsed and hashed.
+    fn commit_parsed(&self, layer: ParsedLayer<'_>) -> Result<IngestStats, Self::Error>;
 }
 
 impl LayerSink for DedupStore {
     type Error = StoreError;
 
-    fn commit_parsed(
-        &self,
-        layer_digest: Digest,
-        blob_len: u64,
-        pending: Vec<PendingEntry<'_>>,
-    ) -> Result<IngestStats, StoreError> {
-        DedupStore::commit_parsed(self, layer_digest, blob_len, pending)
+    fn commit_parsed(&self, layer: ParsedLayer<'_>) -> Result<IngestStats, StoreError> {
+        DedupStore::commit_parsed(self, layer)
     }
 }
 
 impl LayerSink for PersistentDedupStore {
     type Error = PersistentError;
 
-    fn commit_parsed(
-        &self,
-        layer_digest: Digest,
-        blob_len: u64,
-        pending: Vec<PendingEntry<'_>>,
-    ) -> Result<IngestStats, PersistentError> {
-        PersistentDedupStore::commit_parsed(self, layer_digest, blob_len, pending)
+    fn commit_parsed(&self, layer: ParsedLayer<'_>) -> Result<IngestStats, PersistentError> {
+        PersistentDedupStore::commit_parsed(self, layer)
     }
 }
 
@@ -72,11 +57,9 @@ pub fn analyze_and_ingest<S: LayerSink>(
     blob: &[u8],
     scratch: &mut Scratch,
 ) -> Result<(LayerProfile, Result<IngestStats, S::Error>), AnalyzeError> {
-    let mut pending = Vec::new();
-    let profile = analyze_layer_with(digest, blob, scratch, |entry, file| {
-        pending.push(PendingEntry::from_view(entry, file));
-    })?;
-    let ingest = store.commit_parsed(digest, blob.len() as u64, pending);
+    let mut layer = ParsedLayer::new(digest, blob.len() as u64);
+    let profile = analyze_layer_with(digest, blob, scratch, |entry, file| layer.push(entry, file))?;
+    let ingest = store.commit_parsed(layer);
     Ok((profile, ingest))
 }
 

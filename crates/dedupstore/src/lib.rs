@@ -10,8 +10,9 @@
 //! demand (cf. Slimmer \[16\] and "Carving perfect layers" \[30\], both cited
 //! by the paper).
 //!
-//! * [`recipe`] — the layer recipe model, and its JSON form (what stores
-//!   before layer files held; written for `bench/`'s replay, never read),
+//! * [`recipe`] — the layer recipe in column form, read through row views,
+//!   and its JSON form (what stores before layer files held; written for
+//!   `bench/`'s replay, never read),
 //! * [`store`] — the store itself: recipes and file objects in,
 //!   reconstructed layers and savings accounting out,
 //! * [`fused`] — single-pass analyze + ingest sharing one decompression
@@ -33,5 +34,5 @@ pub use fused::{analyze_and_ingest, analyze_and_ingest_all, FusedResult, LayerSi
 // the next `benchmark` PR.
 pub use fused::analyze_and_ingest as analyze_and_ingest_persistent;
 pub use persistent::{PersistentDedupStore, PersistentError};
-pub use recipe::{EntryMeta, LayerRecipe, RecipeEntryKind};
-pub use store::{DedupStore, IngestStats, PendingEntry, StoreError, StoreStats};
+pub use recipe::{LayerRecipe, RecipeRow, RowKind};
+pub use store::{DedupStore, IngestStats, Object, ParsedLayer, StoreError, StoreStats};

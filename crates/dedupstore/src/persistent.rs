@@ -33,43 +33,42 @@
 //! reference bytes that were not published first.
 //!
 //! **Reopen** replays the layer files (sorted by path, so deterministic)
-//! in four steps: (1) every layer file read and CRC-checked in parallel;
-//! (2) each distinct inline object digest-verified exactly once, and (3)
-//! each large object fetched and digest-verified exactly once, together in
-//! parallel and counted alike as object reads; then (4) a sequential
-//! commit in layer order that moves recipes and bytes into memory with the
-//! checks and counters of a live ingest's [`DedupStore::commit_parsed`].
-//! Every aggregate the store reports is an order-independent sum, so a
-//! reloaded store's stats — including the float `dedup_factor()` — are
-//! bit-identical to the single-process run that wrote it, at any thread
-//! count. Layers and objects are the only state on disk: nothing derived
-//! from them is stored, so there is nothing to go stale.
+//! in three steps: (1) per layer file, in parallel, one read, both CRC
+//! tiers and one validating walk over its rows — the loaded columns *are*
+//! the layer's recipe, and its inline objects stay slices of the buffer the
+//! file was read into; (2) one sequential pass in layer order gives every
+//! distinct object a slot in first-seen order (its first inline copy, else
+//! its object file) and sums the stats off the `size` column; (3) each
+//! object is digest-verified exactly once, in parallel, and counted as one
+//! object read, inline or not — a large one is read from its object file,
+//! and every file row's size must equal its object's length. What stays
+//! resident is each layer file's buffer (its recipe's string and digest
+//! columns and its inline objects point into it), the recipe's integer
+//! columns, each large object's file bytes, and one slot per object: a few
+//! buffers per layer, however many rows it has. Every aggregate the store
+//! reports is an order-independent sum, so a reloaded store's stats —
+//! including the float `dedup_factor()` — are bit-identical to the
+//! single-process run that wrote it, at any thread count. Layers and
+//! objects are the only state on disk: nothing derived from them is
+//! stored, so there is nothing to go stale.
 
-use crate::recipe::{EntryMeta, LayerRecipe, RecipeEntryKind};
-use crate::store::{DedupStore, IngestStats, PendingEntry, StoreError};
-use dhub_digest::{FxHashMap, FxHashSet};
+use crate::recipe::{LayerRecipe, DIR, FILE, HARDLINK, SYMLINK};
+use crate::store::{DedupStore, IngestStats, Objects, ParsedLayer, Slot, StoreError, INLINE_MAX};
+use dhub_digest::FxHashSet;
 use dhub_model::Digest;
 use dhub_obs::MetricsRegistry;
 use dhub_persist::{
     digest_from_hex, fsync_dir, hex_of, BlobStore, BytesColumn, ColType, Column, GcStats,
-    PersistError, Publisher, Schema, StrColumn, Table,
+    PersistError, Publisher, Schema, Table,
 };
+use std::collections::hash_map::Entry;
 use std::path::{Path, PathBuf};
-
-/// Objects up to one filesystem block are kept inline in the file of each
-/// layer that holds them; larger ones get an object file of their own.
-const INLINE_MAX: usize = 4096;
+use std::sync::Arc;
 
 /// The layer file's format version (v1 was the JSON recipe envelope).
 const LAYER_FORMAT: u64 = 2;
 
-/// The layer file's `kind` column.
-const FILE: u64 = 0;
-const DIR: u64 = 1;
-const SYMLINK: u64 = 2;
-const HARDLINK: u64 = 3;
-
-/// The layer file's columns, in order.
+/// The layer file's columns, in order: the recipe's, then `content`.
 fn layer_schema() -> Schema {
     use ColType::{Bytes, Str, U64};
     Schema::new(&[
@@ -86,59 +85,55 @@ fn layer_schema() -> Schema {
     ])
 }
 
-/// One layer as read back from disk: its recipe, compressed length, and
-/// the objects its file carries inline.
+/// One layer as read back from disk: its recipe, and the `content` column
+/// that carries its inline objects.
 struct StoredLayer {
     recipe: LayerRecipe,
-    blob_len: u64,
-    inline: Vec<(Digest, Vec<u8>)>,
+    content: BytesColumn,
 }
 
-/// The layer file of `pending`: one row per entry, each small content
-/// inline on its first row.
-fn layer_table(blob_len: u64, pending: &[PendingEntry<'_>]) -> Table {
-    let n = pending.len();
-    let paths: usize = pending.iter().map(|p| p.meta.path.len()).sum();
-    let mut path = StrColumn::with_capacity(n, paths);
-    let mut target = StrColumn::with_capacity(n, 0);
-    let mut sha256 = BytesColumn::with_capacity(n, 32 * n);
-    let mut content = BytesColumn::with_capacity(n, 0);
-    // kind, mode, uid, gid, mtime, size
-    let mut ints: [Vec<u64>; 6] = std::array::from_fn(|_| Vec::with_capacity(n));
+/// The layer file of `recipe` as a table: its columns, moved in, plus each
+/// small file's content inline on the first row that names it.
+fn layer_table(recipe: LayerRecipe, files: &[(Digest, &[u8])]) -> Table {
+    let small: usize = files.iter().map(|(_, data)| data.len()).filter(|&n| n <= INLINE_MAX).sum();
+    let mut content = BytesColumn::with_capacity(recipe.len(), small);
     let mut inlined = FxHashSet::default();
-    for p in pending {
-        let m = &p.meta;
-        let (kind, link) = match &m.kind {
-            RecipeEntryKind::File(_) => (FILE, ""),
-            RecipeEntryKind::Dir => (DIR, ""),
-            RecipeEntryKind::Symlink(t) => (SYMLINK, t.as_str()),
-            RecipeEntryKind::Hardlink(t) => (HARDLINK, t.as_str()),
-        };
-        let (size, digest, body): (u64, &[u8], &[u8]) = match &p.file {
-            Some((d, data)) => {
-                let inline = data.len() <= INLINE_MAX && inlined.insert(*d);
-                (data.len() as u64, &d.0, if inline { data } else { &[] })
+    let mut files = files.iter();
+    for &kind in &recipe.kind {
+        let body: &[u8] = match kind {
+            FILE => {
+                let (d, data) = files.next().expect("a payload per file row");
+                if data.len() <= INLINE_MAX && inlined.insert(*d) {
+                    data
+                } else {
+                    &[]
+                }
             }
-            None => (0, &[], &[]),
+            _ => &[],
         };
-        let row = [kind, m.mode.into(), m.uid.into(), m.gid.into(), m.mtime, size];
-        for (col, v) in ints.iter_mut().zip(row) {
-            col.push(v);
-        }
-        path.push(&m.path);
-        target.push(link);
-        sha256.push(digest);
         content.push(body);
     }
-    let [kind, mode, uid, gid, mtime, size] = ints.map(Column::U64);
-    let cols = vec![
-        Column::Str(path),
+    let LayerRecipe {
+        layer_digest: _,
+        blob_len,
+        path,
         kind,
         mode,
         uid,
         gid,
         mtime,
         size,
+        sha256,
+        target,
+    } = recipe;
+    let cols = vec![
+        Column::Str(path),
+        Column::U64(kind),
+        Column::U64(mode),
+        Column::U64(uid),
+        Column::U64(gid),
+        Column::U64(mtime),
+        Column::U64(size),
         Column::Bytes(sha256),
         Column::Str(target),
         Column::Bytes(content),
@@ -149,14 +144,10 @@ fn layer_table(blob_len: u64, pending: &[PendingEntry<'_>]) -> Table {
         .with_meta("blob_len", blob_len)
 }
 
-/// Reads a layer file's bytes back; `None` unless they are exactly what
-/// [`layer_table`] writes for some layer: valid CRCs, the layer schema and
-/// metadata, and every row's fields consistent with its kind — a file's
-/// content inline on its first row in the layer when it is small, and
-/// nowhere else. Only an inline row's content and a link's target are
-/// copied out of `data`.
-fn decode_layer(layer_digest: Digest, data: Vec<u8>) -> Option<StoredLayer> {
-    let table = Table::from_bytes(data)?;
+/// A layer table's columns moved back out as `layer_digest`'s recipe and
+/// its `content` column; `None` unless the table has the layer schema and
+/// metadata. The rows are not looked at.
+fn split_layer_table(layer_digest: Digest, table: Table) -> Option<StoredLayer> {
     let blob_len = match table.meta() {
         [(format, LAYER_FORMAT), (key, len)] if format == "format" && key == "blob_len" => *len,
         _ => return None,
@@ -180,40 +171,55 @@ fn decode_layer(layer_digest: Digest, data: Vec<u8>) -> Option<StoredLayer> {
     else {
         return None;
     };
-    let mut entries = Vec::with_capacity(path.len());
-    let mut inline = Vec::new();
+    let recipe = LayerRecipe {
+        layer_digest,
+        blob_len,
+        path,
+        kind,
+        mode,
+        uid,
+        gid,
+        mtime,
+        size,
+        sha256,
+        target,
+    };
+    Some(StoredLayer { recipe, content })
+}
+
+/// Reads a layer file's bytes back; `None` unless they are exactly what
+/// [`layer_table`] writes for some layer: valid CRCs, the layer schema and
+/// metadata, and every row's fields consistent with its kind — a file's
+/// content inline on its first row in the layer when it is small, and
+/// nowhere else. Nothing is copied out of `data`: the recipe's columns and
+/// the inline contents point into it.
+fn decode_layer(layer_digest: Digest, data: Vec<u8>) -> Option<StoredLayer> {
+    let layer = split_layer_table(layer_digest, Table::from_bytes(data)?)?;
+    let (r, content) = (&layer.recipe, &layer.content);
     let mut inlined = FxHashSet::default();
-    let rows = path.iter().zip(target.iter()).zip(sha256.iter()).zip(content.iter());
-    for (i, (((path, target), sha256), content)) in rows.enumerate() {
-        let bare = size[i] == 0 && sha256.is_empty() && content.is_empty();
-        let kind = match kind[i] {
+    let wide = |v: u64| v > u64::from(u32::MAX);
+    let rows = r.sha256.iter().zip(r.target.iter()).zip(content.iter());
+    for (i, ((sha256, target), content)) in rows.enumerate() {
+        let size = r.size[i];
+        let bare = size == 0 && sha256.is_empty() && content.is_empty();
+        let sound = match r.kind[i] {
             FILE if target.is_empty() => {
                 let d = Digest(sha256.try_into().ok()?);
-                if size[i] <= INLINE_MAX as u64 && inlined.insert(d) {
-                    if content.len() as u64 != size[i] {
-                        return None;
-                    }
-                    inline.push((d, content.to_vec()));
-                } else if !content.is_empty() {
-                    return None;
+                if size <= INLINE_MAX as u64 && inlined.insert(d) {
+                    content.len() as u64 == size
+                } else {
+                    content.is_empty()
                 }
-                RecipeEntryKind::File(d)
             }
-            DIR if bare && target.is_empty() => RecipeEntryKind::Dir,
-            SYMLINK if bare => RecipeEntryKind::Symlink(target.to_string()),
-            HARDLINK if bare => RecipeEntryKind::Hardlink(target.to_string()),
-            _ => return None,
+            DIR => bare && target.is_empty(),
+            SYMLINK | HARDLINK => bare,
+            _ => false,
         };
-        entries.push(EntryMeta {
-            path: path.to_string(),
-            kind,
-            mode: u32::try_from(mode[i]).ok()?,
-            uid: u32::try_from(uid[i]).ok()?,
-            gid: u32::try_from(gid[i]).ok()?,
-            mtime: mtime[i],
-        });
+        if !sound || wide(r.mode[i]) || wide(r.uid[i]) || wide(r.gid[i]) {
+            return None;
+        }
     }
-    Some(StoredLayer { recipe: LayerRecipe { layer_digest, entries }, blob_len, inline })
+    Some(layer)
 }
 
 /// Errors from the persistent store: either a logical store error (same
@@ -351,79 +357,105 @@ impl PersistentDedupStore {
         decode_layer(digest, data).ok_or_else(|| PersistError::Torn(path.to_path_buf()))
     }
 
-    /// Replays every layer on disk into memory: reopen, in the four steps
-    /// of the module docs over the sorted layer list. Steps 1 and 2–3 run
-    /// on `threads` workers but hand their results back in input order,
-    /// and each is checked front to back before the next starts, so the
+    /// Replays every layer on disk into memory: reopen, in the three steps
+    /// of the module docs over the sorted layer list. Steps 1 and 3 run on
+    /// `threads` workers but hand their results back in input order, and
+    /// each step is checked front to back before the next starts, so the
     /// damaged file an error names never depends on thread timing: the
     /// first torn layer file in path order, else the first bad object in
     /// first-seen order, inline or not.
     fn replay_with(&self, threads: usize) -> Result<(), PersistentError> {
-        // (1) Read every layer file and check its CRCs.
+        // (1) Read every layer file, check its CRCs and walk its rows.
         let files = self.layer_files()?;
         let read =
             dhub_par::par_map(threads, &files, |(path, digest)| Self::read_layer(path, *digest));
         let layers = read.into_iter().collect::<Result<Vec<_>, PersistError>>()?;
 
-        // (2) + (3) Each referenced object once, however many layers name
-        // it: the first inline copy when a layer file carries one,
-        // otherwise the object file. Both are digest-verified, so torn or
-        // flipped bytes surface as Corrupt, never as data.
-        let mut inline: FxHashMap<Digest, Vec<u8>> = FxHashMap::default();
-        let mut seen: FxHashSet<Digest> = FxHashSet::default();
-        let mut wanted: Vec<Digest> = Vec::new();
-        let mut stored = Vec::with_capacity(layers.len());
-        for layer in layers {
-            for (d, data) in layer.inline {
-                inline.entry(d).or_insert(data);
+        // (2) A slot per distinct object in first-seen order: its first
+        // inline copy when a layer file carries one, otherwise its object
+        // file, whose buffer step 3 reads into place. A repeat must name
+        // the size the first row did.
+        let mut objects = Objects::default();
+        let Objects { slots, bufs } = &mut objects;
+        let unread = Arc::new(Vec::new());
+        // With each: where its bytes lie, and for an object file, the layer
+        // that first names it.
+        let mut first_seen: Vec<(Digest, Slot, Option<usize>)> = Vec::new();
+        let (mut physical, mut logical) = (0, 0);
+        for (at, StoredLayer { recipe, content }) in layers.iter().enumerate() {
+            let mut file_buf = None;
+            for (i, &size) in recipe.size.iter().enumerate() {
+                if recipe.kind[i] != FILE {
+                    continue;
+                }
+                logical += size;
+                match slots.entry(recipe.digest(i)) {
+                    Entry::Occupied(slot) => {
+                        if slot.get().at.len() as u64 != size {
+                            return Err(PersistError::Torn(files[at].0.clone()).into());
+                        }
+                    }
+                    Entry::Vacant(vacant) => {
+                        physical += size;
+                        let (slot, file_of) = if size <= INLINE_MAX as u64 {
+                            let (file, range) = content.shared(i);
+                            let buf = *file_buf.get_or_insert_with(|| {
+                                bufs.push(Arc::clone(file));
+                                bufs.len() - 1
+                            });
+                            (Slot { buf, at: range }, None)
+                        } else {
+                            bufs.push(Arc::clone(&unread));
+                            (Slot { buf: bufs.len() - 1, at: 0..size as usize }, Some(at))
+                        };
+                        first_seen.push((*vacant.key(), slot.clone(), file_of));
+                        vacant.insert(slot);
+                    }
+                }
             }
-            wanted.extend(layer.recipe.file_digests().filter(|d| seen.insert(*d)));
-            stored.push((layer.recipe, layer.blob_len));
-        }
-        let fetched = dhub_par::par_map(threads, &wanted, |d| match inline.get(d) {
-            Some(data) => {
-                self.objects.verify(d, data).map(|()| None).map_err(PersistentError::from)
-            }
-            None => match self.objects.get(d)? {
-                Some(data) => Ok(Some(data)),
-                None => Err(StoreError::MissingObject(*d).into()),
-            },
-        });
-        let mut contents = FxHashMap::default();
-        for (d, data) in wanted.iter().zip(fetched) {
-            let data = match data? {
-                Some(data) => data,
-                None => inline.remove(d).expect("verified inline above"),
-            };
-            contents.insert(*d, data);
         }
 
-        // (4) Commit in layer order; recipes and bytes move into memory.
-        for (recipe, blob_len) in stored {
-            self.mem.commit_recipe(recipe, blob_len, &mut contents)?;
+        // (3) Each object digest-verified once, so torn or flipped bytes
+        // surface as Corrupt, never as data; an object file's bytes become
+        // its buffer.
+        let verified = dhub_par::par_map(threads, &first_seen, |(d, slot, file_of)| {
+            let Some(layer) = file_of else {
+                self.objects.verify(d, &objects.bufs[slot.buf][slot.at.clone()])?;
+                return Ok(None);
+            };
+            match self.objects.get(d)? {
+                Some(data) if data.len() == slot.at.len() => Ok(Some((slot.buf, Arc::new(data)))),
+                Some(_) => Err(PersistError::Torn(files[*layer].0.clone()).into()),
+                None => Err(PersistentError::from(StoreError::MissingObject(*d))),
+            }
+        });
+        for read in verified {
+            if let Some((buf, data)) = read? {
+                objects.bufs[buf] = data;
+            }
         }
+        let recipes = layers.into_iter().map(|layer| layer.recipe);
+        self.mem.restore(recipes, objects, physical, logical);
         Ok(())
     }
 
-    /// Commits a layer from already-parsed entries, durably. Publishes
-    /// new large objects first, then the layer file, then updates memory
-    /// — see the module docs for why this ordering makes crashes safe.
-    pub fn commit_parsed(
-        &self,
-        layer_digest: Digest,
-        blob_len: u64,
-        pending: Vec<PendingEntry<'_>>,
-    ) -> Result<IngestStats, PersistentError> {
+    /// Commits a parsed layer, durably. Publishes new large objects first,
+    /// then the layer file, then updates memory — see the module docs for
+    /// why this ordering makes crashes safe. The layer file is the recipe's
+    /// columns plus the inline contents, each block copied once into the
+    /// file's bytes; the columns then move on into memory as the recipe.
+    pub fn commit_parsed(&self, layer: ParsedLayer<'_>) -> Result<IngestStats, PersistentError> {
+        let ParsedLayer { recipe, files } = layer;
+        let layer_digest = recipe.layer_digest;
         if self.mem.contains_layer(&layer_digest) {
             return Err(StoreError::AlreadyIngested.into());
         }
         // One batched publish for the layer's new large objects: a single
         // fanout dir fsync per touched shard instead of one per object.
-        let new_objects: Vec<(Digest, &[u8])> = pending
+        let new_objects: Vec<(Digest, &[u8])> = files
             .iter()
-            .filter_map(|p| p.file.as_ref())
             .filter(|(digest, data)| data.len() > INLINE_MAX && !self.mem.has_object(digest))
-            .map(|(digest, data)| (*digest, *data))
+            .copied()
             .collect();
         self.objects.put_batch(&new_objects)?;
         let path = self.layer_path(&layer_digest);
@@ -433,8 +465,10 @@ impl PersistentDedupStore {
             // The fanout directory itself is a fresh entry in `layers/`.
             fsync_dir(&self.layers_dir).map_err(PersistError::from)?;
         }
-        self.publisher.publish(&path, &layer_table(blob_len, &pending).to_bytes())?;
-        Ok(self.mem.commit_parsed(layer_digest, blob_len, pending)?)
+        let table = layer_table(recipe, &files);
+        self.publisher.publish(&path, &table.to_bytes())?;
+        let recipe = split_layer_table(layer_digest, table).expect("the table just built").recipe;
+        Ok(self.mem.commit_parsed(ParsedLayer { recipe, files })?)
     }
 
     /// No-op: layers + objects are the only durable state. Kept for the
@@ -452,8 +486,8 @@ impl PersistentDedupStore {
     pub fn gc(&self) -> Result<GcStats, PersistentError> {
         let mut live: FxHashSet<Digest> = FxHashSet::default();
         for d in self.mem.layer_digests() {
-            if let Some(r) = self.mem.recipe(&d) {
-                live.extend(r.file_digests());
+            if let Some(recipe) = self.mem.recipe(&d) {
+                live.extend(recipe.file_digests());
             }
         }
         let mut stats = self.objects.gc(&live)?;
@@ -745,38 +779,81 @@ mod tests {
         std::fs::write(path, &bytes).unwrap();
     }
 
-    /// Rewrites `path`'s layer file with one byte of the inline copy of
-    /// `victim` flipped and every CRC recomputed: the file reads back
-    /// sound, and only the object's digest can catch the flip. False when
-    /// the file carries no inline copy of `victim`.
-    fn flip_inline(path: &Path, victim: &Digest) -> bool {
+    /// Rewrites `path`'s layer file with its columns passed through `edit`
+    /// and every CRC recomputed, so only the checks past the CRCs can tell.
+    /// False, and the file left alone, when `edit` returns false.
+    fn rewrite_layer(path: &Path, edit: impl FnOnce(&mut [Column]) -> bool) -> bool {
         let table = Table::from_bytes(std::fs::read(path).unwrap()).unwrap();
         let meta = table.meta().to_vec();
         let mut cols = table.into_columns();
-        let (Column::Bytes(shas), Column::Bytes(contents)) = (&cols[7], &cols[9]) else {
-            unreachable!("the layer schema")
-        };
-        let carried =
-            shas.iter().zip(contents.iter()).position(|(sha, c)| sha == victim.0 && !c.is_empty());
-        let Some(row) = carried else { return false };
-        let flipped: BytesColumn = contents
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let mut c = c.to_vec();
-                if i == row {
-                    c[0] ^= 0x01;
-                }
-                c
-            })
-            .collect();
-        cols[9] = Column::Bytes(flipped);
+        if !edit(&mut cols) {
+            return false;
+        }
         let mut tampered = Table::from_columns(layer_schema(), cols).unwrap();
         for (key, value) in &meta {
             tampered = tampered.with_meta(key, *value);
         }
         std::fs::write(path, tampered.to_bytes()).unwrap();
         true
+    }
+
+    /// Rewrites `path`'s layer file with one byte of the inline copy of
+    /// `victim` flipped: the file reads back sound, and only the object's
+    /// digest can catch the flip. False when the file carries no inline
+    /// copy of `victim`.
+    fn flip_inline(path: &Path, victim: &Digest) -> bool {
+        rewrite_layer(path, |cols| {
+            let (Column::Bytes(shas), Column::Bytes(contents)) = (&cols[7], &cols[9]) else {
+                unreachable!("the layer schema")
+            };
+            let carried = shas
+                .iter()
+                .zip(contents.iter())
+                .position(|(sha, c)| sha == victim.0 && !c.is_empty());
+            let Some(row) = carried else { return false };
+            let flipped: BytesColumn = contents
+                .iter()
+                .enumerate()
+                .map(|(i, c)| {
+                    let mut c = c.to_vec();
+                    if i == row {
+                        c[0] ^= 0x01;
+                    }
+                    c
+                })
+                .collect();
+            cols[9] = Column::Bytes(flipped);
+            true
+        })
+    }
+
+    /// Stats come from the `size` column, so a file row must name its
+    /// object's length: a repeat that disagrees with the first row, or rows
+    /// that agree on a length the object file does not have, are torn.
+    #[test]
+    fn a_file_rows_size_must_be_its_objects_length() {
+        let root = tmp_root("size");
+        let big = large(INLINE_MAX + 10, 3);
+        let (d, b) = layer(&[file("big", &big), file("again", &big)]);
+        let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
+        ingest(&store, d, &b).unwrap();
+        let path = store.layer_path(&d);
+        drop(store);
+        let sound = std::fs::read(&path).unwrap();
+        for rows in [&[1][..], &[0, 1]] {
+            assert!(rewrite_layer(&path, |cols| {
+                let Column::U64(size) = &mut cols[6] else { unreachable!("the layer schema") };
+                rows.iter().for_each(|&row| size[row] += 1);
+                true
+            }));
+            match PersistentDedupStore::open(&root, Publisher::new()).err() {
+                Some(PersistentError::Persist(PersistError::Torn(p))) => assert_eq!(p, path),
+                other => panic!("rows {rows:?}: expected a torn layer file, got {other:?}"),
+            }
+            std::fs::write(&path, &sound).unwrap();
+        }
+        assert!(PersistentDedupStore::open(&root, Publisher::new()).is_ok());
+        let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
@@ -898,8 +975,9 @@ mod tests {
         drop(store);
         let sound = std::fs::read(&path).unwrap();
         let stored = decode_layer(d, sound.clone()).expect("the writer's bytes decode");
-        assert_eq!(stored.blob_len, b.len() as u64);
-        assert_eq!(stored.inline.len(), 3, "every file up to INLINE_MAX, and only those");
+        assert_eq!(stored.recipe.blob_len, b.len() as u64);
+        let inline = stored.content.iter().filter(|c| !c.is_empty()).count();
+        assert_eq!(inline, 3, "every file up to INLINE_MAX, and only those");
         // The compressed length sits in the metadata, under the CRC like
         // every other byte.
         let blob_len = (b.len() as u64).to_le_bytes();

@@ -1,48 +1,152 @@
 //! Layer recipes: everything needed to rebuild a layer except the file
 //! contents themselves, which live deduplicated in the object store.
+//!
+//! A recipe is held in column form — the columns of the durable store's
+//! layer file, less its inline contents: path and link target as
+//! [`StrColumn`]s, the 32-byte content digest as a [`BytesColumn`], and
+//! the integer fields as plain vectors. A recipe built by an ingest owns
+//! one buffer per string column; one read back from a layer file keeps
+//! that file's buffer, its columns pointing into it. Either way no row is a
+//! heap value of its own: readers walk [`RecipeRow`] views.
 
 use dhub_json::{push_string, push_u64};
 use dhub_model::Digest;
+use dhub_persist::{BytesColumn, StrColumn};
 
-/// Non-content entry kind.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RecipeEntryKind {
+/// The `kind` column's values.
+pub(crate) const FILE: u64 = 0;
+pub(crate) const DIR: u64 = 1;
+pub(crate) const SYMLINK: u64 = 2;
+pub(crate) const HARDLINK: u64 = 3;
+
+/// What a recipe row is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RowKind<'a> {
     /// Regular file; contents found by digest in the object store.
     File(Digest),
     Dir,
-    Symlink(String),
-    Hardlink(String),
+    /// Symlink target.
+    Symlink(&'a str),
+    /// Hardlink target.
+    Hardlink(&'a str),
 }
 
-/// One tar entry's metadata.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EntryMeta {
-    pub path: String,
-    pub kind: RecipeEntryKind,
+/// One tar entry's metadata, borrowed from its recipe's columns.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RecipeRow<'a> {
+    pub path: &'a str,
+    pub kind: RowKind<'a>,
+    /// A file's content length; 0 for every other kind.
+    pub size: u64,
     pub mode: u32,
     pub uid: u32,
     pub gid: u32,
     pub mtime: u64,
 }
 
-/// A complete layer recipe: ordered entries plus the digest of the
-/// original compressed blob for verification.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A complete layer recipe: the layer's entries in original archive
+/// order, plus the digest and length of the original compressed blob.
+#[derive(Clone, Debug, PartialEq)]
 pub struct LayerRecipe {
     /// Digest of the original compressed layer blob.
     pub layer_digest: Digest,
-    /// Entries in original archive order.
-    pub entries: Vec<EntryMeta>,
+    /// Length of the original compressed layer blob.
+    pub blob_len: u64,
+    pub(crate) path: StrColumn,
+    pub(crate) kind: Vec<u64>,
+    pub(crate) mode: Vec<u64>,
+    pub(crate) uid: Vec<u64>,
+    pub(crate) gid: Vec<u64>,
+    pub(crate) mtime: Vec<u64>,
+    pub(crate) size: Vec<u64>,
+    /// A file row's 32-byte content digest; empty on every other row.
+    pub(crate) sha256: BytesColumn,
+    /// A link row's target; empty on every other row.
+    pub(crate) target: StrColumn,
 }
 
 impl LayerRecipe {
+    /// A recipe with no rows yet.
+    pub fn new(layer_digest: Digest, blob_len: u64) -> LayerRecipe {
+        LayerRecipe {
+            layer_digest,
+            blob_len,
+            path: StrColumn::default(),
+            kind: Vec::new(),
+            mode: Vec::new(),
+            uid: Vec::new(),
+            gid: Vec::new(),
+            mtime: Vec::new(),
+            size: Vec::new(),
+            sha256: BytesColumn::default(),
+            target: StrColumn::default(),
+        }
+    }
+
+    /// Appends a row to every column.
+    pub fn push(&mut self, row: RecipeRow<'_>) {
+        let (kind, digest, link): (u64, &[u8], &str) = match &row.kind {
+            RowKind::File(d) => (FILE, &d.0, ""),
+            RowKind::Dir => (DIR, &[], ""),
+            RowKind::Symlink(t) => (SYMLINK, &[], t),
+            RowKind::Hardlink(t) => (HARDLINK, &[], t),
+        };
+        let size = if kind == FILE { row.size } else { 0 };
+        self.path.push(row.path);
+        self.kind.push(kind);
+        self.mode.push(row.mode.into());
+        self.uid.push(row.uid.into());
+        self.gid.push(row.gid.into());
+        self.mtime.push(row.mtime);
+        self.size.push(size);
+        self.sha256.push(digest);
+        self.target.push(link);
+    }
+
+    /// Number of rows (tar entries).
+    pub fn len(&self) -> usize {
+        self.kind.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Row `i`; panics past the end, as slice indexing does. The integer
+    /// fields fit their widths: a built recipe pushed them from those
+    /// widths, and a layer file's reader checks them.
+    pub fn row(&self, i: usize) -> RecipeRow<'_> {
+        let kind = match self.kind[i] {
+            FILE => RowKind::File(self.digest(i)),
+            DIR => RowKind::Dir,
+            SYMLINK => RowKind::Symlink(self.target.get(i)),
+            _ => RowKind::Hardlink(self.target.get(i)),
+        };
+        RecipeRow {
+            path: self.path.get(i),
+            kind,
+            size: self.size[i],
+            mode: self.mode[i] as u32,
+            uid: self.uid[i] as u32,
+            gid: self.gid[i] as u32,
+            mtime: self.mtime[i],
+        }
+    }
+
+    /// Every row, in archive order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = RecipeRow<'_>> + '_ {
+        (0..self.len()).map(|i| self.row(i))
+    }
+
+    /// The content digest of file row `i`.
+    pub(crate) fn digest(&self, i: usize) -> Digest {
+        Digest(self.sha256.get(i).try_into().expect("a file row holds a 32-byte digest"))
+    }
+
     /// Digests of the file contents this recipe references (with
     /// repetition, in order).
     pub fn file_digests(&self) -> impl Iterator<Item = Digest> + '_ {
-        self.entries.iter().filter_map(|e| match &e.kind {
-            RecipeEntryKind::File(d) => Some(*d),
-            _ => None,
-        })
+        (0..self.len()).filter(|&i| self.kind[i] == FILE).map(|i| self.digest(i))
     }
 
     /// Serializes to JSON, the recipe format of stores written before
@@ -53,21 +157,17 @@ impl LayerRecipe {
     pub fn to_json(&self) -> String {
         // Room for an entry's keys, four numbers and a file digest.
         const ENTRY: usize = 180;
-        let link = |e: &EntryMeta| match &e.kind {
-            RecipeEntryKind::Symlink(t) | RecipeEntryKind::Hardlink(t) => t.len(),
-            _ => 0,
-        };
-        let size: usize = self.entries.iter().map(|e| ENTRY + e.path.len() + link(e)).sum();
-        let mut out = String::with_capacity(100 + size);
+        let text: usize = self.path.iter().chain(self.target.iter()).map(str::len).sum();
+        let mut out = String::with_capacity(100 + ENTRY * self.len() + text);
         out.push_str(r#"{"layerDigest":""#);
         self.layer_digest.push_docker_string(&mut out);
         out.push_str(r#"","entries":["#);
-        for (i, e) in self.entries.iter().enumerate() {
+        for (i, e) in self.rows().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(r#"{"path":"#);
-            push_string(&mut out, &e.path);
+            push_string(&mut out, e.path);
             for (key, n) in [
                 (r#","mode":"#, e.mode as u64),
                 (r#","uid":"#, e.uid as u64),
@@ -77,18 +177,18 @@ impl LayerRecipe {
                 out.push_str(key);
                 push_u64(&mut out, n);
             }
-            match &e.kind {
-                RecipeEntryKind::File(d) => {
+            match e.kind {
+                RowKind::File(d) => {
                     out.push_str(r#","type":"file","digest":""#);
                     d.push_docker_string(&mut out);
                     out.push('"');
                 }
-                RecipeEntryKind::Dir => out.push_str(r#","type":"dir""#),
-                RecipeEntryKind::Symlink(t) => {
+                RowKind::Dir => out.push_str(r#","type":"dir""#),
+                RowKind::Symlink(t) => {
                     out.push_str(r#","type":"symlink","target":"#);
                     push_string(&mut out, t);
                 }
-                RecipeEntryKind::Hardlink(t) => {
+                RowKind::Hardlink(t) => {
                     out.push_str(r#","type":"hardlink","target":"#);
                     push_string(&mut out, t);
                 }
@@ -104,36 +204,36 @@ impl LayerRecipe {
 mod tests {
     use super::*;
 
+    fn row<'a>(path: &'a str, kind: RowKind<'a>) -> RecipeRow<'a> {
+        RecipeRow { path, kind, size: 0, mode: 0o755, uid: 0, gid: 0, mtime: 0 }
+    }
+
     fn sample() -> LayerRecipe {
-        LayerRecipe {
-            layer_digest: Digest::of(b"blob"),
-            entries: vec![
-                EntryMeta {
-                    path: "usr".into(),
-                    kind: RecipeEntryKind::Dir,
-                    mode: 0o755,
-                    uid: 0,
-                    gid: 0,
-                    mtime: 0,
-                },
-                EntryMeta {
-                    path: "usr/bin/tool".into(),
-                    kind: RecipeEntryKind::File(Digest::of(b"contents")),
-                    mode: 0o755,
-                    uid: 1000,
-                    gid: 1000,
-                    mtime: 1_495_000_000,
-                },
-                EntryMeta {
-                    path: "usr/bin/alias".into(),
-                    kind: RecipeEntryKind::Symlink("tool".into()),
-                    mode: 0o777,
-                    uid: 0,
-                    gid: 0,
-                    mtime: 0,
-                },
-            ],
-        }
+        let mut r = LayerRecipe::new(Digest::of(b"blob"), 4);
+        r.push(row("usr", RowKind::Dir));
+        r.push(RecipeRow {
+            size: 8,
+            uid: 1000,
+            gid: 1000,
+            mtime: 1_495_000_000,
+            ..row("usr/bin/tool", RowKind::File(Digest::of(b"contents")))
+        });
+        r.push(RecipeRow { mode: 0o777, ..row("usr/bin/alias", RowKind::Symlink("tool")) });
+        r
+    }
+
+    /// Rows read back as they were pushed; a size pushed with a non-file
+    /// row is not kept.
+    #[test]
+    fn rows_read_back_as_pushed() {
+        let r = sample();
+        assert_eq!(r.len(), 3);
+        assert_eq!(r.row(1).kind, RowKind::File(Digest::of(b"contents")));
+        assert_eq!((r.row(1).size, r.row(1).uid, r.row(1).mtime), (8, 1000, 1_495_000_000));
+        assert_eq!(r.row(2), RecipeRow { mode: 0o777, ..row("usr/bin/alias", RowKind::Symlink("tool")) });
+        let mut dir = LayerRecipe::new(Digest::of(b"d"), 0);
+        dir.push(RecipeRow { size: 9, ..row("d", RowKind::Dir) });
+        assert_eq!(dir.row(0).size, 0);
     }
 
     /// The text is JSON holding the recipe's fields, entries in archive
@@ -145,7 +245,7 @@ mod tests {
         let digest = r.layer_digest.to_docker_string();
         assert_eq!(j.get("layerDigest").and_then(|d| d.as_str()), Some(digest.as_str()));
         let entries = j.get("entries").and_then(|e| e.as_arr()).unwrap();
-        assert_eq!(entries.len(), r.entries.len());
+        assert_eq!(entries.len(), r.len());
         let field = |i: usize, key: &str| entries[i].get(key).and_then(|v| v.as_str()).unwrap();
         assert_eq!(field(1, "type"), "file");
         assert_eq!(field(1, "digest"), Digest::of(b"contents").to_docker_string());

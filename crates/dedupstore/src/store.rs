@@ -1,6 +1,16 @@
 //! The deduplicating store itself.
+//!
+//! Every object is a slice of a buffer shared with the other objects that
+//! arrived in it, found through one slot per digest. Objects live in memory
+//! as they do in a durable store's files: a commit copies the layer's new
+//! objects of at most [`INLINE_MAX`] bytes into one buffer for the layer
+//! and each larger one into a buffer of its own, and a reopened store keeps
+//! each small object where its layer file was read and each large one in
+//! its object file's bytes. Recipes are [`LayerRecipe`]s in column form. So
+//! a store holds a few buffers per layer plus one per large object, however
+//! many rows and small objects it has, and dropping it frees those.
 
-use crate::recipe::{EntryMeta, LayerRecipe, RecipeEntryKind};
+use crate::recipe::{LayerRecipe, RecipeRow, RowKind};
 use dhub_compress::gzip_decompress_into;
 use dhub_digest::FxHashMap;
 use dhub_model::Digest;
@@ -8,10 +18,57 @@ use dhub_obs::{Counter, Gauge, MetricsRegistry};
 use dhub_sync::RwLock;
 use dhub_tar::{encode_entry, encoded_len, EntryView, EntryViewKind, TarView, BLOCK_SIZE};
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
-/// Content-addressed file objects, shared by every recipe naming them.
-type Objects = FxHashMap<Digest, Arc<Vec<u8>>>;
+/// Objects up to one filesystem block are kept inline in the layer file of
+/// each layer that holds them and, in memory, in one buffer per layer with
+/// the layer's other small objects; larger ones get a file and a buffer
+/// each.
+pub(crate) const INLINE_MAX: usize = 4096;
+
+/// One stored object's bytes: a slice of a buffer shared with the other
+/// objects that arrived in it.
+#[derive(Clone, Debug)]
+pub struct Object {
+    buf: Arc<Vec<u8>>,
+    at: Range<usize>,
+}
+
+impl Deref for Object {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.at.clone()]
+    }
+}
+
+/// Where an object's bytes lie: `bufs[buf][at]` of its [`Objects`].
+#[derive(Clone, Debug)]
+pub(crate) struct Slot {
+    pub(crate) buf: usize,
+    pub(crate) at: Range<usize>,
+}
+
+/// Content-addressed file objects, shared by every recipe naming them: a
+/// slot per digest, and the buffers the objects arrived in.
+#[derive(Default)]
+pub(crate) struct Objects {
+    pub(crate) slots: FxHashMap<Digest, Slot>,
+    pub(crate) bufs: Vec<Arc<Vec<u8>>>,
+}
+
+impl Objects {
+    fn get(&self, digest: &Digest) -> Option<&[u8]> {
+        self.slots.get(digest).map(|s| &self.bufs[s.buf][s.at.clone()])
+    }
+
+    fn object(&self, digest: &Digest) -> Option<Object> {
+        let s = self.slots.get(digest)?;
+        Some(Object { buf: Arc::clone(&self.bufs[s.buf]), at: s.at.clone() })
+    }
+}
 
 /// Errors from store operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -104,45 +161,39 @@ impl StoreMetrics {
     }
 }
 
-/// One parsed layer entry staged for [`DedupStore::commit_parsed`]:
-/// owned recipe metadata plus, for regular files, the content digest and
-/// a payload slice still borrowing the decompressed tar. Producing these
+/// A layer parsed and hashed, staged for [`DedupStore::commit_parsed`]:
+/// its recipe, and each regular file's content digest and payload, in row
+/// order, the payloads still borrowing the decompressed tar. Producing one
 /// from an analysis pass lets the store ingest a layer without a second
 /// decompression or hash.
-pub struct PendingEntry<'a> {
-    /// Recipe metadata for this entry (path, kind, mode, owner, mtime).
-    pub meta: EntryMeta,
-    /// For regular files: content digest + borrowed payload.
-    pub file: Option<(Digest, &'a [u8])>,
+pub struct ParsedLayer<'a> {
+    pub(crate) recipe: LayerRecipe,
+    /// One per file row of `recipe`, in row order.
+    pub(crate) files: Vec<(Digest, &'a [u8])>,
 }
 
-impl<'a> PendingEntry<'a> {
-    /// Stages a zero-copy tar entry. `file` may carry an
+impl<'a> ParsedLayer<'a> {
+    /// A layer with no entries yet; `blob_len` is its compressed length.
+    pub fn new(layer_digest: Digest, blob_len: u64) -> ParsedLayer<'a> {
+        ParsedLayer { recipe: LayerRecipe::new(layer_digest, blob_len), files: Vec::new() }
+    }
+
+    /// Appends a zero-copy tar entry. `file` may carry a file's
     /// already-computed `(digest, payload)` pair (from the fused analysis
     /// sink); when absent for a file entry the digest is computed here.
-    pub fn from_view(entry: &EntryView<'a>, file: Option<(Digest, &'a [u8])>) -> PendingEntry<'a> {
-        let file = match entry.kind {
-            EntryViewKind::File(data) => Some(file.unwrap_or_else(|| (Digest::of(data), data))),
-            _ => None,
+    pub fn push(&mut self, entry: &EntryView<'a>, file: Option<(Digest, &'a [u8])>) {
+        let (kind, size) = match entry.kind {
+            EntryViewKind::File(data) => {
+                let (digest, data) = file.unwrap_or_else(|| (Digest::of(data), data));
+                self.files.push((digest, data));
+                (RowKind::File(digest), data.len() as u64)
+            }
+            EntryViewKind::Dir => (RowKind::Dir, 0),
+            EntryViewKind::Symlink(t) => (RowKind::Symlink(t), 0),
+            EntryViewKind::Hardlink(t) => (RowKind::Hardlink(t), 0),
         };
-        let kind = match (&entry.kind, &file) {
-            (EntryViewKind::File(_), Some((d, _))) => RecipeEntryKind::File(*d),
-            (EntryViewKind::Dir, _) => RecipeEntryKind::Dir,
-            (EntryViewKind::Symlink(t), _) => RecipeEntryKind::Symlink(t.to_string()),
-            (EntryViewKind::Hardlink(t), _) => RecipeEntryKind::Hardlink(t.to_string()),
-            (EntryViewKind::File(_), None) => unreachable!("file pair filled in above"),
-        };
-        PendingEntry {
-            meta: EntryMeta {
-                path: entry.path.clone().into_owned(),
-                kind,
-                mode: entry.mode,
-                uid: entry.uid,
-                gid: entry.gid,
-                mtime: entry.mtime,
-            },
-            file,
-        }
+        let (mode, uid, gid, mtime) = (entry.mode, entry.uid, entry.gid, entry.mtime);
+        self.recipe.push(RecipeRow { path: &entry.path, kind, size, mode, uid, gid, mtime });
     }
 }
 
@@ -154,10 +205,6 @@ impl<'a> PendingEntry<'a> {
 pub struct DedupStore {
     objects: RwLock<Objects>,
     recipes: RwLock<FxHashMap<Digest, Arc<LayerRecipe>>>,
-    /// Compressed (conventional) size of each ingested layer, so a store
-    /// rebuilt from recipes alone can still answer size-distribution
-    /// queries without the original blobs.
-    layer_cls: RwLock<FxHashMap<Digest, u64>>,
     counters: RwLock<StoreStats>,
     metrics: StoreMetrics,
 }
@@ -195,96 +242,95 @@ impl DedupStore {
             let buf = scratch.tar_buf();
             gzip_decompress_into(blob, buf).map_err(|e| StoreError::BadLayer(e.to_string()))?;
             let tar: &[u8] = buf;
-            let mut pending = Vec::new();
+            let mut layer = ParsedLayer::new(layer_digest, blob.len() as u64);
             for entry in TarView::new(tar) {
                 let entry = entry.map_err(|e| StoreError::BadLayer(e.to_string()))?;
-                pending.push(PendingEntry::from_view(&entry, None));
+                layer.push(&entry, None);
             }
-            self.commit_parsed(layer_digest, blob.len() as u64, pending)
+            self.commit_parsed(layer)
         })
     }
 
-    /// Commits a layer from already-parsed entries (the tail of every
-    /// ingest path). `blob_len` is the compressed size, charged to the
-    /// conventional-storage counter. Payload bytes are copied into the
-    /// object store only for content the store has not seen.
-    pub fn commit_parsed(
-        &self,
-        layer_digest: Digest,
-        blob_len: u64,
-        pending: Vec<PendingEntry<'_>>,
-    ) -> Result<IngestStats, StoreError> {
-        if self.contains_layer(&layer_digest) {
-            return Err(StoreError::AlreadyIngested);
-        }
-        let mut stats = IngestStats::default();
-        let mut recipe_entries = Vec::with_capacity(pending.len());
-        {
-            let mut objects = self.objects.write();
-            for p in pending {
-                if let Some((digest, data)) = p.file {
-                    stats.files += 1;
-                    if objects.contains_key(&digest) {
-                        stats.bytes_deduped += data.len() as u64;
-                    } else {
-                        stats.new_files += 1;
-                        stats.bytes_added += data.len() as u64;
-                        objects.insert(digest, Arc::new(data.to_vec()));
-                    }
-                }
-                recipe_entries.push(p.meta);
-            }
-        }
-        self.record_layer(LayerRecipe { layer_digest, entries: recipe_entries }, blob_len, stats);
-        Ok(stats)
-    }
-
-    /// Commits a layer from its owned recipe (the reopen path): the recipe
-    /// is moved in as it stands, and the bytes of every object the store
-    /// does not hold yet are moved out of `fetched` — nothing is cloned.
-    /// Same checks, stats and counters as [`DedupStore::commit_parsed`].
-    pub(crate) fn commit_recipe(
-        &self,
-        recipe: LayerRecipe,
-        blob_len: u64,
-        fetched: &mut FxHashMap<Digest, Vec<u8>>,
-    ) -> Result<IngestStats, StoreError> {
+    /// Commits a parsed layer (the tail of every ingest path): one slot
+    /// lookup per file under the objects lock, the layer's new small
+    /// objects copied into one buffer and each new large one into its own.
+    /// The recipe's compressed length is charged to the
+    /// conventional-storage counter.
+    pub fn commit_parsed(&self, layer: ParsedLayer<'_>) -> Result<IngestStats, StoreError> {
+        let ParsedLayer { recipe, files } = layer;
         if self.contains_layer(&recipe.layer_digest) {
             return Err(StoreError::AlreadyIngested);
         }
         let mut stats = IngestStats::default();
         {
             let mut objects = self.objects.write();
-            for digest in recipe.file_digests() {
+            let Objects { slots, bufs } = &mut *objects;
+            let (mut small, mut small_buf, mut end): (Vec<&[u8]>, _, _) = (Vec::new(), None, 0);
+            for &(digest, payload) in &files {
                 stats.files += 1;
-                if let Some(held) = objects.get(&digest) {
-                    stats.bytes_deduped += held.len() as u64;
+                let Entry::Vacant(slot) = slots.entry(digest) else {
+                    stats.bytes_deduped += payload.len() as u64;
+                    continue;
+                };
+                stats.new_files += 1;
+                stats.bytes_added += payload.len() as u64;
+                if payload.len() <= INLINE_MAX {
+                    // Filled in below, once every small payload is known.
+                    let buf = *small_buf.get_or_insert_with(|| {
+                        bufs.push(Arc::default());
+                        bufs.len() - 1
+                    });
+                    slot.insert(Slot { buf, at: end..end + payload.len() });
+                    end += payload.len();
+                    small.push(payload);
                 } else {
-                    let data = fetched.remove(&digest).ok_or(StoreError::MissingObject(digest))?;
-                    stats.new_files += 1;
-                    stats.bytes_added += data.len() as u64;
-                    objects.insert(digest, Arc::new(data));
+                    bufs.push(Arc::new(payload.to_vec()));
+                    slot.insert(Slot { buf: bufs.len() - 1, at: 0..payload.len() });
                 }
             }
+            if let Some(buf) = small_buf {
+                bufs[buf] = Arc::new(small.concat());
+            }
         }
-        self.record_layer(recipe, blob_len, stats);
+        let blob_len = recipe.blob_len;
+        self.recipes.write().insert(recipe.layer_digest, Arc::new(recipe));
+        self.count(1, stats.bytes_added, stats.bytes_added + stats.bytes_deduped, blob_len);
         Ok(stats)
     }
 
-    /// The tail of every commit: files the recipe and the layer's
-    /// compressed size, then folds `stats` into the store counters.
-    fn record_layer(&self, recipe: LayerRecipe, blob_len: u64, stats: IngestStats) {
-        let layer_digest = recipe.layer_digest;
-        self.recipes.write().insert(layer_digest, Arc::new(recipe));
-        self.layer_cls.write().insert(layer_digest, blob_len);
+    /// Installs a replayed store at once (the reopen path): its recipes,
+    /// its objects, and the physical and logical bytes they add up to. The
+    /// store must be empty.
+    pub(crate) fn restore(
+        &self,
+        recipes: impl Iterator<Item = LayerRecipe>,
+        objects: Objects,
+        physical: u64,
+        logical: u64,
+    ) {
+        let mut held = self.recipes.write();
+        debug_assert!(held.is_empty() && self.objects.read().slots.is_empty());
+        let mut conventional = 0;
+        for recipe in recipes {
+            conventional += recipe.blob_len;
+            held.insert(recipe.layer_digest, Arc::new(recipe));
+        }
+        let layers = held.len();
+        drop(held);
+        *self.objects.write() = objects;
+        self.count(layers, physical, logical, conventional);
+    }
 
+    /// Folds `layers` committed layers and their bytes into the store
+    /// counters.
+    fn count(&self, layers: usize, physical: u64, logical: u64, conventional: u64) {
         let mut c = self.counters.write();
-        c.layers += 1;
-        c.physical_bytes += stats.bytes_added;
-        c.logical_bytes += stats.bytes_added + stats.bytes_deduped;
-        c.conventional_bytes += blob_len;
-        c.unique_objects = self.objects.read().len();
-        self.metrics.ingests.inc();
+        c.layers += layers;
+        c.physical_bytes += physical;
+        c.logical_bytes += logical;
+        c.conventional_bytes += conventional;
+        c.unique_objects = self.objects.read().slots.len();
+        self.metrics.ingests.add(layers as u64);
         self.metrics.dedup_factor.set(c.dedup_factor());
     }
 
@@ -293,24 +339,21 @@ impl DedupStore {
     /// original archive.
     ///
     /// One pass over the recipe sizes the tar exactly and notes where each
-    /// entry ends; the tar is then one zeroed allocation, and every entry is
-    /// encoded at its offset straight from the shared object, so each
-    /// payload byte is copied once. From `PARALLEL_REBUILD_FLOOR` up,
+    /// entry ends and where its payload lies; the tar is then one zeroed
+    /// allocation, and every entry is encoded at its offset straight from
+    /// the shared object, so each payload byte is copied once. From `PARALLEL_REBUILD_FLOOR` up,
     /// contiguous byte-balanced runs of entries are encoded on every core.
     pub fn reconstruct_tar(&self, layer_digest: &Digest) -> Result<Vec<u8>, StoreError> {
         let recipe = self.recipes.read().get(layer_digest).cloned().ok_or(StoreError::UnknownLayer)?;
         let objects = self.objects.read();
-        let (mut ends, mut body) = (Vec::with_capacity(recipe.entries.len()), 0);
-        for e in &recipe.entries {
-            body += encoded_len(&entry_view(e, &objects)?);
-            ends.push(body);
-        }
+        let (ends, payloads) = sized(&recipe, &objects)?;
+        let body = ends.last().copied().unwrap_or(0);
         let mut tar = vec![0u8; body + 2 * BLOCK_SIZE];
         let out = &mut tar[..body];
         if body < PARALLEL_REBUILD_FLOOR {
-            fill(&recipe.entries, &objects, out);
+            fill(&recipe, 0, &payloads, out);
         } else {
-            fill_runs(&recipe.entries, &ends, &objects, out, dhub_par::default_threads());
+            fill_runs(&recipe, &ends, &payloads, out, dhub_par::default_threads());
         }
         self.metrics.reconstructions.inc();
         Ok(tar)
@@ -324,14 +367,14 @@ impl DedupStore {
     /// True when the object store already holds this content digest (the
     /// persistent tier uses this to skip redundant disk writes).
     pub fn has_object(&self, digest: &Digest) -> bool {
-        self.objects.read().contains_key(digest)
+        self.objects.read().slots.contains_key(digest)
     }
 
     /// The content bytes of one stored object, if present. Recipe walkers
     /// (e.g. `dhub query` answering from a replayed store) pair this with
     /// [`DedupStore::recipe`] to re-derive per-file facts.
-    pub fn object_data(&self, digest: &Digest) -> Option<Arc<Vec<u8>>> {
-        self.objects.read().get(digest).cloned()
+    pub fn object_data(&self, digest: &Digest) -> Option<Object> {
+        self.objects.read().object(digest)
     }
 
     /// Digests of every ingested layer (unordered).
@@ -340,10 +383,11 @@ impl DedupStore {
     }
 
     /// `(layer digest, compressed size)` for every ingested layer, sorted
-    /// by digest. Lets a store replayed from recipes alone (no study
-    /// checkpoint) answer layer-size distribution queries.
+    /// by digest, read off the recipes. Lets a store replayed from recipes
+    /// alone (no study checkpoint) answer layer-size distribution queries.
     pub fn layer_sizes(&self) -> Vec<(Digest, u64)> {
-        let mut v: Vec<(Digest, u64)> = self.layer_cls.read().iter().map(|(d, c)| (*d, *c)).collect();
+        let mut v: Vec<(Digest, u64)> =
+            self.recipes.read().values().map(|r| (r.layer_digest, r.blob_len)).collect();
         v.sort_by_key(|(d, _)| *d);
         v
     }
@@ -360,35 +404,52 @@ impl DedupStore {
 /// inline fill.
 const PARALLEL_REBUILD_FLOOR: usize = 3 << 20;
 
-/// A recipe entry as the encoder takes it, its payload borrowed from the
+/// A recipe row as the encoder takes it, a file's payload borrowed from the
 /// object store.
-fn entry_view<'a>(e: &'a EntryMeta, objects: &'a Objects) -> Result<EntryView<'a>, StoreError> {
-    let kind = match &e.kind {
-        RecipeEntryKind::File(d) => EntryViewKind::File(objects.get(d).ok_or(StoreError::MissingObject(*d))?),
-        RecipeEntryKind::Dir => EntryViewKind::Dir,
-        RecipeEntryKind::Symlink(t) => EntryViewKind::Symlink(t),
-        RecipeEntryKind::Hardlink(t) => EntryViewKind::Hardlink(t),
+fn entry_view<'a>(row: RecipeRow<'a>, payload: &'a [u8]) -> EntryView<'a> {
+    let kind = match row.kind {
+        RowKind::File(_) => EntryViewKind::File(payload),
+        RowKind::Dir => EntryViewKind::Dir,
+        RowKind::Symlink(t) => EntryViewKind::Symlink(t),
+        RowKind::Hardlink(t) => EntryViewKind::Hardlink(t),
     };
-    Ok(EntryView { path: Cow::Borrowed(&e.path), kind, mode: e.mode, uid: e.uid, gid: e.gid, mtime: e.mtime })
+    let (mode, uid, gid, mtime) = (row.mode, row.uid, row.gid, row.mtime);
+    EntryView { path: Cow::Borrowed(row.path), kind, mode, uid, gid, mtime }
 }
 
-/// Encodes `entries` back to back into `out`, which holds exactly their
-/// encoded length and is zeroed. Every object they name was found when the
-/// rebuild was sized, under the same read lock.
-fn fill(entries: &[EntryMeta], objects: &Objects, out: &mut [u8]) {
+/// Where each row of `recipe` ends in its rebuilt tar (the trailer
+/// excluded), and each row's payload (empty but for a file's): one object
+/// lookup per file row.
+fn sized<'a>(recipe: &'a LayerRecipe, objects: &'a Objects) -> Result<(Vec<usize>, Vec<&'a [u8]>), StoreError> {
+    let (mut ends, mut payloads, mut body) = (Vec::with_capacity(recipe.len()), Vec::with_capacity(recipe.len()), 0);
+    for row in recipe.rows() {
+        let payload = match row.kind {
+            RowKind::File(d) => objects.get(&d).ok_or(StoreError::MissingObject(d))?,
+            _ => &[],
+        };
+        body += encoded_len(&entry_view(row, payload));
+        ends.push(body);
+        payloads.push(payload);
+    }
+    Ok((ends, payloads))
+}
+
+/// Encodes rows `first..` of `recipe`, one per payload, back to back into
+/// `out`, which holds exactly their encoded length and is zeroed.
+fn fill(recipe: &LayerRecipe, first: usize, payloads: &[&[u8]], out: &mut [u8]) {
     let mut at = 0;
-    for e in entries {
-        at += encode_entry(&entry_view(e, objects).expect("sized under the same lock"), &mut out[at..]);
+    for (i, payload) in (first..).zip(payloads) {
+        at += encode_entry(&entry_view(recipe.row(i), payload), &mut out[at..]);
     }
     debug_assert_eq!(at, out.len());
 }
 
 /// [`fill`] as up to `runs` contiguous runs of about `out.len() / runs`
 /// bytes each, one per thread, the last on the caller's. `ends[i]` is where
-/// entry `i` ends in `out`; a cut falls after the entry that reaches each
-/// mark, and `out` is split at the same offsets.
-fn fill_runs(entries: &[EntryMeta], ends: &[usize], objects: &Objects, out: &mut [u8], runs: usize) {
-    let (total, n) = (out.len(), entries.len());
+/// row `i` ends in `out`; a cut falls after the row that reaches each mark,
+/// and `out` is split at the same offsets.
+fn fill_runs(recipe: &LayerRecipe, ends: &[usize], payloads: &[&[u8]], out: &mut [u8], runs: usize) {
+    let (total, n) = (out.len(), recipe.len());
     std::thread::scope(|s| {
         let (mut rest, mut first, mut at) = (out, 0, 0);
         for k in 1..=runs {
@@ -397,11 +458,11 @@ fn fill_runs(entries: &[EntryMeta], ends: &[usize], objects: &Objects, out: &mut
                 continue;
             }
             let (run, tail) = std::mem::take(&mut rest).split_at_mut(ends[last - 1] - at);
-            let run_entries = &entries[first..last];
+            let run_payloads = &payloads[first..last];
             if last == n {
-                fill(run_entries, objects, run);
+                fill(recipe, first, run_payloads, run);
             } else {
-                s.spawn(move || fill(run_entries, objects, run));
+                s.spawn(move || fill(recipe, first, run_payloads, run));
             }
             (rest, first, at) = (tail, last, ends[last - 1]);
         }
@@ -483,20 +544,34 @@ mod tests {
         let tar = dhub_tar::write_archive(&entries);
         let recipe = store.recipe(&digest).unwrap();
         let objects = store.objects.read();
-        let ends: Vec<usize> = recipe
-            .entries
-            .iter()
-            .scan(0, |at, e| {
-                *at += encoded_len(&entry_view(e, &objects).unwrap());
-                Some(*at)
-            })
-            .collect();
+        let (ends, payloads) = sized(&recipe, &objects).unwrap();
         let body = tar.len() - 2 * BLOCK_SIZE;
         for runs in [1, 2, 3, 5, 8, 64] {
             let mut out = vec![0u8; body];
-            fill_runs(&recipe.entries, &ends, &objects, &mut out, runs);
+            fill_runs(&recipe, &ends, &payloads, &mut out, runs);
             assert!(out == tar[..body], "{runs} runs");
         }
+    }
+
+    /// A commit copies its layer's new small objects into one buffer, and
+    /// each large one into its own: the store holds a buffer per layer, not
+    /// one per object.
+    #[test]
+    fn a_commit_copies_its_new_small_objects_into_one_buffer() {
+        let store = DedupStore::new();
+        let big = [7u8; INLINE_MAX + 1];
+        let (d1, b1) = layer(&[file("a", b"one"), file("b", b"two"), file("c", b"one")]);
+        let (d2, b2) = layer(&[file("d", b"two"), file("e", b"three"), file("f", &big)]);
+        store.ingest_layer(d1, &b1).unwrap();
+        store.ingest_layer(d2, &b2).unwrap();
+        let objects = store.objects.read();
+        let buf = |data: &[u8]| objects.slots[&Digest::of(data)].buf;
+        assert_eq!(buf(b"one"), buf(b"two"));
+        assert_ne!(buf(b"one"), buf(b"three"));
+        assert_ne!(buf(b"three"), buf(&big));
+        assert_eq!((objects.slots.len(), objects.bufs.len(), objects.bufs[0].len()), (4, 3, 6));
+        assert_eq!(&*store.object_data(&Digest::of(b"three")).unwrap(), b"three");
+        assert_eq!(&*store.object_data(&Digest::of(&big)).unwrap(), &big);
     }
 
     #[test]

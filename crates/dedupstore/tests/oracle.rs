@@ -1,11 +1,12 @@
 //! The zero-copy ingest and the fused analyze + ingest against the
-//! analyze-then-ingest oracle: same per-layer stats, recipes, store totals
-//! and reconstructed tars.
+//! analyze-then-ingest oracle: same per-layer stats, recipes (read through
+//! row views, against the oracle's owned rows), store totals and
+//! reconstructed tars.
 
 use dhub_compress::{gzip_compress, CompressOptions};
 use dhub_dedupstore::{analyze_and_ingest, DedupStore};
 use dhub_model::Digest;
-use dhub_oracle::{analyze_layer_reference, ReferenceStore};
+use dhub_oracle::{analyze_layer_reference, RefRow, ReferenceStore};
 use dhub_par::Scratch;
 use dhub_tar::{write_archive, TarEntry};
 
@@ -39,7 +40,8 @@ fn zero_copy_ingest_matches_reference() {
         let sf = fast.ingest_layer(*d, b).unwrap();
         let sg = golden.ingest_layer_reference(*d, b).unwrap();
         assert_eq!(sf, sg);
-        assert_eq!(fast.recipe(d).unwrap().entries, golden.recipe(d).unwrap().entries);
+        let rows: Vec<RefRow> = fast.recipe(d).unwrap().rows().map(RefRow::from).collect();
+        assert_eq!(rows, golden.recipe(d).unwrap());
     }
     assert_eq!(fast.stats(), golden.stats());
     for (d, _) in &layers {

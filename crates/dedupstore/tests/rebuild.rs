@@ -8,7 +8,7 @@
 //! where `available_parallelism()` is 1 and every layer is filled inline)
 //! and unpinned.
 
-use dhub_dedupstore::{DedupStore, PendingEntry};
+use dhub_dedupstore::{DedupStore, ParsedLayer};
 use dhub_model::Digest;
 use dhub_oracle::alloc::{allocs_during, CountingAlloc};
 use dhub_tar::{write_archive, EntryKind, TarEntry, TarView};
@@ -71,8 +71,11 @@ fn arb_layer(small: std::ops::Range<usize>, big: std::ops::Range<usize>) -> impl
 /// never needs the compressed blob to rebuild).
 fn ingest(store: &DedupStore, tar: &[u8]) -> Digest {
     let digest = Digest::of(tar);
-    let pending = TarView::new(tar).map(|e| PendingEntry::from_view(&e.unwrap(), None)).collect();
-    store.commit_parsed(digest, tar.len() as u64, pending).unwrap();
+    let mut layer = ParsedLayer::new(digest, tar.len() as u64);
+    for entry in TarView::new(tar) {
+        layer.push(&entry.unwrap(), None);
+    }
+    store.commit_parsed(layer).unwrap();
     digest
 }
 

@@ -1,10 +1,12 @@
 //! The layer recipe writer against its `Json`-tree oracle: `to_json` must
 //! write the bytes printing the recipe as a `Json` object gives, for paths
-//! and link targets of any text and numbers of any width.
+//! and link targets of any text and numbers of any width. The recipe is
+//! built by pushing the oracle's owned rows, and its row views must read
+//! them back.
 
-use dhub_dedupstore::{EntryMeta, LayerRecipe, RecipeEntryKind};
+use dhub_dedupstore::LayerRecipe;
 use dhub_model::Digest;
-use dhub_oracle::recipe_json_reference;
+use dhub_oracle::{recipe_json_reference, RefKind, RefRow};
 use proptest::prelude::*;
 
 /// Paths and link targets: quotes, backslashes, control characters,
@@ -32,28 +34,39 @@ fn arb_u64() -> impl Strategy<Value = u64> {
     ]
 }
 
-fn arb_entry() -> impl Strategy<Value = EntryMeta> {
+/// A row; only a file has a size.
+fn arb_row() -> impl Strategy<Value = RefRow> {
     let kind = (0u8..4, any::<[u8; 32]>(), arb_text()).prop_map(|(k, d, t)| match k {
-        0 => RecipeEntryKind::File(Digest(d)),
-        1 => RecipeEntryKind::Dir,
-        2 => RecipeEntryKind::Symlink(t),
-        _ => RecipeEntryKind::Hardlink(t),
+        0 => RefKind::File(Digest(d)),
+        1 => RefKind::Dir,
+        2 => RefKind::Symlink(t),
+        _ => RefKind::Hardlink(t),
     });
-    (arb_text(), kind, arb_u32(), arb_u32(), arb_u32(), arb_u64()).prop_map(
-        |(path, kind, mode, uid, gid, mtime)| EntryMeta { path, kind, mode, uid, gid, mtime },
+    let ids = (arb_u32(), arb_u32(), arb_u32(), arb_u64());
+    ((arb_text(), kind, arb_u64()), ids).prop_map(
+        |((path, kind, size), (mode, uid, gid, mtime))| {
+            let size = if matches!(kind, RefKind::File(_)) { size } else { 0 };
+            RefRow { path, kind, size, mode, uid, gid, mtime }
+        },
     )
-}
-
-fn arb_recipe() -> impl Strategy<Value = LayerRecipe> {
-    (any::<[u8; 32]>(), proptest::collection::vec(arb_entry(), 0..8))
-        .prop_map(|(d, entries)| LayerRecipe { layer_digest: Digest(d), entries })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn to_json_writes_the_json_printers_bytes(recipe in arb_recipe()) {
-        prop_assert_eq!(recipe.to_json(), recipe_json_reference(&recipe));
+    fn to_json_writes_the_json_printers_bytes(
+        d in any::<[u8; 32]>(),
+        rows in proptest::collection::vec(arb_row(), 0..8),
+        blob_len in arb_u64(),
+    ) {
+        let layer_digest = Digest(d);
+        let mut recipe = LayerRecipe::new(layer_digest, blob_len);
+        for row in &rows {
+            recipe.push(row.view());
+        }
+        let back: Vec<RefRow> = recipe.rows().map(RefRow::from).collect();
+        prop_assert_eq!(&back, &rows);
+        prop_assert_eq!(recipe.to_json(), recipe_json_reference(&layer_digest, &rows));
     }
 }

@@ -4,8 +4,9 @@
 //! recipe built as a `Json` object and printed, and read back by lookups
 //! in the parsed tree.
 
-use dhub_dedupstore::{LayerRecipe, RecipeEntryKind};
+use crate::store::{RefKind, RefRow};
 use dhub_json::{Json, ParseError};
+use dhub_model::Digest;
 
 /// Parses a complete JSON document, char by char into fresh `String`s,
 /// with the same values, error offsets and messages `dhub_json::parse`
@@ -271,13 +272,12 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-/// A recipe's JSON bytes as a printed `Json` object: what
-/// `LayerRecipe::to_json` must write.
-pub fn recipe_json_reference(recipe: &LayerRecipe) -> String {
+/// The JSON bytes of `layer_digest`'s recipe of `rows` as a printed
+/// `Json` object: what `LayerRecipe::to_json` must write.
+pub fn recipe_json_reference(layer_digest: &Digest, rows: &[RefRow]) -> String {
     let mut root = Json::obj();
-    root.set("layerDigest", recipe.layer_digest.to_docker_string());
-    let entries: Vec<Json> = recipe
-        .entries
+    root.set("layerDigest", layer_digest.to_docker_string());
+    let entries: Vec<Json> = rows
         .iter()
         .map(|e| {
             let mut o = Json::obj();
@@ -287,16 +287,16 @@ pub fn recipe_json_reference(recipe: &LayerRecipe) -> String {
                 .set("gid", e.gid as u64)
                 .set("mtime", e.mtime);
             match &e.kind {
-                RecipeEntryKind::File(d) => {
+                RefKind::File(d) => {
                     o.set("type", "file").set("digest", d.to_docker_string());
                 }
-                RecipeEntryKind::Dir => {
+                RefKind::Dir => {
                     o.set("type", "dir");
                 }
-                RecipeEntryKind::Symlink(t) => {
+                RefKind::Symlink(t) => {
                     o.set("type", "symlink").set("target", t.as_str());
                 }
-                RecipeEntryKind::Hardlink(t) => {
+                RefKind::Hardlink(t) => {
                     o.set("type", "hardlink").set("target", t.as_str());
                 }
             }

@@ -43,7 +43,7 @@ pub use analyze::analyze_layer_reference;
 pub use deflate::{deflate_reference, gzip_compress_reference, limited_code_lengths_reference};
 pub use inflate::{fixed_block, gzip_decompress_reference, inflate_reference, Sym};
 pub use json::{json_reference, recipe_json_reference};
-pub use store::ReferenceStore;
+pub use store::{RefKind, RefRow, ReferenceStore};
 
 use dhub_digest::{Sha256, Sha256Kernel};
 use dhub_model::Digest;

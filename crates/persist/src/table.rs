@@ -43,6 +43,7 @@
 use crate::fsync::Publisher;
 use crate::PersistError;
 use dhub_digest::crc32;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -274,6 +275,14 @@ impl BytesColumn {
 
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
         self.0.iter()
+    }
+
+    /// Row `i` as the buffer it lies in and its range there, so a reader
+    /// can keep the value past the column without copying it (a loaded
+    /// column's buffer is the whole file). Rows pushed later never move
+    /// it: a column whose buffer is shared appends to a copy of its own.
+    pub fn shared(&self, i: usize) -> (&Arc<Vec<u8>>, Range<usize>) {
+        (&self.0.buf, self.0.offs[i] + 4..self.0.offs[i + 1])
     }
 }
 
@@ -706,8 +715,13 @@ mod tests {
         else {
             unreachable!()
         };
+        let (buf, at) = blobs.shared(2);
+        let (kept, at) = (Arc::clone(buf), at);
         names.push("d");
         blobs.push(b"more");
+        assert_eq!(&kept[at], &[0xff; 40], "a kept row outlives pushes to its column");
+        let (buf, at) = blobs.shared(3);
+        assert_eq!((&buf[at.clone()], buf.len()), (&b"more"[..], at.end));
         assert_eq!(names.iter().collect::<Vec<_>>(), ["a", "", "c", "d"]);
         assert_eq!(blobs.get(3), b"more");
         assert_eq!(names, ["a", "", "c", "d"].into_iter().collect());

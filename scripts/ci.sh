@@ -621,9 +621,13 @@ EOF
 # which `Carver`'s signature grouping and per-threshold fold replaced, and
 # the sharded map's locked per-key read that only Fig. 26's image pass used;
 # and for the row-at-a-time table builder, which `Table::from_columns`
-# replaced, and the v1 JSON-envelope store reader with its tree oracle.
+# replaced, and the v1 JSON-envelope store reader with its tree oracle;
+# and for the dedup store's per-row recipe entries, its per-entry staging
+# type and its second commit path for reopen, which column-form recipes
+# and the one `commit_parsed` replaced, and the per-layer compressed-size
+# map that the recipes' own `blob_len` replaced.
 echo "==> stale-reference audit"
-STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network|fn with_retries|fn retrying|Backend::Local|mirror_(manifest|blob|tags)_endpoint|remove_layer|dhub_store_gc_|--bin report|write_lock|TableDecoder|huffman_block_fast|of_scalar|new_scalar|sha256_scalar|crc32_scalar|read_bytes\(|reader::Reader|tar::Reader|write_octal|append_gnu_longname|LayerRecipe::from_value|bench_carve|dhub_carve::\{?carve\b|get_clone|push_row|parse_envelope|recipe_from_json_reference'
+STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network|fn with_retries|fn retrying|Backend::Local|mirror_(manifest|blob|tags)_endpoint|remove_layer|dhub_store_gc_|--bin report|write_lock|TableDecoder|huffman_block_fast|of_scalar|new_scalar|sha256_scalar|crc32_scalar|read_bytes\(|reader::Reader|tar::Reader|write_octal|append_gnu_longname|LayerRecipe::from_value|bench_carve|dhub_carve::\{?carve\b|get_clone|push_row|parse_envelope|recipe_from_json_reference|PendingEntry|EntryMeta|commit_recipe|layer_cls'
 if git grep -nE "$STALE_RE" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench' \
     | grep -v '^scripts/ci.sh:[0-9]*:STALE_RE='; then
     echo "FAIL: stale references to deleted code (listed above)" >&2
