@@ -222,14 +222,14 @@ fn query_replayed(out: &mut impl Write, dir: &str, question: Question) -> CmdRes
             // path and the stored object bytes.
             let mut digests = mem.layer_digests();
             digests.sort();
-            let mut files: Vec<(&str, u64)> = Vec::new();
+            let mut files = Vec::new();
             for d in &digests {
                 let recipe = mem.recipe(d).expect("replayed layer has a recipe");
                 for row in recipe.rows() {
                     if let RowKind::File(fd) = row.kind {
                         let data =
                             mem.object_data(&fd).ok_or_else(|| format!("missing object {fd}"))?;
-                        files.push((dhub_magic::classify(row.path, &data).label(), data.len() as u64));
+                        files.push((dhub_magic::classify(row.path, &data), data.len() as u64));
                     }
                 }
             }

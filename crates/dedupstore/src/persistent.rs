@@ -10,13 +10,18 @@
 //!                         (dhub-persist BlobStore)
 //! ```
 //!
-//! A **layer file** is one `dhub-persist` table (`DHTB` v2): a row per tar
+//! A **layer file** is one `dhub-persist` table (`DHTB` v3): a row per tar
 //! entry in archive order — path, kind, mode, uid, gid, mtime, size,
 //! sha256 and link target, the per-file schema of a layer — plus a bytes
 //! column that holds the content of every regular file of at most
 //! [`INLINE_MAX`] bytes on that content's first row in the layer (empty
-//! elsewhere). Its metadata carries the format version and the layer's
+//! elsewhere). Its metadata carries the layer format (2, the schema; the
+//! table codec under it is versioned on its own) and the layer's
 //! compressed length, and its trailing CRC covers every byte of the file.
+//! The codec stores each integer column as varint deltas, so the columns
+//! that barely vary — kind, mode, uid, gid — cost about a byte a row, and
+//! each string and bytes column as varint lengths then its values, which
+//! a loaded column points into. A layer file from before v3 is `Torn`.
 //! Inline content is duplicated across layers rather than owned by one, so
 //! a layer file's bytes depend on its layer alone, never on which layer
 //! was committed first: store dirs are byte-identical at any worker count.
@@ -65,7 +70,8 @@ use std::collections::hash_map::Entry;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// The layer file's format version (v1 was the JSON recipe envelope).
+/// The layer file's format version (v1 was the JSON recipe envelope): its
+/// schema, not the table codec's version, which the table carries itself.
 const LAYER_FORMAT: u64 = 2;
 
 /// The layer file's columns, in order: the recipe's, then `content`.

@@ -1,10 +1,14 @@
-//! A store dir written before layer files existed — one JSON recipe
-//! envelope per layer under `layers/ab/<hex>.json` and every object, small
-//! ones included, under `objects/` — is a format this build does not read.
-//! Opening one must fail loudly and touch nothing: were its envelopes
+//! Store dirs written by earlier formats are formats this build does not
+//! read. Opening one must fail loudly and touch nothing: were its layers
 //! skipped, the store would open empty and `gc` would delete every object
-//! they reference. The dir in `fixtures/v1-store` was written by the v1
-//! writer.
+//! they reference.
+//!
+//! - `fixtures/v1-store`, written by the v1 writer: one JSON recipe
+//!   envelope per layer under `layers/ab/<hex>.json` and every object,
+//!   small ones included, under `objects/`.
+//! - `fixtures/v2-store`, written by the v2 writer: one layer file per
+//!   layer, a `DHTB` version 2 table of fixed 8-byte integers and `u32`
+//!   length prefixes, and the one object over 4 KiB under `objects/`.
 
 use dhub_dedupstore::{PersistentDedupStore, PersistentError};
 use dhub_persist::{PersistError, Publisher};
@@ -29,10 +33,14 @@ fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     out
 }
 
-/// A scratch copy of the fixture.
-fn v1_copy(tag: &str) -> PathBuf {
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1-store");
-    let root = std::env::temp_dir().join(format!("dhub-v1-{tag}-{}", std::process::id()));
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
+}
+
+/// A scratch copy of a fixture.
+fn copy(name: &str) -> PathBuf {
+    let fixture = fixture(name);
+    let root = std::env::temp_dir().join(format!("dhub-{name}-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
     for (rel, bytes) in files(&fixture) {
         let to = root.join(&rel);
@@ -44,10 +52,9 @@ fn v1_copy(tag: &str) -> PathBuf {
 
 #[test]
 fn a_v1_store_fails_to_open_and_is_left_untouched() {
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1-store");
-    let root = v1_copy("open");
+    let root = copy("v1-store");
     let before = files(&root);
-    assert_eq!(before, files(&fixture));
+    assert_eq!(before, files(&fixture("v1-store")));
     match PersistentDedupStore::open(&root, Publisher::new()) {
         Err(PersistentError::Persist(PersistError::Torn(path))) => {
             let first = before.iter().find(|(name, _)| name.ends_with(".json")).unwrap();
@@ -55,6 +62,26 @@ fn a_v1_store_fails_to_open_and_is_left_untouched() {
         }
         Err(other) => panic!("expected a torn layer file, got {other}"),
         Ok(_) => panic!("a v1 store opened"),
+    }
+    assert_eq!(files(&root), before, "the failed open changed the store dir");
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_v2_store_fails_to_open_and_is_left_untouched() {
+    let root = copy("v2-store");
+    let before = files(&root);
+    assert_eq!(before, files(&fixture("v2-store")));
+    let layers: Vec<&(String, Vec<u8>)> =
+        before.iter().filter(|(name, _)| name.starts_with("layers")).collect();
+    assert_eq!(layers.len(), 2);
+    assert!(layers.iter().all(|(_, bytes)| bytes[..8] == *b"DHTB\x02\x00\x00\x00"));
+    match PersistentDedupStore::open(&root, Publisher::new()) {
+        Err(PersistentError::Persist(PersistError::Torn(path))) => {
+            assert_eq!(path, root.join(&layers[0].0), "the first layer file in path order")
+        }
+        Err(other) => panic!("expected a torn layer file, got {other}"),
+        Ok(_) => panic!("a v2 store opened"),
     }
     assert_eq!(files(&root), before, "the failed open changed the store dir");
     std::fs::remove_dir_all(&root).ok();

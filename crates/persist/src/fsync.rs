@@ -188,7 +188,16 @@ impl Publisher {
     /// Under fault injection this falls back to per-file [`Publisher::publish`]
     /// so the per-file-name crash/retry streams are byte-for-byte the ones
     /// the chaos suite replays.
+    ///
+    /// A batch that names one path twice fails with
+    /// [`PersistError::DuplicatePath`] before any temp file is written:
+    /// both payloads would go through the one temp name, and the second
+    /// rename would find it gone.
     pub fn publish_batch(&self, items: &[(PathBuf, &[u8])]) -> Result<(), PersistError> {
+        let mut seen = std::collections::HashSet::new();
+        if let Some((path, _)) = items.iter().find(|(path, _)| !seen.insert(path)) {
+            return Err(PersistError::DuplicatePath(path.clone()));
+        }
         if self.faults.is_some() {
             for (path, data) in items {
                 self.publish(path, data)?;
@@ -280,6 +289,29 @@ mod tests {
         let corrupted = std::fs::read(tmp_path(&path)).unwrap();
         assert_eq!(corrupted.len(), 64);
         assert_ne!(corrupted, vec![0xAA; 64], "one bit must differ");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_batch_naming_a_path_twice_publishes_nothing() {
+        let dir = tmp_dir("twice");
+        let (a, b) = (dir.join("a"), dir.join("b"));
+        let items = [(a.clone(), &b"1"[..]), (b.clone(), b"2"), (a.clone(), b"3")];
+        let faulted = Publisher::new().with_faults(Some(WriteFaults {
+            injector: Arc::new(FaultInjector::new(FaultConfig::uniform(7, 0.0))),
+            policy: RetryPolicy::fast(2),
+        }));
+        for p in [Publisher::new(), faulted] {
+            match p.publish_batch(&items) {
+                Err(PersistError::DuplicatePath(path)) => assert_eq!(path, a),
+                other => panic!("expected a duplicate path error, got {other:?}"),
+            }
+            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "nothing written");
+        }
+        let err = Publisher::new().publish_batch(&items).unwrap_err().to_string();
+        assert!(err.contains(&a.display().to_string()), "{err}");
+        Publisher::new().publish_batch(&items[..2]).unwrap();
+        assert_eq!(std::fs::read(&a).unwrap(), b"1");
         let _ = std::fs::remove_dir_all(dir);
     }
 

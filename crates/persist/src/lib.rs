@@ -48,6 +48,9 @@ pub enum PersistError {
     CrashedWrite(PathBuf),
     /// Table misuse: schema/row mismatch or unknown column.
     Schema(String),
+    /// A publish batch named this path twice: two payloads for one file
+    /// is a caller bug, and nothing of the batch was written.
+    DuplicatePath(PathBuf),
 }
 
 impl std::fmt::Display for PersistError {
@@ -60,6 +63,9 @@ impl std::fmt::Display for PersistError {
                 write!(f, "write crashed (injected) and retries exhausted: {}", p.display())
             }
             PersistError::Schema(s) => write!(f, "table schema error: {s}"),
+            PersistError::DuplicatePath(p) => {
+                write!(f, "publish batch names {} twice", p.display())
+            }
         }
     }
 }

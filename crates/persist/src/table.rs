@@ -10,35 +10,44 @@
 //! column-store trick, sized for study tables of 10^3..10^6 rows rather
 //! than a warehouse.
 //!
-//! On-disk layout (`DHTB`, all integers little-endian):
+//! On-disk layout (`DHTB` version 3, fixed-width integers little-endian):
 //!
 //! ```text
 //! "DHTB" | u32 version | u32 ncols
 //! ncols × ( u32 name_len | name utf8 | u8 col_type )
-//! v2 only: u32 nmeta | nmeta × ( u32 key_len | key utf8 | u64 value )
+//! u32 nmeta | nmeta × ( u32 key_len | key utf8 | u64 value )
 //! u64 nrows
 //! ncols × ( u64 block_len | block bytes | u32 crc32(block) )
 //! u32 crc32(everything above)
 //! ```
 //!
-//! A table without metadata is written as version 1, one with metadata as
-//! version 2; a reader takes both, and nothing else (a v2 file with no
-//! metadata is not a layout any writer produces, so it reads as torn).
-//! U64/F64 blocks are packed 8-byte values (f64 via `to_bits`, so reload
-//! is bit-exact); Str and Bytes blocks are `u32 len | bytes` per row. A
-//! reader validates structure, both crc tiers, and utf8; any failure
-//! surfaces as [`PersistError::Torn`] — torn bytes never come back as
-//! data. Every length is checked against the bytes that are actually there
-//! before anything is allocated for it, so what a load allocates is bounded
-//! by the file's length, whatever its length fields claim.
+//! A block holds its column's rows in the column-store encoding (cf.
+//! Abadi et al., SIGMOD 2006), with LEB128 varints throughout:
+//!
+//! - U64: one varint per row, the zigzag of the row's wrapping difference
+//!   from the row before (from 0 for the first). A constant or ascending
+//!   column costs a byte a row, and no row costs more than ten.
+//! - F64: the raw 8-byte bits per row, so reload is bit-exact.
+//! - Str / Bytes: every row's length as a varint, then the values back to
+//!   back.
+//!
+//! The reader takes version 3 and nothing else, and only in its canonical
+//! form: every varint minimal and within `u64`, every block used up
+//! exactly. So a table has one spelling: `to_bytes(from_bytes(b)) == b`
+//! for every `b` that loads. It validates structure, both crc tiers, and
+//! utf8; any failure surfaces as [`PersistError::Torn`] — torn bytes never
+//! come back as data. Every row takes at least one byte of its block, so a
+//! row count is checked against the bytes that are actually there before
+//! anything is allocated for it: what a load allocates is bounded by the
+//! file's length, whatever its fields claim.
 //!
 //! In memory, a U64 / F64 column is a plain vector, and a Str / Bytes
-//! column ([`StrColumn`], [`BytesColumn`]) is its on-disk block itself —
-//! one buffer of `u32 len | bytes` rows — plus the offset each row starts
-//! at. Building one appends to its block, [`Table::to_bytes`] copies each
-//! block once, and a loaded table keeps the file it was read from, its
-//! Str / Bytes columns pointing into it: one validating walk per block,
-//! and no heap string per cell. Readers get `&str` / `&[u8]` views.
+//! column ([`StrColumn`], [`BytesColumn`]) is its values back to back in
+//! one buffer plus the offset each row starts at. Building one appends to
+//! its buffer, [`Table::to_bytes`] copies the values once, and a loaded
+//! table keeps the file it was read from, its Str / Bytes columns pointing
+//! into it: one validating walk per block, and no heap string per cell.
+//! Readers get `&str` / `&[u8]` views.
 
 use crate::fsync::Publisher;
 use crate::PersistError;
@@ -46,6 +55,9 @@ use dhub_digest::crc32;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
+
+/// The one `DHTB` version written and read.
+const VERSION: u32 = 3;
 
 /// Column type tag.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,9 +105,47 @@ impl Schema {
     }
 }
 
-/// The rows of a Str or Bytes column in their on-disk form: `u32 len |
-/// bytes` each, back to back in `buf`, row `i` spanning `offs[i]..offs[i +
-/// 1]`.
+/// Appends `v` as a LEB128 varint: seven bits a byte, low bits first.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// The canonical varint at `block[*at..]`, moving `at` past it: `None`
+/// when it runs off the block, is longer than it needs to be (a last byte
+/// of 0 after the first), or does not fit a `u64` (over ten bytes, or a
+/// tenth byte above 1).
+fn read_varint(block: &[u8], at: &mut usize) -> Option<u64> {
+    let mut v = 0;
+    for i in 0..10 {
+        let b = *block.get(*at + i)?;
+        v |= u64::from(b & 0x7f) << (7 * i);
+        if b < 0x80 {
+            if (i > 0 && b == 0) || (i == 9 && b > 1) {
+                return None;
+            }
+            *at += i + 1;
+            return Some(v);
+        }
+    }
+    None
+}
+
+/// Signed to unsigned with small magnitudes small: 0, -1, 1, -2, … →
+/// 0, 1, 2, 3, …
+fn zigzag(d: u64) -> u64 {
+    (d << 1) ^ ((d as i64 >> 63) as u64)
+}
+
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// The rows of a Str or Bytes column: their values back to back in `buf`,
+/// row `i` spanning `offs[i]..offs[i + 1]`.
 #[derive(Clone)]
 struct Block {
     /// What the rows lie in: the column's own buffer when built in memory,
@@ -114,7 +164,7 @@ impl Default for Block {
 impl PartialEq for Block {
     /// Equal blocks hold equal rows, wherever they lie.
     fn eq(&self, other: &Block) -> bool {
-        self.bytes() == other.bytes()
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
@@ -122,7 +172,7 @@ impl Block {
     fn with_capacity(rows: usize, bytes: usize) -> Block {
         let mut offs = Vec::with_capacity(rows + 1);
         offs.push(0);
-        Block { buf: Arc::new(Vec::with_capacity(4 * rows + bytes)), offs }
+        Block { buf: Arc::new(Vec::with_capacity(bytes)), offs }
     }
 
     fn len(&self) -> usize {
@@ -133,38 +183,43 @@ impl Block {
         self.offs[self.len()]
     }
 
-    /// The block as written to disk.
-    fn bytes(&self) -> &[u8] {
+    /// Every row's value, back to back.
+    fn values(&self) -> &[u8] {
         &self.buf[self.offs[0]..self.end()]
     }
 
     fn get(&self, i: usize) -> &[u8] {
-        &self.buf[self.offs[i] + 4..self.offs[i + 1]]
+        &self.buf[self.offs[i]..self.offs[i + 1]]
     }
 
     fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
-        self.offs.windows(2).map(|w| &self.buf[w[0] + 4..w[1]])
+        self.offs.windows(2).map(|w| &self.buf[w[0]..w[1]])
     }
 
     fn push(&mut self, v: &[u8]) {
-        let len = u32::try_from(v.len()).expect("a table cell holds under 4 GiB");
         let end = self.end();
         if Arc::get_mut(&mut self.buf).is_none_or(|buf| buf.len() != end) {
             // Loaded rows share the file they were read from: append to a
-            // copy of the block of their own.
+            // copy of the values of their own.
             let start = self.offs[0];
             self.buf = Arc::new(self.buf[start..end].to_vec());
             self.offs.iter_mut().for_each(|o| *o -= start);
         }
         let buf = Arc::get_mut(&mut self.buf).expect("the column owns its buffer");
-        buf.extend_from_slice(&len.to_le_bytes());
         buf.extend_from_slice(v);
         self.offs.push(buf.len());
     }
 
-    /// The `nrows` rows of the block at `buf[start..end]`, in one walk:
-    /// every length within the bytes left, every value utf-8 when `utf8`,
-    /// and the block used up exactly. `None` otherwise.
+    /// Appends the block's on-disk form: the lengths, then the values.
+    fn write(&self, out: &mut Vec<u8>) {
+        self.offs.windows(2).for_each(|w| put_varint(out, (w[1] - w[0]) as u64));
+        out.extend_from_slice(self.values());
+    }
+
+    /// The `nrows` rows of the block at `buf[start..end]`, in one walk
+    /// over the lengths: every length canonical, the values they add up to
+    /// exactly the rest of the block, and every value utf-8 when `utf8`.
+    /// `None` otherwise.
     fn read(
         buf: &Arc<Vec<u8>>,
         start: usize,
@@ -173,19 +228,34 @@ impl Block {
         utf8: bool,
     ) -> Option<Block> {
         let block = &buf[start..end];
+        // Each row's length takes at least a byte: the count is bounded
+        // before anything is sized from it.
+        if nrows > block.len() {
+            return None;
+        }
         let mut offs = Vec::with_capacity(nrows + 1);
-        offs.push(start);
-        let mut at = 0;
+        offs.push(0);
+        let (mut at, mut sum) = (0, 0usize);
         for _ in 0..nrows {
-            let len = u32::from_le_bytes(block.get(at..at + 4)?.try_into().ok()?) as usize;
-            let value = block.get(at + 4..at + 4 + len)?;
-            if utf8 && std::str::from_utf8(value).is_err() {
+            let len = usize::try_from(read_varint(block, &mut at)?).ok()?;
+            sum = sum.checked_add(len).filter(|&s| s <= block.len())?;
+            offs.push(sum);
+        }
+        let values = &block[at..];
+        if sum != values.len() {
+            return None;
+        }
+        if utf8 {
+            // Valid as a whole and split at char boundaries: then every
+            // row is valid on its own.
+            let text = std::str::from_utf8(values).ok()?;
+            if !offs.iter().all(|&o| text.is_char_boundary(o)) {
                 return None;
             }
-            at += 4 + len;
-            offs.push(start + at);
         }
-        (at == block.len()).then(|| Block { buf: Arc::clone(buf), offs })
+        let base = start + at;
+        offs.iter_mut().for_each(|o| *o += base);
+        Some(Block { buf: Arc::clone(buf), offs })
     }
 }
 
@@ -222,7 +292,7 @@ impl StrColumn {
 }
 
 /// A value of a [`StrColumn`], not checked again: over the files table's
-/// 32 k `kind` cells, `top_file_types` takes 1.2 ms unchecked and 1.7 ms
+/// 32 k cells of a label column, a scan takes 1.2 ms unchecked and 1.7 ms
 /// checked.
 fn as_str(v: &[u8]) -> &str {
     // SAFETY: every value of a `StrColumn` is utf-8: it was pushed as a
@@ -282,7 +352,7 @@ impl BytesColumn {
     /// column's buffer is the whole file). Rows pushed later never move
     /// it: a column whose buffer is shared appends to a copy of its own.
     pub fn shared(&self, i: usize) -> (&Arc<Vec<u8>>, Range<usize>) {
-        (&self.0.buf, self.0.offs[i] + 4..self.0.offs[i + 1])
+        (&self.0.buf, self.0.offs[i]..self.0.offs[i + 1])
     }
 }
 
@@ -328,13 +398,61 @@ impl Column {
         }
     }
 
-    /// The length of the column's on-disk block.
-    fn block_len(&self) -> usize {
+    /// Appends the column's on-disk block.
+    fn write(&self, out: &mut Vec<u8>) {
         match self {
-            Column::U64(v) => 8 * v.len(),
-            Column::F64(v) => 8 * v.len(),
-            Column::Str(StrColumn(b)) | Column::Bytes(BytesColumn(b)) => b.bytes().len(),
+            Column::U64(vs) => {
+                let mut prev = 0u64;
+                for &v in vs {
+                    put_varint(out, zigzag(v.wrapping_sub(prev)));
+                    prev = v;
+                }
+            }
+            Column::F64(vs) => {
+                vs.iter().for_each(|v| out.extend_from_slice(&v.to_bits().to_le_bytes()))
+            }
+            Column::Str(StrColumn(b)) | Column::Bytes(BytesColumn(b)) => b.write(out),
         }
+    }
+
+    /// The `nrows` rows of a `t` block, `buf[start..end]`; `None` unless
+    /// the block is their canonical encoding.
+    fn read(
+        t: ColType,
+        buf: &Arc<Vec<u8>>,
+        start: usize,
+        end: usize,
+        nrows: usize,
+    ) -> Option<Column> {
+        let block = &buf[start..end];
+        Some(match t {
+            ColType::U64 => {
+                // A row takes at least a byte.
+                if nrows > block.len() {
+                    return None;
+                }
+                let (mut vs, mut at, mut prev) = (Vec::with_capacity(nrows), 0, 0u64);
+                for _ in 0..nrows {
+                    prev = prev.wrapping_add(unzigzag(read_varint(block, &mut at)?));
+                    vs.push(prev);
+                }
+                if at != block.len() {
+                    return None;
+                }
+                Column::U64(vs)
+            }
+            ColType::F64 => {
+                if nrows.checked_mul(8) != Some(block.len()) {
+                    return None;
+                }
+                let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8 bytes"));
+                Column::F64(block.chunks_exact(8).map(word).map(f64::from_bits).collect())
+            }
+            ColType::Str => Column::Str(StrColumn(Block::read(buf, start, end, nrows, true)?)),
+            ColType::Bytes => {
+                Column::Bytes(BytesColumn(Block::read(buf, start, end, nrows, false)?))
+            }
+        })
     }
 }
 
@@ -463,52 +581,41 @@ impl Table {
         Ok(mask.iter().enumerate().filter(|(_, m)| **m).map(|(i, _)| i).collect())
     }
 
-    /// Serializes to the `DHTB` snapshot bytes: version 1 without
-    /// metadata, version 2 with. One allocation; a Str / Bytes block is
-    /// one copy.
+
+    /// Serializes to the `DHTB` snapshot bytes. One growing buffer; a Str
+    /// / Bytes column's values are one copy.
     pub fn to_bytes(&self) -> Vec<u8> {
         let names: usize = self.schema.cols.iter().map(|(n, _)| 5 + n.len()).sum();
         let meta: usize = self.meta.iter().map(|(k, _)| 12 + k.len()).sum();
-        let blocks: usize = self.cols.iter().map(|c| 12 + c.block_len()).sum();
-        let meta = if self.meta.is_empty() { 0 } else { 4 + meta };
-        let size = 12 + names + meta + 8 + blocks + 4;
-        let mut out = Vec::with_capacity(size);
+        let mut out = Vec::with_capacity(16 + names + meta + 8 + 16 * self.cols.len());
         out.extend_from_slice(b"DHTB");
-        let version: u32 = if self.meta.is_empty() { 1 } else { 2 };
-        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&(self.cols.len() as u32).to_le_bytes());
         for (name, t) in &self.schema.cols {
             out.extend_from_slice(&(name.len() as u32).to_le_bytes());
             out.extend_from_slice(name.as_bytes());
             out.push(t.tag());
         }
-        if !self.meta.is_empty() {
-            out.extend_from_slice(&(self.meta.len() as u32).to_le_bytes());
-            for (key, value) in &self.meta {
-                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                out.extend_from_slice(key.as_bytes());
-                out.extend_from_slice(&value.to_le_bytes());
-            }
+        out.extend_from_slice(&(self.meta.len() as u32).to_le_bytes());
+        for (key, value) in &self.meta {
+            out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+            out.extend_from_slice(key.as_bytes());
+            out.extend_from_slice(&value.to_le_bytes());
         }
         out.extend_from_slice(&(self.nrows as u64).to_le_bytes());
         for col in &self.cols {
-            out.extend_from_slice(&(col.block_len() as u64).to_le_bytes());
-            let start = out.len();
-            match col {
-                Column::U64(vs) => vs.iter().for_each(|v| out.extend_from_slice(&v.to_le_bytes())),
-                Column::F64(vs) => {
-                    vs.iter().for_each(|v| out.extend_from_slice(&v.to_bits().to_le_bytes()))
-                }
-                Column::Str(StrColumn(b)) | Column::Bytes(BytesColumn(b)) => {
-                    out.extend_from_slice(b.bytes())
-                }
-            }
+            // The block's length goes in front of it once it is written.
+            let len_at = out.len();
+            out.extend_from_slice(&[0; 8]);
+            col.write(&mut out);
+            let start = len_at + 8;
+            let block_len = (out.len() - start) as u64;
+            out[len_at..start].copy_from_slice(&block_len.to_le_bytes());
             let crc = crc32(&out[start..]);
             out.extend_from_slice(&crc.to_le_bytes());
         }
         let trailer = crc32(&out);
         out.extend_from_slice(&trailer.to_le_bytes());
-        debug_assert_eq!(out.len(), size);
         out
     }
 
@@ -519,9 +626,9 @@ impl Table {
 
     /// Parses snapshot bytes, keeping them: the table's Str / Bytes
     /// columns are views into `data`. `None` on any structural or
-    /// checksum violation (the caller maps that to
-    /// [`PersistError::Torn`]). Nothing is sized from a length field
-    /// before the bytes it counts are known to be there.
+    /// checksum violation, or any encoding but the canonical one (the
+    /// caller maps that to [`PersistError::Torn`]). Nothing is sized from
+    /// a field before the bytes it counts are known to be there.
     pub fn from_bytes(data: Vec<u8>) -> Option<Table> {
         // Trailer crc covers everything before it — check first so a torn
         // tail fails fast.
@@ -535,11 +642,7 @@ impl Table {
         let data = Arc::new(data);
         let body_len = data.len() - 4;
         let mut r = Reader { data: &data[..body_len], at: 0 };
-        if r.take(4)? != b"DHTB" {
-            return None;
-        }
-        let version = r.u32()?;
-        if version != 1 && version != 2 {
+        if r.take(4)? != b"DHTB" || r.u32()? != VERSION {
             return None;
         }
         let ncols = r.u32()?;
@@ -550,58 +653,28 @@ impl Table {
             cols_meta.push((name, t));
         }
         let mut meta = Vec::new();
-        if version == 2 {
-            let nmeta = r.u32()?;
-            if nmeta == 0 {
-                return None;
-            }
-            for _ in 0..nmeta {
-                let key = r.str()?.to_string();
-                meta.push((key, r.u64()?));
-            }
+        for _ in 0..r.u32()? {
+            let key = r.str()?.to_string();
+            meta.push((key, r.u64()?));
         }
-        let nrows = r.u64()?;
+        let nrows = usize::try_from(r.u64()?).ok()?;
         if cols_meta.is_empty() && nrows != 0 {
             return None;
         }
         let mut cols = Vec::new();
         for (_, t) in &cols_meta {
-            let block_len = r.u64()?;
+            let block_len = usize::try_from(r.u64()?).ok()?;
             let start = r.at;
-            let block = r.take(usize::try_from(block_len).ok()?)?;
+            let block = r.take(block_len)?;
             if crc32(block) != r.u32()? {
                 return None;
             }
-            // Each row takes 8 bytes of a fixed-width block and at least
-            // its 4-byte length of a Str / Bytes one.
-            let fits = match t {
-                ColType::U64 | ColType::F64 => nrows.checked_mul(8) == Some(block_len),
-                ColType::Str | ColType::Bytes => {
-                    nrows.checked_mul(4).is_some_and(|min| min <= block_len)
-                }
-            };
-            if !fits {
-                return None;
-            }
-            let nrows = nrows as usize;
-            let words =
-                || block.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")));
-            let end = start + block.len();
-            cols.push(match t {
-                ColType::U64 => Column::U64(words().collect()),
-                ColType::F64 => Column::F64(words().map(f64::from_bits).collect()),
-                ColType::Str => {
-                    Column::Str(StrColumn(Block::read(&data, start, end, nrows, true)?))
-                }
-                ColType::Bytes => {
-                    Column::Bytes(BytesColumn(Block::read(&data, start, end, nrows, false)?))
-                }
-            });
+            cols.push(Column::read(*t, &data, start, start + block_len, nrows)?);
         }
         if r.at != body_len {
             return None;
         }
-        Some(Table { schema: Schema { cols: cols_meta }, cols, nrows: nrows as usize, meta })
+        Some(Table { schema: Schema { cols: cols_meta }, cols, nrows, meta })
     }
 
     /// Loads a snapshot; [`PersistError::Torn`] on any validation failure,
@@ -612,6 +685,7 @@ impl Table {
         Table::from_bytes(data).ok_or_else(|| PersistError::Torn(path.to_path_buf()))
     }
 }
+
 
 /// Bounds-checked little-endian cursor for `from_bytes`.
 struct Reader<'a> {
@@ -649,6 +723,7 @@ impl<'a> Reader<'a> {
     }
 }
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -668,12 +743,12 @@ mod tests {
         Table::from_columns(files_schema(), cols).unwrap()
     }
 
-    /// A version-2 table: a bytes column and two metadata fields.
+    /// A bytes column and two metadata fields.
     fn with_bytes() -> Table {
         let schema = Schema::new(&[("name", ColType::Str), ("blob", ColType::Bytes)]);
         let cols = vec![
             Column::Str(["a", "", "c"].into_iter().collect()),
-            Column::Bytes([vec![0, 1, 2], Vec::new(), vec![0xff; 40]].into_iter().collect()),
+            Column::Bytes([vec![0, 1, 2], Vec::new(), vec![0xff; 200]].into_iter().collect()),
         ];
         Table::from_columns(schema, cols).unwrap().with_meta("format", 2).with_meta("len", 7)
     }
@@ -690,19 +765,61 @@ mod tests {
             let got = Table::from_bytes(t.to_bytes()).unwrap();
             assert_eq!(got, t);
             assert_eq!(got.to_bytes(), t.to_bytes());
+            assert_eq!(&t.to_bytes()[4..8], &3u32.to_le_bytes());
         }
-        assert_eq!(&sample().to_bytes()[4..8], &1u32.to_le_bytes(), "no metadata: version 1");
-        assert_eq!(&with_bytes().to_bytes()[4..8], &2u32.to_le_bytes());
         let back = Table::from_bytes(with_bytes().to_bytes()).unwrap();
         assert_eq!(back.meta(), &[("format".to_string(), 2), ("len".to_string(), 7)]);
         let Column::Bytes(blob) = &back.into_columns()[1] else { unreachable!() };
-        assert_eq!(blob.get(2), &[0xff; 40]);
-        assert_eq!(blob.iter().map(<[u8]>::len).collect::<Vec<_>>(), [3, 0, 40]);
+        assert_eq!(blob.get(2), &[0xff; 200]);
+        assert_eq!(blob.iter().map(<[u8]>::len).collect::<Vec<_>>(), [3, 0, 200]);
         let back = Table::from_bytes(sample().to_bytes()).unwrap();
         let paths = back.col_str("path").unwrap();
         assert_eq!(paths.get(1), "/etc/passwd");
         assert_eq!(paths.iter().len(), 4);
         assert!(back.col_str("size").is_none() && back.col_str("nope").is_none());
+    }
+
+    /// The blocks are the encodings the module docs give: zigzag deltas,
+    /// lengths then values, raw float bits.
+    #[test]
+    fn blocks_are_varint_deltas_and_lengths_then_values() {
+        let block = |c: Column| {
+            let mut out = Vec::new();
+            c.write(&mut out);
+            out
+        };
+        // 100 → +100 (zigzag 200: two bytes), 40 → -60 (119), 100 → +60
+        // (120), 900 → +800 (1600: two bytes).
+        assert_eq!(block(Column::U64(vec![100, 40, 100, 900])), [0xc8, 0x01, 119, 120, 0xc0, 0x0c]);
+        // Wrapping: 0 → u64::MAX is -1, and back is +1.
+        assert_eq!(block(Column::U64(vec![0, u64::MAX, 0, 7, 7, 7])), [0, 1, 2, 14, 0, 0]);
+        let text = block(Column::Str(["ab", "", "é"].into_iter().collect()));
+        assert_eq!(text, b"\x02\x00\x02ab\xc3\xa9");
+        let long = vec![9u8; 300];
+        let bytes = block(Column::Bytes([&long[..]].into_iter().collect()));
+        assert_eq!((&bytes[..2], bytes.len()), (&[0xac, 0x02][..], 302));
+        assert_eq!(block(Column::F64(vec![1.5])), 1.5f64.to_bits().to_le_bytes());
+    }
+
+    #[test]
+    fn varints_are_read_in_their_canonical_form_only() {
+        for v in [0, 1, 127, 128, 300, 1 << 35, u64::MAX - 1, u64::MAX] {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            let mut at = 0;
+            assert_eq!((read_varint(&out, &mut at), at), (Some(v), out.len()), "{v}");
+            assert_eq!(unzigzag(zigzag(v)), v);
+        }
+        let read = |b: &[u8]| read_varint(b, &mut 0);
+        assert_eq!(read(&[0x81, 0x00]), None, "overlong: 1 in two bytes");
+        assert_eq!(read(&[0x80, 0x80, 0x00]), None, "overlong: 0 in three bytes");
+        assert_eq!(read(&[0xff; 10]), None, "a tenth byte above 1 is past u64");
+        let max = [[0xff; 9].as_slice(), &[0x01]].concat();
+        assert_eq!(read(&max), Some(u64::MAX));
+        let eleven = [[0x80; 10].as_slice(), &[0x01]].concat();
+        assert_eq!(read(&eleven), None, "eleven bytes");
+        assert_eq!(read(&[0x80]), None, "runs off the block");
+        assert_eq!(read(&[]), None);
     }
 
     /// Rows appended to a loaded column land after its own rows, whatever
@@ -719,7 +836,7 @@ mod tests {
         let (kept, at) = (Arc::clone(buf), at);
         names.push("d");
         blobs.push(b"more");
-        assert_eq!(&kept[at], &[0xff; 40], "a kept row outlives pushes to its column");
+        assert_eq!(&kept[at], &[0xff; 200], "a kept row outlives pushes to its column");
         let (buf, at) = blobs.shared(3);
         assert_eq!((&buf[at.clone()], buf.len()), (&b"more"[..], at.end));
         assert_eq!(names.iter().collect::<Vec<_>>(), ["a", "", "c", "d"]);
@@ -742,15 +859,17 @@ mod tests {
         }
     }
 
-    /// Snapshot bytes with valid crcs around whatever the fields claim: one
-    /// column of type `t` holding `block`, and `nrows` rows.
-    fn crafted(t: ColType, nrows: u64, block: &[u8]) -> Vec<u8> {
+    /// Snapshot bytes of `version` with valid crcs around whatever the
+    /// fields claim: one column of type `t` holding `block`, and `nrows`
+    /// rows.
+    fn crafted_as(version: u32, t: ColType, nrows: u64, block: &[u8]) -> Vec<u8> {
         let mut out = b"DHTB".to_vec();
-        out.extend_from_slice(&1u32.to_le_bytes());
+        out.extend_from_slice(&version.to_le_bytes());
         out.extend_from_slice(&1u32.to_le_bytes());
         out.extend_from_slice(&1u32.to_le_bytes());
         out.push(b'x');
         out.push(t.tag());
+        out.extend_from_slice(&0u32.to_le_bytes());
         out.extend_from_slice(&nrows.to_le_bytes());
         out.extend_from_slice(&(block.len() as u64).to_le_bytes());
         out.extend_from_slice(block);
@@ -760,27 +879,31 @@ mod tests {
         out
     }
 
+    fn crafted(t: ColType, nrows: u64, block: &[u8]) -> Vec<u8> {
+        crafted_as(VERSION, t, nrows, block)
+    }
+
     /// A tiny file whose row count claims 2^40 rows used to size a column
     /// vector from that claim and abort the process; it is torn, like any
     /// other row count its blocks cannot hold.
     #[test]
     fn a_row_count_the_blocks_cannot_hold_is_torn() {
         for t in [ColType::U64, ColType::F64, ColType::Str, ColType::Bytes] {
-            for nrows in [1u64 << 40, u64::MAX, 3] {
+            for nrows in [1u64 << 40, u64::MAX, 9] {
                 let bytes = crafted(t, nrows, &[0; 8]);
                 assert!(bytes.len() < 64);
                 assert!(Table::from_bytes(bytes).is_none(), "{t:?} nrows={nrows}");
             }
-            // One 8-byte row fits a fixed-width block; a string row's length
-            // field of 0 leaves four bytes over.
-            let fixed = matches!(t, ColType::U64 | ColType::F64);
-            assert_eq!(Table::from_bytes(crafted(t, 1, &[0; 8])).is_some(), fixed);
+            // Eight zero bytes are eight rows of 0 / of "" to a varint
+            // block, one row to a float block.
+            let rows = if t == ColType::F64 { 1 } else { 8 };
+            assert!(Table::from_bytes(crafted(t, rows, &[0; 8])).is_some(), "{t:?}");
+            assert!(Table::from_bytes(crafted(t, rows - 1, &[0; 8])).is_none(), "{t:?}");
         }
-        // A fixed-width block must be exactly 8 bytes a row.
-        assert!(Table::from_bytes(crafted(ColType::U64, 1, &[0; 16])).is_none());
         // No columns, yet rows.
         let mut none = b"DHTB".to_vec();
-        none.extend_from_slice(&1u32.to_le_bytes());
+        none.extend_from_slice(&VERSION.to_le_bytes());
+        none.extend_from_slice(&0u32.to_le_bytes());
         none.extend_from_slice(&0u32.to_le_bytes());
         none.extend_from_slice(&(1u64 << 40).to_le_bytes());
         let trailer = crc32(&none);
@@ -793,33 +916,52 @@ mod tests {
     /// bytes as a whole would pass.
     #[test]
     fn a_str_block_is_walked_row_by_row() {
-        let row = |v: &[u8]| [&(v.len() as u32).to_le_bytes()[..], v].concat();
-        let block = |rows: &[&[u8]]| rows.iter().flat_map(|v| row(v)).collect::<Vec<u8>>();
-        let sound = block(&[b"ok", "é".as_bytes()]);
+        let block = |lens: &[u8], values: &[u8]| [lens, values].concat();
+        let sound = block(&[2, 2], "oké".as_bytes());
         assert!(Table::from_bytes(crafted(ColType::Str, 2, &sound)).is_some());
-        // "é" split across two rows: the block is utf-8, its rows are not.
-        let split = block(&[&"é".as_bytes()[..1], &"é".as_bytes()[1..]]);
+        // "é" split across two rows: the values are utf-8, the rows not.
+        let split = block(&[3, 1], "oké".as_bytes());
         assert!(Table::from_bytes(crafted(ColType::Str, 2, &split)).is_none());
         assert!(Table::from_bytes(crafted(ColType::Bytes, 2, &split)).is_some());
-        // A length that runs past the block into the bytes after it.
-        let mut over = block(&[b"ab", b"cd"]);
-        over[6..10].copy_from_slice(&3u32.to_le_bytes());
-        for t in [ColType::Str, ColType::Bytes] {
-            assert!(Table::from_bytes(crafted(t, 2, &over)).is_none(), "{t:?}");
+        // Lengths that add up past the values, or short of them.
+        for lens in [[2, 3], [1, 2], [0xff, 0x01]] {
+            for t in [ColType::Str, ColType::Bytes] {
+                let bytes = crafted(t, 2, &block(&lens, b"abcd"));
+                assert!(Table::from_bytes(bytes).is_none(), "{t:?} {lens:?}");
+            }
+        }
+        // A length spelled in two bytes where one does.
+        assert!(Table::from_bytes(crafted(ColType::Bytes, 1, &block(&[0x81, 0], b"a"))).is_none());
+        assert!(Table::from_bytes(crafted(ColType::Bytes, 1, &block(&[1], b"a"))).is_some());
+    }
+
+    /// Every encoding but the canonical one is torn: an overlong, an
+    /// eleven-byte, or a past-`u64` varint, or a byte left over.
+    #[test]
+    fn a_u64_block_is_canonical_or_torn() {
+        let u64s = |block: &[u8], nrows| Table::from_bytes(crafted(ColType::U64, nrows, block));
+        let max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        assert_eq!(u64s(&max, 1).unwrap().col_u64("x").unwrap(), [u64::MAX / 2 + 1]);
+        assert_eq!(u64s(&[1, 2], 2).unwrap().col_u64("x").unwrap(), [u64::MAX, 0]);
+        let eleven = [[0x80; 10].as_slice(), &[0x01]].concat();
+        for (block, nrows) in
+            [(&[0x81, 0x00][..], 1), (&[0xff; 10][..], 1), (&eleven[..], 1), (&[1, 2, 3][..], 2)]
+        {
+            assert!(u64s(block, nrows).is_none(), "{block:?}");
         }
     }
 
+    /// What earlier builds wrote is not read — version 1, or version 2,
+    /// which a reader once took with metadata only and now not at all (a
+    /// version-2 header with a metadata count of 0 is these bytes) — nor
+    /// is any version past this one.
     #[test]
     fn a_version_2_table_without_metadata_is_torn() {
-        let mut bytes = sample().to_bytes();
-        // Where the metadata count would go: after the three column headers.
-        let at = 12 + ["path", "size", "score"].iter().map(|n| 5 + n.len()).sum::<usize>();
-        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
-        bytes.splice(at..at, 0u32.to_le_bytes());
-        let body = bytes.len() - 4;
-        let trailer = crc32(&bytes[..body]);
-        bytes[body..].copy_from_slice(&trailer.to_le_bytes());
-        assert!(Table::from_bytes(bytes).is_none());
+        assert!(Table::from_bytes(crafted_as(VERSION, ColType::U64, 1, &[4])).is_some());
+        for version in [0, 1, 2, 4, u32::MAX] {
+            let bytes = crafted_as(version, ColType::U64, 1, &[4]);
+            assert!(Table::from_bytes(bytes).is_none(), "version {version}");
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! `Table::load` on hostile input: arbitrary bytes, and valid tables cut
-//! short, bit-flipped, or with a row count, block length or string length
-//! replaced by a huge one. A layer file of the durable dedup store is a
-//! table read straight off disk at every reopen, so a load must never
-//! panic or abort; must return either `PersistError::Torn` or a table
-//! whose bytes are exactly the input (no second spelling of any table
-//! reads back); and must allocate no more than a fixed multiple of the
-//! input's length, whatever its length fields claim. Mutants are tried
-//! with their trailing CRC left stale and recomputed, so the structural
-//! checks behind the CRC are reached too.
+//! short, bit-flipped, or with a row count, block length or row's varint
+//! replaced by a huge one; and varints no writer writes (overlong, eleven
+//! bytes, past `u64`) behind right checksums. A layer file of the durable
+//! dedup store is a table read straight off disk at every reopen, so a
+//! load must never panic or abort; must return either
+//! `PersistError::Torn` or a table whose bytes are exactly the input (no
+//! second spelling of any table reads back); and must allocate no more
+//! than a fixed multiple of the input's length, whatever its length
+//! fields claim. Mutants are tried with their trailing CRC left stale and
+//! recomputed, so the structural checks behind the CRC are reached too.
 
 use dhub_digest::crc32;
 use dhub_oracle::alloc::{allocs_during, CountingAlloc};
@@ -62,11 +63,21 @@ fn fix_trailer(bytes: &mut [u8]) {
     }
 }
 
-/// Where a table's length fields sit in its bytes, with their widths:
+/// The fixed-width length fields of a table's bytes, with their widths:
 /// the column count, each name and key length, the metadata count, the
-/// row count, each block length, and the first row's length in each
-/// string or bytes block.
+/// row count and each block length.
 fn length_fields(bytes: &[u8]) -> Vec<(usize, usize)> {
+    layout(bytes).0
+}
+
+/// Where each block's first row starts, when the block is of varints (a
+/// U64 block, or a Str / Bytes block's lengths) and has a row.
+fn first_varints(bytes: &[u8]) -> Vec<usize> {
+    layout(bytes).1
+}
+
+/// Both of the above, in one walk of the header.
+fn layout(bytes: &[u8]) -> (Vec<(usize, usize)>, Vec<usize>) {
     let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
     let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
     let mut fields = vec![(8, 4)];
@@ -78,26 +89,61 @@ fn length_fields(bytes: &[u8]) -> Vec<(usize, usize)> {
         types.push(bytes[at]);
         at += 1;
     }
-    if u32_at(4) == 2 {
+    fields.push((at, 4));
+    let nmeta = u32_at(at);
+    at += 4;
+    for _ in 0..nmeta {
         fields.push((at, 4));
-        let nmeta = u32_at(at);
-        at += 4;
-        for _ in 0..nmeta {
-            fields.push((at, 4));
-            at += 4 + u32_at(at) + 8;
-        }
+        at += 4 + u32_at(at) + 8;
     }
     fields.push((at, 8));
     let nrows = u64_at(at);
     at += 8;
+    let mut varints = Vec::new();
     for t in types {
         fields.push((at, 8));
-        if t >= 2 && nrows > 0 {
-            fields.push((at + 8, 4));
+        if t != 1 && nrows > 0 {
+            varints.push(at + 8);
         }
         at += 8 + u64_at(at) + 4;
     }
-    fields
+    (fields, varints)
+}
+
+/// A LEB128 varint.
+fn varint(mut v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    out
+}
+
+/// The length of the varint at `bytes[at..]`.
+fn varint_len(bytes: &[u8], at: usize) -> usize {
+    bytes[at..].iter().position(|b| b & 0x80 == 0).unwrap() + 1
+}
+
+/// Replaces the varint at `at` with `with`, moving the bytes after it and
+/// growing or shrinking its block's length field to match, then rewrites
+/// every crc: a table whose checksums and block lengths all hold around
+/// the new varint.
+fn splice_varint(bytes: &[u8], at: usize, with: &[u8]) -> Vec<u8> {
+    let old = varint_len(bytes, at);
+    let (len_at, _) = *length_fields(bytes)
+        .iter()
+        .rfind(|(field, width)| *width == 8 && field + 8 <= at)
+        .expect("a block length before the varint");
+    let len = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap());
+    let mut out = bytes[..at].to_vec();
+    out.extend_from_slice(with);
+    out.extend_from_slice(&bytes[at + old..]);
+    let len = len + with.len() as u64 - old as u64;
+    out[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+    fix_crcs(&mut out, at);
+    out
 }
 
 /// A table of up to four columns of any type, up to six rows filled from
@@ -142,7 +188,7 @@ proptest! {
     #[test]
     fn arbitrary_bytes_are_torn(
         body in proptest::collection::vec(any::<u8>(), 0..200),
-        version in 0u32..3,
+        version in 0u32..5,
         headed in any::<bool>(),
         fix in any::<bool>(),
     ) {
@@ -162,7 +208,10 @@ proptest! {
     #[test]
     fn mutated_tables_are_torn(
         t in table(),
-        ops in proptest::collection::vec((0u8..3, any::<u64>(), 0usize..HUGE.len(), any::<bool>()), 1..4),
+        ops in proptest::collection::vec(
+            (0u8..4, any::<u64>(), 0usize..HUGE.len(), any::<bool>()),
+            1..4,
+        ),
     ) {
         let sound = t.to_bytes();
         check(&sound)?;
@@ -175,9 +224,17 @@ proptest! {
                     let bit = at as usize % (bytes.len() * 8);
                     bytes[bit / 8] ^= 1 << (bit % 8);
                 }
-                _ => {
+                2 => {
                     let (at, width) = fields[at as usize % fields.len()];
                     bytes[at..at + width].copy_from_slice(&HUGE[huge].to_le_bytes()[..width]);
+                }
+                _ => {
+                    let varints = first_varints(&sound);
+                    if varints.is_empty() {
+                        continue;
+                    }
+                    let v = varints[at as usize % varints.len()];
+                    bytes = splice_varint(&sound, v, &varint(HUGE[huge]));
                 }
             }
             if fix {
@@ -202,7 +259,7 @@ fn a_huge_row_count_is_torn_not_an_abort() {
         }])
         .unwrap();
         let mut bytes = table.to_bytes();
-        let (at, _) = length_fields(&bytes)[2];
+        let (at, _) = length_fields(&bytes)[3];
         bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         fix_trailer(&mut bytes);
         assert!(bytes.len() < 64);
@@ -249,9 +306,80 @@ fn a_bad_row_behind_good_crcs_is_torn() {
     assert!(Table::from_bytes(not_utf8.clone()).is_none());
     check(&not_utf8).unwrap();
 
+    // The block's lengths are 5, 6, 5 and then come the values.
+    let lengths = *first_varints(&sound).last().unwrap();
+    assert_eq!(&sound[lengths..lengths + 3], &[5, 6, 5]);
     let mut past = sound.clone();
-    past[third - 4..third].copy_from_slice(&6u32.to_le_bytes());
+    past[lengths + 2] = 6;
     fix_crcs(&mut past, third);
     assert!(Table::from_bytes(past.clone()).is_none());
     check(&past).unwrap();
+}
+
+/// Each varint a canonical writer never writes, behind right crcs and
+/// block lengths, is torn with no panic and within the allocation bound:
+/// an overlong one, one of eleven bytes, one past `u64`, a row length
+/// past its block, and a row count above the bytes of a block.
+#[test]
+fn hostile_varints_are_torn_within_bounds() {
+    let table = Table::from_columns(
+        Schema::new(&[("n", ColType::U64), ("s", ColType::Bytes)]),
+        vec![Column::U64(vec![3, 9]), Column::Bytes([&b"ab"[..], b"c"].into_iter().collect())],
+    )
+    .unwrap();
+    let sound = table.to_bytes();
+    check(&sound).unwrap();
+    let [ints, lengths] = <[usize; 2]>::try_from(first_varints(&sound)).unwrap();
+    let eleven = [[0x80; 10].as_slice(), &[0x00]].concat();
+    let past_u64 = [[0xff; 9].as_slice(), &[0x02]].concat();
+    let mut mutants = Vec::new();
+    for at in [ints, lengths] {
+        for with in [&[0x86, 0x00][..], &[0x80, 0x80, 0x80, 0x00], &eleven, &past_u64] {
+            mutants.push(splice_varint(&sound, at, with));
+        }
+    }
+    // A length past the block: the first row claims 200 bytes of 3.
+    mutants.push(splice_varint(&sound, lengths, &varint(200)));
+    // A row count above the bytes of the U64 block (2), of the Bytes
+    // block (5), and of both.
+    let (nrows, _) = length_fields(&sound)[5];
+    for claim in [3u64, 6, 1 << 40] {
+        let mut bytes = sound.clone();
+        bytes[nrows..nrows + 8].copy_from_slice(&claim.to_le_bytes());
+        fix_trailer(&mut bytes);
+        mutants.push(bytes);
+    }
+    for bytes in &mutants {
+        assert!(Table::from_bytes(bytes.clone()).is_none(), "{bytes:02x?}");
+        check(bytes).unwrap();
+    }
+}
+
+/// A table as the previous version wrote it — version 2, fixed 8-byte
+/// integers and `u32` length prefixes — is torn, not misread.
+#[test]
+fn a_v2_file_is_torn() {
+    let mut v2 = b"DHTB".to_vec();
+    v2.extend_from_slice(&2u32.to_le_bytes());
+    v2.extend_from_slice(&1u32.to_le_bytes());
+    v2.extend_from_slice(&1u32.to_le_bytes());
+    v2.extend_from_slice(b"n\x00");
+    v2.extend_from_slice(&1u32.to_le_bytes());
+    v2.extend_from_slice(&1u32.to_le_bytes());
+    v2.extend_from_slice(b"k");
+    v2.extend_from_slice(&7u64.to_le_bytes());
+    v2.extend_from_slice(&1u64.to_le_bytes());
+    v2.extend_from_slice(&8u64.to_le_bytes());
+    v2.extend_from_slice(&42u64.to_le_bytes());
+    v2.extend_from_slice(&crc32(&42u64.to_le_bytes()).to_le_bytes());
+    v2.extend_from_slice(&[0; 4]);
+    fix_trailer(&mut v2);
+    assert!(Table::from_bytes(v2.clone()).is_none());
+    check(&v2).unwrap();
+    // The same bytes with the version field set to 3 are torn as well:
+    // the v3 header has its metadata count where v2 had it, but no
+    // fixed-width block reads as v3 varints here.
+    v2[4..8].copy_from_slice(&3u32.to_le_bytes());
+    fix_trailer(&mut v2);
+    check(&v2).unwrap();
 }

@@ -149,14 +149,17 @@ impl DurableQueue {
 
     /// Durably seeds jobs not already on disk (idempotent — reseeding an
     /// existing id is a no-op, so expansion replays after a crash are
-    /// free). One batched publish, one `jobs/` fsync. Returns how many
-    /// were actually new.
+    /// free). An id repeated within `jobs` — an image whose manifest names
+    /// one layer twice — is seeded once, as its first occurrence. One
+    /// batched publish, one `jobs/` fsync. Returns how many were actually
+    /// new.
     pub fn seed(&self, jobs: &[JobSpec]) -> Result<usize, QueueError> {
         let _guard = self.seed_lock.lock();
         let mut fresh: Vec<(PathBuf, String)> = Vec::new();
+        let mut ids = std::collections::HashSet::new();
         for job in jobs {
             let path = self.job_path(&job.id);
-            if !path.exists() {
+            if ids.insert(&job.id) && !path.exists() {
                 fresh.push((path, job.to_envelope()));
             }
         }
@@ -276,6 +279,31 @@ mod tests {
         assert_eq!(loaded[0].0.id, "page:0");
         assert_eq!(loaded[0].1, JobStatus::Done);
         assert_eq!(loaded[1].1, JobStatus::Pending);
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// A repeated id used to put two payloads for one path into one batch:
+    /// the second rename found its temp file gone and failed the seed.
+    #[test]
+    fn a_repeated_id_is_seeded_once() {
+        let root = tmp_root("repeat");
+        let q = DurableQueue::open(&root, Publisher::new()).unwrap();
+        let jobs = [
+            JobSpec::with_payload("layer:a", "layer", "first"),
+            JobSpec::with_payload("layer:a", "layer", "second"),
+            JobSpec::new("layer:b", "layer"),
+        ];
+        assert_eq!(q.seed(&jobs).unwrap(), 2);
+        let loaded = q.load().unwrap();
+        let ids: Vec<&str> = loaded.iter().map(|(j, _)| j.id.as_str()).collect();
+        assert_eq!(ids, ["layer:a", "layer:b"]);
+        assert_eq!(loaded[0].0, jobs[0], "the first occurrence is the one seeded");
+        let names: Vec<String> = std::fs::read_dir(root.join("jobs"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names.len(), 2);
+        assert!(names.iter().all(|n| n.ends_with(".json")), "temp debris left: {names:?}");
         let _ = std::fs::remove_dir_all(root);
     }
 

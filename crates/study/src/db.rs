@@ -12,6 +12,13 @@
 //! | `dedup.tbl`  | store (single)   | layers, objects, physical, logical, conventional, factor |
 //! | `study.tbl`  | Table-1 counter  | key, value                                  |
 //!
+//! In `files.tbl`, `layer` is the file's layer as its row in
+//! `layers.tbl`, `kind` is its [`FileKind`] as an index into
+//! [`FileKind::ALL`] (as the queue's result records carry it), and
+//! `group` is the kind's group label, kept as text because a scan filters
+//! on it. [`StudyDb::load`] checks both indexes, so a query never meets
+//! one out of range.
+//!
 //! Rows are emitted in deterministic order (layers sorted by digest,
 //! files in archive order within each layer, images sorted by repo), and
 //! every numeric column round-trips bit-exactly, so two runs over the
@@ -20,6 +27,7 @@
 
 use crate::pipeline::StudyData;
 use dhub_dedupstore::StoreStats;
+use dhub_model::FileKind;
 use dhub_persist::{
     hex_of, ColType, Column, PersistError, Predicate, Publisher, Schema, StrColumn, Table,
 };
@@ -47,9 +55,9 @@ fn layers_schema() -> Schema {
 
 fn files_schema() -> Schema {
     Schema::new(&[
-        ("layer", ColType::Str),
+        ("layer", ColType::U64),
         ("path", ColType::Str),
-        ("kind", ColType::Str),
+        ("kind", ColType::U64),
         ("group", ColType::Str),
         ("size", ColType::U64),
     ])
@@ -90,12 +98,11 @@ impl StudyDb {
     /// aggregate stats.
     pub fn build(data: &StudyData, store: &StoreStats) -> StudyDb {
         let layers_in = data.layer_slice();
-        let hexes: Vec<String> = layers_in.iter().map(|p| hex_of(&p.digest)).collect();
         let u64s = |f: fn(&_) -> u64| Column::U64(layers_in.iter().map(f).collect());
         let layers = table(
             layers_schema(),
             vec![
-                Column::Str(hexes.iter().collect()),
+                Column::Str(layers_in.iter().map(|p| hex_of(&p.digest)).collect()),
                 u64s(|p| p.cls),
                 u64s(|p| p.fls),
                 u64s(|p| p.file_count),
@@ -105,16 +112,16 @@ impl StudyDb {
         );
 
         let nfiles: usize = layers_in.iter().map(|p| p.files.len()).sum();
-        let mut layer = StrColumn::with_capacity(nfiles, 64 * nfiles);
+        let mut layer = Vec::with_capacity(nfiles);
         let mut path = StrColumn::with_capacity(nfiles, 0);
-        let mut kind = StrColumn::with_capacity(nfiles, 0);
+        let mut kind = Vec::with_capacity(nfiles);
         let mut group = StrColumn::with_capacity(nfiles, 0);
         let mut size = Vec::with_capacity(nfiles);
-        for (p, hex) in layers_in.iter().zip(&hexes) {
+        for (row, p) in layers_in.iter().enumerate() {
             for f in &p.files {
-                layer.push(hex);
+                layer.push(row as u64);
                 path.push(&f.path);
-                kind.push(f.kind.label());
+                kind.push(f.kind.index() as u64);
                 group.push(f.kind.group().label());
                 size.push(f.size);
             }
@@ -122,9 +129,9 @@ impl StudyDb {
         let files = table(
             files_schema(),
             vec![
-                Column::Str(layer),
+                Column::U64(layer),
                 Column::Str(path),
-                Column::Str(kind),
+                Column::U64(kind),
                 Column::Str(group),
                 Column::U64(size),
             ],
@@ -207,8 +214,9 @@ impl StudyDb {
     }
 
     /// Loads all five tables from `dir`. A table that is not the one its
-    /// builder writes — another schema, or a `dedup` table without exactly
-    /// one row — is [`PersistError::Torn`], so the queries never meet one.
+    /// builder writes — another schema, a `dedup` table without exactly
+    /// one row, or a `files` row whose layer or kind index points past its
+    /// table — is [`PersistError::Torn`], so the queries never meet one.
     pub fn load(dir: &Path) -> Result<StudyDb, PersistError> {
         let load = |name: &str, schema: Schema, rows: Option<usize>| {
             let path = Self::table_path(dir, name);
@@ -218,9 +226,17 @@ impl StudyDb {
             }
             Ok(table)
         };
+        let layers = load("layers", layers_schema(), None)?;
+        let files = load("files", files_schema(), None)?;
+        let below = |col: &str, n: usize| {
+            files.col_u64(col).expect("files table column").iter().all(|&i| i < n as u64)
+        };
+        if !below("layer", layers.len()) || !below("kind", FileKind::COUNT) {
+            return Err(PersistError::Torn(Self::table_path(dir, "files")));
+        }
         Ok(StudyDb {
-            layers: load("layers", layers_schema(), None)?,
-            files: load("files", files_schema(), None)?,
+            layers,
+            files,
             images: load("images", images_schema(), None)?,
             dedup: load("dedup", dedup_schema(), Some(1))?,
             study: load("study", study_schema(), None)?,
@@ -272,9 +288,11 @@ impl StudyDb {
 
     /// Top `n` file types by count ([`top_types`] over the `files` table).
     pub fn top_file_types(&self, n: usize) -> Vec<(String, u64, u64)> {
-        let kinds = self.files.col_str("kind").expect("files table has kind column");
+        let kinds = self.files.col_u64("kind").expect("files table has kind column");
         let sizes = self.files.col_u64("size").expect("files table has size column");
-        top_types(kinds.iter().zip(sizes.iter().copied()), n)
+        // In range: `load` checked every index, and `build` wrote them.
+        let kinds = kinds.iter().map(|&k| FileKind::ALL[k as usize]);
+        top_types(kinds.zip(sizes.iter().copied()), n)
     }
 
     /// Compressed-layer-size percentiles ([`size_percentiles`] over the
@@ -287,26 +305,29 @@ impl StudyDb {
     }
 }
 
-/// Top `n` file types by count over `(kind label, size)` pairs, one per
-/// file: `(kind label, files, bytes)`, count descending, label ascending
-/// on ties. Shared by [`StudyDb::top_file_types`] and `dhub query`'s
+/// Top `n` file types by count over `(kind, size)` pairs, one per file:
+/// `(kind label, files, bytes)`, count descending, label ascending on
+/// ties. Shared by [`StudyDb::top_file_types`] and `dhub query`'s
 /// replayed-recipe fallback, so both answer with the same rows.
-pub fn top_types<'a>(
-    files: impl IntoIterator<Item = (&'a str, u64)>,
+pub fn top_types(
+    files: impl IntoIterator<Item = (FileKind, u64)>,
     n: usize,
 ) -> Vec<(String, u64, u64)> {
-    // The std hasher: the labels come off disk.
-    let mut agg: std::collections::HashMap<&str, (u64, u64)> = std::collections::HashMap::new();
+    let mut agg = [(0u64, 0u64); FileKind::COUNT];
     for (k, s) in files {
-        let e = agg.entry(k).or_insert((0, 0));
+        let e = &mut agg[k.index()];
         e.0 += 1;
         e.1 += s;
     }
-    let mut rows: Vec<(String, u64, u64)> =
-        agg.into_iter().map(|(k, (c, b))| (k.to_string(), c, b)).collect();
-    rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let mut rows: Vec<(&str, u64, u64)> = FileKind::ALL
+        .iter()
+        .zip(agg)
+        .filter(|(_, (c, _))| *c > 0)
+        .map(|(k, (c, b))| (k.label(), c, b))
+        .collect();
+    rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
     rows.truncate(n);
-    rows
+    rows.into_iter().map(|(k, c, b)| (k.to_string(), c, b)).collect()
 }
 
 /// Nearest-rank p10 … p99 of an ascending-sorted slice (all 0 when empty).
@@ -380,6 +401,20 @@ mod tests {
         torn("files");
         std::fs::write(path("files"), &files).unwrap();
         assert!(StudyDb::load(&dir).is_ok());
+        // A `files` row whose layer or kind index is past its table.
+        let nlayers = StudyDb::load(&dir).unwrap().layers.len() as u64;
+        for (layer, kind) in [(nlayers, 0), (0, FileKind::COUNT as u64)] {
+            let cols = vec![
+                Column::U64(vec![0, layer]),
+                Column::Str(["/a", "/b"].into_iter().collect()),
+                Column::U64(vec![0, kind]),
+                Column::Str(["EOL", "EOL"].into_iter().collect()),
+                Column::U64(vec![1, 2]),
+            ];
+            table(files_schema(), cols).save(&path("files"), &Publisher::new()).unwrap();
+            torn("files");
+        }
+        std::fs::write(path("files"), &files).unwrap();
         // A `dedup` table of the right schema but no row (or two).
         for rows in [0, 2] {
             let mut cols = vec![Column::U64(vec![7; rows]); 5];
@@ -419,11 +454,12 @@ mod tests {
 
     #[test]
     fn query_arithmetic_orders_ties_and_picks_nearest_rank() {
-        let files = [("ELF", 10), ("ASCII", 1), ("PNG", 7), ("ASCII", 2), ("ELF", 5), ("gzip", 9)];
+        use FileKind::{AsciiText, Elf, Png, ZipGzip};
+        let files = [(Elf, 10), (AsciiText, 1), (Png, 7), (AsciiText, 2), (Elf, 5), (ZipGzip, 9)];
         let rows = top_types(files, 3);
         let row = |k: &str, c, b| (k.to_string(), c, b);
         // Count descending, then label ascending; truncated to n.
-        assert_eq!(rows, vec![row("ASCII", 2, 3), row("ELF", 2, 15), row("PNG", 1, 7)]);
+        assert_eq!(rows, vec![row("ASCII text", 2, 3), row("ELF", 2, 15), row("PNG", 1, 7)]);
         assert!(top_types([], 3).is_empty());
 
         let picks = |v: &[u64]| size_percentiles(v).into_iter().map(|(_, x)| x).collect::<Vec<_>>();

@@ -609,6 +609,82 @@ mod tests {
         let _ = std::fs::remove_dir_all(root);
     }
 
+    /// A manifest that names one layer twice used to seed that layer's job
+    /// twice in one batch, and the fleet stopped on the second rename of
+    /// one temp file. At any worker count the queued study now writes the
+    /// direct durable study's tables byte for byte, and the image profile
+    /// counts the layer at each place its manifest names it.
+    #[test]
+    fn a_manifest_naming_a_layer_twice_queues_to_the_direct_tables() {
+        use dhub_compress::{gzip_compress, CompressOptions};
+        use dhub_model::{LayerRef, Manifest, RepoName};
+        use dhub_tar::{write_archive, EntryKind, TarEntry};
+        let blob = |dir: &str| {
+            let file = |name: &str, body: &[u8]| TarEntry {
+                path: format!("{dir}/{name}"),
+                kind: EntryKind::File(body.to_vec()),
+                mode: 0o644,
+                uid: 0,
+                gid: 0,
+                mtime: 1_500_000_000,
+            };
+            let tar =
+                write_archive(&[file("a.txt", b"hello\n"), file("b.sh", b"#!/bin/sh\necho\n")]);
+            gzip_compress(&tar, &CompressOptions::fast())
+        };
+        let (a, b) = (blob("a"), blob("b"));
+        let layer = |blob: &[u8]| LayerRef { digest: Digest::of(blob), size: blob.len() as u64 };
+        let manifest = Manifest::new(vec![layer(&a), layer(&b), layer(&a)]);
+        let hub = || {
+            let hub = generate_hub(&SynthConfig::tiny(29).with_repos(20));
+            let repo = RepoName::official("twice");
+            hub.registry.create_repo(repo.clone(), false);
+            let blobs = vec![a.clone(), b.clone()];
+            hub.registry.push_image(&repo, "latest", &manifest, blobs).unwrap();
+            hub
+        };
+        let tables = |db: &std::path::Path| -> Vec<Vec<u8>> {
+            let read = |name: &str| std::fs::read(db.join(format!("{name}.tbl"))).unwrap();
+            ["dedup", "files", "images", "layers", "study"].map(read).to_vec()
+        };
+        let root = tmp_root("twice");
+        let direct = {
+            let store = PersistentDedupStore::open(root.join("direct"), Publisher::new()).unwrap();
+            let policy = RetryPolicy::default();
+            let data = crate::pipeline::run_study_persist_obs(
+                &hub(),
+                2,
+                &policy,
+                &store,
+                &MetricsRegistry::new(),
+            );
+            let twice = data.images.iter().find(|i| i.repo.full().ends_with("twice")).unwrap();
+            assert_eq!(twice.layer_count(), 3);
+            assert_eq!(twice.cis, 2 * a.len() as u64 + b.len() as u64);
+            assert_eq!(twice.file_count, 6);
+            let db = root.join("direct").join("db");
+            crate::db::StudyDb::build(&data, &store.mem().stats())
+                .save(&db, &Publisher::new())
+                .unwrap();
+            tables(&db)
+        };
+        for workers in [1, 2, 8] {
+            let dir = root.join(format!("w{workers}"));
+            let store = PersistentDedupStore::open(&dir, Publisher::new()).unwrap();
+            let queue = DurableQueue::open(dir.join("queue"), Publisher::new()).unwrap();
+            let cfg = QueuedStudyConfig { workers, ..QueuedStudyConfig::default() };
+            let data =
+                run_study_queued_obs(&hub(), &store, &queue, &cfg, &MetricsRegistry::new())
+                    .unwrap();
+            let db = dir.join("db");
+            crate::db::StudyDb::build(&data, &store.mem().stats())
+                .save(&db, &Publisher::new())
+                .unwrap();
+            assert!(tables(&db) == direct, "workers {workers}: tables differ");
+        }
+        let _ = std::fs::remove_dir_all(root);
+    }
+
     #[test]
     fn killed_run_resumes_identically() {
         let hub = generate_hub(&SynthConfig::tiny(37).with_repos(16));

@@ -335,6 +335,39 @@ for q in summary dedup top-types layer-percentiles; do
 done
 echo "queue gate: killed fleet resumed to byte-identical query answers"
 rm -rf "$QUEUE_W1" "$QUEUE_W4" "$QUEUE_KILL" "$QUEUE_STORE" "$QUEUE_OUT" "$QUEUE_OUT".*
+# At the CLI's default hub size (--repos 120 --scale 128) some manifest
+# names one layer twice, which the 25-repo fleets above never meet: a
+# fleet of 1 and of 2 workers must finish and answer as `dhub store` does.
+QUEUE_DEF=$(mktemp -d /tmp/dhub-queue-default.XXXXXX)
+./target/release/dhub store --store-dir "$QUEUE_DEF/store" > /dev/null
+for w in 1 2; do
+    ./target/release/dhub work --workers "$w" --store-dir "$QUEUE_DEF/w$w" > /dev/null \
+        || { echo "FAIL: dhub work --workers $w failed at the default hub size" >&2; exit 1; }
+    for q in summary dedup top-types layer-percentiles; do
+        ./target/release/dhub query "$QUEUE_DEF/store" "$q" > "$QUEUE_DEF/store.$q"
+        ./target/release/dhub query "$QUEUE_DEF/w$w" "$q" > "$QUEUE_DEF/w$w.$q"
+        cmp -s "$QUEUE_DEF/store.$q" "$QUEUE_DEF/w$w.$q" \
+            || { echo "FAIL: query '$q' of a $w-worker fleet differs from dhub store's" >&2; exit 1; }
+    done
+done
+echo "queue gate: default-size fleets of 1 and 2 workers answer as dhub store does"
+rm -rf "$QUEUE_DEF"
+
+# Store-size gate: the bytes a durable study leaves on disk for the bench
+# *files* corpus. Every byte is a function of the hub, so the sum repeats
+# exactly; the ceiling is the size measured when the tables went to varint
+# columns (8,397,102 bytes for 7,053,149 logical) plus 1 %, so a codec or
+# layout change that grows the dir fails here.
+echo "==> store-size gate: a durable files-corpus study's bytes on disk"
+STORE_SIZE_CEILING=8481073
+SIZE_DIR=$(mktemp -d /tmp/dhub-store-size.XXXXXX)
+./target/release/dhub store --repos 8 --seed 42 --scale 128 --threads 2 \
+    --store-dir "$SIZE_DIR/d" > /dev/null
+STORE_BYTES=$(find "$SIZE_DIR/d" -type f -printf '%s\n' | awk '{s += $1} END {print s}')
+rm -rf "$SIZE_DIR"
+[ "$STORE_BYTES" -le "$STORE_SIZE_CEILING" ] \
+    || { echo "FAIL: store dir is $STORE_BYTES bytes, over the $STORE_SIZE_CEILING ceiling" >&2; exit 1; }
+echo "store-size gate: $STORE_BYTES bytes on disk (ceiling $STORE_SIZE_CEILING)"
 
 echo "==> dependency audit"
 # No references to the removed external crates anywhere in crate sources.

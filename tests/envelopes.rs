@@ -134,14 +134,15 @@ fn a_durable_study_dir_holds_a_file_per_layer_and_per_large_object() {
     assert_eq!(tables, 5);
 }
 
-// Recorded at the switch from JSON recipe envelopes to layer files
-// (layer file format 2).
+// Recorded at the switch to `DHTB` version 3 tables (varint columns);
+// the layer file format is still 2.
 const RECIPES: usize = 91;
 const RECIPES_DIGEST: &str =
-    "sha256:3d86784b83babc19b7094db94c30ecd22562c18d40a8ca93e21abd75da13a5fb";
-// Recorded before string columns were held as one buffer each.
+    "sha256:8ba503f740d736f5f506d9dc512acad51118b647ef33e6f331acd3a3be35ab9f";
+// Recorded at the switch to `DHTB` version 3 tables, with the files
+// table's `layer` and `kind` as indexes.
 const TABLES_DIGEST: &str =
-    "sha256:7f572647c503597802b5a0f90865b6d37bcf0f8d3a4ce1e8d8e3b18fb76198dd";
+    "sha256:f1bf6c3f3ff4bd9d2f3bc9731f14697c578e3f6adfe6cbca6bd5c5a0568ff9b4";
 const JOBS: usize = 108;
 const JOBS_DIGEST: &str = "sha256:97bdf7441e9ff6c1e8a2fd7330f39bfa810bee5723e75292567af2252731b504";
 const RESULTS_DIGEST: &str =
