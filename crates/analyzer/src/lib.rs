@@ -16,9 +16,10 @@
 //!
 //! [`analyze_layer_with`] performs the whole per-layer pass in one sweep:
 //! the blob inflates into a reusable [`Scratch`] buffer, the tar is walked
-//! zero-copy with [`TarView`], and each file is hashed exactly once — the
-//! digest and the borrowed payload are handed to a caller-supplied sink so
-//! downstream consumers (the dedup store) never re-decompress or re-hash.
+//! zero-copy with [`TarView`], and each file is hashed and classified
+//! exactly once — digest, class and borrowed payload go to a caller-supplied
+//! sink so downstream consumers (the dedup store) never re-decompress,
+//! re-hash or re-classify.
 //! The original allocate-per-layer implementation is the test oracle
 //! `dhub_oracle::analyze_layer_reference`, which the equivalence tests
 //! hold this pass to.
@@ -26,12 +27,11 @@
 use dhub_compress::gzip_decompress_into;
 use dhub_digest::FxHashMap;
 use dhub_model::{
-    profile::path_depth, Digest, FileRecord, ImageProfile, LayerProfile, RepoName,
+    Digest, FileKind, FileRecord, ImageProfile, LayerProfile, ProfileFold, RepoName,
 };
 use dhub_obs::{Counter, MetricsRegistry};
 use dhub_par::Scratch;
 use dhub_tar::{EntryView, EntryViewKind, TarView};
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -74,15 +74,15 @@ pub fn analyze_layer_scratch(
     analyze_layer_with(digest, blob, scratch, |_, _| {})
 }
 
-/// The fused single-pass analysis: inflate → tar walk → hash, one sweep.
+/// The fused single-pass analysis: inflate → tar walk → hash → classify.
 ///
 /// The blob decompresses into `scratch`'s buffer (reused across calls) and
-/// the tar is iterated zero-copy. For every entry the `sink` is invoked
-/// with the borrowed [`EntryView`]; for regular files it also receives the
-/// content digest and payload slice, both already computed for the
-/// profile, so a consumer ingesting files does not hash or copy anything a
-/// second time. Sink calls made before a tar parse error are discarded
-/// work — the function returns `Err` and the caller must not commit them.
+/// the tar is iterated zero-copy, each entry folded into the profile by
+/// [`ProfileFold`]. For every entry the `sink` is invoked with the borrowed
+/// [`EntryView`]; for regular files it also receives the digest, class and
+/// payload slice already computed for the profile. Sink calls made before a
+/// tar parse error are discarded work — the function returns `Err` and the
+/// caller must not commit them.
 pub fn analyze_layer_with<'s, F>(
     digest: Digest,
     blob: &[u8],
@@ -90,94 +90,33 @@ pub fn analyze_layer_with<'s, F>(
     mut sink: F,
 ) -> Result<LayerProfile, AnalyzeError>
 where
-    F: FnMut(&EntryView<'s>, Option<(Digest, &'s [u8])>),
+    F: FnMut(&EntryView<'s>, Option<(Digest, FileKind, &'s [u8])>),
 {
     let buf = scratch.tar_buf();
     gzip_decompress_into(blob, buf).map_err(|e| AnalyzeError::BadGzip(e.to_string()))?;
     let tar: &'s [u8] = buf;
 
-    // Directory seeds: explicit dir entries plus the *immediate* parent of
-    // every file/link. Ancestor expansion happens once after the walk
-    // (each seed's component prefixes cover the full ancestor chain), not
-    // per entry — the old per-entry `collect_ancestors` walk re-derived
-    // the same ancestors for every file in a deep directory.
-    let mut seed_dirs: HashSet<String> = HashSet::new();
-    let mut files = Vec::new();
-    let mut fls = 0u64;
-    let mut max_depth = 0u64;
-
+    let mut fold = ProfileFold::default();
     for entry in TarView::new(tar) {
         let entry = entry.map_err(|e| AnalyzeError::BadTar(e.to_string()))?;
-        let path = entry.path.trim_end_matches('/');
-        max_depth = max_depth.max(path_depth(path));
         match entry.kind {
             EntryViewKind::Dir => {
-                if !seed_dirs.contains(path) {
-                    seed_dirs.insert(path.to_string());
-                }
+                fold.dir(&entry.path);
                 sink(&entry, None);
             }
             EntryViewKind::File(data) => {
-                seed_parent(path, &mut seed_dirs);
-                fls += data.len() as u64;
                 let file_digest = Digest::of(data);
-                files.push(FileRecord {
-                    path: path.to_string(),
-                    digest: file_digest,
-                    kind: dhub_magic::classify(path, data),
-                    size: data.len() as u64,
-                });
-                sink(&entry, Some((file_digest, data)));
+                let kind = dhub_magic::classify(entry.path.trim_end_matches('/'), data);
+                fold.file(&entry.path, FileRecord { digest: file_digest, kind, size: data.len() as u64 });
+                sink(&entry, Some((file_digest, kind, data)));
             }
             EntryViewKind::Symlink(_) | EntryViewKind::Hardlink(_) => {
-                seed_parent(path, &mut seed_dirs);
+                fold.link(&entry.path);
                 sink(&entry, None);
             }
         }
     }
-
-    Ok(LayerProfile {
-        digest,
-        fls,
-        cls: blob.len() as u64,
-        dir_count: expand_dirs(&seed_dirs).len() as u64,
-        file_count: files.len() as u64,
-        max_depth,
-        files,
-    })
-}
-
-/// Records `path`'s immediate parent directory as a seed.
-fn seed_parent(path: &str, seeds: &mut HashSet<String>) {
-    if let Some(pos) = path.rfind('/') {
-        let parent = &path[..pos];
-        if !seeds.contains(parent) {
-            seeds.insert(parent.to_string());
-        }
-    }
-}
-
-/// Expands directory seeds to the full implied set: every seed verbatim
-/// plus each of its clean component prefixes (parents exist even when the
-/// tar omits their entries, which is common in real layers).
-fn expand_dirs(seeds: &HashSet<String>) -> HashSet<String> {
-    let mut all: HashSet<String> = HashSet::with_capacity(seeds.len() * 2);
-    for d in seeds {
-        let mut prefix = String::new();
-        for comp in d.split('/').filter(|c| !c.is_empty()) {
-            if !prefix.is_empty() {
-                prefix.push('/');
-            }
-            prefix.push_str(comp);
-            if !all.contains(&prefix) {
-                all.insert(prefix.clone());
-            }
-        }
-        if !all.contains(d) {
-            all.insert(d.clone());
-        }
-    }
-    all
+    Ok(fold.finish(digest, blob.len() as u64))
 }
 
 /// One-line summary of the kernels every analysis pass dispatches to, e.g.
@@ -387,7 +326,6 @@ pub fn image_profiles(
 mod tests {
     use super::*;
     use dhub_compress::{gzip_compress, CompressOptions};
-    use dhub_model::FileKind;
     use dhub_tar::{write_archive, TarEntry};
 
     fn layer_blob(entries: &[TarEntry]) -> (Digest, Vec<u8>) {
@@ -472,7 +410,7 @@ mod tests {
         let mut scratch = Scratch::new();
         let mut seen = Vec::new();
         let p = analyze_layer_with(digest, &blob, &mut scratch, |entry, file| {
-            seen.push((entry.path.to_string(), file.map(|(d, data)| (d, data.to_vec()))));
+            seen.push((entry.path.to_string(), file.map(|(d, _, data)| (d, data.to_vec()))));
         })
         .unwrap();
         assert_eq!(seen.len(), 3);

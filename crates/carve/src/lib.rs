@@ -204,7 +204,7 @@ mod tests {
     }
 
     fn file(tag: &str, size: u64) -> FileRecord {
-        FileRecord { path: tag.into(), digest: Digest::of(tag.as_bytes()), kind: FileKind::AsciiText, size }
+        FileRecord { digest: Digest::of(tag.as_bytes()), kind: FileKind::AsciiText, size }
     }
 
     fn layer(id: u8, files: Vec<FileRecord>) -> LayerProfile {

@@ -25,8 +25,8 @@ fn population(universe: u32, layer_picks: &[Vec<u32>], image_picks: &[Vec<u32>])
                 .map(|&p| {
                     let p = p % universe.max(1);
                     let size = [0, 1, 100, 5_000, 70_000, 2_000_000][p as usize % 6];
-                    let (path, digest) = (format!("f{p}"), Digest::of(&p.to_le_bytes()));
-                    FileRecord { path, digest, kind: FileKind::AsciiText, size }
+                    let digest = Digest::of(&p.to_le_bytes());
+                    FileRecord { digest, kind: FileKind::AsciiText, size }
                 })
                 .collect();
             LayerProfile {

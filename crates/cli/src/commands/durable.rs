@@ -217,19 +217,14 @@ fn query_replayed(out: &mut impl Write, dir: &str, question: Question) -> CmdRes
             Ok(())
         }
         Question::TopTypes(n) => {
-            // Re-derive (kind, size) per file entry exactly as the
-            // analyzer recorded it: `dhub_magic::classify` over the entry
-            // path and the stored object bytes.
-            let mut digests = mem.layer_digests();
-            digests.sort();
+            // (class, size) per file row, as the analyzer recorded them in
+            // the layer files.
             let mut files = Vec::new();
-            for d in &digests {
+            for d in &mem.layer_digests() {
                 let recipe = mem.recipe(d).expect("replayed layer has a recipe");
                 for row in recipe.rows() {
-                    if let RowKind::File(fd) = row.kind {
-                        let data =
-                            mem.object_data(&fd).ok_or_else(|| format!("missing object {fd}"))?;
-                        files.push((dhub_magic::classify(row.path, &data), data.len() as u64));
+                    if let RowKind::File(_, class) = row.kind {
+                        files.push((class, row.size));
                     }
                 }
             }

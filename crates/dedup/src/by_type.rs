@@ -73,7 +73,7 @@ mod tests {
     use dhub_model::{Digest, FileRecord, LayerProfile};
 
     fn file(tag: &str, kind: FileKind, size: u64) -> FileRecord {
-        FileRecord { path: tag.into(), digest: Digest::of(tag.as_bytes()), kind, size }
+        FileRecord { digest: Digest::of(tag.as_bytes()), kind, size }
     }
 
     fn layer(id: u8, files: Vec<FileRecord>) -> LayerProfile {

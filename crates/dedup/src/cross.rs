@@ -84,7 +84,7 @@ mod tests {
     }
 
     fn file(tag: &str) -> FileRecord {
-        FileRecord { path: tag.into(), digest: Digest::of(tag.as_bytes()), kind: FileKind::AsciiText, size: 10 }
+        FileRecord { digest: Digest::of(tag.as_bytes()), kind: FileKind::AsciiText, size: 10 }
     }
 
     fn layer(id: u8, tags: &[&str]) -> LayerProfile {

@@ -170,7 +170,6 @@ mod tests {
 
     fn file(content: &[u8], size: u64) -> FileRecord {
         FileRecord {
-            path: "p".into(),
             digest: Digest::of(content),
             kind: FileKind::AsciiText,
             size,

@@ -92,7 +92,6 @@ mod tests {
                     .map(|_| {
                         let proto = rng.below(400);
                         FileRecord {
-                            path: format!("f{proto}"),
                             digest: Digest::of(&proto.to_le_bytes()),
                             kind: FileKind::AsciiText,
                             size: 100 + proto % 50,

@@ -98,7 +98,6 @@ mod tests {
 
     fn layer(id: u8, tags: &[&str]) -> LayerProfile {
         let file = |t: &&str| FileRecord {
-            path: t.to_string(),
             digest: Digest::of(t.as_bytes()),
             kind: FileKind::AsciiText,
             size: t.len() as u64,

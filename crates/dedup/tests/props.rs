@@ -32,12 +32,12 @@ fn population(seed: u64) -> Vec<LayerProfile> {
                     let variant = if proto.is_multiple_of(4) { rng.below(3) } else { 0 };
                     let kind = FileKind::ALL[((proto * 7 + variant) as usize) % FileKind::COUNT];
                     let digest = Digest::of(&proto.to_le_bytes());
-                    FileRecord { path: format!("f{proto}"), digest, kind, size: proto % 5 * 100 }
+                    FileRecord { digest, kind, size: proto % 5 * 100 }
                 })
                 .collect();
             if rng.chance(0.5) {
-                let (path, kind) = (format!("c{i}"), FileKind::ALL[i as usize % FileKind::COUNT]);
-                files.push(FileRecord { path, digest: Digest::of(b"chameleon"), kind, size: 77 });
+                let kind = FileKind::ALL[i as usize % FileKind::COUNT];
+                files.push(FileRecord { digest: Digest::of(b"chameleon"), kind, size: 77 });
             }
             LayerProfile {
                 digest: Digest::of(&(seed << 8 | i).to_le_bytes()),

@@ -35,4 +35,4 @@ pub use fused::{analyze_and_ingest, analyze_and_ingest_all, FusedResult, LayerSi
 pub use fused::analyze_and_ingest as analyze_and_ingest_persistent;
 pub use persistent::{PersistentDedupStore, PersistentError};
 pub use recipe::{LayerRecipe, RecipeRow, RowKind};
-pub use store::{DedupStore, IngestStats, Object, ParsedLayer, StoreError, StoreStats};
+pub use store::{DedupStore, IngestStats, ParsedLayer, StoreError, StoreStats};

@@ -12,16 +12,17 @@
 //!
 //! A **layer file** is one `dhub-persist` table (`DHTB` v3): a row per tar
 //! entry in archive order — path, kind, mode, uid, gid, mtime, size,
-//! sha256 and link target, the per-file schema of a layer — plus a bytes
-//! column that holds the content of every regular file of at most
-//! [`INLINE_MAX`] bytes on that content's first row in the layer (empty
-//! elsewhere). Its metadata carries the layer format (2, the schema; the
-//! table codec under it is versioned on its own) and the layer's
-//! compressed length, and its trailing CRC covers every byte of the file.
+//! sha256, class (a file's [`FileKind::ALL`] index, else 0) and link
+//! target, the per-file schema of a layer — plus a bytes column that holds
+//! the content of every regular file of at most [`INLINE_MAX`] bytes on
+//! that content's first row in the layer (empty elsewhere). Its metadata
+//! carries the layer format (3, the schema; the table codec under it is
+//! versioned on its own) and the layer's compressed length, and its
+//! trailing CRC covers every byte of the file.
 //! The codec stores each integer column as varint deltas, so the columns
 //! that barely vary — kind, mode, uid, gid — cost about a byte a row, and
 //! each string and bytes column as varint lengths then its values, which
-//! a loaded column points into. A layer file from before v3 is `Torn`.
+//! a loaded column points into. A layer file of an older format is `Torn`.
 //! Inline content is duplicated across layers rather than owned by one, so
 //! a layer file's bytes depend on its layer alone, never on which layer
 //! was committed first: store dirs are byte-identical at any worker count.
@@ -60,7 +61,7 @@
 use crate::recipe::{LayerRecipe, DIR, FILE, HARDLINK, SYMLINK};
 use crate::store::{DedupStore, IngestStats, Objects, ParsedLayer, Slot, StoreError, INLINE_MAX};
 use dhub_digest::FxHashSet;
-use dhub_model::Digest;
+use dhub_model::{Digest, FileKind};
 use dhub_obs::MetricsRegistry;
 use dhub_persist::{
     digest_from_hex, fsync_dir, hex_of, BlobStore, BytesColumn, ColType, Column, GcStats,
@@ -70,9 +71,9 @@ use std::collections::hash_map::Entry;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// The layer file's format version (v1 was the JSON recipe envelope): its
-/// schema, not the table codec's version, which the table carries itself.
-const LAYER_FORMAT: u64 = 2;
+/// The layer file's format version (v1 was the JSON recipe envelope, v2
+/// had no `class`): its schema, not the table codec's version.
+const LAYER_FORMAT: u64 = 3;
 
 /// The layer file's columns, in order: the recipe's, then `content`.
 fn layer_schema() -> Schema {
@@ -86,6 +87,7 @@ fn layer_schema() -> Schema {
         ("mtime", U64),
         ("size", U64),
         ("sha256", Bytes),
+        ("class", U64),
         ("target", Str),
         ("content", Bytes),
     ])
@@ -130,6 +132,7 @@ fn layer_table(recipe: LayerRecipe, files: &[(Digest, &[u8])]) -> Table {
         mtime,
         size,
         sha256,
+        class,
         target,
     } = recipe;
     let cols = vec![
@@ -141,6 +144,7 @@ fn layer_table(recipe: LayerRecipe, files: &[(Digest, &[u8])]) -> Table {
         Column::U64(mtime),
         Column::U64(size),
         Column::Bytes(sha256),
+        Column::U64(class),
         Column::Str(target),
         Column::Bytes(content),
     ];
@@ -161,7 +165,7 @@ fn split_layer_table(layer_digest: Digest, table: Table) -> Option<StoredLayer> 
     if table.schema() != &layer_schema() {
         return None;
     }
-    let cols = <[Column; 10]>::try_from(table.into_columns()).ok()?;
+    let cols = <[Column; 11]>::try_from(table.into_columns()).ok()?;
     let [
         Column::Str(path),
         Column::U64(kind),
@@ -171,6 +175,7 @@ fn split_layer_table(layer_digest: Digest, table: Table) -> Option<StoredLayer> 
         Column::U64(mtime),
         Column::U64(size),
         Column::Bytes(sha256),
+        Column::U64(class),
         Column::Str(target),
         Column::Bytes(content),
     ] = cols
@@ -188,6 +193,7 @@ fn split_layer_table(layer_digest: Digest, table: Table) -> Option<StoredLayer> 
         mtime,
         size,
         sha256,
+        class,
         target,
     };
     Some(StoredLayer { recipe, content })
@@ -196,9 +202,9 @@ fn split_layer_table(layer_digest: Digest, table: Table) -> Option<StoredLayer> 
 /// Reads a layer file's bytes back; `None` unless they are exactly what
 /// [`layer_table`] writes for some layer: valid CRCs, the layer schema and
 /// metadata, and every row's fields consistent with its kind — a file's
-/// content inline on its first row in the layer when it is small, and
-/// nowhere else. Nothing is copied out of `data`: the recipe's columns and
-/// the inline contents point into it.
+/// class a [`FileKind`] (else 0), its content inline on its first row in
+/// the layer when it is small, and nowhere else. Nothing is copied out of
+/// `data`: the recipe's columns and the inline contents point into it.
 fn decode_layer(layer_digest: Digest, data: Vec<u8>) -> Option<StoredLayer> {
     let layer = split_layer_table(layer_digest, Table::from_bytes(data)?)?;
     let (r, content) = (&layer.recipe, &layer.content);
@@ -206,10 +212,10 @@ fn decode_layer(layer_digest: Digest, data: Vec<u8>) -> Option<StoredLayer> {
     let wide = |v: u64| v > u64::from(u32::MAX);
     let rows = r.sha256.iter().zip(r.target.iter()).zip(content.iter());
     for (i, ((sha256, target), content)) in rows.enumerate() {
-        let size = r.size[i];
-        let bare = size == 0 && sha256.is_empty() && content.is_empty();
+        let (size, class) = (r.size[i], r.class[i]);
+        let bare = size == 0 && class == 0 && sha256.is_empty() && content.is_empty();
         let sound = match r.kind[i] {
-            FILE if target.is_empty() => {
+            FILE if target.is_empty() && class < FileKind::COUNT as u64 => {
                 let d = Digest(sha256.try_into().ok()?);
                 if size <= INLINE_MAX as u64 && inlined.insert(d) {
                     content.len() as u64 == size
@@ -525,6 +531,7 @@ impl PersistentDedupStore {
 mod tests {
     use super::*;
     use dhub_compress::{gzip_compress, CompressOptions};
+    use crate::recipe::RowKind;
     use dhub_tar::TarEntry;
     use std::sync::Arc;
 
@@ -809,7 +816,7 @@ mod tests {
     /// copy of `victim`.
     fn flip_inline(path: &Path, victim: &Digest) -> bool {
         rewrite_layer(path, |cols| {
-            let (Column::Bytes(shas), Column::Bytes(contents)) = (&cols[7], &cols[9]) else {
+            let (Column::Bytes(shas), Column::Bytes(contents)) = (&cols[7], &cols[10]) else {
                 unreachable!("the layer schema")
             };
             let carried = shas
@@ -828,7 +835,7 @@ mod tests {
                     c
                 })
                 .collect();
-            cols[9] = Column::Bytes(flipped);
+            cols[10] = Column::Bytes(flipped);
             true
         })
     }
@@ -900,20 +907,24 @@ mod tests {
 
     #[test]
     fn the_damaged_file_open_names_does_not_depend_on_thread_timing() {
-        let (root, reference) = populated("blame");
+        let (root, _) = populated("blame");
         let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
         let layer_files = store.layer_files().unwrap();
-        let mut first_seen: Vec<Digest> = Vec::new();
+        let (mut first_seen, mut large): (Vec<Digest>, Vec<Digest>) = (Vec::new(), Vec::new());
         for (path, digest) in &layer_files {
             let stored = PersistentDedupStore::read_layer(path, *digest).unwrap();
-            for d in stored.recipe.file_digests() {
+            for row in stored.recipe.rows() {
+                let RowKind::File(d, _) = row.kind else { continue };
                 if !first_seen.contains(&d) {
                     first_seen.push(d);
+                    if row.size > INLINE_MAX as u64 {
+                        large.push(d);
+                    }
                 }
             }
         }
         drop(store);
-        let is_large = |d: &Digest| reference.object_data(d).unwrap().len() > INLINE_MAX;
+        let is_large = |d: &Digest| large.contains(d);
         let object_path = |d: &Digest| {
             let hex = hex_of(d);
             root.join("objects").join(&hex[..2]).join(hex)

@@ -4,13 +4,15 @@
 //! A recipe is held in column form — the columns of the durable store's
 //! layer file, less its inline contents: path and link target as
 //! [`StrColumn`]s, the 32-byte content digest as a [`BytesColumn`], and
-//! the integer fields as plain vectors. A recipe built by an ingest owns
-//! one buffer per string column; one read back from a layer file keeps
-//! that file's buffer, its columns pointing into it. Either way no row is a
-//! heap value of its own: readers walk [`RecipeRow`] views.
+//! the integer fields (a file's class too) as plain vectors. A recipe built
+//! by an ingest owns one buffer per string column; one read back from a
+//! layer file keeps that file's buffer, its columns pointing into it.
+//! Either way no row is a heap value of its own: readers walk
+//! [`RecipeRow`] views. Holding every per-file fact, a recipe is also its
+//! layer's profile ([`LayerRecipe::profile`]).
 
 use dhub_json::{push_string, push_u64};
-use dhub_model::Digest;
+use dhub_model::{Digest, FileKind, FileRecord, LayerProfile, ProfileFold};
 use dhub_persist::{BytesColumn, StrColumn};
 
 /// The `kind` column's values.
@@ -22,8 +24,8 @@ pub(crate) const HARDLINK: u64 = 3;
 /// What a recipe row is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RowKind<'a> {
-    /// Regular file; contents found by digest in the object store.
-    File(Digest),
+    /// Regular file: its contents' digest in the object store, its class.
+    File(Digest, FileKind),
     Dir,
     /// Symlink target.
     Symlink(&'a str),
@@ -61,6 +63,8 @@ pub struct LayerRecipe {
     pub(crate) size: Vec<u64>,
     /// A file row's 32-byte content digest; empty on every other row.
     pub(crate) sha256: BytesColumn,
+    /// A file row's [`FileKind::ALL`] index; 0 on every other row.
+    pub(crate) class: Vec<u64>,
     /// A link row's target; empty on every other row.
     pub(crate) target: StrColumn,
 }
@@ -79,17 +83,18 @@ impl LayerRecipe {
             mtime: Vec::new(),
             size: Vec::new(),
             sha256: BytesColumn::default(),
+            class: Vec::new(),
             target: StrColumn::default(),
         }
     }
 
     /// Appends a row to every column.
     pub fn push(&mut self, row: RecipeRow<'_>) {
-        let (kind, digest, link): (u64, &[u8], &str) = match &row.kind {
-            RowKind::File(d) => (FILE, &d.0, ""),
-            RowKind::Dir => (DIR, &[], ""),
-            RowKind::Symlink(t) => (SYMLINK, &[], t),
-            RowKind::Hardlink(t) => (HARDLINK, &[], t),
+        let (kind, digest, class, link): (u64, &[u8], usize, &str) = match &row.kind {
+            RowKind::File(d, k) => (FILE, &d.0, k.index(), ""),
+            RowKind::Dir => (DIR, &[], 0, ""),
+            RowKind::Symlink(t) => (SYMLINK, &[], 0, t),
+            RowKind::Hardlink(t) => (HARDLINK, &[], 0, t),
         };
         let size = if kind == FILE { row.size } else { 0 };
         self.path.push(row.path);
@@ -100,6 +105,7 @@ impl LayerRecipe {
         self.mtime.push(row.mtime);
         self.size.push(size);
         self.sha256.push(digest);
+        self.class.push(class as u64);
         self.target.push(link);
     }
 
@@ -113,11 +119,11 @@ impl LayerRecipe {
     }
 
     /// Row `i`; panics past the end, as slice indexing does. The integer
-    /// fields fit their widths: a built recipe pushed them from those
-    /// widths, and a layer file's reader checks them.
+    /// fields fit their widths and a file's class is a [`FileKind`]: a
+    /// built recipe pushed them so, and a layer file's reader checks them.
     pub fn row(&self, i: usize) -> RecipeRow<'_> {
         let kind = match self.kind[i] {
-            FILE => RowKind::File(self.digest(i)),
+            FILE => RowKind::File(self.digest(i), FileKind::ALL[self.class[i] as usize]),
             DIR => RowKind::Dir,
             SYMLINK => RowKind::Symlink(self.target.get(i)),
             _ => RowKind::Hardlink(self.target.get(i)),
@@ -149,6 +155,22 @@ impl LayerRecipe {
         (0..self.len()).filter(|&i| self.kind[i] == FILE).map(|i| self.digest(i))
     }
 
+    /// The layer's profile: its rows through the fold the analyzer runs
+    /// over tar entries, so it is the profile the layer's analysis gave.
+    pub fn profile(&self) -> LayerProfile {
+        let mut fold = ProfileFold::default();
+        for row in self.rows() {
+            match row.kind {
+                RowKind::File(digest, kind) => {
+                    fold.file(row.path, FileRecord { digest, kind, size: row.size })
+                }
+                RowKind::Dir => fold.dir(row.path),
+                RowKind::Symlink(_) | RowKind::Hardlink(_) => fold.link(row.path),
+            }
+        }
+        fold.finish(self.layer_digest, self.blob_len)
+    }
+
     /// Serializes to JSON, the recipe format of stores written before
     /// layer files (the store writes none now; `bench/` still replays it),
     /// written straight into one pre-sized `String`. The bytes are what
@@ -178,7 +200,7 @@ impl LayerRecipe {
                 push_u64(&mut out, n);
             }
             match e.kind {
-                RowKind::File(d) => {
+                RowKind::File(d, _) => {
                     out.push_str(r#","type":"file","digest":""#);
                     d.push_docker_string(&mut out);
                     out.push('"');
@@ -216,7 +238,7 @@ mod tests {
             uid: 1000,
             gid: 1000,
             mtime: 1_495_000_000,
-            ..row("usr/bin/tool", RowKind::File(Digest::of(b"contents")))
+            ..row("usr/bin/tool", RowKind::File(Digest::of(b"contents"), FileKind::Elf))
         });
         r.push(RecipeRow { mode: 0o777, ..row("usr/bin/alias", RowKind::Symlink("tool")) });
         r
@@ -228,7 +250,7 @@ mod tests {
     fn rows_read_back_as_pushed() {
         let r = sample();
         assert_eq!(r.len(), 3);
-        assert_eq!(r.row(1).kind, RowKind::File(Digest::of(b"contents")));
+        assert_eq!(r.row(1).kind, RowKind::File(Digest::of(b"contents"), FileKind::Elf));
         assert_eq!((r.row(1).size, r.row(1).uid, r.row(1).mtime), (8, 1000, 1_495_000_000));
         assert_eq!(r.row(2), RecipeRow { mode: 0o777, ..row("usr/bin/alias", RowKind::Symlink("tool")) });
         let mut dir = LayerRecipe::new(Digest::of(b"d"), 0);

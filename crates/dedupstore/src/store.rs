@@ -11,15 +11,15 @@
 //! many rows and small objects it has, and dropping it frees those.
 
 use crate::recipe::{LayerRecipe, RecipeRow, RowKind};
-use dhub_compress::gzip_decompress_into;
+use dhub_analyzer::AnalyzeError;
 use dhub_digest::FxHashMap;
-use dhub_model::Digest;
+use dhub_model::{Digest, FileKind};
 use dhub_obs::{Counter, Gauge, MetricsRegistry};
 use dhub_sync::RwLock;
-use dhub_tar::{encode_entry, encoded_len, EntryView, EntryViewKind, TarView, BLOCK_SIZE};
+use dhub_tar::{encode_entry, encoded_len, EntryView, EntryViewKind, BLOCK_SIZE};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
-use std::ops::{Deref, Range};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Objects up to one filesystem block are kept inline in the layer file of
@@ -27,22 +27,6 @@ use std::sync::Arc;
 /// the layer's other small objects; larger ones get a file and a buffer
 /// each.
 pub(crate) const INLINE_MAX: usize = 4096;
-
-/// One stored object's bytes: a slice of a buffer shared with the other
-/// objects that arrived in it.
-#[derive(Clone, Debug)]
-pub struct Object {
-    buf: Arc<Vec<u8>>,
-    at: Range<usize>,
-}
-
-impl Deref for Object {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.buf[self.at.clone()]
-    }
-}
 
 /// Where an object's bytes lie: `bufs[buf][at]` of its [`Objects`].
 #[derive(Clone, Debug)]
@@ -62,11 +46,6 @@ pub(crate) struct Objects {
 impl Objects {
     fn get(&self, digest: &Digest) -> Option<&[u8]> {
         self.slots.get(digest).map(|s| &self.bufs[s.buf][s.at.clone()])
-    }
-
-    fn object(&self, digest: &Digest) -> Option<Object> {
-        let s = self.slots.get(digest)?;
-        Some(Object { buf: Arc::clone(&self.bufs[s.buf]), at: s.at.clone() })
     }
 }
 
@@ -178,15 +157,14 @@ impl<'a> ParsedLayer<'a> {
         ParsedLayer { recipe: LayerRecipe::new(layer_digest, blob_len), files: Vec::new() }
     }
 
-    /// Appends a zero-copy tar entry. `file` may carry a file's
-    /// already-computed `(digest, payload)` pair (from the fused analysis
-    /// sink); when absent for a file entry the digest is computed here.
-    pub fn push(&mut self, entry: &EntryView<'a>, file: Option<(Digest, &'a [u8])>) {
+    /// Appends a zero-copy tar entry, with a file's `(digest, class,
+    /// payload)` as the analyzer's sink hands them over.
+    pub fn push(&mut self, entry: &EntryView<'a>, file: Option<(Digest, FileKind, &'a [u8])>) {
         let (kind, size) = match entry.kind {
-            EntryViewKind::File(data) => {
-                let (digest, data) = file.unwrap_or_else(|| (Digest::of(data), data));
+            EntryViewKind::File(_) => {
+                let (digest, class, data) = file.expect("a file entry comes with its digest and class");
                 self.files.push((digest, data));
-                (RowKind::File(digest), data.len() as u64)
+                (RowKind::File(digest, class), data.len() as u64)
             }
             EntryViewKind::Dir => (RowKind::Dir, 0),
             EntryViewKind::Symlink(t) => (RowKind::Symlink(t), 0),
@@ -227,27 +205,17 @@ impl DedupStore {
         self.recipes.read().contains_key(layer_digest)
     }
 
-    /// Ingests a gzip-compressed layer tarball under `layer_digest`.
-    ///
-    /// Decompresses into the calling thread's scratch arena and walks the
-    /// tar zero-copy; file payloads are copied only when they are new to
-    /// the object store. Callers that already analyzed the layer should
-    /// use [`crate::analyze_and_ingest`] instead, which shares one
-    /// decompression and one hash per file with the profiler.
+    /// Ingests a gzip-compressed layer tarball under `layer_digest`: the
+    /// fused pass ([`crate::analyze_and_ingest`]) with its profile dropped.
     pub fn ingest_layer(&self, layer_digest: Digest, blob: &[u8]) -> Result<IngestStats, StoreError> {
         if self.contains_layer(&layer_digest) {
             return Err(StoreError::AlreadyIngested);
         }
         dhub_par::with_scratch(|scratch| {
-            let buf = scratch.tar_buf();
-            gzip_decompress_into(blob, buf).map_err(|e| StoreError::BadLayer(e.to_string()))?;
-            let tar: &[u8] = buf;
-            let mut layer = ParsedLayer::new(layer_digest, blob.len() as u64);
-            for entry in TarView::new(tar) {
-                let entry = entry.map_err(|e| StoreError::BadLayer(e.to_string()))?;
-                layer.push(&entry, None);
+            match crate::analyze_and_ingest(self, layer_digest, blob, scratch) {
+                Ok((_, ingest)) => ingest,
+                Err(AnalyzeError::BadGzip(e) | AnalyzeError::BadTar(e)) => Err(StoreError::BadLayer(e)),
             }
-            self.commit_parsed(layer)
         })
     }
 
@@ -370,13 +338,6 @@ impl DedupStore {
         self.objects.read().slots.contains_key(digest)
     }
 
-    /// The content bytes of one stored object, if present. Recipe walkers
-    /// (e.g. `dhub query` answering from a replayed store) pair this with
-    /// [`DedupStore::recipe`] to re-derive per-file facts.
-    pub fn object_data(&self, digest: &Digest) -> Option<Object> {
-        self.objects.read().object(digest)
-    }
-
     /// Digests of every ingested layer (unordered).
     pub fn layer_digests(&self) -> Vec<Digest> {
         self.recipes.read().keys().copied().collect()
@@ -408,7 +369,7 @@ const PARALLEL_REBUILD_FLOOR: usize = 3 << 20;
 /// object store.
 fn entry_view<'a>(row: RecipeRow<'a>, payload: &'a [u8]) -> EntryView<'a> {
     let kind = match row.kind {
-        RowKind::File(_) => EntryViewKind::File(payload),
+        RowKind::File(..) => EntryViewKind::File(payload),
         RowKind::Dir => EntryViewKind::Dir,
         RowKind::Symlink(t) => EntryViewKind::Symlink(t),
         RowKind::Hardlink(t) => EntryViewKind::Hardlink(t),
@@ -424,7 +385,7 @@ fn sized<'a>(recipe: &'a LayerRecipe, objects: &'a Objects) -> Result<(Vec<usize
     let (mut ends, mut payloads, mut body) = (Vec::with_capacity(recipe.len()), Vec::with_capacity(recipe.len()), 0);
     for row in recipe.rows() {
         let payload = match row.kind {
-            RowKind::File(d) => objects.get(&d).ok_or(StoreError::MissingObject(d))?,
+            RowKind::File(d, _) => objects.get(&d).ok_or(StoreError::MissingObject(d))?,
             _ => &[],
         };
         body += encoded_len(&entry_view(row, payload));
@@ -570,8 +531,8 @@ mod tests {
         assert_ne!(buf(b"one"), buf(b"three"));
         assert_ne!(buf(b"three"), buf(&big));
         assert_eq!((objects.slots.len(), objects.bufs.len(), objects.bufs[0].len()), (4, 3, 6));
-        assert_eq!(&*store.object_data(&Digest::of(b"three")).unwrap(), b"three");
-        assert_eq!(&*store.object_data(&Digest::of(&big)).unwrap(), &big);
+        assert_eq!(objects.get(&Digest::of(b"three")).unwrap(), b"three");
+        assert_eq!(objects.get(&Digest::of(&big)).unwrap(), &big);
     }
 
     #[test]

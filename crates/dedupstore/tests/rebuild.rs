@@ -9,9 +9,9 @@
 //! and unpinned.
 
 use dhub_dedupstore::{DedupStore, ParsedLayer};
-use dhub_model::Digest;
+use dhub_model::{Digest, FileKind};
 use dhub_oracle::alloc::{allocs_during, CountingAlloc};
-use dhub_tar::{write_archive, EntryKind, TarEntry, TarView};
+use dhub_tar::{write_archive, EntryKind, EntryViewKind, TarEntry, TarView};
 use proptest::prelude::*;
 
 #[global_allocator]
@@ -68,12 +68,17 @@ fn arb_layer(small: std::ops::Range<usize>, big: std::ops::Range<usize>) -> impl
 }
 
 /// Files `tar` into `store` as one layer, its digest naming it (the store
-/// never needs the compressed blob to rebuild).
+/// never needs the compressed blob to rebuild, nor a file's class).
 fn ingest(store: &DedupStore, tar: &[u8]) -> Digest {
     let digest = Digest::of(tar);
     let mut layer = ParsedLayer::new(digest, tar.len() as u64);
     for entry in TarView::new(tar) {
-        layer.push(&entry.unwrap(), None);
+        let entry = entry.unwrap();
+        let file = match entry.kind {
+            EntryViewKind::File(data) => Some((Digest::of(data), FileKind::OtherBinary, data)),
+            _ => None,
+        };
+        layer.push(&entry, file);
     }
     store.commit_parsed(layer).unwrap();
     digest

@@ -5,7 +5,7 @@
 //! them back.
 
 use dhub_dedupstore::LayerRecipe;
-use dhub_model::Digest;
+use dhub_model::{Digest, FileKind};
 use dhub_oracle::{recipe_json_reference, RefKind, RefRow};
 use proptest::prelude::*;
 
@@ -34,10 +34,11 @@ fn arb_u64() -> impl Strategy<Value = u64> {
     ]
 }
 
-/// A row; only a file has a size.
+/// A row; only a file has a size and a class.
 fn arb_row() -> impl Strategy<Value = RefRow> {
-    let kind = (0u8..4, any::<[u8; 32]>(), arb_text()).prop_map(|(k, d, t)| match k {
-        0 => RefKind::File(Digest(d)),
+    let file = (any::<[u8; 32]>(), 0..FileKind::COUNT);
+    let kind = (0u8..4, file, arb_text()).prop_map(|(k, (d, c), t)| match k {
+        0 => RefKind::File(Digest(d), FileKind::ALL[c]),
         1 => RefKind::Dir,
         2 => RefKind::Symlink(t),
         _ => RefKind::Hardlink(t),
@@ -45,7 +46,7 @@ fn arb_row() -> impl Strategy<Value = RefRow> {
     let ids = (arb_u32(), arb_u32(), arb_u32(), arb_u64());
     ((arb_text(), kind, arb_u64()), ids).prop_map(
         |((path, kind, size), (mode, uid, gid, mtime))| {
-            let size = if matches!(kind, RefKind::File(_)) { size } else { 0 };
+            let size = if matches!(kind, RefKind::File(..)) { size } else { 0 };
             RefRow { path, kind, size, mode, uid, gid, mtime }
         },
     )

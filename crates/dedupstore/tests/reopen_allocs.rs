@@ -7,7 +7,7 @@
 //! core), so this file holds this one test.
 
 use dhub_dedupstore::{ParsedLayer, PersistentDedupStore};
-use dhub_model::Digest;
+use dhub_model::{Digest, FileKind};
 use dhub_oracle::alloc::{process_allocs_during, Allocs, CountingAlloc};
 use dhub_persist::Publisher;
 use dhub_tar::{EntryView, EntryViewKind};
@@ -37,7 +37,7 @@ fn populated(rows: usize) -> PathBuf {
         for (path, data) in paths.iter().zip(&contents) {
             let kind = EntryViewKind::File(data);
             let entry = EntryView { path: Cow::Borrowed(path), kind, mode: 0o644, uid: 0, gid: 0, mtime: 0 };
-            parsed.push(&entry, None);
+            parsed.push(&entry, Some((Digest::of(data), FileKind::AsciiText, data)));
         }
         store.commit_parsed(parsed).unwrap();
     }

@@ -9,9 +9,12 @@
 //! - `fixtures/v2-store`, written by the v2 writer: one layer file per
 //!   layer, a `DHTB` version 2 table of fixed 8-byte integers and `u32`
 //!   length prefixes, and the one object over 4 KiB under `objects/`.
+//! - `fixtures/format2-store`, written by the last writer before the
+//!   `class` column: `DHTB` version 3 layer files of layer format 2, and
+//!   the one object over 4 KiB under `objects/`.
 
 use dhub_dedupstore::{PersistentDedupStore, PersistentError};
-use dhub_persist::{PersistError, Publisher};
+use dhub_persist::{PersistError, Publisher, Table};
 use std::path::{Path, PathBuf};
 
 /// Every file under `dir`, as (path relative to it, bytes), sorted.
@@ -82,6 +85,30 @@ fn a_v2_store_fails_to_open_and_is_left_untouched() {
         }
         Err(other) => panic!("expected a torn layer file, got {other}"),
         Ok(_) => panic!("a v2 store opened"),
+    }
+    assert_eq!(files(&root), before, "the failed open changed the store dir");
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_format2_store_fails_to_open_and_is_left_untouched() {
+    let root = copy("format2-store");
+    let before = files(&root);
+    assert_eq!(before, files(&fixture("format2-store")));
+    let layers: Vec<&(String, Vec<u8>)> =
+        before.iter().filter(|(name, _)| name.starts_with("layers")).collect();
+    assert_eq!(layers.len(), 2);
+    for (name, bytes) in &layers {
+        let table = Table::from_bytes(bytes.clone()).unwrap_or_else(|| panic!("{name} is a table"));
+        assert_eq!(table.meta()[0], ("format".to_string(), 2), "{name}");
+        assert!(table.col_u64("class").is_none(), "{name}");
+    }
+    match PersistentDedupStore::open(&root, Publisher::new()) {
+        Err(PersistentError::Persist(PersistError::Torn(path))) => {
+            assert_eq!(path, root.join(&layers[0].0), "the first layer file in path order")
+        }
+        Err(other) => panic!("expected a torn layer file, got {other}"),
+        Ok(_) => panic!("a format 2 store opened"),
     }
     assert_eq!(files(&root), before, "the failed open changed the store dir");
     std::fs::remove_dir_all(&root).ok();

@@ -18,6 +18,6 @@ pub mod taxonomy;
 
 pub use digest::Digest;
 pub use manifest::{LayerRef, Manifest};
-pub use profile::{FileRecord, ImageProfile, LayerProfile};
+pub use profile::{FileRecord, ImageProfile, LayerProfile, ProfileFold};
 pub use repo::RepoName;
 pub use taxonomy::{FileKind, TypeGroup};

@@ -7,12 +7,12 @@
 use crate::digest::Digest;
 use crate::repo::RepoName;
 use crate::taxonomy::FileKind;
+use std::collections::HashSet;
 
-/// Per-file metadata inside a layer (§III-C item 4).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Per-file metadata inside a layer (§III-C item 4); its path is kept
+/// once, in the layer's recipe.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FileRecord {
-    /// Path within the layer.
-    pub path: String,
     /// Content digest (dedup key).
     pub digest: Digest,
     /// Classified type (by magic number).
@@ -94,10 +94,85 @@ impl ImageProfile {
     }
 }
 
-/// Computes the directory depth of a path (number of components), the
-/// metric of Fig. 7 — `usr/lib/x.so` has depth 3.
-pub fn path_depth(path: &str) -> u64 {
+/// A path's depth (Fig. 7): `usr/lib/x.so` has depth 3.
+fn path_depth(path: &str) -> u64 {
     path.split('/').filter(|c| !c.is_empty()).count() as u64
+}
+
+/// The fold every [`LayerProfile`] comes from, over a layer's entries in
+/// archive order (tar entries in the analyzer, rows in a stored recipe).
+/// Directories are counted from seeds — every dir entry plus the parent of
+/// every file and link — each expanded to its component prefixes once, in
+/// [`ProfileFold::finish`] (tars often omit parents). A trailing `/` on a
+/// path is ignored.
+#[derive(Default)]
+pub struct ProfileFold {
+    seed_dirs: HashSet<String>,
+    files: Vec<FileRecord>,
+    fls: u64,
+    max_depth: u64,
+}
+
+impl ProfileFold {
+    /// A directory entry.
+    pub fn dir(&mut self, path: &str) {
+        let dir = self.enter(path);
+        self.seed(dir);
+    }
+
+    /// A regular file.
+    pub fn file(&mut self, path: &str, file: FileRecord) {
+        self.link(path);
+        self.fls += file.size;
+        self.files.push(file);
+    }
+
+    /// A symlink or hardlink (and each file): its parent is a seed.
+    pub fn link(&mut self, path: &str) {
+        if let Some((parent, _)) = self.enter(path).rsplit_once('/') {
+            self.seed(parent);
+        }
+    }
+
+    /// The profile of blob `digest`, `cls` compressed bytes.
+    pub fn finish(self, digest: Digest, cls: u64) -> LayerProfile {
+        let mut all: HashSet<String> = HashSet::with_capacity(self.seed_dirs.len() * 2);
+        for d in self.seed_dirs {
+            let mut prefix = String::new();
+            for comp in d.split('/').filter(|c| !c.is_empty()) {
+                if !prefix.is_empty() {
+                    prefix.push('/');
+                }
+                prefix.push_str(comp);
+                if !all.contains(&prefix) {
+                    all.insert(prefix.clone());
+                }
+            }
+            all.insert(d);
+        }
+        LayerProfile {
+            digest,
+            fls: self.fls,
+            cls,
+            dir_count: all.len() as u64,
+            file_count: self.files.len() as u64,
+            max_depth: self.max_depth,
+            files: self.files,
+        }
+    }
+
+    /// Counts `path`'s depth and returns it without a trailing `/`.
+    fn enter<'p>(&mut self, path: &'p str) -> &'p str {
+        let path = path.trim_end_matches('/');
+        self.max_depth = self.max_depth.max(path_depth(path));
+        path
+    }
+
+    fn seed(&mut self, dir: &str) {
+        if !self.seed_dirs.contains(dir) {
+            self.seed_dirs.insert(dir.to_string());
+        }
+    }
 }
 
 #[cfg(test)]

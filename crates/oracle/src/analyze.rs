@@ -2,7 +2,7 @@
 
 use crate::{gzip_decompress_reference, scalar_digest};
 use dhub_analyzer::AnalyzeError;
-use dhub_model::{profile::path_depth, Digest, FileRecord, LayerProfile};
+use dhub_model::{Digest, FileRecord, LayerProfile};
 use dhub_tar::{read_archive, EntryKind};
 use std::collections::HashSet;
 
@@ -21,7 +21,7 @@ pub fn analyze_layer_reference(digest: Digest, blob: &[u8]) -> Result<LayerProfi
 
     for entry in &entries {
         let path = entry.path.trim_end_matches('/');
-        max_depth = max_depth.max(path_depth(path));
+        max_depth = max_depth.max(path.split('/').filter(|c| !c.is_empty()).count() as u64);
         match &entry.kind {
             EntryKind::Dir => {
                 dirs.insert(path);
@@ -30,7 +30,6 @@ pub fn analyze_layer_reference(digest: Digest, blob: &[u8]) -> Result<LayerProfi
                 collect_ancestors(path, &mut dirs);
                 fls += data.len() as u64;
                 files.push(FileRecord {
-                    path: path.to_string(),
                     digest: scalar_digest(data),
                     kind: dhub_magic::classify(path, data),
                     size: data.len() as u64,

@@ -287,7 +287,7 @@ pub fn recipe_json_reference(layer_digest: &Digest, rows: &[RefRow]) -> String {
                 .set("gid", e.gid as u64)
                 .set("mtime", e.mtime);
             match &e.kind {
-                RefKind::File(d) => {
+                RefKind::File(d, _) => {
                     o.set("type", "file").set("digest", d.to_docker_string());
                 }
                 RefKind::Dir => {

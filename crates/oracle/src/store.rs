@@ -2,14 +2,15 @@
 
 use crate::{gzip_decompress_reference, scalar_digest};
 use dhub_dedupstore::{IngestStats, RecipeRow, RowKind, StoreError, StoreStats};
-use dhub_model::Digest;
+use dhub_model::{Digest, FileKind};
 use dhub_tar::{read_archive, write_archive, EntryKind, TarEntry};
 use std::collections::HashMap;
 
 /// What a recipe row is, owned.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RefKind {
-    File(Digest),
+    /// A file's digest and class.
+    File(Digest, FileKind),
     Dir,
     Symlink(String),
     Hardlink(String),
@@ -32,7 +33,7 @@ impl RefRow {
     /// The row as a view, for pushing into a `LayerRecipe`.
     pub fn view(&self) -> RecipeRow<'_> {
         let kind = match &self.kind {
-            RefKind::File(d) => RowKind::File(*d),
+            RefKind::File(d, k) => RowKind::File(*d, *k),
             RefKind::Dir => RowKind::Dir,
             RefKind::Symlink(t) => RowKind::Symlink(t),
             RefKind::Hardlink(t) => RowKind::Hardlink(t),
@@ -45,7 +46,7 @@ impl RefRow {
 impl From<RecipeRow<'_>> for RefRow {
     fn from(row: RecipeRow<'_>) -> RefRow {
         let kind = match row.kind {
-            RowKind::File(d) => RefKind::File(d),
+            RowKind::File(d, k) => RefKind::File(d, k),
             RowKind::Dir => RefKind::Dir,
             RowKind::Symlink(t) => RefKind::Symlink(t.to_string()),
             RowKind::Hardlink(t) => RefKind::Hardlink(t.to_string()),
@@ -93,6 +94,8 @@ impl ReferenceStore {
             let kind = match entry.kind {
                 EntryKind::File(data) => {
                     let digest = scalar_digest(&data);
+                    // The class `analyze_layer_reference` gives the file.
+                    let class = dhub_magic::classify(entry.path.trim_end_matches('/'), &data);
                     size = data.len() as u64;
                     stats.files += 1;
                     if self.objects.contains_key(&digest) {
@@ -102,7 +105,7 @@ impl ReferenceStore {
                         stats.bytes_added += size;
                         self.objects.insert(digest, data);
                     }
-                    RefKind::File(digest)
+                    RefKind::File(digest, class)
                 }
                 EntryKind::Dir => RefKind::Dir,
                 EntryKind::Symlink(t) => RefKind::Symlink(t),
@@ -138,7 +141,7 @@ impl ReferenceStore {
         let mut entries = Vec::with_capacity(rows.len());
         for e in rows {
             let kind = match &e.kind {
-                RefKind::File(d) => {
+                RefKind::File(d, _) => {
                     EntryKind::File(self.objects.get(d).ok_or(StoreError::MissingObject(*d))?.clone())
                 }
                 RefKind::Dir => EntryKind::Dir,

@@ -19,7 +19,9 @@
 //! Differences from real proptest, deliberately accepted:
 //!
 //! * **No shrinking.** A failing case reports its seed and the generated
-//!   inputs; re-run with `PROPTEST_SEED=<seed>` to reproduce exactly.
+//!   inputs; re-run with `PROPTEST_SEED=<seed>` to reproduce exactly: that
+//!   seed is the run's base, so it runs as case 0, and the property's other
+//!   cases follow from it.
 //! * **Deterministic by default.** Case seeds derive from the test name,
 //!   so CI runs are reproducible without a seed file. The committed
 //!   `.proptest-regressions` files are kept for the day the real engine is
@@ -111,16 +113,9 @@ pub fn run_cases<F>(config: &ProptestConfig, test_name: &str, mut case: F)
 where
     F: FnMut(&mut TestRng) -> Result<(), TestCaseError>,
 {
+    // An explicit seed is the run's base: attempt 0 is that seed.
     let base = match std::env::var("PROPTEST_SEED") {
-        Ok(s) => {
-            // An explicit seed replays exactly one case.
-            let seed = parse_seed(&s);
-            let mut rng = TestRng::new(seed);
-            if let Err(TestCaseError::Fail(msg)) = case(&mut rng) {
-                panic!("[{test_name}] replay of seed {seed:#018x} failed: {msg}");
-            }
-            return;
-        }
+        Ok(s) => parse_seed(&s),
         Err(_) => mix_str(test_name),
     };
 

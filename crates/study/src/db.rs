@@ -7,17 +7,17 @@
 //! | table        | one row per      | columns                                     |
 //! |--------------|------------------|---------------------------------------------|
 //! | `layers.tbl` | unique layer     | digest, cls, fls, files, dirs, depth        |
-//! | `files.tbl`  | file in a layer  | layer, path, kind, group, size              |
+//! | `files.tbl`  | file in a layer  | layer, kind, group, size                    |
 //! | `images.tbl` | downloaded image | repo, manifest, layers, fis, cis, files     |
 //! | `dedup.tbl`  | store (single)   | layers, objects, physical, logical, conventional, factor |
 //! | `study.tbl`  | Table-1 counter  | key, value                                  |
 //!
 //! In `files.tbl`, `layer` is the file's layer as its row in
 //! `layers.tbl`, `kind` is its [`FileKind`] as an index into
-//! [`FileKind::ALL`] (as the queue's result records carry it), and
+//! [`FileKind::ALL`] (as the layer files' `class` column holds it), and
 //! `group` is the kind's group label, kept as text because a scan filters
-//! on it. [`StudyDb::load`] checks both indexes, so a query never meets
-//! one out of range.
+//! on it; a file's path is only in its layer file. [`StudyDb::load`]
+//! checks both indexes, so a query never meets one out of range.
 //!
 //! Rows are emitted in deterministic order (layers sorted by digest,
 //! files in archive order within each layer, images sorted by repo), and
@@ -56,7 +56,6 @@ fn layers_schema() -> Schema {
 fn files_schema() -> Schema {
     Schema::new(&[
         ("layer", ColType::U64),
-        ("path", ColType::Str),
         ("kind", ColType::U64),
         ("group", ColType::Str),
         ("size", ColType::U64),
@@ -113,14 +112,12 @@ impl StudyDb {
 
         let nfiles: usize = layers_in.iter().map(|p| p.files.len()).sum();
         let mut layer = Vec::with_capacity(nfiles);
-        let mut path = StrColumn::with_capacity(nfiles, 0);
         let mut kind = Vec::with_capacity(nfiles);
         let mut group = StrColumn::with_capacity(nfiles, 0);
         let mut size = Vec::with_capacity(nfiles);
         for (row, p) in layers_in.iter().enumerate() {
             for f in &p.files {
                 layer.push(row as u64);
-                path.push(&f.path);
                 kind.push(f.kind.index() as u64);
                 group.push(f.kind.group().label());
                 size.push(f.size);
@@ -130,7 +127,6 @@ impl StudyDb {
             files_schema(),
             vec![
                 Column::U64(layer),
-                Column::Str(path),
                 Column::U64(kind),
                 Column::Str(group),
                 Column::U64(size),
@@ -406,7 +402,6 @@ mod tests {
         for (layer, kind) in [(nlayers, 0), (0, FileKind::COUNT as u64)] {
             let cols = vec![
                 Column::U64(vec![0, layer]),
-                Column::Str(["/a", "/b"].into_iter().collect()),
                 Column::U64(vec![0, kind]),
                 Column::Str(["EOL", "EOL"].into_iter().collect()),
                 Column::U64(vec![1, 2]),

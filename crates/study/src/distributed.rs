@@ -14,7 +14,8 @@
 //!   fetched) exactly once — the queue *is* the unique-layer dedup.
 //! - `layer:<digest>` — fetch the verified blob, then the batch loop's
 //!   per-layer step: [`analyze_and_ingest`] into the shared
-//!   [`PersistentDedupStore`] under [`AnalyzeCounters::time_layer`].
+//!   [`PersistentDedupStore`] under [`AnalyzeCounters::time_layer`]. Its
+//!   result is the compressed length; the profile is in the layer file.
 //!
 //! Each job commits a [`JobResult`]. Once the queue drains, the study is
 //! *replayed* from the result set through the code every other scheduler
@@ -87,9 +88,9 @@ impl Default for QueuedStudyConfig {
     }
 }
 
-/// [`LayerProfile`] as a JSON value, for embedding in a layer job's
-/// result record. File kinds travel by taxonomy index ([`FileKind::ALL`]
-/// is a fixed order).
+/// [`LayerProfile`] as a JSON value, file kinds by [`FileKind::ALL`]
+/// index. No production code calls this or [`profile_from_value`]: they
+/// stay for the frozen `bench/` driver, which compiles against them.
 pub fn profile_json(p: &LayerProfile) -> Json {
     let mut root = Json::obj();
     root.set("digest", p.digest.to_docker_string());
@@ -103,7 +104,6 @@ pub fn profile_json(p: &LayerProfile) -> Json {
         .iter()
         .map(|f| {
             let mut j = Json::obj();
-            j.set("path", f.path.as_str());
             j.set("digest", f.digest.to_docker_string());
             j.set("kind", f.kind.index());
             j.set("size", f.size);
@@ -114,9 +114,8 @@ pub fn profile_json(p: &LayerProfile) -> Json {
     root
 }
 
-/// Rebuilds a [`LayerProfile`] from its already-parsed JSON value (the
-/// assembly path reads it straight out of the result payload without a
-/// detour through text).
+/// Rebuilds a [`LayerProfile`] from its already-parsed JSON value, the
+/// inverse of [`profile_json`].
 pub fn profile_from_value(j: &Json) -> Option<LayerProfile> {
     let files = j
         .get("files")?
@@ -124,7 +123,6 @@ pub fn profile_from_value(j: &Json) -> Option<LayerProfile> {
         .iter()
         .map(|f| {
             Some(FileRecord {
-                path: f.get("path")?.as_str()?.to_string(),
                 digest: Digest::parse(f.get("digest")?.as_str()?)?,
                 kind: *FileKind::ALL.get(f.get("kind")?.as_u64()? as usize)?,
                 size: f.get("size")?.as_u64()?,
@@ -156,8 +154,9 @@ enum JobResult {
 }
 
 enum LayerResult {
-    /// Fetched, analyzed and ingested.
-    Ok(LayerProfile),
+    /// Fetched (`cls` compressed bytes), analyzed and ingested; the
+    /// stored recipe is the profile.
+    Ok { cls: u64 },
     /// Fetched (`cls` compressed bytes), but the blob did not decode.
     AnalyzeError { cls: u64, error: String },
     /// The fetch was abandoned with the retry budget spent.
@@ -197,10 +196,9 @@ impl JobResult {
                     ResolveError::Other => "other",
                 });
             }
-            JobResult::Layer(LayerResult::Ok(profile)) => {
+            JobResult::Layer(LayerResult::Ok { cls }) => {
                 out.set("status", "ok");
-                out.set("cls", profile.cls);
-                out.set("profile", profile_json(profile));
+                out.set("cls", *cls);
             }
             JobResult::Layer(LayerResult::AnalyzeError { cls, error }) => {
                 out.set("status", "analyze_error");
@@ -250,9 +248,7 @@ impl JobResult {
             ("image", Some("auth")) => JobResult::Image(Err(ResolveError::Auth)),
             ("image", Some("no_latest")) => JobResult::Image(Err(ResolveError::NoLatest)),
             ("image", Some("other")) => JobResult::Image(Err(ResolveError::Other)),
-            ("layer", Some("ok")) => {
-                JobResult::Layer(LayerResult::Ok(profile_from_value(j.get("profile")?)?))
-            }
+            ("layer", Some("ok")) => JobResult::Layer(LayerResult::Ok { cls: num("cls")? }),
             ("layer", Some("analyze_error")) => JobResult::Layer(LayerResult::AnalyzeError {
                 cls: num("cls")?,
                 error: j.get("error")?.as_str()?.to_string(),
@@ -326,7 +322,7 @@ fn execute_job(
                 {
                     return Err(format!("ingest {digest:?}: {e}"));
                 }
-                Ok((profile, _)) => LayerResult::Ok(profile),
+                Ok(_) => LayerResult::Ok { cls },
                 Err(e) => LayerResult::AnalyzeError { cls, error: e.to_string() },
             };
             (JobResult::Layer(layer), Vec::new())
@@ -365,7 +361,8 @@ impl Results<'_> {
 /// already hold. Returns [`QueueError::Killed`] when the commit budget
 /// stopped the fleet (rerun to resume), [`QueueError::Quarantined`] when
 /// poison jobs survived their lease budget, and [`QueueError::Corrupt`]
-/// when a committed result does not decode.
+/// when a committed result does not decode or a layer result names a
+/// layer the store holds no recipe for.
 pub fn run_study_queued_obs(
     hub: &SyntheticHub,
     store: &PersistentDedupStore,
@@ -434,7 +431,8 @@ pub fn run_study_queued_obs(
     // Assembly: `pull_repo`'s record steps, replayed over the result set
     // in sorted repository order. The first reference to a digest claims
     // it and reads the layer job's result; every later one is a skipped
-    // fetch, exactly as in the sequential claim race.
+    // fetch, exactly as in the sequential claim race. An analyzed layer's
+    // profile is folded from its stored recipe.
     let _assemble = span!(obs, "queued_assemble");
     let mut images = Vec::new();
     let mut layers: FxHashMap<Digest, LayerProfile> = FxHashMap::default();
@@ -456,8 +454,9 @@ pub fn run_study_queued_obs(
                 return Err(results.corrupt(&spec));
             };
             let fetched = match result {
-                LayerResult::Ok(profile) => {
-                    let cls = profile.cls;
+                LayerResult::Ok { cls } => {
+                    let recipe = store.mem().recipe(&layer.digest);
+                    let profile = recipe.ok_or_else(|| results.corrupt(&spec))?.profile();
                     layers.insert(layer.digest, profile);
                     Some(cls)
                 }
@@ -506,14 +505,13 @@ mod tests {
     }
 
     /// The durable result format, literally: stores written by earlier
-    /// binaries must keep decoding, and `bench/` reads `payload.profile`.
+    /// binaries must keep decoding. A layer result carries no profile (its
+    /// layer file is the profile), so `bench/`'s replay of
+    /// `payload.profile` finds none.
     #[test]
     fn result_payload_shapes_are_pinned() {
         let d = "sha256:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855";
         let digest = Digest::parse(d).unwrap();
-        let profile = format!(
-            r#"{{"digest":"{d}","fls":9,"cls":7,"dirCount":1,"fileCount":1,"maxDepth":2,"files":[{{"path":"a/b","digest":"{d}","kind":3,"size":9}}]}}"#
-        );
         let shapes = [
             (page_job(0), r#"{"fetched":true,"totalPages":3,"repos":["u/r","nginx"],"retries":2,"backoffNs":1500}"#.to_string()),
             (page_job(2), r#"{"fetched":false,"retries":4,"backoffNs":9}"#.to_string()),
@@ -524,7 +522,7 @@ mod tests {
             (image_job(&RepoName::official("a")), r#"{"status":"auth"}"#.to_string()),
             (image_job(&RepoName::official("b")), r#"{"status":"no_latest"}"#.to_string()),
             (image_job(&RepoName::official("c")), r#"{"status":"other"}"#.to_string()),
-            (layer_job(&digest), format!(r#"{{"status":"ok","cls":7,"profile":{profile}}}"#)),
+            (layer_job(&digest), r#"{"status":"ok","cls":7}"#.to_string()),
             (
                 layer_job(&digest),
                 r#"{"status":"analyze_error","cls":7,"error":"layer gunzip failed: x"}"#.into(),
@@ -550,22 +548,25 @@ mod tests {
     }
 
     /// A result record whose envelope checksums but whose payload has the
-    /// wrong shape fails the study with `Corrupt` naming the record —
+    /// wrong shape, or names a layer as stored when the store holds no
+    /// recipe for it, fails the study with `Corrupt` naming the record —
     /// never a panic, never a silently zeroed field.
     #[test]
     fn wrong_shape_result_is_corrupt_not_a_panic() {
         let config = SynthConfig::tiny(41).with_repos(8);
         let plain = crate::pipeline::run_study(&generate_hub(&config), 2);
+        let layer = layer_job(&plain.images[0].layers[0]);
         let poisoned = [
-            page_job(0),
-            image_job(&plain.images[0].repo),
-            layer_job(&plain.images[0].layers[0]),
+            (page_job(0), "{}"),
+            (image_job(&plain.images[0].repo), "{}"),
+            (layer.clone(), "{}"),
+            (layer, r#"{"status":"ok","cls":7}"#),
         ];
-        for spec in poisoned {
+        for (spec, payload) in poisoned {
             let root = tmp_root(&format!("corrupt-{}", spec.kind));
             let store = PersistentDedupStore::open(root.join("store"), Publisher::new()).unwrap();
             let queue = DurableQueue::open(root.join("queue"), Publisher::new()).unwrap();
-            queue.commit(&spec.id, "{}").unwrap();
+            queue.commit(&spec.id, payload).unwrap();
             let hub = generate_hub(&config);
             let cfg = QueuedStudyConfig { workers: 2, ..QueuedStudyConfig::default() };
             match run_study_queued_obs(&hub, &store, &queue, &cfg, &MetricsRegistry::new()) {

@@ -73,10 +73,6 @@ fn main() {
             for (label, (count, bytes)) in rows.into_iter().take(12) {
                 println!("  {label:<18} {count:>6} files {bytes:>12} B");
             }
-            println!("\nsample paths:");
-            for f in big.files.iter().take(8) {
-                println!("  /{} ({} B, {})", f.path, f.size, f.kind.label());
-            }
         }
     }
 }

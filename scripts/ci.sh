@@ -63,14 +63,16 @@ echo "==> rebuild gate: reconstruct_tar on one core and on all"
 taskset -c 0 cargo test -q --offline -p dhub-dedupstore --test rebuild
 cargo test -q --offline -p dhub-dedupstore --test rebuild
 
-# Replayability is part of the contract: one property suite re-run under a
-# pinned PROPTEST_SEED must pass identically. The JSON hostile-input suite
-# (parse == the recursive-descent oracle, allocating no more than it), the
-# table hostile-input suite (`Table::load` on arbitrary and mutated bytes:
-# Torn or the exact table, never a panic, allocating ≤ 16 × the file's
-# length + 1 KiB) and the encoder oracle suite (gzip_compress == the
-# whole-input reference encoder byte for byte, allocating ≤ 4 × its
-# output + 1 MiB) replay under the same seed.
+# Replayability is part of the contract: each suite below re-runs in full
+# (every case of every property) with a pinned PROPTEST_SEED as its base
+# seed instead of the test name, so it checks inputs the default run does
+# not draw, and a failure's printed seed replays as case 0. The suites: the
+# JSON hostile-input suite (parse == the recursive-descent oracle,
+# allocating no more than it), the table hostile-input suite (`Table::load`
+# on arbitrary and mutated bytes: Torn or the exact table, never a panic,
+# allocating ≤ 16 × the file's length + 1 KiB), the encoder oracle suite
+# (gzip_compress == the whole-input reference encoder byte for byte,
+# allocating ≤ 4 × its output + 1 MiB) and the faults props.
 echo "==> prop test replay: dhub-faults, dhub-json and dhub-persist hostile, dhub-compress encoder oracle under pinned PROPTEST_SEED"
 PROPTEST_SEED=0x00000000002a2a2a \
     cargo test -q --offline -p dhub-faults --test props
@@ -353,21 +355,31 @@ done
 echo "queue gate: default-size fleets of 1 and 2 workers answer as dhub store does"
 rm -rf "$QUEUE_DEF"
 
-# Store-size gate: the bytes a durable study leaves on disk for the bench
-# *files* corpus. Every byte is a function of the hub, so the sum repeats
-# exactly; the ceiling is the size measured when the tables went to varint
-# columns (8,397,102 bytes for 7,053,149 logical) plus 1 %, so a codec or
-# layout change that grows the dir fails here.
-echo "==> store-size gate: a durable files-corpus study's bytes on disk"
-STORE_SIZE_CEILING=8481073
+# Store-size gates: the bytes a durable study leaves on disk for the bench
+# *files* corpus, written directly (`dhub store`) and through the job queue
+# (`dhub work --workers 2`, `queue/` included). Every byte is a function of
+# the hub, so each sum repeats exactly; each ceiling is the size measured
+# when the files table dropped its paths and layer results their profiles
+# (7,539,260 and 7,579,075 bytes for 7,053,149 logical) plus 1 %, so a codec
+# or layout change that grows a dir, or profiles creeping back into the
+# queue's result records, fails here.
+echo "==> store-size gates: a files-corpus study's bytes on disk, direct and queued"
+STORE_SIZE_CEILING=7614652
+WORK_SIZE_CEILING=7654865
 SIZE_DIR=$(mktemp -d /tmp/dhub-store-size.XXXXXX)
 ./target/release/dhub store --repos 8 --seed 42 --scale 128 --threads 2 \
     --store-dir "$SIZE_DIR/d" > /dev/null
-STORE_BYTES=$(find "$SIZE_DIR/d" -type f -printf '%s\n' | awk '{s += $1} END {print s}')
+./target/release/dhub work --repos 8 --seed 42 --scale 128 --workers 2 \
+    --store-dir "$SIZE_DIR/w" > /dev/null
+dir_bytes() { find "$1" -type f -printf '%s\n' | awk '{s += $1} END {print s}'; }
+STORE_BYTES=$(dir_bytes "$SIZE_DIR/d")
+WORK_BYTES=$(dir_bytes "$SIZE_DIR/w")
 rm -rf "$SIZE_DIR"
 [ "$STORE_BYTES" -le "$STORE_SIZE_CEILING" ] \
     || { echo "FAIL: store dir is $STORE_BYTES bytes, over the $STORE_SIZE_CEILING ceiling" >&2; exit 1; }
-echo "store-size gate: $STORE_BYTES bytes on disk (ceiling $STORE_SIZE_CEILING)"
+[ "$WORK_BYTES" -le "$WORK_SIZE_CEILING" ] \
+    || { echo "FAIL: work dir is $WORK_BYTES bytes, over the $WORK_SIZE_CEILING ceiling" >&2; exit 1; }
+echo "store-size gates: store $STORE_BYTES bytes (ceiling $STORE_SIZE_CEILING), work $WORK_BYTES bytes (ceiling $WORK_SIZE_CEILING)"
 
 echo "==> dependency audit"
 # No references to the removed external crates anywhere in crate sources.

@@ -908,3 +908,82 @@ fn queued_fleet_killed_mid_run_resumes_to_identical_state() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&ref_dir).ok();
 }
+
+/// A clean tiny hub plus one repository whose manifest names layer A
+/// twice, `[A, B, A]` (the shape `dhub work` meets at its CLI defaults),
+/// with wire faults at `rate`.
+fn twice_hub(rate: f64) -> SyntheticHub {
+    use dhub_compress::{gzip_compress, CompressOptions};
+    use dhub_model::{Digest, LayerRef, Manifest, RepoName};
+    use dhub_tar::{write_archive, TarEntry};
+    let blob = |dir: &str| {
+        let tar = write_archive(&[
+            TarEntry::file(&format!("{dir}/a.txt"), b"hello\n".to_vec()),
+            TarEntry::file(&format!("{dir}/b.sh"), b"#!/bin/sh\necho\n".to_vec()),
+        ]);
+        gzip_compress(&tar, &CompressOptions::fast())
+    };
+    let (a, b) = (blob("a"), blob("b"));
+    let layer = |blob: &[u8]| LayerRef { digest: Digest::of(blob), size: blob.len() as u64 };
+    let manifest = Manifest::new(vec![layer(&a), layer(&b), layer(&a)]);
+    let hub = generate_hub(&SynthConfig::tiny(29).with_repos(20));
+    let repo = RepoName::official("twice");
+    hub.registry.create_repo(repo.clone(), false);
+    hub.registry.push_image(&repo, "latest", &manifest, vec![a, b]).unwrap();
+    let cfg = FaultConfig::uniform(FAULT_SEED, rate);
+    hub.registry.set_fault_injector((rate > 0.0).then(|| Arc::new(FaultInjector::new(cfg))));
+    hub
+}
+
+/// The queue gates over a manifest that names a layer twice: at 5 and
+/// 20 % faults, and killed twice and resumed, the queued study writes the
+/// direct durable study's tables byte for byte. Every queued layer profile
+/// is folded from its stored recipe, so this covers the recipes a killed
+/// process left behind too.
+#[test]
+fn queued_fleet_over_a_layer_named_twice_matches_the_direct_study() {
+    use dhub_dedupstore::PersistentDedupStore;
+    use dhub_persist::Publisher;
+    use dhub_study::db::StudyDb;
+
+    let ref_dir = chaos_tmp("twice-ref");
+    {
+        let store = PersistentDedupStore::open(&ref_dir, Publisher::new()).unwrap();
+        let obs = MetricsRegistry::new();
+        let data = dhub_study::pipeline::run_study_persist_obs(
+            &twice_hub(0.0),
+            THREADS,
+            &patient(),
+            &store,
+            &obs,
+        );
+        let twice = data.images.iter().find(|i| i.repo.full().ends_with("twice")).unwrap();
+        assert_eq!(twice.layer_count(), 3);
+        StudyDb::build(&data, &store.mem().stats())
+            .save(&ref_dir.join("db"), &Publisher::new())
+            .unwrap();
+    }
+    let want = dir_contents(&ref_dir.join("db"));
+
+    for rate in [0.05, 0.20] {
+        let dir = chaos_tmp(&format!("twice-r{}", (rate * 100.0) as u32));
+        let (data, _, obs) = queued_study(&twice_hub(rate), &dir, 4, rate, None);
+        data.unwrap_or_else(|e| panic!("rate={rate}: {e}"));
+        assert!(dir_contents(&dir.join("db")) == want, ".tbl files diverged at rate {rate}");
+        assert_eq!(obs.counter_value("dhub_queue_double_commits_total"), 0, "rate={rate}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    let src = twice_hub(0.0);
+    let dir = chaos_tmp("twice-kill");
+    let (r1, _, _) = queued_study(&src, &dir, 2, 0.0, Some(10));
+    assert!(matches!(r1, Err(dhub_queue::QueueError::Killed)), "kill one did not fire");
+    let (r2, _, _) = queued_study(&src, &dir, 4, 0.0, Some(25));
+    assert!(matches!(r2, Err(dhub_queue::QueueError::Killed)), "kill two did not fire");
+    let (r3, _, obs) = queued_study(&src, &dir, 4, 0.0, None);
+    r3.unwrap();
+    assert!(dir_contents(&dir.join("db")) == want, ".tbl files diverged after two kills");
+    assert_eq!(obs.counter_value("dhub_queue_double_commits_total"), 0);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&ref_dir).ok();
+}

@@ -6,7 +6,7 @@
 //! so these bytes may only move together with an on-disk format version.
 //! Also here: the shape of a durable study's dir, file by file.
 
-use dhub_dedupstore::PersistentDedupStore;
+use dhub_dedupstore::{PersistentDedupStore, RowKind};
 use dhub_faults::RetryPolicy;
 use dhub_model::Digest;
 use dhub_obs::MetricsRegistry;
@@ -106,9 +106,11 @@ fn a_durable_study_dir_holds_a_file_per_layer_and_per_large_object() {
     let stats = mem.stats();
     let mut large: Vec<String> = Vec::new();
     for layer in mem.layer_digests() {
-        for d in mem.recipe(&layer).unwrap().file_digests() {
-            if mem.object_data(&d).unwrap().len() > 4096 {
-                large.push(format!("objects/{}", dhub_persist::hex_of(&d)));
+        for row in mem.recipe(&layer).unwrap().rows() {
+            if let RowKind::File(d, _) = row.kind {
+                if row.size > 4096 {
+                    large.push(format!("objects/{}", dhub_persist::hex_of(&d)));
+                }
             }
         }
     }
@@ -134,16 +136,17 @@ fn a_durable_study_dir_holds_a_file_per_layer_and_per_large_object() {
     assert_eq!(tables, 5);
 }
 
-// Recorded at the switch to `DHTB` version 3 tables (varint columns);
-// the layer file format is still 2.
+// Recorded at layer file format 3 (the `class` column), on `DHTB`
+// version 3 tables.
 const RECIPES: usize = 91;
 const RECIPES_DIGEST: &str =
-    "sha256:8ba503f740d736f5f506d9dc512acad51118b647ef33e6f331acd3a3be35ab9f";
-// Recorded at the switch to `DHTB` version 3 tables, with the files
-// table's `layer` and `kind` as indexes.
+    "sha256:1a1c3c1afb03cb89aaf31dcfe7c992b4ba88019245985e0b576ca91facf356e9";
+// Recorded when the files table dropped its `path` column (`layer` and
+// `kind` are indexes).
 const TABLES_DIGEST: &str =
-    "sha256:f1bf6c3f3ff4bd9d2f3bc9731f14697c578e3f6adfe6cbca6bd5c5a0568ff9b4";
+    "sha256:dc57ff36895c87c414c1f5ad5bcd7352dc0d509f91077e7c1cae78af87a65977";
 const JOBS: usize = 108;
 const JOBS_DIGEST: &str = "sha256:97bdf7441e9ff6c1e8a2fd7330f39bfa810bee5723e75292567af2252731b504";
+// Recorded when a layer job's result dropped its profile JSON.
 const RESULTS_DIGEST: &str =
-    "sha256:a1f393102e9b183d840f31f3c1e454106364285b18d717e1f2b24f4e043d2285";
+    "sha256:8e33bfeb61339f235bfab8ac3a2a196a2584abc4b1ec4b877a147ec29dea3f53";
