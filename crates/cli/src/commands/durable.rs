@@ -4,7 +4,7 @@
 use super::*;
 use dhub_dedupstore::{DedupStore, PersistentDedupStore, RowKind, StoreStats};
 use dhub_persist::{PersistError, Publisher, WriteFaults};
-use dhub_study::db::{size_percentiles, top_types, StudyDb};
+use dhub_study::db::{dedup_lines, size_percentiles, top_types, StudyDb};
 use dhub_study::pipeline::{run_study_persist_obs, run_study_store_obs, StudyData};
 use std::path::Path;
 
@@ -207,15 +207,7 @@ fn query_replayed(out: &mut impl Write, dir: &str, question: Question) -> CmdRes
     let st = mem.stats();
     writeln!(out, "no study tables under {dir}/db yet; replaying {} durable layer recipes", st.layers)?;
     match question {
-        Question::Summary | Question::Dedup => {
-            writeln!(out, "{:20}: {}", "layers", st.layers)?;
-            writeln!(out, "{:20}: {}", "unique objects", st.unique_objects)?;
-            writeln!(out, "{:20}: {}", "physical bytes", st.physical_bytes)?;
-            writeln!(out, "{:20}: {}", "logical bytes", st.logical_bytes)?;
-            writeln!(out, "{:20}: {}", "conventional bytes", st.conventional_bytes)?;
-            writeln!(out, "{:20}: {:.6}x", "dedup factor", st.dedup_factor())?;
-            Ok(())
-        }
+        Question::Summary | Question::Dedup => print_rows(out, &dedup_lines(&st)),
         Question::TopTypes(n) => {
             // (class, size) per file row, as the analyzer recorded them in
             // the layer files.

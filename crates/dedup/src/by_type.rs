@@ -1,8 +1,117 @@
-//! Dedup broken down by file type (Figs. 27–29).
+//! File types: the per-kind census of every copy (Figs. 13–22) and dedup
+//! broken down by type (Figs. 27–29).
 
 use crate::file_dedup::{FileEntry, FileIndex};
 use dhub_model::{FileKind, TypeGroup};
 use std::collections::BTreeMap;
+
+/// Per-kind census over every file instance: the [`FileIndex`] fills one
+/// in its pass, and `dhub query` folds one from the stored file rows.
+#[derive(Clone, Debug)]
+pub struct TypeCensus {
+    /// Indexed by `FileKind::index()`: (instances, bytes).
+    kinds: [(u64, u64); FileKind::COUNT],
+}
+
+impl Default for TypeCensus {
+    fn default() -> TypeCensus {
+        TypeCensus { kinds: [(0, 0); FileKind::COUNT] }
+    }
+}
+
+impl FromIterator<(FileKind, u64)> for TypeCensus {
+    /// The census of `(kind, size)` pairs, one per file.
+    fn from_iter<I: IntoIterator<Item = (FileKind, u64)>>(files: I) -> TypeCensus {
+        let mut census = TypeCensus::default();
+        for (kind, size) in files {
+            census.add(kind, size);
+        }
+        census
+    }
+}
+
+impl TypeCensus {
+    /// Counts one file instance.
+    pub(crate) fn add(&mut self, kind: FileKind, size: u64) {
+        let e = &mut self.kinds[kind.index()];
+        e.0 += 1;
+        e.1 += size;
+    }
+
+    /// Instances of one kind.
+    pub fn count(&self, k: FileKind) -> u64 {
+        self.kinds[k.index()].0
+    }
+
+    /// Logical bytes of one kind.
+    pub fn bytes(&self, k: FileKind) -> u64 {
+        self.kinds[k.index()].1
+    }
+
+    /// Total instances across kinds.
+    pub fn total_count(&self) -> u64 {
+        self.kinds.iter().map(|k| k.0).sum()
+    }
+
+    /// Total logical bytes.
+    fn total_bytes(&self) -> u64 {
+        self.kinds.iter().map(|k| k.1).sum()
+    }
+
+    /// The kinds of one group, in [`FileKind::ALL`] order.
+    pub fn kinds_of(group: TypeGroup) -> Vec<FileKind> {
+        FileKind::ALL.iter().copied().filter(|k| k.group() == group).collect()
+    }
+
+    /// (instances, bytes) for a whole group.
+    pub fn group_totals(&self, group: TypeGroup) -> (u64, u64) {
+        Self::kinds_of(group)
+            .into_iter()
+            .fold((0, 0), |(c, b), k| (c + self.count(k), b + self.bytes(k)))
+    }
+
+    /// Count share of a group among all files.
+    pub fn group_count_share(&self, group: TypeGroup) -> f64 {
+        self.group_totals(group).0 as f64 / self.total_count().max(1) as f64
+    }
+
+    /// Capacity share of a group.
+    pub fn group_capacity_share(&self, group: TypeGroup) -> f64 {
+        self.group_totals(group).1 as f64 / self.total_bytes().max(1) as f64
+    }
+
+    /// Count share of a kind *within its group*.
+    pub fn kind_count_share_in_group(&self, k: FileKind) -> f64 {
+        let (gc, _) = self.group_totals(k.group());
+        self.count(k) as f64 / gc.max(1) as f64
+    }
+
+    /// Capacity share of a kind within its group.
+    pub fn kind_capacity_share_in_group(&self, k: FileKind) -> f64 {
+        let (_, gb) = self.group_totals(k.group());
+        self.bytes(k) as f64 / gb.max(1) as f64
+    }
+
+    /// Average file size of a kind, in paper-scale bytes.
+    pub fn kind_avg_size(&self, k: FileKind, size_scale: u64) -> f64 {
+        let c = self.count(k);
+        if c == 0 {
+            0.0
+        } else {
+            self.bytes(k) as f64 * size_scale as f64 / c as f64
+        }
+    }
+
+    /// Average file size of a group, in paper-scale bytes.
+    pub fn group_avg_size(&self, g: TypeGroup, size_scale: u64) -> f64 {
+        let (c, b) = self.group_totals(g);
+        if c == 0 {
+            0.0
+        } else {
+            b as f64 * size_scale as f64 / c as f64
+        }
+    }
+}
 
 /// Dedup numbers for one type group or leaf type.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -49,7 +158,7 @@ impl TypeDedupRow {
 pub fn dedup_by_group(index: &FileIndex) -> Vec<(TypeGroup, TypeDedupRow)> {
     let mut rows: Vec<(TypeGroup, TypeDedupRow)> =
         TypeGroup::ALL.iter().map(|&g| (g, TypeDedupRow::default())).collect();
-    for (_, e) in index.iter() {
+    for e in index.entries() {
         let (_, row) = (rows.iter_mut().find(|(g, _)| *g == e.kind.group()))
             .expect("ALL lists every group");
         row.add(e);
@@ -61,7 +170,7 @@ pub fn dedup_by_group(index: &FileIndex) -> Vec<(TypeGroup, TypeDedupRow)> {
 /// breakdown of Fig. 28 or the source-code breakdown of Fig. 29).
 pub fn dedup_by_kind(index: &FileIndex, group: TypeGroup) -> Vec<(FileKind, TypeDedupRow)> {
     let mut rows: BTreeMap<FileKind, TypeDedupRow> = BTreeMap::new();
-    for (_, e) in index.iter().filter(|(_, e)| e.kind.group() == group) {
+    for e in index.entries().iter().filter(|e| e.kind.group() == group) {
         rows.entry(e.kind).or_default().add(e);
     }
     rows.into_iter().collect()
@@ -93,7 +202,7 @@ mod tests {
         // Two copies of one C file, one unique C file, one script.
         let l1 = layer(1, vec![file("c1", FileKind::CSource, 100), file("s1", FileKind::ShellScript, 10)]);
         let l2 = layer(2, vec![file("c1", FileKind::CSource, 100), file("c2", FileKind::CSource, 40)]);
-        let rows = dedup_by_group(&FileIndex::build(&[&l1, &l2], 2));
+        let rows = dedup_by_group(&FileIndex::build(&[&l1, &l2]));
         let sc = rows.iter().find(|(g, _)| *g == TypeGroup::SourceCode).unwrap().1;
         assert_eq!(sc.instances, 3);
         assert_eq!(sc.unique, 2);
@@ -115,7 +224,7 @@ mod tests {
                 file("c", FileKind::CSource, 5),
             ],
         );
-        let rows = dedup_by_kind(&FileIndex::build(&[&l], 1), TypeGroup::Eol);
+        let rows = dedup_by_kind(&FileIndex::build(&[&l]), TypeGroup::Eol);
         let kinds: Vec<FileKind> = rows.iter().map(|(k, _)| *k).collect();
         assert!(kinds.contains(&FileKind::Elf));
         assert!(kinds.contains(&FileKind::PythonBytecode));
@@ -123,11 +232,11 @@ mod tests {
     }
 
     #[test]
-    fn rows_do_not_depend_on_threads_or_scheduling() {
+    fn rows_do_not_depend_on_layer_order() {
         // One content ("shared") appears in every layer, classified three
-        // different ways by its path; whichever worker touches it last must
-        // not decide its row, its count of distinct layers or Table 2's
-        // most-repeated file.
+        // different ways by its path; which layer the index meets first
+        // must not decide its row, its count of distinct layers or Table
+        // 2's most-repeated file.
         let kinds = [FileKind::CSource, FileKind::Elf, FileKind::ShellScript];
         let layers: Vec<LayerProfile> = (0..48u8)
             .map(|i| {
@@ -136,11 +245,13 @@ mod tests {
                 layer(i, vec![file("shared", kinds[i as usize % 3], 100), own, twin])
             })
             .collect();
-        let refs: Vec<&LayerProfile> = layers.iter().collect();
-        let rows = |threads| {
-            let index = FileIndex::build(&refs, threads);
+        let rows = |refs: &[&LayerProfile]| {
+            let index = FileIndex::build(refs);
             let stats = index.stats();
-            let layers_of = |tag: &str| index.get(&Digest::of(tag.as_bytes())).map(|e| e.layers);
+            let layers_of = |tag: &str| {
+                let at = index.digests().iter().position(|d| *d == Digest::of(tag.as_bytes()));
+                at.map(|s| index.entries()[s].layers)
+            };
             (
                 dedup_by_group(&index),
                 dedup_by_kind(&index, TypeGroup::Eol),
@@ -148,13 +259,12 @@ mod tests {
                 (stats.max_repeat, stats.max_repeat_size, layers_of("shared"), layers_of("twin0")),
             )
         };
-        let (groups, eol, src, max) = rows(1);
-        for threads in [1, 2, 8] {
-            for _ in 0..10 {
-                let want = (groups.clone(), eol.clone(), src.clone(), max);
-                assert_eq!(rows(threads), want, "threads={threads}");
-            }
-        }
+        let mut refs: Vec<&LayerProfile> = layers.iter().collect();
+        let (groups, eol, src, max) = rows(&refs);
+        refs.reverse();
+        assert_eq!(rows(&refs), (groups.clone(), eol.clone(), src.clone(), max));
+        refs.rotate_left(17);
+        assert_eq!(rows(&refs), (groups.clone(), eol.clone(), src.clone(), max));
         assert_eq!(max, (48, 100, Some(48), Some(2)));
         // The shared content is counted once, under its smallest kind.
         let shared_kind = *kinds.iter().min().unwrap();
@@ -170,14 +280,14 @@ mod tests {
     fn capacity_redundancy() {
         let l1 = layer(1, vec![file("x", FileKind::Elf, 1000)]);
         let l2 = layer(2, vec![file("x", FileKind::Elf, 1000)]);
-        let rows = dedup_by_group(&FileIndex::build(&[&l1, &l2], 1));
+        let rows = dedup_by_group(&FileIndex::build(&[&l1, &l2]));
         let eol = rows.iter().find(|(g, _)| *g == TypeGroup::Eol).unwrap().1;
         assert!((eol.capacity_redundancy() - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn empty_rows_are_zero() {
-        let rows = dedup_by_group(&FileIndex::build(&[], 1));
+        let rows = dedup_by_group(&FileIndex::build(&[]));
         for (_, r) in rows {
             assert_eq!(r.instances, 0);
             assert_eq!(r.redundancy(), 0.0);

@@ -8,8 +8,6 @@
 //! distinct-image counts from the [`ImageIndex`].
 
 use crate::{FileIndex, ImageIndex, ImageLayers};
-use dhub_digest::FxHashMap;
-use dhub_model::{Digest, LayerProfile};
 
 /// Per-layer and per-image duplicate fractions.
 #[derive(Clone, Debug)]
@@ -22,37 +20,38 @@ pub struct CrossDuplicates {
     pub image_fractions: Vec<f64>,
 }
 
-/// Computes both fraction distributions. `files` indexes `layers`, and
-/// `members` indexes `images`.
+/// Computes both fraction distributions: the layer fractions over `files`'
+/// layers in index order, and the image fractions over `images`, whose
+/// memberships `members` holds.
 pub fn cross_duplicates(
-    layers: &[&LayerProfile],
     files: &FileIndex,
     images: &[ImageLayers],
     members: &ImageIndex,
 ) -> CrossDuplicates {
-    let cross_layer = |d: &Digest| files.get(d).is_some_and(|e| e.layers > 1);
-    let layer_fractions: Vec<f64> = layers
-        .iter()
-        .filter(|l| !l.files.is_empty())
-        .map(|l| {
-            let dup = l.files.iter().filter(|f| cross_layer(&f.digest)).count();
-            dup as f64 / l.files.len() as f64
+    let entries = files.entries();
+    let layer_fractions: Vec<f64> = (0..files.layer_count())
+        .map(|at| files.layer_slots(at))
+        .filter(|slots| !slots.is_empty())
+        .map(|slots| {
+            let dup = slots.iter().filter(|&&s| entries[s as usize].layers > 1).count();
+            dup as f64 / slots.len() as f64
         })
         .collect();
 
     // An image's file instances are its layers' files, every reference
     // counted, so its counts are sums of per-layer counts — each taken
-    // once, however many images share the layer. A layer nobody analyzed
-    // has no members and adds nothing.
-    let mut layer_counts: FxHashMap<Digest, (usize, usize)> = FxHashMap::default();
+    // once, however many images share the layer. A layer nobody indexed
+    // adds nothing.
+    let mut layer_counts: Vec<Option<(usize, usize)>> = vec![None; files.layer_count()];
     let image_fractions: Vec<f64> = images
         .iter()
         .filter_map(|img| {
             let (mut total, mut dup) = (0usize, 0usize);
-            for ld in &img.layers {
-                let (n, d) = *layer_counts.entry(*ld).or_insert_with(|| {
-                    let count = |(n, d), ids: &[u32]| (n + 1, d + (ids.len() > 1) as usize);
-                    members.layer_members(ld).fold((0, 0), count)
+            for at in img.layers.iter().filter_map(|ld| files.layer_at(ld)) {
+                let (n, d) = *layer_counts[at].get_or_insert_with(|| {
+                    let slots = files.layer_slots(at);
+                    let held = slots.iter().filter(|&&s| members.ids_of(s as usize).len() > 1);
+                    (slots.len(), held.count())
                 });
                 total += n;
                 dup += d;
@@ -71,16 +70,11 @@ pub fn cross_duplicates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhub_model::{FileKind, FileRecord};
+    use dhub_model::{Digest, FileKind, FileRecord, LayerProfile};
 
-    fn cross(
-        layers: &[&LayerProfile],
-        images: &[ImageLayers],
-        profiles: &FxHashMap<Digest, LayerProfile>,
-        threads: usize,
-    ) -> CrossDuplicates {
-        let files = FileIndex::build(layers, threads);
-        cross_duplicates(layers, &files, images, &ImageIndex::build(images, profiles))
+    fn cross(layers: &[&LayerProfile], images: &[ImageLayers]) -> CrossDuplicates {
+        let files = FileIndex::build(layers);
+        cross_duplicates(&files, images, &ImageIndex::build(images, &files))
     }
 
     fn file(tag: &str) -> FileRecord {
@@ -104,10 +98,7 @@ mod tests {
         // "shared" in both layers; "only1"/"only2" unique to one layer.
         let l1 = layer(1, &["shared", "only1"]);
         let l2 = layer(2, &["shared", "only2", "only2b"]);
-        let mut profiles = FxHashMap::default();
-        profiles.insert(l1.digest, l1.clone());
-        profiles.insert(l2.digest, l2.clone());
-        let cd = cross(&[&l1, &l2], &[], &profiles, 2);
+        let cd = cross(&[&l1, &l2], &[]);
         let mut fr = cd.layer_fractions.clone();
         fr.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!((fr[0] - 1.0 / 3.0).abs() < 1e-9);
@@ -118,8 +109,7 @@ mod tests {
     fn same_digest_twice_in_one_layer_is_not_cross_layer() {
         let l1 = layer(1, &["dup", "dup"]);
         let l2 = layer(2, &["other"]);
-        let profiles = FxHashMap::default();
-        let cd = cross(&[&l1, &l2], &[], &profiles, 1);
+        let cd = cross(&[&l1, &l2], &[]);
         // "dup" appears in only one distinct layer ⇒ not a cross-layer dup.
         assert_eq!(cd.layer_fractions, vec![0.0, 0.0]);
     }
@@ -129,16 +119,12 @@ mod tests {
         let l1 = layer(1, &["a", "b"]);
         let l2 = layer(2, &["a", "c"]);
         let l3 = layer(3, &["z"]);
-        let mut profiles = FxHashMap::default();
-        for l in [&l1, &l2, &l3] {
-            profiles.insert(l.digest, l.clone());
-        }
         // Image 1 = {l1}, image 2 = {l2, l3}: file "a" in both images.
         let images = vec![
             ImageLayers { layers: vec![l1.digest] },
             ImageLayers { layers: vec![l2.digest, l3.digest] },
         ];
-        let cd = cross(&[&l1, &l2, &l3], &images, &profiles, 2);
+        let cd = cross(&[&l1, &l2, &l3], &images);
         let mut fr = cd.image_fractions.clone();
         fr.sort_by(|a, b| a.partial_cmp(b).unwrap());
         // Image 2: "a" of 3 files dup; image 1: "a" of 2 files dup.
@@ -149,8 +135,7 @@ mod tests {
     #[test]
     fn empty_layers_excluded() {
         let l1 = layer(1, &[]);
-        let profiles = FxHashMap::default();
-        let cd = cross(&[&l1], &[], &profiles, 1);
+        let cd = cross(&[&l1], &[]);
         assert!(cd.layer_fractions.is_empty());
         assert_eq!(dhub_stats::nearest_rank(&cd.layer_fractions, 0.1), 0.0);
     }
@@ -165,7 +150,7 @@ mod tests {
         }
         layers.push(layer(9, &["s1", "u"]));
         let refs: Vec<&LayerProfile> = layers.iter().collect();
-        let cd = cross(&refs, &[], &FxHashMap::default(), 2);
+        let cd = cross(&refs, &[]);
         let mut fr = cd.layer_fractions.clone();
         fr.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(dhub_stats::nearest_rank(&fr, 0.1), 0.5);

@@ -1,83 +1,125 @@
-//! The per-digest file index and file-level deduplication (Fig. 24 and
-//! the paper's headline numbers: only 3.2 % of files unique; 31.5× by
-//! count, 6.9× by capacity).
+//! The content index and file-level deduplication (Fig. 24 and the
+//! paper's headline numbers: only 3.2 % of files unique; 31.5× by count,
+//! 6.9× by capacity).
 
-use crate::by_type::TypeDedupRow;
-use dhub_digest::{FxHashMap, FxHashSet};
+use crate::by_type::{TypeCensus, TypeDedupRow};
+use dhub_digest::FxHashMap;
 use dhub_model::{Digest, FileKind, LayerProfile};
-use dhub_par::ShardedMap;
 
 /// Per-unique-file aggregate.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct FileEntry {
     /// Number of instances (copies) across all layers.
     pub copies: u64,
-    /// File size in bytes (identical content ⇒ identical size).
+    /// File size in bytes: the first copy's (identical content ⇒
+    /// identical size).
     pub size: u64,
     /// The smallest kind any copy was classified as. One content can
     /// classify differently by path (magic falls back to the extension);
-    /// the minimum does not depend on which worker touched it last.
+    /// the minimum does not depend on the order the layers come in.
     pub kind: FileKind,
     /// Number of distinct layers holding at least one copy.
     pub layers: u32,
 }
 
-/// Every unique file of a layer population, keyed by content digest.
-/// Built in one parallel pass, then read without locks by every dedup
-/// analysis: the headline stats, the per-type rows, the cross-layer
-/// fractions and each growth sample.
+/// Every unique file of a layer population, each at a dense slot in
+/// first-seen order, and every layer's files as slots. Built in one
+/// sequential pass — the only pass that hashes a file digest — then read
+/// by every file-level analysis: the headline stats, the per-type rows,
+/// the cross-layer fractions, each growth sample and the image index.
 pub struct FileIndex {
-    entries: FxHashMap<Digest, FileEntry>,
+    /// Slot `s` holds content `digests[s]`, aggregated in `entries[s]`.
+    digests: Vec<Digest>,
+    entries: Vec<FileEntry>,
+    /// Layer `at` (its position in the slice the index was built from)
+    /// holds `slots[starts[at]..starts[at + 1]]`, in file order.
+    starts: Vec<usize>,
+    slots: Vec<u32>,
+    /// Layer digests, ascending, with their positions.
+    positions: Vec<(Digest, u32)>,
+    census: TypeCensus,
 }
 
 impl FileIndex {
-    /// Indexes all files in all `layers`, in parallel.
-    pub fn build(layers: &[&LayerProfile], threads: usize) -> FileIndex {
-        let index: ShardedMap<Digest, Option<FileEntry>> = ShardedMap::new(64);
-        dhub_par::par_for_each(threads, layers, |layer| {
-            let mut seen = FxHashSet::default();
+    /// Indexes all files in all `layers`, in slice order.
+    pub fn build(layers: &[&LayerProfile]) -> FileIndex {
+        let mut slot_of: FxHashMap<Digest, u32> = FxHashMap::default();
+        let (mut digests, mut entries) = (Vec::new(), Vec::new());
+        // `last[s]` is one past the last layer that held slot `s`, so a
+        // copy repeated within a layer adds no distinct layer.
+        let mut last: Vec<u32> = Vec::new();
+        let mut census = TypeCensus::default();
+        let mut starts = Vec::with_capacity(layers.len() + 1);
+        starts.push(0);
+        let mut slots = Vec::with_capacity(layers.iter().map(|l| l.files.len()).sum());
+        for (at, layer) in (1u32..).zip(layers) {
             for f in &layer.files {
-                let new_layer = seen.insert(f.digest) as u32;
-                index.update(f.digest, |slot| match slot {
-                    Some(e) => {
-                        e.copies += 1;
-                        e.kind = e.kind.min(f.kind);
-                        e.layers += new_layer;
-                    }
-                    None => {
-                        *slot = Some(FileEntry { copies: 1, size: f.size, kind: f.kind, layers: 1 })
-                    }
+                census.add(f.kind, f.size);
+                let s = *slot_of.entry(f.digest).or_insert_with(|| {
+                    digests.push(f.digest);
+                    entries.push(FileEntry { copies: 0, size: f.size, kind: f.kind, layers: 0 });
+                    last.push(0);
+                    (entries.len() - 1) as u32
                 });
+                let e = &mut entries[s as usize];
+                e.copies += 1;
+                e.kind = e.kind.min(f.kind);
+                if last[s as usize] != at {
+                    last[s as usize] = at;
+                    e.layers += 1;
+                }
+                slots.push(s);
             }
-        });
-        let entries = (index.into_entries().into_iter())
-            .map(|(d, e)| (d, e.expect("the first update fills the slot")))
-            .collect();
-        FileIndex { entries }
+            starts.push(slots.len());
+        }
+        let mut positions: Vec<(Digest, u32)> =
+            (layers.iter().zip(0u32..)).map(|(l, at)| (l.digest, at)).collect();
+        positions.sort_unstable();
+        FileIndex { digests, entries, starts, slots, positions, census }
     }
 
-    /// The entry of one content, if any indexed layer holds it.
-    pub(crate) fn get(&self, digest: &Digest) -> Option<&FileEntry> {
-        self.entries.get(digest)
+    /// Every unique file's aggregate, by slot.
+    pub(crate) fn entries(&self) -> &[FileEntry] {
+        &self.entries
     }
 
-    /// Every unique file, in no particular order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Digest, &FileEntry)> {
-        self.entries.iter()
+    /// Every unique file's digest, by slot.
+    pub(crate) fn digests(&self) -> &[Digest] {
+        &self.digests
     }
 
-    /// The headline dedup statistics: one fold over the index.
+    /// Number of indexed layers.
+    pub(crate) fn layer_count(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The slots of layer `at`'s files, in file order.
+    pub(crate) fn layer_slots(&self, at: usize) -> &[u32] {
+        &self.slots[self.starts[at]..self.starts[at + 1]]
+    }
+
+    /// The position of the indexed layer `digest`, if it was indexed.
+    pub(crate) fn layer_at(&self, digest: &Digest) -> Option<usize> {
+        let found = self.positions.binary_search_by(|(d, _)| d.cmp(digest));
+        found.ok().map(|i| self.positions[i].1 as usize)
+    }
+
+    /// Instances and bytes per kind over every indexed copy (Figs. 13–22).
+    pub fn census(&self) -> &TypeCensus {
+        &self.census
+    }
+
+    /// The headline dedup statistics: one fold over the slots.
     pub fn stats(&self) -> FileDedupStats {
         let mut total = TypeDedupRow::default();
-        let mut repeat_counts = Vec::with_capacity(self.entries.len());
-        for e in self.entries.values() {
+        for e in &self.entries {
             total.add(e);
-            repeat_counts.push(e.copies);
         }
+        let mut repeat_counts: Vec<u64> = self.entries.iter().map(|e| e.copies).collect();
         repeat_counts.sort_unstable_by(|a, b| b.cmp(a));
         // Ties on copies go to the smallest digest, so the row does not
-        // depend on the order the workers filled the map in.
-        let top = (self.entries.iter())
+        // depend on the order the layers came in.
+        let top = (self.digests.iter().zip(&self.entries))
             .max_by(|(da, a), (db, b)| a.copies.cmp(&b.copies).then(db.cmp(da)));
         let (max_repeat, max_repeat_size) = top.map_or((0, 0), |(_, e)| (e.copies, e.size));
         FileDedupStats {
@@ -164,8 +206,8 @@ mod tests {
     use super::*;
     use dhub_model::FileRecord;
 
-    fn file_dedup(layers: &[&LayerProfile], threads: usize) -> FileDedupStats {
-        FileIndex::build(layers, threads).stats()
+    fn file_dedup(layers: &[&LayerProfile]) -> FileDedupStats {
+        FileIndex::build(layers).stats()
     }
 
     fn file(content: &[u8], size: u64) -> FileRecord {
@@ -193,7 +235,7 @@ mod tests {
         let l1 = layer(vec![file(b"a", 100), file(b"b", 50)]);
         let l2 = layer(vec![file(b"a", 100), file(b"c", 25)]);
         let l3 = layer(vec![file(b"a", 100)]);
-        let stats = file_dedup(&[&l1, &l2, &l3], 2);
+        let stats = file_dedup(&[&l1, &l2, &l3]);
         assert_eq!(stats.total_instances, 5);
         assert_eq!(stats.unique_files, 3);
         assert_eq!(stats.total_bytes, 300 + 50 + 25);
@@ -206,7 +248,7 @@ mod tests {
     #[test]
     fn unique_fraction_and_dup_instances() {
         let l1 = layer(vec![file(b"a", 10), file(b"a", 10), file(b"b", 10)]);
-        let stats = file_dedup(&[&l1], 1);
+        let stats = file_dedup(&[&l1]);
         assert_eq!(stats.total_instances, 3);
         assert_eq!(stats.unique_files, 2);
         assert!((stats.unique_fraction() - 2.0 / 3.0).abs() < 1e-9);
@@ -225,58 +267,34 @@ mod tests {
             file(b"y", 1),
             file(b"z", 1),
         ]);
-        let stats = file_dedup(&[&l], 1);
+        let stats = file_dedup(&[&l]);
         let hist = stats.repeat_histogram();
         assert_eq!(hist, vec![(1, 2), (4, 4)]);
     }
 
     #[test]
     fn empty_population() {
-        let stats = file_dedup(&[], 4);
+        let stats = file_dedup(&[]);
         assert_eq!(stats.count_ratio(), 1.0);
         assert_eq!(stats.capacity_ratio(), 1.0);
         assert_eq!(stats.unique_fraction(), 0.0);
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let layers: Vec<LayerProfile> = (0..50)
-            .map(|i| {
-                layer(
-                    (0..20)
-                        .map(|j| file(format!("{}", (i * j) % 37).as_bytes(), 10))
-                        .collect(),
-                )
-            })
-            .collect();
-        let refs: Vec<&LayerProfile> = layers.iter().collect();
-        let a = file_dedup(&refs, 1);
-        let b = file_dedup(&refs, 8);
-        assert_eq!(a.total_instances, b.total_instances);
-        assert_eq!(a.unique_files, b.unique_files);
-        assert_eq!(a.total_bytes, b.total_bytes);
-        let mut ra = a.repeat_counts.clone();
-        let mut rb = b.repeat_counts.clone();
-        ra.sort_unstable();
-        rb.sort_unstable();
-        assert_eq!(ra, rb);
-    }
-
-    #[test]
     fn tied_max_repeat_takes_the_smallest_digest() {
         // Two contents with three copies each, of different sizes: the
-        // reported size is the smaller digest's, at every thread count.
+        // reported size is the smaller digest's, whichever the index met
+        // first.
         let (a, b) = (file(b"tie-a", 7), file(b"tie-b", 9));
-        let layers: Vec<LayerProfile> =
-            (0..3).map(|i| layer(vec![a.clone(), b.clone(), file(&[i], 1)])).collect();
-        let refs: Vec<&LayerProfile> = layers.iter().collect();
+        let layers: Vec<LayerProfile> = (0..3u8)
+            .map(|i| layer(if i == 0 { vec![a, b, file(&[i], 1)] } else { vec![b, a, file(&[i], 1)] }))
+            .collect();
+        let mut refs: Vec<&LayerProfile> = layers.iter().collect();
         let want = if a.digest < b.digest { a.size } else { b.size };
-        for threads in [1, 2, 8] {
-            for _ in 0..10 {
-                let stats = file_dedup(&refs, threads);
-                let max = (stats.max_repeat, stats.max_repeat_size);
-                assert_eq!(max, (3, want), "threads={threads}");
-            }
+        for _ in 0..2 {
+            let stats = file_dedup(&refs);
+            assert_eq!((stats.max_repeat, stats.max_repeat_size), (3, want));
+            refs.reverse();
         }
     }
 
@@ -286,10 +304,12 @@ mod tests {
         elf.kind = FileKind::Elf;
         let l1 = layer(vec![file(b"same", 4), file(b"same", 4)]);
         let l2 = layer(vec![elf]);
-        let index = FileIndex::build(&[&l1, &l2], 2);
-        let e = index.get(&Digest::of(b"same")).unwrap();
+        let index = FileIndex::build(&[&l1, &l2]);
+        assert_eq!(index.digests(), [Digest::of(b"same")]);
+        let e = index.entries()[0];
         assert_eq!((e.copies, e.layers), (3, 2));
         assert_eq!(e.kind, FileKind::AsciiText.min(FileKind::Elf));
-        assert!(index.get(&Digest::of(b"absent")).is_none());
+        assert_eq!((index.layer_slots(0), index.layer_slots(1)), (&[0, 0][..], &[0][..]));
+        assert_eq!((index.layer_at(&l2.digest), index.layer_at(&Digest::of(b"absent"))), (Some(1), None));
     }
 }

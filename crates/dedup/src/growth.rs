@@ -6,9 +6,7 @@
 //! the samples are nested prefixes of one seeded shuffle, so walking the
 //! shuffle once with running totals passes through every sample in turn.
 
-use crate::file_dedup::ratio;
-use dhub_digest::FxHashMap;
-use dhub_model::{Digest, LayerProfile};
+use crate::file_dedup::{ratio, FileIndex};
 use dhub_stats::Rng;
 
 /// One point of the growth curve.
@@ -23,31 +21,34 @@ pub struct GrowthPoint {
 /// Computes dedup ratios for random samples of `sizes` layers each (plus
 /// whatever sizes exceed the population, clamped to "all layers").
 ///
-/// A content counts as unique at the first sampled layer that holds it,
-/// and every copy counts that first copy's size, as in [`crate::FileIndex`];
-/// each point is then the running integer sums divided once, so it equals
-/// the stats of an index built over the same sample.
-pub fn dedup_growth(layers: &[&LayerProfile], sizes: &[usize], seed: u64) -> Vec<GrowthPoint> {
+/// The samples are drawn from `index`'s layers by position. A content
+/// counts as unique at the first sampled layer that holds it, and every
+/// copy counts the content's indexed size; each point is then the running
+/// integer sums divided once, so it equals the stats of an index built
+/// over the same sample.
+pub fn dedup_growth(index: &FileIndex, sizes: &[usize], seed: u64) -> Vec<GrowthPoint> {
+    let layers = index.layer_count();
     let mut rng = Rng::new(seed);
-    let mut order: Vec<usize> = (0..layers.len()).collect();
+    let mut order: Vec<usize> = (0..layers).collect();
     rng.shuffle(&mut order);
 
-    let mut marks: Vec<usize> = sizes.iter().map(|&s| s.min(layers.len())).collect();
+    let mut marks: Vec<usize> = sizes.iter().map(|&s| s.min(layers)).collect();
     marks.sort_unstable();
     marks.dedup();
 
-    let mut sizes_seen: FxHashMap<Digest, u64> = FxHashMap::default();
+    let entries = index.entries();
+    let mut seen = vec![false; entries.len()];
     let (mut instances, mut bytes, mut unique, mut unique_bytes) = (0u64, 0u64, 0u64, 0u64);
     let mut walked = 0;
     let mut points = Vec::with_capacity(marks.len());
     for &n in &marks {
-        for &i in &order[walked..n] {
-            for f in &layers[i].files {
-                let size = *sizes_seen.entry(f.digest).or_insert_with(|| {
+        for &at in &order[walked..n] {
+            for &s in index.layer_slots(at) {
+                let size = entries[s as usize].size;
+                if !std::mem::replace(&mut seen[s as usize], true) {
                     unique += 1;
-                    unique_bytes += f.size;
-                    f.size
-                });
+                    unique_bytes += size;
+                }
                 instances += 1;
                 bytes += size;
             }
@@ -60,7 +61,7 @@ pub fn dedup_growth(layers: &[&LayerProfile], sizes: &[usize], seed: u64) -> Vec
         });
     }
 
-    let point = |s: usize| points[marks.binary_search(&s.min(layers.len())).expect("marked")];
+    let point = |s: usize| points[marks.binary_search(&s.min(layers)).expect("marked")];
     sizes.iter().map(|&s| point(s)).collect()
 }
 
@@ -79,7 +80,7 @@ pub fn default_sample_sizes(population: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhub_model::{Digest, FileKind, FileRecord};
+    use dhub_model::{Digest, FileKind, FileRecord, LayerProfile};
 
     /// Layers drawing from a small shared file universe: bigger samples
     /// cover more of the universe and re-hit it more often, so the ratio
@@ -115,7 +116,7 @@ mod tests {
     fn ratio_grows_with_sample_size() {
         let pop = population(500);
         let refs: Vec<&LayerProfile> = pop.iter().collect();
-        let points = dedup_growth(&refs, &[5, 50, 500], 7);
+        let points = dedup_growth(&FileIndex::build(&refs), &[5, 50, 500], 7);
         assert_eq!(points.len(), 3);
         assert!(points[0].count_ratio < points[1].count_ratio);
         assert!(points[1].count_ratio < points[2].count_ratio);
@@ -131,18 +132,19 @@ mod tests {
         // Points come back in the order asked for, repeats included.
         let pop = population(100);
         let refs: Vec<&LayerProfile> = pop.iter().collect();
+        let index = FileIndex::build(&refs);
         let bits = |p: &GrowthPoint| (p.layers, p.count_ratio.to_bits(), p.capacity_ratio.to_bits());
-        let a: Vec<_> = dedup_growth(&refs, &[10, 100], 3).iter().map(bits).collect();
-        let b: Vec<_> = dedup_growth(&refs, &[100, 10, 10], 3).iter().map(bits).collect();
+        let a: Vec<_> = dedup_growth(&index, &[10, 100], 3).iter().map(bits).collect();
+        let b: Vec<_> = dedup_growth(&index, &[100, 10, 10], 3).iter().map(bits).collect();
         assert_eq!(b, vec![a[1], a[0], a[0]]);
-        assert_eq!(dedup_growth(&refs, &[10, 100], 3).iter().map(bits).collect::<Vec<_>>(), a);
+        assert_eq!(dedup_growth(&index, &[10, 100], 3).iter().map(bits).collect::<Vec<_>>(), a);
     }
 
     #[test]
     fn oversized_sample_clamped() {
         let pop = population(20);
         let refs: Vec<&LayerProfile> = pop.iter().collect();
-        let points = dedup_growth(&refs, &[1000], 3);
+        let points = dedup_growth(&FileIndex::build(&refs), &[1000], 3);
         assert_eq!(points[0].layers, 20);
     }
 

@@ -1,9 +1,10 @@
 //! Redundancy analysis (§V of the paper).
 //!
-//! Layer sharing, and file-level analyses that read two per-digest
-//! indexes: the [`FileIndex`] (copies, size, kind and distinct layers of
-//! every unique file) and the [`ImageIndex`] (the sorted ids of the images
-//! holding it).
+//! Layer sharing, and file-level analyses that read one content index:
+//! the [`FileIndex`] gives every unique file a dense slot (its copies,
+//! size, smallest kind and distinct layers) and every layer its files as
+//! slots. The [`ImageIndex`] lists the sorted ids of the images holding
+//! each slot.
 //!
 //! * [`layer_sharing`] — how often layers are referenced by multiple
 //!   images, and the storage saved by content-addressed layer sharing
@@ -12,19 +13,20 @@
 //!   count and capacity folded from it (Fig. 24 and the headline
 //!   31.5× / 6.9× numbers),
 //! * [`growth`] — dedup ratio as a function of dataset size: one pass over
-//!   a seeded shuffle, reading each nested sample off running sums
-//!   (Fig. 25),
+//!   a seeded shuffle of the index's layers, reading each nested sample
+//!   off running sums (Fig. 25),
 //! * [`cross`] — cross-layer duplicate fractions from the file index's
 //!   distinct-layer counts, and cross-image ones from the image index
 //!   (Fig. 26),
-//! * [`by_type`] — dedup ratio per type group and per specific type, folded
-//!   from the file index (Figs. 27–29),
+//! * [`by_type`] — the per-kind census the file index fills (Figs. 13–22),
+//!   and dedup ratio per type group and per specific type, folded from
+//!   the file index (Figs. 27–29),
 //! * [`image_index`] — the image index, which perfect-layer carving also
 //!   groups by.
 //!
-//! The file index is built in one pass over a [`dhub_par::ShardedMap`] so
-//! multi-million file populations aggregate in parallel, then read without
-//! locks. The image index is one sequential pass in image order, which
+//! The file index is one sequential pass over the layers, the only pass
+//! that hashes a file digest; every other analysis reads slots. The image
+//! index walks the images in order over the layers' slot lists, which
 //! leaves every content's image ids sorted.
 
 pub mod by_type;
@@ -34,7 +36,7 @@ pub mod growth;
 pub mod image_index;
 pub mod layer_sharing;
 
-pub use by_type::{dedup_by_group, dedup_by_kind, TypeDedupRow};
+pub use by_type::{dedup_by_group, dedup_by_kind, TypeCensus, TypeDedupRow};
 pub use cross::{cross_duplicates, CrossDuplicates};
 pub use file_dedup::{FileDedupStats, FileIndex};
 pub use growth::{dedup_growth, GrowthPoint};

@@ -1,6 +1,6 @@
-//! Property tests for the per-digest indexes: over seeded random layer and
-//! image populations, every analysis that folds an index equals a plain
-//! sequential fold written here, at every thread count.
+//! Property tests for the content index: over seeded random layer and
+//! image populations, every analysis that folds the file or image index
+//! equals a plain per-digest fold written here.
 //!
 //! Each population draws its files from a small content universe, so
 //! copies repeat within and across layers, and one content ("chameleon")
@@ -18,7 +18,6 @@ use dhub_stats::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
 const CASES: u64 = 48;
-const THREADS: [usize; 3] = [1, 2, 8];
 
 fn population(seed: u64) -> Vec<LayerProfile> {
     let mut rng = Rng::new(seed);
@@ -170,29 +169,45 @@ fn index_folds_equal_the_sequential_fold() {
         let pop = population(seed);
         let refs: Vec<&LayerProfile> = pop.iter().collect();
         let want = reference(&refs);
-        let no_images = ImageIndex::build(&[], &FxHashMap::default());
         let fractions: Vec<u64> =
             reference_layer_fractions(&refs, &want).iter().map(|f| f.to_bits()).collect();
-        for threads in THREADS {
-            let case = format!("seed={seed} threads={threads}");
-            let index = FileIndex::build(&refs, threads);
-            assert_eq!(summary(&index.stats()), summary(&reference_stats(&want)), "{case}");
-            assert_eq!(dedup_by_group(&index), reference_groups(&want), "{case}");
-            for g in TypeGroup::ALL {
-                assert_eq!(dedup_by_kind(&index, g), reference_kinds(&want, g), "{case} {g:?}");
-            }
-            let cd = cross_duplicates(&refs, &index, &[], &no_images);
-            let got: Vec<u64> = cd.layer_fractions.iter().map(|f| f.to_bits()).collect();
-            assert_eq!(got, fractions, "{case}");
+        let case = format!("seed={seed}");
+        let index = FileIndex::build(&refs);
+        assert_eq!(summary(&index.stats()), summary(&reference_stats(&want)), "{case}");
+        assert_eq!(dedup_by_group(&index), reference_groups(&want), "{case}");
+        for g in TypeGroup::ALL {
+            assert_eq!(dedup_by_kind(&index, g), reference_kinds(&want, g), "{case} {g:?}");
         }
+        let census = index.census();
+        for k in FileKind::ALL {
+            let copies = refs.iter().flat_map(|l| &l.files).filter(|f| f.kind == k);
+            let (count, bytes) = copies.fold((0, 0), |(c, b), f| (c + 1, b + f.size));
+            assert_eq!((census.count(k), census.bytes(k)), (count, bytes), "{case} {k:?}");
+        }
+        let cd = cross_duplicates(&index, &[], &ImageIndex::build(&[], &index));
+        let got: Vec<u64> = cd.layer_fractions.iter().map(|f| f.to_bits()).collect();
+        assert_eq!(got, fractions, "{case}");
     }
 }
 
 #[test]
 fn image_index_equals_per_image_sets() {
     for seed in 0..CASES {
-        let pop = population(seed);
-        let (images, profiles) = (images(seed, &pop), by_digest(&pop));
+        let mut pop = population(seed);
+        let images = images(seed, &pop);
+        // A layer no image references: its content counts in the file
+        // index, and the image index lists it under no image.
+        let orphan = FileRecord { digest: Digest::of(b"orphan"), kind: FileKind::Elf, size: 9 };
+        pop.push(LayerProfile {
+            digest: Digest::of(b"orphan layer"),
+            fls: 9,
+            cls: 1,
+            dir_count: 1,
+            file_count: 1,
+            max_depth: 1,
+            files: vec![orphan],
+        });
+        let profiles = by_digest(&pop);
         // Per content: first-seen size and the set of images holding it.
         let mut want: BTreeMap<Digest, (u64, BTreeSet<u32>)> = BTreeMap::new();
         for (id, img) in images.iter().enumerate() {
@@ -200,14 +215,19 @@ fn image_index_equals_per_image_sets() {
                 want.entry(f.digest).or_insert((f.size, BTreeSet::new())).1.insert(id as u32);
             }
         }
-        let index = ImageIndex::build(&images, &profiles);
-        let got: BTreeMap<Digest, (u64, BTreeSet<u32>)> = (index.iter())
+        let refs: Vec<&LayerProfile> = pop.iter().collect();
+        let files = FileIndex::build(&refs);
+        let stats = files.stats();
+        assert_eq!(summary(&stats), summary(&reference_stats(&reference(&refs))), "seed={seed}");
+        let index = ImageIndex::build(&images, &files);
+        assert!(index.iter(&files).all(|(d, _, _)| d != orphan.digest), "seed={seed}: orphan listed");
+        let got: BTreeMap<Digest, (u64, BTreeSet<u32>)> = (index.iter(&files))
             .map(|(d, size, ids)| {
                 assert!(ids.windows(2).all(|w| w[0] < w[1]), "seed={seed}: ids not sorted");
                 (d, (size, ids.iter().copied().collect()))
             })
             .collect();
-        assert_eq!(index.iter().count(), want.len(), "seed={seed}: a content listed twice");
+        assert_eq!(index.iter(&files).count(), want.len(), "seed={seed}: a content listed twice");
         assert_eq!(got, want, "seed={seed}");
     }
 }
@@ -220,8 +240,8 @@ fn image_fractions_equal_per_image_sets() {
         let (images, profiles) = (images(seed, &pop), by_digest(&pop));
         let want: Vec<u64> =
             reference_image_fractions(&images, &profiles).iter().map(|f| f.to_bits()).collect();
-        let (files, members) = (FileIndex::build(&refs, 1), ImageIndex::build(&images, &profiles));
-        let cd = cross_duplicates(&refs, &files, &images, &members);
+        let files = FileIndex::build(&refs);
+        let cd = cross_duplicates(&files, &images, &ImageIndex::build(&images, &files));
         let got: Vec<u64> = cd.image_fractions.iter().map(|f| f.to_bits()).collect();
         assert_eq!(got, want, "seed={seed}");
     }
@@ -237,7 +257,7 @@ fn growth_points_equal_per_sample_stats() {
         // The samples are nested prefixes of one seeded shuffle.
         let mut order: Vec<usize> = (0..refs.len()).collect();
         Rng::new(seed ^ 0x5eed).shuffle(&mut order);
-        let points = dedup_growth(&refs, &sizes, seed ^ 0x5eed);
+        let points = dedup_growth(&FileIndex::build(&refs), &sizes, seed ^ 0x5eed);
         assert_eq!(points.len(), sizes.len());
         for (p, &want) in points.iter().zip(&sizes) {
             let n = want.min(refs.len());
@@ -245,10 +265,7 @@ fn growth_points_equal_per_sample_stats() {
             let got = (p.layers, p.count_ratio.to_bits(), p.capacity_ratio.to_bits());
             let bits = |s: FileDedupStats| (n, s.count_ratio().to_bits(), s.capacity_ratio().to_bits());
             assert_eq!(got, bits(reference_stats(&reference(&sample))), "seed={seed} n={n}");
-            for threads in THREADS {
-                let stats = FileIndex::build(&sample, threads).stats();
-                assert_eq!(got, bits(stats), "seed={seed} n={n} threads={threads}");
-            }
+            assert_eq!(got, bits(FileIndex::build(&sample).stats()), "seed={seed} n={n}");
         }
     }
 }

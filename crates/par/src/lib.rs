@@ -1,17 +1,16 @@
 //! Parallel execution substrate.
 //!
-//! The paper's pipeline is embarrassingly parallel at two grains: images
-//! are downloaded/analyzed independently, and dedup counting aggregates
-//! billions of per-file records. This crate provides exactly the three
-//! primitives that workload needs, built on the in-repo `dhub-sync`
-//! substrate (scoped work crews, striped locks) so the default workspace
-//! build has zero external dependencies:
+//! The paper's pipeline is embarrassingly parallel at the image and layer
+//! grain: images are downloaded and layers analyzed independently. This
+//! crate provides exactly the three primitives that workload needs, built
+//! on the in-repo `dhub-sync` substrate (scoped work crews, striped locks)
+//! so the default workspace build has zero external dependencies:
 //!
-//! * [`par_map`]/[`par_for_each`]/[`par_map_range`]/[`par_map_each`] —
-//!   data-parallel iteration over slices and index ranges with dynamic
-//!   chunk self-scheduling (scoped threads, no `'static` bounds),
+//! * [`par_map`]/[`par_map_range`]/[`par_map_each`] — data-parallel
+//!   iteration over slices and index ranges with dynamic chunk
+//!   self-scheduling (scoped threads, no `'static` bounds),
 //! * [`sharded::ShardedMap`] — a lock-striped hash map for concurrent
-//!   counting (the dedup index),
+//!   first-claim checks (the downloader's claimed layers),
 //! * [`scratch::Scratch`] — the thread-local per-worker buffer arena the
 //!   fused layer-analysis path reuses across layers.
 
@@ -52,15 +51,6 @@ impl<T> Clone for SendPtr<T> {
 impl<T> Copy for SendPtr<T> {}
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
-
-/// Applies `f` to every element in parallel, discarding results.
-pub fn par_for_each<T, F>(threads: usize, items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    let _ = par_map(threads, items, |t| f(t));
-}
 
 /// Parallel map over an index range, preserving order of results. Work is
 /// self-scheduled in chunks: each worker atomically claims the next chunk,
@@ -187,17 +177,6 @@ mod tests {
         assert!(overlapped[0], "items 0 and 1 ran on one worker");
         assert_eq!(par_map_each(8, &items, |&x| x * 3), items.iter().map(|x| x * 3).collect::<Vec<_>>());
         assert!(par_map_each(2, &[] as &[u64], |&x| x).is_empty());
-    }
-
-    #[test]
-    fn par_for_each_visits_everything() {
-        use std::sync::atomic::AtomicU64;
-        let sum = AtomicU64::new(0);
-        let items: Vec<u64> = (1..=1000).collect();
-        par_for_each(4, &items, |&x| {
-            sum.fetch_add(x, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 500_500);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Lock-striped concurrent hash map for high-throughput counting.
+//! Lock-striped concurrent hash map.
 //!
-//! The file-level dedup index maps `file digest → (copies, bytes)` and is
-//! updated once per file record — billions of times at paper scale. A
-//! single mutex-protected map serializes every update; striping the key
-//! space across shards lets updates proceed in parallel with conflicts only
-//! on same-shard keys.
+//! The downloader's claim set maps `layer digest → ()` and is checked once
+//! per manifest layer by every pulling worker: the first insert claims the
+//! fetch. A single mutex-protected map serializes every claim; striping
+//! the key space across shards lets claims proceed in parallel with
+//! conflicts only on same-shard keys.
 
 use dhub_sync::{Mutex, Striped};
 use std::collections::HashMap;
@@ -57,16 +57,6 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
         self.shards.stripe(h.finish())
     }
 
-    /// Applies `f` to the value for `key`, inserting `V::default()` first if
-    /// absent.
-    pub fn update(&self, key: K, f: impl FnOnce(&mut V))
-    where
-        V: Default,
-    {
-        let mut shard = self.shard_for(&key).lock();
-        f(shard.entry(key).or_default());
-    }
-
     /// Inserts a value, returning the previous one if present.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
         self.shard_for(&key).lock().insert(key, value)
@@ -86,44 +76,21 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Consumes the map, yielding all entries.
-    pub fn into_entries(self) -> Vec<(K, V)> {
-        let mut out = Vec::new();
-        for shard in self.shards.into_values() {
-            out.extend(shard);
-        }
-        out
-    }
-
-    /// Folds every entry into an accumulator (takes each lock briefly).
-    pub fn fold<A>(&self, init: A, mut f: impl FnMut(A, &K, &V) -> A) -> A {
-        let mut acc = init;
-        for shard in self.shards.iter() {
-            let guard = shard.lock();
-            for (k, v) in guard.iter() {
-                acc = f(acc, k, v);
-            }
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par_for_each;
+    use crate::par_map;
 
     #[test]
     fn concurrent_counting_is_exact() {
-        let map: ShardedMap<u64, u64> = ShardedMap::new(16);
+        // Every key is claimed by exactly one of its 100 inserts.
+        let map: ShardedMap<u64, ()> = ShardedMap::new(16);
         let keys: Vec<u64> = (0..100_000).map(|i| i % 1000).collect();
-        par_for_each(8, &keys, |&k| map.update(k, |v| *v += 1));
+        let firsts = par_map(8, &keys, |&k| map.insert(k, ()).is_none());
         assert_eq!(map.len(), 1000);
-        let total = map.fold(0u64, |acc, _, v| acc + v);
-        assert_eq!(total, 100_000);
-        let zero = map.into_entries().into_iter().find(|&(k, _)| k == 0);
-        assert_eq!(zero, Some((0, 100)));
+        assert_eq!(firsts.iter().filter(|&&first| first).count(), 1000);
     }
 
     #[test]
@@ -134,8 +101,7 @@ mod tests {
         assert!(map.contains(&"a".to_string()));
         assert!(!map.contains(&"b".to_string()));
         assert_eq!(map.len(), 1);
-        let entries = map.into_entries();
-        assert_eq!(entries, vec![("a".to_string(), 2)]);
+        assert_eq!(map.insert("a".into(), 3), Some(2));
     }
 
     #[test]

@@ -22,7 +22,8 @@ pub fn ext_c1(v: &StudyView) -> FigureReport {
         .filter_map(|ld| data.layers.get(ld))
         .map(|lp| lp.fls)
         .sum();
-    let carver = Carver::new(v.image_index().iter(), data.image_layers.len(), original_bytes);
+    let files = v.image_index().iter(&v.files);
+    let carver = Carver::new(files, data.image_layers.len(), original_bytes);
 
     let mut rows = Vec::new();
     let mut perfect_saving = 0.0;

@@ -26,6 +26,7 @@
 //! table files and byte-identical query answers.
 
 use crate::pipeline::StudyData;
+use dhub_dedup::TypeCensus;
 use dhub_dedupstore::StoreStats;
 use dhub_model::FileKind;
 use dhub_persist::{
@@ -260,17 +261,17 @@ impl StudyDb {
         rows
     }
 
-    /// Dedup-store lines for `dhub query dedup`.
+    /// Dedup-store lines for `dhub query dedup` ([`dedup_lines`] over the
+    /// `dedup` table's row).
     pub fn dedup_summary(&self) -> Vec<String> {
         let col = |n: &str| self.dedup.col_u64(n).expect("dedup table column")[0];
-        vec![
-            format!("{:20}: {}", "layers", col("layers")),
-            format!("{:20}: {}", "unique objects", col("uniqueObjects")),
-            format!("{:20}: {}", "physical bytes", col("physicalBytes")),
-            format!("{:20}: {}", "logical bytes", col("logicalBytes")),
-            format!("{:20}: {}", "conventional bytes", col("conventionalBytes")),
-            format!("{:20}: {:.6}x", "dedup factor", self.dedup_factor()),
-        ]
+        dedup_lines(&StoreStats {
+            layers: col("layers") as usize,
+            unique_objects: col("uniqueObjects") as usize,
+            physical_bytes: col("physicalBytes"),
+            logical_bytes: col("logicalBytes"),
+            conventional_bytes: col("conventionalBytes"),
+        })
     }
 
     /// Layers holding no regular files, via predicate pushdown on the
@@ -301,6 +302,20 @@ impl StudyDb {
     }
 }
 
+/// The dedup-store block of `dhub query dedup` (and of `summary` over a
+/// store with no tables yet). Shared by [`StudyDb::dedup_summary`] and
+/// `dhub query`'s replayed-recipe fallback, so both print the same lines.
+pub fn dedup_lines(st: &StoreStats) -> Vec<String> {
+    vec![
+        format!("{:20}: {}", "layers", st.layers),
+        format!("{:20}: {}", "unique objects", st.unique_objects),
+        format!("{:20}: {}", "physical bytes", st.physical_bytes),
+        format!("{:20}: {}", "logical bytes", st.logical_bytes),
+        format!("{:20}: {}", "conventional bytes", st.conventional_bytes),
+        format!("{:20}: {:.6}x", "dedup factor", st.dedup_factor()),
+    ]
+}
+
 /// Top `n` file types by count over `(kind, size)` pairs, one per file:
 /// `(kind label, files, bytes)`, count descending, label ascending on
 /// ties. Shared by [`StudyDb::top_file_types`] and `dhub query`'s
@@ -309,17 +324,10 @@ pub fn top_types(
     files: impl IntoIterator<Item = (FileKind, u64)>,
     n: usize,
 ) -> Vec<(String, u64, u64)> {
-    let mut agg = [(0u64, 0u64); FileKind::COUNT];
-    for (k, s) in files {
-        let e = &mut agg[k.index()];
-        e.0 += 1;
-        e.1 += s;
-    }
-    let mut rows: Vec<(&str, u64, u64)> = FileKind::ALL
-        .iter()
-        .zip(agg)
-        .filter(|(_, (c, _))| *c > 0)
-        .map(|(k, (c, b))| (k.label(), c, b))
+    let census: TypeCensus = files.into_iter().collect();
+    let mut rows: Vec<(&str, u64, u64)> = (FileKind::ALL.iter())
+        .filter(|&&k| census.count(k) > 0)
+        .map(|&k| (k.label(), census.count(k), census.bytes(k)))
         .collect();
     rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
     rows.truncate(n);

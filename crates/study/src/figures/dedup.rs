@@ -49,7 +49,7 @@ pub fn fig23(v: &StudyView) -> FigureReport {
 
 /// Fig. 24 — file repeat counts.
 pub fn fig24(v: &StudyView) -> FigureReport {
-    let stats = v.files.stats();
+    let stats = &v.stats;
 
     // Per-unique-file CDF of copy counts. (The paper's "50 % of files have
     // exactly 4 copies" is over unique files: an instance-weighted reading
@@ -88,7 +88,7 @@ pub fn fig24(v: &StudyView) -> FigureReport {
 /// Fig. 25 — dedup ratio growth with dataset size.
 pub fn fig25(v: &StudyView) -> FigureReport {
     let sizes = dhub_dedup::growth::default_sample_sizes(v.layers.len());
-    let points = dedup_growth(&v.layers, &sizes, v.data.seed ^ 0x617);
+    let points = dedup_growth(&v.files, &sizes, v.data.seed ^ 0x617);
 
     let rows: Vec<String> = points
         .iter()
@@ -120,8 +120,7 @@ pub fn fig25(v: &StudyView) -> FigureReport {
 
 /// Fig. 26 — cross-layer and cross-image duplicate fractions.
 pub fn fig26(v: &StudyView) -> FigureReport {
-    let images = &v.data.image_layers;
-    let cd = cross_duplicates(&v.layers, &v.files, images, v.image_index());
+    let cd = cross_duplicates(&v.files, &v.data.image_layers, v.image_index());
     let le = Ecdf::new(cd.layer_fractions);
     let ie = Ecdf::new(cd.image_fractions);
 
@@ -157,7 +156,7 @@ fn redundancy_anchor(
 /// which equals 1 − 1/6.9).
 pub fn fig27(v: &StudyView) -> FigureReport {
     let rows_data = dedup_by_group(&v.files);
-    let stats = v.files.stats();
+    let stats = &v.stats;
 
     let rows: Vec<String> = rows_data
         .iter()
@@ -254,7 +253,7 @@ pub fn fig29(v: &StudyView) -> FigureReport {
 
 /// Table 2 — the headline dedup numbers of §V-B.
 pub fn table2(v: &StudyView) -> FigureReport {
-    let stats = v.files.stats();
+    let stats = &v.stats;
     let rows = vec![
         format!("file instances       : {}", stats.total_instances),
         format!("unique files         : {}", stats.unique_files),

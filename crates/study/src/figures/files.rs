@@ -2,106 +2,8 @@
 
 use super::StudyView;
 use crate::report::{Anchor, FigureReport};
-use dhub_model::{FileKind, LayerProfile, TypeGroup};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Per-kind census over every file instance in every unique layer.
-pub struct TypeCensus {
-    /// Indexed by `FileKind::index()`: (instances, bytes).
-    counts: Vec<u64>,
-    bytes: Vec<u64>,
-}
-
-impl TypeCensus {
-    /// Builds the census in parallel.
-    pub(crate) fn build(layers: &[&LayerProfile], threads: usize) -> TypeCensus {
-        let counts: Vec<AtomicU64> = (0..FileKind::COUNT).map(|_| AtomicU64::new(0)).collect();
-        let bytes: Vec<AtomicU64> = (0..FileKind::COUNT).map(|_| AtomicU64::new(0)).collect();
-        dhub_par::par_for_each(threads, layers, |layer| {
-            for f in &layer.files {
-                counts[f.kind.index()].fetch_add(1, Ordering::Relaxed);
-                bytes[f.kind.index()].fetch_add(f.size, Ordering::Relaxed);
-            }
-        });
-        TypeCensus {
-            counts: counts.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
-            bytes: bytes.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
-        }
-    }
-
-    /// Instances of one kind.
-    pub fn count(&self, k: FileKind) -> u64 {
-        self.counts[k.index()]
-    }
-
-    /// Logical bytes of one kind.
-    fn bytes(&self, k: FileKind) -> u64 {
-        self.bytes[k.index()]
-    }
-
-    /// Total instances across kinds.
-    pub fn total_count(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Total logical bytes.
-    fn total_bytes(&self) -> u64 {
-        self.bytes.iter().sum()
-    }
-
-    fn kinds_of(group: TypeGroup) -> Vec<FileKind> {
-        FileKind::ALL.iter().copied().filter(|k| k.group() == group).collect()
-    }
-
-    /// (instances, bytes) for a whole group.
-    fn group_totals(&self, group: TypeGroup) -> (u64, u64) {
-        Self::kinds_of(group)
-            .into_iter()
-            .fold((0, 0), |(c, b), k| (c + self.count(k), b + self.bytes(k)))
-    }
-
-    /// Count share of a group among all files.
-    fn group_count_share(&self, group: TypeGroup) -> f64 {
-        self.group_totals(group).0 as f64 / self.total_count().max(1) as f64
-    }
-
-    /// Capacity share of a group.
-    fn group_capacity_share(&self, group: TypeGroup) -> f64 {
-        self.group_totals(group).1 as f64 / self.total_bytes().max(1) as f64
-    }
-
-    /// Count share of a kind *within its group*.
-    fn kind_count_share_in_group(&self, k: FileKind) -> f64 {
-        let (gc, _) = self.group_totals(k.group());
-        self.count(k) as f64 / gc.max(1) as f64
-    }
-
-    /// Capacity share of a kind within its group.
-    fn kind_capacity_share_in_group(&self, k: FileKind) -> f64 {
-        let (_, gb) = self.group_totals(k.group());
-        self.bytes(k) as f64 / gb.max(1) as f64
-    }
-
-    /// Average file size of a kind, in paper-scale bytes.
-    fn kind_avg_size(&self, k: FileKind, size_scale: u64) -> f64 {
-        let c = self.count(k);
-        if c == 0 {
-            0.0
-        } else {
-            self.bytes(k) as f64 * size_scale as f64 / c as f64
-        }
-    }
-
-    /// Average file size of a group, in paper-scale bytes.
-    fn group_avg_size(&self, g: TypeGroup, size_scale: u64) -> f64 {
-        let (c, b) = self.group_totals(g);
-        if c == 0 {
-            0.0
-        } else {
-            b as f64 * size_scale as f64 / c as f64
-        }
-    }
-}
+use dhub_dedup::TypeCensus;
+use dhub_model::{FileKind, TypeGroup};
 
 fn group_breakdown_rows(census: &TypeCensus, group: TypeGroup, scale: u64) -> Vec<String> {
     TypeCensus::kinds_of(group)
@@ -121,7 +23,7 @@ fn group_breakdown_rows(census: &TypeCensus, group: TypeGroup, scale: u64) -> Ve
 
 /// Fig. 13 — the three-level type taxonomy.
 pub fn fig13(v: &StudyView) -> FigureReport {
-    let census = &v.census;
+    let census = v.files.census();
     let mut rows = vec!["level 1: commonly used file types (everything generated)".to_string()];
     for g in TypeGroup::ALL {
         let (c, b) = census.group_totals(g);
@@ -143,7 +45,7 @@ pub fn fig13(v: &StudyView) -> FigureReport {
 
 /// Fig. 14 — file count % and capacity % by type group.
 pub fn fig14(v: &StudyView) -> FigureReport {
-    let census = &v.census;
+    let census = v.files.census();
     let rows = TypeGroup::ALL
         .iter()
         .map(|&g| {
@@ -174,7 +76,7 @@ pub fn fig14(v: &StudyView) -> FigureReport {
 
 /// Fig. 15 — average file size by type group.
 pub fn fig15(v: &StudyView) -> FigureReport {
-    let census = &v.census;
+    let census = v.files.census();
     let rows = TypeGroup::ALL
         .iter()
         .map(|&g| format!("{:<6} avg {:>12.0} B", g.label(), census.group_avg_size(g, v.data.size_scale)))
@@ -193,7 +95,7 @@ pub fn fig15(v: &StudyView) -> FigureReport {
 
 /// Fig. 16 — EOL breakdown.
 pub fn fig16(v: &StudyView) -> FigureReport {
-    let census = &v.census;
+    let census = v.files.census();
     let ir_count: u64 = [FileKind::PythonBytecode, FileKind::JavaClass, FileKind::TerminfoCompiled]
         .iter()
         .map(|&k| census.count(k))
@@ -223,7 +125,7 @@ pub fn fig16(v: &StudyView) -> FigureReport {
 
 /// Fig. 17 — source code breakdown.
 pub fn fig17(v: &StudyView) -> FigureReport {
-    let census = &v.census;
+    let census = v.files.census();
     FigureReport {
         id: "Fig. 17",
         title: "source code files".into(),
@@ -241,7 +143,7 @@ pub fn fig17(v: &StudyView) -> FigureReport {
 
 /// Fig. 18 — scripts breakdown.
 pub fn fig18(v: &StudyView) -> FigureReport {
-    let census = &v.census;
+    let census = v.files.census();
     FigureReport {
         id: "Fig. 18",
         title: "script files".into(),
@@ -258,7 +160,7 @@ pub fn fig18(v: &StudyView) -> FigureReport {
 
 /// Fig. 19 — documents breakdown.
 pub fn fig19(v: &StudyView) -> FigureReport {
-    let census = &v.census;
+    let census = v.files.census();
     FigureReport {
         id: "Fig. 19",
         title: "document files".into(),
@@ -274,7 +176,7 @@ pub fn fig19(v: &StudyView) -> FigureReport {
 
 /// Fig. 20 — archival breakdown.
 pub fn fig20(v: &StudyView) -> FigureReport {
-    let census = &v.census;
+    let census = v.files.census();
     FigureReport {
         id: "Fig. 20",
         title: "archival files".into(),
@@ -292,7 +194,7 @@ pub fn fig20(v: &StudyView) -> FigureReport {
 
 /// Fig. 21 — database breakdown.
 pub fn fig21(v: &StudyView) -> FigureReport {
-    let census = &v.census;
+    let census = v.files.census();
     FigureReport {
         id: "Fig. 21",
         title: "database files".into(),
@@ -308,7 +210,7 @@ pub fn fig21(v: &StudyView) -> FigureReport {
 
 /// Fig. 22 — image-data breakdown.
 pub fn fig22(v: &StudyView) -> FigureReport {
-    let census = &v.census;
+    let census = v.files.census();
     FigureReport {
         id: "Fig. 22",
         title: "image data files".into(),
@@ -341,9 +243,10 @@ mod tests {
     fn census_totals_match_layer_counts() {
         let v = view();
         let files: u64 = v.layers.iter().map(|l| l.file_count).sum();
-        assert_eq!(v.census.total_count(), files);
+        assert_eq!(v.files.census().total_count(), files);
         let bytes: u64 = v.layers.iter().map(|l| l.fls).sum();
-        assert_eq!(v.census.total_bytes(), bytes);
+        let census_bytes: u64 = TypeGroup::ALL.iter().map(|&g| v.files.census().group_totals(g).1).sum();
+        assert_eq!(census_bytes, bytes);
     }
 
     #[test]
@@ -354,7 +257,7 @@ mod tests {
         let eol = f.anchors.iter().find(|a| a.name.contains("EOL count")).unwrap();
         assert!((0.05..0.20).contains(&eol.measured), "eol share {}", eol.measured);
         // Shares sum to ~1 across groups.
-        let total: f64 = TypeGroup::ALL.iter().map(|&g| view().census.group_count_share(g)).sum();
+        let total: f64 = TypeGroup::ALL.iter().map(|&g| view().files.census().group_count_share(g)).sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
 

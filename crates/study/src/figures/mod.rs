@@ -11,45 +11,45 @@ mod images;
 mod layers;
 
 pub use dedup::{fig23, fig24, fig25, fig26, fig27, fig28, fig29, table2};
-pub use files::{fig13, fig14, fig15, fig16, fig17, fig18, fig19, fig20, fig21, fig22, TypeCensus};
+pub use files::{fig13, fig14, fig15, fig16, fig17, fig18, fig19, fig20, fig21, fig22};
 pub use images::{fig08, fig09, fig10, fig11, fig12};
 pub use layers::{fig03, fig04, fig05, fig06, fig07};
 
 use crate::pipeline::StudyData;
 use crate::report::{Anchor, FigureReport};
-use dhub_dedup::{FileIndex, ImageIndex};
+use dhub_dedup::{FileDedupStats, FileIndex, ImageIndex};
 use dhub_model::LayerProfile;
 use std::sync::OnceLock;
 
 /// What the figures read besides [`StudyData`] itself, each derived once:
-/// the sorted layer slice, the per-kind census (Figs. 13–22), the
-/// full-population file index (Figs. 24, 26–29 and Table 2) and, on first
-/// use, the image index (Fig. 26 and Ext. C1).
+/// the sorted layer slice, the content index over it with its per-kind
+/// census (Figs. 13–29 and Table 2), the headline stats folded from it
+/// (Figs. 24, 27 and Table 2) and, on first use, the image index (Fig. 26
+/// and Ext. C1).
 pub struct StudyView<'a> {
     pub data: &'a StudyData,
     /// Unique layer profiles, sorted by digest.
     pub layers: Vec<&'a LayerProfile>,
-    pub census: TypeCensus,
     pub files: FileIndex,
+    pub stats: FileDedupStats,
     image_index: OnceLock<ImageIndex>,
 }
 
 impl<'a> StudyView<'a> {
-    /// Derives the view on every core. The image index waits for its
-    /// first reader, so a view that renders only the tables never builds it.
+    /// Derives the view in one pass over the layers. The image index waits
+    /// for its first reader, so a view that renders only the tables never
+    /// builds it.
     pub fn new(data: &'a StudyData) -> StudyView<'a> {
         let layers = data.layer_slice();
-        let threads = dhub_par::default_threads();
-        let census = TypeCensus::build(&layers, threads);
-        let files = FileIndex::build(&layers, threads);
-        StudyView { data, layers, census, files, image_index: OnceLock::new() }
+        let files = FileIndex::build(&layers);
+        let stats = files.stats();
+        StudyView { data, layers, files, stats, image_index: OnceLock::new() }
     }
 
-    /// Which images hold each unique file, with image ids indexing
-    /// `data.image_layers`.
+    /// Which images hold each unique file of `files`, with image ids
+    /// indexing `data.image_layers`.
     pub fn image_index(&self) -> &ImageIndex {
-        let data = self.data;
-        self.image_index.get_or_init(|| ImageIndex::build(&data.image_layers, &data.layers))
+        self.image_index.get_or_init(|| ImageIndex::build(&self.data.image_layers, &self.files))
     }
 }
 

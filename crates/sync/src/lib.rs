@@ -15,7 +15,8 @@
 //!   crew pulling indices or jobs from shared state; there is no channel
 //!   or long-lived pool.
 //! * [`Striped`] — cache-padded lock striping, the substrate under
-//!   `dhub-par`'s `ShardedMap` (the dedup counting index).
+//!   `dhub-par`'s `ShardedMap` (the downloader's claim set) and the
+//!   mirror's cache and single-flight tables.
 //! * [`Mutex`]/[`RwLock`]/[`Condvar`] — thin poison-ignoring wrappers over
 //!   the std locks with guard-returning `lock()`/`read()`/`write()` (the
 //!   calling convention the rest of the workspace already used with its

@@ -1,5 +1,6 @@
-//! Cache-padded lock striping — the substrate under the dedup counting
-//! index (`dhub-par::ShardedMap`).
+//! Cache-padded lock striping — the substrate under the downloader's
+//! claim set (`dhub-par::ShardedMap`) and the mirror's cache shards and
+//! single-flight tables.
 //!
 //! A single mutex serializes every update; striping the key space over
 //! `2^k` independently locked slots lets updates proceed in parallel with
@@ -19,11 +20,6 @@ impl<T> CachePadded<T> {
     /// Wraps a value in padding.
     pub fn new(value: T) -> CachePadded<T> {
         CachePadded { value }
-    }
-
-    /// Unwraps the value.
-    pub fn into_inner(self) -> T {
-        self.value
     }
 }
 
@@ -74,11 +70,6 @@ impl<T> Striped<T> {
     pub fn iter(&self) -> impl Iterator<Item = &Mutex<T>> {
         self.stripes.iter().map(|s| &s.value)
     }
-
-    /// Consumes the striping, yielding every slot's value in index order.
-    pub fn into_values(self) -> Vec<T> {
-        self.stripes.into_iter().map(|s| s.into_inner().into_inner()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +100,7 @@ mod tests {
                 *s.stripe(h << 40).lock() += 1;
             }
         });
-        let total: u64 = s.into_values().into_iter().sum();
+        let total: u64 = s.iter().map(|m| *m.lock()).sum();
         assert_eq!(total, 80_000);
     }
 

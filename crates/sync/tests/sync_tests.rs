@@ -29,7 +29,7 @@ fn work_crew_panic_propagation() {
 #[test]
 fn striped_map_matches_hashmap() {
     fn hash(k: u64) -> u64 {
-        // Same mixing idea as the dedup index: multiply-shift into high bits.
+        // Same mixing idea as the sharded map: multiply-shift into high bits.
         k.wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
     let keys: Vec<u64> = (0..100_000).map(|i| i % 777).collect();
@@ -47,9 +47,9 @@ fn striped_map_matches_hashmap() {
     }
 
     let mut merged: HashMap<u64, u64> = HashMap::new();
-    for shard in striped.into_values() {
-        for (k, v) in shard {
-            *merged.entry(k).or_default() += v;
+    for shard in striped.iter() {
+        for (k, v) in shard.lock().iter() {
+            *merged.entry(*k).or_default() += v;
         }
     }
     assert_eq!(merged, reference);

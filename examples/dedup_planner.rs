@@ -26,7 +26,7 @@ fn main() {
     let hub = generate_hub(&cfg);
     let data = run_study(&hub, dhub_par::default_threads());
     let layers = data.layer_slice();
-    let files = FileIndex::build(&layers, dhub_par::default_threads());
+    let files = FileIndex::build(&layers);
 
     println!("=== Dedup planning report ({} unique layers) ===\n", layers.len());
 

@@ -40,9 +40,10 @@ cmp "$REPORT_NATIVE" "$REPORT_SCALAR" \
 echo "kernel gate: $(wc -l < "$REPORT_NATIVE")-line report byte-identical native and scalar"
 rm -f "$REPORT_NATIVE" "$REPORT_SCALAR"
 
-# Figures gate: the study and every figure run on `default_threads()`
-# workers, so a figure that depends on which worker touched a file last
-# shows up as a report that differs between one core and all of them.
+# Figures gate: the study runs on `default_threads()` workers, and the
+# figures read one content index built in one sequential pass, so a figure
+# that depends on which worker analyzed a layer first shows up as a report
+# that differs between one core and all of them.
 echo "==> figures gate: dhub report pinned to one core == unpinned"
 REPORT_ONE=$(mktemp /tmp/dhub-report-one.XXXXXX)
 REPORT_ALL=$(mktemp /tmp/dhub-report-all.XXXXXX)
@@ -670,9 +671,11 @@ EOF
 # and for the dedup store's per-row recipe entries, its per-entry staging
 # type and its second commit path for reopen, which column-form recipes
 # and the one `commit_parsed` replaced, and the per-layer compressed-size
-# map that the recipes' own `blob_len` replaced.
+# map that the recipes' own `blob_len` replaced; and for the parallel
+# for-each that only the sharded-map file index and the atomic type
+# census ran on, which the one sequential content index replaced.
 echo "==> stale-reference audit"
-STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network|fn with_retries|fn retrying|Backend::Local|mirror_(manifest|blob|tags)_endpoint|remove_layer|dhub_store_gc_|--bin report|write_lock|TableDecoder|huffman_block_fast|of_scalar|new_scalar|sha256_scalar|crc32_scalar|read_bytes\(|reader::Reader|tar::Reader|write_octal|append_gnu_longname|LayerRecipe::from_value|bench_carve|dhub_carve::\{?carve\b|get_clone|push_row|parse_envelope|recipe_from_json_reference|PendingEntry|EntryMeta|commit_recipe|layer_cls'
+STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network|fn with_retries|fn retrying|Backend::Local|mirror_(manifest|blob|tags)_endpoint|remove_layer|dhub_store_gc_|--bin report|write_lock|TableDecoder|huffman_block_fast|of_scalar|new_scalar|sha256_scalar|crc32_scalar|read_bytes\(|reader::Reader|tar::Reader|write_octal|append_gnu_longname|LayerRecipe::from_value|bench_carve|dhub_carve::\{?carve\b|get_clone|push_row|parse_envelope|recipe_from_json_reference|PendingEntry|EntryMeta|commit_recipe|layer_cls|par_for_each'
 if git grep -nE "$STALE_RE" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench' \
     | grep -v '^scripts/ci.sh:[0-9]*:STALE_RE='; then
     echo "FAIL: stale references to deleted code (listed above)" >&2

@@ -39,8 +39,8 @@ fn http_transport_study_matches_in_process() {
 
     let sh: Vec<_> = dhub_dedup::profile_slice(&a_http.layers);
     let sp: Vec<_> = dhub_dedup::profile_slice(&a_proc.layers);
-    let dh = dhub_dedup::FileIndex::build(&sh, 2).stats();
-    let dp = dhub_dedup::FileIndex::build(&sp, 2).stats();
+    let dh = dhub_dedup::FileIndex::build(&sh).stats();
+    let dp = dhub_dedup::FileIndex::build(&sp).stats();
     assert_eq!(dh.total_instances, dp.total_instances);
     assert_eq!(dh.unique_files, dp.unique_files);
     assert_eq!(dh.total_bytes, dp.total_bytes);

@@ -157,7 +157,7 @@ fn registry_bytes_match_downloaded_bytes() {
 fn classifier_sees_no_unclassifiable_flood() {
     // The generator forges valid signatures; OtherBinary should stay a
     // modest minority (it is 8.8 % of the mix), not a catch-all flood.
-    let census = &view().census;
+    let census = view().files.census();
     let other = census.count(dhub_model::FileKind::OtherBinary) as f64;
     let total = census.total_count() as f64;
     assert!(other / total < 0.2, "OtherBinary share {}", other / total);
