@@ -7,7 +7,7 @@
 use crate::digest::Digest;
 use crate::repo::RepoName;
 use crate::taxonomy::FileKind;
-use std::collections::HashSet;
+use dhub_digest::FxHashSet;
 
 /// Per-file metadata inside a layer (§III-C item 4); its path is kept
 /// once, in the layer's recipe.
@@ -101,13 +101,23 @@ fn path_depth(path: &str) -> u64 {
 
 /// The fold every [`LayerProfile`] comes from, over a layer's entries in
 /// archive order (tar entries in the analyzer, rows in a stored recipe).
-/// Directories are counted from seeds — every dir entry plus the parent of
-/// every file and link — each expanded to its component prefixes once, in
-/// [`ProfileFold::finish`] (tars often omit parents). A trailing `/` on a
-/// path is ignored.
+///
+/// A layer's directories are every dir entry and every ancestor of a file
+/// or link (tars often omit parents), each with its prefixes of non-empty
+/// components. They go into one set kept closed under prefixes: seeding a
+/// clean directory walks up from it and stops at the first ancestor
+/// already in the set, so each distinct directory is allocated once and no
+/// prefix is ever cloned; [`ProfileFold::finish`] just counts the set.
+///
+/// A path with an empty component — a leading `/`, `//` inside, or the
+/// empty string — also counts its raw spelling: a dir entry its own, a
+/// file or link every raw ancestor (`a//b/c` adds `a//b`, `a/` and, from
+/// their prefixes, `a` and `a/b`). A clean string never equals such a raw
+/// one, so the walk's stop rule holds. A trailing `/` on an entry's path is
+/// ignored.
 #[derive(Default)]
 pub struct ProfileFold {
-    seed_dirs: HashSet<String>,
+    dirs: FxHashSet<String>,
     files: Vec<FileRecord>,
     fls: u64,
     max_depth: u64,
@@ -127,34 +137,29 @@ impl ProfileFold {
         self.files.push(file);
     }
 
-    /// A symlink or hardlink (and each file): its parent is a seed.
+    /// A symlink or hardlink (and each file): its ancestors are
+    /// directories.
     pub fn link(&mut self, path: &str) {
-        if let Some((parent, _)) = self.enter(path).rsplit_once('/') {
-            self.seed(parent);
+        let Some((parent, _)) = self.enter(path).rsplit_once('/') else {
+            return;
+        };
+        if self.seed_clean(parent) {
+            return;
+        }
+        let mut ancestor = Some(parent);
+        while let Some(dir) = ancestor {
+            self.seed(dir);
+            ancestor = dir.rsplit_once('/').map(|(up, _)| up);
         }
     }
 
     /// The profile of blob `digest`, `cls` compressed bytes.
     pub fn finish(self, digest: Digest, cls: u64) -> LayerProfile {
-        let mut all: HashSet<String> = HashSet::with_capacity(self.seed_dirs.len() * 2);
-        for d in self.seed_dirs {
-            let mut prefix = String::new();
-            for comp in d.split('/').filter(|c| !c.is_empty()) {
-                if !prefix.is_empty() {
-                    prefix.push('/');
-                }
-                prefix.push_str(comp);
-                if !all.contains(&prefix) {
-                    all.insert(prefix.clone());
-                }
-            }
-            all.insert(d);
-        }
         LayerProfile {
             digest,
             fls: self.fls,
             cls,
-            dir_count: all.len() as u64,
+            dir_count: self.dirs.len() as u64,
             file_count: self.files.len() as u64,
             max_depth: self.max_depth,
             files: self.files,
@@ -168,9 +173,40 @@ impl ProfileFold {
         path
     }
 
+    /// Seeds `dir` with its ancestors if it is clean (its raw ancestors
+    /// are then its prefixes); false, seeding nothing, if it is not.
+    fn seed_clean(&mut self, dir: &str) -> bool {
+        if dir.is_empty() || dir.starts_with('/') || dir.ends_with('/') || dir.contains("//") {
+            return false;
+        }
+        self.insert_closed(dir);
+        true
+    }
+
+    /// Adds `dir` as spelled plus its prefixes of non-empty components.
     fn seed(&mut self, dir: &str) {
-        if !self.seed_dirs.contains(dir) {
-            self.seed_dirs.insert(dir.to_string());
+        if self.seed_clean(dir) {
+            return;
+        }
+        let clean: Vec<&str> = dir.split('/').filter(|c| !c.is_empty()).collect();
+        if !clean.is_empty() {
+            self.insert_closed(&clean.join("/"));
+        }
+        if !self.dirs.contains(dir) {
+            self.dirs.insert(dir.to_string());
+        }
+    }
+
+    /// Adds clean `dir` and every prefix the set lacks: the set holds a
+    /// clean directory only with all its prefixes, so the walk stops at
+    /// the first one it finds.
+    fn insert_closed(&mut self, mut dir: &str) {
+        while !self.dirs.contains(dir) {
+            self.dirs.insert(dir.to_string());
+            match dir.rsplit_once('/') {
+                Some((parent, _)) => dir = parent,
+                None => return,
+            }
         }
     }
 }
@@ -216,6 +252,37 @@ mod tests {
         };
         assert_eq!(img.compression_ratio(), 5.0);
         assert_eq!(img.layer_count(), 2);
+    }
+
+    /// Directories a fold over `entries` counts; a path ending in `/` is
+    /// a dir entry, any other a file.
+    fn dir_count(entries: &[&str]) -> u64 {
+        let mut fold = ProfileFold::default();
+        for path in entries {
+            if path.ends_with('/') {
+                fold.dir(path);
+            } else {
+                let file = FileRecord { digest: Digest::of(b""), kind: FileKind::ALL[0], size: 0 };
+                fold.file(path, file);
+            }
+        }
+        fold.finish(Digest::of(b"layer"), 1).dir_count
+    }
+
+    #[test]
+    fn directories_are_every_ancestor_with_its_prefixes() {
+        assert_eq!(dir_count(&["x"]), 0);
+        assert_eq!(dir_count(&["usr/lib/x.so", "usr/lib/y.so", "etc/", "etc/passwd"]), 3);
+        assert_eq!(dir_count(&["a/b/c/d", "a/b/", "a/e"]), 3);
+        // Raw spellings count too: `a//b`, `a/`, `a`, `a/b`.
+        assert_eq!(dir_count(&["a//b/c"]), 4);
+        // `/a`, `` and `a`.
+        assert_eq!(dir_count(&["/a/b"]), 3);
+        // A dir entry counts its own spelling, not its raw ancestors.
+        assert_eq!(dir_count(&["/a/b/"]), 3);
+        assert_eq!(dir_count(&["/"]), 1);
+        // A clean seed after a raw one still walks up.
+        assert_eq!(dir_count(&["a/b/", "/a/b/c", "a/b/c"]), 5);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! - `layer:<digest>` — fetch the verified blob, then the batch loop's
 //!   per-layer step: [`analyze_and_ingest`] into the shared
 //!   [`PersistentDedupStore`] under [`AnalyzeCounters::time_layer`]. Its
-//!   result is the compressed length; the profile is in the layer file.
+//!   durable result is the compressed length; the profile the pass folded
+//!   stays with the typed result this process keeps, and the layer file
+//!   holds it for any other process.
 //!
 //! Each job commits a [`JobResult`]. Once the queue drains, the study is
 //! *replayed* from the result set through the code every other scheduler
@@ -23,6 +25,10 @@
 //! layer results drive [`DownloadRun`]'s record steps in sorted
 //! repository order (so [`DownloadRun::finish`] is the only
 //! reclassification), and [`assemble_study`] builds the [`StudyData`].
+//! A clean run's profiles come from its layer jobs; only a layer result
+//! decoded from an earlier process's record (a killed run's, or all of
+//! them when a finished run is rerun) refolds its profile from the stored
+//! recipe.
 //! The `dhub_crawl_*` and `dhub_download_*` counters — and the reports
 //! derived from them — therefore come from durable records and are
 //! complete after a kill + resume; `dhub_analyze_*` and the retry
@@ -154,9 +160,11 @@ enum JobResult {
 }
 
 enum LayerResult {
-    /// Fetched (`cls` compressed bytes), analyzed and ingested; the
-    /// stored recipe is the profile.
-    Ok { cls: u64 },
+    /// Fetched (`cls` compressed bytes), analyzed and ingested. `profile`
+    /// is the fused pass's, kept when this process executed the job; its
+    /// durable record holds only `cls`, so a decoded result has `None` and
+    /// the stored recipe is the profile.
+    Ok { cls: u64, profile: Option<LayerProfile> },
     /// Fetched (`cls` compressed bytes), but the blob did not decode.
     AnalyzeError { cls: u64, error: String },
     /// The fetch was abandoned with the retry budget spent.
@@ -196,7 +204,7 @@ impl JobResult {
                     ResolveError::Other => "other",
                 });
             }
-            JobResult::Layer(LayerResult::Ok { cls }) => {
+            JobResult::Layer(LayerResult::Ok { cls, .. }) => {
                 out.set("status", "ok");
                 out.set("cls", *cls);
             }
@@ -248,7 +256,9 @@ impl JobResult {
             ("image", Some("auth")) => JobResult::Image(Err(ResolveError::Auth)),
             ("image", Some("no_latest")) => JobResult::Image(Err(ResolveError::NoLatest)),
             ("image", Some("other")) => JobResult::Image(Err(ResolveError::Other)),
-            ("layer", Some("ok")) => JobResult::Layer(LayerResult::Ok { cls: num("cls")? }),
+            ("layer", Some("ok")) => {
+                JobResult::Layer(LayerResult::Ok { cls: num("cls")?, profile: None })
+            }
             ("layer", Some("analyze_error")) => JobResult::Layer(LayerResult::AnalyzeError {
                 cls: num("cls")?,
                 error: j.get("error")?.as_str()?.to_string(),
@@ -315,14 +325,14 @@ fn execute_job(
             let fused = |scratch: &mut _| analyze_and_ingest(store, digest, &blob, scratch);
             let layer = match analyze.time_layer(fused) {
                 // AlreadyIngested is the resume path (a killed run ingested
-                // the layer but lost the result record); any other ingest
-                // error is real.
+                // the layer but lost the result record; the pass still
+                // folded its profile); any other ingest error is real.
                 Ok((_, Err(e)))
                     if !matches!(e, PersistentError::Store(StoreError::AlreadyIngested)) =>
                 {
                     return Err(format!("ingest {digest:?}: {e}"));
                 }
-                Ok(_) => LayerResult::Ok { cls },
+                Ok((profile, _)) => LayerResult::Ok { cls, profile: Some(profile) },
                 Err(e) => LayerResult::AnalyzeError { cls, error: e.to_string() },
             };
             (JobResult::Layer(layer), Vec::new())
@@ -432,7 +442,8 @@ pub fn run_study_queued_obs(
     // in sorted repository order. The first reference to a digest claims
     // it and reads the layer job's result; every later one is a skipped
     // fetch, exactly as in the sequential claim race. An analyzed layer's
-    // profile is folded from its stored recipe.
+    // profile is the one its layer job folded; only a result decoded from
+    // an earlier process's record refolds it from the stored recipe.
     let _assemble = span!(obs, "queued_assemble");
     let mut images = Vec::new();
     let mut layers: FxHashMap<Digest, LayerProfile> = FxHashMap::default();
@@ -454,9 +465,14 @@ pub fn run_study_queued_obs(
                 return Err(results.corrupt(&spec));
             };
             let fetched = match result {
-                LayerResult::Ok { cls } => {
-                    let recipe = store.mem().recipe(&layer.digest);
-                    let profile = recipe.ok_or_else(|| results.corrupt(&spec))?.profile();
+                LayerResult::Ok { cls, profile } => {
+                    let profile = match profile {
+                        Some(profile) => profile,
+                        None => {
+                            let recipe = store.mem().recipe(&layer.digest);
+                            recipe.ok_or_else(|| results.corrupt(&spec))?.profile()
+                        }
+                    };
                     layers.insert(layer.digest, profile);
                     Some(cls)
                 }
@@ -735,5 +751,38 @@ mod tests {
         );
         let _ = std::fs::remove_dir_all(root);
         let _ = std::fs::remove_dir_all(clean_root);
+    }
+
+    /// A rerun over a drained queue and its store executes nothing: every
+    /// result decodes from its record and every profile refolds from its
+    /// layer file, into the first run's study.
+    #[test]
+    fn a_rerun_over_a_drained_queue_decodes_every_result() {
+        let hub = generate_hub(&SynthConfig::tiny(43).with_repos(16));
+        let root = tmp_root("rerun");
+        let open = || {
+            let store = PersistentDedupStore::open(root.join("store"), Publisher::new()).unwrap();
+            let queue = DurableQueue::open(root.join("queue"), Publisher::new()).unwrap();
+            (store, queue)
+        };
+        let cfg = QueuedStudyConfig { workers: 2, ..QueuedStudyConfig::default() };
+        let first = {
+            let (store, queue) = open();
+            run_study_queued_obs(&hub, &store, &queue, &cfg, &MetricsRegistry::new()).unwrap()
+        };
+        let (store, queue) = open();
+        let obs = MetricsRegistry::new();
+        let rerun = run_study_queued_obs(&hub, &store, &queue, &cfg, &obs).unwrap();
+
+        assert_eq!(obs.counter_value("dhub_analyze_layers_total"), 0);
+        assert!(!rerun.layers.is_empty());
+        for (digest, profile) in &rerun.layers {
+            assert_eq!(&store.mem().recipe(digest).unwrap().profile(), profile);
+        }
+        assert_eq!(rerun.layers, first.layers);
+        assert_eq!(rerun.images, first.images);
+        assert_eq!(rerun.crawl, first.crawl);
+        assert_eq!(rerun.download, first.download);
+        let _ = std::fs::remove_dir_all(root);
     }
 }

@@ -276,6 +276,25 @@ for q in summary dedup top-types layer-percentiles; do
         || { echo "FAIL: query '$q' diverged between 1- and 4-worker fleets" >&2; exit 1; }
 done
 echo "queue gate: 4 query outputs byte-identical across 1- and 4-worker fleets"
+# A rerun over the finished 1-worker fleet executes no job: every result
+# decodes from its record and every profile refolds from its layer file,
+# and the answers are the first run's.
+for q in summary dedup top-types layer-percentiles; do
+    ./target/release/dhub query "$QUEUE_W1" "$q" > "$QUEUE_OUT.w1.$q"
+done
+./target/release/dhub work --repos 25 --seed 5 --scale 1024 --workers 1 \
+    --store-dir "$QUEUE_W1" --metrics-snapshot "$QUEUE_OUT.rerun.snap" > "$QUEUE_OUT.rerun"
+grep -q "resuming store with" "$QUEUE_OUT.rerun" \
+    || { echo "FAIL: rerun over the finished fleet did not resume" >&2; exit 1; }
+python3 -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["counters"]["dhub_analyze_layers_total"] != 0)' \
+    "$QUEUE_OUT.rerun.snap" \
+    || { echo "FAIL: rerun over the finished fleet analyzed a layer" >&2; exit 1; }
+for q in summary dedup top-types layer-percentiles; do
+    ./target/release/dhub query "$QUEUE_W1" "$q" > "$QUEUE_OUT.w1"
+    cmp -s "$QUEUE_OUT.w1.$q" "$QUEUE_OUT.w1" \
+        || { echo "FAIL: query '$q' diverged after rerunning the finished fleet" >&2; exit 1; }
+done
+echo "queue gate: rerun over the finished fleet executed nothing and answered byte-identically"
 # Fleet half of the obs gate: the queue schedules the batch path's steps,
 # so a fleet's deterministic crawl / download / analyze counters are those
 # of `dhub store --store-dir` on the same arguments, at any worker count —

@@ -937,9 +937,9 @@ fn twice_hub(rate: f64) -> SyntheticHub {
 
 /// The queue gates over a manifest that names a layer twice: at 5 and
 /// 20 % faults, and killed twice and resumed, the queued study writes the
-/// direct durable study's tables byte for byte. Every queued layer profile
-/// is folded from its stored recipe, so this covers the recipes a killed
-/// process left behind too.
+/// direct durable study's tables byte for byte. A layer whose result a
+/// killed process committed has its profile refolded from its stored
+/// recipe, so this covers the recipes a killed process left behind too.
 #[test]
 fn queued_fleet_over_a_layer_named_twice_matches_the_direct_study() {
     use dhub_dedupstore::PersistentDedupStore;
