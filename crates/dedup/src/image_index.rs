@@ -16,35 +16,61 @@ impl ImageIndex {
     /// Lists every image under the slots of its layers' files, in image
     /// order. Layers `files` did not index contribute nothing.
     pub fn build(images: &[ImageLayers], files: &FileIndex) -> ImageIndex {
-        // Two walks over the layers' slot lists, counting then filling.
-        // `last[s]` is one past the last image that listed slot `s`, so an
-        // image lists a content once however many of its layers hold it;
-        // images come in id order, so every slot's ids come out sorted.
-        let slots = files.entries().len();
-        let walk = |visit: &mut dyn FnMut(u32, u32)| {
-            let mut last = vec![0u32; slots];
-            for (id, img) in (1u32..).zip(images) {
-                let layers = img.layers.iter().filter_map(|ld| files.layer_at(ld));
-                for &s in layers.flat_map(|at| files.layer_slots(at)) {
-                    let seen = &mut last[s as usize];
-                    if *seen != id {
-                        *seen = id;
-                        visit(s, id - 1);
-                    }
+        // Each image's indexed layers, found once and each listed once, and
+        // how many images list each layer.
+        let (mut ats, mut ends) = (Vec::new(), Vec::with_capacity(images.len()));
+        let mut listed = vec![(0usize, 0u32); files.layer_count()];
+        for (id, img) in (1u32..).zip(images) {
+            for at in img.layers.iter().filter_map(|ld| files.layer_at(ld)) {
+                let (n, last) = &mut listed[at];
+                if *last != id {
+                    (*n, *last) = (*n + 1, id);
+                    ats.push(at);
                 }
             }
-        };
+            ends.push(ats.len());
+        }
+        // Room: one walk per distinct layer, each slot given a place for
+        // every image listing the layer — more than it needs when one image
+        // holds it in two layers.
+        let slots = files.entries().len();
         let mut starts = vec![0usize; slots + 1];
-        walk(&mut |s, _| starts[s as usize + 1] += 1);
+        for (at, &(n, _)) in listed.iter().enumerate().filter(|(_, (n, _))| *n > 0) {
+            for &s in files.layer_slots(at) {
+                starts[s as usize + 1] += n;
+            }
+        }
         for s in 1..starts.len() {
             starts[s] += starts[s - 1];
         }
-        let mut fill = starts.clone();
+        // Fill: one walk over the images in id order. `last[s]` is one past
+        // the last image that listed slot `s`, so an image lists a content
+        // once however many of its layers hold it, and ids come out sorted.
+        let (mut fill, mut last) = (starts[..slots].to_vec(), vec![0u32; slots]);
         let mut ids = vec![0u32; starts[slots]];
-        walk(&mut |s, id| {
-            ids[fill[s as usize]] = id;
-            fill[s as usize] += 1;
-        });
+        let mut from = 0;
+        for (id, &to) in (1u32..).zip(&ends) {
+            for &s in ats[from..to].iter().flat_map(|&at| files.layer_slots(at)) {
+                let s = s as usize;
+                if last[s] != id {
+                    last[s] = id;
+                    ids[fill[s]] = id - 1;
+                    fill[s] += 1;
+                }
+            }
+            from = to;
+        }
+        // Close the room left over: each slot's ids move down to follow
+        // the slot before's.
+        let mut end = 0;
+        for (s, &filled) in fill.iter().enumerate() {
+            let room = std::mem::replace(&mut starts[s], end);
+            ids.copy_within(room..filled, end);
+            end += filled - room;
+        }
+        starts[slots] = end;
+        ids.truncate(end);
+        ids.shrink_to_fit();
         ImageIndex { starts, ids }
     }
 

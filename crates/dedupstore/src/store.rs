@@ -19,6 +19,7 @@ use dhub_sync::RwLock;
 use dhub_tar::{encode_entry, encoded_len, EntryView, EntryViewKind, BLOCK_SIZE};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
+use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -307,22 +308,32 @@ impl DedupStore {
     /// original archive.
     ///
     /// One pass over the recipe sizes the tar exactly and notes where each
-    /// entry ends and where its payload lies; the tar is then one zeroed
-    /// allocation, and every entry is encoded at its offset straight from
-    /// the shared object, so each payload byte is copied once. From `PARALLEL_REBUILD_FLOOR` up,
-    /// contiguous byte-balanced runs of entries are encoded on every core.
+    /// entry ends and where its payload lies; the tar is then one
+    /// allocation nobody zeroes, and every entry is encoded at its offset
+    /// straight from the shared object, so each byte of the tar is written
+    /// once. From `PARALLEL_REBUILD_FLOOR` up, contiguous byte-balanced
+    /// runs of entries are encoded on every core.
     pub fn reconstruct_tar(&self, layer_digest: &Digest) -> Result<Vec<u8>, StoreError> {
         let recipe = self.recipes.read().get(layer_digest).cloned().ok_or(StoreError::UnknownLayer)?;
         let objects = self.objects.read();
         let (ends, payloads) = sized(&recipe, &objects)?;
         let body = ends.last().copied().unwrap_or(0);
-        let mut tar = vec![0u8; body + 2 * BLOCK_SIZE];
-        let out = &mut tar[..body];
+        let len = body + 2 * BLOCK_SIZE;
+        let mut tar = Vec::with_capacity(len);
+        let (out, trailer) = tar.spare_capacity_mut()[..len].split_at_mut(body);
         if body < PARALLEL_REBUILD_FLOOR {
             fill(&recipe, 0, &payloads, out);
         } else {
             fill_runs(&recipe, &ends, &payloads, out, dhub_par::default_threads());
         }
+        trailer.write_copy_of_slice(&[0; 2 * BLOCK_SIZE]);
+        // SAFETY: every byte of `[0, len)` is written. `fill` and
+        // `fill_runs` write all of `out`, `[0, body)`: the runs tile it
+        // (`fill_runs` asserts none is left over), each run's entries are
+        // encoded back to back, each writing every byte of the
+        // `encoded_len` it returns, and `fill` asserts they add up to the
+        // run. Every run has joined by now. The trailer is `[body, len)`.
+        unsafe { tar.set_len(len) };
         self.metrics.reconstructions.inc();
         Ok(tar)
     }
@@ -360,10 +371,10 @@ impl DedupStore {
 }
 
 /// Rebuilt tars at least this long are encoded on every core. Timed on two
-/// cores, spawning and joining the second thread costs ~30 µs, more than it
-/// saves on a tar under ~2 MiB; from 3 MiB the split is 0.79–0.86× the
-/// inline fill.
-const PARALLEL_REBUILD_FLOOR: usize = 3 << 20;
+/// cores with every byte written once, spawning and joining the second
+/// thread costs more than it saves on a tar under ~1 MiB; from 1.25 MiB the
+/// split is 0.70–0.84× the inline fill, and from 2 MiB 0.60–0.70×.
+const PARALLEL_REBUILD_FLOOR: usize = 2 << 20;
 
 /// A recipe row as the encoder takes it, a file's payload borrowed from the
 /// object store.
@@ -396,20 +407,21 @@ fn sized<'a>(recipe: &'a LayerRecipe, objects: &'a Objects) -> Result<(Vec<usize
 }
 
 /// Encodes rows `first..` of `recipe`, one per payload, back to back into
-/// `out`, which holds exactly their encoded length and is zeroed.
-fn fill(recipe: &LayerRecipe, first: usize, payloads: &[&[u8]], out: &mut [u8]) {
+/// `out`, which holds exactly their encoded length, and writes every byte
+/// of it: `out` may be uninitialized.
+fn fill(recipe: &LayerRecipe, first: usize, payloads: &[&[u8]], out: &mut [MaybeUninit<u8>]) {
     let mut at = 0;
     for (i, payload) in (first..).zip(payloads) {
         at += encode_entry(&entry_view(recipe.row(i), payload), &mut out[at..]);
     }
-    debug_assert_eq!(at, out.len());
+    assert_eq!(at, out.len(), "a run's entries fill it exactly");
 }
 
 /// [`fill`] as up to `runs` contiguous runs of about `out.len() / runs`
 /// bytes each, one per thread, the last on the caller's. `ends[i]` is where
 /// row `i` ends in `out`; a cut falls after the row that reaches each mark,
 /// and `out` is split at the same offsets.
-fn fill_runs(recipe: &LayerRecipe, ends: &[usize], payloads: &[&[u8]], out: &mut [u8], runs: usize) {
+fn fill_runs(recipe: &LayerRecipe, ends: &[usize], payloads: &[&[u8]], out: &mut [MaybeUninit<u8>], runs: usize) {
     let (total, n) = (out.len(), recipe.len());
     std::thread::scope(|s| {
         let (mut rest, mut first, mut at) = (out, 0, 0);
@@ -427,6 +439,7 @@ fn fill_runs(recipe: &LayerRecipe, ends: &[usize], payloads: &[&[u8]], out: &mut
             }
             (rest, first, at) = (tail, last, ends[last - 1]);
         }
+        assert!(rest.is_empty(), "the runs tile the tar");
     });
 }
 
@@ -508,9 +521,12 @@ mod tests {
         let (ends, payloads) = sized(&recipe, &objects).unwrap();
         let body = tar.len() - 2 * BLOCK_SIZE;
         for runs in [1, 2, 3, 5, 8, 64] {
-            let mut out = vec![0u8; body];
+            // Poisoned, not zeroed: a byte the encoder skips shows.
+            let mut out = vec![MaybeUninit::new(0xA5); body];
             fill_runs(&recipe, &ends, &payloads, &mut out, runs);
-            assert!(out == tar[..body], "{runs} runs");
+            // SAFETY: every byte was initialized to 0xA5, and the encoder
+            // writes only initialized bytes over it.
+            assert!(unsafe { out.assume_init_ref() } == &tar[..body], "{runs} runs");
         }
     }
 

@@ -10,9 +10,10 @@
 //! hold, GNU `K` long-link records for link targets over 100 bytes, and GNU
 //! base-256 for numbers too wide for their octal field.
 //!
-//! There is one encoder, [`encode_entry`]: it writes an entry into a
-//! zeroed slice sized by [`encoded_len`], with no allocation. [`Writer`]
-//! appends through it, and the dedup store rebuilds whole layers through it.
+//! There is one encoder, [`encode_entry`]: it writes every byte of an entry
+//! into a slice sized by [`encoded_len`], which may be uninitialized, with
+//! no allocation. [`Writer`] appends through it, and the dedup store
+//! rebuilds whole layers through it.
 
 mod header;
 mod reader;

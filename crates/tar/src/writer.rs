@@ -1,14 +1,16 @@
 //! The ustar encoder, and the in-memory archive writer built on it.
 //!
 //! [`encode_entry`] is the one place an entry becomes archive bytes. It
-//! writes into a slice the caller sized with [`encoded_len`] and zeroed, and
-//! allocates nothing: the header is filled in place, the payload is one
-//! copy, and the padding is the zeros already there. [`Writer`] appends
-//! through it, and so does the dedup store's layer rebuild, which places
-//! every entry of a layer in one exact-sized buffer.
+//! writes every one of the [`encoded_len`] bytes an entry takes — each
+//! header block in full, the payload, and the zero padding to the next
+//! block — into memory nobody has to zero first, and allocates nothing.
+//! [`Writer`] appends through it, and so does the dedup store's layer
+//! rebuild, which places every entry of a layer in one exact-sized,
+//! uninitialized buffer.
 
 use crate::header::{checksum, put_number, TarEntry, BLOCK_SIZE};
 use crate::view::{EntryView, EntryViewKind};
+use std::mem::MaybeUninit;
 
 /// ustar magic + version ("ustar\0" + "00").
 const USTAR_MAGIC: &[u8; 8] = b"ustar\x0000";
@@ -16,6 +18,9 @@ const USTAR_MAGIC: &[u8; 8] = b"ustar\x0000";
 /// Width of the name and link-target fields. Longer values travel in a GNU
 /// record (`L` for a path, `K` for a link target) ahead of the header.
 const NAME_FIELD: usize = 100;
+
+/// The bytes a header block starts from, and every padding run's source.
+static ZERO_BLOCK: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
 
 /// Bytes `entry` occupies in an archive: any GNU long-link and long-name
 /// records, its header, and its payload padded to whole blocks.
@@ -26,9 +31,11 @@ pub fn encoded_len(entry: &EntryView<'_>) -> usize {
     long_link + long_name + BLOCK_SIZE + entry.data().len().next_multiple_of(BLOCK_SIZE)
 }
 
-/// Encodes `entry` at the start of `out` and returns the bytes it used,
-/// [`encoded_len`] of them. Those bytes must be zero on entry.
-pub fn encode_entry(entry: &EntryView<'_>, out: &mut [u8]) -> usize {
+/// Encodes `entry` at the start of `out` and returns the bytes it wrote,
+/// [`encoded_len`] of them. Every byte of `out[..n]` is written, in order
+/// and each once, so `out` may be uninitialized; nothing past `n` is
+/// touched.
+pub fn encode_entry(entry: &EntryView<'_>, out: &mut [MaybeUninit<u8>]) -> usize {
     let mut at = 0;
     let link = link_target(entry);
     if link.len() > NAME_FIELD {
@@ -59,10 +66,17 @@ pub fn encode_entry(entry: &EntryView<'_>, out: &mut [u8]) -> usize {
         size: data.len() as u64,
         mtime: entry.mtime,
     };
-    header.encode(&mut out[at..]);
-    at += BLOCK_SIZE;
-    out[at..at + data.len()].copy_from_slice(data);
-    at + data.len().next_multiple_of(BLOCK_SIZE)
+    at += header.encode(&mut out[at..]);
+    at + put_padded(data, data.len().next_multiple_of(BLOCK_SIZE), &mut out[at..])
+}
+
+/// Writes `data` and then zeros up to `padded` bytes at the start of `out`,
+/// and returns `padded`.
+fn put_padded(data: &[u8], padded: usize, out: &mut [MaybeUninit<u8>]) -> usize {
+    let (payload, pad) = out[..padded].split_at_mut(data.len());
+    payload.write_copy_of_slice(data);
+    pad.write_copy_of_slice(&ZERO_BLOCK[..pad.len()]);
+    padded
 }
 
 /// The fields one header block carries.
@@ -79,9 +93,11 @@ struct Header<'a> {
 }
 
 impl Header<'_> {
-    /// Fills the zeroed block at the start of `out`, checksum last.
-    fn encode(&self, out: &mut [u8]) {
-        let h = out.first_chunk_mut::<BLOCK_SIZE>().expect("room for a header block");
+    /// Writes the whole block at the start of `out`, zeros first and the
+    /// checksum last, and returns its length.
+    fn encode(&self, out: &mut [MaybeUninit<u8>]) -> usize {
+        let h: &mut [u8; BLOCK_SIZE] =
+            out[..BLOCK_SIZE].write_copy_of_slice(&ZERO_BLOCK).try_into().expect("one block");
         h[..self.name.len()].copy_from_slice(self.name.as_bytes());
         put_number(&mut h[100..108], self.mode as u64);
         put_number(&mut h[108..116], self.uid as u64);
@@ -98,12 +114,13 @@ impl Header<'_> {
         let sum = checksum(h);
         put_number(&mut h[148..155], sum as u64);
         h[155] = b' ';
+        BLOCK_SIZE
     }
 }
 
 /// A GNU `L` (path) or `K` (link target) record: a header named
 /// `././@LongLink` whose payload is `value` and a NUL.
-fn encode_long_record(typeflag: u8, value: &str, out: &mut [u8]) -> usize {
+fn encode_long_record(typeflag: u8, value: &str, out: &mut [MaybeUninit<u8>]) -> usize {
     let size = value.len() + 1;
     let header = Header {
         name: "././@LongLink",
@@ -116,9 +133,9 @@ fn encode_long_record(typeflag: u8, value: &str, out: &mut [u8]) -> usize {
         size: size as u64,
         mtime: 0,
     };
-    header.encode(out);
-    out[BLOCK_SIZE..BLOCK_SIZE + value.len()].copy_from_slice(value.as_bytes());
-    long_record_len(value)
+    let at = header.encode(out);
+    // The NUL is the padding's first zero.
+    at + put_padded(value.as_bytes(), size.next_multiple_of(BLOCK_SIZE), &mut out[at..])
 }
 
 fn long_record_len(value: &str) -> usize {
@@ -177,9 +194,13 @@ impl Writer {
     /// header, payload).
     pub fn append(&mut self, entry: &TarEntry) {
         let entry = entry.view();
-        let at = self.out.len();
-        self.out.resize(at + encoded_len(&entry), 0);
-        encode_entry(&entry, &mut self.out[at..]);
+        let len = encoded_len(&entry);
+        self.out.reserve(len);
+        let wrote = encode_entry(&entry, &mut self.out.spare_capacity_mut()[..len]);
+        assert_eq!(wrote, len, "an entry writes its encoded length");
+        // SAFETY: `encode_entry` writes every byte of `out[..n]` for the
+        // `n` it returns; `n` is `len`, the spare bytes `reserve` made.
+        unsafe { self.out.set_len(self.out.len() + len) };
     }
 
     /// Bytes written so far (without the terminator).
@@ -194,7 +215,8 @@ impl Writer {
 
     /// Finishes the archive with two zero blocks and returns the bytes.
     pub fn finish(mut self) -> Vec<u8> {
-        self.out.resize(self.out.len() + 2 * BLOCK_SIZE, 0);
+        self.out.extend_from_slice(&ZERO_BLOCK);
+        self.out.extend_from_slice(&ZERO_BLOCK);
         self.out
     }
 }
@@ -242,6 +264,47 @@ mod tests {
         assert_eq!(w.len(), BLOCK_SIZE);
     }
 
+    /// A byte the encoder never writes on its own, so a byte it skipped
+    /// (or wrote past its length) shows.
+    const POISON: u8 = 0xA5;
+
+    /// Encodes `entries` back to back into a buffer poisoned with
+    /// [`POISON`] and one block longer than they need; returns its bytes.
+    fn encode_poisoned(entries: &[TarEntry]) -> Vec<u8> {
+        let body: usize = entries.iter().map(|e| encoded_len(&e.view())).sum();
+        let mut out = vec![MaybeUninit::new(POISON); body + BLOCK_SIZE];
+        let mut at = 0;
+        for e in entries {
+            let view = e.view();
+            assert_eq!(encode_entry(&view, &mut out[at..]), encoded_len(&view), "{}", e.path);
+            at += encoded_len(&view);
+        }
+        // SAFETY: every byte was initialized to POISON, and the encoder
+        // writes only initialized bytes over it.
+        unsafe { out.assume_init_ref() }.to_vec()
+    }
+
+    /// Every construct the encoder emits, at every length that changes its
+    /// padding: payloads of each residue mod 512, GNU `L` and `K` records
+    /// whose value (plus its NUL) ends just before, on and just after a
+    /// block boundary, prefix splits, empty files, dirs and links.
+    fn every_shape() -> Vec<TarEntry> {
+        let mut entries: Vec<TarEntry> =
+            (0..=2 * BLOCK_SIZE).map(|len| TarEntry::file(&format!("f/{len}"), vec![len as u8 | 1; len])).collect();
+        for len in [256, 510, 511, 512, 513, 1023, 1024] {
+            entries.push(TarEntry::file(&"n".repeat(len), vec![]));
+            entries.push(TarEntry::symlink(&format!("k/{len}"), &"t".repeat(len)));
+            entries.push(TarEntry::hardlink(&"h".repeat(len), &"u".repeat(len)));
+        }
+        entries.extend([
+            TarEntry::dir("d/"),
+            TarEntry::file(&format!("{}/leaf", "p".repeat(150)), b"split".to_vec()),
+            TarEntry::symlink("s", "target"),
+            TarEntry::file("empty", vec![]),
+        ]);
+        entries
+    }
+
     #[test]
     fn encoded_len_is_what_encode_entry_uses() {
         let entries = [
@@ -251,11 +314,20 @@ mod tests {
             TarEntry::hardlink(&format!("{}/n", "q".repeat(150)), "f"),
         ];
         for e in &entries {
-            let view = e.view();
-            let mut out = vec![0u8; encoded_len(&view) + BLOCK_SIZE];
-            assert_eq!(encode_entry(&view, &mut out), encoded_len(&view), "{}", e.path);
-            assert!(out[encoded_len(&view)..].iter().all(|&b| b == 0), "wrote past its length");
+            let bytes = encode_poisoned(std::slice::from_ref(e));
+            assert!(bytes[encoded_len(&e.view())..].iter().all(|&b| b == POISON), "wrote past its length");
         }
+    }
+
+    #[test]
+    fn encoder_writes_every_byte_it_accounts_for() {
+        let entries = every_shape();
+        let poisoned = encode_poisoned(&entries);
+        let archive = write_archive(&entries);
+        let body = archive.len() - 2 * BLOCK_SIZE;
+        assert!(poisoned[..body] == archive[..body], "a byte was left to the buffer");
+        assert!(poisoned[body..].iter().all(|&b| b == POISON), "wrote past its length");
+        assert_eq!(read_archive(&archive).unwrap(), entries);
     }
 
     #[test]

@@ -55,14 +55,20 @@ echo "figures gate: $(wc -l < "$REPORT_ONE")-line report byte-identical on one c
 rm -f "$REPORT_ONE" "$REPORT_ALL"
 
 # Rebuild gate: `DedupStore::reconstruct_tar` sizes each layer first and
-# encodes it into one zeroed buffer, inline below 3 MiB and split across
-# cores above. Its properties (byte-identical rebuilds on both sides of the
-# split, one allocation per rebuild) run pinned to one core, where
+# encodes it into one allocation nobody zeroes, every byte written once by
+# the encoder, inline below 2 MiB and split across cores above. Its
+# properties (byte-identical rebuilds on both sides of the split, one
+# allocation per rebuild) run pinned to one core, where
 # `available_parallelism()` is 1 and every layer is filled inline, and
-# unpinned, where the large ones are split.
-echo "==> rebuild gate: reconstruct_tar on one core and on all"
+# unpinned, where the large ones are split. Each runs a second time under
+# MALLOC_PERTURB_, where glibc hands out non-zero memory, so a byte the
+# rebuild leaves to the allocator fails byte equality instead of reading
+# as the zero it happened to be.
+echo "==> rebuild gate: reconstruct_tar on one core and on all, plain and on perturbed memory"
 taskset -c 0 cargo test -q --offline -p dhub-dedupstore --test rebuild
 cargo test -q --offline -p dhub-dedupstore --test rebuild
+MALLOC_PERTURB_=165 taskset -c 0 cargo test -q --offline -p dhub-dedupstore --test rebuild
+MALLOC_PERTURB_=165 cargo test -q --offline -p dhub-dedupstore --test rebuild
 
 # Replayability is part of the contract: each suite below re-runs in full
 # (every case of every property) with a pinned PROPTEST_SEED as its base
