@@ -24,7 +24,6 @@
 
 use dhub_digest::FxHashMap;
 use dhub_model::Digest;
-use std::ops::Range;
 
 /// Carving configuration.
 #[derive(Clone, Copy, Debug)]
@@ -96,11 +95,9 @@ impl Carving<'_> {
 /// The unique files of an image population grouped by signature: the
 /// part of carving every threshold shares.
 pub struct Carver<'s> {
-    /// Every signature's group — its images, its files' range of `files`
-    /// and its bytes — largest first, ties by image ids.
-    groups: Vec<(&'s [u32], Range<usize>, u64)>,
-    /// Every file, group after group.
-    files: Vec<Digest>,
+    /// Every signature's group — its images, files and bytes — largest
+    /// first, ties by image ids.
+    groups: Vec<(&'s [u32], Vec<Digest>, u64)>,
     images: usize,
     original_bytes: u64,
     perfect_bytes: u64,
@@ -110,53 +107,25 @@ impl<'s> Carver<'s> {
     /// Groups `files` — each unique file's digest, size and signature
     /// (sorted ids below `images` of the images holding it; never empty) —
     /// for a population whose original layering stores `original_bytes`.
-    /// A group's files keep the order they came in. Room is reserved for
-    /// the iterator's upper size bound, as many files as the image index
-    /// holds slots.
     pub fn new(
         files: impl IntoIterator<Item = (Digest, u64, &'s [u32])>,
         images: usize,
         original_bytes: u64,
     ) -> Carver<'s> {
-        let files = files.into_iter();
-        let room = files.size_hint().1.unwrap_or(0);
-        // One lookup per file: its group's number, and the group's file
-        // count and bytes.
-        let mut by_signature: FxHashMap<&[u32], u32> = FxHashMap::with_capacity_and_hasher(room, Default::default());
-        let (mut groups, mut member): (Vec<(&[u32], usize, u64)>, _) = (Vec::new(), Vec::with_capacity(room));
+        let mut groups: Vec<(&[u32], Vec<Digest>, u64)> = Vec::new();
+        let mut by_signature: FxHashMap<&[u32], usize> = FxHashMap::default();
         let mut perfect_bytes = 0u64;
         for (digest, size, signature) in files {
             perfect_bytes += size;
-            let g = *by_signature.entry(signature).or_insert_with(|| {
-                groups.push((signature, 0, 0));
-                groups.len() as u32 - 1
+            let at = *by_signature.entry(signature).or_insert_with(|| {
+                groups.push((signature, Vec::new(), 0));
+                groups.len() - 1
             });
-            groups[g as usize].1 += 1;
-            groups[g as usize].2 += size;
-            member.push((g, digest));
+            groups[at].1.push(digest);
+            groups[at].2 += size;
         }
-        // Order the groups, then lay the files out group after group.
-        let mut order: Vec<u32> = (0..groups.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let (a, b) = (&groups[a as usize], &groups[b as usize]);
-            b.2.cmp(&a.2).then_with(|| a.0.cmp(b.0))
-        });
-        let mut at = vec![0usize; groups.len()];
-        let mut end = 0;
-        let groups: Vec<(&[u32], Range<usize>, u64)> = (order.iter())
-            .map(|&g| {
-                let (signature, count, bytes) = groups[g as usize];
-                at[g as usize] = end;
-                end += count;
-                (signature, end - count..end, bytes)
-            })
-            .collect();
-        let mut files = vec![Digest([0; 32]); end];
-        for (g, digest) in member {
-            files[at[g as usize]] = digest;
-            at[g as usize] += 1;
-        }
-        Carver { groups, files, images, original_bytes, perfect_bytes }
+        groups.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(b.0)));
+        Carver { groups, images, original_bytes, perfect_bytes }
     }
 
     /// Carves at `cfg`'s threshold: groups below it fold into the residual
@@ -167,7 +136,6 @@ impl<'s> Carver<'s> {
         let mut layers_per_image = vec![0u32; self.images];
         let mut kept = Vec::new();
         for (images, files, bytes) in &self.groups {
-            let files = &self.files[files.clone()];
             if *bytes < cfg.min_group_bytes {
                 for &i in *images {
                     residual_bytes[i as usize] += bytes;

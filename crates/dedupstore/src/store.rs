@@ -330,9 +330,11 @@ impl DedupStore {
         // SAFETY: every byte of `[0, len)` is written. `fill` and
         // `fill_runs` write all of `out`, `[0, body)`: the runs tile it
         // (`fill_runs` asserts none is left over), each run's entries are
-        // encoded back to back, each writing every byte of the
-        // `encoded_len` it returns, and `fill` asserts they add up to the
-        // run. Every run has joined by now. The trailer is `[body, len)`.
+        // encoded back to back and `fill` asserts their lengths add up to
+        // the run. That each entry writes every byte of the `encoded_len`
+        // it returns is `encode_entry`'s contract, not checked here (its
+        // poisoned unit test and the perturbed rebuild gate pin it). Every
+        // run has joined by now. The trailer is `[body, len)`.
         unsafe { tar.set_len(len) };
         self.metrics.reconstructions.inc();
         Ok(tar)

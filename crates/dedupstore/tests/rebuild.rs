@@ -56,9 +56,9 @@ fn arb_small_entry() -> impl Strategy<Value = TarEntry> {
         .prop_map(|(path, kind, mode, uid, mtime)| TarEntry { path, kind, mode, uid, gid: uid / 3, mtime })
 }
 
-/// Small entries with `big` files of 1–1.5 MiB dropped in at random places.
+/// Small entries with `big` files of 1–2 MiB dropped in at random places.
 fn arb_layer(small: std::ops::Range<usize>, big: std::ops::Range<usize>) -> impl Strategy<Value = Vec<TarEntry>> {
-    let bigs = proptest::collection::vec((MIB..3 * MIB / 2, any::<u64>(), any::<u32>()), big);
+    let bigs = proptest::collection::vec((MIB..2 * MIB, any::<u64>(), any::<u32>()), big);
     (proptest::collection::vec(arb_small_entry(), small), bigs).prop_map(|(mut entries, bigs)| {
         for (i, (len, seed, at)) in bigs.into_iter().enumerate() {
             let file = TarEntry::file(&format!("big/{i}.bin"), content(len, seed));

@@ -34,7 +34,9 @@ pub fn encoded_len(entry: &EntryView<'_>) -> usize {
 /// Encodes `entry` at the start of `out` and returns the bytes it wrote,
 /// [`encoded_len`] of them. Every byte of `out[..n]` is written, in order
 /// and each once, so `out` may be uninitialized; nothing past `n` is
-/// touched.
+/// touched. Unsafe callers rely on this: the layer rebuild marks a buffer
+/// initialized once its entries are encoded, so an edit that skips a byte
+/// here exposes uninitialized memory.
 pub fn encode_entry(entry: &EntryView<'_>, out: &mut [MaybeUninit<u8>]) -> usize {
     let mut at = 0;
     let link = link_target(entry);
@@ -268,17 +270,12 @@ mod tests {
     /// (or wrote past its length) shows.
     const POISON: u8 = 0xA5;
 
-    /// Encodes `entries` back to back into a buffer poisoned with
-    /// [`POISON`] and one block longer than they need; returns its bytes.
-    fn encode_poisoned(entries: &[TarEntry]) -> Vec<u8> {
-        let body: usize = entries.iter().map(|e| encoded_len(&e.view())).sum();
-        let mut out = vec![MaybeUninit::new(POISON); body + BLOCK_SIZE];
-        let mut at = 0;
-        for e in entries {
-            let view = e.view();
-            assert_eq!(encode_entry(&view, &mut out[at..]), encoded_len(&view), "{}", e.path);
-            at += encoded_len(&view);
-        }
+    /// Encodes `entry` into a buffer poisoned with [`POISON`] and one block
+    /// longer than it needs; returns the buffer's bytes.
+    fn encode_poisoned(entry: &TarEntry) -> Vec<u8> {
+        let view = entry.view();
+        let mut out = vec![MaybeUninit::new(POISON); encoded_len(&view) + BLOCK_SIZE];
+        assert_eq!(encode_entry(&view, &mut out), encoded_len(&view), "{}", entry.path);
         // SAFETY: every byte was initialized to POISON, and the encoder
         // writes only initialized bytes over it.
         unsafe { out.assume_init_ref() }.to_vec()
@@ -300,34 +297,26 @@ mod tests {
             TarEntry::dir("d/"),
             TarEntry::file(&format!("{}/leaf", "p".repeat(150)), b"split".to_vec()),
             TarEntry::symlink("s", "target"),
+            TarEntry::symlink(&"p".repeat(300), &"t".repeat(150)),
+            TarEntry::hardlink(&format!("{}/n", "q".repeat(150)), "f"),
             TarEntry::file("empty", vec![]),
         ]);
         entries
     }
 
+    /// The encoder writes exactly the bytes it accounts for: into a
+    /// poisoned buffer it gives `write_archive`'s bytes (whose digest
+    /// `view.rs` pins), with nothing left to the buffer and nothing past.
     #[test]
     fn encoded_len_is_what_encode_entry_uses() {
-        let entries = [
-            TarEntry::file("f", vec![1; 513]),
-            TarEntry::dir("d/"),
-            TarEntry::symlink(&"p".repeat(300), &"t".repeat(150)),
-            TarEntry::hardlink(&format!("{}/n", "q".repeat(150)), "f"),
-        ];
-        for e in &entries {
-            let bytes = encode_poisoned(std::slice::from_ref(e));
-            assert!(bytes[encoded_len(&e.view())..].iter().all(|&b| b == POISON), "wrote past its length");
-        }
-    }
-
-    #[test]
-    fn encoder_writes_every_byte_it_accounts_for() {
         let entries = every_shape();
-        let poisoned = encode_poisoned(&entries);
-        let archive = write_archive(&entries);
-        let body = archive.len() - 2 * BLOCK_SIZE;
-        assert!(poisoned[..body] == archive[..body], "a byte was left to the buffer");
-        assert!(poisoned[body..].iter().all(|&b| b == POISON), "wrote past its length");
-        assert_eq!(read_archive(&archive).unwrap(), entries);
+        for e in &entries {
+            let (poisoned, archive) = (encode_poisoned(e), write_archive(std::slice::from_ref(e)));
+            let len = encoded_len(&e.view());
+            assert!(poisoned[..len] == archive[..len], "{}: a byte was left to the buffer", e.path);
+            assert!(poisoned[len..].iter().all(|&b| b == POISON), "{}: wrote past its length", e.path);
+        }
+        assert_eq!(read_archive(&write_archive(&entries)).unwrap(), entries);
     }
 
     #[test]
