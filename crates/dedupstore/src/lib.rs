@@ -21,7 +21,8 @@
 //!   crash-safe on-disk layout (one self-contained file per layer, with
 //!   its small objects inline, plus one file per large object), so ingest
 //!   output survives the process and can be reopened and resumed, with
-//!   crash orphans swept on the way out.
+//!   crash orphans swept on the way out and the small objects then moved
+//!   into one pack, each stored once.
 
 pub mod fused;
 pub mod persistent;

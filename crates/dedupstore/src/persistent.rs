@@ -8,14 +8,18 @@
 //! layers/ab/<hex>         one self-contained file per ingested layer
 //! objects/ab/<hex>        content-addressed file objects over 4 KiB
 //!                         (dhub-persist BlobStore)
+//! packs/small             every live object of at most 4 KiB, once, in
+//!                         digest order (written by `gc`)
 //! ```
 //!
 //! A **layer file** is one `dhub-persist` table (`DHTB` v3): a row per tar
 //! entry in archive order — path, kind, mode, uid, gid, mtime, size,
 //! sha256, class (a file's [`FileKind::ALL`] index, else 0) and link
-//! target, the per-file schema of a layer — plus a bytes column that holds
-//! the content of every regular file of at most [`INLINE_MAX`] bytes on
-//! that content's first row in the layer (empty elsewhere). Its metadata
+//! target, the per-file schema of a layer — plus a bytes column that, as a
+//! commit writes it, holds the content of every regular file of at most
+//! [`INLINE_MAX`] bytes on that content's first row in the layer (empty
+//! elsewhere), and once `gc` has packed those contents is empty on every
+//! row. Its metadata
 //! carries the layer format (3, the schema; the table codec under it is
 //! versioned on its own) and the layer's compressed length, and its
 //! trailing CRC covers every byte of the file.
@@ -29,6 +33,11 @@
 //! A durable study thus writes one file per layer and one per large
 //! object, not one per object.
 //!
+//! The **pack** is one table too: a `sha256` and a `content` row per live
+//! object of at most [`INLINE_MAX`] bytes, sorted by digest, each object
+//! once. It is a function of the live set alone, so a compacted dir is as
+//! byte-identical at any worker count as the layer files are.
+//!
 //! **Write ordering** makes every crash recoverable without a journal: a
 //! layer commit publishes (1) any new objects over [`INLINE_MAX`], then
 //! (2) the layer file, then (3) updates the in-memory store. Each publish
@@ -36,26 +45,35 @@
 //! leaves either orphan objects with no layer — garbage, collected by
 //! [`PersistentDedupStore::gc`] with any temp debris — or a complete layer
 //! file whose large objects are all already durable. A layer can never
-//! reference bytes that were not published first.
+//! reference bytes that were not published first. (4) `gc` ends by
+//! compacting: it publishes the pack over any earlier one, then each layer
+//! file that still carries inline content again with its `content` column
+//! emptied. Layers are never removed, so every pack holds every small
+//! object any earlier pack or layer file did, and it lands before any
+//! layer file gives up its copies: a kill at any step reopens, and the
+//! next `gc` converges to the same bytes.
 //!
 //! **Reopen** replays the layer files (sorted by path, so deterministic)
 //! in three steps: (1) per layer file, in parallel, one read, both CRC
 //! tiers and one validating walk over its rows — the loaded columns *are*
 //! the layer's recipe, and its inline objects stay slices of the buffer the
-//! file was read into; (2) one sequential pass in layer order gives every
-//! distinct object a slot in first-seen order (its first inline copy, else
-//! its object file) and sums the stats off the `size` column; (3) each
+//! file was read into — with the pack read and checked beside them;
+//! (2) one sequential pass in layer order gives every distinct object a
+//! slot in first-seen order (its pack row when there is a pack, else its
+//! first inline copy, else its object file) and sums the stats off the
+//! `size` column; (3) each
 //! object is digest-verified exactly once, in parallel, and counted as one
-//! object read, inline or not — a large one is read from its object file,
-//! and every file row's size must equal its object's length. What stays
-//! resident is each layer file's buffer (its recipe's string and digest
-//! columns and its inline objects point into it), the recipe's integer
-//! columns, each large object's file bytes, and one slot per object: a few
-//! buffers per layer, however many rows it has. Every aggregate the store
+//! object read, inline, packed or not — a large one is read from its
+//! object file, and every file row's size must equal its object's length.
+//! What stays resident is each layer file's buffer (its recipe's string
+//! and digest columns and any inline objects point into it), the pack's
+//! buffer, the recipe's integer columns, each large object's file bytes,
+//! and one slot per object: a few buffers per layer, however many rows it
+//! has, and after a `gc` each small object once. Every aggregate the store
 //! reports is an order-independent sum, so a reloaded store's stats —
 //! including the float `dedup_factor()` — are bit-identical to the
-//! single-process run that wrote it, at any thread count. Layers and
-//! objects are the only state on disk: nothing derived from them is
+//! single-process run that wrote it, at any thread count. Layers, objects
+//! and the pack are the only state on disk: nothing derived from them is
 //! stored, so there is nothing to go stale.
 
 use crate::recipe::{LayerRecipe, DIR, FILE, HARDLINK, SYMLINK};
@@ -67,6 +85,7 @@ use dhub_persist::{
     digest_from_hex, fsync_dir, hex_of, BlobStore, BytesColumn, ColType, Column, GcStats,
     PersistError, Publisher, Schema, Table,
 };
+use dhub_sync::Mutex;
 use std::collections::hash_map::Entry;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -94,15 +113,22 @@ fn layer_schema() -> Schema {
 }
 
 /// One layer as read back from disk: its recipe, and the `content` column
-/// that carries its inline objects.
+/// that carries its inline objects (none once `gc` has packed them).
 struct StoredLayer {
     recipe: LayerRecipe,
     content: BytesColumn,
 }
 
-/// The layer file of `recipe` as a table: its columns, moved in, plus each
-/// small file's content inline on the first row that names it.
-fn layer_table(recipe: LayerRecipe, files: &[(Digest, &[u8])]) -> Table {
+impl StoredLayer {
+    /// True while the file carries inline content: until `gc` strips it.
+    fn carries_content(&self) -> bool {
+        self.content.iter().any(|c| !c.is_empty())
+    }
+}
+
+/// A commit's `content` column for `recipe`: each small file's content
+/// inline on the first row that names it, every other row empty.
+fn inline_content(recipe: &LayerRecipe, files: &[(Digest, &[u8])]) -> BytesColumn {
     let small: usize = files.iter().map(|(_, data)| data.len()).filter(|&n| n <= INLINE_MAX).sum();
     let mut content = BytesColumn::with_capacity(recipe.len(), small);
     let mut inlined = FxHashSet::default();
@@ -121,6 +147,20 @@ fn layer_table(recipe: LayerRecipe, files: &[(Digest, &[u8])]) -> Table {
         };
         content.push(body);
     }
+    content
+}
+
+/// The `content` column of a layer file `gc` has stripped: empty on all
+/// `rows`.
+fn empty_content(rows: usize) -> BytesColumn {
+    let mut content = BytesColumn::with_capacity(rows, 0);
+    (0..rows).for_each(|_| content.push(&[]));
+    content
+}
+
+/// The layer file of `recipe` as a table: its columns, moved in, then
+/// `content`.
+fn layer_table(recipe: LayerRecipe, content: BytesColumn) -> Table {
     let LayerRecipe {
         layer_digest: _,
         blob_len,
@@ -200,13 +240,15 @@ fn split_layer_table(layer_digest: Digest, table: Table) -> Option<StoredLayer> 
 }
 
 /// Reads a layer file's bytes back; `None` unless they are exactly what
-/// [`layer_table`] writes for some layer: valid CRCs, the layer schema and
-/// metadata, and every row's fields consistent with its kind — a file's
-/// class a [`FileKind`] (else 0), its content inline on its first row in
-/// the layer when it is small, and nowhere else. Nothing is copied out of
+/// a commit or `gc` writes for some layer: valid CRCs, the layer schema
+/// and metadata, and every row's fields consistent with its kind — a
+/// file's class a [`FileKind`] (else 0), and its content either inline on
+/// its first row in the layer when it is small and nowhere else, or (once
+/// stripped) on no row of the file at all. Nothing is copied out of
 /// `data`: the recipe's columns and the inline contents point into it.
 fn decode_layer(layer_digest: Digest, data: Vec<u8>) -> Option<StoredLayer> {
     let layer = split_layer_table(layer_digest, Table::from_bytes(data)?)?;
+    let stripped = !layer.carries_content();
     let (r, content) = (&layer.recipe, &layer.content);
     let mut inlined = FxHashSet::default();
     let wide = |v: u64| v > u64::from(u32::MAX);
@@ -217,7 +259,7 @@ fn decode_layer(layer_digest: Digest, data: Vec<u8>) -> Option<StoredLayer> {
         let sound = match r.kind[i] {
             FILE if target.is_empty() && class < FileKind::COUNT as u64 => {
                 let d = Digest(sha256.try_into().ok()?);
-                if size <= INLINE_MAX as u64 && inlined.insert(d) {
+                if !stripped && size <= INLINE_MAX as u64 && inlined.insert(d) {
                     content.len() as u64 == size
                 } else {
                     content.is_empty()
@@ -233,6 +275,63 @@ fn decode_layer(layer_digest: Digest, data: Vec<u8>) -> Option<StoredLayer> {
     }
     Some(layer)
 }
+
+/// The pack's format version: its schema, not the table codec's version.
+const PACK_FORMAT: u64 = 1;
+
+/// The pack's columns, in order.
+fn pack_schema() -> Schema {
+    Schema::new(&[("sha256", ColType::Bytes), ("content", ColType::Bytes)])
+}
+
+/// The pack as read back: every small object's digest, in ascending order,
+/// and its content on the same row.
+struct Pack {
+    sha256: BytesColumn,
+    content: BytesColumn,
+}
+
+impl Pack {
+    /// The pack table of `objects`, which come sorted by digest.
+    fn table(objects: &[(Digest, &[u8])]) -> Table {
+        let bytes = objects.iter().map(|(_, data)| data.len()).sum();
+        let mut sha256 = BytesColumn::with_capacity(objects.len(), 32 * objects.len());
+        let mut content = BytesColumn::with_capacity(objects.len(), bytes);
+        for (d, data) in objects {
+            sha256.push(&d.0);
+            content.push(data);
+        }
+        Table::from_columns(pack_schema(), vec![Column::Bytes(sha256), Column::Bytes(content)])
+            .expect("columns built to the pack schema")
+            .with_meta("format", PACK_FORMAT)
+    }
+
+    /// Reads pack bytes back; `None` unless they are what [`Pack::table`]
+    /// writes for some objects: valid CRCs, the pack schema and metadata,
+    /// 32-byte digests in strictly ascending order, and no content over
+    /// [`INLINE_MAX`]. Whether each content matches its digest is left to
+    /// the reopen, which verifies the objects it takes from here.
+    fn decode(data: Vec<u8>) -> Option<Pack> {
+        let table = Table::from_bytes(data)?;
+        let tagged = matches!(table.meta(), [(key, PACK_FORMAT)] if key == "format");
+        if !tagged || table.schema() != &pack_schema() {
+            return None;
+        }
+        let [Column::Bytes(sha256), Column::Bytes(content)] =
+            <[Column; 2]>::try_from(table.into_columns()).ok()?
+        else {
+            return None;
+        };
+        let digests = sha256.iter().all(|d| d.len() == 32);
+        let ascending = sha256.iter().zip(sha256.iter().skip(1)).all(|(a, b)| a < b);
+        let small = content.iter().all(|c| c.len() <= INLINE_MAX);
+        (digests && ascending && small).then_some(Pack { sha256, content })
+    }
+}
+
+/// The `buf` of a slot [`PersistentDedupStore::replay_with`] took from the
+/// pack but has not yet met on a layer's row.
+const UNSEEN: usize = usize::MAX;
 
 /// Errors from the persistent store: either a logical store error (same
 /// domain as the in-memory store) or a durability-tier failure.
@@ -270,6 +369,11 @@ pub struct PersistentDedupStore {
     mem: DedupStore,
     objects: BlobStore,
     layers_dir: PathBuf,
+    /// `packs/small`: where `gc` publishes the pack.
+    pack_path: PathBuf,
+    /// The layers whose file on disk still carries inline content: what
+    /// the next `gc` strips.
+    carrying: Mutex<Vec<Digest>>,
     publisher: Publisher,
 }
 
@@ -310,7 +414,9 @@ impl PersistentDedupStore {
             }
             None => DedupStore::new(),
         };
-        let store = PersistentDedupStore { mem, objects, layers_dir, publisher };
+        let pack_path = root.join("packs").join("small");
+        let carrying = Mutex::default();
+        let store = PersistentDedupStore { mem, objects, layers_dir, pack_path, carrying, publisher };
         store.replay_with(threads)?;
         Ok(store)
     }
@@ -369,27 +475,59 @@ impl PersistentDedupStore {
         decode_layer(digest, data).ok_or_else(|| PersistError::Torn(path.to_path_buf()))
     }
 
+    /// Reads the pack; `None` when no `gc` has written one yet, and
+    /// [`PersistError::Torn`] when its bytes are not a pack.
+    fn read_pack(&self) -> Result<Option<Pack>, PersistError> {
+        let data = match std::fs::read(&self.pack_path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            read => read?,
+        };
+        Pack::decode(data).map(Some).ok_or_else(|| PersistError::Torn(self.pack_path.clone()))
+    }
+
     /// Replays every layer on disk into memory: reopen, in the three steps
     /// of the module docs over the sorted layer list. Steps 1 and 3 run on
     /// `threads` workers but hand their results back in input order, and
     /// each step is checked front to back before the next starts, so the
     /// damaged file an error names never depends on thread timing: the
-    /// first torn layer file in path order, else the first bad object in
-    /// first-seen order, inline or not.
+    /// first torn layer file in path order, else a torn pack, else the
+    /// first bad object in first-seen order, inline, packed or not.
     fn replay_with(&self, threads: usize) -> Result<(), PersistentError> {
-        // (1) Read every layer file, check its CRCs and walk its rows.
+        // (1) Read every layer file, check its CRCs and walk its rows, and
+        // read and check the pack beside them: it is item 0, the largest
+        // file, claimed first.
         let files = self.layer_files()?;
-        let read =
-            dhub_par::par_map(threads, &files, |(path, digest)| Self::read_layer(path, *digest));
-        let layers = read.into_iter().collect::<Result<Vec<_>, PersistError>>()?;
+        let pack = Mutex::new(None);
+        let read = dhub_par::par_map_range(threads, 0..files.len() + 1, |i| match i {
+            0 => {
+                *pack.lock() = Some(self.read_pack());
+                None
+            }
+            i => Some(Self::read_layer(&files[i - 1].0, files[i - 1].1)),
+        });
+        let layers = read.into_iter().flatten().collect::<Result<Vec<_>, PersistError>>()?;
+        let pack = pack.into_inner().expect("item 0 reads the pack")?;
 
-        // (2) A slot per distinct object in first-seen order: its first
-        // inline copy when a layer file carries one, otherwise its object
-        // file, whose buffer step 3 reads into place. A repeat must name
-        // the size the first row did.
+        // (2) A slot per distinct object in first-seen order: its pack row
+        // when there is a pack, else its first inline copy when a layer
+        // file carries one, otherwise its object file, whose buffer step 3
+        // reads into place. The pack's rows are laid out first, in pack
+        // order, each `UNSEEN` until a layer names it; one no layer names
+        // is dropped. A repeat must name the size the first row did, and a
+        // first sighting the size of its pack row.
         let mut objects = Objects::default();
         let Objects { slots, bufs } = &mut objects;
+        let mut unseen = 0;
+        if let Some(Pack { sha256, content }) = &pack {
+            slots.reserve(sha256.len());
+            for (row, d) in sha256.iter().enumerate() {
+                let d = Digest(d.try_into().expect("a pack's digests are 32 bytes"));
+                slots.insert(d, Slot { buf: UNSEEN, at: content.shared(row).1 });
+            }
+            unseen = sha256.len();
+        }
         let unread = Arc::new(Vec::new());
+        let mut pack_buf = None;
         // With each: where its bytes lie, and for an object file, the layer
         // that first names it.
         let mut first_seen: Vec<(Digest, Slot, Option<usize>)> = Vec::new();
@@ -402,15 +540,25 @@ impl PersistentDedupStore {
                 }
                 logical += size;
                 match slots.entry(recipe.digest(i)) {
-                    Entry::Occupied(slot) => {
+                    Entry::Occupied(mut slot) => {
                         if slot.get().at.len() as u64 != size {
                             return Err(PersistError::Torn(files[at].0.clone()).into());
+                        }
+                        if slot.get().buf == UNSEEN {
+                            let packed = pack.as_ref().expect("only the pack's slots are unseen");
+                            slot.get_mut().buf = *pack_buf.get_or_insert_with(|| {
+                                bufs.push(Arc::clone(packed.content.shared(0).0));
+                                bufs.len() - 1
+                            });
+                            unseen -= 1;
+                            physical += size;
+                            first_seen.push((*slot.key(), slot.get().clone(), None));
                         }
                     }
                     Entry::Vacant(vacant) => {
                         physical += size;
-                        let (slot, file_of) = if size <= INLINE_MAX as u64 {
-                            let (file, range) = content.shared(i);
+                        let (file, range) = content.shared(i);
+                        let (slot, file_of) = if range.len() as u64 == size {
                             let buf = *file_buf.get_or_insert_with(|| {
                                 bufs.push(Arc::clone(file));
                                 bufs.len() - 1
@@ -425,6 +573,9 @@ impl PersistentDedupStore {
                     }
                 }
             }
+        }
+        if unseen > 0 {
+            slots.retain(|_, slot| slot.buf != UNSEEN);
         }
 
         // (3) Each object digest-verified once, so torn or flipped bytes
@@ -446,6 +597,10 @@ impl PersistentDedupStore {
                 objects.bufs[buf] = data;
             }
         }
+        *self.carrying.lock() = (layers.iter())
+            .filter(|layer| layer.carries_content())
+            .map(|layer| layer.recipe.layer_digest)
+            .collect();
         let recipes = layers.into_iter().map(|layer| layer.recipe);
         self.mem.restore(recipes, objects, physical, logical);
         Ok(())
@@ -477,8 +632,13 @@ impl PersistentDedupStore {
             // The fanout directory itself is a fresh entry in `layers/`.
             fsync_dir(&self.layers_dir).map_err(PersistError::from)?;
         }
-        let table = layer_table(recipe, &files);
+        let content = inline_content(&recipe, &files);
+        let carries = content.iter().any(|c| !c.is_empty());
+        let table = layer_table(recipe, content);
         self.publisher.publish(&path, &table.to_bytes())?;
+        if carries {
+            self.carrying.lock().push(layer_digest);
+        }
         let recipe = split_layer_table(layer_digest, table).expect("the table just built").recipe;
         Ok(self.mem.commit_parsed(ParsedLayer { recipe, files })?)
     }
@@ -489,12 +649,13 @@ impl PersistentDedupStore {
         Ok(())
     }
 
-    /// Garbage-collects objects no recipe references (crash orphans) and
-    /// sweeps in-flight temp debris under `objects/` and `layers/`. Must
-    /// not overlap a layer commit: a commit's objects land before the layer
-    /// file that makes them live, so a sweep in between would collect
-    /// them. (Against a bare object publish the sweep is safe — both hold
-    /// that fanout shard's lock.)
+    /// Garbage-collects objects no recipe references (crash orphans),
+    /// sweeps in-flight temp debris under `objects/`, `layers/` and
+    /// `packs/`, then compacts: stores each small object once (see the
+    /// module docs). Must not overlap a layer commit: a commit's objects
+    /// land before the layer file that makes them live, so a sweep in
+    /// between would collect them. (Against a bare object publish the sweep
+    /// is safe — both hold that fanout shard's lock.)
     pub fn gc(&self) -> Result<GcStats, PersistentError> {
         let mut live: FxHashSet<Digest> = FxHashSet::default();
         for d in self.mem.layer_digests() {
@@ -503,19 +664,70 @@ impl PersistentDedupStore {
             }
         }
         let mut stats = self.objects.gc(&live)?;
-        stats.tmp_files += self.sweep_layer_debris().map_err(PersistError::from)?;
+        stats.tmp_files += self.sweep_debris().map_err(PersistError::from)?;
+        self.compact()?;
         Ok(stats)
     }
 
-    /// Deletes the `*.tmp` debris of layer files whose publish crashed.
-    fn sweep_layer_debris(&self) -> std::io::Result<u64> {
-        let mut swept = 0;
+    /// Publishes the pack of every small object the store holds, then
+    /// every layer file that still carries inline content with its
+    /// `content` column emptied. On every core: first the pack is built
+    /// and published (item 0) while the stripped files are encoded, then
+    /// those are published in path order, in one batch per core.
+    fn compact(&self) -> Result<(), PersistentError> {
+        let mut carrying = std::mem::take(&mut *self.carrying.lock());
+        carrying.sort_unstable();
+        carrying.dedup();
+        let threads = dhub_par::default_threads();
+        let mut encoded = dhub_par::par_map_range(threads, 0..carrying.len() + 1, |i| match i {
+            0 => self.publish_pack().map(|()| Vec::new()),
+            i => Ok(self.stripped_layer(&carrying[i - 1])),
+        })
+        .into_iter();
+        let published = encoded.next().expect("item 0 is the pack").and_then(|_| {
+            let stripped = encoded.collect::<Result<Vec<_>, PersistError>>()?;
+            let batch: Vec<(PathBuf, &[u8])> =
+                carrying.iter().map(|d| self.layer_path(d)).zip(stripped.iter().map(Vec::as_slice)).collect();
+            let per_core: Vec<_> = batch.chunks(batch.len().div_ceil(threads).max(1)).collect();
+            let published = dhub_par::par_map(threads, &per_core, |batch| self.publisher.publish_batch(batch));
+            published.into_iter().collect()
+        });
+        if published.is_err() {
+            // A later `gc` strips them: the rewrite is idempotent.
+            self.carrying.lock().extend(carrying);
+        }
+        Ok(published?)
+    }
+
+    /// Publishes the pack of every small object the store holds over any
+    /// earlier one.
+    fn publish_pack(&self) -> Result<(), PersistError> {
+        let pack = self.mem.with_small_objects(|small| Pack::table(small).to_bytes());
+        let packs_dir = self.pack_path.parent().expect("the pack lies in packs/");
+        if !packs_dir.exists() {
+            std::fs::create_dir_all(packs_dir)?;
+            // `packs/` itself is a fresh entry in the store root.
+            fsync_dir(packs_dir.parent().expect("packs/ lies in the store root"))?;
+        }
+        self.publisher.publish(&self.pack_path, &pack)
+    }
+
+    /// The bytes of `layer`'s file with its `content` column emptied.
+    fn stripped_layer(&self, layer: &Digest) -> Vec<u8> {
+        let recipe = self.mem.recipe(layer).expect("a committed layer has a recipe");
+        layer_table(LayerRecipe::clone(&recipe), empty_content(recipe.len())).to_bytes()
+    }
+
+    /// Deletes the `*.tmp` debris of layer files and packs whose publish
+    /// crashed.
+    fn sweep_debris(&self) -> std::io::Result<u64> {
+        let mut dirs = vec![self.pack_path.parent().expect("the pack lies in packs/").to_path_buf()];
         for shard in std::fs::read_dir(&self.layers_dir)? {
-            let shard = shard?.path();
-            if !shard.is_dir() {
-                continue;
-            }
-            for f in std::fs::read_dir(&shard)? {
+            dirs.push(shard?.path());
+        }
+        let mut swept = 0;
+        for dir in dirs.iter().filter(|dir| dir.is_dir()) {
+            for f in std::fs::read_dir(dir)? {
                 let path = f?.path();
                 if path.extension().is_some_and(|e| e == "tmp") {
                     std::fs::remove_file(&path)?;
@@ -1021,6 +1233,57 @@ mod tests {
         }
         std::fs::write(&path, &sound).unwrap();
         assert!(PersistentDedupStore::open(&root, Publisher::new()).is_ok());
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// After `gc` the small objects live in the pack alone: a damaged pack
+    /// is torn, a missing one leaves a small object missing, and a layer
+    /// file still carrying its copies (a compaction cut short) reopens,
+    /// taking them from the pack, until the next `gc` strips it.
+    #[test]
+    fn a_compacted_store_reads_its_small_objects_from_the_pack() {
+        let (root, reference) = populated("pack");
+        let store = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
+        let first = *store.carrying.lock().first().expect("the sample inlines small objects");
+        let carrier = store.layer_path(&first);
+        let uncompacted = std::fs::read(&carrier).unwrap();
+        store.gc().unwrap();
+        assert!(store.carrying.lock().is_empty());
+        drop(store);
+        assert!(!PersistentDedupStore::read_layer(&carrier, first).unwrap().carries_content());
+        let pack_path = root.join("packs").join("small");
+        let pack = std::fs::read(&pack_path).unwrap();
+
+        let reg = MetricsRegistry::new();
+        let reopened = PersistentDedupStore::open_obs(&root, Publisher::new(), Some(&reg)).unwrap();
+        let stats = reopened.mem().stats();
+        assert_eq!(stats, reference.stats());
+        assert!(reopened.carrying.lock().is_empty(), "every layer file was stripped");
+        assert_eq!(reg.counter_value("dhub_persist_reads_total"), stats.unique_objects as u64);
+        assert_eq!(reg.counter_value("dhub_persist_read_bytes_total"), stats.physical_bytes);
+        drop(reopened);
+
+        flip_byte(&pack_path, pack.len() / 2);
+        match PersistentDedupStore::open(&root, Publisher::new()).err() {
+            Some(PersistentError::Persist(PersistError::Torn(p))) => assert_eq!(p, pack_path),
+            other => panic!("expected a torn pack, got {other:?}"),
+        }
+        std::fs::remove_file(&pack_path).unwrap();
+        match PersistentDedupStore::open(&root, Publisher::new()).err() {
+            Some(PersistentError::Store(StoreError::MissingObject(d))) => assert!(reference.has_object(&d)),
+            other => panic!("expected a missing object, got {other:?}"),
+        }
+
+        std::fs::write(&pack_path, &pack).unwrap();
+        std::fs::write(&carrier, &uncompacted).unwrap();
+        let reopened = PersistentDedupStore::open(&root, Publisher::new()).unwrap();
+        assert_eq!(reopened.mem().stats(), reference.stats());
+        assert_eq!(*reopened.carrying.lock(), vec![first]);
+        reopened.gc().unwrap();
+        assert!(!PersistentDedupStore::read_layer(&carrier, first).unwrap().carries_content());
+        for (d, _) in &many_layers() {
+            assert_eq!(reopened.mem().reconstruct_tar(d).unwrap(), reference.reconstruct_tar(d).unwrap());
+        }
         let _ = std::fs::remove_dir_all(root);
     }
 

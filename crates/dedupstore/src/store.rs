@@ -5,8 +5,8 @@
 //! as they do in a durable store's files: a commit copies the layer's new
 //! objects of at most [`INLINE_MAX`] bytes into one buffer for the layer
 //! and each larger one into a buffer of its own, and a reopened store keeps
-//! each small object where its layer file was read and each large one in
-//! its object file's bytes. Recipes are [`LayerRecipe`]s in column form. So
+//! each small object where its layer file or the pack was read and each
+//! large one in its object file's bytes. Recipes are [`LayerRecipe`]s in column form. So
 //! a store holds a few buffers per layer plus one per large object, however
 //! many rows and small objects it has, and dropping it frees those.
 
@@ -345,6 +345,18 @@ impl DedupStore {
         self.recipes.read().get(layer_digest).cloned()
     }
 
+    /// Calls `f` with every object of at most [`INLINE_MAX`] bytes and its
+    /// bytes, sorted by digest: the rows of a durable store's pack.
+    pub(crate) fn with_small_objects<R>(&self, f: impl FnOnce(&[(Digest, &[u8])]) -> R) -> R {
+        let objects = self.objects.read();
+        let mut small: Vec<(Digest, &[u8])> = (objects.slots.iter())
+            .filter(|(_, slot)| slot.at.len() <= INLINE_MAX)
+            .map(|(d, slot)| (*d, &objects.bufs[slot.buf][slot.at.clone()]))
+            .collect();
+        small.sort_unstable_by_key(|(d, _)| *d);
+        f(&small)
+    }
+
     /// True when the object store already holds this content digest (the
     /// persistent tier uses this to skip redundant disk writes).
     pub fn has_object(&self, digest: &Digest) -> bool {
@@ -610,13 +622,14 @@ mod tests {
         let mut total_dedup = 0u64;
         for seed in 0..24u64 {
             let l = build_app_layer(&pool, 0xDE0 + seed);
-            match store.ingest_layer(l.digest, &l.blob) {
+            let digest = Digest::of(&l.blob);
+            match store.ingest_layer(digest, &l.blob) {
                 Ok(s) => total_dedup += s.bytes_deduped,
                 Err(StoreError::AlreadyIngested) => continue, // seed collision: same blob
                 Err(e) => panic!("{e}"),
             }
             // Layers built by our own tooling round-trip to the same blob.
-            let rebuilt_tar = store.reconstruct_tar(&l.digest).unwrap();
+            let rebuilt_tar = store.reconstruct_tar(&digest).unwrap();
             assert_eq!(gzip_compress(&rebuilt_tar, &CompressOptions::fast()), l.blob);
         }
         assert!(total_dedup > 0, "synthetic layers share prototypes");

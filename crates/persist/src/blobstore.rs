@@ -206,8 +206,8 @@ impl BlobStore {
     }
 
     /// Digest-verifies an object's bytes that were kept somewhere other
-    /// than this store's own files (the dedup store's layer files carry
-    /// their small objects inline), counted as one object read exactly as
+    /// than this store's own files (the dedup store's layer files and pack
+    /// carry its small objects), counted as one object read exactly as
     /// [`BlobStore::get`] counts one: [`PersistError::Corrupt`] when the
     /// bytes do not hash to `digest`.
     pub fn verify(&self, digest: &Digest, data: &[u8]) -> Result<(), PersistError> {

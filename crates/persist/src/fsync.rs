@@ -252,7 +252,6 @@ mod tests {
     #[test]
     fn faulted_publisher_retries_to_success() {
         let dir = tmp_dir("retry");
-        let path = dir.join("obj");
         let injector = Arc::new(FaultInjector::new(FaultConfig::uniform(7, 0.5)));
         let p = Publisher::new()
             .with_faults(Some(WriteFaults { injector: injector.clone(), policy: RetryPolicy::fast(16) }));

@@ -343,18 +343,18 @@ mod tests {
 
     #[test]
     fn recursive_strategy_terminates() {
-        #[derive(Debug)]
+        #[derive(Clone, Debug)]
         enum Tree {
-            Leaf(u8),
+            Leaf,
             Node(Vec<Tree>),
         }
         fn depth(t: &Tree) -> u32 {
             match t {
-                Tree::Leaf(_) => 0,
+                Tree::Leaf => 0,
                 Tree::Node(c) => 1 + c.iter().map(depth).max().unwrap_or(0),
             }
         }
-        let strat = any::<u8>().prop_map(Tree::Leaf).prop_recursive(4, 64, 8, |inner| {
+        let strat = Just(Tree::Leaf).prop_recursive(4, 64, 8, |inner| {
             collection::vec(inner, 0..4).prop_map(Tree::Node)
         });
         let mut r = rng();

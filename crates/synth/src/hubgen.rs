@@ -133,9 +133,8 @@ pub fn generate_hub(cfg: &SynthConfig) -> SyntheticHub {
     let registry = Arc::new(Registry::new());
     let blobs = registry.blob_store();
     let mut put = |layer: BuiltLayer| {
-        let r = LayerRef { digest: layer.digest, size: layer.cls() };
-        blobs.put(layer.blob);
-        r
+        let size = layer.cls();
+        LayerRef { digest: blobs.put(layer.blob), size }
     };
     let mut bases: Vec<Vec<LayerRef>> = vec![Vec::new(); n_bases];
     let mut apps: Vec<Option<LayerRef>> = vec![None; seeds.len()];

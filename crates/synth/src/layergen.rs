@@ -10,17 +10,15 @@ use crate::calibration::{LAYER_EMPTY_FRACTION, LAYER_FILES_CAP, LAYER_FILE_BUCKE
 use crate::paths::DirTree;
 use crate::pool::FilePool;
 use dhub_compress::{gzip_compress, CompressOptions};
-use dhub_model::Digest;
 use dhub_stats::{LogNormal, Rng};
 use dhub_tar::{TarEntry, Writer};
 
 /// A fully built layer blob.
 #[derive(Clone, Debug)]
 pub struct BuiltLayer {
-    /// gzip-compressed tarball — what the registry stores (CLS bytes).
+    /// gzip-compressed tarball — what the registry stores (CLS bytes); its
+    /// digest is the one the registry's `put` computes.
     pub blob: Vec<u8>,
-    /// Content digest of `blob`.
-    pub digest: Digest,
     /// Sum of contained file sizes (FLS).
     pub fls: u64,
     /// Regular files in the layer.
@@ -118,8 +116,7 @@ pub fn build_layer_with_files(pool: &FilePool, nfiles: u64, rng: &mut Rng) -> Bu
     }
     let tar = w.finish();
     let blob = gzip_compress(&tar, &CompressOptions::fast());
-    let digest = Digest::of(&blob);
-    BuiltLayer { blob, digest, fls, file_count: nfiles }
+    BuiltLayer { blob, fls, file_count: nfiles }
 }
 
 /// Builds the famous shared empty layer: a tar with no entries at all
@@ -127,8 +124,7 @@ pub fn build_layer_with_files(pool: &FilePool, nfiles: u64, rng: &mut Rng) -> Bu
 pub fn build_empty_layer() -> BuiltLayer {
     let tar = Writer::new().finish();
     let blob = gzip_compress(&tar, &CompressOptions::fast());
-    let digest = Digest::of(&blob);
-    BuiltLayer { blob, digest, fls: 0, file_count: 0 }
+    BuiltLayer { blob, fls: 0, file_count: 0 }
 }
 
 #[cfg(test)]
@@ -136,6 +132,7 @@ mod tests {
     use super::*;
     use crate::calibration::SynthConfig;
     use dhub_compress::gzip_decompress;
+    use dhub_model::Digest;
     use dhub_tar::read_archive;
 
     fn pool() -> FilePool {
@@ -172,10 +169,9 @@ mod tests {
         let p = pool();
         let a = build_app_layer(&p, 7);
         let b = build_app_layer(&p, 7);
-        assert_eq!(a.digest, b.digest);
         assert_eq!(a.blob, b.blob);
         let c = build_app_layer(&p, 8);
-        assert_ne!(a.digest, c.digest);
+        assert_ne!(a.blob, c.blob);
     }
 
     #[test]
@@ -201,7 +197,7 @@ mod tests {
         let tar = gzip_decompress(&e.blob).unwrap();
         assert!(read_archive(&tar).unwrap().is_empty());
         // Stable digest: every build of the empty layer is the same blob.
-        assert_eq!(e.digest, build_empty_layer().digest);
+        assert_eq!(e.blob, build_empty_layer().blob);
     }
 
     #[test]

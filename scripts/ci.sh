@@ -383,29 +383,37 @@ rm -rf "$QUEUE_DEF"
 
 # Store-size gates: the bytes a durable study leaves on disk for the bench
 # *files* corpus, written directly (`dhub store`) and through the job queue
-# (`dhub work --workers 2`, `queue/` included). Every byte is a function of
-# the hub, so each sum repeats exactly; each ceiling is the size measured
-# when the files table dropped its paths and layer results their profiles
-# (7,539,260 and 7,579,075 bytes for 7,053,149 logical) plus 1 %, so a codec
-# or layout change that grows a dir, or profiles creeping back into the
-# queue's result records, fails here.
-echo "==> store-size gates: a files-corpus study's bytes on disk, direct and queued"
-STORE_SIZE_CEILING=7614652
-WORK_SIZE_CEILING=7654865
+# (`dhub work --workers 2`, `queue/` included), and at the CLI defaults
+# (`dhub store`, 120 repos). Every byte is a function of the hub, so each
+# sum repeats exactly; each ceiling is the size measured once `gc` stored
+# each small object once in the pack (6,207,817 and 6,247,632 bytes for
+# 7,053,149 logical; 40,300,913 at the defaults) plus 1 %, so a codec or
+# layout change that grows a dir, inline copies left behind, or profiles
+# creeping back into the queue's result records, fail here. The default
+# ceiling also sits under the 49,238,026 bytes of gzip that study fetches:
+# the store must stay smaller than keeping the blobs.
+echo "==> store-size gates: a study's bytes on disk, direct, queued and at the defaults"
+STORE_SIZE_CEILING=6269895
+WORK_SIZE_CEILING=6310108
+DEFAULT_SIZE_CEILING=40703922
 SIZE_DIR=$(mktemp -d /tmp/dhub-store-size.XXXXXX)
 ./target/release/dhub store --repos 8 --seed 42 --scale 128 --threads 2 \
     --store-dir "$SIZE_DIR/d" > /dev/null
 ./target/release/dhub work --repos 8 --seed 42 --scale 128 --workers 2 \
     --store-dir "$SIZE_DIR/w" > /dev/null
+./target/release/dhub store --store-dir "$SIZE_DIR/default" > /dev/null
 dir_bytes() { find "$1" -type f -printf '%s\n' | awk '{s += $1} END {print s}'; }
 STORE_BYTES=$(dir_bytes "$SIZE_DIR/d")
 WORK_BYTES=$(dir_bytes "$SIZE_DIR/w")
+DEFAULT_BYTES=$(dir_bytes "$SIZE_DIR/default")
 rm -rf "$SIZE_DIR"
 [ "$STORE_BYTES" -le "$STORE_SIZE_CEILING" ] \
     || { echo "FAIL: store dir is $STORE_BYTES bytes, over the $STORE_SIZE_CEILING ceiling" >&2; exit 1; }
 [ "$WORK_BYTES" -le "$WORK_SIZE_CEILING" ] \
     || { echo "FAIL: work dir is $WORK_BYTES bytes, over the $WORK_SIZE_CEILING ceiling" >&2; exit 1; }
-echo "store-size gates: store $STORE_BYTES bytes (ceiling $STORE_SIZE_CEILING), work $WORK_BYTES bytes (ceiling $WORK_SIZE_CEILING)"
+[ "$DEFAULT_BYTES" -le "$DEFAULT_SIZE_CEILING" ] \
+    || { echo "FAIL: default store dir is $DEFAULT_BYTES bytes, over the $DEFAULT_SIZE_CEILING ceiling" >&2; exit 1; }
+echo "store-size gates: store $STORE_BYTES bytes (ceiling $STORE_SIZE_CEILING), work $WORK_BYTES bytes (ceiling $WORK_SIZE_CEILING), default $DEFAULT_BYTES bytes (ceiling $DEFAULT_SIZE_CEILING)"
 
 echo "==> dependency audit"
 # No references to the removed external crates anywhere in crate sources.
@@ -583,7 +591,7 @@ if git grep -nE 'pub fn [a-z_]*_reference' -- 'crates/*/src' ':!crates/oracle'; 
 fi
 echo "oracle gate: dhub-oracle is a dev-dependency only and holds every *_reference oracle"
 
-# Caller audit (ROADMAP 4d): nothing ships without a reader. Every `pub`
+# Caller audit (ROADMAP item 8): nothing ships without a reader. Every `pub`
 # fn / const / type declared in shipping code (before the file's
 # `#[cfg(test)]`) must be named by shipping code of another file — under
 # crates/*/src, examples/ or the frozen bench/src — or carry a reason in

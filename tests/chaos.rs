@@ -261,7 +261,7 @@ fn fused_ingest_reuses_scratch_after_warmup() {
     let layers: Vec<_> = (0..16u64)
         .map(|s| {
             let l = build_app_layer(&pool, 0xF00D + s);
-            (l.digest, Arc::new(l.blob))
+            (dhub_model::Digest::of(&l.blob), Arc::new(l.blob))
         })
         .collect();
     let obs = MetricsRegistry::new();
