@@ -149,12 +149,6 @@ impl LayerRecipe {
         Digest(self.sha256.get(i).try_into().expect("a file row holds a 32-byte digest"))
     }
 
-    /// Digests of the file contents this recipe references (with
-    /// repetition, in order).
-    pub fn file_digests(&self) -> impl Iterator<Item = Digest> + '_ {
-        (0..self.len()).filter(|&i| self.kind[i] == FILE).map(|i| self.digest(i))
-    }
-
     /// The layer's profile: its rows through the fold the analyzer runs
     /// over tar entries, so it is the profile the layer's analysis gave.
     pub fn profile(&self) -> LayerProfile {
@@ -273,13 +267,6 @@ mod tests {
         assert_eq!(field(1, "digest"), Digest::of(b"contents").to_docker_string());
         assert_eq!(field(2, "target"), "tool");
         assert_eq!(entries[1].get("mtime").and_then(|v| v.as_u64()), Some(1_495_000_000));
-    }
-
-    #[test]
-    fn file_digests_iterates_files_only() {
-        let r = sample();
-        let digests: Vec<Digest> = r.file_digests().collect();
-        assert_eq!(digests, vec![Digest::of(b"contents")]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! as they do in a durable store's files: a commit copies the layer's new
 //! objects of at most [`INLINE_MAX`] bytes into one buffer for the layer
 //! and each larger one into a buffer of its own, and a reopened store keeps
-//! each small object where its layer file or the pack was read and each
+//! each small object in the buffer of the pack it was read from and each
 //! large one in its object file's bytes. Recipes are [`LayerRecipe`]s in column form. So
 //! a store holds a few buffers per layer plus one per large object, however
 //! many rows and small objects it has, and dropping it frees those.
@@ -23,10 +23,10 @@ use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Objects up to one filesystem block are kept inline in the layer file of
-/// each layer that holds them and, in memory, in one buffer per layer with
-/// the layer's other small objects; larger ones get a file and a buffer
-/// each.
+/// Objects up to one filesystem block are kept, on disk, in packs — a
+/// commit's segment, then the one `gc` merges the segments into — and, in
+/// memory, in one buffer per layer with the layer's other small objects;
+/// larger ones get a file and a buffer each.
 pub(crate) const INLINE_MAX: usize = 4096;
 
 /// Where an object's bytes lie: `bufs[buf][at]` of its [`Objects`].

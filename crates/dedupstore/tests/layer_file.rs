@@ -1,10 +1,9 @@
 //! The layer file codec: a durable commit writes, for any layer, the bytes
 //! a per-row encoder kept here writes — one row per tar entry, a file's
-//! class as the oracle analyzer assigns it, each small content inline on
-//! the first row in the layer that names it — and a reopen reads back the
-//! same rows, rebuilds the same tar and folds the same profile. A file
-//! whose class is not a file kind, or names one on a row that is not a
-//! file, is torn.
+//! class as the oracle analyzer assigns it, no file content — and a reopen
+//! reads back the same rows, rebuilds the same tar and folds the same
+//! profile. A file whose class is not a file kind, or names one on a row
+//! that is not a file, is torn.
 
 use dhub_compress::{gzip_compress, CompressOptions};
 use dhub_dedupstore::{analyze_and_ingest, LayerRecipe, PersistentDedupStore, PersistentError};
@@ -15,11 +14,10 @@ use dhub_persist::{
 };
 use dhub_tar::{write_archive, EntryKind, EntryView, EntryViewKind, TarEntry, TarView};
 use proptest::prelude::*;
-use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The largest object a layer file carries inline.
+/// The largest object a layer's segment holds rather than an object file.
 const INLINE_MAX: usize = 4096;
 
 /// The layer file of `entries`, written the way the store wrote it before
@@ -38,12 +36,10 @@ fn layer_file_reference(blob_len: u64, entries: &[EntryView<'_>], class: &[u64])
         ("sha256", Bytes),
         ("class", U64),
         ("target", Str),
-        ("content", Bytes),
     ]);
     let (mut path, mut target) = (StrColumn::default(), StrColumn::default());
-    let (mut sha256, mut content) = (BytesColumn::default(), BytesColumn::default());
+    let mut sha256 = BytesColumn::default();
     let mut ints: [Vec<u64>; 6] = Default::default();
-    let mut inlined = HashSet::new();
     assert_eq!(entries.len(), class.len());
     for e in entries {
         let (kind, link) = match e.kind {
@@ -52,13 +48,9 @@ fn layer_file_reference(blob_len: u64, entries: &[EntryView<'_>], class: &[u64])
             EntryViewKind::Symlink(t) => (2, t),
             EntryViewKind::Hardlink(t) => (3, t),
         };
-        let (size, digest, body) = match e.kind {
-            EntryViewKind::File(data) => {
-                let d = Digest::of(data);
-                let inline = data.len() <= INLINE_MAX && inlined.insert(d);
-                (data.len() as u64, d.0.to_vec(), if inline { data } else { &[] })
-            }
-            _ => (0, Vec::new(), &[][..]),
+        let (size, digest) = match e.kind {
+            EntryViewKind::File(data) => (data.len() as u64, Digest::of(data).0.to_vec()),
+            _ => (0, Vec::new()),
         };
         let row = [kind, e.mode.into(), e.uid.into(), e.gid.into(), e.mtime, size];
         for (col, v) in ints.iter_mut().zip(row) {
@@ -67,7 +59,6 @@ fn layer_file_reference(blob_len: u64, entries: &[EntryView<'_>], class: &[u64])
         path.push(&e.path);
         target.push(link);
         sha256.push(&digest);
-        content.push(body);
     }
     let [kind, mode, uid, gid, mtime, size] = ints.map(Column::U64);
     let cols = vec![
@@ -81,10 +72,9 @@ fn layer_file_reference(blob_len: u64, entries: &[EntryView<'_>], class: &[u64])
         Column::Bytes(sha256),
         Column::U64(class.to_vec()),
         Column::Str(target),
-        Column::Bytes(content),
     ];
     let table = Table::from_columns(schema, cols).unwrap();
-    table.with_meta("format", 3).with_meta("blob_len", blob_len).to_bytes()
+    table.with_meta("format", 4).with_meta("blob_len", blob_len).to_bytes()
 }
 
 /// Each entry's class: a file's, from the oracle analyzer's profile of
@@ -168,8 +158,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Two layers into one store through the fused pass, so the second
-    /// names objects the first holds: each layer file still carries its
-    /// own small contents.
+    /// names objects the first holds: each layer file is its own rows
+    /// alone.
     #[test]
     fn layer_files_are_the_per_row_encoders_bytes(
         first in proptest::collection::vec(arb_entry(), 0..24),
@@ -209,7 +199,8 @@ proptest! {
 }
 
 /// A layer file the per-row encoder writes with `class` as its class
-/// column opens, or fails `open` as torn naming it, and nothing else.
+/// column, in place of the one a commit wrote beside its segment, opens,
+/// or fails `open` as torn naming it, and nothing else.
 #[test]
 fn a_class_past_the_kinds_or_on_a_row_that_is_not_a_file_is_torn() {
     let tar = write_archive(&[
@@ -225,7 +216,9 @@ fn a_class_past_the_kinds_or_on_a_row_that_is_not_a_file_is_torn() {
     let opens = |class: &[u64]| {
         let dir = store_dir();
         let path = layer_path(&dir, &digest);
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let store = PersistentDedupStore::open(&dir, Publisher::new()).unwrap();
+        analyze_and_ingest(&store, digest, &blob, &mut dhub_par::Scratch::new()).unwrap().1.unwrap();
+        drop(store);
         std::fs::write(&path, layer_file_reference(blob.len() as u64, &entries, class)).unwrap();
         let open = PersistentDedupStore::open(&dir, Publisher::new());
         let opened = match open {

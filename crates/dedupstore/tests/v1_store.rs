@@ -12,9 +12,14 @@
 //! - `fixtures/format2-store`, written by the last writer before the
 //!   `class` column: `DHTB` version 3 layer files of layer format 2, and
 //!   the one object over 4 KiB under `objects/`.
+//! - `fixtures/format3-store`, written by the last writer before segments:
+//!   layer files of layer format 3, whose `content` column carried each
+//!   small object until `gc` emptied it — one layer committed before a
+//!   `gc`, one after — `packs/small`, and the one object over 4 KiB under
+//!   `objects/`.
 
 use dhub_dedupstore::{PersistentDedupStore, PersistentError};
-use dhub_persist::{PersistError, Publisher, Table};
+use dhub_persist::{Column, PersistError, Publisher, Table};
 use std::path::{Path, PathBuf};
 
 /// Every file under `dir`, as (path relative to it, bytes), sorted.
@@ -109,6 +114,36 @@ fn a_format2_store_fails_to_open_and_is_left_untouched() {
         }
         Err(other) => panic!("expected a torn layer file, got {other}"),
         Ok(_) => panic!("a format 2 store opened"),
+    }
+    assert_eq!(files(&root), before, "the failed open changed the store dir");
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_format3_store_fails_to_open_and_is_left_untouched() {
+    let root = copy("format3-store");
+    let before = files(&root);
+    assert_eq!(before, files(&fixture("format3-store")));
+    assert!(before.iter().any(|(name, _)| name == "packs/small"));
+    let layers: Vec<&(String, Vec<u8>)> =
+        before.iter().filter(|(name, _)| name.starts_with("layers")).collect();
+    assert_eq!(layers.len(), 2);
+    let mut carrying = Vec::new();
+    for (name, bytes) in &layers {
+        let table = Table::from_bytes(bytes.clone()).unwrap_or_else(|| panic!("{name} is a table"));
+        assert_eq!(table.meta()[0], ("format".to_string(), 3), "{name}");
+        let Some(Column::Bytes(content)) = table.into_columns().pop() else {
+            panic!("{name} ends in a bytes column")
+        };
+        carrying.push(content.iter().any(|c| !c.is_empty()));
+    }
+    assert_eq!(carrying.iter().filter(|&&c| c).count(), 1, "one layer file carries its small objects");
+    match PersistentDedupStore::open(&root, Publisher::new()) {
+        Err(PersistentError::Persist(PersistError::Torn(path))) => {
+            assert_eq!(path, root.join(&layers[0].0), "the first layer file in path order")
+        }
+        Err(other) => panic!("expected a torn layer file, got {other}"),
+        Ok(_) => panic!("a format 3 store opened"),
     }
     assert_eq!(files(&root), before, "the failed open changed the store dir");
     std::fs::remove_dir_all(&root).ok();

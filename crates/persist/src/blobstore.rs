@@ -206,8 +206,8 @@ impl BlobStore {
     }
 
     /// Digest-verifies an object's bytes that were kept somewhere other
-    /// than this store's own files (the dedup store's layer files and pack
-    /// carry its small objects), counted as one object read exactly as
+    /// than this store's own files (the dedup store's packs carry its small
+    /// objects), counted as one object read exactly as
     /// [`BlobStore::get`] counts one: [`PersistError::Corrupt`] when the
     /// bytes do not hash to `digest`.
     pub fn verify(&self, digest: &Digest, data: &[u8]) -> Result<(), PersistError> {
@@ -225,6 +225,19 @@ impl BlobStore {
         self.path_for(digest).exists()
     }
 
+    /// The fanout shards that have a directory, in order: one listing of
+    /// the root rather than a lookup per possible shard.
+    fn shards(&self) -> Result<Vec<u8>, PersistError> {
+        let mut shards = Vec::new();
+        for entry in std::fs::read_dir(&self.root)? {
+            let name = entry?.file_name();
+            shards.extend(name.to_str().filter(|n| n.len() == 2).and_then(|n| u8::from_str_radix(n, 16).ok()));
+        }
+        shards.sort_unstable();
+        shards.dedup();
+        Ok(shards)
+    }
+
     /// The entries of fanout shard `shard`'s directory — none when nothing
     /// has been published into that shard yet. Anything else under the
     /// root is foreign and never visited.
@@ -239,7 +252,7 @@ impl BlobStore {
     /// Digests of every published (non-temp) object, sorted.
     pub fn list(&self) -> Result<Vec<Digest>, PersistError> {
         let mut out = Vec::new();
-        for shard in 0..=u8::MAX {
+        for shard in self.shards()? {
             for f in self.shard_entries(shard)? {
                 out.extend(f.file_name().to_str().and_then(digest_from_hex));
             }
@@ -251,7 +264,7 @@ impl BlobStore {
     /// Total bytes across published objects (temp debris excluded).
     pub fn disk_bytes(&self) -> Result<u64, PersistError> {
         let mut bytes = 0;
-        for shard in 0..=u8::MAX {
+        for shard in self.shards()? {
             for f in self.shard_entries(shard)? {
                 if !is_tmp(&f.file_name()) {
                     bytes += f.metadata()?.len();
@@ -268,7 +281,7 @@ impl BlobStore {
     /// publish in flight), and stats only what it deletes.
     pub fn gc(&self, live: &FxHashSet<Digest>) -> Result<GcStats, PersistError> {
         let mut stats = GcStats::default();
-        for shard in 0..=u8::MAX {
+        for shard in self.shards()? {
             let _guard = self.shard_locks.get(shard as usize).lock();
             for f in self.shard_entries(shard)? {
                 let name = f.file_name();

@@ -386,16 +386,17 @@ rm -rf "$QUEUE_DEF"
 # (`dhub work --workers 2`, `queue/` included), and at the CLI defaults
 # (`dhub store`, 120 repos). Every byte is a function of the hub, so each
 # sum repeats exactly; each ceiling is the size measured once `gc` stored
-# each small object once in the pack (6,207,817 and 6,247,632 bytes for
-# 7,053,149 logical; 40,300,913 at the defaults) plus 1 %, so a codec or
-# layout change that grows a dir, inline copies left behind, or profiles
-# creeping back into the queue's result records, fail here. The default
+# each small object once in the pack and the layer files lost their
+# `content` column (6,162,429 and 6,202,244 bytes for 7,053,149 logical;
+# 39,920,061 at the defaults) plus 1 %, so a codec or layout change that
+# grows a dir, segments left behind, or profiles creeping back into the
+# queue's result records, fail here. The default
 # ceiling also sits under the 49,238,026 bytes of gzip that study fetches:
 # the store must stay smaller than keeping the blobs.
 echo "==> store-size gates: a study's bytes on disk, direct, queued and at the defaults"
-STORE_SIZE_CEILING=6269895
-WORK_SIZE_CEILING=6310108
-DEFAULT_SIZE_CEILING=40703922
+STORE_SIZE_CEILING=6224053
+WORK_SIZE_CEILING=6264266
+DEFAULT_SIZE_CEILING=40319261
 SIZE_DIR=$(mktemp -d /tmp/dhub-store-size.XXXXXX)
 ./target/release/dhub store --repos 8 --seed 42 --scale 128 --threads 2 \
     --store-dir "$SIZE_DIR/d" > /dev/null
@@ -706,9 +707,13 @@ EOF
 # and the one `commit_parsed` replaced, and the per-layer compressed-size
 # map that the recipes' own `blob_len` replaced; and for the parallel
 # for-each that only the sharded-map file index and the atomic type
-# census ran on, which the one sequential content index replaced.
+# census ran on, which the one sequential content index replaced; and for
+# the layer file's inline `content` column, the gc pass that re-encoded
+# every layer file to empty it, and the recipe's file-digest walk gc's live
+# set used, which a commit's pack segment and gc's merge of the segments
+# replaced.
 echo "==> stale-reference audit"
-STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network|fn with_retries|fn retrying|Backend::Local|mirror_(manifest|blob|tags)_endpoint|remove_layer|dhub_store_gc_|--bin report|write_lock|TableDecoder|huffman_block_fast|of_scalar|new_scalar|sha256_scalar|crc32_scalar|read_bytes\(|reader::Reader|tar::Reader|write_octal|append_gnu_longname|LayerRecipe::from_value|bench_carve|dhub_carve::\{?carve\b|get_clone|push_row|parse_envelope|recipe_from_json_reference|PendingEntry|EntryMeta|commit_recipe|layer_cls|par_for_each'
+STALE_RE='dhub-bench|crates/bench|BENCH_[a-z]+\.json|DHUB_BENCH_REPOS|run_study_streaming_obs|dhub_par::pipeline|ThreadPool|WaitGroup|CoarseMap|RefManifest|manifest_is_current|pace_network|fn with_retries|fn retrying|Backend::Local|mirror_(manifest|blob|tags)_endpoint|remove_layer|dhub_store_gc_|--bin report|write_lock|TableDecoder|huffman_block_fast|of_scalar|new_scalar|sha256_scalar|crc32_scalar|read_bytes\(|reader::Reader|tar::Reader|write_octal|append_gnu_longname|LayerRecipe::from_value|bench_carve|dhub_carve::\{?carve\b|get_clone|push_row|parse_envelope|recipe_from_json_reference|PendingEntry|EntryMeta|commit_recipe|layer_cls|par_for_each|inline_content|carries_content|stripped_layer|empty_content|StoredLayer|\.file_digests\('
 if git grep -nE "$STALE_RE" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench' \
     | grep -v '^scripts/ci.sh:[0-9]*:STALE_RE='; then
     echo "FAIL: stale references to deleted code (listed above)" >&2

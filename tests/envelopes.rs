@@ -1,5 +1,5 @@
 //! Golden bytes for the files the durable tiers write for themselves:
-//! every layer file and study table of a fixed small durable study, and
+//! every layer file, segment and study table of a fixed small durable study, and
 //! every job and result envelope of the same study run through the queue. Each file's
 //! SHA-256 is folded, in path order, into one digest per tree and pinned.
 //! A store or queue dir written by an older build must reopen unchanged,
@@ -59,7 +59,8 @@ fn tree_digest(dir: &Path) -> (usize, String) {
 }
 
 /// Pins the layer files (the recipe envelopes before them, under the
-/// same name) and the five study tables under `db/`.
+/// same name), the segments under `packs/` and the five study tables under
+/// `db/`.
 #[test]
 fn recipe_envelopes_are_pinned() {
     let dir = tmp("persist");
@@ -69,9 +70,11 @@ fn recipe_envelopes_are_pinned() {
         run_study_persist_obs(&hub(), 2, &RetryPolicy::default(), &store, &MetricsRegistry::new());
     StudyDb::build(&data, &store.mem().stats()).save(&dir.join("db"), &publisher).unwrap();
     let got = tree_digest(&dir.join("layers"));
+    let segments = tree_digest(&dir.join("packs"));
     let tables = tree_digest(&dir.join("db"));
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(got, (RECIPES, RECIPES_DIGEST.to_string()));
+    assert_eq!(segments, (SEGMENTS, SEGMENTS_DIGEST.to_string()), "segments");
     assert_eq!(tables, (5, TABLES_DIGEST.to_string()), "study tables");
 }
 
@@ -84,16 +87,19 @@ fn queue_envelopes_are_pinned() {
     let cfg = QueuedStudyConfig { workers: 2, ..QueuedStudyConfig::default() };
     run_study_queued_obs(&hub(), &store, &queue, &cfg, &MetricsRegistry::new()).unwrap();
     let recipes = tree_digest(&dir.join("layers"));
+    let segments = tree_digest(&dir.join("packs"));
     let jobs = tree_digest(&dir.join("queue").join("jobs"));
     let results = tree_digest(&dir.join("queue").join("results"));
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(recipes, (RECIPES, RECIPES_DIGEST.to_string()), "queued recipes");
+    assert_eq!(segments, (SEGMENTS, SEGMENTS_DIGEST.to_string()), "queued segments");
     assert_eq!(jobs, (JOBS, JOBS_DIGEST.to_string()), "job envelopes");
     assert_eq!(results, (JOBS, RESULTS_DIGEST.to_string()), "result envelopes");
 }
 
-/// A durable study's dir holds one file per layer, one per object over
-/// 4 KiB, and the study tables — no file per small object.
+/// A durable study's dir holds one file per layer, one segment per layer
+/// with a file of at most 4 KiB, one file per object over 4 KiB, and the
+/// study tables — no file per small object.
 #[test]
 fn a_durable_study_dir_holds_a_file_per_layer_and_per_large_object() {
     let dir = tmp("shape");
@@ -104,25 +110,30 @@ fn a_durable_study_dir_holds_a_file_per_layer_and_per_large_object() {
     StudyDb::build(&data, &store.mem().stats()).save(&dir.join("db"), &publisher).unwrap();
     let mem = store.mem();
     let stats = mem.stats();
-    let mut large: Vec<String> = Vec::new();
+    let (mut large, mut with_small): (Vec<String>, Vec<String>) = (Vec::new(), Vec::new());
     for layer in mem.layer_digests() {
         for row in mem.recipe(&layer).unwrap().rows() {
             if let RowKind::File(d, _) = row.kind {
                 if row.size > 4096 {
                     large.push(format!("objects/{}", dhub_persist::hex_of(&d)));
+                } else {
+                    with_small.push(format!("packs/{}", dhub_persist::hex_of(&layer)));
                 }
             }
         }
     }
-    large.sort();
-    large.dedup();
+    for names in [&mut large, &mut with_small] {
+        names.sort();
+        names.dedup();
+    }
     let listing: Vec<String> = files(&dir).into_iter().map(|(name, _)| name).collect();
-    let (mut layers, mut objects, mut tables) = (0, Vec::new(), 0);
+    let (mut layers, mut objects, mut segments, mut tables) = (0, Vec::new(), Vec::new(), 0);
     for name in &listing {
         let (top, rest) = name.split_once('/').unwrap();
         match top {
             "layers" => layers += 1,
             "objects" => objects.push(format!("objects/{}", rest.split_once('/').unwrap().1)),
+            "packs" => segments.push(name.clone()),
             "db" if rest.ends_with(".tbl") && !rest.contains('/') => tables += 1,
             _ => panic!("unexpected file {name}"),
         }
@@ -131,16 +142,23 @@ fn a_durable_study_dir_holds_a_file_per_layer_and_per_large_object() {
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(layers, stats.layers);
     assert_eq!(objects, large);
+    assert_eq!(segments, with_small, "a segment per layer with small content");
+    assert!(with_small.len() < stats.layers, "a layer with no small file has no segment");
     assert!(!large.is_empty(), "the study has objects over 4 KiB");
     assert!(large.len() * 4 < stats.unique_objects, "{} of {}", large.len(), stats.unique_objects);
     assert_eq!(tables, 5);
 }
 
-// Recorded at layer file format 3 (the `class` column), on `DHTB`
-// version 3 tables.
+// Recorded at layer file format 4 (no `content` column: small objects
+// live in the packs), on `DHTB` version 3 tables.
 const RECIPES: usize = 91;
 const RECIPES_DIGEST: &str =
-    "sha256:1a1c3c1afb03cb89aaf31dcfe7c992b4ba88019245985e0b576ca91facf356e9";
+    "sha256:d762f096512b99f7dc8c603d73ec8acb80aaa520c7e50fd27a4577714b40880a";
+// Recorded when a commit first wrote its layer's small objects to a
+// segment under `packs/`.
+const SEGMENTS: usize = 81;
+const SEGMENTS_DIGEST: &str =
+    "sha256:006522aebdf68eaaefd184ed39a44661167b4ce724161dd1c6318601dacefdcc";
 // Recorded when the files table dropped its `path` column (`layer` and
 // `kind` are indexes).
 const TABLES_DIGEST: &str =
